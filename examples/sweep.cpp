@@ -78,10 +78,11 @@ int usage(const char* argv0) {
       << "  --cull              live (cbr) points: run the medium with\n"
          "                      spatial interference culling — the\n"
          "                      city-scale operating mode for large fleets\n"
-      << "  --shard-trips       catalog cbr points: stream trip groups and\n"
-         "                      shard them across the worker pool instead\n"
-         "                      of parallelising across points; output is\n"
-         "                      byte-identical either way\n"
+      << "  --shard-trips       cbr points: shard each point's trips (a\n"
+         "                      catalog's streamed trip groups, or its\n"
+         "                      stochastic draws) across the worker pool\n"
+         "                      instead of parallelising across points;\n"
+         "                      output is byte-identical either way\n"
       << "  --json PATH         write JSON here instead of stdout\n"
       << "  --csv PATH          also write CSV here\n"
       << "  --summary           print a per-point summary table to stderr\n"
@@ -171,29 +172,16 @@ int main(int argc, char** argv) {
             << spec.grid.seeds.size() << " seeds) on " << runner.threads()
             << " thread(s)\n";
 
-  runtime::ResultSink sink;
-  if (shard_trips) {
-    // Points run one after another; the pool parallelises *within* each
-    // point by sharding its streamed trip groups. Same bytes as run(spec).
-    for (const auto& p : spec.enumerate()) {
-      try {
-        sink.add(runtime::run_point_sharded(p, runner));
-      } catch (const std::exception& e) {
-        runtime::PointResult r;
-        r.index = p.index;
-        r.testbed = p.testbed;
-        r.fleet = p.fleet_size;
-        r.trace_set = p.trace_set;
-        r.policy = p.policy;
-        r.coordination = p.coordination;
-        r.seed = p.seed;
-        r.error = e.what();
-        sink.add(std::move(r));
-      }
-    }
-  } else {
-    sink = runner.run(spec);
-  }
+  // --shard-trips runs points one after another on a one-worker Runner;
+  // the pool parallelises *within* each point by sharding its live trips.
+  // Same bytes as run(spec).
+  const runtime::ResultSink sink =
+      shard_trips ? runtime::Runner().run(
+                        spec.enumerate(),
+                        [&runner](const runtime::ExperimentPoint& p) {
+                          return runtime::run_point_sharded(p, runner);
+                        })
+                  : runner.run(spec);
 
   if (summary) {
     // Fairness columns come from the fleet points' metrics; fleet-1 points

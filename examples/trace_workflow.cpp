@@ -67,8 +67,8 @@ int main() {
   //    built straight from the catalog.
   const scenario::Testbed bed =
       scenario::make_dieselnet(1, catalog->fleet_size());
-  scenario::LiveTrip trip(bed, *catalog, /*trip_group=*/0,
-                          core::SystemConfig{}, /*trip_seed=*/6);
+  scenario::LiveTrip trip(bed, catalog->fleet_trip(0), core::SystemConfig{},
+                          /*trip_seed=*/6);
   trip.run_until(scenario::LiveTrip::warmup());
   std::vector<std::unique_ptr<apps::CbrWorkload>> cbrs;
   for (const auto& transport : trip.transports())

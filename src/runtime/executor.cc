@@ -1,14 +1,14 @@
 #include "runtime/executor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
-#include <optional>
-
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 
 #include "analysis/sessions.h"
@@ -33,8 +33,8 @@ namespace {
 
 constexpr int kProbePayloadBytes = 500;  // §3.1 / §5.2 workload packets.
 
-/// Shape checks shared by the eager and streaming catalog paths — replay
-/// points must name a catalog recorded on their exact scenario.
+/// Shape checks shared by the replay and live workloads — catalog points
+/// must name a catalog recorded on their exact scenario.
 void validate_catalog_shape(const ExperimentPoint& point,
                             const scenario::Testbed& bed,
                             const std::string& testbed, int fleet_size,
@@ -59,49 +59,44 @@ void validate_catalog_shape(const ExperimentPoint& point,
           point.testbed + " at fleet " + std::to_string(point.fleet_size));
 }
 
-/// Loads and validates the point's TraceCatalog (shared, immutable).
-std::shared_ptr<const tracegen::TraceCatalog> resolve_catalog(
-    const ExperimentPoint& point, const scenario::Testbed& bed) {
-  auto catalog = tracegen::load_catalog_shared(point.trace_set);
-  validate_catalog_shape(point, bed, catalog->testbed(),
-                         catalog->fleet_size(), catalog->vehicle_ids());
-  return catalog;
-}
-
-/// One Campaign copy per catalog (not per point): the §3.1 replay path
-/// needs trips by value (HistoryPolicy consumes a Campaign), and a
-/// policies x seeds sweep over one catalog must not deep-copy every
-/// trace per point. Lifetime mirrors the catalog cache's.
-std::shared_ptr<const trace::Campaign> catalog_campaign(
-    const std::shared_ptr<const tracegen::TraceCatalog>& catalog) {
-  struct Entry {
-    // Pins the catalog so its address cannot be recycled under this key
-    // even after tracegen::drop_catalog_cache().
-    std::shared_ptr<const tracegen::TraceCatalog> catalog;
-    std::shared_ptr<const trace::Campaign> campaign;
-  };
-  static std::mutex mu;
-  static std::map<const tracegen::TraceCatalog*, Entry> cache;
-  const std::lock_guard<std::mutex> lock(mu);
-  // Bounded: a sweep touches a handful of catalogs; once past the cap
-  // (someone iterating many catalogs in one process), drop the lot
-  // rather than pin every catalog's copy forever.
-  constexpr std::size_t kMaxCachedCatalogs = 8;
-  if (cache.size() >= kMaxCachedCatalogs &&
-      cache.find(catalog.get()) == cache.end())
-    cache.clear();
-  Entry& slot = cache[catalog.get()];
-  if (slot.campaign == nullptr) {
-    auto campaign = std::make_shared<trace::Campaign>();
-    campaign->testbed = catalog->testbed();
-    campaign->trips = catalog->traces();
-    slot = {catalog, std::move(campaign)};
-  }
-  return slot.campaign;
-}
-
+/// The §3.1 replay workload, on the calling thread: a generated campaign,
+/// or the point's catalog (shared, immutable), whose Campaign the History
+/// policy reads in place.
 void run_replay(const scenario::Testbed& bed, const ExperimentPoint& point,
-                const trace::Campaign& campaign, int days, PointResult& r) {
+                PointResult& r) {
+  std::shared_ptr<const tracegen::TraceCatalog> catalog;
+  trace::Campaign generated;
+  const trace::Campaign* campaign = &generated;
+  int days = point.days;
+  if (point.trace_set.empty()) {
+    scenario::CampaignConfig cfg;
+    cfg.days = point.days;
+    cfg.trips_per_day = point.trips_per_day;
+    cfg.trip_duration = point.trip_duration;
+    cfg.seed = point.campaign_seed;
+    cfg.log_probes = true;
+    cfg.log_bs_beacons = false;
+    generated = scenario::generate_campaign(bed, cfg);
+  } else {
+    catalog = tracegen::load_catalog_shared(point.trace_set);
+    validate_catalog_shape(point, bed, catalog->testbed(),
+                           catalog->fleet_size(), catalog->vehicle_ids());
+    // §3.1 policy replay consumes 100 ms probe slots; beacon-only
+    // catalogs (everything traceforge record/synth produces) would
+    // replay to silent all-zero metrics — fail loudly instead.
+    const bool any_slots = std::any_of(
+        catalog->traces().begin(), catalog->traces().end(),
+        [](const trace::MeasurementTrace& t) { return !t.slots.empty(); });
+    if (!any_slots)
+      throw std::runtime_error(
+          "trace set '" + point.trace_set +
+          "' carries no probe slots (beacon-only traces); the §3.1 "
+          "replay workload needs log_probes campaigns — replay this "
+          "catalog with the cbr workload instead");
+    campaign = &catalog->campaign();
+    days = catalog->days();
+  }
+
   // Fleet campaigns carry one trace per vehicle per trip; every vehicle's
   // log replays under the policy and aggregates into the point's metrics.
   // Fleet points (V > 1) additionally split deliveries per logging vehicle
@@ -114,13 +109,13 @@ void run_replay(const scenario::Testbed& bed, const ExperimentPoint& point,
   // after the previous trip's horizon.
   obs::TraceRecorder* rec = obs::current_recorder();
   Time trace_base = rec ? rec->time_base() : Time::zero();
-  for (const auto& trip : campaign.trips) {
+  for (const auto& trip : campaign->trips) {
     if (rec) {
       rec->set_time_base(trace_base);
       trace_base = trace_base + std::max(trip.duration, Time::seconds(1.0));
     }
     const auto stream =
-        outcomes_to_stream(replay_trip(trip, point.policy, campaign));
+        outcomes_to_stream(replay_trip(trip, point.policy, *campaign));
     if (fairness) {
       double delivered = 0.0;
       for (const int d : stream.delivered) delivered += d;
@@ -173,19 +168,20 @@ core::SystemConfig live_system_config(const ExperimentPoint& point,
 /// out of both campaign_seed and point_seed).
 void seed_coordination(const ExperimentPoint& point,
                        const scenario::Testbed& bed,
-                       const tracegen::TraceCatalog* catalog,
                        core::SystemConfig& sys) {
   if (point.coordination.empty() || point.coordination == "pab") return;
   if (point.coordination != "coord")
     throw std::runtime_error("unknown coordination '" + point.coordination +
                              "' (expected pab/coord)");
   sys.coord.enabled = true;
-  std::vector<const trace::MeasurementTrace*> trips;
-  trace::Campaign history_campaign;
-  if (catalog != nullptr) {
-    trips.reserve(catalog->traces().size());
-    for (const trace::MeasurementTrace& t : catalog->traces())
-      trips.push_back(&t);
+  // The history fit wants the whole catalog at once; only the coord axis
+  // pays for that load (from the shared cache).
+  std::shared_ptr<const tracegen::TraceCatalog> catalog;
+  trace::Campaign generated;
+  const trace::Campaign* history = &generated;
+  if (!point.trace_set.empty()) {
+    catalog = tracegen::load_catalog_shared(point.trace_set);
+    history = &catalog->campaign();
   } else {
     scenario::CampaignConfig cfg;
     cfg.days = 1;
@@ -194,11 +190,11 @@ void seed_coordination(const ExperimentPoint& point,
     cfg.seed = mix_seed(point.campaign_seed, "coord-history");
     cfg.log_probes = false;
     cfg.log_bs_beacons = false;
-    history_campaign = scenario::generate_campaign(bed, cfg);
-    trips.reserve(history_campaign.trips.size());
-    for (const trace::MeasurementTrace& t : history_campaign.trips)
-      trips.push_back(&t);
+    generated = scenario::generate_campaign(bed, cfg);
   }
+  std::vector<const trace::MeasurementTrace*> trips;
+  trips.reserve(history->trips.size());
+  for (const trace::MeasurementTrace& t : history->trips) trips.push_back(&t);
   sys.coord.history = coord::fit_history(trips);
 }
 
@@ -215,15 +211,13 @@ struct LiveTripOutcome {
 
 /// Runs one already-constructed live trip to its horizon and measures it.
 /// \p trace_horizon carries a replay trip's absolute schedule horizon;
-/// nullopt means a stochastic trip (one route lap). The exact trip body of
-/// run_cbr, shared with the sharded executor so the two paths cannot
-/// drift.
+/// nullopt means a stochastic trip (one route lap).
 LiveTripOutcome measure_live_trip(const scenario::Testbed& bed,
                                   const ExperimentPoint& point,
                                   scenario::LiveTrip& live,
-                                  std::optional<Time> trace_horizon,
-                                  bool fairness) {
+                                  std::optional<Time> trace_horizon) {
   const std::size_t fleet = static_cast<std::size_t>(bed.fleet_size());
+  const bool fairness = fleet > 1;
   LiveTripOutcome out;
   live.run_until(scenario::LiveTrip::warmup());
   // One CBR probe stream per vehicle, all sharing the trip's medium —
@@ -328,68 +322,152 @@ void finish_live_point(const LiveFold& fold, int days, bool fairness,
       apps::mos_g729(delay_ms, 1.0 - r.metrics["delivery_rate"]);
 }
 
-void run_cbr(const scenario::Testbed& bed, const ExperimentPoint& point,
-             const tracegen::TraceCatalog* catalog, PointResult& r) {
-  core::SystemConfig sys = live_system_config(point, bed);
-  seed_coordination(point, bed, catalog, sys);
+/// One live trip's contribution to its point, held until every earlier
+/// trip has folded: the measured outcome plus the recorder and registry
+/// the trip recorded into (null when the point has no such session).
+struct TripSlot {
+  bool done = false;
+  LiveTripOutcome out;
+  std::unique_ptr<obs::TraceRecorder> recorder;
+  std::unique_ptr<obs::MetricsRegistry> metrics;
+};
 
+/// Trip \p trip's part spool, beside a streaming session's own spool.
+std::string part_spool(const obs::TraceRecorder& session, std::size_t trip) {
+  char part[32];
+  std::snprintf(part, sizeof(part), ".trip%05zu.part", trip);
+  return session.spool_path() + part;
+}
+
+/// Runs live trip \p trip of the point — a pure function of (point, trip
+/// index), so any worker may run it — under its own recorder/registry
+/// when the point has a session: part spools beside a streaming session,
+/// rings of the session's capacity otherwise. Absorbed in trip order,
+/// either reproduces the bytes of recording straight into the session.
+TripSlot run_live_trip(const scenario::Testbed& bed,
+                       const ExperimentPoint& point,
+                       const core::SystemConfig& sys,
+                       const tracegen::CatalogStream* stream,
+                       const obs::TraceRecorder* session_rec,
+                       bool session_metrics, std::size_t trip) {
+  TripSlot slot;
+  // The trip scope must be live before LiveTrip's construction:
+  // VifiSystem labels its nodes through current_recorder().
+  std::optional<obs::TraceScope> trace_scope;
+  std::optional<obs::MetricsScope> metrics_scope;
+  if (session_rec != nullptr) {
+    slot.recorder =
+        session_rec->streaming()
+            ? std::make_unique<obs::TraceRecorder>(
+                  std::make_unique<obs::StreamSink>(
+                      part_spool(*session_rec, trip)))
+            : std::make_unique<obs::TraceRecorder>(
+                  session_rec->per_node_capacity());
+    trace_scope.emplace(*slot.recorder);
+  }
+  if (session_metrics) {
+    slot.metrics = std::make_unique<obs::MetricsRegistry>();
+    metrics_scope.emplace(*slot.metrics);
+  }
+  const std::uint64_t seed =
+      mix_seed(point.point_seed, static_cast<std::uint64_t>(trip));
+  if (stream != nullptr) {
+    // Replay trips drive the fleet loss schedule straight from their trip
+    // group's traces, loaded for this trip only.
+    const std::vector<trace::MeasurementTrace> traces =
+        stream->load_group(trip);
+    std::vector<const trace::MeasurementTrace*> ptrs;
+    ptrs.reserve(traces.size());
+    for (const trace::MeasurementTrace& t : traces) ptrs.push_back(&t);
+    scenario::LiveTrip live(bed, ptrs, sys, seed);
+    slot.out = measure_live_trip(bed, point, live, traces.front().duration);
+  } else {
+    // Stochastic trips draw a fresh channel.
+    scenario::LiveTrip live(bed, sys, seed);
+    slot.out = measure_live_trip(bed, point, live, std::nullopt);
+  }
+  slot.done = true;
+  return slot;
+}
+
+/// The §5.2 live workload: the point's trips — a catalog's trip groups,
+/// streamed one at a time, or days x trips_per_day stochastic draws —
+/// sharded across \p pool. Outcomes, recorders and registries fold in trip
+/// order as soon as every earlier trip is done, replaying a sequential
+/// loop's accumulation exactly: the bytes are the same for any worker
+/// count, and an inline pool holds one trip's session at a time.
+void run_live(const scenario::Testbed& bed, const ExperimentPoint& point,
+              const Runner& pool, PointResult& r) {
+  std::optional<tracegen::CatalogStream> stream;
+  if (!point.trace_set.empty()) {
+    stream = tracegen::CatalogStream::open(point.trace_set);
+    validate_catalog_shape(point, bed, stream->testbed(), stream->fleet_size(),
+                           stream->vehicle_ids());
+  }
+  core::SystemConfig sys = live_system_config(point, bed);
+  seed_coordination(point, bed, sys);
   // Replay points run every trip group of their catalog exactly once; the
   // point's days/trips knobs describe generated campaigns only.
-  const int trips = catalog != nullptr
-                        ? static_cast<int>(catalog->trip_groups())
-                        : point.days * point.trips_per_day;
-  const int days = catalog != nullptr ? catalog->days() : point.days;
+  const std::size_t n =
+      stream ? stream->trip_groups()
+             : static_cast<std::size_t>(point.days * point.trips_per_day);
   // Fleet points (V > 1) accumulate the per-vehicle fairness view on top
   // of the shared metric set; fleet-1 points skip all of it so their
   // output bytes stay identical to the single-vehicle sweeps.
-  const std::size_t fleet = static_cast<std::size_t>(bed.fleet_size());
-  const bool fairness = fleet > 1;
-  LiveFold fold(fleet);
-  // One timeline per point: each trip's simulator restarts at zero, so the
-  // recorder's base advances by the previous trip's horizon.
-  obs::TraceRecorder* rec = obs::current_recorder();
-  Time trace_base = rec ? rec->time_base() : Time::zero();
-  // When a metrics session is on, each trip publishes into its own
-  // registry, folded into the session's in trip order — the *same* fold
-  // the sharded executor performs, so histogram/counter sums come out
-  // byte-identical whichever path ran the point.
+  const bool fairness = bed.fleet_size() > 1;
+
+  // One timeline per point: each trip's simulator restarts at zero, so a
+  // trip's recorder is absorbed at the previous trips' summed horizons.
+  obs::TraceRecorder* session_rec = obs::current_recorder();
   obs::MetricsRegistry* session_metrics = obs::current_metrics();
-  for (int trip = 0; trip < trips; ++trip) {
-    if (rec) rec->set_time_base(trace_base);
-    std::optional<obs::MetricsRegistry> trip_metrics;
-    std::optional<obs::MetricsScope> trip_metrics_scope;
-    if (session_metrics != nullptr) {
-      trip_metrics.emplace();
-      trip_metrics_scope.emplace(*trip_metrics);
+  Time trace_base =
+      session_rec != nullptr ? session_rec->time_base() : Time::zero();
+  LiveFold fold(static_cast<std::size_t>(bed.fleet_size()));
+  std::vector<TripSlot> slots(n);
+  std::size_t folded = 0;  // Trips [0, folded) are in fold and session.
+  std::mutex mu;
+  std::atomic<bool> failed{false};
+  const ResultSink trips = pool.run_indexed(n, [&](std::size_t trip) {
+    PointResult status;
+    status.index = trip;
+    if (failed.load()) return status;  // The point is lost already.
+    TripSlot slot;
+    try {
+      slot = run_live_trip(bed, point, sys, stream ? &*stream : nullptr,
+                           session_rec, session_metrics != nullptr, trip);
+    } catch (...) {
+      failed = true;
+      throw;
     }
-    const std::uint64_t trip_seed =
-        mix_seed(point.point_seed, static_cast<std::uint64_t>(trip));
-    // Replay trips drive the fleet loss schedule straight from the
-    // catalog's traces; stochastic trips draw a fresh channel.
-    const auto live_ptr =
-        catalog != nullptr
-            ? std::make_unique<scenario::LiveTrip>(
-                  bed, *catalog, static_cast<std::size_t>(trip), sys,
-                  trip_seed)
-            : std::make_unique<scenario::LiveTrip>(bed, sys, trip_seed);
-    const std::optional<Time> horizon =
-        catalog != nullptr
-            ? std::optional<Time>(
-                  catalog->fleet_trip(static_cast<std::size_t>(trip))
-                      .front()
-                      ->duration)
-            : std::nullopt;
-    const LiveTripOutcome out =
-        measure_live_trip(bed, point, *live_ptr, horizon, fairness);
-    if (rec) trace_base = trace_base + out.sim_end;
-    if (session_metrics != nullptr) {
-      trip_metrics_scope.reset();
-      session_metrics->merge(*trip_metrics);
+    const std::lock_guard<std::mutex> lock(mu);
+    slots[trip] = std::move(slot);
+    for (; folded < n && slots[folded].done; ++folded) {
+      TripSlot& done = slots[folded];
+      fold.add(done.out, fairness);
+      if (done.recorder != nullptr) {
+        session_rec->absorb(*done.recorder, trace_base);
+        trace_base = trace_base + done.out.sim_end;
+      }
+      if (done.metrics != nullptr) session_metrics->merge(*done.metrics);
+      const bool part = done.recorder != nullptr && done.recorder->streaming();
+      done = TripSlot{};
+      if (part) std::filesystem::remove(part_spool(*session_rec, folded));
     }
-    fold.add(out, fairness);
+    return status;
+  });
+  for (const PointResult& status : trips.ordered()) {
+    if (status.error.empty()) continue;
+    // Trips from the failed one on never folded: close their part spools
+    // (the failed trip's own included) and delete them.
+    slots.clear();
+    if (session_rec != nullptr && session_rec->streaming())
+      for (std::size_t trip = folded; trip < n; ++trip)
+        std::filesystem::remove(part_spool(*session_rec, trip));
+    throw std::runtime_error("trip " + std::to_string(status.index) + ": " +
+                             status.error);
   }
-  if (rec) rec->set_time_base(trace_base);
-  finish_live_point(fold, days, fairness, r);
+  if (session_rec != nullptr) session_rec->set_time_base(trace_base);
+  finish_live_point(fold, stream ? stream->days() : point.days, fairness, r);
 }
 
 /// The recorder a point that owns its session records into: ring-backed
@@ -546,14 +624,12 @@ std::vector<handoff::SlotOutcome> replay_trip(
 }
 
 PointResult run_point(const ExperimentPoint& point) {
-  PointResult r;
-  r.index = point.index;
-  r.testbed = point.testbed;
-  r.fleet = point.fleet_size;
-  r.trace_set = point.trace_set;
-  r.policy = point.policy;
-  r.coordination = point.coordination;
-  r.seed = point.seed;
+  return run_point_sharded(point, Runner({.threads = 1}));
+}
+
+PointResult run_point_sharded(const ExperimentPoint& point,
+                              const Runner& pool) {
+  PointResult r = identity_of(point);
 
   // TripScope session. A caller (e.g. examples/tripscope) may have
   // installed a recorder/registry on this thread already — the point then
@@ -577,207 +653,15 @@ PointResult run_point(const ExperimentPoint& point) {
   }
 
   const scenario::Testbed bed = make_testbed(point.testbed, point.fleet_size);
-  std::shared_ptr<const tracegen::TraceCatalog> catalog;
-  if (!point.trace_set.empty()) catalog = resolve_catalog(point, bed);
   if (point.workload == "replay") {
-    if (catalog == nullptr) {
-      scenario::CampaignConfig cfg;
-      cfg.days = point.days;
-      cfg.trips_per_day = point.trips_per_day;
-      cfg.trip_duration = point.trip_duration;
-      cfg.seed = point.campaign_seed;
-      cfg.log_probes = true;
-      cfg.log_bs_beacons = false;
-      run_replay(bed, point, scenario::generate_campaign(bed, cfg),
-                 point.days, r);
-    } else {
-      // §3.1 policy replay consumes 100 ms probe slots; beacon-only
-      // catalogs (everything traceforge record/synth produces) would
-      // replay to silent all-zero metrics — fail loudly instead.
-      const bool any_slots = std::any_of(
-          catalog->traces().begin(), catalog->traces().end(),
-          [](const trace::MeasurementTrace& t) { return !t.slots.empty(); });
-      if (!any_slots)
-        throw std::runtime_error(
-            "trace set '" + point.trace_set +
-            "' carries no probe slots (beacon-only traces); the §3.1 "
-            "replay workload needs log_probes campaigns — replay this "
-            "catalog with the cbr workload instead");
-      // The History policy needs a whole Campaign by value, assembled
-      // once per catalog and shared across every point that replays it.
-      run_replay(bed, point, *catalog_campaign(catalog), catalog->days(), r);
-    }
+    run_replay(bed, point, r);
   } else if (point.workload == "cbr") {
-    run_cbr(bed, point, catalog.get(), r);
+    run_live(bed, point, pool, r);
   } else {
     VIFI_EXPECTS(!"unknown workload (expected replay/cbr)");
   }
 
   export_tripscope(point, r, own_recorder.get(), obs::current_metrics(),
-                   own_metrics.get());
-  return r;
-}
-
-PointResult run_point_sharded(const ExperimentPoint& point,
-                              const Runner& pool) {
-  // The sharded path covers catalog-replay live points — instrumented or
-  // not. Everything else falls back to the sequential executor (stochastic
-  // trips draw their channel per point, and the replay workload's campaign
-  // caching is inherently per-point).
-  if (point.workload != "cbr" || point.trace_set.empty())
-    return run_point(point);
-
-  PointResult r;
-  r.index = point.index;
-  r.testbed = point.testbed;
-  r.fleet = point.fleet_size;
-  r.trace_set = point.trace_set;
-  r.policy = point.policy;
-  r.coordination = point.coordination;
-  r.seed = point.seed;
-
-  // TripScope session, mirroring run_point: record into the caller's
-  // ambient recorder/registry when one is installed, else into point-owned
-  // ones when the point asks for a trace dump or metric columns.
-  obs::TraceRecorder* session_rec = obs::current_recorder();
-  obs::MetricsRegistry* session_metrics = obs::current_metrics();
-  std::unique_ptr<obs::TraceRecorder> own_recorder;
-  std::unique_ptr<obs::MetricsRegistry> own_metrics;
-  if (!point.trace_dir.empty() || !point.metric_columns.empty()) {
-    if (session_rec == nullptr) {
-      own_recorder = make_point_recorder(point);
-      session_rec = own_recorder.get();
-    }
-    if (session_metrics == nullptr) {
-      own_metrics = std::make_unique<obs::MetricsRegistry>();
-      session_metrics = own_metrics.get();
-    }
-  }
-
-  const scenario::Testbed bed = make_testbed(point.testbed, point.fleet_size);
-  const tracegen::CatalogStream stream =
-      tracegen::CatalogStream::open(point.trace_set);
-  validate_catalog_shape(point, bed, stream.testbed(), stream.fleet_size(),
-                         stream.vehicle_ids());
-  core::SystemConfig sys = live_system_config(point, bed);
-  // The history fit wants the whole catalog at once; only the coord axis
-  // pays for that load (it comes from the shared cache anyway).
-  std::shared_ptr<const tracegen::TraceCatalog> history_catalog;
-  if (point.coordination == "coord")
-    history_catalog = tracegen::load_catalog_shared(point.trace_set);
-  seed_coordination(point, bed, history_catalog.get(), sys);
-  const std::size_t fleet = static_cast<std::size_t>(bed.fleet_size());
-  const bool fairness = fleet > 1;
-
-  // Each worker materialises only its own trip group's traces, runs the
-  // exact trip body run_cbr runs, and returns the trip's contribution as a
-  // PointResult-encoded partial. Every trip is a pure function of (point,
-  // trip index), so the partial set is sharding-independent. Instrumented
-  // points give each trip its own recorder/registry (slot-indexed, no
-  // contention), stitched into the session in trip order after the pool
-  // drains — the same fold run_cbr performs, so the output bytes match.
-  const std::size_t n = stream.trip_groups();
-  std::vector<std::unique_ptr<obs::TraceRecorder>> trip_recorders(
-      session_rec != nullptr ? n : 0);
-  std::vector<std::unique_ptr<obs::MetricsRegistry>> trip_registries(
-      session_metrics != nullptr ? n : 0);
-  std::vector<Time> trip_ends(session_rec != nullptr ? n : 0);
-  const ResultSink partials = pool.run_indexed(
-      n, [&](std::size_t trip) {
-        PointResult p;
-        p.index = trip;
-        // The trip scope must be live before LiveTrip's construction:
-        // VifiSystem labels its nodes through current_recorder().
-        std::optional<obs::TraceScope> trip_trace_scope;
-        std::optional<obs::MetricsScope> trip_metrics_scope;
-        if (session_rec != nullptr) {
-          if (session_rec->streaming()) {
-            // Per-trip part spools beside the session spool; absorbed in
-            // trip order and deleted after the stitch, they reproduce the
-            // sequential push sequence (hence the session spool's bytes)
-            // for any worker count.
-            char part[24];
-            std::snprintf(part, sizeof(part), ".trip%05zu.part", trip);
-            trip_recorders[trip] = std::make_unique<obs::TraceRecorder>(
-                std::make_unique<obs::StreamSink>(session_rec->spool_path() +
-                                                  part));
-          } else {
-            trip_recorders[trip] = std::make_unique<obs::TraceRecorder>(
-                session_rec->per_node_capacity());
-          }
-          trip_trace_scope.emplace(*trip_recorders[trip]);
-        }
-        if (session_metrics != nullptr) {
-          trip_registries[trip] = std::make_unique<obs::MetricsRegistry>();
-          trip_metrics_scope.emplace(*trip_registries[trip]);
-        }
-        const std::vector<trace::MeasurementTrace> traces =
-            stream.load_group(trip);
-        std::vector<const trace::MeasurementTrace*> ptrs;
-        ptrs.reserve(traces.size());
-        for (const trace::MeasurementTrace& t : traces) ptrs.push_back(&t);
-        scenario::LiveTrip live(
-            bed, ptrs, sys,
-            mix_seed(point.point_seed, static_cast<std::uint64_t>(trip)));
-        const LiveTripOutcome out = measure_live_trip(
-            bed, point, live, traces.front().duration, fairness);
-        if (session_rec != nullptr) trip_ends[trip] = out.sim_end;
-        p.metrics["slots"] = static_cast<double>(out.acc.slots);
-        p.metrics["delivered"] = static_cast<double>(out.acc.delivered);
-        p.series["session_lengths"] = out.acc.session_lengths;
-        p.series["throughput_kbps"] = out.acc.throughput_kbps;
-        if (fairness) {
-          p.metrics["infra_airtime_s"] = out.infra_airtime_s;
-          p.metrics["vehicle_airtime_s"] = out.vehicle_airtime_s;
-          p.series["veh_delivered"] = out.veh_delivered;
-          p.series["veh_sent"] = out.veh_sent;
-          p.series["veh_airtime_s"] = out.veh_airtime_s;
-        }
-        return p;
-      });
-
-  // Fold in trip order — ordered() restores it regardless of which worker
-  // ran which trip — so every floating-point sum replays the sequential
-  // executor's exact accumulation sequence.
-  LiveFold fold(fleet);
-  for (const PointResult& p : partials.ordered()) {
-    if (!p.error.empty())
-      throw std::runtime_error("trip " + std::to_string(p.index) + ": " +
-                               p.error);
-    LiveTripOutcome out;
-    out.acc.slots = static_cast<std::int64_t>(p.metrics.at("slots"));
-    out.acc.delivered = static_cast<std::int64_t>(p.metrics.at("delivered"));
-    out.acc.session_lengths = p.series.at("session_lengths");
-    out.acc.throughput_kbps = p.series.at("throughput_kbps");
-    if (fairness) {
-      out.infra_airtime_s = p.metrics.at("infra_airtime_s");
-      out.vehicle_airtime_s = p.metrics.at("vehicle_airtime_s");
-      out.veh_delivered = p.series.at("veh_delivered");
-      out.veh_sent = p.series.at("veh_sent");
-      out.veh_airtime_s = p.series.at("veh_airtime_s");
-    }
-    fold.add(out, fairness);
-  }
-  // Stitch the per-trip observability sessions in trip order, replaying
-  // run_cbr's timeline advance and registry fold exactly.
-  if (session_rec != nullptr) {
-    Time trace_base = session_rec->time_base();
-    for (std::size_t trip = 0; trip < n; ++trip) {
-      session_rec->absorb(*trip_recorders[trip], trace_base);
-      trace_base = trace_base + trip_ends[trip];
-      if (trip_recorders[trip]->streaming()) {
-        const std::string part = trip_recorders[trip]->spool_path();
-        trip_recorders[trip].reset();
-        std::filesystem::remove(part);
-      }
-    }
-    session_rec->set_time_base(trace_base);
-  }
-  if (session_metrics != nullptr)
-    for (std::size_t trip = 0; trip < n; ++trip)
-      session_metrics->merge(*trip_registries[trip]);
-  finish_live_point(fold, stream.days(), fairness, r);
-  export_tripscope(point, r, own_recorder.get(), session_metrics,
                    own_metrics.get());
   return r;
 }

@@ -58,20 +58,21 @@ struct MetricAccumulator {
   void finish(int days, PointResult& r) const;
 };
 
-/// Executes one point end-to-end on the calling thread. The point is the
+/// Executes one point end-to-end on the calling thread:
+/// run_point_sharded over an inline single-worker pool. The point is the
 /// only input: the executor builds its own Testbed, Simulator and Rng
 /// streams, so concurrent calls never share mutable state.
 PointResult run_point(const ExperimentPoint& point);
 
-/// City-scale form of run_point for catalog-replay "cbr" points: opens the
-/// catalog as a CatalogStream (manifest only — no trace touches the heap
-/// until its trip runs) and shards the point's trip groups across \p pool's
-/// workers, each loading just its own group. Per-trip partials fold in trip
-/// order, so the result is byte-identical to run_point for any thread
-/// count. Points the sharded path does not cover (stochastic or replay
-/// workloads, TripScope exports, an installed recorder/metrics registry)
-/// fall back to run_point on the calling thread. Throws on trip failure,
-/// like run_point.
+/// Executes one point, sharding a "cbr" point's trips across \p pool's
+/// workers: a catalog point opens its catalog as a CatalogStream (manifest
+/// only; each worker loads just its own trip group), a stochastic point
+/// draws its days x trips_per_day trips from per-trip seeds. Each trip
+/// records into its own TripScope recorder/registry when the point has a
+/// session (point-owned, or installed by the caller); outcomes and
+/// sessions fold in trip order, so the result and every trace artifact
+/// are byte-identical for any thread count. "replay" points run on the
+/// calling thread. Throws on trip failure, leaving no part spool behind.
 PointResult run_point_sharded(const ExperimentPoint& point,
                               const Runner& pool);
 

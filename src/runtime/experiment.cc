@@ -102,6 +102,18 @@ std::vector<ExperimentPoint> ExperimentSpec::enumerate() const {
   return points;
 }
 
+PointResult identity_of(const ExperimentPoint& point) {
+  PointResult r;
+  r.index = point.index;
+  r.testbed = point.testbed;
+  r.fleet = point.fleet_size;
+  r.trace_set = point.trace_set;
+  r.policy = point.policy;
+  r.coordination = point.coordination;
+  r.seed = point.seed;
+  return r;
+}
+
 scenario::Testbed make_testbed(const std::string& name, int fleet_size) {
   if (name == "VanLAN") return scenario::make_vanlan(fleet_size);
   if (name == "DieselNet-Ch1") return scenario::make_dieselnet(1, fleet_size);

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "analysis/sessions.h"
+#include "runtime/result.h"
 #include "scenario/testbed.h"
 
 namespace vifi::runtime {
@@ -133,6 +134,11 @@ struct ExperimentSpec {
   /// derived seeds.
   std::vector<ExperimentPoint> enumerate() const;
 };
+
+/// A result carrying only \p point's identity columns (index, testbed,
+/// fleet, trace_set, policy, coordination, seed) — the row every executor
+/// fills in, and the one an error row keeps.
+PointResult identity_of(const ExperimentPoint& point);
 
 /// Testbed factory by grid name, carrying \p fleet_size vehicles. Throws
 /// ContractViolation on unknown names.

@@ -60,15 +60,7 @@ ResultSink Runner::run(const std::vector<ExperimentPoint>& points,
       // a bare index is useless for telling which grid point failed.
       // (run_indexed's own catch remains the backstop for failures
       // outside a known point.)
-      const ExperimentPoint& p = points[i];
-      PointResult r;
-      r.index = p.index;
-      r.testbed = p.testbed;
-      r.fleet = p.fleet_size;
-      r.trace_set = p.trace_set;
-      r.policy = p.policy;
-      r.coordination = p.coordination;
-      r.seed = p.seed;
+      PointResult r = identity_of(points[i]);
       r.error = e.what();
       return r;
     }

@@ -69,12 +69,6 @@ LiveTrip::LiveTrip(const Testbed& bed,
   build_stack(bed, config, root.fork("system").next_u64());
 }
 
-LiveTrip::LiveTrip(const Testbed& bed, const tracegen::TraceCatalog& catalog,
-                   std::size_t trip_group, core::SystemConfig config,
-                   std::uint64_t trip_seed, bool use_bs_beacon_logs)
-    : LiveTrip(bed, catalog.fleet_trip(trip_group), config, trip_seed,
-               use_bs_beacon_logs) {}
-
 apps::VifiTransport& LiveTrip::transport(sim::NodeId vehicle) {
   for (auto& t : transports_)
     if (t->vehicle() == vehicle) return *t;

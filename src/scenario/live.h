@@ -21,7 +21,6 @@
 #include "sim/simulator.h"
 #include "trace/loss_schedule.h"
 #include "trace/observations.h"
-#include "tracegen/catalog.h"
 
 namespace vifi::scenario {
 
@@ -42,18 +41,12 @@ class LiveTrip {
            bool use_bs_beacon_logs = false);
 
   /// Trace-driven fleet trip: one trace per vehicle of the same trip, as
-  /// generate_campaign produces for fleet testbeds.
+  /// generate_campaign produces for fleet testbeds (and a catalog's
+  /// `fleet_trip` / `load_group` return).
   LiveTrip(const Testbed& bed,
            const std::vector<const trace::MeasurementTrace*>& trips,
            core::SystemConfig config, std::uint64_t trip_seed,
            bool use_bs_beacon_logs = false);
-
-  /// Catalog replay: builds the fleet loss schedule straight from one trip
-  /// group of a TraceCatalog (tracegen) — the whole-fleet form of the
-  /// DieselNet methodology.
-  LiveTrip(const Testbed& bed, const tracegen::TraceCatalog& catalog,
-           std::size_t trip_group, core::SystemConfig config,
-           std::uint64_t trip_seed, bool use_bs_beacon_logs = false);
 
   sim::Simulator& simulator() { return sim_; }
   core::VifiSystem& system() { return *system_; }

@@ -30,8 +30,7 @@ struct ManifestEntry {
   NodeId vehicle;
 };
 
-/// Everything the manifest alone pins down, shared by the eager and the
-/// streaming loader so they cannot drift: the header, the entries in
+/// Everything the manifest alone pins down: the header, the entries in
 /// canonical (day, trip, vehicle) order with duplicates rejected.
 struct ParsedManifest {
   std::string name;
@@ -106,8 +105,6 @@ ParsedManifest parse_manifest(const std::string& dir) {
 }
 
 /// Reads one manifest entry's trace and checks it against the manifest.
-/// The single per-trace validator both loaders run, so a defective trace
-/// fails with the same message whether reached eagerly or via a stream.
 trace::MeasurementTrace load_entry_trace(const std::string& dir,
                                          const ManifestEntry& e,
                                          const std::string& testbed) {
@@ -134,56 +131,12 @@ trace::MeasurementTrace load_entry_trace(const std::string& dir,
 }  // namespace
 
 TraceCatalog TraceCatalog::load(const std::string& dir) {
-  ParsedManifest m = parse_manifest(dir);
   TraceCatalog cat;
-  cat.dir_ = dir;
-  cat.name_ = std::move(m.name);
-  cat.testbed_ = std::move(m.testbed);
-  cat.fleet_size_ = m.fleet_size;
-
-  std::map<std::pair<int, int>, std::vector<std::size_t>> groups;
-  for (const ManifestEntry& e : m.entries) {
-    groups[{e.day, e.trip}].push_back(cat.traces_.size());
-    cat.traces_.push_back(load_entry_trace(dir, e, cat.testbed_));
-  }
-
-  // Every trip group must carry the same fleet, in vehicle order, and
-  // every trace of a group must share the trip's duration — the fleet
-  // loss schedule has one horizon per trip, and a ragged group would
-  // either truncate long logs or measure past short ones as dead air.
-  std::vector<int> fleet;
-  for (auto& [key, idxs] : groups) {
-    std::sort(idxs.begin(), idxs.end(), [&cat](std::size_t a, std::size_t b) {
-      return cat.traces_[a].vehicle < cat.traces_[b].vehicle;
-    });
-    std::vector<int> vehicles;
-    vehicles.reserve(idxs.size());
-    for (const std::size_t i : idxs) {
-      vehicles.push_back(cat.traces_[i].vehicle.value());
-      if (cat.traces_[i].duration != cat.traces_[idxs.front()].duration)
-        fail(dir, "trip (day " + std::to_string(key.first) + ", trip " +
-                      std::to_string(key.second) + ") is ragged: vehicle " +
-                      cat.traces_[i].vehicle.to_string() + " logged " +
-                      cat.traces_[i].duration.to_string() +
-                      " but the group's first trace logged " +
-                      cat.traces_[idxs.front()].duration.to_string());
-    }
-    if (fleet.empty())
-      fleet = vehicles;
-    else if (fleet != vehicles)
-      fail(dir, "trip (day " + std::to_string(key.first) + ", trip " +
-                    std::to_string(key.second) +
-                    ") has a different vehicle set than the first trip");
-    cat.groups_.push_back(idxs);
-  }
-  if (static_cast<int>(fleet.size()) != cat.fleet_size_)
-    fail(dir, "manifest says fleet " + std::to_string(cat.fleet_size_) +
-                  " but trips carry " + std::to_string(fleet.size()) +
-                  " vehicles");
-  for (const int v : fleet) cat.vehicle_ids_.push_back(NodeId(v));
-  std::set<int> days;
-  for (const auto& [key, idxs] : groups) days.insert(key.first);
-  cat.days_ = std::max(1, static_cast<int>(days.size()));
+  cat.stream_ = CatalogStream::open(dir);
+  cat.campaign_.testbed = cat.stream_.testbed();
+  for (std::size_t g = 0; g < cat.stream_.trip_groups(); ++g)
+    for (trace::MeasurementTrace& t : cat.stream_.load_group(g))
+      cat.campaign_.trips.push_back(std::move(t));
   return cat;
 }
 
@@ -196,11 +149,10 @@ CatalogStream CatalogStream::open(const std::string& dir) {
   stream.fleet_size_ = m.fleet_size;
 
   // Group in canonical (day, trip) order; entries are already sorted by
-  // (day, trip, vehicle), so each group arrives in vehicle order too —
-  // the exact group indices and per-group trace order the eager loader
-  // produces. Vehicle-set and fleet-size validation need only the
-  // manifest; ragged durations and header contradictions need the trace
-  // files and are deferred to load_group.
+  // (day, trip, vehicle), so each group arrives in vehicle order too.
+  // Vehicle-set and fleet-size validation need only the manifest; ragged
+  // durations and header contradictions need the trace files and are
+  // deferred to load_group.
   std::map<std::pair<int, int>, std::vector<GroupEntry>> groups;
   for (ManifestEntry& e : m.entries)
     groups[{e.day, e.trip}].push_back(
@@ -239,16 +191,16 @@ std::pair<int, int> CatalogStream::group_key(std::size_t group) const {
 
 std::vector<trace::MeasurementTrace> CatalogStream::load_group(
     std::size_t group) const {
-  if (group >= groups_.size())
-    fail(dir_, "trip group " + std::to_string(group) + " out of range (" +
-                   std::to_string(groups_.size()) + " groups)");
+  const auto [day, trip] = group_key(group);  // Range-checks the index.
   std::vector<trace::MeasurementTrace> traces;
   traces.reserve(groups_[group].size());
   for (const GroupEntry& e : groups_[group]) {
     ManifestEntry entry{e.file, e.day, e.trip, e.vehicle};
     traces.push_back(load_entry_trace(dir_, entry, testbed_));
+    // The fleet loss schedule has one horizon per trip: a ragged group
+    // would either truncate long logs or measure past short ones as dead
+    // air.
     if (traces.back().duration != traces.front().duration) {
-      const auto [day, trip] = group_key(group);
       fail(dir_, "trip (day " + std::to_string(day) + ", trip " +
                      std::to_string(trip) + ") is ragged: vehicle " +
                      traces.back().vehicle.to_string() + " logged " +
@@ -262,12 +214,14 @@ std::vector<trace::MeasurementTrace> CatalogStream::load_group(
 
 std::vector<const trace::MeasurementTrace*> TraceCatalog::fleet_trip(
     std::size_t group) const {
-  if (group >= groups_.size())
-    fail(dir_, "trip group " + std::to_string(group) + " out of range (" +
-                   std::to_string(groups_.size()) + " groups)");
+  stream_.group_key(group);  // Range-checks the index.
+  // Every group carries exactly the fleet, so group g is the g-th run of
+  // fleet_size traces.
+  const std::size_t fleet = static_cast<std::size_t>(fleet_size());
   std::vector<const trace::MeasurementTrace*> out;
-  out.reserve(groups_[group].size());
-  for (const std::size_t i : groups_[group]) out.push_back(&traces_[i]);
+  out.reserve(fleet);
+  for (std::size_t i = group * fleet; i < (group + 1) * fleet; ++i)
+    out.push_back(&campaign_.trips[i]);
   return out;
 }
 

@@ -1,23 +1,22 @@
 #pragma once
 
 /// \file catalog.h
-/// The TraceCatalog: a manifest-backed directory of `vifi-trace v1` files
+/// TraceCatalogs: a manifest-backed directory of `vifi-trace v1` files
 /// describing a fleet's replayable trips. The manifest (`manifest.txt`,
 /// `vifi-catalog v1`) names the testbed, the fleet, and one trace file per
-/// (day, trip, vehicle); the loader parses everything once into immutable
-/// traces and groups them into per-trip fleets ready for
-/// `LiveTrip` / `build_fleet_loss_schedule`.
+/// (day, trip, vehicle).
+///
+/// `CatalogStream` is the one loader: `open` parses and validates the
+/// manifest alone (duplicate, vehicle-set and fleet-size checks are all
+/// manifest-derivable), and `load_group` reads one trip group's traces at
+/// a time, so a thousand-vehicle catalog never has to sit in memory whole.
+/// `TraceCatalog` is that stream with every group loaded, held as one
+/// immutable Campaign for the consumers that need the whole catalog at
+/// once (the replay workload's History policy, the coord history fit).
 ///
 /// `load_catalog_shared` adds a process-wide cache keyed by directory:
 /// runtime workers sweeping a `trace_sets` axis all share one parsed,
 /// immutable catalog instead of re-reading files per point.
-///
-/// `CatalogStream` is the city-scale counterpart: it parses the manifest
-/// only (duplicate, vehicle-set and fleet-size validation are all
-/// manifest-derivable) and loads one trip group's traces at a time, so a
-/// thousand-vehicle catalog never has to sit in memory whole. Both loaders
-/// share one parser and one per-trace validator, so a catalog either loads
-/// identically through both or fails with the same message.
 
 #include <memory>
 #include <string>
@@ -30,64 +29,20 @@ namespace vifi::tracegen {
 
 using sim::NodeId;
 
-class TraceCatalog {
- public:
-  /// Parses `dir/manifest.txt` and every trace it names. Throws
-  /// std::runtime_error with a crisp message on missing/malformed
-  /// manifests, unreadable traces, duplicate (day, trip, vehicle) entries,
-  /// traces whose header contradicts the manifest, or trip groups whose
-  /// vehicle sets differ.
-  static TraceCatalog load(const std::string& dir);
-
-  const std::string& name() const { return name_; }
-  const std::string& testbed() const { return testbed_; }
-  const std::string& dir() const { return dir_; }
-  int fleet_size() const { return fleet_size_; }
-  /// The fleet's vehicle ids (every trip group carries exactly this set),
-  /// in id order.
-  const std::vector<NodeId>& vehicle_ids() const { return vehicle_ids_; }
-  /// Distinct campaign days the catalog covers (>= 1).
-  int days() const { return days_; }
-
-  /// All traces, ordered by (day, trip, vehicle).
-  const std::vector<trace::MeasurementTrace>& traces() const {
-    return traces_;
-  }
-
-  /// Number of (day, trip) fleet groups.
-  std::size_t trip_groups() const { return groups_.size(); }
-
-  /// One trip's fleet, in vehicle-id order — the exact shape
-  /// `trace::build_fleet_loss_schedule` and the fleet `LiveTrip` take.
-  /// The pointers stay valid for the catalog's lifetime.
-  std::vector<const trace::MeasurementTrace*> fleet_trip(
-      std::size_t group) const;
-
- private:
-  std::string name_;
-  std::string testbed_;
-  std::string dir_;
-  int fleet_size_ = 0;
-  int days_ = 1;
-  std::vector<NodeId> vehicle_ids_;
-  std::vector<trace::MeasurementTrace> traces_;
-  std::vector<std::vector<std::size_t>> groups_;  ///< Indices into traces_.
-};
-
 /// Lazy view of a catalog directory: `open` parses and validates the
 /// manifest without reading any trace file; `load_group` materialises one
-/// (day, trip) fleet group on demand. Group indices, group order and the
-/// traces a group yields are identical to the eager loader's — a sharded
-/// replay that folds groups in index order reproduces `TraceCatalog::load`
-/// byte for byte while holding only one group in memory per worker.
+/// (day, trip) fleet group on demand. `TraceCatalog::load` is exactly this
+/// stream with every group loaded in index order, so a sharded replay that
+/// folds groups in index order sees the eager catalog's traces while
+/// holding only one group in memory per worker.
 class CatalogStream {
  public:
-  /// Parses `dir/manifest.txt`. Throws std::runtime_error with the same
-  /// messages as `TraceCatalog::load` for every manifest-level defect
-  /// (bad magic/header, duplicate entries, mismatched trip vehicle sets,
+  /// Parses `dir/manifest.txt`. Throws std::runtime_error with a crisp
+  /// message on every manifest-level defect (missing file, bad
+  /// magic/header, duplicate entries, mismatched trip vehicle sets,
   /// fleet-size contradictions). Trace-level defects (unreadable files,
   /// headers contradicting the manifest, ragged trip durations) surface
-  /// from `load_group`, again with the eager loader's messages.
+  /// from `load_group`.
   static CatalogStream open(const std::string& dir);
 
   const std::string& name() const { return name_; }
@@ -103,8 +58,8 @@ class CatalogStream {
   std::pair<int, int> group_key(std::size_t group) const;
 
   /// Reads and validates one trip group's traces, in vehicle-id order —
-  /// the same traces `TraceCatalog::fleet_trip` would point at. The
-  /// returned vector owns its traces; nothing is cached.
+  /// the shape `trace::build_fleet_loss_schedule` and the fleet `LiveTrip`
+  /// take. The returned vector owns its traces; nothing is cached.
   std::vector<trace::MeasurementTrace> load_group(std::size_t group) const;
 
  private:
@@ -122,6 +77,49 @@ class CatalogStream {
   int days_ = 1;
   std::vector<NodeId> vehicle_ids_;
   std::vector<std::vector<GroupEntry>> groups_;  ///< Vehicle order per group.
+};
+
+/// A whole catalog in memory: the stream's manifest plus every trip
+/// group's traces, loaded in group order into one Campaign.
+class TraceCatalog {
+ public:
+  /// `CatalogStream::open(dir)` followed by `load_group` for every group,
+  /// in order; throws whatever those throw.
+  static TraceCatalog load(const std::string& dir);
+
+  const std::string& name() const { return stream_.name(); }
+  const std::string& testbed() const { return stream_.testbed(); }
+  const std::string& dir() const { return stream_.dir(); }
+  int fleet_size() const { return stream_.fleet_size(); }
+  /// The fleet's vehicle ids (every trip group carries exactly this set),
+  /// in id order.
+  const std::vector<NodeId>& vehicle_ids() const {
+    return stream_.vehicle_ids();
+  }
+  /// Distinct campaign days the catalog covers (>= 1).
+  int days() const { return stream_.days(); }
+
+  /// The catalog as a Campaign (its testbed, and every trace ordered by
+  /// (day, trip, vehicle)) — what the History policy and the coord history
+  /// fit read.
+  const trace::Campaign& campaign() const { return campaign_; }
+  /// All traces, ordered by (day, trip, vehicle).
+  const std::vector<trace::MeasurementTrace>& traces() const {
+    return campaign_.trips;
+  }
+
+  /// Number of (day, trip) fleet groups.
+  std::size_t trip_groups() const { return stream_.trip_groups(); }
+
+  /// One trip's fleet, in vehicle-id order — the exact shape
+  /// `trace::build_fleet_loss_schedule` and the fleet `LiveTrip` take.
+  /// The pointers stay valid for the catalog's lifetime.
+  std::vector<const trace::MeasurementTrace*> fleet_trip(
+      std::size_t group) const;
+
+ private:
+  CatalogStream stream_;
+  trace::Campaign campaign_;
 };
 
 /// Writes \p campaign as a catalog: one `vifi-trace v1` file per trace plus

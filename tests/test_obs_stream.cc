@@ -252,8 +252,8 @@ TEST(StreamSink, KeepsFullFidelityWhereTheRingWraps) {
 
 TEST(StreamSink, AbsorbReproducesADirectRecordingsSpoolBytes) {
   const fs::path dir = temp_dir("vifi_stream_absorb");
-  // Direct: two trips recorded sequentially under set_time_base, exactly
-  // as run_cbr does.
+  // Direct: two trips recorded sequentially under set_time_base into one
+  // recorder.
   TraceRecorder direct(
       std::make_unique<StreamSink>((dir / "direct.spool").string()));
   record_schedule(direct, 5, 300);

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -262,55 +265,134 @@ TEST(Executor, ReplayPointProducesTheStandardMetricSet) {
   EXPECT_LE(r.metrics.at("delivery_rate"), 1.0);
 }
 
-// The tentpole contract of the streaming/sharded executor: for a catalog
-// replay point it is a drop-in for run_point — same metrics, same series,
-// byte for byte — while loading one trip group at a time across workers.
-TEST(Executor, ShardedCatalogPointMatchesSequentialByteForByte) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "vifi_test_sharded_catalog";
-  fs::remove_all(dir);
-  const scenario::Testbed bed = make_testbed("DieselNet-Ch1", 2);
-  scenario::CampaignConfig cfg;
-  cfg.days = 1;
-  cfg.trips_per_day = 3;
-  cfg.trip_duration = Time::seconds(10.0);
-  cfg.seed = 42;
-  cfg.log_probes = false;
-  tracegen::write_catalog(dir.string(), "unit",
-                          scenario::generate_campaign(bed, cfg));
+/// One row of the live executor's golden table: a cbr point shape whose
+/// result JSON/CSV and trace artifacts are pinned in
+/// tests/data/executor_golden.txt.
+struct GoldenRow {
+  const char* name;
+  bool catalog;       ///< Replay a written catalog instead of drawing trips.
+  bool instrumented;  ///< Trace dump + metric columns.
+  bool coord;         ///< The coord axis, on VanLAN (else DieselNet-Ch1).
+};
 
+/// The file's bytes as a `mix_seed(0, bytes)` digest.
+std::string digest_of(const std::filesystem::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  char hex[24];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(mix_seed(0, bytes.str())));
+  return hex;
+}
+
+/// Runs \p row's point on \p threads workers and renders everything it
+/// produced: the result's JSON and CSV (trace_set renamed to the row, so no
+/// temp path leaks in) and one digest line per trace artifact.
+std::string render_golden_row(const GoldenRow& row, int threads) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "vifi_test_golden";
+  const fs::path catalog = dir / row.name;
+  const fs::path traces = dir / ("traces" + std::to_string(threads));
+  fs::remove_all(dir);
+  const std::string testbed = row.coord ? "VanLAN" : "DieselNet-Ch1";
   ExperimentSpec spec;
-  spec.grid.testbeds = {"DieselNet-Ch1"};
+  spec.grid.testbeds = {testbed};
   spec.grid.fleet_sizes = {2};
-  spec.grid.trace_sets = {dir.string()};
   spec.grid.policies = {"ViFi"};
   spec.grid.seeds = {1};
   spec.workload = "cbr";
+  if (row.catalog) {
+    scenario::CampaignConfig cfg;
+    cfg.days = 1;
+    cfg.trips_per_day = 3;
+    cfg.trip_duration = Time::seconds(10.0);
+    cfg.seed = row.coord ? 7 : 42;
+    cfg.log_probes = false;
+    tracegen::write_catalog(
+        catalog.string(), "unit",
+        scenario::generate_campaign(make_testbed(testbed, 2), cfg));
+    spec.grid.trace_sets = {catalog.string()};
+  } else {
+    spec.trips_per_day = 2;
+    spec.trip_duration = Time::seconds(10.0);
+    spec.metric_columns = {"mac.transmissions", "coord.transitions"};
+  }
+  if (row.coord) spec.grid.coordinations = {"coord"};
+  if (row.instrumented) {
+    spec.metric_columns = {"mac.transmissions", "core.salvaged"};
+    spec.trace_dir = traces.string();
+  }
   const ExperimentPoint point = spec.enumerate().front();
 
   tracegen::drop_catalog_cache();
-  const PointResult sequential = run_point(point);
-  const PointResult sharded = run_point_sharded(point, Runner({.threads = 4}));
-  fs::remove_all(dir);
+  PointResult r = threads == 1
+                      ? run_point(point)
+                      : run_point_sharded(point, Runner({.threads = threads}));
   tracegen::drop_catalog_cache();
-  ASSERT_TRUE(sequential.error.empty()) << sequential.error;
-
-  ResultSink a, b;
-  a.add(sequential);
-  b.add(sharded);
-  EXPECT_EQ(a.to_json(), b.to_json());
-  EXPECT_EQ(a.to_csv(), b.to_csv());
+  EXPECT_TRUE(r.error.empty()) << r.error;
+  if (row.catalog) r.trace_set = row.name;
+  ResultSink sink;
+  sink.add(std::move(r));
+  std::string out = sink.to_json() + sink.to_csv();
+  if (row.instrumented) {
+    std::vector<fs::path> files;
+    for (const auto& entry : fs::directory_iterator(traces))
+      files.push_back(entry.path());
+    std::sort(files.begin(), files.end());
+    for (const fs::path& f : files)
+      out += f.filename().string() + " " + digest_of(f) + "\n";
+  }
+  fs::remove_all(dir);
+  return out;
 }
 
-// Regression for the sharded executor's instrumented gap: points carrying
-// a TripScope session (trace dump and/or metric columns) used to fall back
-// to the sequential path wholesale; now they shard too, stitching per-trip
-// recorders/registries in trip order. The whole output — result bytes AND
-// every exported trace file — must match the sequential executor exactly.
-TEST(Executor, ShardedInstrumentedPointMatchesSequentialByteForByte) {
+// The live executor's bytes, pinned. The golden file was recorded from the
+// historical sequential trip loop; the unified executor must reproduce it
+// on one worker and on four, for every point shape that takes a different
+// branch (catalog vs stochastic trips, a TripScope session, the coord
+// history fit). Re-pin with VIFI_UPDATE_GOLDEN=1 only for an intended
+// output change.
+TEST(Executor, LivePointsMatchTheGoldenBytesOnAnyWorkerCount) {
+  const GoldenRow rows[] = {
+      {"catalog", true, false, false},
+      {"instrumented", true, true, false},
+      {"coord", true, false, true},
+      {"stochastic", false, false, true},
+  };
+  const std::string path =
+      std::string(VIFI_TEST_DATA_DIR) + "/executor_golden.txt";
+  if (std::getenv("VIFI_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    for (const GoldenRow& row : rows)
+      out << "=== " << row.name << "\n" << render_golden_row(row, 1);
+    return;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  const std::string golden = text.str();
+  for (const GoldenRow& row : rows) {
+    const std::string header = std::string("=== ") + row.name + "\n";
+    const std::size_t begin = golden.find(header);
+    ASSERT_NE(begin, std::string::npos) << row.name;
+    const std::size_t body = begin + header.size();
+    const std::size_t end = golden.find("=== ", body);
+    const std::string want = golden.substr(
+        body, end == std::string::npos ? std::string::npos : end - body);
+    for (const int threads : {1, 4})
+      EXPECT_EQ(render_golden_row(row, threads), want)
+          << row.name << " on " << threads << " worker(s)";
+  }
+}
+
+// A failing trip must not strand the per-trip part spools a streamed point
+// writes beside its session spool: the point throws and trace_dir holds no
+// `*.part` file afterwards.
+TEST(Executor, FailedTripLeavesNoPartSpools) {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "vifi_test_sharded_instr";
-  const fs::path seq_dir = dir / "seq", shard_dir = dir / "shard";
+  const fs::path dir = fs::temp_directory_path() / "vifi_test_part_spools";
   fs::remove_all(dir);
   const scenario::Testbed bed = make_testbed("DieselNet-Ch1", 2);
   scenario::CampaignConfig cfg;
@@ -321,6 +403,10 @@ TEST(Executor, ShardedInstrumentedPointMatchesSequentialByteForByte) {
   cfg.log_probes = false;
   tracegen::write_catalog((dir / "catalog").string(), "unit",
                           scenario::generate_campaign(bed, cfg));
+  ASSERT_TRUE(fs::remove(dir / "catalog" /
+                         ("day0_trip1_veh" +
+                          std::to_string(bed.vehicle_ids()[0].value()) +
+                          ".vifitrace")));
 
   ExperimentSpec spec;
   spec.grid.testbeds = {"DieselNet-Ch1"};
@@ -329,89 +415,14 @@ TEST(Executor, ShardedInstrumentedPointMatchesSequentialByteForByte) {
   spec.grid.policies = {"ViFi"};
   spec.grid.seeds = {1};
   spec.workload = "cbr";
-  spec.metric_columns = {"mac.transmissions", "core.salvaged"};
-  spec.trace_dir = seq_dir.string();
-  ExperimentPoint point = spec.enumerate().front();
-
-  tracegen::drop_catalog_cache();
-  const PointResult sequential = run_point(point);
-  point.trace_dir = shard_dir.string();
-  const PointResult sharded = run_point_sharded(point, Runner({.threads = 4}));
-  tracegen::drop_catalog_cache();
-  ASSERT_TRUE(sequential.error.empty()) << sequential.error;
-
-  // The metric columns landed and agree exactly.
-  for (const std::string& name : spec.metric_columns) {
-    ASSERT_TRUE(sequential.metrics.count("obs." + name)) << name;
-    EXPECT_EQ(sequential.metrics.at("obs." + name),
-              sharded.metrics.at("obs." + name))
-        << name;
-  }
-  ResultSink a, b;
-  PointResult seq_copy = sequential;
-  seq_copy.index = 0;
-  a.add(std::move(seq_copy));
-  b.add(sharded);
-  EXPECT_EQ(a.to_json(), b.to_json());
-
-  // Every exported trace artifact is byte-identical across the two paths.
-  auto slurp = [](const fs::path& p) {
-    std::ifstream in(p, std::ios::binary);
-    EXPECT_TRUE(in.good()) << p;
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-  };
-  for (const char* name :
-       {"point_0000.trace.json", "point_0000.jsonl",
-        "point_0000.metrics.json"}) {
-    const std::string seq_bytes = slurp(seq_dir / name);
-    EXPECT_FALSE(seq_bytes.empty()) << name;
-    EXPECT_EQ(seq_bytes, slurp(shard_dir / name)) << name;
-  }
-  fs::remove_all(dir);
-}
-
-// The coordination axis rides the sharded path too: a coord point's
-// sharded run must reproduce the sequential bytes (the predictor history
-// fit and every per-trip manager decision are functions of the point).
-TEST(Executor, ShardedCoordPointMatchesSequentialByteForByte) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "vifi_test_sharded_coord";
-  fs::remove_all(dir);
-  const scenario::Testbed bed = make_testbed("VanLAN", 2);
-  scenario::CampaignConfig cfg;
-  cfg.days = 1;
-  cfg.trips_per_day = 3;
-  cfg.trip_duration = Time::seconds(10.0);
-  cfg.seed = 7;
-  cfg.log_probes = false;
-  tracegen::write_catalog(dir.string(), "unit",
-                          scenario::generate_campaign(bed, cfg));
-
-  ExperimentSpec spec;
-  spec.grid.testbeds = {"VanLAN"};
-  spec.grid.fleet_sizes = {2};
-  spec.grid.trace_sets = {dir.string()};
-  spec.grid.policies = {"ViFi"};
-  spec.grid.coordinations = {"coord"};
-  spec.grid.seeds = {1};
-  spec.workload = "cbr";
+  spec.trace_dir = (dir / "traces").string();
+  spec.trace_stream = true;
   const ExperimentPoint point = spec.enumerate().front();
-
-  tracegen::drop_catalog_cache();
-  const PointResult sequential = run_point(point);
-  const PointResult sharded = run_point_sharded(point, Runner({.threads = 4}));
+  EXPECT_THROW(run_point_sharded(point, Runner({.threads = 2})),
+               std::runtime_error);
+  for (const auto& entry : fs::directory_iterator(dir / "traces"))
+    EXPECT_NE(entry.path().extension(), ".part") << entry.path();
   fs::remove_all(dir);
-  tracegen::drop_catalog_cache();
-  ASSERT_TRUE(sequential.error.empty()) << sequential.error;
-  EXPECT_EQ(sequential.coordination, "coord");
-
-  ResultSink a, b;
-  a.add(sequential);
-  b.add(sharded);
-  EXPECT_EQ(a.to_json(), b.to_json());
-  EXPECT_EQ(a.to_csv(), b.to_csv());
 }
 
 TEST(Executor, UnknownCoordinationFailsLoudly) {
@@ -427,9 +438,9 @@ TEST(Executor, UnknownCoordinationFailsLoudly) {
   EXPECT_THROW(run_point(spec.enumerate().front()), std::runtime_error);
 }
 
-TEST(Executor, ShardedFallsBackForUncoveredShapes) {
-  // Stochastic replay points have no catalog to shard; the sharded entry
-  // point must still produce the sequential executor's exact result.
+TEST(Executor, ShardedReplayPointMatchesRunPoint) {
+  // Replay points run on the calling thread whatever the pool; the sharded
+  // entry point must still produce run_point's exact result.
   const ExperimentPoint point = small_replay_spec().enumerate().front();
   ResultSink a, b;
   a.add(run_point(point));

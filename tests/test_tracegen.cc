@@ -674,11 +674,11 @@ TEST_F(ReplayAxisTest, LiveTripBuildsStraightFromACatalog) {
   write_catalog(dir_.string(), "livetrip",
                 scenario::generate_campaign(bed, cc));
   const auto catalog = load_catalog_shared(dir_.string());
-  scenario::LiveTrip trip(bed, *catalog, 0, core::SystemConfig{}, 44);
+  scenario::LiveTrip trip(bed, catalog->fleet_trip(0), core::SystemConfig{},
+                          44);
   trip.run_until(Time::seconds(5.0));
   EXPECT_EQ(trip.transports().size(), 2u);
-  EXPECT_THROW(scenario::LiveTrip(bed, *catalog, 7, core::SystemConfig{}, 1),
-               std::runtime_error);
+  EXPECT_THROW(catalog->fleet_trip(7), std::runtime_error);
 }
 
 }  // namespace
