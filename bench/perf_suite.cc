@@ -16,6 +16,8 @@
 
 #include <filesystem>
 #include <memory>
+#include <ostream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -29,6 +31,7 @@
 #include "mac/medium.h"
 #include "mac/radio.h"
 #include "net/packet.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/sink.h"
@@ -537,6 +540,64 @@ void BM_EndToEndTraceStreamOn(benchmark::State& state) {
   std::filesystem::remove(path);
 }
 BENCHMARK(BM_EndToEndTraceStreamOn);
+
+/// A stream buffer that only counts what it is given, so an export bench
+/// times rendering and the spool read, not a file system.
+class CountingBuf final : public std::streambuf {
+ public:
+  std::uint64_t bytes() const { return bytes_; }
+
+ protected:
+  std::streamsize xsputn(const char* /*s*/, std::streamsize n) override {
+    bytes_ += static_cast<std::uint64_t>(n);
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    ++bytes_;
+    return traits_type::not_eof(c);
+  }
+
+ private:
+  std::uint64_t bytes_ = 0;
+};
+
+void BM_ExportStreamedPoint(benchmark::State& state) {
+  // Chrome trace plus JSONL of a fixed streamed recording: the spool's
+  // seq-ordered read, span derivation and rendering that a
+  // `sweep --trace --trace-stream` point pays after its simulation. The
+  // recording (48 nodes, every event kind; `a` a full-precision double,
+  // `b` integral, as attempt counts and flags mostly are) is spooled once,
+  // outside the timed loop.
+  constexpr int kEvents = 50000;
+  constexpr int kNodes = 48;
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "vifi_bench_export.spool")
+          .string();
+  obs::TraceRecorder recorder(std::make_unique<obs::StreamSink>(path));
+  Rng rng = Rng(11).fork("export-bench");
+  for (int i = 0; i < kEvents; ++i) {
+    const auto kind = static_cast<obs::EventKind>(
+        rng.uniform_int(0, obs::kEventKindCount - 2));  // Log is not record()ed
+    recorder.record(kind, Time::micros(40 * i),
+                    NodeId(static_cast<int>(rng.uniform_int(0, kNodes - 1))),
+                    NodeId(static_cast<int>(rng.uniform_int(-1, kNodes - 1))),
+                    static_cast<std::uint64_t>(i), rng.uniform01(),
+                    static_cast<double>(rng.uniform_int(0, 3)),
+                    static_cast<std::int32_t>(rng.uniform_int(0, 4)));
+  }
+  recorder.finalize();
+  CountingBuf sink;
+  std::ostream os(&sink);
+  for (auto _ : state) {
+    obs::write_chrome_trace(recorder, os);
+    obs::write_jsonl(recorder, os);
+    benchmark::DoNotOptimize(sink.bytes());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kEvents);
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_ExportStreamedPoint);
 
 }  // namespace
 

@@ -21,9 +21,7 @@
 //   tripscope query /tmp/traces/point_0000.spool --counts --spans
 //   tripscope query point_0000.spool --node 3 --kind anchor_change --jsonl
 
-#include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -162,9 +160,10 @@ bool query_counts(const obs::SpoolReader& reader) {
 }
 
 void query_spans(const obs::SpoolReader& reader) {
-  const std::vector<obs::TraceEvent> events = reader.events();
+  obs::SpanBuilder builder;
+  reader.visit([&builder](const obs::TraceEvent& e) { builder.add(e); });
   const std::vector<obs::Span> spans =
-      obs::build_spans(events, Time::micros(reader.max_at_us()));
+      builder.finish(Time::micros(reader.max_at_us()));
 
   // Anchor tenures: how long each designation stretch lasted, and the
   // handoff gap (anchor-less stretch) between consecutive tenures of the
@@ -271,38 +270,30 @@ int run_query(int argc, char** argv) {
     }
 
     if (limit > 0 || jsonl) {
-      // Stream the chunks (one node's via the footer index when --node is
-      // given), keep only matches, then restore timeline (seq) order.
+      // Stream the records in timeline (seq) order — one node's chunks via
+      // the footer index when --node is given, else the whole spool's
+      // ordered merge — keeping the first `limit` matches.
       std::vector<obs::TraceEvent> matched;
+      std::size_t shown = 0;
+      std::string line;
       const auto consider = [&](const obs::TraceEvent& e) {
         if (kind_filter && e.kind != *kind_filter) return;
         if (e.at < from || e.at > to) return;
-        matched.push_back(e);
+        if (limit > 0 && shown == limit) return;
+        ++shown;
+        if (!jsonl) {
+          matched.push_back(e);
+          return;
+        }
+        line.clear();
+        obs::append_jsonl(line, e);
+        std::cout << line;
       };
       if (node_filter)
         reader.scan_node(*node_filter, consider);
       else
-        reader.scan(consider);
-      std::sort(matched.begin(), matched.end(),
-                [](const obs::TraceEvent& x, const obs::TraceEvent& y) {
-                  return x.seq < y.seq;
-                });
-      if (limit > 0 && matched.size() > limit) matched.resize(limit);
-      if (jsonl) {
-        char a[64], b[64];
-        for (const obs::TraceEvent& e : matched) {
-          std::snprintf(a, sizeof(a), "%.17g", e.a);
-          std::snprintf(b, sizeof(b), "%.17g", e.b);
-          std::cout << "{\"seq\":" << e.seq << ",\"t_us\":" << e.at.to_micros()
-                    << ",\"kind\":\"" << obs::to_string(e.kind)
-                    << "\",\"node\":\""
-                    << (e.node.valid() ? e.node.to_string() : std::string("-"))
-                    << "\",\"peer\":\""
-                    << (e.peer.valid() ? e.peer.to_string() : std::string("-"))
-                    << "\",\"id\":" << e.id << ",\"a\":" << a << ",\"b\":" << b
-                    << ",\"c\":" << e.c << "}\n";
-        }
-      } else {
+        reader.visit(consider);
+      if (!jsonl) {
         TextTable table("Matching events (" + std::to_string(matched.size()) +
                         ")");
         table.set_header({"t_s", "kind", "node", "peer", "id", "a", "b", "c"});
@@ -486,13 +477,13 @@ int main(int argc, char** argv) {
   if (print_events > 0) {
     std::cout << "First " << print_events << " timeline events:\n";
     std::size_t shown = 0;
-    for (const obs::TraceEvent& e : recorder.merged()) {
-      if (shown++ >= print_events) break;
+    recorder.visit([&](const obs::TraceEvent& e) {
+      if (shown++ >= print_events) return;
       std::cout << "  t=" << e.at.to_micros() << "us " << obs::to_string(e.kind)
                 << " node=" << node_name(recorder, e.node)
                 << " peer=" << node_name(recorder, e.peer) << " id=" << e.id
                 << " a=" << e.a << " b=" << e.b << " c=" << e.c << "\n";
-    }
+    });
     std::cout << "\n";
   }
 

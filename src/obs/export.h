@@ -14,10 +14,13 @@
 ///    the grep/jq-friendly stream, byte-identical across runner thread
 ///    counts for the same point.
 ///
-/// Both renderings are pure functions of the recorder's contents. When a
-/// ring-backed recorder has overwritten events (`dropped() > 0`) both
-/// formats carry a one-line truncation warning — silent truncation made
-/// count reconciliation fail mysteriously (ISSUE 10 satellite).
+/// Both renderings are pure functions of the recorder's contents. Each is
+/// one streaming pass over TraceRecorder::visit — for a spooled recorder
+/// the spool is merged chunk by chunk, never held whole — rendering every
+/// event into one reused buffer (std::to_chars, no per-event strings).
+/// When a ring-backed recorder has overwritten events (`dropped() > 0`)
+/// both formats carry a one-line truncation warning, because silent
+/// truncation made count reconciliation fail with no visible cause.
 
 #include <iosfwd>
 #include <string>
@@ -30,6 +33,14 @@ namespace vifi::obs {
 /// Escapes a string for embedding inside a JSON string literal
 /// (quotes, backslashes, control characters as \uXXXX).
 std::string json_escape(std::string_view s);
+
+/// Appends \p v exactly as printf's "%.17g" renders it — the exporters'
+/// one double format.
+void append_double(std::string& out, double v);
+
+/// Appends \p e as one JSONL line (newline included): the per-event line
+/// of write_jsonl, shared with `tripscope query --jsonl`.
+void append_jsonl(std::string& out, const TraceEvent& e);
 
 /// Chrome trace-event JSON. `pid` 0 carries the whole deployment; each
 /// node is a named thread track; routed log lines ride a "log" track.

@@ -156,9 +156,14 @@ const EventRing& TraceRecorder::ring(sim::NodeId node) const {
   return ring_ != nullptr ? ring_->ring(node) : kEmpty;
 }
 
-std::vector<TraceEvent> TraceRecorder::merged() const {
+void TraceRecorder::visit(const EventFn& fn) const {
   // Seal a streaming recorder's spool first so its footer carries the
-  // routed logs (StreamSink::events alone would finalize without them).
+  // routed logs (StreamSink::visit alone would finalize without them).
+  finalize();
+  sink_->visit(fn);
+}
+
+std::vector<TraceEvent> TraceRecorder::merged() const {
   finalize();
   return sink_->events();
 }

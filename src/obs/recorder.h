@@ -99,7 +99,7 @@ class TraceRecorder {
   /// per-kind counts (sink kinds must match; ring capacities must match).
   /// The sharded executor uses this to stitch per-worker trip recorders
   /// into one point timeline; a stream \p other's part spool is finalized
-  /// and fully replayed (streams never drop).
+  /// and fully replayed through its ordered visit (streams never drop).
   void absorb(const TraceRecorder& other, Time offset);
 
   /// Human-readable track label for a node ("bs", "vehicle", "host").
@@ -111,9 +111,12 @@ class TraceRecorder {
   std::vector<sim::NodeId> nodes() const;
   /// A node's ring; an empty one for unseen nodes and stream recorders.
   const EventRing& ring(sim::NodeId node) const;
-  /// All retained events merged in recording order (seq ascending). For
-  /// a streaming recorder this finalizes the spool and reads it back —
-  /// it is an export-time call, not a mid-run one.
+  /// Calls \p fn on every retained event in recording order (seq
+  /// ascending). For a streaming recorder this finalizes the spool and
+  /// streams it back through SpoolReader's merge, one chunk per node in
+  /// memory — it is an export-time call, not a mid-run one.
+  void visit(const EventFn& fn) const;
+  /// visit() collected into a vector.
   std::vector<TraceEvent> merged() const;
   const std::deque<LogRecord>& log_records() const { return logs_; }
 

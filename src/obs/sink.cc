@@ -30,6 +30,12 @@ std::vector<TraceEvent> EventRing::snapshot() const {
   return out;
 }
 
+std::vector<TraceEvent> TraceSink::events() const {
+  std::vector<TraceEvent> out;
+  visit([&out](const TraceEvent& e) { out.push_back(e); });
+  return out;
+}
+
 void TraceSink::set_node_label(sim::NodeId node, const std::string& label) {
   (void)node;
   (void)label;
@@ -70,18 +76,18 @@ std::vector<sim::NodeId> RingSink::nodes() const {
   return out;
 }
 
-std::vector<TraceEvent> RingSink::events() const {
-  std::vector<TraceEvent> out;
+void RingSink::visit(const EventFn& fn) const {
+  std::vector<TraceEvent> all;
   for (const auto& [node, ring] : rings_) {
     (void)node;
     const auto events = ring.snapshot();
-    out.insert(out.end(), events.begin(), events.end());
+    all.insert(all.end(), events.begin(), events.end());
   }
-  std::sort(out.begin(), out.end(),
+  std::sort(all.begin(), all.end(),
             [](const TraceEvent& x, const TraceEvent& y) {
               return x.seq < y.seq;
             });
-  return out;
+  for (const TraceEvent& e : all) fn(e);
 }
 
 const EventRing& RingSink::ring(sim::NodeId node) const {
@@ -125,9 +131,9 @@ std::vector<sim::NodeId> StreamSink::nodes() const {
   return writer_->nodes();
 }
 
-std::vector<TraceEvent> StreamSink::events() const {
+void StreamSink::visit(const EventFn& fn) const {
   if (!writer_->finalized()) writer_->finalize({});
-  return SpoolReader(writer_->path()).events();
+  SpoolReader(writer_->path()).visit(fn);
 }
 
 void StreamSink::absorb(TraceSink& other, Time at_offset,
@@ -138,12 +144,12 @@ void StreamSink::absorb(TraceSink& other, Time at_offset,
   // so the stitched spool holds every event of every trip — and because
   // the push sequence (hence block-flush cadence) matches a sequential
   // recording's, so do the resulting bytes.
-  for (const TraceEvent& e : other_stream->events()) {
+  other_stream->visit([&](const TraceEvent& e) {
     TraceEvent shifted = e;
     shifted.at = e.at + at_offset;
     shifted.seq = e.seq + seq_offset;
     writer_->push(shifted);
-  }
+  });
 }
 
 void StreamSink::set_node_label(sim::NodeId node, const std::string& label) {

@@ -14,9 +14,12 @@
 ///               fixed-size blocks off the hot path. Never drops;
 ///               city-scale timelines survive past the ring horizon.
 ///
-/// Both sinks implement `absorb` so the sharded executor can stitch
-/// per-trip sinks into one session sink with the same bytes a sequential
-/// recording would produce (the determinism contract recorder.h states).
+/// Both sinks replay their retained events in seq order through one
+/// visitor (`visit`) — the read path of the exporters and of `absorb`,
+/// which lets the sharded executor stitch per-trip sinks into one session
+/// sink with the same bytes a sequential recording would produce (the
+/// determinism contract recorder.h states). A stream's visit is
+/// SpoolReader's merge: it never holds the whole spool in memory.
 
 #include <cstdint>
 #include <map>
@@ -73,9 +76,12 @@ class TraceSink {
   /// Nodes with at least one retained event, ascending id.
   virtual std::vector<sim::NodeId> nodes() const = 0;
 
-  /// Retained events in recording (seq ascending) order. For streams
-  /// this finalizes the spool and reads it back.
-  virtual std::vector<TraceEvent> events() const = 0;
+  /// Calls \p fn on every retained event in recording (seq ascending)
+  /// order. For streams this finalizes the spool and streams it back.
+  virtual void visit(const EventFn& fn) const = 0;
+
+  /// visit() collected into a vector.
+  std::vector<TraceEvent> events() const;
 
   /// Folds \p other's event stream in, shifted by \p at_offset /
   /// \p seq_offset, exactly as if those events had been pushed here
@@ -102,7 +108,7 @@ class RingSink final : public TraceSink {
   void push(const TraceEvent& e) override;
   std::uint64_t dropped() const override;
   std::vector<sim::NodeId> nodes() const override;
-  std::vector<TraceEvent> events() const override;
+  void visit(const EventFn& fn) const override;
   void absorb(TraceSink& other, Time at_offset,
               std::uint64_t seq_offset) override;
 
@@ -127,10 +133,10 @@ class StreamSink final : public TraceSink {
   std::uint64_t dropped() const override { return 0; }
   std::vector<sim::NodeId> nodes() const override;
   /// Finalizes the spool (with no logs, if the recorder has not already
-  /// finalized it) and reads every record back in seq order.
-  std::vector<TraceEvent> events() const override;
-  /// \p other must be a StreamSink; its spool is finalized, read back,
-  /// and replayed into this one shifted. The sharded executor absorbs
+  /// finalized it) and streams every record back in seq order.
+  void visit(const EventFn& fn) const override;
+  /// \p other must be a StreamSink; its spool is finalized and visited,
+  /// each record pushed here shifted. The sharded executor absorbs
   /// per-trip part spools this way, in trip order, so the session spool
   /// is byte-identical to a sequential recording's.
   void absorb(TraceSink& other, Time at_offset,

@@ -5,10 +5,11 @@
 /// are instants; several protocol facts are *durations* — how long a
 /// vehicle kept one anchor, how long the coordination tier held a client
 /// in one phase, how long a (receiver, beaconer) pair stayed in contact.
-/// build_spans() folds a seq-ordered event stream into those intervals so
-/// exporters can emit Chrome "X" duration slices (Perfetto renders tenure
-/// bars instead of instant ticks) and `tripscope query` can summarise
-/// tenure percentiles and handoff gaps.
+/// SpanBuilder folds a seq-ordered event stream into those intervals one
+/// event at a time, so the Chrome exporter (Perfetto renders tenure bars
+/// instead of instant ticks) and `tripscope query --spans` (tenure
+/// percentiles, handoff gaps) both derive spans during their single
+/// streaming pass over a recording, never holding the events themselves.
 ///
 /// Derivations (all pure functions of the event stream + horizon):
 ///   AnchorTenure  one span per (vehicle, anchor) designation stretch,
@@ -26,9 +27,12 @@
 ///                 runs. Contacts close at the last beacon heard, not the
 ///                 horizon; a single beacon yields a zero-length span.
 
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "coord/state.h"
 #include "obs/event.h"
 #include "sim/ids.h"
 #include "util/time.h"
@@ -65,11 +69,44 @@ struct SpanConfig {
   Time contact_gap = Time::seconds(3.0);
 };
 
-/// Derives all spans from \p events (must be seq-ascending, i.e.
-/// TraceRecorder::merged() / SpoolReader::events() order) with open
-/// intervals closed at \p horizon. Output is canonically sorted by
-/// (begin, end, node, peer, kind, detail) — deterministic for a
-/// deterministic stream.
+/// Incremental span derivation. add() takes the events in seq order
+/// (TraceRecorder::visit / SpoolReader::visit order); finish() closes the
+/// open intervals at \p horizon and returns every span, canonically
+/// sorted by (begin, end, node, peer, kind, detail) — deterministic for a
+/// deterministic stream. Only open intervals and finished spans are held.
+class SpanBuilder {
+ public:
+  explicit SpanBuilder(const SpanConfig& config = {}) : config_(config) {}
+
+  void add(const TraceEvent& e);
+  /// Call once, after the last add().
+  std::vector<Span> finish(Time horizon);
+
+ private:
+  struct OpenTenure {
+    sim::NodeId anchor;
+    Time begin;
+  };
+  struct OpenPhase {
+    coord::ClientPhase phase = coord::ClientPhase::Idle;
+    sim::NodeId anchor;
+    Time begin;
+  };
+  struct OpenContact {
+    Time begin;
+    Time last;
+  };
+
+  SpanConfig config_;
+  std::vector<Span> out_;
+  // Ordered maps for deterministic horizon-close order (the final sort
+  // ties on every Span field, so this is belt-and-braces, not required).
+  std::map<sim::NodeId, OpenTenure> tenures_;
+  std::map<sim::NodeId, OpenPhase> phases_;
+  std::map<std::pair<sim::NodeId, sim::NodeId>, OpenContact> contacts_;
+};
+
+/// SpanBuilder over a whole event vector (seq-ascending).
 std::vector<Span> build_spans(const std::vector<TraceEvent>& events,
                               Time horizon, const SpanConfig& config = {});
 

@@ -42,6 +42,16 @@ class Cursor {
     return s;
   }
 
+  /// Reads a u32 element count and checks that \p count entries of at
+  /// least \p entry_bytes each still fit, so a corrupt count fails here
+  /// instead of sizing an allocation.
+  std::uint32_t get_count(std::size_t entry_bytes) {
+    const auto count = get<std::uint32_t>();
+    if (count > (size_ - pos_) / entry_bytes)
+      throw std::runtime_error("truncated spool footer in " + path_);
+    return count;
+  }
+
  private:
   void need(std::size_t n) const {
     if (pos_ + n > size_)
@@ -278,24 +288,43 @@ SpoolReader::SpoolReader(std::string path) : path_(std::move(path)) {
     throw std::runtime_error("spool kind-count mismatch in " + path_);
   for (int k = 0; k < kEventKindCount; ++k)
     kind_counts_[k] = cur.get<std::uint64_t>();
-  const std::uint32_t node_count = cur.get<std::uint32_t>();
+  // Smallest encodings: a node entry with no chunks and an empty label; a
+  // chunk ref; a log line with an empty message.
+  const std::uint32_t node_count = cur.get_count(4 + 8 + 4 + 4);
   nodes_.reserve(node_count);
+  std::uint64_t total = 0;
   for (std::uint32_t i = 0; i < node_count; ++i) {
     SpoolNodeIndex idx;
     idx.node = sim::NodeId{cur.get<std::int32_t>()};
     idx.events = cur.get<std::uint64_t>();
-    const std::uint32_t chunk_count = cur.get<std::uint32_t>();
+    const std::uint32_t chunk_count = cur.get_count(8 + 4);
     idx.chunks.reserve(chunk_count);
+    std::uint64_t indexed = 0;
     for (std::uint32_t c = 0; c < chunk_count; ++c) {
       SpoolChunkRef ref;
       ref.offset = cur.get<std::uint64_t>();
       ref.count = cur.get<std::uint32_t>();
+      // Every chunk must lie inside the data region, so reads never run
+      // into the footer and a chunk's buffer is bounded by the file.
+      if (ref.offset < kHeaderBytes ||
+          ref.offset > footer_offset - kChunkHeaderBytes ||
+          ref.count > (footer_offset - ref.offset - kChunkHeaderBytes) /
+                          kSpoolRecordBytes)
+        throw std::runtime_error("truncated spool chunk in " + path_);
+      indexed += ref.count;
       idx.chunks.push_back(ref);
     }
+    if (indexed != idx.events)
+      throw std::runtime_error(
+          "spool chunk counts disagree with the footer in " + path_);
+    total += idx.events;
     idx.label = cur.get_string(cur.get<std::uint32_t>());
     nodes_.push_back(std::move(idx));
   }
-  const std::uint32_t log_count = cur.get<std::uint32_t>();
+  if (total != recorded_)
+    throw std::runtime_error(
+        "spool chunk counts disagree with the footer in " + path_);
+  const std::uint32_t log_count = cur.get_count(8 + 8 + 4 + 4);
   logs_.reserve(log_count);
   for (std::uint32_t i = 0; i < log_count; ++i) {
     SpoolLog log;
@@ -315,67 +344,133 @@ const SpoolNodeIndex* SpoolReader::find_node(sim::NodeId node) const {
 
 namespace {
 
-/// Reads one chunk at the current stream position, forwarding records to
-/// \p fn. Returns the chunk's node id.
-sim::NodeId read_chunk(std::ifstream& in, const std::string& path,
-                       const std::function<void(const TraceEvent&)>& fn) {
-  char header[kChunkHeaderBytes];
-  in.read(header, kChunkHeaderBytes);
-  std::int32_t node = 0;
-  std::uint32_t count = 0;
-  std::memcpy(&node, header, 4);
-  std::memcpy(&count, header + 4, 4);
+/// Reads chunk \p ref of \p node (header and records) into \p buf with one
+/// read, checking the chunk header against the footer index.
+void read_chunk(std::ifstream& in, const std::string& path, sim::NodeId node,
+                const SpoolChunkRef& ref, std::vector<char>& buf) {
+  buf.resize(kChunkHeaderBytes +
+             static_cast<std::size_t>(ref.count) * kSpoolRecordBytes);
+  in.seekg(static_cast<std::int64_t>(ref.offset));
+  in.read(buf.data(), static_cast<std::streamsize>(buf.size()));
   if (!in) throw std::runtime_error("truncated spool chunk in " + path);
-  char rec[kSpoolRecordBytes];
-  for (std::uint32_t i = 0; i < count; ++i) {
-    in.read(rec, kSpoolRecordBytes);
-    if (!in) throw std::runtime_error("truncated spool chunk in " + path);
-    fn(decode_event(rec));
+  std::int32_t got_node = 0;
+  std::uint32_t got_count = 0;
+  std::memcpy(&got_node, buf.data(), 4);
+  std::memcpy(&got_count, buf.data() + 4, 4);
+  if (got_node != node.value())
+    throw std::runtime_error("spool index points at a foreign chunk in " +
+                             path);
+  if (got_count != ref.count)
+    throw std::runtime_error(
+        "spool chunk count disagrees with the footer in " + path);
+}
+
+/// One node's chunk list, read one chunk at a time: head() is the next
+/// record, decoded from the single chunk held in memory.
+class NodeCursor {
+ public:
+  explicit NodeCursor(const SpoolNodeIndex& idx) : idx_(&idx) {}
+
+  /// Decodes the node's next record into head(); false once it is done.
+  bool next(std::ifstream& in, const std::string& path) {
+    while (pos_ == end_) {
+      if (chunk_ == idx_->chunks.size()) return false;
+      const SpoolChunkRef& ref = idx_->chunks[chunk_++];
+      read_chunk(in, path, idx_->node, ref, buf_);
+      pos_ = 0;
+      end_ = ref.count;
+    }
+    head_ = decode_event(buf_.data() + kChunkHeaderBytes +
+                         pos_++ * kSpoolRecordBytes);
+    return true;
   }
-  return sim::NodeId{node};
+
+  const TraceEvent& head() const { return head_; }
+
+ private:
+  const SpoolNodeIndex* idx_;
+  std::size_t chunk_ = 0;  ///< Next chunk to load.
+  std::size_t pos_ = 0;    ///< Next record within buf_.
+  std::size_t end_ = 0;    ///< Records in buf_.
+  std::vector<char> buf_;
+  TraceEvent head_;
+};
+
+/// Holds an ordered read to strictly ascending seq: a corrupt spool must
+/// fail, not yield a silently mis-ordered timeline.
+class SeqOrder {
+ public:
+  explicit SeqOrder(const std::string& path) : path_(path) {}
+
+  void check(std::uint64_t seq) {
+    if (seen_ && seq <= last_)
+      throw std::runtime_error("spool records out of seq order in " + path_);
+    seen_ = true;
+    last_ = seq;
+  }
+
+ private:
+  const std::string& path_;
+  bool seen_ = false;
+  std::uint64_t last_ = 0;
+};
+
+/// Streams one node's records in seq order.
+void read_node(std::ifstream& in, const std::string& path,
+               const SpoolNodeIndex& idx, const EventFn& fn) {
+  NodeCursor cursor(idx);
+  SeqOrder order(path);
+  while (cursor.next(in, path)) {
+    order.check(cursor.head().seq);
+    fn(cursor.head());
+  }
 }
 
 }  // namespace
 
-void SpoolReader::scan(const std::function<void(const TraceEvent&)>& fn) const {
-  // Every chunk of every node, walked in file order: chunk offsets from
-  // the index, merged and sorted, stream the data region exactly once.
-  std::vector<SpoolChunkRef> all;
-  for (const SpoolNodeIndex& idx : nodes_)
-    all.insert(all.end(), idx.chunks.begin(), idx.chunks.end());
-  std::sort(all.begin(), all.end(),
-            [](const SpoolChunkRef& x, const SpoolChunkRef& y) {
-              return x.offset < y.offset;
-            });
+void SpoolReader::scan(const EventFn& fn) const {
   std::ifstream in = open_spool(path_);
-  for (const SpoolChunkRef& ref : all) {
-    in.seekg(static_cast<std::int64_t>(ref.offset));
-    read_chunk(in, path_, fn);
-  }
+  for (const SpoolNodeIndex& idx : nodes_) read_node(in, path_, idx, fn);
 }
 
-void SpoolReader::scan_node(
-    sim::NodeId node, const std::function<void(const TraceEvent&)>& fn) const {
+void SpoolReader::scan_node(sim::NodeId node, const EventFn& fn) const {
   const SpoolNodeIndex* idx = find_node(node);
   if (idx == nullptr) return;
   std::ifstream in = open_spool(path_);
-  for (const SpoolChunkRef& ref : idx->chunks) {
-    in.seekg(static_cast<std::int64_t>(ref.offset));
-    const sim::NodeId got = read_chunk(in, path_, fn);
-    if (got != node)
-      throw std::runtime_error("spool index points at a foreign chunk in " +
-                               path_);
+  read_node(in, path_, *idx, fn);
+}
+
+void SpoolReader::visit(const EventFn& fn) const {
+  std::ifstream in = open_spool(path_);
+  std::vector<NodeCursor> cursors;
+  cursors.reserve(nodes_.size());
+  for (const SpoolNodeIndex& idx : nodes_) cursors.emplace_back(idx);
+  // Min-heap on each node's head seq: popping the least head and pushing
+  // that node's next record replays the recording order.
+  const auto later = [](const NodeCursor* x, const NodeCursor* y) {
+    return x->head().seq > y->head().seq;
+  };
+  std::vector<NodeCursor*> heap;
+  heap.reserve(cursors.size());
+  for (NodeCursor& c : cursors)
+    if (c.next(in, path_)) heap.push_back(&c);
+  std::make_heap(heap.begin(), heap.end(), later);
+  SeqOrder order(path_);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    NodeCursor* c = heap.back();
+    order.check(c->head().seq);
+    fn(c->head());
+    if (c->next(in, path_))
+      std::push_heap(heap.begin(), heap.end(), later);
+    else
+      heap.pop_back();
   }
 }
 
 std::vector<TraceEvent> SpoolReader::events() const {
   std::vector<TraceEvent> out;
-  out.reserve(recorded_);
-  scan([&out](const TraceEvent& e) { out.push_back(e); });
-  std::sort(out.begin(), out.end(),
-            [](const TraceEvent& x, const TraceEvent& y) {
-              return x.seq < y.seq;
-            });
+  visit([&out](const TraceEvent& e) { out.push_back(e); });
   return out;
 }
 

@@ -23,7 +23,9 @@
 /// Records store doubles as raw IEEE-754 bits, so spool -> load -> export
 /// reproduces an in-memory recorder's exports byte-for-byte. The trailer
 /// lets SpoolReader seek the footer from EOF and then seek straight to any
-/// node's chunks without reading the rest of the file.
+/// node's chunks without reading the rest of the file. A node's chunks,
+/// in index order, hold its records seq-ascending, so the recording order
+/// is a k-way merge of the nodes' chunk lists (SpoolReader::visit).
 
 #include <cstddef>
 #include <cstdint>
@@ -66,6 +68,10 @@ struct SpoolNodeIndex {
   std::string label;         ///< Recorder track label ("bs", "vehicle"...).
   std::vector<SpoolChunkRef> chunks;
 };
+
+/// Callback receiving one decoded record (scans, ordered visits, and the
+/// sink/recorder visitors built on them).
+using EventFn = std::function<void(const TraceEvent&)>;
 
 /// A routed log line carried in the footer (the recorder's bounded
 /// VIFI_WARN+ channel; logs are not chunk records).
@@ -135,10 +141,14 @@ class SpoolWriter {
 /// Reads one spool file. The constructor parses only the trailer + footer;
 /// scans stream chunk-by-chunk (never materialising the whole file) and
 /// scan_node() seeks straight to one node's chunks via the footer index.
+/// Every read throws std::runtime_error naming the file when a chunk
+/// disagrees with the footer index (foreign node, record count, short
+/// read) or, for the seq-ordered reads, when records go backwards.
 class SpoolReader {
  public:
   /// Opens and validates \p path; throws std::runtime_error with a crisp
-  /// message on missing/truncated/foreign files.
+  /// message on missing/truncated/foreign files, and on a footer whose
+  /// chunk index does not fit the data region or its own totals.
   explicit SpoolReader(std::string path);
 
   const std::string& path() const { return path_; }
@@ -155,16 +165,20 @@ class SpoolReader {
   const SpoolNodeIndex* find_node(sim::NodeId node) const;
   const std::vector<SpoolLog>& logs() const { return logs_; }
 
-  /// Streams every record in file (chunk-major) order. Within a chunk
-  /// records are seq-ascending; across chunks they are not globally
-  /// sorted — callers needing the timeline order sort by seq (events()).
-  void scan(const std::function<void(const TraceEvent&)>& fn) const;
-  /// Streams only \p node's records, seeking each chunk via the footer
-  /// index; a node absent from the index is a no-op.
-  void scan_node(sim::NodeId node,
-                 const std::function<void(const TraceEvent&)>& fn) const;
-  /// Full materialisation in seq (recording) order — what exporters and
-  /// TraceRecorder::absorb consume.
+  /// Streams every record node by node (index order, each node's records
+  /// seq-ascending): the cheapest full read, but not the timeline order —
+  /// counting callers use this; timeline callers use visit().
+  void scan(const EventFn& fn) const;
+  /// Streams only \p node's records in seq order, seeking each chunk via
+  /// the footer index; a node absent from the index is a no-op.
+  void scan_node(sim::NodeId node, const EventFn& fn) const;
+  /// Streams every record in seq (recording) order: a k-way merge over
+  /// the nodes' chunk lists, each already seq-ascending, holding one
+  /// decoded chunk per node rather than the whole file. This is the read
+  /// path of the exporters and of StreamSink::absorb.
+  void visit(const EventFn& fn) const;
+  /// visit() collected into a vector, for callers that want the whole
+  /// timeline in memory (tests, small spools).
   std::vector<TraceEvent> events() const;
 
  private:

@@ -1,13 +1,19 @@
 // Tests for TripScope: TraceRecorder ring semantics, scope nesting, the
 // MetricsRegistry (key canonicalisation, histogram bucketing, flatten /
-// total), JSON escaping in the exporters, and — the observability
+// total), JSON escaping and the %.17g double rendering of the exporters,
+// one pinned export of a crafted recording, and — the observability
 // determinism contract — byte-identical per-point trace exports for any
 // runner thread count.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,6 +24,7 @@
 #include "runtime/runner.h"
 #include "util/contracts.h"
 #include "util/logging.h"
+#include "util/rng.h"
 
 namespace vifi::obs {
 namespace {
@@ -270,6 +277,139 @@ TEST(Jsonl, OneObjectPerEventPlusLogLines) {
   EXPECT_EQ(lines, 3u);
   EXPECT_NE(jsonl.find("\"kind\":\"beacon_tx\""), std::string::npos);
   EXPECT_NE(jsonl.find("something odd"), std::string::npos);
+}
+
+// --- the exporters' double format: printf's %.17g, byte for byte -----------
+
+std::string printf_17g(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+std::string exported(double v) {
+  std::string out;
+  append_double(out, v);
+  return out;
+}
+
+TEST(ExportDouble, MatchesPrintf17gOnRandomBitPatterns) {
+  // Every exponent and mantissa shape, NaN payloads included.
+  Rng rng = Rng(20080817).fork("export-double-oracle");
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint64_t bits = rng.next_u64();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    ASSERT_EQ(exported(v), printf_17g(v)) << "bits 0x" << std::hex << bits;
+  }
+}
+
+TEST(ExportDouble, MatchesPrintf17gOnEdgeCases) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> cases = {
+      // Signed zeros, subnormals and the normal boundary.
+      0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), 2.2250738585072009e-308,
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      // Non-finite values.
+      kInf, -kInf, kNan, -kNan, std::numeric_limits<double>::signaling_NaN(),
+      // Integers above 2^53.
+      9007199254740992.0, 9007199254740994.0, 9223372036854775808.0,
+      18446744073709551616.0, 123456789012345678.0, -36028797018963970.0,
+      // Where %.17g switches between fixed and exponent notation.
+      9999999999999998.0, 1e16, 1e16 + 2.0, 99999999999999984.0, 1e17,
+      std::nextafter(1e17, 0.0), 1e21, 1e22, -1e22, 1e23, 1e-4,
+      std::nextafter(1e-4, 0.0), 1e-5,
+      // Values whose 17-digit form carries trailing digits.
+      0.1, 0.1 + 0.2, 1.0 / 3.0, 2.0 / 3.0, 2.5e-5, 0.0012345, 123.456,
+      -63.25, 1e-300, 5e-324};
+  for (const double v : cases) EXPECT_EQ(exported(v), printf_17g(v)) << v;
+}
+
+TEST(ExportDouble, MatchesPrintf17gOnIntegralValues) {
+  // Integral values take their own rendering path; probe it on small
+  // integers and at every power of two and ten, one ulp either side.
+  for (int k = -1000; k <= 1000; ++k)
+    EXPECT_EQ(exported(k), printf_17g(k)) << k;
+  for (int p = 0; p < 80; ++p) {
+    for (const double base : {std::ldexp(1.0, p), std::pow(10.0, p / 3)}) {
+      for (const double v : {base, std::nextafter(base, 0.0),
+                             std::nextafter(base, 1e300)}) {
+        EXPECT_EQ(exported(v), printf_17g(v)) << v;
+        EXPECT_EQ(exported(-v), printf_17g(-v)) << -v;
+      }
+    }
+  }
+}
+
+// A crafted ring recording exercising every rendering path: labels needing
+// escapes, an invalid node and peer, a wrapped ring (the dropped warning),
+// FrameTx durations, all three span kinds with an open phase closed at the
+// last event, a routed log line with control characters, and doubles
+// covering exponent forms, -0, a subnormal and inf. The expected bytes
+// were produced by the snprintf/ostream exporters these replaced.
+TEST(TraceExport, PinnedRecordingRendersUnchangedBytes) {
+  TraceRecorder rec(/*per_node_capacity=*/6);  // node 2's ring wraps once
+  const sim::NodeId n1{1}, n2{2}, none{};
+  rec.set_node_label(n1, "bs");
+  rec.set_node_label(n2, "vehicle \"x\"");
+  rec.record(EventKind::BeaconTx, Time::micros(0), n1);
+  rec.record(EventKind::BeaconRx, Time::micros(100250), n2, n1, 1, -63.25);
+  rec.record(EventKind::AnchorChange, Time::micros(100300), n2, n1, 1,
+             0.1 + 0.2);
+  rec.record(EventKind::FrameTx, Time::micros(1500000), n2, n1, 42, 0.0012345,
+             2.0, 1);
+  rec.record(EventKind::RelayEval, Time::micros(1500001), n1, n2,
+             18446744073709551615ull, 1.0 / 3.0, 1e-300, -7);
+  rec.record(EventKind::CoordTransition, Time::micros(2000000), n2, n1, 3,
+             0.75, 0.0, (1 << 8) | (0 << 4) | 1);
+  rec.record(EventKind::BeaconRx, Time::micros(2100000), n2, n1, 2, 1e22);
+  rec.record(EventKind::Handoff, Time::micros(2500000), none, none, 0, -0.0,
+             123456789012345678.0);
+  rec.record(EventKind::CoordTransition, Time::micros(3000000), n2, n1, 4,
+             5e-324, 1e16, (2 << 8) | (1 << 4) | 2);
+  rec.record(EventKind::AnchorChange, Time::micros(4000000), n2, none, 2);
+  rec.log(LogLevel::Warn, "tab\tand \x01 ctl");
+  rec.record(EventKind::AppDeliver, Time::micros(4500000), n1, n2, 9,
+             std::numeric_limits<double>::infinity(), 2.5e-5, 1);
+  EXPECT_EQ(chrome_trace_json(rec), R"pin({"traceEvents":[
+{"ph":"M","pid":0,"tid":1000000,"name":"thread_name","args":{"name":"(none)"}},
+{"ph":"M","pid":0,"tid":1,"name":"thread_name","args":{"name":"n1 bs"}},
+{"ph":"M","pid":0,"tid":2,"name":"thread_name","args":{"name":"n2 vehicle \"x\""}},
+{"ph":"M","pid":0,"tid":1000001,"name":"thread_name","args":{"name":"log"}},
+{"name":"beacon_tx","cat":"beacon","pid":0,"tid":1,"ts":0,"ph":"i","s":"t","args":{"peer":"-","id":0,"a":0,"b":0,"c":0}},
+{"name":"anchor_change","cat":"designation","pid":0,"tid":2,"ts":100300,"ph":"i","s":"t","args":{"peer":"n1","id":1,"a":0.30000000000000004,"b":0,"c":0}},
+{"name":"frame_tx","cat":"mac","pid":0,"tid":2,"ts":1500000,"ph":"X","dur":1235,"args":{"peer":"n1","id":42,"a":0.0012344999999999999,"b":2,"c":1}},
+{"name":"relay_eval","cat":"relay","pid":0,"tid":1,"ts":1500001,"ph":"i","s":"t","args":{"peer":"n2","id":18446744073709551615,"a":0.33333333333333331,"b":1e-300,"c":-7}},
+{"name":"coord_transition","cat":"coord","pid":0,"tid":2,"ts":2000000,"ph":"i","s":"t","args":{"peer":"n1","id":3,"a":0.75,"b":0,"c":257}},
+{"name":"beacon_rx","cat":"beacon","pid":0,"tid":2,"ts":2100000,"ph":"i","s":"t","args":{"peer":"n1","id":2,"a":1e+22,"b":0,"c":0}},
+{"name":"handoff","cat":"handoff","pid":0,"tid":1000000,"ts":2500000,"ph":"i","s":"t","args":{"peer":"-","id":0,"a":-0,"b":1.2345678901234568e+17,"c":0}},
+{"name":"coord_transition","cat":"coord","pid":0,"tid":2,"ts":3000000,"ph":"i","s":"t","args":{"peer":"n1","id":4,"a":4.9406564584124654e-324,"b":10000000000000000,"c":530}},
+{"name":"anchor_change","cat":"designation","pid":0,"tid":2,"ts":4000000,"ph":"i","s":"t","args":{"peer":"-","id":2,"a":0,"b":0,"c":0}},
+{"name":"app_deliver","cat":"app","pid":0,"tid":1,"ts":4500000,"ph":"i","s":"t","args":{"peer":"n2","id":9,"a":inf,"b":2.5000000000000001e-05,"c":1}},
+{"name":"anchor_tenure","cat":"span","ph":"X","pid":0,"tid":2,"ts":100300,"dur":3899700,"args":{"peer":"n1"}},
+{"name":"phase:Discovered","cat":"span","ph":"X","pid":0,"tid":2,"ts":2000000,"dur":1000000,"args":{"peer":"n1"}},
+{"name":"contact","cat":"span","ph":"X","pid":0,"tid":2,"ts":2100000,"dur":0,"args":{"peer":"n1"}},
+{"name":"phase:Associated","cat":"span","ph":"X","pid":0,"tid":2,"ts":3000000,"dur":1500000,"args":{"peer":"n1"}},
+{"name":"ring dropped 1 events (oldest overwritten); timeline is truncated — use --trace-stream for full fidelity","cat":"log","ph":"i","s":"t","pid":0,"tid":1000001,"ts":0,"args":{"dropped":1}},
+{"name":"tab\tand \u0001 ctl","cat":"log","ph":"i","s":"t","pid":0,"tid":1000001,"ts":4000000,"args":{"level":2}}
+]}
+)pin");
+  EXPECT_EQ(events_jsonl(rec), R"pin({"warning":"ring dropped 1 events (oldest overwritten); timeline is truncated — use --trace-stream for full fidelity","dropped":1}
+{"seq":1,"t_us":0,"kind":"beacon_tx","node":"n1","peer":"-","id":0,"a":0,"b":0,"c":0}
+{"seq":3,"t_us":100300,"kind":"anchor_change","node":"n2","peer":"n1","id":1,"a":0.30000000000000004,"b":0,"c":0}
+{"seq":4,"t_us":1500000,"kind":"frame_tx","node":"n2","peer":"n1","id":42,"a":0.0012344999999999999,"b":2,"c":1}
+{"seq":5,"t_us":1500001,"kind":"relay_eval","node":"n1","peer":"n2","id":18446744073709551615,"a":0.33333333333333331,"b":1e-300,"c":-7}
+{"seq":6,"t_us":2000000,"kind":"coord_transition","node":"n2","peer":"n1","id":3,"a":0.75,"b":0,"c":257}
+{"seq":7,"t_us":2100000,"kind":"beacon_rx","node":"n2","peer":"n1","id":2,"a":1e+22,"b":0,"c":0}
+{"seq":8,"t_us":2500000,"kind":"handoff","node":"-","peer":"-","id":0,"a":-0,"b":1.2345678901234568e+17,"c":0}
+{"seq":9,"t_us":3000000,"kind":"coord_transition","node":"n2","peer":"n1","id":4,"a":4.9406564584124654e-324,"b":10000000000000000,"c":530}
+{"seq":10,"t_us":4000000,"kind":"anchor_change","node":"n2","peer":"-","id":2,"a":0,"b":0,"c":0}
+{"seq":12,"t_us":4500000,"kind":"app_deliver","node":"n1","peer":"n2","id":9,"a":inf,"b":2.5000000000000001e-05,"c":1}
+{"seq":11,"t_us":4000000,"kind":"log","level":2,"message":"tab\tand \u0001 ctl"}
+)pin");
 }
 
 // --- the sweep-level contract: per-point trace exports are byte-identical

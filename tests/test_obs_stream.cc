@@ -1,5 +1,6 @@
 // Tests for TripScope Streams: the spool on-disk format (round-trip,
-// footer index, crisp errors on foreign/truncated files), StreamSink /
+// footer index, crisp errors on foreign/truncated files and on hostile
+// chunks under the seq-ordered reader), StreamSink /
 // TraceRecorder streaming semantics (ring-vs-stream export byte-identity
 // when the run fits the ring, full fidelity past the ring horizon,
 // trip-order absorb reproducing a direct recording's spool bytes), the
@@ -156,6 +157,113 @@ TEST(Spool, ReaderRejectsForeignAndTruncatedFiles) {
   std::ofstream(truncated, std::ios::binary)
       << bytes.substr(0, bytes.size() - 8);
   EXPECT_THROW(SpoolReader{truncated}, std::runtime_error);
+  fs::remove_all(dir);
+}
+
+// --- hostile spools: the ordered reader fails crisply, never mis-orders ----
+
+/// Writes \p bytes to \p path.
+void spit(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary) << bytes;
+}
+
+template <typename T>
+void poke(std::string& bytes, std::uint64_t offset, T v) {
+  ASSERT_LE(offset + sizeof(T), bytes.size());
+  std::memcpy(bytes.data() + offset, &v, sizeof(T));
+}
+
+/// The message of the runtime_error \p read throws, or "" if it returns.
+template <typename Read>
+std::string read_error(Read read) {
+  try {
+    read();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// A two-node spool, 4-event blocks, pushed alternately so the two nodes'
+/// chunks interleave in the file: node 1 and 2 each hold a full chunk and
+/// a residual one.
+std::string write_interleaved_spool(const fs::path& dir) {
+  const std::string path = (dir / "good.spool").string();
+  SpoolWriter writer(path, /*block_events=*/4);
+  for (int i = 0; i < 12; ++i)
+    writer.push(make_event(EventKind::BeaconTx, 0.1 * i, 1 + i % 2, -1,
+                           static_cast<std::uint64_t>(i + 1)));
+  writer.finalize({});
+  return path;
+}
+
+TEST(Spool, HostileChunksThrowNamingTheFileOnEveryRead) {
+  const fs::path dir = temp_dir("vifi_spool_hostile");
+  const std::string good = write_interleaved_spool(dir);
+  const std::string bytes = slurp(good);
+  const SpoolReader index(good);
+  const SpoolChunkRef first = index.find_node(sim::NodeId{1})->chunks[0];
+  ASSERT_EQ(first.count, 4u);
+  constexpr std::uint64_t kChunkHeader = 8;
+  constexpr std::uint64_t kSeqField = 8;  // after the i64 timestamp
+
+  struct Case {
+    std::string name;
+    std::string bytes;
+    std::string expect;  ///< Message fragment.
+  };
+  std::vector<Case> cases;
+  {
+    // Node 1's index entry now leads to a chunk headed by node 2.
+    Case c{"foreign", bytes, "foreign chunk"};
+    poke<std::int32_t>(c.bytes, first.offset, 2);
+    cases.push_back(std::move(c));
+  }
+  {
+    // Node 1's second record goes back to seq 0 (the first is seq 1).
+    Case c{"backwards", bytes, "out of seq order"};
+    poke<std::uint64_t>(
+        c.bytes, first.offset + kChunkHeader + kSpoolRecordBytes + kSeqField,
+        0);
+    cases.push_back(std::move(c));
+  }
+  {
+    // The chunk header claims one record fewer than the footer index.
+    Case c{"count", bytes, "disagrees with the footer"};
+    poke<std::uint32_t>(c.bytes, first.offset + 4, first.count - 1);
+    cases.push_back(std::move(c));
+  }
+  {
+    // The last chunk loses its final record: the data region ends inside
+    // it while the re-attached footer still indexes the full chunk.
+    std::uint64_t footer_offset = 0;
+    std::memcpy(&footer_offset, bytes.data() + bytes.size() - 16, 8);
+    std::string cut = bytes.substr(0, footer_offset - kSpoolRecordBytes) +
+                      bytes.substr(footer_offset);
+    poke<std::uint64_t>(cut, cut.size() - 16,
+                        footer_offset - kSpoolRecordBytes);
+    cases.push_back({"truncated", std::move(cut), "truncated spool chunk"});
+  }
+
+  for (const Case& c : cases) {
+    const std::string path = (dir / (c.name + ".spool")).string();
+    spit(path, c.bytes);
+    const auto noop = [](const TraceEvent&) {};
+    for (const std::string& what :
+         {read_error([&] { SpoolReader(path).visit(noop); }),
+          read_error([&] { SpoolReader(path).scan(noop); }),
+          read_error([&] { (void)SpoolReader(path).events(); }),
+          read_error(
+              [&] { SpoolReader(path).scan_node(sim::NodeId{1}, noop); })}) {
+      EXPECT_NE(what.find(c.expect), std::string::npos) << c.name << ": "
+                                                         << what;
+      EXPECT_NE(what.find(path), std::string::npos) << c.name << ": " << what;
+    }
+  }
+  // The unpatched spool reads cleanly in seq order.
+  std::uint64_t seq = 0;
+  index.visit([&seq](const TraceEvent& e) { EXPECT_EQ(e.seq, ++seq); });
+  EXPECT_EQ(seq, 12u);
   fs::remove_all(dir);
 }
 
