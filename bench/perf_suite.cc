@@ -16,6 +16,7 @@
 
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <streambuf>
 #include <string>
@@ -35,6 +36,8 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/sink.h"
+#include "runtime/executor.h"
+#include "runtime/runner.h"
 #include "scenario/live.h"
 #include "scenario/testbed.h"
 #include "sim/simulator.h"
@@ -297,14 +300,33 @@ BENCHMARK(BM_MediumBroadcastCulled)->Arg(256);
 // End-to-end packet path
 // ---------------------------------------------------------------------------
 
-void BM_EndToEndPacketPath(benchmark::State& state) {
-  // A small live deployment: 3 BSes, one vehicle driving past them, CBR
-  // upstream traffic. Exercises the full chain: packet factory -> sender
-  // queue -> radio CSMA -> medium sampling -> PAB/beacons -> relay
-  // consideration -> ack handling.
+/// What the end-to-end packet-path benches record while they run.
+enum class Tracing { Off, Rings, Stream };
+
+/// The deployment every packet-path bench times, built afresh per
+/// iteration: 3 BSes, one vehicle driving past them, 100 CBR upstream
+/// packets over 2 s. \p coord attaches the BS-side ConnectivityManager;
+/// \p tracing installs a recorder (rings or a disk spool) and a registry
+/// for the iteration.
+void run_packet_path(benchmark::State& state, bool coord, Tracing tracing) {
   constexpr int kPackets = 100;
   constexpr double kSimSeconds = 2.0;
+  const std::string spool =
+      (std::filesystem::temp_directory_path() / "vifi_bench_e2e.spool")
+          .string();
   for (auto _ : state) {
+    std::optional<obs::TraceRecorder> recorder;
+    std::optional<obs::MetricsRegistry> metrics;
+    std::optional<obs::TraceScope> trace_scope;
+    std::optional<obs::MetricsScope> metrics_scope;
+    if (tracing == Tracing::Rings) recorder.emplace();
+    if (tracing == Tracing::Stream)
+      recorder.emplace(std::make_unique<obs::StreamSink>(spool));
+    if (recorder) {
+      metrics.emplace();
+      trace_scope.emplace(*recorder);
+      metrics_scope.emplace(*metrics);
+    }
     sim::Simulator sim;
     channel::VehicularChannelParams cparams;
     channel::VehicularChannel loss(
@@ -317,17 +339,38 @@ void BM_EndToEndPacketPath(benchmark::State& state) {
         Rng(7));
     core::SystemConfig config;
     config.seed = 42;
+    if (coord) {
+      config.coord.enabled = true;
+      config.coord.history = {{10, 11, 5}, {11, 12, 5}};
+    }
     core::VifiSystem system(sim, loss, {NodeId(10), NodeId(11), NodeId(12)},
                             NodeId(1), NodeId(100), config);
+    std::optional<coord::ConnectivityManager> manager;
+    if (coord) {
+      manager.emplace(sim, config.coord);
+      coord::attach(system, *manager);
+    }
     system.start();
+    if (manager) manager->start();
     for (int i = 0; i < kPackets; ++i) {
       sim.schedule_at(Time::seconds(kSimSeconds * i / kPackets),
                       [&system] { system.send_up(500); });
     }
     sim.run_until(Time::seconds(kSimSeconds + 1.0));
+    if (tracing == Tracing::Stream) recorder->finalize();
+    if (recorder) benchmark::DoNotOptimize(recorder->recorded());
     benchmark::DoNotOptimize(system.stats());
+    if (manager) benchmark::DoNotOptimize(manager->transitions());
   }
   state.SetItemsProcessed(state.iterations() * kPackets);
+  if (tracing == Tracing::Stream) std::filesystem::remove(spool);
+}
+
+void BM_EndToEndPacketPath(benchmark::State& state) {
+  // Exercises the full chain: packet factory -> sender queue -> radio
+  // CSMA -> medium sampling -> PAB/beacons -> relay consideration -> ack
+  // handling.
+  run_packet_path(state, false, Tracing::Off);
 }
 BENCHMARK(BM_EndToEndPacketPath);
 
@@ -337,38 +380,7 @@ void BM_CoordEndToEnd(benchmark::State& state) {
   // state machine, predicts the drive-past succession (10 -> 11 -> 12)
   // and filters relays. Compare against BM_EndToEndPacketPath to read
   // the cost of coordination on the hot path.
-  constexpr int kPackets = 100;
-  constexpr double kSimSeconds = 2.0;
-  for (auto _ : state) {
-    sim::Simulator sim;
-    channel::VehicularChannelParams cparams;
-    channel::VehicularChannel loss(
-        cparams,
-        [](NodeId id, Time t) {
-          if (id.value() == 1)  // the vehicle, driving along x
-            return mobility::Vec2{10.0 * t.to_seconds(), 0.0};
-          return mobility::Vec2{(id.value() - 10) * 40.0, 30.0};
-        },
-        Rng(7));
-    core::SystemConfig config;
-    config.seed = 42;
-    config.coord.enabled = true;
-    config.coord.history = {{10, 11, 5}, {11, 12, 5}};
-    core::VifiSystem system(sim, loss, {NodeId(10), NodeId(11), NodeId(12)},
-                            NodeId(1), NodeId(100), config);
-    coord::ConnectivityManager manager(sim, config.coord);
-    coord::attach(system, manager);
-    system.start();
-    manager.start();
-    for (int i = 0; i < kPackets; ++i) {
-      sim.schedule_at(Time::seconds(kSimSeconds * i / kPackets),
-                      [&system] { system.send_up(500); });
-    }
-    sim.run_until(Time::seconds(kSimSeconds + 1.0));
-    benchmark::DoNotOptimize(system.stats());
-    benchmark::DoNotOptimize(manager.transitions());
-  }
-  state.SetItemsProcessed(state.iterations() * kPackets);
+  run_packet_path(state, true, Tracing::Off);
 }
 BENCHMARK(BM_CoordEndToEnd);
 
@@ -406,6 +418,27 @@ void BM_FleetEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetEndToEnd)->Arg(1)->Arg(4)->Arg(16)->Arg(256);
 
+void BM_ReplaySweep(benchmark::State& state) {
+  // The §3.1 handoff study as users sweep it: both testbeds x the six
+  // replay policies, 1 day x 4 trips, on two workers. Each testbed's
+  // campaign is generated once and replayed by its six policy points.
+  // CPU time is the whole process's, so it counts both workers.
+  runtime::ExperimentSpec spec;
+  spec.grid.testbeds = {"VanLAN", "DieselNet-Ch1"};
+  spec.grid.policies = runtime::replay_policy_names();
+  spec.days = 1;
+  spec.trips_per_day = 4;
+  const runtime::Runner runner({.threads = 2});
+  for (auto _ : state) {
+    const runtime::ResultSink sink = runner.run(spec);
+    if (sink.any_errors()) state.SkipWithError("a replay point failed");
+    benchmark::DoNotOptimize(sink.size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(spec.grid.size()));
+}
+BENCHMARK(BM_ReplaySweep)->MeasureProcessCPUTime()->UseRealTime();
+
 // ---------------------------------------------------------------------------
 // TripScope observability
 // ---------------------------------------------------------------------------
@@ -436,37 +469,7 @@ void BM_EndToEndTraceOn(benchmark::State& state) {
   // BM_EndToEndPacketPath with a recorder + registry installed: the price
   // of a fully-traced point. Compare against BM_EndToEndPacketPath to read
   // the enabled-tracing overhead; the gate holds both within +-15%.
-  constexpr int kPackets = 100;
-  constexpr double kSimSeconds = 2.0;
-  for (auto _ : state) {
-    obs::TraceRecorder recorder;
-    obs::MetricsRegistry metrics;
-    obs::TraceScope trace_scope(recorder);
-    obs::MetricsScope metrics_scope(metrics);
-    sim::Simulator sim;
-    channel::VehicularChannelParams cparams;
-    channel::VehicularChannel loss(
-        cparams,
-        [](NodeId id, Time t) {
-          if (id.value() == 1)  // the vehicle, driving along x
-            return mobility::Vec2{10.0 * t.to_seconds(), 0.0};
-          return mobility::Vec2{(id.value() - 10) * 40.0, 30.0};
-        },
-        Rng(7));
-    core::SystemConfig config;
-    config.seed = 42;
-    core::VifiSystem system(sim, loss, {NodeId(10), NodeId(11), NodeId(12)},
-                            NodeId(1), NodeId(100), config);
-    system.start();
-    for (int i = 0; i < kPackets; ++i) {
-      sim.schedule_at(Time::seconds(kSimSeconds * i / kPackets),
-                      [&system] { system.send_up(500); });
-    }
-    sim.run_until(Time::seconds(kSimSeconds + 1.0));
-    benchmark::DoNotOptimize(recorder.recorded());
-    benchmark::DoNotOptimize(system.stats());
-  }
-  state.SetItemsProcessed(state.iterations() * kPackets);
+  run_packet_path(state, false, Tracing::Rings);
 }
 BENCHMARK(BM_EndToEndTraceOn);
 
@@ -502,42 +505,7 @@ void BM_EndToEndTraceStreamOn(benchmark::State& state) {
   // fully-traced point at full fidelity (no ring horizon). Compare
   // against BM_EndToEndTraceOn for the streaming overhead on a whole
   // deployment.
-  constexpr int kPackets = 100;
-  constexpr double kSimSeconds = 2.0;
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "vifi_bench_e2e.spool")
-          .string();
-  for (auto _ : state) {
-    obs::TraceRecorder recorder(std::make_unique<obs::StreamSink>(path));
-    obs::MetricsRegistry metrics;
-    obs::TraceScope trace_scope(recorder);
-    obs::MetricsScope metrics_scope(metrics);
-    sim::Simulator sim;
-    channel::VehicularChannelParams cparams;
-    channel::VehicularChannel loss(
-        cparams,
-        [](NodeId id, Time t) {
-          if (id.value() == 1)  // the vehicle, driving along x
-            return mobility::Vec2{10.0 * t.to_seconds(), 0.0};
-          return mobility::Vec2{(id.value() - 10) * 40.0, 30.0};
-        },
-        Rng(7));
-    core::SystemConfig config;
-    config.seed = 42;
-    core::VifiSystem system(sim, loss, {NodeId(10), NodeId(11), NodeId(12)},
-                            NodeId(1), NodeId(100), config);
-    system.start();
-    for (int i = 0; i < kPackets; ++i) {
-      sim.schedule_at(Time::seconds(kSimSeconds * i / kPackets),
-                      [&system] { system.send_up(500); });
-    }
-    sim.run_until(Time::seconds(kSimSeconds + 1.0));
-    recorder.finalize();
-    benchmark::DoNotOptimize(recorder.recorded());
-    benchmark::DoNotOptimize(system.stats());
-  }
-  state.SetItemsProcessed(state.iterations() * kPackets);
-  std::filesystem::remove(path);
+  run_packet_path(state, false, Tracing::Stream);
 }
 BENCHMARK(BM_EndToEndTraceStreamOn);
 

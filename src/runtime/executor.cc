@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -59,24 +61,173 @@ void validate_catalog_shape(const ExperimentPoint& point,
           point.testbed + " at fleet " + std::to_string(point.fleet_size));
 }
 
-/// The §3.1 replay workload, on the calling thread: a generated campaign,
-/// or the point's catalog (shared, immutable), whose Campaign the History
+/// The §3.1 study's campaign of a stochastic replay point: 100 ms probe
+/// slots, no BS-to-BS beacons.
+scenario::CampaignConfig replay_campaign_config(const ExperimentPoint& point) {
+  scenario::CampaignConfig cfg;
+  cfg.days = point.days;
+  cfg.trips_per_day = point.trips_per_day;
+  cfg.trip_duration = point.trip_duration;
+  cfg.seed = point.campaign_seed;
+  cfg.log_probes = true;
+  cfg.log_bs_beacons = false;
+  return cfg;
+}
+
+/// One campaign, generated cooperatively by every point that replays it:
+/// each claims unclaimed trips one at a time and generates them with its
+/// own Testbed, then waits for the trips others hold. The last trip to
+/// land assembles the campaign in (day, trip, vehicle) order — byte for
+/// byte generate_campaign's. A generation failure is kept and rethrown in
+/// every point that shares the campaign.
+class CampaignSlot {
+ public:
+  /// Throws ContractViolation unless the config has trips to generate.
+  explicit CampaignSlot(const scenario::CampaignConfig& config)
+      : config_(config),
+        trips_(scenario::campaign_trip_count(config_)),
+        parts_(trips_) {}
+
+  const trace::Campaign& generate(const scenario::Testbed& bed) {
+    const std::size_t n = trips_;
+    for (;;) {
+      std::size_t trip = 0;
+      {
+        const std::lock_guard<std::mutex> lock(mu_);
+        if (claimed_ == n) break;
+        trip = claimed_++;
+      }
+      std::vector<trace::MeasurementTrace> logs;
+      std::exception_ptr error;
+      try {
+        const auto per_day = static_cast<std::size_t>(config_.trips_per_day);
+        logs = scenario::generate_campaign_trip(
+            bed, config_, static_cast<int>(trip / per_day),
+            static_cast<int>(trip % per_day));
+      } catch (...) {
+        error = std::current_exception();
+      }
+      const std::lock_guard<std::mutex> lock(mu_);
+      if (error != nullptr) {
+        if (error_ == nullptr) error_ = error;
+        claimed_ = n;  // Nobody generates for a lost campaign.
+        ready_.notify_all();
+        break;
+      }
+      parts_[trip] = std::move(logs);
+      if (++landed_ < n) continue;
+      campaign_.testbed = bed.layout().name;
+      for (auto& part : parts_)
+        for (auto& t : part) campaign_.trips.push_back(std::move(t));
+      parts_ = {};
+      ready_.notify_all();
+    }
+    std::unique_lock<std::mutex> lock(mu_);
+    ready_.wait(lock, [&] { return landed_ == n || error_ != nullptr; });
+    if (error_ != nullptr) std::rethrow_exception(error_);
+    return campaign_;
+  }
+
+ private:
+  const scenario::CampaignConfig config_;
+  const std::size_t trips_;
+  std::mutex mu_;
+  std::condition_variable ready_;
+  std::vector<std::vector<trace::MeasurementTrace>> parts_;  ///< Per trip.
+  std::size_t claimed_ = 0;  ///< Trips [0, claimed_) have a generator.
+  std::size_t landed_ = 0;   ///< Trips generated; all = campaign_ is set.
+  std::exception_ptr error_;
+  trace::Campaign campaign_;  ///< Immutable once every trip has landed.
+};
+
+}  // namespace
+
+/// The campaigns of one enumerate() call, keyed by campaign seed (which
+/// mixes base seed, testbed, fleet size and replicate seed; days, trips
+/// and duration are spec-wide). A slot is created by the first point that
+/// needs it and dropped once its last consumer finishes, so memory holds
+/// the campaigns in flight, not the sweep's.
+class CampaignPool {
+ public:
+  explicit CampaignPool(std::size_t consumers) : consumers_(consumers) {}
+
+  std::shared_ptr<CampaignSlot> acquire(const ExperimentPoint& point) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    const auto it = slots_.find(point.campaign_seed);
+    if (it != slots_.end()) return it->second.slot;
+    auto slot = std::make_shared<CampaignSlot>(replay_campaign_config(point));
+    slots_.emplace(point.campaign_seed, Entry{slot});
+    return slot;
+  }
+
+  /// Counts one consumer of \p slot done; the last one drops it.
+  void release(std::uint64_t key, const std::shared_ptr<CampaignSlot>& slot) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    const auto it = slots_.find(key);
+    // A grid listing one campaign twice (a repeated seed) gives its key
+    // more consumers than the pool counts: the slot is dropped early and
+    // the latecomers regenerate it.
+    if (it == slots_.end() || it->second.slot != slot) return;
+    if (++it->second.done == consumers_) slots_.erase(it);
+  }
+
+ private:
+  struct Entry {
+    std::shared_ptr<CampaignSlot> slot;
+    std::size_t done = 0;
+  };
+
+  const std::size_t consumers_;
+  std::mutex mu_;
+  std::map<std::uint64_t, Entry> slots_;
+};
+
+std::shared_ptr<CampaignPool> make_campaign_pool(std::size_t consumers) {
+  return std::make_shared<CampaignPool>(consumers);
+}
+
+namespace {
+
+/// A replay point's hold on its campaign: the pool's slot for the point's
+/// key, or a private slot for a point without a pool — one code path
+/// either way. Releasing on destruction counts the point done even when
+/// its replay throws.
+class CampaignLease {
+ public:
+  explicit CampaignLease(const ExperimentPoint& point)
+      : key_(point.campaign_seed),
+        pool_(point.campaigns.get()),
+        slot_(pool_ != nullptr ? pool_->acquire(point)
+                               : std::make_shared<CampaignSlot>(
+                                     replay_campaign_config(point))) {}
+  ~CampaignLease() {
+    if (pool_ != nullptr) pool_->release(key_, slot_);
+  }
+  CampaignLease(const CampaignLease&) = delete;
+  CampaignLease& operator=(const CampaignLease&) = delete;
+
+  const trace::Campaign& campaign(const scenario::Testbed& bed) {
+    return slot_->generate(bed);
+  }
+
+ private:
+  const std::uint64_t key_;
+  CampaignPool* const pool_;
+  const std::shared_ptr<CampaignSlot> slot_;
+};
+
+/// The §3.1 replay workload, on the calling thread: the point's generated
+/// campaign (shared with the sweep's other policies through its pool), or
+/// the point's catalog (shared, immutable), whose Campaign the History
 /// policy reads in place.
 void run_replay(const scenario::Testbed& bed, const ExperimentPoint& point,
                 PointResult& r) {
   std::shared_ptr<const tracegen::TraceCatalog> catalog;
-  trace::Campaign generated;
-  const trace::Campaign* campaign = &generated;
+  std::optional<CampaignLease> lease;
+  const trace::Campaign* campaign = nullptr;
   int days = point.days;
   if (point.trace_set.empty()) {
-    scenario::CampaignConfig cfg;
-    cfg.days = point.days;
-    cfg.trips_per_day = point.trips_per_day;
-    cfg.trip_duration = point.trip_duration;
-    cfg.seed = point.campaign_seed;
-    cfg.log_probes = true;
-    cfg.log_bs_beacons = false;
-    generated = scenario::generate_campaign(bed, cfg);
+    campaign = &lease.emplace(point).campaign(bed);
   } else {
     catalog = tracegen::load_catalog_shared(point.trace_set);
     validate_catalog_shape(point, bed, catalog->testbed(),

@@ -2,9 +2,10 @@
 
 /// \file executor.h
 /// Built-in interpretation of an `ExperimentPoint`: construct the testbed,
-/// realise the measurement campaign from the point's derived seed, run the
-/// policy — trace replay for the §3.1 policies, the live ViFi/BRR stack for
-/// the "cbr" workload — and distil the standard metric set (delivery rate,
+/// realise the measurement campaign from the point's derived seed (once
+/// per sweep, shared by the points that replay it), run the policy — trace
+/// replay for the §3.1 policies, the live ViFi/BRR stack for the "cbr"
+/// workload — and distil the standard metric set (delivery rate,
 /// packets/day, session lengths, throughput CDF quantiles, MOS).
 
 #include <cstdint>
@@ -61,7 +62,10 @@ struct MetricAccumulator {
 /// Executes one point end-to-end on the calling thread:
 /// run_point_sharded over an inline single-worker pool. The point is the
 /// only input: the executor builds its own Testbed, Simulator and Rng
-/// streams, so concurrent calls never share mutable state.
+/// streams. A replay point with a campaign pool (ExperimentPoint::campaigns)
+/// shares its generated campaign with the concurrent calls that replay it:
+/// each generates some of its trips, waits for the rest, and reads the
+/// write-once result — byte for byte the campaign it would generate alone.
 PointResult run_point(const ExperimentPoint& point);
 
 /// Executes one point, sharding a "cbr" point's trips across \p pool's

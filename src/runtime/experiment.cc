@@ -1,6 +1,8 @@
 #include "runtime/experiment.h"
 
+#include <algorithm>
 #include <filesystem>
+#include <span>
 
 #include "util/contracts.h"
 
@@ -32,15 +34,22 @@ std::vector<ExperimentPoint> ExperimentSpec::enumerate() const {
   std::vector<ExperimentPoint> points;
   points.reserve(grid.size());
   // An empty trace_sets axis enumerates one pass with no trace set — the
-  // historical stochastic-campaign sweep, bit-for-bit.
-  const std::vector<std::string> trace_sets =
-      grid.trace_sets.empty() ? std::vector<std::string>{""}
-                              : grid.trace_sets;
-  // Same shape for the CoordTier axis: absent by default, so historical
-  // sweeps enumerate (and serialise) exactly as before.
-  const std::vector<std::string> coordinations =
-      grid.coordinations.empty() ? std::vector<std::string>{""}
-                                 : grid.coordinations;
+  // historical stochastic-campaign sweep, bit-for-bit. Same shape for the
+  // CoordTier axis: absent by default, so historical sweeps enumerate (and
+  // serialise) exactly as before.
+  const std::string none[1];
+  std::span<const std::string> trace_sets = grid.trace_sets;
+  if (trace_sets.empty()) trace_sets = none;
+  std::span<const std::string> coordinations = grid.coordinations;
+  if (coordinations.empty()) coordinations = none;
+  // Every stochastic replay campaign is replayed by one point per policy x
+  // coordination pair; with more than one, they share a pool.
+  const std::size_t consumers = grid.policies.size() * coordinations.size();
+  std::shared_ptr<CampaignPool> pool;
+  if (workload == "replay" && consumers > 1 &&
+      std::ranges::any_of(trace_sets,
+                          [](const std::string& t) { return t.empty(); }))
+    pool = make_campaign_pool(consumers);
   std::size_t index = 0;
   for (const auto& bed : grid.testbeds) {
     for (const int fleet : grid.fleet_sizes) {
@@ -49,7 +58,7 @@ std::vector<ExperimentPoint> ExperimentSpec::enumerate() const {
         for (const auto& policy : grid.policies) {
           for (const auto& coordination : coordinations) {
           for (const std::uint64_t seed : grid.seeds) {
-            ExperimentPoint p;
+            ExperimentPoint& p = points.emplace_back();
             p.index = index++;
             p.testbed = bed;
             p.fleet_size = fleet;
@@ -87,12 +96,13 @@ std::vector<ExperimentPoint> ExperimentSpec::enumerate() const {
               p.campaign_seed = mix_seed(p.campaign_seed,
                                          "trace_set:" +
                                              (id.empty() ? trace_set : id));
+            } else {
+              p.campaigns = pool;
             }
             // The coordination label is mixed into *neither* seed: a coord
             // point and its pab twin must replay/draw identical trips so
             // the comparison isolates the coordination tier itself.
             p.point_seed = mix_seed(p.campaign_seed, policy);
-            points.push_back(std::move(p));
           }
           }
         }

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -57,9 +58,20 @@ struct ParamGrid {
   }
 };
 
-/// One scenario point, fully self-describing: a worker can execute it with
-/// no shared mutable state (it builds its own Testbed, Simulator and Rng
-/// streams from the fields below).
+/// The generated replay campaigns of one enumerate() call, shared by the
+/// points that replay them (defined in executor.cc). Each campaign is
+/// written once, by the points that need it, and is read-only afterwards.
+class CampaignPool;
+
+/// A pool whose every campaign is replayed by \p consumers points; a
+/// campaign is dropped once its last consumer finishes.
+std::shared_ptr<CampaignPool> make_campaign_pool(std::size_t consumers);
+
+/// One scenario point, fully self-describing: a worker builds its own
+/// Testbed, Simulator and Rng streams from the fields below, so its result
+/// depends on nothing else. The one thing points share is `campaigns`, a
+/// write-once campaign that is byte for byte what the point would have
+/// generated alone.
 struct ExperimentPoint {
   std::size_t index = 0;  ///< Row-major position in the grid.
   std::string testbed;    ///< "VanLAN", "DieselNet-Ch1", "DieselNet-Ch6".
@@ -109,6 +121,13 @@ struct ExperimentPoint {
   /// Stream for point-local randomness (live trips, subset draws); also
   /// mixes the policy so live stacks don't share draws across points.
   std::uint64_t point_seed = 0;
+
+  /// Stochastic replay points of one enumerate() call share this pool when
+  /// several points (policies x coordinations) replay each campaign: a
+  /// campaign is generated once, its trips split among the points needing
+  /// it. Null — cbr and catalog points, hand-built points — means the
+  /// point generates its campaign privately, through the same code.
+  std::shared_ptr<CampaignPool> campaigns;
 };
 
 /// A declarative sweep: grid axes plus the workload knobs shared by every
@@ -131,7 +150,8 @@ struct ExperimentSpec {
   std::vector<std::string> metric_columns;
 
   /// Row-major (testbed, fleet size, policy, seed) enumeration with
-  /// derived seeds.
+  /// derived seeds. Stochastic replay points share one CampaignPool when
+  /// the grid has more than one policy x coordination pair.
   std::vector<ExperimentPoint> enumerate() const;
 };
 

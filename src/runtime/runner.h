@@ -2,11 +2,12 @@
 
 /// \file runner.h
 /// Shards a sweep's points across a worker thread pool. Workers claim whole
-/// points from an atomic cursor and execute them with thread-local state
-/// only — the point function builds its own Simulator, Testbed and Rng
-/// streams from the point's derived seeds — so the result *set* is
-/// independent of the sharding, and the sink restores grid order before
-/// serialising. Net effect: byte-identical output for any thread count.
+/// points from an atomic cursor; the point function builds its own
+/// Simulator, Testbed and Rng streams from the point's derived seeds, and
+/// the only state points share is a write-once replay campaign that is the
+/// same whoever generates it. So the result *set* is independent of the
+/// sharding, and the sink restores grid order before serialising. Net
+/// effect: byte-identical output for any thread count.
 
 #include <cstddef>
 #include <functional>

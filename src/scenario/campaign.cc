@@ -8,16 +8,19 @@
 
 namespace vifi::scenario {
 
-namespace {
+std::size_t campaign_trip_count(const CampaignConfig& config) {
+  VIFI_EXPECTS(config.days > 0 && config.trips_per_day > 0);
+  return static_cast<std::size_t>(config.days) *
+         static_cast<std::size_t>(config.trips_per_day);
+}
 
-/// One trip of the whole fleet: every vehicle rides the same channel
-/// realisation (they share the campus at the same instant) and each logs
-/// its own MeasurementTrace. For a single-vehicle testbed the channel draw
-/// order — and therefore the generated trace — is identical to the
-/// original single-vehicle generator.
-std::vector<trace::MeasurementTrace> generate_trip(
-    const Testbed& bed, const CampaignConfig& config, int day, int trip,
-    Rng rng) {
+/// For a single-vehicle testbed the channel draw order — and therefore the
+/// generated trace — is identical to the original single-vehicle
+/// generator.
+std::vector<trace::MeasurementTrace> generate_campaign_trip(
+    const Testbed& bed, const CampaignConfig& config, int day, int trip) {
+  const Rng rng = Rng(config.seed).fork("day" + std::to_string(day) +
+                                        "/trip" + std::to_string(trip));
   const std::vector<NodeId>& vehicles = bed.vehicle_ids();
   std::vector<trace::MeasurementTrace> logs(vehicles.size());
   const Time duration = config.trip_duration.is_zero() ? bed.trip_duration()
@@ -92,20 +95,16 @@ std::vector<trace::MeasurementTrace> generate_trip(
   return logs;
 }
 
-}  // namespace
-
 trace::Campaign generate_campaign(const Testbed& bed,
                                   const CampaignConfig& config) {
-  VIFI_EXPECTS(config.days > 0 && config.trips_per_day > 0);
   trace::Campaign campaign;
   campaign.testbed = bed.layout().name;
-  Rng root(config.seed);
+  campaign.trips.reserve(campaign_trip_count(config) *
+                         bed.vehicle_ids().size());
   for (int day = 0; day < config.days; ++day) {
     for (int trip = 0; trip < config.trips_per_day; ++trip) {
-      Rng trip_rng = root.fork("day" + std::to_string(day) + "/trip" +
-                               std::to_string(trip));
-      auto logs = generate_trip(bed, config, day, trip, trip_rng);
-      for (auto& t : logs) campaign.trips.push_back(std::move(t));
+      for (auto& t : generate_campaign_trip(bed, config, day, trip))
+        campaign.trips.push_back(std::move(t));
     }
   }
   return campaign;

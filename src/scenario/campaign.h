@@ -9,6 +9,9 @@
 /// contention preserves the measured statistics while being ~20x faster.
 /// Live protocol experiments (ViFi vs BRR) use the full MAC.
 
+#include <cstddef>
+#include <vector>
+
 #include "scenario/testbed.h"
 #include "trace/observations.h"
 #include "util/rng.h"
@@ -29,11 +32,21 @@ struct CampaignConfig {
   int beacons_per_second = 10;
 };
 
+/// The campaign's days x trips_per_day trip count. Throws
+/// ContractViolation unless both are positive.
+std::size_t campaign_trip_count(const CampaignConfig& config);
+
+/// One trip of the campaign — trip \p trip of day \p day — drawn from that
+/// trip's own stream of the campaign seed: one MeasurementTrace per
+/// vehicle, all riding the trip's channel realisation (vehicles share the
+/// campus at the same instant). A pure function of its arguments, so the
+/// trips of one campaign may be generated in any order, on any thread.
+std::vector<trace::MeasurementTrace> generate_campaign_trip(
+    const Testbed& bed, const CampaignConfig& config, int day, int trip);
+
 /// Runs the campaign: days x trips_per_day independent trips, each with a
-/// fresh channel realisation (a trip starts with uncorrelated fading).
-/// Fleet testbeds produce one MeasurementTrace per vehicle per trip — all
-/// vehicles of a trip share its channel realisation, and the campaign's
-/// trips are ordered by (day, trip, vehicle).
+/// fresh channel realisation (a trip starts with uncorrelated fading),
+/// concatenated in (day, trip, vehicle) order.
 trace::Campaign generate_campaign(const Testbed& bed,
                                   const CampaignConfig& config);
 

@@ -13,6 +13,8 @@
 #include <set>
 #include <stdexcept>
 
+#include "obs/export.h"
+#include "obs/recorder.h"
 #include "runtime/executor.h"
 #include "runtime/runner.h"
 #include "scenario/campaign.h"
@@ -234,6 +236,145 @@ TEST(Runner, FleetReplaySweepIsThreadCountInvariant) {
   EXPECT_FALSE(one.any_errors());
   EXPECT_EQ(one.to_json(), four.to_json());
   EXPECT_EQ(one.to_csv(), four.to_csv());
+}
+
+TEST(CampaignPool, OnlyStochasticReplayPointsOfSeveralPoliciesShareOne) {
+  ExperimentSpec spec = small_replay_spec();
+  const auto points = spec.enumerate();
+  ASSERT_NE(points[0].campaigns, nullptr);
+  for (const ExperimentPoint& p : points)
+    EXPECT_EQ(p.campaigns, points[0].campaigns);
+  // One policy x coordination pair: nothing to share.
+  ExperimentSpec solo = spec;
+  solo.grid.policies = {"BRR"};
+  EXPECT_EQ(solo.enumerate()[0].campaigns, nullptr);
+  // Live points draw their own trips.
+  ExperimentSpec live = spec;
+  live.workload = "cbr";
+  live.grid.policies = {"ViFi", "BRR"};
+  EXPECT_EQ(live.enumerate()[0].campaigns, nullptr);
+  // Catalog points replay a catalog; the stochastic pass beside them
+  // still shares.
+  ExperimentSpec mixed = spec;
+  mixed.grid.trace_sets = {"some-catalog", ""};
+  for (const ExperimentPoint& p : mixed.enumerate())
+    EXPECT_EQ(p.campaigns != nullptr, p.trace_set.empty()) << p.index;
+}
+
+/// The same points, each generating its campaign alone, one at a time.
+ResultSink run_privately(std::vector<ExperimentPoint> points) {
+  ResultSink sink;
+  for (ExperimentPoint& p : points) {
+    p.campaigns = nullptr;
+    try {
+      sink.add(run_point(p));
+    } catch (const std::exception& e) {
+      PointResult r = identity_of(p);
+      r.error = e.what();
+      sink.add(std::move(r));
+    }
+  }
+  return sink;
+}
+
+ExperimentSpec shared_replay_grid() {
+  ExperimentSpec spec;
+  spec.grid.testbeds = {"VanLAN", "DieselNet-Ch1"};
+  spec.grid.policies = replay_policy_names();
+  // Seeds vary fastest, so a worker pool has several campaigns in flight.
+  spec.grid.seeds = {1, 2, 3};
+  spec.days = 2;
+  spec.trips_per_day = 2;
+  spec.trip_duration = Time::seconds(20.0);
+  spec.base_seed = 4242;
+  return spec;
+}
+
+TEST(CampaignPool, SharedCampaignsMatchPrivatePointsOnAnyWorkerCount) {
+  const ExperimentSpec spec = shared_replay_grid();
+  const ResultSink want = run_privately(spec.enumerate());
+  ASSERT_EQ(want.size(), 36u);
+  EXPECT_FALSE(want.any_errors());
+  for (const int threads : {1, 2, 8}) {
+    const ResultSink got = Runner({.threads = threads}).run(spec);
+    EXPECT_EQ(got.to_json(), want.to_json()) << threads << " threads";
+    EXPECT_EQ(got.to_csv(), want.to_csv()) << threads << " threads";
+  }
+}
+
+TEST(CampaignPool, SharedTripsReplayInCampaignOrder) {
+  // Policy metrics are blind to trip order; a point's trace timeline is
+  // not: each trip's events land after the previous trip's horizon. The
+  // reference replays generate_campaign's trips in campaign order.
+  ExperimentSpec spec = shared_replay_grid();
+  spec.grid.testbeds = {"VanLAN"};
+  spec.grid.policies = {"BRR", "RSSI", "Sticky"};
+  spec.grid.seeds = {1, 2};
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "vifi_campaign_pool_order";
+  std::filesystem::remove_all(dir);
+  spec.trace_dir = dir.string();
+  ASSERT_FALSE(Runner({.threads = 8}).run(spec).any_errors());
+  for (const ExperimentPoint& p : spec.enumerate()) {
+    scenario::CampaignConfig cfg;
+    cfg.days = p.days;
+    cfg.trips_per_day = p.trips_per_day;
+    cfg.trip_duration = p.trip_duration;
+    cfg.seed = p.campaign_seed;
+    const trace::Campaign campaign = scenario::generate_campaign(
+        make_testbed(p.testbed, p.fleet_size), cfg);
+    obs::TraceRecorder want;
+    {
+      const obs::TraceScope scope(want);
+      Time base = Time::zero();
+      for (const trace::MeasurementTrace& trip : campaign.trips) {
+        want.set_time_base(base);
+        base = base + std::max(trip.duration, Time::seconds(1.0));
+        replay_trip(trip, p.policy, campaign);
+      }
+    }
+    std::ostringstream want_jsonl;
+    obs::write_jsonl(want, want_jsonl);
+    char name[32];
+    std::snprintf(name, sizeof(name), "point_%04zu.jsonl", p.index);
+    std::ifstream got_file(dir / name);
+    std::ostringstream got_jsonl;
+    got_jsonl << got_file.rdbuf();
+    EXPECT_GT(want.recorded(), 0u);
+    EXPECT_EQ(got_jsonl.str(), want_jsonl.str()) << name;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CampaignPool, PointFailingAfterTheCampaignIsSharedKeepsItsErrorRow) {
+  ExperimentSpec spec = shared_replay_grid();
+  spec.grid.policies = {"AllBSes", "Teleport", "History"};
+  const ResultSink want = run_privately(spec.enumerate());
+  for (const int threads : {1, 4}) {
+    const ResultSink got = Runner({.threads = threads}).run(spec);
+    for (const PointResult& r : got.ordered()) {
+      if (r.policy == "Teleport")
+        EXPECT_NE(r.error.find("precondition failed"), std::string::npos)
+            << r.index;
+      else
+        EXPECT_TRUE(r.error.empty()) << r.index << ": " << r.error;
+    }
+    EXPECT_EQ(got.to_json(), want.to_json()) << threads << " threads";
+  }
+}
+
+TEST(CampaignPool, EmptyCampaignFailsEveryPointWithThePrecondition) {
+  for (const bool zero_days : {true, false}) {
+    ExperimentSpec spec = shared_replay_grid();
+    (zero_days ? spec.days : spec.trips_per_day) = 0;
+    const ResultSink got = Runner({.threads = 4}).run(spec);
+    ASSERT_EQ(got.size(), 36u);
+    for (const PointResult& r : got.ordered())
+      EXPECT_NE(r.error.find("precondition failed: config.days > 0 && "
+                             "config.trips_per_day > 0"),
+                std::string::npos)
+          << r.index << ": " << r.error;
+  }
 }
 
 TEST(Executor, FleetReplayPointAggregatesEveryVehiclesLog) {
