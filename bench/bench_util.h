@@ -93,31 +93,14 @@ inline trace::Campaign beacon_campaign(const scenario::Testbed& bed,
   return scenario::generate_campaign(bed, cfg);
 }
 
-/// Converts replay outcomes into the analysis slot stream.
-inline analysis::SlotStream to_stream(
-    const std::vector<handoff::SlotOutcome>& outcomes) {
-  return runtime::outcomes_to_stream(outcomes);
-}
-
-/// Names used across figures, in the paper's ordering.
-inline const std::vector<std::string>& policy_names() {
-  return runtime::replay_policy_names();
-}
-
-/// Replays one trip under a named §3.1 policy (AllBSes handled specially).
-inline std::vector<handoff::SlotOutcome> replay_policy(
-    const trace::MeasurementTrace& trip, const std::string& name,
-    const trace::Campaign& campaign) {
-  return runtime::replay_trip(trip, name, campaign);
-}
-
 /// Session lengths under a named policy across a whole campaign.
 inline std::vector<double> policy_session_lengths(
     const trace::Campaign& campaign, const std::string& name,
     const analysis::SessionDef& def) {
   std::vector<double> lengths;
   for (const auto& trip : campaign.trips) {
-    const auto stream = to_stream(replay_policy(trip, name, campaign));
+    const auto stream = runtime::outcomes_to_stream(
+        runtime::replay_trip(trip, name, campaign));
     const auto trip_lengths = analysis::session_lengths_s(stream, def);
     lengths.insert(lengths.end(), trip_lengths.begin(), trip_lengths.end());
   }

@@ -67,11 +67,11 @@ int main() {
         r.testbed = campaign.testbed;
         r.seed = subset_seed;
         r.metrics["n_bs"] = cell.n_bs;
-        for (const auto& name : policy_names()) {
+        for (const auto& name : runtime::replay_policy_names()) {
           std::int64_t delivered = 0;
           for (const auto& trip : filtered.trips)
             delivered += handoff::packets_delivered(
-                replay_policy(trip, name, filtered));
+                runtime::replay_trip(trip, name, filtered));
           r.metrics[name] = static_cast<double>(delivered) / days / 1000.0;
         }
         return r;
@@ -86,7 +86,8 @@ int main() {
 
   TextTable table("Figure 2 — packets delivered per day (thousands), VanLAN");
   std::vector<std::string> header{"#BSes"};
-  for (const auto& name : policy_names()) header.push_back(name);
+  for (const auto& name : runtime::replay_policy_names())
+    header.push_back(name);
   table.set_header(std::move(header));
 
   const auto results = sink.ordered();
@@ -94,11 +95,11 @@ int main() {
     std::map<std::string, std::vector<double>> per_policy;
     for (const auto& r : results) {
       if (static_cast<int>(r.metrics.at("n_bs")) != n_bs) continue;
-      for (const auto& name : policy_names())
+      for (const auto& name : runtime::replay_policy_names())
         per_policy[name].push_back(r.metrics.at(name));
     }
     std::vector<std::string> row{std::to_string(n_bs)};
-    for (const auto& name : policy_names()) {
+    for (const auto& name : runtime::replay_policy_names()) {
       const auto ci = mean_ci95(per_policy[name]);
       row.push_back(
           TextTable::num_ci((ci.lo + ci.hi) / 2.0, ci.half_width(), 1));

@@ -23,7 +23,8 @@ int main() {
   std::cout << "Figure 3(a-c) — example trip, '#'=adequate (>=50% in 1s), "
                "'.'=interruption, ' '=no coverage\n\n";
   for (const std::string name : {"BRR", "BestBS", "AllBSes"}) {
-    const auto stream = to_stream(replay_policy(example, name, campaign));
+    const auto stream = runtime::outcomes_to_stream(
+        runtime::replay_trip(example, name, campaign));
     const auto tl = analysis::connectivity_timeline(stream, def);
     std::cout << name << " (" << tl.interruptions << " interruptions, "
               << TextTable::num(tl.adequate_s, 0) << "s adequate)\n  "

@@ -1,6 +1,7 @@
 #include "obs/recorder.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "util/contracts.h"
 
@@ -8,6 +9,11 @@ namespace vifi::obs {
 
 namespace {
 thread_local TraceRecorder* t_current = nullptr;
+
+StreamSink take(std::unique_ptr<StreamSink> stream) {
+  VIFI_EXPECTS(stream != nullptr);
+  return std::move(*stream);
+}
 }  // namespace
 
 const char* to_string(EventKind kind) {
@@ -59,17 +65,10 @@ const char* to_string(EventKind kind) {
 }
 
 TraceRecorder::TraceRecorder(std::size_t per_node_capacity)
-    : TraceRecorder(std::make_unique<RingSink>(per_node_capacity)) {}
+    : sink_(std::in_place_type<RingSink>, per_node_capacity) {}
 
-TraceRecorder::TraceRecorder(std::unique_ptr<TraceSink> sink)
-    : per_node_capacity_(1 << 14), sink_(std::move(sink)) {
-  VIFI_EXPECTS(sink_ != nullptr);
-  ring_ = dynamic_cast<RingSink*>(sink_.get());
-  stream_ = dynamic_cast<StreamSink*>(sink_.get());
-  if (ring_ != nullptr) per_node_capacity_ = ring_->per_node_capacity();
-}
-
-TraceRecorder::~TraceRecorder() = default;
+TraceRecorder::TraceRecorder(std::unique_ptr<StreamSink> stream)
+    : sink_(take(std::move(stream))) {}
 
 void TraceRecorder::record(EventKind kind, Time at, sim::NodeId node,
                            sim::NodeId peer, std::uint64_t id, double a,
@@ -87,11 +86,7 @@ void TraceRecorder::record(EventKind kind, Time at, sim::NodeId node,
   last_local_ = at;
   ++recorded_;
   ++kind_counts_[static_cast<int>(kind)];
-  // Devirtualized fast path for the default backend (RingSink is final).
-  if (ring_ != nullptr)
-    ring_->push(e);
-  else
-    sink_->push(e);
+  std::visit([&e](auto& sink) { sink.push(e); }, sink_);
 }
 
 void TraceRecorder::log(LogLevel level, std::string message) {
@@ -105,9 +100,21 @@ void TraceRecorder::log(LogLevel level, std::string message) {
   if (logs_.size() > kMaxLogRecords) logs_.pop_front();
 }
 
+std::size_t TraceRecorder::per_node_capacity() const {
+  const auto* rings = std::get_if<RingSink>(&sink_);
+  VIFI_EXPECTS(rings != nullptr);
+  return rings->per_node_capacity();
+}
+
+std::uint64_t TraceRecorder::dropped() const {
+  const auto* rings = std::get_if<RingSink>(&sink_);
+  return rings != nullptr ? rings->dropped() : 0;
+}
+
 const std::string& TraceRecorder::spool_path() const {
-  VIFI_EXPECTS(stream_ != nullptr);
-  return stream_->path();
+  const auto* stream = std::get_if<StreamSink>(&sink_);
+  VIFI_EXPECTS(stream != nullptr);
+  return stream->path();
 }
 
 std::vector<SpoolLog> TraceRecorder::spool_logs() const {
@@ -125,12 +132,13 @@ std::vector<SpoolLog> TraceRecorder::spool_logs() const {
 }
 
 void TraceRecorder::finalize() const {
-  if (stream_ != nullptr && !stream_->finalized())
-    stream_->finalize(spool_logs());
+  const auto* stream = std::get_if<StreamSink>(&sink_);
+  if (stream != nullptr && !stream->finalized()) stream->finalize(spool_logs());
 }
 
 void TraceRecorder::set_node_label(sim::NodeId node, std::string label) {
-  sink_->set_node_label(node, label);
+  if (auto* stream = std::get_if<StreamSink>(&sink_))
+    stream->set_node_label(node, label);
   labels_[node] = std::move(label);
 }
 
@@ -141,7 +149,8 @@ const std::string& TraceRecorder::node_label(sim::NodeId node) const {
 }
 
 std::vector<sim::NodeId> TraceRecorder::nodes() const {
-  std::vector<sim::NodeId> out = sink_->nodes();
+  std::vector<sim::NodeId> out =
+      std::visit([](const auto& sink) { return sink.nodes(); }, sink_);
   for (const auto& [node, label] : labels_) {
     (void)label;
     if (std::find(out.begin(), out.end(), node) == out.end())
@@ -153,19 +162,21 @@ std::vector<sim::NodeId> TraceRecorder::nodes() const {
 
 const EventRing& TraceRecorder::ring(sim::NodeId node) const {
   static const EventRing kEmpty{1};
-  return ring_ != nullptr ? ring_->ring(node) : kEmpty;
+  const auto* rings = std::get_if<RingSink>(&sink_);
+  return rings != nullptr ? rings->ring(node) : kEmpty;
 }
 
 void TraceRecorder::visit(const EventFn& fn) const {
   // Seal a streaming recorder's spool first so its footer carries the
   // routed logs (StreamSink::visit alone would finalize without them).
   finalize();
-  sink_->visit(fn);
+  std::visit([&fn](const auto& sink) { sink.visit(fn); }, sink_);
 }
 
 std::vector<TraceEvent> TraceRecorder::merged() const {
-  finalize();
-  return sink_->events();
+  std::vector<TraceEvent> out;
+  visit([&out](const TraceEvent& e) { out.push_back(e); });
+  return out;
 }
 
 void TraceRecorder::absorb(const TraceRecorder& other, Time offset) {
@@ -174,7 +185,13 @@ void TraceRecorder::absorb(const TraceRecorder& other, Time offset) {
   // recorder has issued, exactly as if other's stream had been recorded
   // here next.
   const std::uint64_t seq_offset = next_seq_ - 1;
-  sink_->absorb(*other.sink_, offset, seq_offset);
+  // Same kind, checked above: absorb the other recorder's sink of it.
+  std::visit(
+      [&](auto& sink) {
+        using Sink = std::decay_t<decltype(sink)>;
+        sink.absorb(std::get<Sink>(other.sink_), offset, seq_offset);
+      },
+      sink_);
   for (const LogRecord& log : other.logs_) {
     LogRecord shifted = log;
     shifted.at = log.at + offset;

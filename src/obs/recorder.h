@@ -2,10 +2,12 @@
 
 /// \file recorder.h
 /// TripScope's TraceRecorder: typed protocol events (event.h) stamped
-/// with a timeline time and a recorder-wide sequence number, handed to a
-/// pluggable TraceSink (sink.h) — per-node rings by default, a disk
-/// spool (StreamSink) for full-fidelity city-scale timelines — plus a
-/// bounded side channel for routed log lines.
+/// with a timeline time and a recorder-wide sequence number, handed to
+/// the one backend the recorder holds by value (sink.h) — a RingSink of
+/// per-node rings by default, or a StreamSink disk spool for
+/// full-fidelity city-scale timelines — plus a bounded side channel for
+/// routed log lines. The backend is fixed at construction; the recorder
+/// is the only place that dispatches on which one it holds.
 ///
 /// Recording is *pull-free and allocation-free on the steady state* with
 /// the default ring sink: each node's events land in a fixed-capacity
@@ -30,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "obs/event.h"
@@ -54,11 +57,10 @@ class TraceRecorder {
   /// each node's ring (64 B per slot).
   explicit TraceRecorder(std::size_t per_node_capacity = 1 << 14);
 
-  /// Recorder over an explicit sink — `std::make_unique<StreamSink>(path)`
-  /// for a full-fidelity disk spool.
-  explicit TraceRecorder(std::unique_ptr<TraceSink> sink);
+  /// Stream-backed recorder — `std::make_unique<StreamSink>(path)` for a
+  /// full-fidelity disk spool.
+  explicit TraceRecorder(std::unique_ptr<StreamSink> stream);
 
-  ~TraceRecorder();
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
@@ -79,10 +81,11 @@ class TraceRecorder {
   /// recorder holds the whole point's timeline.
   void set_time_base(Time base) { base_ = base; }
   Time time_base() const { return base_; }
-  std::size_t per_node_capacity() const { return per_node_capacity_; }
+  /// Each node's ring capacity; expects a ring recorder (!streaming()).
+  std::size_t per_node_capacity() const;
 
-  /// True when the sink is a StreamSink (events spooled to disk).
-  bool streaming() const { return stream_ != nullptr; }
+  /// True when the backend is a StreamSink (events spooled to disk).
+  bool streaming() const { return std::holds_alternative<StreamSink>(sink_); }
   /// The stream sink's spool path; expects streaming().
   const std::string& spool_path() const;
   /// Seals a streaming recorder's spool (flushes residual blocks, writes
@@ -121,7 +124,8 @@ class TraceRecorder {
   const std::deque<LogRecord>& log_records() const { return logs_; }
 
   std::uint64_t recorded() const { return recorded_; }
-  std::uint64_t dropped() const { return sink_->dropped(); }
+  /// Events lost to ring overwrites (streams never drop).
+  std::uint64_t dropped() const;
   /// Total events recorded of one kind (counted even when a ring has
   /// since overwritten them — reconciliation wants exact counts).
   std::uint64_t count(EventKind kind) const {
@@ -131,15 +135,12 @@ class TraceRecorder {
  private:
   std::vector<SpoolLog> spool_logs() const;
 
-  std::size_t per_node_capacity_;
   Time base_;
   Time last_local_;  ///< Last record()'s local time, for log timestamps.
   std::uint64_t next_seq_ = 1;
   std::uint64_t recorded_ = 0;
   std::uint64_t kind_counts_[kEventKindCount] = {};
-  std::unique_ptr<TraceSink> sink_;
-  RingSink* ring_ = nullptr;      ///< sink_ downcast when ring-backed.
-  StreamSink* stream_ = nullptr;  ///< sink_ downcast when stream-backed.
+  std::variant<RingSink, StreamSink> sink_;
   std::map<sim::NodeId, std::string> labels_;
   std::deque<LogRecord> logs_;
   static constexpr std::size_t kMaxLogRecords = 4096;

@@ -30,19 +30,6 @@ std::vector<TraceEvent> EventRing::snapshot() const {
   return out;
 }
 
-std::vector<TraceEvent> TraceSink::events() const {
-  std::vector<TraceEvent> out;
-  visit([&out](const TraceEvent& e) { out.push_back(e); });
-  return out;
-}
-
-void TraceSink::set_node_label(sim::NodeId node, const std::string& label) {
-  (void)node;
-  (void)label;
-}
-
-void TraceSink::finalize(const std::vector<SpoolLog>& logs) { (void)logs; }
-
 // --- RingSink -------------------------------------------------------------
 
 RingSink::RingSink(std::size_t per_node_capacity)
@@ -96,12 +83,10 @@ const EventRing& RingSink::ring(sim::NodeId node) const {
   return it == rings_.end() ? kEmpty : it->second;
 }
 
-void RingSink::absorb(TraceSink& other, Time at_offset,
+void RingSink::absorb(const RingSink& other, Time at_offset,
                       std::uint64_t seq_offset) {
-  auto* other_ring = dynamic_cast<RingSink*>(&other);
-  VIFI_EXPECTS(other_ring != nullptr);
-  VIFI_EXPECTS(other_ring->per_node_capacity_ == per_node_capacity_);
-  for (const auto& [node, ring] : other_ring->rings_) {
+  VIFI_EXPECTS(other.per_node_capacity_ == per_node_capacity_);
+  for (const auto& [node, ring] : other.rings_) {
     auto it = rings_.find(node);
     if (it == rings_.end())
       it = rings_.emplace(node, EventRing(per_node_capacity_)).first;
@@ -136,15 +121,13 @@ void StreamSink::visit(const EventFn& fn) const {
   SpoolReader(writer_->path()).visit(fn);
 }
 
-void StreamSink::absorb(TraceSink& other, Time at_offset,
+void StreamSink::absorb(const StreamSink& other, Time at_offset,
                         std::uint64_t seq_offset) {
-  auto* other_stream = dynamic_cast<StreamSink*>(&other);
-  VIFI_EXPECTS(other_stream != nullptr);
   // Stream absorb is a full replay: unlike rings nothing was overwritten,
   // so the stitched spool holds every event of every trip — and because
   // the push sequence (hence block-flush cadence) matches a sequential
   // recording's, so do the resulting bytes.
-  other_stream->visit([&](const TraceEvent& e) {
+  other.visit([&](const TraceEvent& e) {
     TraceEvent shifted = e;
     shifted.at = e.at + at_offset;
     shifted.seq = e.seq + seq_offset;
@@ -156,7 +139,7 @@ void StreamSink::set_node_label(sim::NodeId node, const std::string& label) {
   writer_->set_node_label(node, label);
 }
 
-void StreamSink::finalize(const std::vector<SpoolLog>& logs) {
+void StreamSink::finalize(const std::vector<SpoolLog>& logs) const {
   writer_->finalize(logs);
 }
 

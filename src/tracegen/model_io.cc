@@ -36,11 +36,12 @@ std::vector<double> load_samples(std::istringstream& ls, int line_no) {
   std::size_t n = 0;
   ls >> n;
   if (!ls) fail(line_no, "bad sample count");
-  std::vector<double> xs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ls >> xs[i];
-    if (!ls) fail(line_no, "truncated sample list");
-  }
+  // Grow as values arrive rather than trusting the count: a hostile one
+  // (-1 wraps to SIZE_MAX) must read as truncation, not a huge allocation.
+  std::vector<double> xs;
+  double x = 0.0;
+  while (xs.size() < n && ls >> x) xs.push_back(x);
+  if (xs.size() < n) fail(line_no, "truncated sample list");
   return xs;
 }
 

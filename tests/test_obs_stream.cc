@@ -401,6 +401,12 @@ TEST(StreamSink, AbsorbRequiresMatchingSinkKinds) {
       std::make_unique<StreamSink>((dir / "s.spool").string()));
   EXPECT_THROW(ring_rec.absorb(stream_rec, Time::zero()), ContractViolation);
   EXPECT_THROW(stream_rec.absorb(ring_rec, Time::zero()), ContractViolation);
+  // Same kind, different ring capacity: a stitched ring would wrap
+  // differently from a direct recording, so it is refused too.
+  TraceRecorder small_rings(/*per_node_capacity=*/8);
+  const TraceRecorder large_rings(/*per_node_capacity=*/16);
+  EXPECT_THROW(small_rings.absorb(large_rings, Time::zero()),
+               ContractViolation);
   fs::remove_all(dir);
 }
 

@@ -515,6 +515,24 @@ TEST(ModelIo, RejectsForeignVersionAndTruncation) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos);
   }
+
+  // Hostile sample counts: -1 wraps to SIZE_MAX and 4e9 would pre-size a
+  // 32 GB vector. Both must read as a truncated list on their own line.
+  for (const std::string count : {"-1", "4000000000"}) {
+    std::istringstream hostile(
+        "# vifi-tracemodel v1\n"
+        "model Bed duration_us 1000000 bps 10 gap_s 2 trips 1 links 1\n"
+        "link 3 rate 0.1 on_us 1000000 off_us 0 rssi_mean -70 rssi_sd 4\n"
+        "durations 3 " + count + " 1.0\n");
+    try {
+      load_model(hostile);
+      FAIL() << "must throw for count " << count;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 4: truncated sample list"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ModelIo, RejectsMismatchedParallelSampleLists) {
