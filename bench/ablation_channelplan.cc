@@ -20,54 +20,37 @@ using namespace vifi::bench;
 
 namespace {
 
-struct Outcome {
-  double delivery = 0.0;
-  double median_session = 0.0;
-};
+/// One CBR trip under a channel plan.
+analysis::SlotStream run_trip(const scenario::Testbed& bed, bool channelized,
+                  bool aux_radios, std::uint64_t seed) {
+  Rng root(seed);
+  auto base = bed.make_channel(root.fork("channel"));
 
-Outcome run(const scenario::Testbed& bed, bool channelized, bool aux_radios,
-            int trips) {
-  double delivered = 0.0, sent = 0.0;
-  std::vector<double> sessions;
-  for (int t = 0; t < trips; ++t) {
-    const std::uint64_t seed = 17000 + static_cast<std::uint64_t>(t);
-    Rng root(seed);
-    auto base = bed.make_channel(root.fork("channel"));
+  core::SystemConfig cfg = vifi_system();
+  cfg.vifi.max_retx = 0;
+  cfg.seed = root.fork("system").next_u64();
 
-    core::SystemConfig cfg = vifi_system();
-    cfg.vifi.max_retx = 0;
-    cfg.seed = root.fork("system").next_u64();
+  sim::Simulator sim;
+  std::unique_ptr<core::VifiSystem> system;
+  scenario::ChannelPlan plan =
+      scenario::ChannelPlan::cellular(bed.bs_ids(), channelized ? 3 : 1);
+  scenario::ChannelizedLoss loss(
+      *base, plan, bed.vehicle(), aux_radios, [&]() {
+        const sim::NodeId anchor =
+            system ? system->vehicle().anchor() : sim::NodeId{};
+        return anchor.valid() ? plan.channel_of(anchor) : -1;
+      });
+  system = std::make_unique<core::VifiSystem>(
+      sim, loss, bed.bs_ids(), bed.vehicle(), bed.wired_host(), cfg);
+  apps::VifiTransport transport(*system);
+  system->start();
+  sim.run_until(Time::seconds(3.0));
+  apps::CbrWorkload cbr(sim, transport);
+  const Time end = sim.now() + bed.trip_duration();
+  cbr.start(end);
+  sim.run_until(end + Time::seconds(1.0));
 
-    sim::Simulator sim;
-    std::unique_ptr<core::VifiSystem> system;
-    scenario::ChannelPlan plan =
-        scenario::ChannelPlan::cellular(bed.bs_ids(), channelized ? 3 : 1);
-    scenario::ChannelizedLoss loss(
-        *base, plan, bed.vehicle(), aux_radios, [&]() {
-          const sim::NodeId anchor =
-              system ? system->vehicle().anchor() : sim::NodeId{};
-          return anchor.valid() ? plan.channel_of(anchor) : -1;
-        });
-    system = std::make_unique<core::VifiSystem>(
-        sim, loss, bed.bs_ids(), bed.vehicle(), bed.wired_host(), cfg);
-    apps::VifiTransport transport(*system);
-    system->start();
-    sim.run_until(Time::seconds(3.0));
-    apps::CbrWorkload cbr(sim, transport);
-    const Time end = sim.now() + bed.trip_duration();
-    cbr.start(end);
-    sim.run_until(end + Time::seconds(1.0));
-
-    delivered += static_cast<double>(cbr.delivered());
-    sent += static_cast<double>(cbr.sent());
-    const auto lengths =
-        analysis::session_lengths_s(cbr.slot_stream(), analysis::SessionDef{});
-    sessions.insert(sessions.end(), lengths.begin(), lengths.end());
-  }
-  Outcome out;
-  out.delivery = sent > 0 ? delivered / sent : 0.0;
-  out.median_session = analysis::median_session_length(sessions);
-  return out;
+  return cbr.slot_stream();
 }
 
 }  // namespace
@@ -76,21 +59,40 @@ int main() {
   const scenario::Testbed bed = scenario::make_vanlan();
   const int trips = 3 * scale();
 
+  struct Plan {
+    const char* label;
+    bool channelized;
+    bool aux_radios;
+  };
+  const std::vector<Plan> plans{
+      {"same-channel (paper testbeds)", false, false},
+      {"cellular pattern, no aux radio", true, false},
+      {"cellular pattern + aux radios (Sec. 6)", true, true}};
+  const auto runs = map_grid(
+      plans.size(), static_cast<std::size_t>(trips),
+      [&](std::size_t p, std::size_t trip) {
+        return run_trip(bed, plans[p].channelized, plans[p].aux_radios,
+                        17000 + trip);
+      });
+
   TextTable table("§6 — deployment channel plans (ViFi link workload)");
   table.set_header(
       {"deployment", "delivery rate", "median session (s)"});
-  const Outcome same = run(bed, false, false, trips);
-  const Outcome cellular = run(bed, true, false, trips);
-  const Outcome cellular_aux = run(bed, true, true, trips);
-  table.add_row({"same-channel (paper testbeds)",
-                 TextTable::pct(same.delivery),
-                 TextTable::num(same.median_session, 1)});
-  table.add_row({"cellular pattern, no aux radio",
-                 TextTable::pct(cellular.delivery),
-                 TextTable::num(cellular.median_session, 1)});
-  table.add_row({"cellular pattern + aux radios (Sec. 6)",
-                 TextTable::pct(cellular_aux.delivery),
-                 TextTable::num(cellular_aux.median_session, 1)});
+  for (std::size_t p = 0; p < plans.size(); ++p) {
+    double delivered = 0.0, sent = 0.0;
+    std::vector<double> sessions;
+    for (const analysis::SlotStream& run : runs[p]) {
+      for (const int d : run.delivered) delivered += d;
+      sent += run.per_slot_max * static_cast<double>(run.delivered.size());
+      const auto lengths =
+          analysis::session_lengths_s(run, analysis::SessionDef{});
+      sessions.insert(sessions.end(), lengths.begin(), lengths.end());
+    }
+    table.add_row({plans[p].label,
+                   TextTable::pct(sent > 0 ? delivered / sent : 0.0),
+                   TextTable::num(analysis::median_session_length(sessions),
+                                  1)});
+  }
   table.print(std::cout);
 
   std::cout << "\nPaper shape check: channelisation hurts ViFi (fewer "

@@ -5,7 +5,6 @@
 
 #include <iostream>
 
-#include "apps/voip.h"
 #include "bench_util.h"
 
 using namespace vifi;
@@ -15,56 +14,44 @@ int main() {
   const scenario::Testbed bed = scenario::make_vanlan();
   const int trips = 3 * scale();
 
+  const std::vector<std::pair<std::string, core::RelayVariant>> variants{
+      {"ViFi", core::RelayVariant::ViFi},
+      {"!G1", core::RelayVariant::NoG1},
+      {"!G2", core::RelayVariant::NoG2},
+      {"!G3", core::RelayVariant::NoG3}};
+  struct Call {
+    apps::VoipResult voip;
+    std::int64_t relays = 0;  ///< Relays sent by every BS.
+  };
+  const auto calls = map_grid(
+      variants.size(), static_cast<std::size_t>(trips),
+      [&](std::size_t variant, std::size_t trip) {
+        core::SystemConfig cfg = vifi_system();
+        cfg.vifi.variant = variants[variant].second;
+        scenario::LiveTrip live(bed, cfg, 15000 + trip);
+        Call call{voip_trip(live, bed.trip_duration())};
+        for (sim::NodeId bs : live.system().bs_ids())
+          call.relays += static_cast<std::int64_t>(
+              live.system().basestation(bs).relays_sent());
+        return call;
+      });
+
   TextTable table(
       "Ablation — VoIP on VanLAN under coordination variants");
   table.set_header({"mechanism", "median session (s)", "interruptions/trip",
                     "mean MoS", "effective loss", "relays sent"});
-
-  for (const auto& [name, variant] :
-       std::vector<std::pair<std::string, core::RelayVariant>>{
-           {"ViFi", core::RelayVariant::ViFi},
-           {"!G1", core::RelayVariant::NoG1},
-           {"!G2", core::RelayVariant::NoG2},
-           {"!G3", core::RelayVariant::NoG3}}) {
-    std::vector<double> sessions;
-    double mos_sum = 0.0;
-    int mos_n = 0;
-    int interruptions = 0;
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    VoipTally tally;
     std::int64_t relays = 0;
-    std::int64_t sent = 0, on_time = 0;
-    for (int t = 0; t < trips; ++t) {
-      core::SystemConfig cfg = vifi_system();
-      cfg.vifi.variant = variant;
-      scenario::LiveTrip live(bed, cfg,
-                              15000 + static_cast<std::uint64_t>(t));
-      live.run_until(scenario::LiveTrip::warmup());
-      apps::VoipCall call(live.simulator(), live.transport());
-      const Time end = live.simulator().now() + bed.trip_duration();
-      call.start(end);
-      live.run_until(end + Time::seconds(1.0));
-      const auto r = call.result();
-      sessions.insert(sessions.end(), r.session_lengths_s.begin(),
-                      r.session_lengths_s.end());
-      for (double m : r.window_mos) {
-        mos_sum += m;
-        ++mos_n;
-        if (m < 2.0) ++interruptions;
-      }
-      sent += r.packets_sent;
-      on_time += r.packets_on_time;
-      for (sim::NodeId bs : live.system().bs_ids())
-        relays += static_cast<std::int64_t>(
-            live.system().basestation(bs).relays_sent());
+    for (const Call& call : calls[v]) {
+      tally.add(call.voip);
+      relays += call.relays;
     }
-    table.add_row({name,
-                   TextTable::num(analysis::median_session_length(sessions), 1),
-                   TextTable::num(static_cast<double>(interruptions) / trips, 1),
-                   TextTable::num(mos_n ? mos_sum / mos_n : 0.0, 2),
-                   TextTable::pct(sent > 0 ? 1.0 - static_cast<double>(on_time) /
-                                                       static_cast<double>(sent)
-                                           : 0.0,
-                                  1),
-                   std::to_string(relays)});
+    table.add_row(
+        {variants[v].first, TextTable::num(tally.median_session(), 1),
+         TextTable::num(static_cast<double>(tally.interruptions) / trips, 1),
+         TextTable::num(tally.mean_mos(), 2),
+         TextTable::pct(tally.effective_loss(), 1), std::to_string(relays)});
   }
   table.print(std::cout);
 

@@ -1,8 +1,9 @@
 #pragma once
 
 /// \file bench_util.h
-/// Shared plumbing for the per-figure bench binaries: scale knobs, standard
-/// campaign/live-run recipes, and session sweeps used by several figures.
+/// Shared plumbing for the per-figure bench binaries: the scale knob, the
+/// one trip-parallel loop (map_trips), standard campaign and live-trip
+/// recipes, and session sweeps used by several figures.
 
 #include <charconv>
 #include <cstdlib>
@@ -10,13 +11,18 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/sessions.h"
 #include "apps/cbr.h"
+#include "apps/transfer_driver.h"
+#include "apps/voip.h"
 #include "handoff/policies.h"
 #include "handoff/replay.h"
 #include "runtime/executor.h"
+#include "runtime/runner.h"
 #include "scenario/campaign.h"
 #include "scenario/live.h"
 #include "scenario/testbed.h"
@@ -56,15 +62,53 @@ inline void write_value_entries(std::ostream& out,
   out << "\n  ]\n}\n";
 }
 
-/// VIFI_BENCH_SCALE multiplies trip counts; 1 is the quick default.
+/// VIFI_BENCH_SCALE multiplies trip counts; 1 (also when unset) is the
+/// quick default. Anything but a whole integer >= 1 ends the bench with
+/// exit code 2.
 inline int scale() {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read once from main() before any
-  // worker thread starts; benches take their scale knob from the launcher.
-  if (const char* s = std::getenv("VIFI_BENCH_SCALE")) {
-    const int v = std::atoi(s);
-    if (v >= 1) return v;
+  // Read from main() before any worker thread starts (never inside a
+  // map_trips body); benches take their scale knob from the launcher.
+  // NOLINTNEXTLINE(concurrency-mt-unsafe)
+  const char* s = std::getenv("VIFI_BENCH_SCALE");
+  if (s == nullptr) return 1;
+  const std::string_view text(s);
+  int v = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc{} || end != text.data() + text.size() || v < 1) {
+    std::cerr << "error: VIFI_BENCH_SCALE must be an integer >= 1, got '"
+              << text << "'\n";
+    std::exit(2);
   }
-  return 1;
+  return v;
+}
+
+/// Runs fn(trip) for every trip in [0, n) on all cores and returns the
+/// results in trip order. Each trip depends only on its own seed and the
+/// caller folds the results sequentially, so the bench prints the same
+/// bytes as a sequential loop. A failing trip ends the bench: its index
+/// and error go to stderr and the process exits 1.
+template <class Fn>
+auto map_trips(std::size_t n, Fn&& fn) {
+  try {
+    return runtime::Runner({.threads = 0}).map(n, std::forward<Fn>(fn));
+  } catch (const std::exception& e) {
+    std::cerr << "error: trip failed: " << e.what() << "\n";
+    std::exit(1);
+  }
+}
+
+/// map_trips over a rows x trips grid, e.g. one row per protocol
+/// configuration: returns out[row][trip] = fn(row, trip).
+template <class Fn>
+auto map_grid(std::size_t rows, std::size_t trips, Fn&& fn) {
+  auto flat = map_trips(rows * trips, [&](std::size_t i) {
+    return fn(i / trips, i % trips);
+  });
+  std::vector<decltype(flat)> out(rows);
+  for (std::size_t i = 0; i < flat.size(); ++i)
+    out[i / trips].push_back(std::move(flat[i]));
+  return out;
 }
 
 /// Standard VanLAN measurement campaign (§3.1 methodology).
@@ -107,29 +151,115 @@ inline std::vector<double> policy_session_lengths(
   return lengths;
 }
 
-/// Live-run recipe: ViFi/BRR CBR link workload sessions over several trips
-/// (used by Figs. 7/8).
-inline std::vector<double> live_link_session_lengths(
-    const scenario::Testbed& bed, const core::SystemConfig& config,
-    const analysis::SessionDef& def, int trips, std::uint64_t seed_base,
-    std::vector<analysis::SlotStream>* streams_out = nullptr) {
-  std::vector<double> lengths;
-  for (int trip = 0; trip < trips; ++trip) {
-    core::SystemConfig cfg = config;
-    cfg.vifi.max_retx = 0;  // §5.2: link-layer retransmissions disabled
-    scenario::LiveTrip live(bed, cfg, seed_base + static_cast<std::uint64_t>(trip));
-    live.run_until(scenario::LiveTrip::warmup());
-    apps::CbrWorkload cbr(live.simulator(), live.transport());
-    const Time end = live.simulator().now() + bed.trip_duration();
-    cbr.start(end);
-    live.run_until(end + Time::seconds(1.0));
-    const auto stream = cbr.slot_stream();
-    if (streams_out != nullptr) streams_out->push_back(stream);
-    const auto trip_lengths = analysis::session_lengths_s(stream, def);
-    lengths.insert(lengths.end(), trip_lengths.begin(), trip_lengths.end());
-  }
-  return lengths;
+// Live-trip recipes. Each warms \p live up, attaches its workload for
+// \p duration from the end of the warm-up and runs a short tail so late
+// packets land.
+
+/// A CBR stream (one packet per direction per slot); 1 s tail.
+inline analysis::SlotStream cbr_trip(scenario::LiveTrip& live, Time duration) {
+  live.run_until(scenario::LiveTrip::warmup());
+  apps::CbrWorkload cbr(live.simulator(), live.transport());
+  const Time end = live.simulator().now() + duration;
+  cbr.start(end);
+  live.run_until(end + Time::seconds(1.0));
+  return cbr.slot_stream();
 }
+
+/// The §5.2 link workload (Figs. 7/8): one stochastic trip of \p bed with
+/// link-layer retransmissions disabled, CBR for the whole lap.
+inline analysis::SlotStream cbr_link_trip(const scenario::Testbed& bed,
+                                          core::SystemConfig config,
+                                          std::uint64_t seed) {
+  config.vifi.max_retx = 0;
+  scenario::LiveTrip live(bed, config, seed);
+  return cbr_trip(live, bed.trip_duration());
+}
+
+/// Both directions of the §5.3.1 transfer workload at once.
+struct TcpPair {
+  apps::TransferDriverResult down;
+  apps::TransferDriverResult up;
+
+  /// Pools both directions into \p total, down before up.
+  void pool_into(apps::TransferDriverResult& total) const {
+    for (const auto* r : {&down, &up}) {
+      total.transfer_times_s.insert(total.transfer_times_s.end(),
+                                    r->transfer_times_s.begin(),
+                                    r->transfer_times_s.end());
+      total.transfers_per_session.insert(total.transfers_per_session.end(),
+                                         r->transfers_per_session.begin(),
+                                         r->transfers_per_session.end());
+      total.completed += r->completed;
+      total.aborted += r->aborted;
+    }
+    total.duration_s += down.duration_s + up.duration_s;
+  }
+};
+
+/// Back-to-back 10 KB transfers downstream (flows from 1000) and upstream
+/// (flows from 20000); 2 s tail.
+inline TcpPair tcp_pair_trip(scenario::LiveTrip& live, Time duration) {
+  live.run_until(scenario::LiveTrip::warmup());
+  apps::TransferDriverParams down_params;
+  down_params.first_flow = 1000;
+  apps::TransferDriver down(live.simulator(), live.transport(),
+                            net::Direction::Downstream, down_params);
+  apps::TransferDriverParams up_params;
+  up_params.first_flow = 20000;
+  apps::TransferDriver up(live.simulator(), live.transport(),
+                          net::Direction::Upstream, up_params);
+  const Time end = live.simulator().now() + duration;
+  down.start(end);
+  up.start(end);
+  live.run_until(end + Time::seconds(2.0));
+  return {down.result(), up.result()};
+}
+
+/// One bidirectional VoIP call (§5.3.2); 1 s tail.
+inline apps::VoipResult voip_trip(scenario::LiveTrip& live, Time duration) {
+  live.run_until(scenario::LiveTrip::warmup());
+  apps::VoipCall call(live.simulator(), live.transport());
+  const Time end = live.simulator().now() + duration;
+  call.start(end);
+  live.run_until(end + Time::seconds(1.0));
+  return call.result();
+}
+
+/// VoIP calls folded in trip order: pooled sessions, 3 s window MoS, and
+/// interruptions (windows with MoS < 2).
+struct VoipTally {
+  std::vector<double> sessions_s;
+  double mos_sum = 0.0;
+  int mos_n = 0;
+  int interruptions = 0;
+  std::int64_t packets_sent = 0;
+  std::int64_t packets_on_time = 0;
+
+  void add(const apps::VoipResult& r) {
+    sessions_s.insert(sessions_s.end(), r.session_lengths_s.begin(),
+                      r.session_lengths_s.end());
+    for (const double m : r.window_mos) {
+      mos_sum += m;
+      ++mos_n;
+      if (m < 2.0) ++interruptions;
+    }
+    packets_sent += r.packets_sent;
+    packets_on_time += r.packets_on_time;
+  }
+  double median_session() const {
+    return analysis::median_session_length(sessions_s);
+  }
+  double mean_mos() const { return mos_n ? mos_sum / mos_n : 0.0; }
+  /// Per hour of call time (3 s per window).
+  double interruptions_per_hour() const {
+    return mos_n > 0 ? interruptions * 3600.0 / (3.0 * mos_n) : 0.0;
+  }
+  double effective_loss() const {
+    return packets_sent > 0 ? 1.0 - static_cast<double>(packets_on_time) /
+                                        static_cast<double>(packets_sent)
+                            : 0.0;
+  }
+};
 
 /// Standard protocol configurations (§5.1).
 inline core::SystemConfig vifi_system() {

@@ -5,15 +5,15 @@
 // within ~25% of AllBSes except Sticky; more BSes deliver more packets
 // without flattening.
 //
-// The (#BSes x trial) grid runs on the runtime::Runner pool: each point
-// draws its BS subset from a stream derived from the point index, replays
-// all six policies against the shared (immutable) campaign, and the sink
-// restores grid order — so the table is identical for any thread count.
+// The (#BSes x trial) grid runs cell-parallel (map_trips): each cell
+// draws its BS subset from a stream derived from the cell index and
+// replays all six policies against the shared (immutable) campaign, and
+// the results come back in cell order — so the table is identical for any
+// thread count.
 
 #include <iostream>
 
 #include "bench_util.h"
-#include "runtime/runner.h"
 #include "util/rng.h"
 
 using namespace vifi;
@@ -28,29 +28,26 @@ int main() {
   const int trials = 10;
   const std::uint64_t subset_seed = 42;
 
-  // Flatten the sweep: one point per (#BSes, trial). Full-roster rows have
-  // no subset randomness, so a single trial suffices (§3.2 methodology).
-  struct Cell {
-    int n_bs;
-    int trial;
-  };
-  std::vector<Cell> cells;
+  // Flatten the sweep: one cell per (#BSes, trial), holding its #BSes.
+  // Full-roster rows have no subset randomness, so a single trial suffices
+  // (§3.2 methodology).
+  std::vector<int> cells;
   for (const int n_bs : bs_counts) {
     const int n_trials =
         n_bs >= static_cast<int>(bed.bs_ids().size()) ? 1 : trials;
-    for (int trial = 0; trial < n_trials; ++trial)
-      cells.push_back({n_bs, trial});
+    cells.insert(cells.end(), static_cast<std::size_t>(n_trials), n_bs);
   }
 
-  const runtime::Runner runner({.threads = 0});
-  const runtime::ResultSink sink =
-      runner.run_indexed(cells.size(), [&](std::size_t i) {
-        const Cell& cell = cells[i];
+  // Per cell: packets delivered per day (thousands) for each replay
+  // policy, in replay_policy_names() order.
+  const auto& policies = runtime::replay_policy_names();
+  const std::vector<std::vector<double>> per_cell =
+      map_trips(cells.size(), [&](std::size_t i) {
         // Random subset of the given size ("average of ten trials using
-        // randomly selected subset of BSes"), drawn from a per-point stream.
+        // randomly selected subset of BSes"), drawn from a per-cell stream.
         Rng subset_rng(runtime::mix_seed(subset_seed, i));
         const auto pick = subset_rng.sample(
-            static_cast<int>(bed.bs_ids().size()), cell.n_bs);
+            static_cast<int>(bed.bs_ids().size()), cells[i]);
         std::vector<sim::NodeId> subset;
         subset.reserve(pick.size());
         for (const int b : pick)
@@ -62,45 +59,32 @@ int main() {
           filtered.trips.push_back(
               scenario::filter_to_bs_subset(trip, subset));
 
-        runtime::PointResult r;
-        r.index = i;
-        r.testbed = campaign.testbed;
-        r.seed = subset_seed;
-        r.metrics["n_bs"] = cell.n_bs;
-        for (const auto& name : runtime::replay_policy_names()) {
+        std::vector<double> per_day;
+        for (const auto& name : policies) {
           std::int64_t delivered = 0;
           for (const auto& trip : filtered.trips)
             delivered += handoff::packets_delivered(
                 runtime::replay_trip(trip, name, filtered));
-          r.metrics[name] = static_cast<double>(delivered) / days / 1000.0;
+          per_day.push_back(static_cast<double>(delivered) / days / 1000.0);
         }
-        return r;
+        return per_day;
       });
-
-  if (sink.any_errors()) {
-    for (const auto& r : sink.ordered())
-      if (!r.error.empty())
-        std::cerr << "point " << r.index << " failed: " << r.error << "\n";
-    return 1;
-  }
 
   TextTable table("Figure 2 — packets delivered per day (thousands), VanLAN");
   std::vector<std::string> header{"#BSes"};
-  for (const auto& name : runtime::replay_policy_names())
-    header.push_back(name);
+  header.insert(header.end(), policies.begin(), policies.end());
   table.set_header(std::move(header));
 
-  const auto results = sink.ordered();
   for (const int n_bs : bs_counts) {
-    std::map<std::string, std::vector<double>> per_policy;
-    for (const auto& r : results) {
-      if (static_cast<int>(r.metrics.at("n_bs")) != n_bs) continue;
-      for (const auto& name : runtime::replay_policy_names())
-        per_policy[name].push_back(r.metrics.at(name));
+    std::vector<std::vector<double>> per_policy(policies.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      if (cells[i] != n_bs) continue;
+      for (std::size_t p = 0; p < policies.size(); ++p)
+        per_policy[p].push_back(per_cell[i][p]);
     }
     std::vector<std::string> row{std::to_string(n_bs)};
-    for (const auto& name : runtime::replay_policy_names()) {
-      const auto ci = mean_ci95(per_policy[name]);
+    for (const auto& values : per_policy) {
+      const auto ci = mean_ci95(values);
       row.push_back(
           TextTable::num_ci((ci.lo + ci.hi) / 2.0, ci.half_width(), 1));
     }

@@ -6,12 +6,11 @@
 // Paper shape: ViFi beats the ideal single-BS protocol (BestBS) and
 // closely approximates the ideal diversity protocol (AllBSes).
 //
-// The live trips — the expensive part — are sharded over the
-// runtime::Runner pool: each point is one (system, trip) pair whose seed
-// depends only on the trip index, so the recorded slot streams (and hence
-// every chart) are identical for any thread count.
+// The live trips — the expensive part — run trip-parallel (map_trips):
+// each (system, trip) pair's seed depends only on the trip index, so the
+// recorded slot streams (and hence every chart) are identical for any
+// thread count.
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -19,64 +18,11 @@
 
 #include "bench_util.h"
 #include "coord/predictor.h"
-#include "runtime/runner.h"
 
 using namespace vifi;
 using namespace vifi::bench;
 
 namespace {
-
-/// Runs one live CBR trip and flattens its slot stream into a PointResult.
-runtime::PointResult live_trip_point(const scenario::Testbed& bed,
-                                     const core::SystemConfig& config,
-                                     const std::string& label, int trip,
-                                     std::size_t index,
-                                     std::uint64_t seed_base) {
-  core::SystemConfig cfg = config;
-  cfg.vifi.max_retx = 0;  // §5.2: link-layer retransmissions disabled
-  scenario::LiveTrip live(bed, cfg,
-                          seed_base + static_cast<std::uint64_t>(trip));
-  live.run_until(scenario::LiveTrip::warmup());
-  apps::CbrWorkload cbr(live.simulator(), live.transport());
-  const Time end = live.simulator().now() + bed.trip_duration();
-  cbr.start(end);
-  live.run_until(end + Time::seconds(1.0));
-  const auto stream = cbr.slot_stream();
-
-  runtime::PointResult r;
-  r.index = index;
-  r.testbed = bed.layout().name;
-  r.policy = label;
-  r.seed = seed_base + static_cast<std::uint64_t>(trip);
-  // Round-trip the stream's own parameters so reconstruction cannot drift
-  // from CbrParams defaults.
-  r.metrics["slot_s"] = stream.slot.to_seconds();
-  r.metrics["per_slot_max"] = stream.per_slot_max;
-  std::vector<double> delivered(stream.delivered.begin(),
-                                stream.delivered.end());
-  r.series["delivered"] = std::move(delivered);
-  return r;
-}
-
-analysis::SlotStream to_slot_stream(const runtime::PointResult& r) {
-  analysis::SlotStream s;
-  s.slot = Time::seconds(r.metrics.at("slot_s"));
-  s.per_slot_max = static_cast<int>(r.metrics.at("per_slot_max"));
-  const auto& delivered = r.series.at("delivered");
-  s.delivered.assign(delivered.begin(), delivered.end());
-  return s;
-}
-
-/// A failed point means the figure cannot be trusted; surface the recorded
-/// error instead of crashing on its empty result.
-void abort_on_errors(const runtime::ResultSink& sink) {
-  if (!sink.any_errors()) return;
-  for (const auto& r : sink.ordered())
-    if (!r.error.empty())
-      std::cerr << "point " << r.index << " (" << r.policy
-                << ") failed: " << r.error << "\n";
-  std::exit(1);
-}
 
 /// Fraction of offered CBR slots lost across a set of recorded streams —
 /// the aggregate-loss figure the coord-vs-PAB gate tracks.
@@ -120,34 +66,19 @@ int main(int argc, char** argv) {
     coord_config.coord.history = coord::fit_history(trips);
   }
 
-  // Live CBR streams for ViFi and BRR, one stream per trip, sharded over
-  // the pool; session definitions are applied to the recorded streams
+  // Live CBR streams for ViFi, BRR and Coord, one stream per trip, run
+  // trip-parallel; session definitions are applied to the recorded streams
   // afterwards. Seeds match the pre-runtime version of this bench.
-  struct System {
-    const char* label;
-    core::SystemConfig config;
-  };
-  const std::vector<System> systems{{"ViFi", vifi_system()},
-                                    {"BRR", brr_system()},
-                                    {"Coord", coord_config}};
-  const runtime::Runner runner({.threads = 0});
-  const runtime::ResultSink sink = runner.run_indexed(
-      systems.size() * static_cast<std::size_t>(live_trips),
-      [&](std::size_t i) {
-        const System& sys = systems[i / static_cast<std::size_t>(live_trips)];
-        const int trip = static_cast<int>(
-            i % static_cast<std::size_t>(live_trips));
-        return live_trip_point(bed, sys.config, sys.label, trip, i, 7000);
+  const std::vector<core::SystemConfig> systems{vifi_system(), brr_system(),
+                                                coord_config};
+  const auto streams = map_grid(
+      systems.size(), static_cast<std::size_t>(live_trips),
+      [&](std::size_t system, std::size_t trip) {
+        return cbr_link_trip(bed, systems[system], 7000 + trip);
       });
-
-  abort_on_errors(sink);
-  std::vector<analysis::SlotStream> vifi_streams, brr_streams, coord_streams;
-  for (const auto& r : sink.ordered()) {
-    auto& streams = r.policy == "ViFi"
-                        ? vifi_streams
-                        : (r.policy == "Coord" ? coord_streams : brr_streams);
-    streams.push_back(to_slot_stream(r));
-  }
+  const auto& vifi_streams = streams[0];
+  const auto& brr_streams = streams[1];
+  const auto& coord_streams = streams[2];
 
   auto live_median = [](const std::vector<analysis::SlotStream>& streams,
                         const analysis::SessionDef& def) {
@@ -163,58 +94,47 @@ int main(int argc, char** argv) {
     return analysis::median_session_length(
         policy_session_lengths(campaign, name, def));
   };
+  // One chart per session-definition sweep: def_at(x) is the definition
+  // at each x value.
+  auto print_sweep = [&](const std::string& title, const std::string& x_label,
+                         const std::vector<double>& xs, auto def_at) {
+    SeriesChart chart(title, x_label);
+    chart.set_x(xs);
+    std::vector<double> all, vifi, coord, best, brr;
+    for (const double x : xs) {
+      const analysis::SessionDef def = def_at(x);
+      all.push_back(replay_median("AllBSes", def));
+      best.push_back(replay_median("BestBS", def));
+      vifi.push_back(live_median(vifi_streams, def));
+      coord.push_back(live_median(coord_streams, def));
+      brr.push_back(live_median(brr_streams, def));
+    }
+    chart.add_series("AllBSes", std::move(all));
+    chart.add_series("ViFi", std::move(vifi));
+    chart.add_series("Coord", std::move(coord));
+    chart.add_series("BestBS", std::move(best));
+    chart.add_series("BRR", std::move(brr));
+    chart.set_precision(1);
+    chart.print(std::cout);
+  };
 
-  {
-    SeriesChart chart(
-        "Figure 7(a) — median session length (s) vs averaging interval, "
-        "ratio = 50%",
-        "interval (s)");
-    const std::vector<double> intervals{0.5, 1.0, 2.0, 4.0, 8.0, 16.0};
-    chart.set_x(intervals);
-    std::vector<double> all, vifi, coord, best, brr;
-    for (double iv : intervals) {
-      analysis::SessionDef def;
-      def.interval = Time::seconds(iv);
-      all.push_back(replay_median("AllBSes", def));
-      best.push_back(replay_median("BestBS", def));
-      vifi.push_back(live_median(vifi_streams, def));
-      coord.push_back(live_median(coord_streams, def));
-      brr.push_back(live_median(brr_streams, def));
-    }
-    chart.add_series("AllBSes", std::move(all));
-    chart.add_series("ViFi", std::move(vifi));
-    chart.add_series("Coord", std::move(coord));
-    chart.add_series("BestBS", std::move(best));
-    chart.add_series("BRR", std::move(brr));
-    chart.set_precision(1);
-    chart.print(std::cout);
-  }
+  print_sweep(
+      "Figure 7(a) — median session length (s) vs averaging interval, "
+      "ratio = 50%",
+      "interval (s)", {0.5, 1.0, 2.0, 4.0, 8.0, 16.0}, [](double iv) {
+        analysis::SessionDef def;
+        def.interval = Time::seconds(iv);
+        return def;
+      });
   std::cout << "\n";
-  {
-    SeriesChart chart(
-        "Figure 7(b) — median session length (s) vs reception-ratio "
-        "threshold, interval = 1 s",
-        "ratio (%)");
-    const std::vector<double> ratios{10, 20, 30, 40, 50, 60, 70, 80, 90};
-    chart.set_x(ratios);
-    std::vector<double> all, vifi, coord, best, brr;
-    for (double r : ratios) {
-      analysis::SessionDef def;
-      def.min_ratio = r / 100.0;
-      all.push_back(replay_median("AllBSes", def));
-      best.push_back(replay_median("BestBS", def));
-      vifi.push_back(live_median(vifi_streams, def));
-      coord.push_back(live_median(coord_streams, def));
-      brr.push_back(live_median(brr_streams, def));
-    }
-    chart.add_series("AllBSes", std::move(all));
-    chart.add_series("ViFi", std::move(vifi));
-    chart.add_series("Coord", std::move(coord));
-    chart.add_series("BestBS", std::move(best));
-    chart.add_series("BRR", std::move(brr));
-    chart.set_precision(1);
-    chart.print(std::cout);
-  }
+  print_sweep(
+      "Figure 7(b) — median session length (s) vs reception-ratio "
+      "threshold, interval = 1 s",
+      "ratio (%)", {10, 20, 30, 40, 50, 60, 70, 80, 90}, [](double r) {
+        analysis::SessionDef def;
+        def.min_ratio = r / 100.0;
+        return def;
+      });
 
   // Coord-vs-PAB aggregate loss over the recorded CBR streams: the coord
   // tier must not lose more of the offered load than plain PAB ViFi does.

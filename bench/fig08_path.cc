@@ -16,18 +16,23 @@ int main() {
   const analysis::SessionDef def{};
   const int trips = 3 * scale();
 
+  // Per trip, BRR then ViFi on the same seed.
+  const std::vector<std::pair<std::string, core::SystemConfig>> systems{
+      {"BRR ", brr_system()}, {"ViFi", vifi_system()}};
+  const auto streams = map_grid(
+      static_cast<std::size_t>(trips), systems.size(),
+      [&](std::size_t trip, std::size_t system) {
+        return cbr_link_trip(bed, systems[system].second, 8800 + trip);
+      });
+
   std::cout << "Figure 8 — live trips, '#'=adequate (>=50% in 1 s), "
                "'.'=interruption, ' '=no coverage\n\n";
   double brr_total = 0.0, vifi_total = 0.0;
-  for (int trip = 0; trip < trips; ++trip) {
-    for (const auto& [name, cfg] :
-         std::vector<std::pair<std::string, core::SystemConfig>>{
-             {"BRR ", brr_system()}, {"ViFi", vifi_system()}}) {
-      std::vector<analysis::SlotStream> streams;
-      live_link_session_lengths(bed, cfg, def, 1,
-                                8800 + static_cast<std::uint64_t>(trip),
-                                &streams);
-      const auto tl = analysis::connectivity_timeline(streams[0], def);
+  for (std::size_t trip = 0; trip < streams.size(); ++trip) {
+    for (std::size_t system = 0; system < systems.size(); ++system) {
+      const std::string& name = systems[system].first;
+      const auto tl =
+          analysis::connectivity_timeline(streams[trip][system], def);
       std::cout << name << " trip " << trip << " ("
                 << tl.interruptions << " interruptions, "
                 << TextTable::num(tl.adequate_s, 0) << "s adequate)\n  "

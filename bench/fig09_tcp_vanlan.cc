@@ -11,69 +11,10 @@
 #include <iostream>
 
 #include "apps/cellular.h"
-#include "apps/transfer_driver.h"
 #include "bench_util.h"
 
 using namespace vifi;
 using namespace vifi::bench;
-
-namespace {
-
-struct TcpOutcome {
-  std::vector<double> times_s;
-  std::vector<int> per_session;
-  double salvaged = 0.0;
-  std::int64_t packets = 0;
-  int aborted = 0;
-};
-
-TcpOutcome run_tcp(const scenario::Testbed& bed, core::SystemConfig cfg,
-                   int trips, std::uint64_t seed_base) {
-  TcpOutcome out;
-  for (int trip = 0; trip < trips; ++trip) {
-    scenario::LiveTrip live(bed, cfg,
-                            seed_base + static_cast<std::uint64_t>(trip));
-    live.run_until(scenario::LiveTrip::warmup());
-    // Both directions at once, as in §5.3.1.
-    apps::TransferDriverParams down_params;
-    down_params.first_flow = 1000;
-    apps::TransferDriver down(live.simulator(), live.transport(),
-                              net::Direction::Downstream, down_params);
-    apps::TransferDriverParams up_params;
-    up_params.first_flow = 20000;
-    apps::TransferDriver up(live.simulator(), live.transport(),
-                            net::Direction::Upstream, up_params);
-    const Time end = live.simulator().now() + bed.trip_duration();
-    down.start(end);
-    up.start(end);
-    live.run_until(end + Time::seconds(2.0));
-    for (const auto* driver :
-         {&down, &up}) {
-      const auto r = driver->result();
-      out.times_s.insert(out.times_s.end(), r.transfer_times_s.begin(),
-                         r.transfer_times_s.end());
-      out.per_session.insert(out.per_session.end(),
-                             r.transfers_per_session.begin(),
-                             r.transfers_per_session.end());
-      out.aborted += r.aborted;
-    }
-    out.salvaged += static_cast<double>(live.system().stats().salvaged());
-    out.packets += live.system().stats().source_attempts(
-                       net::Direction::Downstream) +
-                   live.system().stats().source_attempts(
-                       net::Direction::Upstream);
-  }
-  return out;
-}
-
-double mean_per_session(const std::vector<int>& per_session) {
-  if (per_session.empty()) return 0.0;
-  double sum = 0.0;
-  for (int v : per_session) sum += v;
-  return sum / static_cast<double>(per_session.size());
-}
-
-}  // namespace
 
 int main() {
   const scenario::Testbed bed = scenario::make_vanlan();
@@ -84,27 +25,49 @@ int main() {
                     "p90 xfer (s)", "transfers/session", "completed",
                     "aborted", "salvaged pkts %"});
 
-  for (const auto& [name, cfg] :
-       std::vector<std::pair<std::string, core::SystemConfig>>{
-           {"BRR", brr_system()},
-           {"Only Diversity", diversity_only_system()},
-           {"ViFi", vifi_system()}}) {
-    const TcpOutcome out = run_tcp(bed, cfg, trips, 9100);
+  const std::vector<std::pair<std::string, core::SystemConfig>> systems{
+      {"BRR", brr_system()},
+      {"Only Diversity", diversity_only_system()},
+      {"ViFi", vifi_system()}};
+  // One TCP trip: both transfer directions plus the ViFi stack's salvage
+  // and source-attempt counters.
+  struct TcpTrip {
+    TcpPair pair;
+    std::int64_t salvaged = 0;
+    std::int64_t packets = 0;
+  };
+  const auto runs = map_grid(
+      systems.size(), static_cast<std::size_t>(trips),
+      [&](std::size_t system, std::size_t trip) {
+        scenario::LiveTrip live(bed, systems[system].second, 9100 + trip);
+        TcpTrip run{tcp_pair_trip(live, bed.trip_duration())};
+        const auto& stats = live.system().stats();
+        run.salvaged = stats.salvaged();
+        run.packets = stats.source_attempts(net::Direction::Downstream) +
+                      stats.source_attempts(net::Direction::Upstream);
+        return run;
+      });
+
+  for (std::size_t sys = 0; sys < systems.size(); ++sys) {
+    apps::TransferDriverResult total;
+    double salvaged = 0.0;
+    std::int64_t packets = 0;
+    for (const TcpTrip& run : runs[sys]) {
+      run.pair.pool_into(total);
+      salvaged += static_cast<double>(run.salvaged);
+      packets += run.packets;
+    }
+    const std::vector<double>& times_s = total.transfer_times_s;
     RunningStats times;
-    for (double t : out.times_s) times.add(t);
+    for (double t : times_s) times.add(t);
     table.add_row(
-        {name,
-         TextTable::num(out.times_s.empty() ? 0.0 : median(out.times_s), 2),
+        {systems[sys].first, TextTable::num(total.median_transfer_time_s(), 2),
          TextTable::num(times.count() ? times.mean() : 0.0, 2),
-         TextTable::num(out.times_s.empty() ? 0.0
-                                            : percentile(out.times_s, 90.0),
-                        2),
-         TextTable::num(mean_per_session(out.per_session), 1),
-         std::to_string(out.times_s.size()), std::to_string(out.aborted),
-         TextTable::pct(out.packets > 0
-                            ? out.salvaged / static_cast<double>(out.packets)
-                            : 0.0,
-                        1)});
+         TextTable::num(times_s.empty() ? 0.0 : percentile(times_s, 90.0), 2),
+         TextTable::num(total.mean_transfers_per_session(), 1),
+         std::to_string(times_s.size()), std::to_string(total.aborted),
+         TextTable::pct(
+             packets > 0 ? salvaged / static_cast<double>(packets) : 0.0, 1)});
   }
   table.print(std::cout);
 

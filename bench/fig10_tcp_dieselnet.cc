@@ -6,54 +6,40 @@
 
 #include <iostream>
 
-#include "apps/transfer_driver.h"
 #include "bench_util.h"
 
 using namespace vifi;
 using namespace vifi::bench;
-
-namespace {
-
-double transfers_per_second(const scenario::Testbed& bed,
-                            const trace::Campaign& campaign,
-                            core::SystemConfig cfg, std::uint64_t seed) {
-  int completed = 0;
-  double seconds = 0.0;
-  for (std::size_t i = 0; i < campaign.trips.size(); ++i) {
-    scenario::LiveTrip live(bed, campaign.trips[i], cfg,
-                            seed + static_cast<std::uint64_t>(i));
-    live.run_until(scenario::LiveTrip::warmup());
-    apps::TransferDriver down(live.simulator(), live.transport(),
-                              net::Direction::Downstream);
-    apps::TransferDriverParams up_params;
-    up_params.first_flow = 20000;
-    apps::TransferDriver up(live.simulator(), live.transport(),
-                            net::Direction::Upstream, up_params);
-    const Time end = campaign.trips[i].duration;
-    down.start(end);
-    up.start(end);
-    live.run_until(end + Time::seconds(2.0));
-    completed += down.result().completed + up.result().completed;
-    seconds += down.result().duration_s + up.result().duration_s;
-  }
-  return seconds > 0.0 ? completed / seconds : 0.0;
-}
-
-}  // namespace
 
 int main() {
   TextTable table(
       "Figure 10 — TCP transfers/second, trace-driven DieselNet");
   table.set_header({"channel", "BRR", "ViFi", "ViFi/BRR"});
 
+  const std::vector<core::SystemConfig> systems{brr_system(), vifi_system()};
   for (int channel : {1, 6}) {
     const scenario::Testbed bed = scenario::make_dieselnet(channel);
     const trace::Campaign campaign =
         beacon_campaign(bed, 2, 1, 555 + static_cast<std::uint64_t>(channel));
-    const double brr =
-        transfers_per_second(bed, campaign, brr_system(), 10100);
-    const double vifi =
-        transfers_per_second(bed, campaign, vifi_system(), 10100);
+    // BRR's trips, then ViFi's, on the same seeds.
+    const auto pairs = map_grid(
+        systems.size(), campaign.trips.size(),
+        [&](std::size_t system, std::size_t trip) {
+          const trace::MeasurementTrace& trip_trace = campaign.trips[trip];
+          scenario::LiveTrip live(bed, trip_trace, systems[system],
+                                  10100 + trip);
+          return tcp_pair_trip(
+              live, trip_trace.duration - scenario::LiveTrip::warmup());
+        });
+    // Completed transfers per second of transfer time, pooled over trips.
+    std::vector<double> rate;
+    for (const auto& system_pairs : pairs) {
+      apps::TransferDriverResult total;
+      for (const TcpPair& pair : system_pairs) pair.pool_into(total);
+      rate.push_back(total.transfers_per_second());
+    }
+    const double brr = rate[0];
+    const double vifi = rate[1];
     table.add_row({"Ch. " + std::to_string(channel),
                    TextTable::num(brr, 3), TextTable::num(vifi, 3),
                    TextTable::num(brr > 0 ? vifi / brr : 0.0, 2)});

@@ -7,73 +7,27 @@
 
 #include <algorithm>
 #include <iostream>
+#include <utility>
 
-#include "apps/voip.h"
 #include "bench_util.h"
 
 using namespace vifi;
 using namespace vifi::bench;
-
-namespace {
-
-struct VoipOutcome {
-  std::vector<double> sessions_s;
-  double mos_sum = 0.0;
-  int mos_n = 0;
-  int interruptions = 0;
-  double call_seconds = 0.0;
-  double median_session() const {
-    return analysis::median_session_length(sessions_s);
-  }
-  double mean_mos() const { return mos_n ? mos_sum / mos_n : 0.0; }
-  double interruptions_per_hour() const {
-    return call_seconds > 0.0 ? interruptions * 3600.0 / call_seconds : 0.0;
-  }
-  void fold(const apps::VoipResult& r) {
-    sessions_s.insert(sessions_s.end(), r.session_lengths_s.begin(),
-                      r.session_lengths_s.end());
-    for (double m : r.window_mos) {
-      mos_sum += m;
-      ++mos_n;
-      if (m < 2.0) ++interruptions;
-      call_seconds += 3.0;
-    }
-  }
-};
-
-apps::VoipResult run_voip_trip(scenario::LiveTrip& live, Time duration) {
-  live.run_until(scenario::LiveTrip::warmup());
-  apps::VoipCall call(live.simulator(), live.transport());
-  const Time end = live.simulator().now() + duration;
-  call.start(end);
-  live.run_until(end + Time::seconds(1.0));
-  return call.result();
-}
-
-}  // namespace
 
 int main() {
   TextTable table("Figure 11 — uninterrupted VoIP sessions");
   table.set_header({"environment", "BRR median (s)", "ViFi median (s)",
                     "ViFi/BRR", "BRR intr/h", "ViFi intr/h"});
 
-  double vanlan_mos_brr = 0.0, vanlan_mos_vifi = 0.0;
-
-  {
-    const scenario::Testbed bed = scenario::make_vanlan();
-    const int trips = 8 * scale();
-    VoipOutcome brr, vifi;
-    for (int t = 0; t < trips; ++t) {
-      const auto seed = 11100 + static_cast<std::uint64_t>(t);
-      scenario::LiveTrip live_brr(bed, brr_system(), seed);
-      brr.fold(run_voip_trip(live_brr, bed.trip_duration()));
-      scenario::LiveTrip live_vifi(bed, vifi_system(), seed);
-      vifi.fold(run_voip_trip(live_vifi, bed.trip_duration()));
-    }
-    vanlan_mos_brr = brr.mean_mos();
-    vanlan_mos_vifi = vifi.mean_mos();
+  // calls[system][trip]: BRR's calls then ViFi's, on the same seeds.
+  const std::vector<core::SystemConfig> systems{brr_system(), vifi_system()};
+  using Calls = std::vector<std::vector<apps::VoipResult>>;
+  auto add_row = [&](const std::string& label, const Calls& calls) {
+    VoipTally brr, vifi;
+    for (const auto& call : calls[0]) brr.add(call);
+    for (const auto& call : calls[1]) vifi.add(call);
     table.add_row(
-        {"VanLAN (deployment)", TextTable::num(brr.median_session(), 1),
+        {label, TextTable::num(brr.median_session(), 1),
          TextTable::num(vifi.median_session(), 1),
          TextTable::num(brr.median_session() > 0
                             ? vifi.median_session() / brr.median_session()
@@ -81,36 +35,37 @@ int main() {
                         2),
          TextTable::num(brr.interruptions_per_hour(), 1),
          TextTable::num(vifi.interruptions_per_hour(), 1)});
-  }
+    return std::pair{brr.mean_mos(), vifi.mean_mos()};
+  };
+
+  const scenario::Testbed vanlan = scenario::make_vanlan();
+  const auto [vanlan_mos_brr, vanlan_mos_vifi] = add_row(
+      "VanLAN (deployment)",
+      map_grid(systems.size(), 8 * static_cast<std::size_t>(scale()),
+               [&](std::size_t system, std::size_t trip) {
+                 scenario::LiveTrip live(vanlan, systems[system],
+                                         11100 + trip);
+                 return voip_trip(live, vanlan.trip_duration());
+               }));
 
   for (int channel : {1, 6}) {
     const scenario::Testbed bed = scenario::make_dieselnet(channel);
     const trace::Campaign campaign = beacon_campaign(
         bed, 2, 2, 777 + static_cast<std::uint64_t>(channel));
-    VoipOutcome brr, vifi;
-    for (std::size_t i = 0; i < campaign.trips.size(); ++i) {
-      const auto seed = 11200 + static_cast<std::uint64_t>(i);
-      // Cap call length: enough windows per trip, affordable with more
-      // trips for tighter medians.
-      const Time duration =
-          std::min(campaign.trips[i].duration - scenario::LiveTrip::warmup(),
-                   Time::seconds(360.0));
-      scenario::LiveTrip live_brr(bed, campaign.trips[i], brr_system(), seed);
-      brr.fold(run_voip_trip(live_brr, duration));
-      scenario::LiveTrip live_vifi(bed, campaign.trips[i], vifi_system(),
-                                   seed);
-      vifi.fold(run_voip_trip(live_vifi, duration));
-    }
-    table.add_row(
-        {"DieselNet Ch. " + std::to_string(channel) + " (trace-driven)",
-         TextTable::num(brr.median_session(), 1),
-         TextTable::num(vifi.median_session(), 1),
-         TextTable::num(brr.median_session() > 0
-                            ? vifi.median_session() / brr.median_session()
-                            : 0.0,
-                        2),
-         TextTable::num(brr.interruptions_per_hour(), 1),
-         TextTable::num(vifi.interruptions_per_hour(), 1)});
+    add_row("DieselNet Ch. " + std::to_string(channel) + " (trace-driven)",
+            map_grid(systems.size(), campaign.trips.size(),
+                     [&](std::size_t system, std::size_t trip) {
+                       const trace::MeasurementTrace& trip_trace =
+                           campaign.trips[trip];
+                       scenario::LiveTrip live(bed, trip_trace,
+                                               systems[system], 11200 + trip);
+                       // Cap call length: enough windows per trip,
+                       // affordable with more trips for tighter medians.
+                       return voip_trip(
+                           live, std::min(trip_trace.duration -
+                                              scenario::LiveTrip::warmup(),
+                                          Time::seconds(360.0)));
+                     }));
   }
 
   table.print(std::cout);

@@ -8,7 +8,6 @@
 
 #include <iostream>
 
-#include "apps/transfer_driver.h"
 #include "bench_util.h"
 
 using namespace vifi;
@@ -16,51 +15,31 @@ using namespace vifi::bench;
 
 namespace {
 
-struct EffOutcome {
-  double up = 0.0;
-  double down = 0.0;
-  double perfect_up = 0.0;
-  double perfect_down = 0.0;
+/// One trip's Fig. 12 counters.
+struct EffTrip {
+  double up_num = 0.0, up_den = 0.0, down_num = 0.0, down_den = 0.0;
+  core::EfficiencySummary eff;
 };
 
-EffOutcome run(const scenario::Testbed& bed, core::SystemConfig cfg,
-               int trips, std::uint64_t seed_base) {
+/// Trip-order fold: delivered per transmission pooled over trips, the
+/// PerfectRelay estimate averaged per trip.
+core::EfficiencySummary fold(const std::vector<EffTrip>& trips) {
   double up_num = 0, up_den = 0, down_num = 0, down_den = 0;
   double pu = 0, pd = 0;
-  int n = 0;
-  for (int trip = 0; trip < trips; ++trip) {
-    scenario::LiveTrip live(bed, cfg,
-                            seed_base + static_cast<std::uint64_t>(trip));
-    live.run_until(scenario::LiveTrip::warmup());
-    apps::TransferDriver down(live.simulator(), live.transport(),
-                              net::Direction::Downstream);
-    apps::TransferDriverParams up_params;
-    up_params.first_flow = 20000;
-    apps::TransferDriver up(live.simulator(), live.transport(),
-                            net::Direction::Upstream, up_params);
-    const Time end = live.simulator().now() + bed.trip_duration();
-    down.start(end);
-    up.start(end);
-    live.run_until(end + Time::seconds(2.0));
-
-    const auto& stats = live.system().stats();
-    up_num += static_cast<double>(stats.app_delivered(net::Direction::Upstream));
-    up_den += static_cast<double>(
-        stats.wireless_data_tx(net::Direction::Upstream));
-    down_num += static_cast<double>(
-        stats.app_delivered(net::Direction::Downstream));
-    down_den += static_cast<double>(
-        stats.wireless_data_tx(net::Direction::Downstream));
-    const auto eff = stats.efficiency();
-    pu += eff.perfect_up;
-    pd += eff.perfect_down;
-    ++n;
+  for (const EffTrip& t : trips) {
+    up_num += t.up_num;
+    up_den += t.up_den;
+    down_num += t.down_num;
+    down_den += t.down_den;
+    pu += t.eff.perfect_up;
+    pd += t.eff.perfect_down;
   }
-  EffOutcome out;
+  const auto n = static_cast<double>(trips.size());
+  core::EfficiencySummary out;
   out.up = up_den > 0 ? up_num / up_den : 0.0;
   out.down = down_den > 0 ? down_num / down_den : 0.0;
-  out.perfect_up = n ? pu / n : 0.0;
-  out.perfect_down = n ? pd / n : 0.0;
+  out.perfect_up = n > 0 ? pu / n : 0.0;
+  out.perfect_down = n > 0 ? pd / n : 0.0;
   return out;
 }
 
@@ -70,8 +49,28 @@ int main() {
   const scenario::Testbed bed = scenario::make_vanlan();
   const int trips = 4 * scale();
 
-  const EffOutcome brr = run(bed, brr_system(), trips, 12000);
-  const EffOutcome vifi = run(bed, vifi_system(), trips, 12000);
+  // BRR's trips, then ViFi's, on the same seeds.
+  const std::vector<core::SystemConfig> systems{brr_system(), vifi_system()};
+  const auto runs = map_grid(
+      systems.size(), static_cast<std::size_t>(trips),
+      [&](std::size_t system, std::size_t trip) {
+        scenario::LiveTrip live(bed, systems[system], 12000 + trip);
+        tcp_pair_trip(live, bed.trip_duration());
+        const auto& stats = live.system().stats();
+        EffTrip t;
+        t.up_num = static_cast<double>(
+            stats.app_delivered(net::Direction::Upstream));
+        t.up_den = static_cast<double>(
+            stats.wireless_data_tx(net::Direction::Upstream));
+        t.down_num = static_cast<double>(
+            stats.app_delivered(net::Direction::Downstream));
+        t.down_den = static_cast<double>(
+            stats.wireless_data_tx(net::Direction::Downstream));
+        t.eff = stats.efficiency();
+        return t;
+      });
+  const auto brr = fold(runs[0]);
+  const auto vifi = fold(runs[1]);
 
   TextTable table(
       "Figure 12 — packets delivered per wireless data transmission");

@@ -9,7 +9,6 @@
 
 #include <iostream>
 
-#include "apps/transfer_driver.h"
 #include "bench_util.h"
 
 using namespace vifi;
@@ -19,33 +18,23 @@ int main() {
   const scenario::Testbed bed = scenario::make_vanlan();
   const int trips = 4 * scale();
 
-  core::VifiStats merged;  // we merge by summing per-trip summaries instead
-  std::vector<core::CoordinationSummary> up_s, down_s;
-  for (int trip = 0; trip < trips; ++trip) {
-    scenario::LiveTrip live(bed, vifi_system(),
-                            13000 + static_cast<std::uint64_t>(trip));
-    live.run_until(scenario::LiveTrip::warmup());
-    apps::TransferDriver down(live.simulator(), live.transport(),
-                              net::Direction::Downstream);
-    apps::TransferDriverParams up_params;
-    up_params.first_flow = 20000;
-    apps::TransferDriver up(live.simulator(), live.transport(),
-                            net::Direction::Upstream, up_params);
-    const Time end = live.simulator().now() + bed.trip_duration();
-    down.start(end);
-    up.start(end);
-    live.run_until(end + Time::seconds(2.0));
-    up_s.push_back(live.system().stats().coordination(
-        net::Direction::Upstream));
-    down_s.push_back(live.system().stats().coordination(
-        net::Direction::Downstream));
-  }
+  struct Coordination {
+    core::CoordinationSummary up, down;
+  };
+  const std::vector<Coordination> runs =
+      map_trips(static_cast<std::size_t>(trips), [&](std::size_t trip) {
+        scenario::LiveTrip live(bed, vifi_system(), 13000 + trip);
+        tcp_pair_trip(live, bed.trip_duration());
+        const auto& stats = live.system().stats();
+        return Coordination{stats.coordination(net::Direction::Upstream),
+                            stats.coordination(net::Direction::Downstream)};
+      });
 
   // Attempt-weighted averages across trips.
-  auto avg = [](const std::vector<core::CoordinationSummary>& v,
-                auto field) {
+  auto avg = [&](auto dir, auto field) {
     double num = 0.0, den = 0.0;
-    for (const auto& s : v) {
+    for (const auto& run : runs) {
+      const core::CoordinationSummary& s = run.*dir;
       num += field(s) * static_cast<double>(s.attempts);
       den += static_cast<double>(s.attempts);
     }
@@ -54,8 +43,8 @@ int main() {
   using S = core::CoordinationSummary;
   auto row = [&](const char* id, const char* label, auto field,
                  bool pct) {
-    const double u = avg(up_s, field);
-    const double d = avg(down_s, field);
+    const double u = avg(&Coordination::up, field);
+    const double d = avg(&Coordination::down, field);
     return std::vector<std::string>{
         id, label, pct ? TextTable::pct(u) : TextTable::num(u, 1),
         pct ? TextTable::pct(d) : TextTable::num(d, 1)};

@@ -8,7 +8,6 @@
 
 #include <iostream>
 
-#include "apps/cbr.h"
 #include "bench_util.h"
 
 using namespace vifi;
@@ -18,35 +17,35 @@ int main() {
   const scenario::Testbed bed = scenario::make_dieselnet(1);
   const trace::Campaign campaign = beacon_campaign(bed, 2, 1, 556);
 
+  const std::vector<std::pair<std::string, core::RelayVariant>> variants{
+      {"ViFi", core::RelayVariant::ViFi},
+      {"!G1 (ignore other relays)", core::RelayVariant::NoG1},
+      {"!G2 (ignore connectivity)", core::RelayVariant::NoG2},
+      {"!G3 (expected deliveries = 1)", core::RelayVariant::NoG3}};
+  const auto runs = map_grid(
+      variants.size(), campaign.trips.size(),
+      [&](std::size_t variant, std::size_t trip) {
+        core::SystemConfig cfg = vifi_system();
+        cfg.vifi.variant = variants[variant].second;
+        cfg.vifi.max_retx = 0;  // isolate the coordination mechanism
+        const trace::MeasurementTrace& trip_trace = campaign.trips[trip];
+        scenario::LiveTrip live(bed, trip_trace, cfg, 14000 + trip);
+        cbr_trip(live, trip_trace.duration - scenario::LiveTrip::warmup());
+        return live.system().stats().coordination(net::Direction::Downstream);
+      });
+
   TextTable table(
       "Table 2 — downstream coordination mechanisms, DieselNet Ch. 1");
   table.set_header({"mechanism", "false positives", "false negatives"});
-
-  for (const auto& [name, variant] :
-       std::vector<std::pair<std::string, core::RelayVariant>>{
-           {"ViFi", core::RelayVariant::ViFi},
-           {"!G1 (ignore other relays)", core::RelayVariant::NoG1},
-           {"!G2 (ignore connectivity)", core::RelayVariant::NoG2},
-           {"!G3 (expected deliveries = 1)", core::RelayVariant::NoG3}}) {
+  for (std::size_t v = 0; v < variants.size(); ++v) {
     double fp_num = 0.0, fn_num = 0.0, den = 0.0;
-    for (std::size_t i = 0; i < campaign.trips.size(); ++i) {
-      core::SystemConfig cfg = vifi_system();
-      cfg.vifi.variant = variant;
-      cfg.vifi.max_retx = 0;  // isolate the coordination mechanism
-      scenario::LiveTrip live(bed, campaign.trips[i], cfg,
-                              14000 + static_cast<std::uint64_t>(i));
-      live.run_until(scenario::LiveTrip::warmup());
-      apps::CbrWorkload cbr(live.simulator(), live.transport());
-      const Time end = campaign.trips[i].duration;
-      cbr.start(end);
-      live.run_until(end + Time::seconds(1.0));
-      const auto s = live.system().stats().coordination(
-          net::Direction::Downstream);
+    for (const core::CoordinationSummary& s : runs[v]) {
       fp_num += s.false_positive_rate * static_cast<double>(s.attempts);
       fn_num += s.false_negative_rate * static_cast<double>(s.attempts);
       den += static_cast<double>(s.attempts);
     }
-    table.add_row({name, TextTable::pct(den > 0 ? fp_num / den : 0.0),
+    table.add_row({variants[v].first,
+                   TextTable::pct(den > 0 ? fp_num / den : 0.0),
                    TextTable::pct(den > 0 ? fn_num / den : 0.0)});
   }
   table.print(std::cout);

@@ -7,9 +7,9 @@
 // VoIP session lengths in the simulations are within five seconds of the
 // session lengths observed for the deployed prototype."
 
+#include <cmath>
 #include <iostream>
 
-#include "apps/voip.h"
 #include "bench_util.h"
 
 using namespace vifi;
@@ -28,37 +28,31 @@ int main() {
   cc.log_bs_beacons = true;
   const trace::Campaign campaign = generate_campaign(bed, cc);
 
+  // Per trip, the deployment run then its trace-driven replay, on the
+  // same seed.
+  const auto calls = map_grid(
+      static_cast<std::size_t>(trips), 2,
+      [&](std::size_t trip, std::size_t replayed) {
+        const std::uint64_t seed = 16100 + trip;
+        if (replayed == 0) {
+          scenario::LiveTrip deployed(bed, vifi_system(), seed);
+          return voip_trip(deployed, bed.trip_duration());
+        }
+        scenario::LiveTrip replay(bed, campaign.trips[trip], vifi_system(),
+                                  seed, /*use_bs_beacon_logs=*/true);
+        return voip_trip(replay, bed.trip_duration());
+      });
+
   TextTable table(
       "§5.1 validation — deployment vs trace-driven simulation (VoIP)");
   table.set_header({"trip", "deployment median session (s)",
                     "trace-driven median session (s)", "difference (s)"});
-
-  std::vector<double> dep_sessions, sim_sessions;
-  for (int t = 0; t < trips; ++t) {
-    const auto seed = 16100 + static_cast<std::uint64_t>(t);
-
-    scenario::LiveTrip deployed(bed, vifi_system(), seed);
-    deployed.run_until(scenario::LiveTrip::warmup());
-    apps::VoipCall call_a(deployed.simulator(), deployed.transport());
-    const Time end_a = deployed.simulator().now() + bed.trip_duration();
-    call_a.start(end_a);
-    deployed.run_until(end_a + Time::seconds(1.0));
-    const auto res_a = call_a.result();
-    dep_sessions.insert(dep_sessions.end(), res_a.session_lengths_s.begin(),
-                        res_a.session_lengths_s.end());
-
-    scenario::LiveTrip replay(bed, campaign.trips[static_cast<std::size_t>(t)],
-                              vifi_system(), seed,
-                              /*use_bs_beacon_logs=*/true);
-    replay.run_until(scenario::LiveTrip::warmup());
-    apps::VoipCall call_b(replay.simulator(), replay.transport());
-    const Time end_b = replay.simulator().now() + bed.trip_duration();
-    call_b.start(end_b);
-    replay.run_until(end_b + Time::seconds(1.0));
-    const auto res_b = call_b.result();
-    sim_sessions.insert(sim_sessions.end(), res_b.session_lengths_s.begin(),
-                        res_b.session_lengths_s.end());
-
+  VoipTally dep_tally, sim_tally;
+  for (std::size_t t = 0; t < calls.size(); ++t) {
+    const apps::VoipResult& res_a = calls[t][0];
+    const apps::VoipResult& res_b = calls[t][1];
+    dep_tally.add(res_a);
+    sim_tally.add(res_b);
     table.add_row({std::to_string(t),
                    TextTable::num(res_a.median_session_s, 1),
                    TextTable::num(res_b.median_session_s, 1),
@@ -71,8 +65,8 @@ int main() {
   // The paper compares aggregate session lengths: per-trip medians are
   // noisy (one extra interruption halves a trip's median), so the pooled
   // median is the meaningful fidelity check.
-  const double dep_median = analysis::median_session_length(dep_sessions);
-  const double sim_median = analysis::median_session_length(sim_sessions);
+  const double dep_median = dep_tally.median_session();
+  const double sim_median = sim_tally.median_session();
   std::cout << "\nPooled median session: deployment="
             << TextTable::num(dep_median, 1)
             << "s trace-driven=" << TextTable::num(sim_median, 1)

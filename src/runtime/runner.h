@@ -11,6 +11,11 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "runtime/experiment.h"
@@ -47,6 +52,31 @@ class Runner {
   /// (plus shared *immutable* state) for thread-count invariance, and
   /// should set PointResult::index to the given index.
   ResultSink run_indexed(std::size_t n, const IndexFn& fn) const;
+
+  /// Typed, order-preserving form of run_indexed: returns fn(i) for every i
+  /// in [0, n), in index order. \p fn is called concurrently and must
+  /// depend only on its index (plus shared immutable state). If any index
+  /// throws, the call throws std::runtime_error("index I: <what>") for the
+  /// lowest failing I once every index has run.
+  template <class Fn,
+            class R = std::decay_t<std::invoke_result_t<Fn&, std::size_t>>>
+  std::vector<R> map(std::size_t n, Fn&& fn) const {
+    std::vector<std::optional<R>> slots(n);
+    const ResultSink sink = run_indexed(n, [&](std::size_t i) {
+      slots[i].emplace(fn(i));
+      PointResult status;
+      status.index = i;
+      return status;
+    });
+    for (const PointResult& status : sink.ordered())
+      if (!status.error.empty())
+        throw std::runtime_error("index " + std::to_string(status.index) +
+                                 ": " + status.error);
+    std::vector<R> out;
+    out.reserve(n);
+    for (auto& slot : slots) out.push_back(std::move(*slot));
+    return out;
+  }
 
  private:
   int threads_;

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <set>
 #include <stdexcept>
@@ -185,6 +186,59 @@ TEST(Runner, EmptySweepYieldsEmptySink) {
       runner.run_indexed(0, [](std::size_t) { return PointResult{}; });
   EXPECT_EQ(sink.size(), 0u);
   EXPECT_FALSE(sink.any_errors());
+}
+
+// A non-trivial per-index result: a vector whose length and contents both
+// depend on the index.
+std::vector<std::uint64_t> digest_of(std::size_t i) {
+  std::vector<std::uint64_t> out(i % 5 + 1);
+  for (std::size_t k = 0; k < out.size(); ++k) out[k] = mix_seed(i, k);
+  return out;
+}
+
+TEST(RunnerMap, ReturnsResultsInIndexOrderOnAnyWorkerCount) {
+  std::vector<std::vector<std::uint64_t>> want;
+  for (std::size_t i = 0; i < 53; ++i) want.push_back(digest_of(i));
+  for (const int threads : {1, 2, 8}) {
+    const auto got = Runner({.threads = threads}).map(53, digest_of);
+    EXPECT_EQ(got, want) << threads << " threads";
+  }
+}
+
+TEST(RunnerMap, AcceptsMoveOnlyResults) {
+  const auto got = Runner({.threads = 4}).map(9, [](std::size_t i) {
+    return std::make_unique<std::size_t>(i * i);
+  });
+  ASSERT_EQ(got.size(), 9u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_NE(got[i], nullptr);
+    EXPECT_EQ(*got[i], i * i);
+  }
+}
+
+TEST(RunnerMap, EmptyRangeNeverCallsFn) {
+  int calls = 0;
+  const auto got = Runner({.threads = 4}).map(0, [&](std::size_t) {
+    ++calls;
+    return 1;
+  });
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(calls, 0);
+}
+
+TEST(RunnerMap, RethrowsTheLowestFailingIndex) {
+  for (const int threads : {1, 4}) {
+    try {
+      Runner({.threads = threads}).map(20, [](std::size_t i) {
+        if (i == 13) throw std::runtime_error("late");
+        if (i == 7) throw std::runtime_error("early");
+        return i;
+      });
+      ADD_FAILURE() << "map did not throw at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 7: early") << threads << " threads";
+    }
+  }
 }
 
 // The core determinism contract: the serialised output of a sweep is a pure
