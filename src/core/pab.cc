@@ -19,28 +19,37 @@ void PabTable::note_beacon(NodeId from, Time now) {
 
 void PabTable::fold_reports(const std::vector<mac::ProbReport>& reports,
                             Time now) {
+  Transmitter* row = nullptr;
+  for (const mac::ProbReport& r : reports) file(row, r, now);
+}
+
+void PabTable::fold_own_reports(const std::vector<mac::ProbReport>& reports,
+                                Time now) {
+  Transmitter* row = nullptr;
+  for (const mac::ProbReport& r : reports)
+    if (r.from == self_) file(row, r, now);
+}
+
+void PabTable::file(Transmitter*& row, const mac::ProbReport& r, Time now) {
+  if (!r.from.valid() || !r.to.valid()) return;
+  if (r.to == self_) return;  // we know our own incoming better
   // A beacon's reports come in runs sharing a transmitter (the sender's
   // reverse estimates), so the row is looked up once per run.
-  Transmitter* row = nullptr;
-  for (const mac::ProbReport& r : reports) {
-    if (!r.from.valid() || !r.to.valid()) continue;
-    if (r.to == self_) continue;  // we know our own incoming better
-    if (row == nullptr || row->from != r.from) {
-      auto it = std::lower_bound(
-          remote_.begin(), remote_.end(), r.from,
-          [](const Transmitter& t, NodeId from) { return t.from < from; });
-      if (it == remote_.end() || it->from != r.from)
-        it = remote_.insert(it, Transmitter{r.from, {}});
-      row = &*it;
-    }
-    auto link = std::lower_bound(
-        row->links.begin(), row->links.end(), r.to,
-        [](const Remote& l, NodeId to) { return l.to < to; });
-    if (link == row->links.end() || link->to != r.to)
-      link = row->links.insert(link, Remote{r.to, 0.0, now});
-    link->prob = std::clamp(r.prob, 0.0, 1.0);
-    link->last_update = now;
+  if (row == nullptr || row->from != r.from) {
+    auto it = std::lower_bound(
+        remote_.begin(), remote_.end(), r.from,
+        [](const Transmitter& t, NodeId from) { return t.from < from; });
+    if (it == remote_.end() || it->from != r.from)
+      it = remote_.insert(it, Transmitter{r.from, {}});
+    row = &*it;
   }
+  auto link = std::lower_bound(
+      row->links.begin(), row->links.end(), r.to,
+      [](const Remote& l, NodeId to) { return l.to < to; });
+  if (link == row->links.end() || link->to != r.to)
+    link = row->links.insert(link, Remote{r.to, 0.0, now});
+  link->prob = std::clamp(r.prob, 0.0, 1.0);
+  link->last_update = now;
 }
 
 void PabTable::tick_second(Time now) {

@@ -14,6 +14,11 @@
 /// Gossip is filed by transmitter, so a node's own reverse estimates are
 /// one row, and entries past the freshness window are evicted once per
 /// second, which bounds the table over long trips.
+///
+/// Who files what: a BS folds every row (fold_reports), because its relay
+/// decisions read links between other nodes. A vehicle only ever gossips
+/// its own row back and reads nothing else from the table, so it folds
+/// that row alone (fold_own_reports) and skips the rest of each beacon.
 
 #include <map>
 #include <vector>
@@ -37,6 +42,11 @@ class PabTable {
 
   /// Merges gossip carried in a received beacon.
   void fold_reports(const std::vector<mac::ProbReport>& reports, Time now);
+
+  /// Merges only the beacon's reports about this node's own outgoing links
+  /// (from == self): the one gossip row export_reports() reads.
+  void fold_own_reports(const std::vector<mac::ProbReport>& reports,
+                        Time now);
 
   /// Rolls the current second's beacon counts into the exponential
   /// averages and evicts gossip older than the freshness window. Call once
@@ -88,6 +98,9 @@ class PabTable {
     return (now - last_update).to_seconds() > kFreshnessSeconds;
   }
   const Transmitter* transmitter(NodeId from) const;
+  /// Files one report; \p row caches the previous report's transmitter
+  /// row, since a beacon's reports come in runs sharing one.
+  void file(Transmitter*& row, const mac::ProbReport& r, Time now);
 
   NodeId self_;
   int beacons_per_second_;

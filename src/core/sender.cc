@@ -48,7 +48,7 @@ void VifiSender::enqueue(net::PacketRef packet) {
   Entry e;
   e.packet = std::move(packet);
   e.next_ready = sim_.now();
-  e.order = next_order_++;
+  ++queued_[e.packet->id];
   entries_.push_back(std::move(e));
   pump();
 }
@@ -62,11 +62,13 @@ Time VifiSender::retx_interval() const {
 
 void VifiSender::acknowledge(std::uint64_t packet_id, Time now,
                              bool explicit_ack) {
+  // Late, duplicate or another sender's ack: almost every offer at a BS.
+  if (!queued_.contains(packet_id)) return;
   const auto it =
       std::find_if(entries_.begin(), entries_.end(), [packet_id](const Entry& e) {
         return e.packet->id == packet_id;
       });
-  if (it == entries_.end()) return;  // late or duplicate ack
+  VIFI_EXPECTS(it != entries_.end());
   if (explicit_ack && it->attempts > 0) {
     // Delay measured from the latest attempt: unique per-packet ids keep
     // acks from being credited to older *packets*; crediting an older
@@ -76,6 +78,13 @@ void VifiSender::acknowledge(std::uint64_t packet_id, Time now,
     if (ack_delays_s_.size() > kDelayWindow) ack_delays_s_.pop_front();
   }
   ++acked_;
+  unqueue(it);
+}
+
+void VifiSender::unqueue(std::list<Entry>::iterator it) {
+  const auto count = queued_.find(it->packet->id);
+  VIFI_EXPECTS(count != queued_.end());
+  if (--count->second == 0) queued_.erase(count);
   entries_.erase(it);
 }
 
@@ -84,21 +93,18 @@ void VifiSender::pump() {
   if (!hop_dst_ || !hop_dst_().valid()) return;
   const Time now = sim_.now();
 
-  // Earliest-queued packet that is ready (§4.7).
-  Entry* ready = nullptr;
+  // Earliest-queued packet that is ready (§4.7): the queue is in arrival
+  // order, so that is the first ready entry. Only when none is ready does
+  // the scan run to the end, for the earliest wake-up.
   Time earliest_future = Time::max();
-  for (Entry& e : entries_) {
-    if (e.next_ready <= now) {
-      if (ready == nullptr || e.order < ready->order) ready = &e;
-    } else {
-      earliest_future = std::min(earliest_future, e.next_ready);
+  for (auto e = entries_.begin(); e != entries_.end(); ++e) {
+    if (e->next_ready <= now) {
+      transmit(e);
+      return;
     }
+    earliest_future = std::min(earliest_future, e->next_ready);
   }
-  if (ready == nullptr) {
-    if (earliest_future < Time::max()) arm_wake(earliest_future);
-    return;
-  }
-  transmit(*ready);
+  if (earliest_future < Time::max()) arm_wake(earliest_future);
 }
 
 void VifiSender::arm_wake(Time at) {
@@ -111,7 +117,8 @@ void VifiSender::arm_wake(Time at) {
   });
 }
 
-void VifiSender::transmit(Entry& e) {
+void VifiSender::transmit(std::list<Entry>::iterator it) {
+  Entry& e = *it;
   const Time now = sim_.now();
   ++e.attempts;
   e.last_tx = now;
@@ -140,9 +147,8 @@ void VifiSender::transmit(Entry& e) {
   if (last_attempt) {
     // No more attempts: the entry leaves the queue once the frame is out.
     const net::PacketRef packet = e.packet;
-    const std::uint64_t order = e.order;
     const int attempts = e.attempts;
-    entries_.remove_if([order](const Entry& x) { return x.order == order; });
+    unqueue(it);
     ++dropped_;
     radio_.send(std::move(f));
     if (obs::TraceRecorder* rec = obs::current_recorder())

@@ -14,6 +14,7 @@
 #include <deque>
 #include <functional>
 #include <list>
+#include <unordered_map>
 #include <vector>
 
 #include "core/config.h"
@@ -71,11 +72,12 @@ class VifiSender {
     int attempts = 0;
     Time next_ready;       ///< Earliest time the next attempt may go out.
     Time last_tx;          ///< When the latest attempt was enqueued to air.
-    std::uint64_t order;   ///< FIFO order of arrival.
     std::uint64_t link_seq = 0;  ///< Stream sequence, set at first tx.
   };
 
-  void transmit(Entry& e);
+  void transmit(std::list<Entry>::iterator it);
+  /// Removes a queued entry (acked, or out of attempts).
+  void unqueue(std::list<Entry>::iterator it);
   void arm_wake(Time at);
 
   sim::Simulator& sim_;
@@ -89,8 +91,15 @@ class VifiSender {
   std::function<void(const net::PacketRef&)> on_drop_;
   VifiStats* stats_ = nullptr;
 
+  /// The retransmission queue, in arrival order: entries are only ever
+  /// pushed at the back, so the first ready entry is the earliest-queued
+  /// ready one.
   std::list<Entry> entries_;
-  std::uint64_t next_order_ = 0;
+  /// How many entries hold each queued packet id. A BS offers every
+  /// overheard ack to each of its per-vehicle senders, and almost all of
+  /// them miss; this answers those without walking the queue. A count, not
+  /// a set, because a salvage round trip can queue one packet twice.
+  std::unordered_map<std::uint64_t, std::uint32_t> queued_;
   std::uint64_t next_link_seq_ = 0;
   std::deque<double> ack_delays_s_;  ///< Sliding window of samples.
   sim::EventId wake_{};

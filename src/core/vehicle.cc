@@ -162,12 +162,13 @@ void VifiVehicle::on_frame(const mac::Frame& f) {
       // Another vehicle's beacon is not a BS: it must never enter the
       // neighbor set anchor/auxiliary selection draws from (§4.3). With a
       // fleet on one medium a vehicle would otherwise anchor on a passing
-      // vehicle and starve. Its gossiped reports still fold.
+      // vehicle and starve. Its gossiped reports still fold, though only
+      // this vehicle's own row: nothing here reads the others.
       if (obs::TraceRecorder* rec = obs::current_recorder())
         rec->record(obs::EventKind::BeaconRx, now, self(), f.tx, 0, 0.0, 0.0,
                     f.beacon.from_vehicle ? 1 : 0);
       if (!f.beacon.from_vehicle) pab_.note_beacon(f.tx, now);
-      pab_.fold_reports(f.beacon.prob_reports, now);
+      pab_.fold_own_reports(f.beacon.prob_reports, now);
       break;
     case mac::FrameType::Ack:
       sender_.acknowledge(f.ack.packet_id, now, /*explicit_ack=*/true);

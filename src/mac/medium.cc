@@ -59,31 +59,46 @@ void Medium::attach(NodeId node, FrameSink* sink) {
     cull_channel_.push_back(params_.culling->channel_of
                                 ? params_.culling->channel_of(node)
                                 : 0);
-    cull_fresh_ = false;  // the new node needs a cell before the next frame
   }
+  // Every list gains the new node (with culling, once it has a cell).
+  receivers_fresh_ = false;
 }
 
-void Medium::refresh_cells(Time now) {
-  const SpatialCulling& c = *params_.culling;
-  if (cull_fresh_ && now - cull_refreshed_ < c.refresh) return;
-  for (std::size_t i = 0; i < ports_.size(); ++i) {
-    const mobility::Vec2 p = c.position(ports_[i].node, now);
-    cull_cell_[i] = {static_cast<std::int32_t>(std::floor(p.x / cull_cell_size_)),
-                     static_cast<std::int32_t>(std::floor(p.y / cull_cell_size_))};
+void Medium::refresh_receivers(Time now) {
+  const SpatialCulling* c = params_.culling ? &*params_.culling : nullptr;
+  if (receivers_fresh_ && (c == nullptr || now - cull_refreshed_ < c->refresh))
+    return;
+  if (c != nullptr) {
+    for (std::size_t i = 0; i < ports_.size(); ++i) {
+      const mobility::Vec2 p = c->position(ports_[i].node, now);
+      cull_cell_[i] = {
+          static_cast<std::int32_t>(std::floor(p.x / cull_cell_size_)),
+          static_cast<std::int32_t>(std::floor(p.y / cull_cell_size_))};
+    }
+    cull_refreshed_ = now;
   }
-  cull_refreshed_ = now;
-  cull_fresh_ = true;
+  // The cull test is symmetric, so each pair is tested once. Lists fill
+  // from the lower-indexed end of each pair first, which leaves every one
+  // in ascending attach order, the order transmit() samples in.
+  for (Port& p : ports_) p.receivers.clear();
+  for (std::size_t a = 0; a < ports_.size(); ++a)
+    for (std::size_t b = a + 1; b < ports_.size(); ++b)
+      if (c == nullptr || !culled(a, b)) {
+        ports_[a].receivers.push_back(static_cast<std::uint32_t>(b));
+        ports_[b].receivers.push_back(static_cast<std::uint32_t>(a));
+      }
+  receivers_fresh_ = true;
 }
 
-bool Medium::culled(std::size_t tx_idx, std::size_t rx_idx) const {
-  if (cull_channel_[tx_idx] != cull_channel_[rx_idx]) return true;
+bool Medium::culled(std::size_t a, std::size_t b) const {
+  if (cull_channel_[a] != cull_channel_[b]) return true;
   // Two points in cells (di, dj) apart are at least
   // hypot(max(0,|di|-1), max(0,|dj|-1)) * cell apart. Cull only when that
   // floor exceeds max_audible + 2*margin: the pair was provably out of
   // audible range at refresh time, and the margin absorbs what both
   // endpoints can have moved since.
-  const auto [ax, ay] = cull_cell_[tx_idx];
-  const auto [bx, by] = cull_cell_[rx_idx];
+  const auto [ax, ay] = cull_cell_[a];
+  const auto [bx, by] = cull_cell_[b];
   const double dx =
       std::max(0, std::abs(ax - bx) - 1) * cull_cell_size_;
   const double dy =
@@ -132,14 +147,11 @@ Time Medium::transmit(Frame frame) {
   // Sample decode + audibility per receiver at start-of-frame, one channel
   // evaluation each. Channel coherence over one frame (< 5 ms) is
   // reasonable at vehicular speeds. With spatial culling enabled, provably
-  // sub-audibility receivers skip the sampling entirely; the survivors keep
-  // attach order, so the shared draw sequence stays a deterministic
-  // function of positions + schedule.
-  const bool cull = params_.culling.has_value();
-  if (cull) refresh_cells(now);
-  for (std::size_t i = 0; i < ports_.size(); ++i) {
-    if (i == tx_idx) continue;
-    if (cull && culled(tx_idx, i)) continue;
+  // sub-audibility receivers are off the sender's list and skip the
+  // sampling entirely; the survivors keep attach order, so the shared draw
+  // sequence stays a deterministic function of positions + schedule.
+  refresh_receivers(now);
+  for (const std::uint32_t i : ports_[tx_idx].receivers) {
     Port& rx = ports_[i];
     // Decode sampling also advances burst state for sub-threshold links,
     // keeping the stochastic processes in sync with wall-clock time.
@@ -148,7 +160,7 @@ Time Medium::transmit(Frame frame) {
     ++rx.ledger.decode_attempts;
     ++decode_attempts_;
     if (r.delivered) {
-      tx.decoders.push_back(static_cast<std::uint32_t>(i));
+      tx.decoders.push_back(i);
       if (rec)
         rec->record(obs::EventKind::FrameDecode, now, rx.node, tx.tx,
                     tx.frame.data.packet_id, r.prob, 0.0,
@@ -269,9 +281,14 @@ Time Medium::busy_until(NodeId listener, Time now) {
   Time until = now;
   Port* p = port(listener);
   if (p == nullptr) return until;
-  std::erase_if(p->heard, [this](const Heard& h) { return pruned(h.end); });
-  for (const Heard& h : p->heard)
-    if (h.end > now) until = std::max(until, h.end);
+  // Compact the pruned entries out and take the latest end in one pass.
+  auto kept = p->heard.begin();
+  for (const Heard& h : p->heard) {
+    if (pruned(h.end)) continue;
+    until = std::max(until, h.end);
+    *kept++ = h;
+  }
+  p->heard.erase(kept, p->heard.end());
   return until;
 }
 

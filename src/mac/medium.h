@@ -12,11 +12,14 @@
 /// counters (see airtime.h for the counting model) and snapshotted as
 /// MediumStats for fairness analysis.
 ///
-/// Per-frame cost: one LossModel::sample() per surviving receiver, and a
-/// per-listener airtime index (the transmissions audible at each node plus
-/// its own) that carrier sense and the collision check scan instead of
-/// every frame on the air. Nodes live in dense attach-order ports, so the
-/// hot path never hashes a node id.
+/// Per-frame cost: one LossModel::sample() per receiver on the sender's
+/// receiver list, and a per-listener airtime index (the transmissions
+/// audible at each node plus its own) that carrier sense and the collision
+/// check scan instead of every frame on the air. Nodes live in dense
+/// attach-order ports, so the hot path never hashes a node id, and each
+/// port's receiver list (every other port, or with culling the ones that
+/// survive the cell test) is rebuilt only when a node attaches or the cull
+/// cells refresh, never per frame.
 
 #include <cstdint>
 #include <deque>
@@ -63,10 +66,11 @@ struct SpatialCulling {
   /// Links longer than this are provably sub-audibility.
   double max_audible_m = 250.0;
   /// Grid cell edge in meters; 0 derives (max_audible_m + 2*margin_m) / 8.
-  /// The cull check is O(1) per pair regardless of cell size, so smaller
-  /// cells only sharpen the keep radius (cell-quantisation slack is about
-  /// one cell diagonal); the floor is keeping cell indices well inside
-  /// 32-bit for any plausible coordinate.
+  /// Each refresh tests every pair once, at the same cost whatever the
+  /// cell size, to rebuild the per-port receiver lists; smaller cells only
+  /// sharpen the keep radius (cell-quantisation slack is about one cell
+  /// diagonal), and the floor is keeping cell indices well inside 32-bit
+  /// for any plausible coordinate.
   double cell_m = 0.0;
   /// Cached cell coordinates refresh when older than this.
   Time refresh = Time::millis(250);
@@ -183,6 +187,10 @@ class Medium {
     /// node's own, not yet pruned. busy_until() and the collision check read
     /// only this, never the whole on-air set.
     std::vector<Heard> heard;
+    /// Ports that sample this node's transmissions, in ascending attach
+    /// order: every other port, or with culling the ones that survived the
+    /// latest cell refresh. Valid while receivers_fresh_.
+    std::vector<std::uint32_t> receivers;
   };
 
   std::int32_t index_of(NodeId node) const;  ///< -1: not attached
@@ -192,8 +200,8 @@ class Medium {
   bool pruned(Time end) const { return end < pruned_before_; }
   void finish(std::uint64_t seq);
   void prune(Time now);
-  void refresh_cells(Time now);
-  bool culled(std::size_t tx_idx, std::size_t rx_idx) const;
+  void refresh_receivers(Time now);
+  bool culled(std::size_t a, std::size_t b) const;
 
   sim::Simulator& sim_;
   channel::LossModel& loss_;
@@ -201,12 +209,14 @@ class Medium {
   std::vector<Port> ports_;
   /// Node id -> index into ports_ (-1: not attached).
   std::vector<std::int32_t> port_of_;
+  /// False after an attach: every port's receiver list needs a rebuild
+  /// (with culling, from freshly sampled cells) before the next frame.
+  bool receivers_fresh_ = false;
   /// Spatial-culling state, parallel to ports_; empty and unused when
   /// params_.culling is unset.
   std::vector<std::pair<std::int32_t, std::int32_t>> cull_cell_;
   std::vector<int> cull_channel_;
   Time cull_refreshed_;
-  bool cull_fresh_ = false;
   double cull_cell_size_ = 0.0;
   double cull_range_sq_ = 0.0;  ///< (max_audible + 2*margin)^2, m^2.
   /// Includes recently finished transmissions, in seq order. A deque so

@@ -1,16 +1,25 @@
 // Unit tests for ViFi core components: pab estimation/gossip, the relay
 // probability computation (Eq. 1-3 and the ¬G variants), the sender's
-// adaptive retransmission, stats accounting, and the id set.
+// acknowledgment handling and retransmission order, stats accounting, and
+// the id set.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
 
+#include "channel/loss_model.h"
 #include "core/id_set.h"
 #include "core/pab.h"
 #include "core/relay_policy.h"
+#include "core/sender.h"
 #include "core/stats.h"
+#include "mac/medium.h"
+#include "mac/radio.h"
+#include "net/packet.h"
+#include "sim/simulator.h"
 #include "util/contracts.h"
+#include "util/rng.h"
 
 namespace vifi::core {
 namespace {
@@ -130,6 +139,48 @@ TEST(PabTable, RecentNeighbors) {
   const auto recent =
       pab.recent_neighbors(Time::seconds(6.0), Time::seconds(3.0));
   EXPECT_EQ(recent, (std::vector<NodeId>{NodeId(2)}));
+}
+
+TEST(PabTable, VehicleFilesItsOwnRowOnlyWhileBsFilesEveryRow) {
+  // BS 1's beacon: its incoming estimates from vehicles 9 and 7 and from
+  // BS 2, and its reverse row to both vehicles.
+  const std::vector<mac::ProbReport> beacon = {
+      {NodeId(2), NodeId(1), 0.4}, {NodeId(7), NodeId(1), 0.3},
+      {NodeId(9), NodeId(1), 0.8}, {NodeId(1), NodeId(7), 0.6},
+      {NodeId(1), NodeId(9), 0.5}};
+  const Time t = Time::seconds(1.0);
+  // Vehicle 9, folding only its own row, against a table filing every row.
+  PabTable own(NodeId(9), 10, 0.5);
+  PabTable every(NodeId(9), 10, 0.5);
+  for (PabTable* pab : {&own, &every}) {
+    for (int i = 0; i < 7; ++i)
+      pab->note_beacon(NodeId(1), Time::millis(i * 100.0));
+    pab->tick_second(t);
+  }
+  own.fold_own_reports(beacon, t);
+  every.fold_reports(beacon, t);
+  EXPECT_EQ(own.gossip_entries(), 1u);
+  EXPECT_EQ(every.gossip_entries(), 4u);
+  EXPECT_DOUBLE_EQ(own.get(NodeId(9), NodeId(1), t), 0.8);
+  const auto as_tuples = [](const std::vector<mac::ProbReport>& reports) {
+    std::vector<std::tuple<NodeId, NodeId, double>> out;
+    for (const mac::ProbReport& r : reports)
+      out.emplace_back(r.from, r.to, r.prob);
+    return out;
+  };
+  const auto exported = as_tuples(own.export_reports(t));
+  EXPECT_EQ(exported, as_tuples(every.export_reports(t)));
+  EXPECT_EQ(exported, (std::vector<std::tuple<NodeId, NodeId, double>>{
+                          {NodeId(1), NodeId(9), 0.7},
+                          {NodeId(9), NodeId(1), 0.8}}));
+
+  // BS 3 hears the same beacon: relay decisions need every row.
+  PabTable bs(NodeId(3), 10, 0.5);
+  bs.fold_reports(beacon, t);
+  EXPECT_EQ(bs.gossip_entries(), beacon.size());
+  for (const mac::ProbReport& r : beacon)
+    EXPECT_DOUBLE_EQ(bs.get(r.from, r.to, t, -1.0), r.prob)
+        << r.from.to_string() << " -> " << r.to.to_string();
 }
 
 // --------------------------------------------------------- Relay policy --
@@ -487,6 +538,177 @@ TEST(VifiStats, CoordinationOrderInvariance) {
     EXPECT_EQ(ea.perfect_up, eo.perfect_up);
     EXPECT_EQ(ea.perfect_down, eo.perfect_down);
   }
+}
+
+// ---------------------------------------------------------- VifiSender --
+
+/// Every link delivers.
+class PerfectLoss final : public channel::LossModel {
+ public:
+  bool sample_delivery(NodeId, NodeId, Time) override { return true; }
+  double reception_prob(NodeId, NodeId, Time) const override { return 1.0; }
+};
+
+/// The hop destination: logs each data frame as (arrival, id, attempt).
+class AirLog final : public mac::FrameSink {
+ public:
+  explicit AirLog(const sim::Simulator& sim) : sim_(sim) {}
+  void on_frame(const mac::Frame& f) override {
+    if (f.type == mac::FrameType::Data)
+      frames.emplace_back(sim_.now(), f.data.packet_id, f.data.attempt);
+  }
+  std::vector<std::tuple<Time, std::uint64_t, int>> frames;
+
+ private:
+  const sim::Simulator& sim_;
+};
+
+/// One source radio (node 0) on a lossless medium with its hop
+/// destination (node 1); senders built here pump on the radio's idle
+/// callback, as the owning agents wire them.
+struct SenderRig {
+  sim::Simulator sim;
+  PerfectLoss loss;
+  mac::Medium medium{sim, loss, {}};
+  AirLog air{sim};
+  mac::Radio radio{sim, medium, NodeId(0), Rng(1)};
+  net::PacketFactory factory;
+  bool paused = false;
+
+  SenderRig() { medium.attach(NodeId(1), &air); }
+
+  void wire(VifiSender& sender) {
+    sender.set_hop_dst_provider(
+        [this] { return paused ? NodeId{} : NodeId(1); });
+    radio.set_idle_callback([&sender] { sender.pump(); });
+  }
+  std::uint64_t enqueue(VifiSender& sender) {
+    net::PacketRef p = factory.make(Direction::Upstream, NodeId(0),
+                                    NodeId(1), 100, sim.now());
+    const std::uint64_t id = p->id;
+    sender.enqueue(std::move(p));
+    return id;
+  }
+  void run_for(Time t) { sim.run_until(sim.now() + t); }
+};
+
+TEST(VifiSender, AckAfterTheLastAttemptDropIsIgnored) {
+  SenderRig rig;
+  VifiConfig config;
+  config.max_retx = 1;
+  VifiSender sender(rig.sim, rig.radio, config, NodeId(0),
+                    Direction::Upstream);
+  rig.wire(sender);
+  const std::uint64_t id = rig.enqueue(sender);
+  rig.run_for(Time::seconds(1.0));
+  ASSERT_EQ(rig.air.frames.size(), 2u);
+  EXPECT_EQ(sender.dropped_count(), 1u);
+  EXPECT_EQ(sender.pending(), 0u);
+  sender.acknowledge(id, rig.sim.now(), /*explicit_ack=*/true);
+  EXPECT_EQ(sender.acked_count(), 0u);
+  EXPECT_EQ(sender.pending(), 0u);
+}
+
+TEST(VifiSender, DuplicateAckCountsOnce) {
+  SenderRig rig;
+  VifiSender sender(rig.sim, rig.radio, VifiConfig{}, NodeId(0),
+                    Direction::Upstream);
+  rig.wire(sender);
+  const std::uint64_t id = rig.enqueue(sender);
+  rig.enqueue(sender);
+  rig.run_for(Time::millis(10));
+  sender.acknowledge(id, rig.sim.now(), /*explicit_ack=*/true);
+  sender.acknowledge(id, rig.sim.now(), /*explicit_ack=*/true);
+  sender.acknowledge(id, rig.sim.now(), /*explicit_ack=*/false);
+  EXPECT_EQ(sender.acked_count(), 1u);
+  EXPECT_EQ(sender.pending(), 1u);
+}
+
+TEST(VifiSender, PiggybackedAcksAddNoDelaySample) {
+  // 30 packets, each acknowledged 5 ms after it went out: explicit acks
+  // pull the §4.7 interval down to its floor, piggybacked ones leave it at
+  // the initial value.
+  const auto interval_after_acks = [](bool explicit_ack) {
+    SenderRig rig;
+    VifiConfig config;
+    VifiSender sender(rig.sim, rig.radio, config, NodeId(0),
+                      Direction::Upstream);
+    rig.wire(sender);
+    for (int i = 0; i < 30; ++i) {
+      const std::uint64_t id = rig.enqueue(sender);
+      rig.run_for(Time::millis(5));
+      sender.acknowledge(id, rig.sim.now(), explicit_ack);
+    }
+    EXPECT_EQ(sender.acked_count(), 30u);
+    return sender.retx_interval();
+  };
+  const VifiConfig config;
+  EXPECT_EQ(interval_after_acks(/*explicit_ack=*/false), config.retx_initial);
+  EXPECT_EQ(interval_after_acks(/*explicit_ack=*/true), config.retx_floor);
+}
+
+TEST(VifiSender, AckForASiblingSendersPacketIsANoOp) {
+  // A BS offers every ack to each of its per-vehicle senders.
+  SenderRig rig;
+  VifiSender mine(rig.sim, rig.radio, VifiConfig{}, NodeId(0),
+                  Direction::Downstream);
+  VifiSender sibling(rig.sim, rig.radio, VifiConfig{}, NodeId(0),
+                     Direction::Downstream);
+  rig.wire(mine);
+  sibling.set_hop_dst_provider([] { return NodeId(1); });
+  rig.enqueue(mine);
+  const std::uint64_t theirs = rig.enqueue(sibling);
+  rig.run_for(Time::millis(10));
+  mine.acknowledge(theirs, rig.sim.now(), /*explicit_ack=*/true);
+  EXPECT_EQ(mine.acked_count(), 0u);
+  EXPECT_EQ(mine.pending(), 1u);
+  EXPECT_EQ(mine.retx_interval(), VifiConfig{}.retx_initial);
+  sibling.acknowledge(theirs, rig.sim.now(), /*explicit_ack=*/true);
+  EXPECT_EQ(sibling.acked_count(), 1u);
+  EXPECT_EQ(sibling.pending(), 0u);
+}
+
+TEST(VifiSender, SendsTheEarliestQueuedReadyPacket) {
+  SenderRig rig;
+  VifiConfig config;
+  config.max_retx = 50;
+  config.retx_initial = Time::seconds(1.0);
+  VifiSender sender(rig.sim, rig.radio, config, NodeId(0),
+                    Direction::Upstream);
+  rig.wire(sender);
+  // p1 goes out first and waits the initial 1 s for its retry.
+  const std::uint64_t p1 = rig.enqueue(sender);
+  rig.run_for(Time::millis(5));
+  // Twenty fast acks pull the interval down to its 15 ms floor.
+  for (int i = 0; i < 20; ++i) {
+    const std::uint64_t id = rig.enqueue(sender);
+    rig.run_for(Time::millis(5));
+    sender.acknowledge(id, rig.sim.now(), /*explicit_ack=*/true);
+  }
+  ASSERT_EQ(sender.retx_interval(), config.retx_floor);
+  // p2, queued after p1, is ready again long before p1: it goes first,
+  // retry after retry, while p1 waits.
+  const std::uint64_t p2 = rig.enqueue(sender);
+  rig.run_for(Time::millis(100));
+  const auto attempts_of = [&](std::uint64_t id) {
+    int n = 0;
+    for (const auto& [at, fid, attempt] : rig.air.frames)
+      if (fid == id) n = std::max(n, attempt);
+    return n;
+  };
+  EXPECT_EQ(attempts_of(p1), 1);
+  EXPECT_GE(attempts_of(p2), 5);
+  // Paused until both are ready, the earliest-queued one goes first,
+  // although p2 has been ready for longer.
+  rig.paused = true;
+  rig.run_for(Time::seconds(2.0));
+  const std::size_t before = rig.air.frames.size();
+  rig.paused = false;
+  sender.pump();
+  rig.run_for(Time::millis(5));
+  ASSERT_GT(rig.air.frames.size(), before);
+  EXPECT_EQ(std::get<1>(rig.air.frames[before]), p1);
+  EXPECT_EQ(std::get<2>(rig.air.frames[before]), 2);
 }
 
 // ------------------------------------------------------------ RecentIdSet --

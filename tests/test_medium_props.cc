@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <map>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "mobility/vec2.h"
@@ -171,27 +173,39 @@ TEST(MediumProperties, RandomSchedulesConserveAirtimeAndDecodes) {
 }
 
 /// Loss model whose reception probability is a pure function of node
-/// distance (linear falloff, zero at 1 km) and which logs every
-/// sample_delivery call — the oracle for checking that culled receivers
-/// are exactly the provably sub-audibility ones.
+/// distance at the transmit instant (linear falloff, zero at 1 km), for
+/// nodes in straight-line motion (static unless velocities are given), and
+/// which logs every sample_delivery call — the oracle for checking that
+/// culled receivers are exactly the provably sub-audibility ones.
 class DistanceLoss final : public channel::LossModel {
  public:
-  DistanceLoss(std::vector<mobility::Vec2> positions, Rng samples)
-      : positions_(std::move(positions)), samples_(samples) {}
+  DistanceLoss(std::vector<mobility::Vec2> positions, Rng samples,
+               std::vector<mobility::Vec2> velocities = {})
+      : positions_(std::move(positions)),
+        velocities_(std::move(velocities)),
+        samples_(samples) {
+    velocities_.resize(positions_.size());
+  }
 
-  double prob(NodeId a, NodeId b) const {
-    const mobility::Vec2 pa = positions_[static_cast<std::size_t>(a.value())];
-    const mobility::Vec2 pb = positions_[static_cast<std::size_t>(b.value())];
+  mobility::Vec2 position(NodeId id, Time t) const {
+    const auto i = static_cast<std::size_t>(id.value());
+    const double s = t.to_seconds();
+    return {positions_[i].x + velocities_[i].x * s,
+            positions_[i].y + velocities_[i].y * s};
+  }
+  double prob(NodeId a, NodeId b, Time t) const {
+    const mobility::Vec2 pa = position(a, t);
+    const mobility::Vec2 pb = position(b, t);
     const double d = std::hypot(pa.x - pb.x, pa.y - pb.y);
     return std::max(0.0, 1.0 - d / 1000.0);
   }
 
   bool sample_delivery(NodeId tx, NodeId rx, Time now) override {
     samples_log_.emplace_back(tx, rx, now);
-    return samples_.bernoulli(prob(tx, rx));
+    return samples_.bernoulli(prob(tx, rx, now));
   }
-  double reception_prob(NodeId tx, NodeId rx, Time) const override {
-    return prob(tx, rx);
+  double reception_prob(NodeId tx, NodeId rx, Time now) const override {
+    return prob(tx, rx, now);
   }
 
   const std::vector<std::tuple<NodeId, NodeId, Time>>& samples_log() const {
@@ -200,6 +214,7 @@ class DistanceLoss final : public channel::LossModel {
 
  private:
   std::vector<mobility::Vec2> positions_;
+  std::vector<mobility::Vec2> velocities_;  ///< m/s
   Rng samples_;
   std::vector<std::tuple<NodeId, NodeId, Time>> samples_log_;
 };
@@ -362,6 +377,147 @@ TEST(MediumProperties, CullingChannelPartitionSkipsCrossChannelPairs) {
     EXPECT_EQ(stx.value() % 2, srx.value() % 2)
         << "cross-channel pair sampled: " << stx.to_string() << " -> "
         << srx.to_string();
+}
+
+// The culled receiver sets over moving nodes, a motion margin, a node
+// attached between two cell refreshes and a channel partition, across
+// several refresh periods. Every transmission must sample each co-channel
+// receiver audible at its instant, no cross-channel one and no node not yet
+// attached, and it must sample them in ascending attach order (nodes attach
+// in shuffled id order, so attach order is not id order). A digest of the
+// whole (tx, rx) sample sequence pins which receivers survive the cull
+// test: it depends only on positions at the refresh instants, the cell
+// grid and the partition, never on delivery draws.
+TEST(MediumProperties, CulledReceiverSetsFollowMotionAttachAndChannels) {
+  constexpr double kAudibility = 0.05;
+  constexpr double kMaxAudible = 950.0;  // 1 - d/1000 >= 0.05
+  constexpr double kMaxSpeed = 20.0;     // m/s per axis
+  const Time refresh = Time::millis(250);
+  std::uint64_t digest = 14695981039346656037ull;  // FNV-1a 64 offset basis
+  const auto mix = [&digest](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (v >> (8 * byte)) & 0xffu;
+      digest *= 1099511628211ull;
+    }
+  };
+  std::uint64_t sampled_total = 0;
+  std::uint64_t culled_total = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    // Node `late` (the highest id) attaches mid-run; the others attach up
+    // front in a shuffled order.
+    const int nodes = static_cast<int>(rng.uniform_int(8, 16));
+    const NodeId late(nodes - 1);
+    std::vector<mobility::Vec2> starts;
+    std::vector<mobility::Vec2> velocities;
+    for (int n = 0; n < nodes; ++n) {
+      starts.push_back({rng.uniform01() * 3000.0, rng.uniform01() * 3000.0});
+      velocities.push_back({(rng.uniform01() * 2.0 - 1.0) * kMaxSpeed,
+                            (rng.uniform01() * 2.0 - 1.0) * kMaxSpeed});
+    }
+    std::vector<NodeId> attach_order;
+    for (int n = 0; n + 1 < nodes; ++n) attach_order.push_back(NodeId(n));
+    for (std::size_t i = attach_order.size(); i > 1; --i)
+      std::swap(attach_order[i - 1],
+                attach_order[static_cast<std::size_t>(rng.uniform_int(
+                    0, static_cast<std::int64_t>(i) - 1))]);
+    attach_order.push_back(late);
+    // Transmit instants are even microseconds and the late attach an odd
+    // one, strictly inside the second refresh period, so no transmission
+    // shares its instant.
+    const Time attach_at = Time::micros(2 * rng.uniform_int(130000, 240000) + 1);
+    std::vector<std::pair<NodeId, Time>> schedule;
+    Time t;
+    while (t < refresh * 5.0) {
+      t += Time::micros(2 * rng.uniform_int(1, 20000));
+      schedule.emplace_back(
+          NodeId(static_cast<int>(rng.uniform_int(0, nodes - 1))), t);
+    }
+    const auto channel_of = [](NodeId id) { return id.value() % 3 == 0; };
+
+    sim::Simulator sim;
+    DistanceLoss loss(starts, rng.fork("samples"), velocities);
+    MediumParams params;
+    SpatialCulling cull;
+    cull.position = [&loss](NodeId id, Time at) {
+      return loss.position(id, at);
+    };
+    cull.max_audible_m = kMaxAudible;
+    cull.refresh = refresh;
+    // Each endpoint moves at most sqrt(2) * kMaxSpeed * refresh between
+    // refreshes.
+    cull.margin_m = 1.5 * kMaxSpeed * refresh.to_seconds();
+    cull.channel_of = [channel_of](NodeId id) {
+      return channel_of(id) ? 1 : 0;
+    };
+    params.culling = std::move(cull);
+    Medium medium(sim, loss, std::move(params));
+    std::vector<NullSink> sinks(static_cast<std::size_t>(nodes));
+    for (std::size_t i = 0; i + 1 < attach_order.size(); ++i)
+      medium.attach(attach_order[i], &sinks[i]);
+    sim.schedule_at(attach_at, [&] {
+      medium.attach(late, &sinks[static_cast<std::size_t>(nodes - 1)]);
+    });
+    net::PacketFactory factory;
+    for (const auto& [tx, at] : schedule) {
+      // The late node only transmits once attached.
+      if (tx == late && at < attach_at) continue;
+      Frame f = data_frame(factory, tx, 200);
+      sim.schedule_at(at, [&medium, f = std::move(f)]() mutable {
+        medium.transmit(std::move(f));
+      });
+    }
+    sim.run();
+
+    std::vector<std::size_t> rank(static_cast<std::size_t>(nodes));
+    for (std::size_t i = 0; i < attach_order.size(); ++i)
+      rank[static_cast<std::size_t>(attach_order[i].value())] = i;
+    const auto& log = loss.samples_log();
+    std::size_t next = 0;
+    for (const auto& [tx, at] : schedule) {
+      if (tx == late && at < attach_at) continue;
+      std::vector<bool> sampled(static_cast<std::size_t>(nodes), false);
+      std::size_t last_rank = 0;
+      bool first = true;
+      for (; next < log.size() && std::get<2>(log[next]) == at; ++next) {
+        const auto& [stx, srx, st] = log[next];
+        ASSERT_EQ(stx, tx);
+        const auto r = rank[static_cast<std::size_t>(srx.value())];
+        EXPECT_TRUE(first || r > last_rank)
+            << "receivers out of attach order at " << at.to_seconds() << " s";
+        first = false;
+        last_rank = r;
+        sampled[static_cast<std::size_t>(srx.value())] = true;
+        mix(static_cast<std::uint64_t>(stx.value()));
+        mix(static_cast<std::uint64_t>(srx.value()));
+      }
+      for (int n = 0; n < nodes; ++n) {
+        const NodeId rx(n);
+        if (rx == tx) continue;
+        const bool was = sampled[static_cast<std::size_t>(n)];
+        if (rx == late && at < attach_at) {
+          EXPECT_FALSE(was) << "unattached n" << n << " sampled";
+        } else if (channel_of(rx) != channel_of(tx)) {
+          EXPECT_FALSE(was) << "cross-channel n" << n << " sampled";
+        } else if (loss.reception_prob(tx, rx, at) >= kAudibility) {
+          EXPECT_TRUE(was) << "audible n" << n << " culled at "
+                           << at.to_seconds() << " s";
+        } else if (!was) {
+          ++culled_total;
+        }
+      }
+    }
+    EXPECT_EQ(next, log.size());
+    EXPECT_EQ(medium.snapshot().decode_attempts, log.size());
+    sampled_total += log.size();
+  }
+  // The schedule must exercise both real neighbourhoods and the cull.
+  EXPECT_GT(sampled_total, 1000u);
+  EXPECT_GT(culled_total, 1000u);
+  // Pinned: which receivers survive the cull test, and in what order, for
+  // these 60 schedules. Any change to a frame's receiver set moves it.
+  EXPECT_EQ(digest, 621249128410016516ull) << "sample-sequence digest";
 }
 
 }  // namespace
