@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <ostream>
 #include <sstream>
+#include <string>
 
 #include "obs/span.h"
 
@@ -57,22 +60,66 @@ const char* category(EventKind kind) {
   return "?";
 }
 
-template <typename Int>
-void append_int(std::string& out, Int v) {
-  char buf[24];
-  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, r.ptr);
+/// Longest line a Line is asked to hold, with room to spare: a Chrome
+/// event line is under 320 bytes (two 20-digit integers and two 24-byte
+/// doubles at most, plus a 16-byte kind name and the field names).
+constexpr std::size_t kLineBytes = 512;
+
+/// Writes \p v as printf's "%.17g" renders it into [p, p + 32).
+char* put_double(char* p, double v) {
+  // Most event arguments are integral (zeros, attempts, flags), and %.17g
+  // prints an integral value below 1e17 as that integer: take the cheap
+  // integer path for those, except -0, which %.17g spells "-0".
+  if (v > -1e17 && v < 1e17 &&
+      v == static_cast<double>(static_cast<std::int64_t>(v)) &&
+      (v != 0.0 || !std::signbit(v)))
+    return std::to_chars(p, p + 32, static_cast<std::int64_t>(v)).ptr;
+  // general + precision 17 is printf's %.17g byte for byte (exponent
+  // form, inf/nan spellings included); the shortest round-trip form of
+  // plain std::to_chars is not, and would change every export.
+  return std::to_chars(p, p + 32, v, std::chars_format::general, 17).ptr;
 }
 
-/// "n<id>", or "-" for an invalid node.
-void append_node(std::string& out, sim::NodeId node) {
-  if (!node.valid()) {
-    out += '-';
-    return;
+/// One output line rendered on the stack: literals are copied with
+/// memcpy and numbers written with std::to_chars into a fixed buffer,
+/// which reaches the output string in a single append. Strings of
+/// unbounded length (labels, log messages) are escaped straight into the
+/// output between two Lines.
+class Line {
+ public:
+  Line() {}  // user-provided: `Line()` must not zero the buffer
+
+  template <std::size_t N>
+  Line& lit(const char (&s)[N]) {
+    return raw(s, N - 1);
   }
-  out += 'n';
-  append_int(out, node.value());
-}
+  Line& str(const char* s) { return raw(s, std::strlen(s)); }
+  template <typename Int>
+  Line& num(Int v) {
+    n_ = static_cast<std::size_t>(
+        std::to_chars(buf_ + n_, buf_ + kLineBytes, v).ptr - buf_);
+    return *this;
+  }
+  Line& dbl(double v) {
+    n_ = static_cast<std::size_t>(put_double(buf_ + n_, v) - buf_);
+    return *this;
+  }
+  /// "n<id>", or "-" for an invalid node.
+  Line& node(sim::NodeId node) {
+    return node.valid() ? lit("n").num(node.value()) : lit("-");
+  }
+  void append_to(std::string& out) const { out.append(buf_, n_); }
+
+ private:
+  Line& raw(const char* s, std::size_t n) {
+    std::memcpy(buf_ + n_, s, n);
+    n_ += n;
+    return *this;
+  }
+
+  char buf_[kLineBytes];
+  std::size_t n_ = 0;
+};
 
 void append_escaped(std::string& out, std::string_view s) {
   for (const char ch : s) {
@@ -138,33 +185,34 @@ class BlockWriter {
   std::string buf_;
 };
 
-void append_chrome_event(std::string& out, const TraceEvent& e) {
-  out += "{\"name\":\"";
-  out += to_string(e.kind);
-  out += "\",\"cat\":\"";
-  out += category(e.kind);
-  out += "\",\"pid\":0,\"tid\":";
-  append_int(out, tid_of(e.node));
-  out += ",\"ts\":";
-  append_int(out, e.at.to_micros());
+/// A Chrome event line's object, after the separator \p line may carry.
+void chrome_event(Line& line, const TraceEvent& e) {
+  line.lit("{\"name\":\"")
+      .str(to_string(e.kind))
+      .lit("\",\"cat\":\"")
+      .str(category(e.kind))
+      .lit("\",\"pid\":0,\"tid\":")
+      .num(tid_of(e.node))
+      .lit(",\"ts\":")
+      .num(e.at.to_micros());
   if (e.kind == EventKind::FrameTx) {
     // Frame transmissions are duration slices: `a` carries the airtime.
-    out += ",\"ph\":\"X\",\"dur\":";
-    append_int(out, static_cast<std::int64_t>(e.a * 1e6 + 0.5));
+    line.lit(",\"ph\":\"X\",\"dur\":")
+        .num(static_cast<std::int64_t>(e.a * 1e6 + 0.5));
   } else {
-    out += ",\"ph\":\"i\",\"s\":\"t\"";
+    line.lit(",\"ph\":\"i\",\"s\":\"t\"");
   }
-  out += ",\"args\":{\"peer\":\"";
-  append_node(out, e.peer);
-  out += "\",\"id\":";
-  append_int(out, e.id);
-  out += ",\"a\":";
-  append_double(out, e.a);
-  out += ",\"b\":";
-  append_double(out, e.b);
-  out += ",\"c\":";
-  append_int(out, e.c);
-  out += "}}";
+  line.lit(",\"args\":{\"peer\":\"")
+      .node(e.peer)
+      .lit("\",\"id\":")
+      .num(e.id)
+      .lit(",\"a\":")
+      .dbl(e.a)
+      .lit(",\"b\":")
+      .dbl(e.b)
+      .lit(",\"c\":")
+      .num(e.c)
+      .lit("}}");
 }
 
 }  // namespace
@@ -177,44 +225,32 @@ std::string json_escape(std::string_view s) {
 }
 
 void append_double(std::string& out, double v) {
-  // Most event arguments are integral (zeros, attempts, flags), and %.17g
-  // prints an integral value below 1e17 as that integer: take the cheap
-  // integer path for those, except -0, which %.17g spells "-0".
-  if (v > -1e17 && v < 1e17 &&
-      v == static_cast<double>(static_cast<std::int64_t>(v)) &&
-      (v != 0.0 || !std::signbit(v))) {
-    append_int(out, static_cast<std::int64_t>(v));
-    return;
-  }
-  // general + precision 17 is printf's %.17g byte for byte (exponent
-  // form, inf/nan spellings included); the shortest round-trip form of
-  // plain std::to_chars is not, and would change every export.
   char buf[32];
-  const auto r =
-      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17);
-  out.append(buf, r.ptr);
+  out.append(buf, put_double(buf, v));
 }
 
 void append_jsonl(std::string& out, const TraceEvent& e) {
-  out += "{\"seq\":";
-  append_int(out, e.seq);
-  out += ",\"t_us\":";
-  append_int(out, e.at.to_micros());
-  out += ",\"kind\":\"";
-  out += to_string(e.kind);
-  out += "\",\"node\":\"";
-  append_node(out, e.node);
-  out += "\",\"peer\":\"";
-  append_node(out, e.peer);
-  out += "\",\"id\":";
-  append_int(out, e.id);
-  out += ",\"a\":";
-  append_double(out, e.a);
-  out += ",\"b\":";
-  append_double(out, e.b);
-  out += ",\"c\":";
-  append_int(out, e.c);
-  out += "}\n";
+  Line()
+      .lit("{\"seq\":")
+      .num(e.seq)
+      .lit(",\"t_us\":")
+      .num(e.at.to_micros())
+      .lit(",\"kind\":\"")
+      .str(to_string(e.kind))
+      .lit("\",\"node\":\"")
+      .node(e.node)
+      .lit("\",\"peer\":\"")
+      .node(e.peer)
+      .lit("\",\"id\":")
+      .num(e.id)
+      .lit(",\"a\":")
+      .dbl(e.a)
+      .lit(",\"b\":")
+      .dbl(e.b)
+      .lit(",\"c\":")
+      .num(e.c)
+      .lit("}\n")
+      .append_to(out);
 }
 
 void write_chrome_trace(const TraceRecorder& recorder, std::ostream& os) {
@@ -222,21 +258,24 @@ void write_chrome_trace(const TraceRecorder& recorder, std::ostream& os) {
   std::string& out = w.buf();
   out += "{\"traceEvents\":[\n";
   bool first = true;
-  const auto open_line = [&out, &first] {
-    if (!first) out += ",\n";
+  const auto open_line = [&first] {
+    Line line;
+    if (!first) line.lit(",\n");
     first = false;
+    return line;
   };
 
   // One named thread track per node (metadata events).
   for (const sim::NodeId node : recorder.nodes()) {
-    open_line();
-    out += "{\"ph\":\"M\",\"pid\":0,\"tid\":";
-    append_int(out, tid_of(node));
-    out += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
+    Line line = open_line();
+    line.lit("{\"ph\":\"M\",\"pid\":0,\"tid\":")
+        .num(tid_of(node))
+        .lit(",\"name\":\"thread_name\",\"args\":{\"name\":\"");
     if (node.valid())
-      append_node(out, node);
+      line.node(node);
     else
-      out += "(none)";
+      line.lit("(none)");
+    line.append_to(out);
     if (const std::string& label = recorder.node_label(node); !label.empty()) {
       out += ' ';
       append_escaped(out, label);
@@ -244,12 +283,12 @@ void write_chrome_trace(const TraceRecorder& recorder, std::ostream& os) {
     out += "\"}}";
   }
   const std::uint64_t dropped = recorder.dropped();
-  if (!recorder.log_records().empty() || dropped > 0) {
-    open_line();
-    out += "{\"ph\":\"M\",\"pid\":0,\"tid\":";
-    append_int(out, kLogTid);
-    out += ",\"name\":\"thread_name\",\"args\":{\"name\":\"log\"}}";
-  }
+  if (!recorder.log_records().empty() || dropped > 0)
+    open_line()
+        .lit("{\"ph\":\"M\",\"pid\":0,\"tid\":")
+        .num(kLogTid)
+        .lit(",\"name\":\"thread_name\",\"args\":{\"name\":\"log\"}}")
+        .append_to(out);
 
   // One pass over the recording: each event is rendered and fed to the
   // span layer (anchor tenures, coord-phase occupancy, contact runs),
@@ -257,51 +296,55 @@ void write_chrome_trace(const TraceRecorder& recorder, std::ostream& os) {
   SpanBuilder spans;
   Time horizon;
   recorder.visit([&](const TraceEvent& e) {
-    open_line();
-    append_chrome_event(out, e);
+    Line line = open_line();
+    chrome_event(line, e);
+    line.append_to(out);
     w.spill();
     spans.add(e);
     horizon = std::max(horizon, e.at);
   });
 
   for (const Span& span : spans.finish(horizon)) {
-    open_line();
-    out += "{\"name\":\"";
+    open_line().lit("{\"name\":\"").append_to(out);
     append_escaped(out, span_label(span));
-    out += "\",\"cat\":\"span\",\"ph\":\"X\",\"pid\":0,\"tid\":";
-    append_int(out, tid_of(span.node));
-    out += ",\"ts\":";
-    append_int(out, span.begin.to_micros());
-    out += ",\"dur\":";
-    append_int(out, span.duration().to_micros());
-    out += ",\"args\":{\"peer\":\"";
-    append_node(out, span.peer);
-    out += "\"}}";
+    Line()
+        .lit("\",\"cat\":\"span\",\"ph\":\"X\",\"pid\":0,\"tid\":")
+        .num(tid_of(span.node))
+        .lit(",\"ts\":")
+        .num(span.begin.to_micros())
+        .lit(",\"dur\":")
+        .num(span.duration().to_micros())
+        .lit(",\"args\":{\"peer\":\"")
+        .node(span.peer)
+        .lit("\"}}")
+        .append_to(out);
     w.spill();
   }
 
   if (dropped > 0) {
-    open_line();
-    out += "{\"name\":\"";
+    open_line().lit("{\"name\":\"").append_to(out);
     append_escaped(out, dropped_warning(dropped));
-    out += "\",\"cat\":\"log\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":";
-    append_int(out, kLogTid);
-    out += ",\"ts\":0,\"args\":{\"dropped\":";
-    append_int(out, dropped);
-    out += "}}";
+    Line()
+        .lit("\",\"cat\":\"log\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":")
+        .num(kLogTid)
+        .lit(",\"ts\":0,\"args\":{\"dropped\":")
+        .num(dropped)
+        .lit("}}")
+        .append_to(out);
   }
 
   for (const LogRecord& rec : recorder.log_records()) {
-    open_line();
-    out += "{\"name\":\"";
+    open_line().lit("{\"name\":\"").append_to(out);
     append_escaped(out, rec.message);
-    out += "\",\"cat\":\"log\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":";
-    append_int(out, kLogTid);
-    out += ",\"ts\":";
-    append_int(out, rec.at.to_micros());
-    out += ",\"args\":{\"level\":";
-    append_int(out, static_cast<int>(rec.level));
-    out += "}}";
+    Line()
+        .lit("\",\"cat\":\"log\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":")
+        .num(kLogTid)
+        .lit(",\"ts\":")
+        .num(rec.at.to_micros())
+        .lit(",\"args\":{\"level\":")
+        .num(static_cast<int>(rec.level))
+        .lit("}}")
+        .append_to(out);
     w.spill();
   }
 
@@ -321,22 +364,22 @@ void write_jsonl(const TraceRecorder& recorder, std::ostream& os) {
   if (const std::uint64_t dropped = recorder.dropped(); dropped > 0) {
     out += "{\"warning\":\"";
     append_escaped(out, dropped_warning(dropped));
-    out += "\",\"dropped\":";
-    append_int(out, dropped);
-    out += "}\n";
+    Line().lit("\",\"dropped\":").num(dropped).lit("}\n").append_to(out);
   }
   recorder.visit([&](const TraceEvent& e) {
     append_jsonl(out, e);
     w.spill();
   });
   for (const LogRecord& rec : recorder.log_records()) {
-    out += "{\"seq\":";
-    append_int(out, rec.seq);
-    out += ",\"t_us\":";
-    append_int(out, rec.at.to_micros());
-    out += ",\"kind\":\"log\",\"level\":";
-    append_int(out, static_cast<int>(rec.level));
-    out += ",\"message\":\"";
+    Line()
+        .lit("{\"seq\":")
+        .num(rec.seq)
+        .lit(",\"t_us\":")
+        .num(rec.at.to_micros())
+        .lit(",\"kind\":\"log\",\"level\":")
+        .num(static_cast<int>(rec.level))
+        .lit(",\"message\":\"")
+        .append_to(out);
     append_escaped(out, rec.message);
     out += "\"}\n";
     w.spill();

@@ -7,11 +7,15 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/sessions.h"
 #include "apps/cbr.h"
@@ -640,11 +644,14 @@ std::unique_ptr<obs::TraceRecorder> make_point_recorder(
 
 /// Shared TripScope tail of both point executors: metric result columns
 /// drawn from the session registry, and per-point trace files when the
-/// point owns its recorder (an ambient caller owns its own export).
+/// point owns its recorder (an ambient caller owns its own export). The
+/// files are written concurrently on the point's \p pool, each in one
+/// seq-ordered pass of its own, so their bytes do not depend on it.
 void export_tripscope(const ExperimentPoint& point, PointResult& r,
                       const obs::TraceRecorder* own_recorder,
                       obs::MetricsRegistry* metrics,
-                      const obs::MetricsRegistry* own_metrics) {
+                      const obs::MetricsRegistry* own_metrics,
+                      const Runner& pool) {
   // Ring truncation is loud, not silent: a dropped-events counter beside
   // the export warnings, so reconciliation failures name their cause.
   const obs::TraceRecorder* rec =
@@ -662,22 +669,36 @@ void export_tripscope(const ExperimentPoint& point, PointResult& r,
           it != flat.end() ? it->second : metrics->total(name);
     }
   }
-  if (own_recorder != nullptr && !point.trace_dir.empty()) {
-    namespace fs = std::filesystem;
-    fs::create_directories(point.trace_dir);
-    char tag[32];
-    std::snprintf(tag, sizeof(tag), "point_%04zu",
-                  static_cast<std::size_t>(point.index));
-    const std::string base = (fs::path(point.trace_dir) / tag).string();
-    std::ofstream chrome(base + ".trace.json");
-    obs::write_chrome_trace(*own_recorder, chrome);
-    std::ofstream jsonl(base + ".jsonl");
-    obs::write_jsonl(*own_recorder, jsonl);
-    if (own_metrics != nullptr) {
-      std::ofstream mjson(base + ".metrics.json");
-      mjson << own_metrics->to_json();
-    }
-  }
+  if (own_recorder == nullptr || point.trace_dir.empty()) return;
+  namespace fs = std::filesystem;
+  fs::create_directories(point.trace_dir);
+  char tag[32];
+  std::snprintf(tag, sizeof(tag), "point_%04zu",
+                static_cast<std::size_t>(point.index));
+  const std::string base = (fs::path(point.trace_dir) / tag).string();
+  // A stream recorder's visit seals its spool on first use; seal it here,
+  // once, so the concurrent visits below only read it.
+  own_recorder->finalize();
+  using Render = std::function<void(std::ostream&)>;
+  std::vector<std::pair<std::string, Render>> files{
+      {base + ".trace.json",
+       [&](std::ostream& os) { obs::write_chrome_trace(*own_recorder, os); }},
+      {base + ".jsonl",
+       [&](std::ostream& os) { obs::write_jsonl(*own_recorder, os); }}};
+  if (own_metrics != nullptr)
+    files.emplace_back(base + ".metrics.json", [&](std::ostream& os) {
+      os << own_metrics->to_json();
+    });
+  const std::vector<bool> written =
+      pool.map(files.size(), [&files](std::size_t i) {
+        std::ofstream os(files[i].first);
+        files[i].second(os);
+        os.close();
+        return !os.fail();
+      });
+  for (std::size_t i = 0; i < files.size(); ++i)
+    if (!written[i])
+      throw std::runtime_error("cannot write trace file " + files[i].first);
 }
 
 }  // namespace
@@ -813,7 +834,7 @@ PointResult run_point_sharded(const ExperimentPoint& point,
   }
 
   export_tripscope(point, r, own_recorder.get(), obs::current_metrics(),
-                   own_metrics.get());
+                   own_metrics.get(), pool);
   return r;
 }
 

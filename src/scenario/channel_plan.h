@@ -100,6 +100,15 @@ class ChannelizedLoss final : public channel::LossModel {
     return can_hear(tx, rx) ? base_.reception_prob(tx, rx, now) : 0.0;
   }
 
+  /// One base evaluation per frame; a gated link still advances the base
+  /// draw, exactly as sample_delivery does.
+  channel::Reception sample(sim::NodeId tx, sim::NodeId rx,
+                            Time now) override {
+    const bool audible = can_hear(tx, rx);
+    const channel::Reception r = base_.sample(tx, rx, now);
+    return audible ? r : channel::Reception{};
+  }
+
  private:
   bool is_vehicle(sim::NodeId id) const { return vehicles_.contains(id); }
 

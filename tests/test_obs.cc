@@ -412,6 +412,117 @@ TEST(TraceExport, PinnedRecordingRendersUnchangedBytes) {
 )pin");
 }
 
+// --- the per-event lines against an snprintf reference ---------------------
+
+std::string node_ref(sim::NodeId node) {
+  return node.valid() ? "n" + std::to_string(node.value()) : "-";
+}
+
+/// append_jsonl's line as snprintf renders it.
+std::string jsonl_ref(const TraceEvent& e) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "{\"seq\":%llu,\"t_us\":%lld,\"kind\":\"%s\",\"node\":\"%s\","
+                "\"peer\":\"%s\",\"id\":%llu,\"a\":%.17g,\"b\":%.17g,"
+                "\"c\":%d}\n",
+                static_cast<unsigned long long>(e.seq),
+                static_cast<long long>(e.at.to_micros()), to_string(e.kind),
+                node_ref(e.node).c_str(), node_ref(e.peer).c_str(),
+                static_cast<unsigned long long>(e.id), e.a, e.b, e.c);
+  return buf;
+}
+
+/// One Chrome event line (no separator) as snprintf renders it.
+std::string chrome_ref(const TraceEvent& e, const char* cat) {
+  char shape[64];
+  if (e.kind == EventKind::FrameTx)
+    std::snprintf(shape, sizeof(shape), "\"ph\":\"X\",\"dur\":%lld",
+                  static_cast<long long>(e.a * 1e6 + 0.5));
+  else
+    std::snprintf(shape, sizeof(shape), "\"ph\":\"i\",\"s\":\"t\"");
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "{\"name\":\"%s\",\"cat\":\"%s\",\"pid\":0,\"tid\":%d,"
+                "\"ts\":%lld,%s,\"args\":{\"peer\":\"%s\",\"id\":%llu,"
+                "\"a\":%.17g,\"b\":%.17g,\"c\":%d}}",
+                to_string(e.kind), cat,
+                e.node.valid() ? e.node.value() : 1000000,
+                static_cast<long long>(e.at.to_micros()), shape,
+                node_ref(e.peer).c_str(),
+                static_cast<unsigned long long>(e.id), e.a, e.b, e.c);
+  return buf;
+}
+
+/// The line of \p rec's Chrome trace holding its one event of \p kind.
+std::string chrome_event_line(const TraceRecorder& rec, EventKind kind) {
+  std::istringstream is(chrome_trace_json(rec));
+  const std::string prefix =
+      std::string("{\"name\":\"") + to_string(kind) + "\"";
+  for (std::string line; std::getline(is, line);) {
+    if (line.rfind(prefix, 0) != 0) continue;
+    if (line.back() == ',') line.pop_back();
+    return line;
+  }
+  return "";
+}
+
+TEST(TraceExport, EventLinesMatchAnSnprintfReferenceOnEdgeCases) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> doubles = {
+      -0.0, 0.1, 1e17, -1e17, 5e-324, kInf, -kInf,
+      std::numeric_limits<double>::quiet_NaN()};
+  const std::vector<std::uint64_t> ids = {
+      0, 42, std::numeric_limits<std::uint64_t>::max()};
+  const std::vector<std::int32_t> cs = {
+      0, -7, std::numeric_limits<std::int32_t>::min(),
+      std::numeric_limits<std::int32_t>::max()};
+  const std::vector<sim::NodeId> nodes = {sim::NodeId{3}, sim::NodeId{}};
+  // Instant kinds that open no span, so the trace holds one event line.
+  const std::pair<EventKind, const char*> kinds[] = {
+      {EventKind::RelayEval, "relay"}, {EventKind::Handoff, "handoff"}};
+  std::size_t k = 0;
+  for (const auto& [kind, cat] : kinds)
+    for (const double a : doubles)
+      for (const sim::NodeId node : nodes) {
+        TraceEvent e;
+        e.kind = kind;
+        e.seq = k % 2 == 0 ? std::numeric_limits<std::uint64_t>::max() : 1;
+        e.at = Time::micros(k % 3 == 0 ? -1 : 1234567);
+        e.node = node;
+        e.peer = nodes[(k + 1) % nodes.size()];
+        e.id = ids[k % ids.size()];
+        e.a = a;
+        e.b = doubles[(k + 3) % doubles.size()];
+        e.c = cs[k % cs.size()];
+        ++k;
+        std::string got;
+        append_jsonl(got, e);
+        EXPECT_EQ(got, jsonl_ref(e));
+
+        TraceRecorder rec;
+        rec.record(e.kind, Time::micros(1234567), e.node, e.peer, e.id, e.a,
+                   e.b, e.c);
+        e.at = Time::micros(1234567);
+        EXPECT_EQ(chrome_event_line(rec, kind), chrome_ref(e, cat));
+      }
+
+  // A FrameTx's dur is its airtime `a` in microseconds, rounded half up.
+  for (const double airtime :
+       {0.0, -0.0, 5e-324, 4.9999999999999998e-7, 5e-7, 1.5e-6, 2.5e-6,
+        0.0012345, 0.002, 0.1}) {
+    TraceRecorder rec;
+    rec.record(EventKind::FrameTx, Time::micros(1500000), sim::NodeId{2},
+               sim::NodeId{1}, 7, airtime, 1.0, 1);
+    const TraceEvent e = rec.merged().front();
+    EXPECT_EQ(chrome_event_line(rec, EventKind::FrameTx),
+              chrome_ref(e, "mac"))
+        << airtime;
+    std::string got;
+    append_jsonl(got, e);
+    EXPECT_EQ(got, jsonl_ref(e)) << airtime;
+  }
+}
+
 // --- the sweep-level contract: per-point trace exports are byte-identical
 // --- for any runner thread count ----------------------------------------
 

@@ -9,10 +9,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "obs/export.h"
 #include "obs/recorder.h"
@@ -629,6 +632,97 @@ TEST(Executor, FailedTripLeavesNoPartSpools) {
                std::runtime_error);
   for (const auto& entry : fs::directory_iterator(dir / "traces"))
     EXPECT_NE(entry.path().extension(), ".part") << entry.path();
+  fs::remove_all(dir);
+}
+
+/// A streamed catalog point (coord on) whose trace files land in
+/// \p dir/traces, over a three-trip catalog written to \p dir/catalog.
+ExperimentPoint streamed_catalog_point(const std::filesystem::path& dir) {
+  const scenario::Testbed bed = make_testbed("VanLAN", 2);
+  scenario::CampaignConfig cfg;
+  cfg.days = 1;
+  cfg.trips_per_day = 3;
+  cfg.trip_duration = Time::seconds(10.0);
+  cfg.seed = 7;
+  cfg.log_probes = false;
+  tracegen::write_catalog((dir / "catalog").string(), "unit",
+                          scenario::generate_campaign(bed, cfg));
+  ExperimentSpec spec;
+  spec.grid.testbeds = {"VanLAN"};
+  spec.grid.fleet_sizes = {2};
+  spec.grid.trace_sets = {(dir / "catalog").string()};
+  spec.grid.policies = {"ViFi"};
+  spec.grid.coordinations = {"coord"};
+  spec.grid.seeds = {1};
+  spec.workload = "cbr";
+  spec.metric_columns = {"mac.transmissions"};
+  spec.trace_dir = (dir / "traces").string();
+  spec.trace_stream = true;
+  return spec.enumerate().front();
+}
+
+// A streamed point's four files — the spool and the three exports, which
+// are written concurrently on the point's pool — must not depend on that
+// pool: run_point's inline worker and sharded pools of 2 and 4 give the
+// same bytes. (The golden's instrumented rows are ring-backed.)
+TEST(Executor, StreamedExportsAreIdenticalOnAnyWorkerCount) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "vifi_test_stream_exports";
+  fs::remove_all(dir);
+  const ExperimentPoint point = streamed_catalog_point(dir);
+  std::map<std::string, std::string> want;
+  for (const int threads : {1, 2, 4}) {
+    fs::remove_all(dir / "traces");
+    const PointResult r =
+        threads == 1 ? run_point(point)
+                     : run_point_sharded(point, Runner({.threads = threads}));
+    ASSERT_TRUE(r.error.empty()) << r.error;
+    std::map<std::string, std::string> got;
+    for (const auto& entry : fs::directory_iterator(dir / "traces")) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      std::ostringstream bytes;
+      bytes << in.rdbuf();
+      got[entry.path().filename().string()] = bytes.str();
+    }
+    std::vector<std::string> names;
+    for (const auto& [name, bytes] : got) {
+      EXPECT_FALSE(bytes.empty()) << name;
+      names.push_back(name);
+    }
+    EXPECT_EQ(names,
+              (std::vector<std::string>{
+                  "point_0000.jsonl", "point_0000.metrics.json",
+                  "point_0000.spool", "point_0000.trace.json"}))
+        << threads << " worker(s)";
+    if (threads == 1)
+      want = std::move(got);
+    else
+      for (const auto& [name, bytes] : want)  // EXPECT_TRUE: no MB dumps
+        EXPECT_TRUE(got[name] == bytes) << name << " on " << threads
+                                        << " worker(s)";
+  }
+  fs::remove_all(dir);
+}
+
+// An export file that cannot be written fails the point, and the error
+// names the file.
+TEST(Executor, UnwritableExportFailsThePointNamingTheFile) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "vifi_test_export_error";
+  fs::remove_all(dir);
+  const ExperimentPoint point = streamed_catalog_point(dir);
+  const fs::path blocked = dir / "traces" / "point_0000.jsonl";
+  fs::create_directories(blocked);
+  for (const int threads : {1, 2}) {
+    const ResultSink sink =
+        Runner().run({point}, [threads](const ExperimentPoint& p) {
+          return run_point_sharded(p, Runner({.threads = threads}));
+        });
+    ASSERT_EQ(sink.size(), 1u);
+    const std::string error = sink.ordered().front().error;
+    EXPECT_NE(error.find(blocked.string()), std::string::npos)
+        << threads << " worker(s): " << error;
+  }
   fs::remove_all(dir);
 }
 

@@ -493,6 +493,51 @@ TEST(ChannelizedLoss, AuxRadiosRestoreCrossChannelOverhearing) {
   EXPECT_GT(loss.reception_prob(veh_a, veh_b, t), 0.0);
 }
 
+TEST(ChannelizedLoss, SampleMatchesProbThenDeliveryOnAudibleAndGatedLinks) {
+  // Two identical stateful bases: one wrapper answers through sample(),
+  // the other through reception_prob then sample_delivery. Every link
+  // drops every third frame, and B hands off after 5 gated frames, so a
+  // base draw skipped on a gated link shows up as a diverging delivery
+  // once the link is audible.
+  const sim::NodeId bs0(0), bs1(1), veh_a(2), veh_b(3);
+  const std::vector<sim::NodeId> nodes{bs0, bs1, veh_a, veh_b};
+  testing::ScriptedLoss base_one, base_two;
+  for (testing::ScriptedLoss* base : {&base_one, &base_two})
+    for (const auto tx : nodes)
+      for (const auto rx : nodes)
+        if (tx != rx) {
+          base->set_directed(tx, rx, 0.6 + 0.1 * tx.value());
+          base->set_period_drop(tx, rx, 3);
+        }
+  ChannelPlan plan;
+  plan.assign(bs0, 0);
+  plan.assign(bs1, 1);
+  std::map<sim::NodeId, int> serving{{veh_a, 0}, {veh_b, 1}};
+  const auto serving_fn = [&serving](sim::NodeId v) { return serving.at(v); };
+  const std::vector<sim::NodeId> fleet{veh_a, veh_b};
+  ChannelizedLoss one(base_one, plan, fleet, /*aux_radios=*/false, serving_fn);
+  ChannelizedLoss two(base_two, plan, fleet, /*aux_radios=*/false, serving_fn);
+
+  int gated = 0, audible = 0;
+  for (int step = 0; step < 12; ++step) {
+    if (step == 5) serving[veh_b] = 0;  // B hands off mid-run
+    const Time t = Time::millis(100 * step);
+    for (const auto tx : nodes)
+      for (const auto rx : nodes) {
+        if (tx == rx) continue;
+        const channel::Reception got = one.sample(tx, rx, t);
+        const double prob = two.reception_prob(tx, rx, t);
+        const bool delivered = two.sample_delivery(tx, rx, t);
+        EXPECT_EQ(got.prob, prob) << tx << "->" << rx << " step " << step;
+        EXPECT_EQ(got.delivered, delivered)
+            << tx << "->" << rx << " step " << step;
+        ++(prob == 0.0 ? gated : audible);
+      }
+  }
+  EXPECT_GT(gated, 0);
+  EXPECT_GT(audible, 0);
+}
+
 TEST(LiveTrip, TraceDrivenConstructorUsesSchedule) {
   const Testbed bed = make_dieselnet(1);
   CampaignConfig cfg;
