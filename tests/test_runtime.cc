@@ -463,9 +463,8 @@ TEST(Executor, ReplayPointProducesTheStandardMetricSet) {
   EXPECT_LE(r.metrics.at("delivery_rate"), 1.0);
 }
 
-/// One row of the live executor's golden table: a cbr point shape whose
-/// result JSON/CSV and trace artifacts are pinned in
-/// tests/data/executor_golden.txt.
+/// One row of the executor's golden table: a point shape whose result
+/// JSON/CSV and trace artifacts are pinned in tests/data/executor_golden.txt.
 struct GoldenRow {
   const char* name;
   bool catalog;       ///< Replay a written catalog instead of drawing trips.
@@ -474,6 +473,10 @@ struct GoldenRow {
   /// A VanLAN fleet this large on the culled medium instead of a fleet of
   /// 2: collisions, carrier sense and PAB gossip under contention.
   int culled_fleet = 0;
+  /// A §3.1 replay point on a VanLAN fleet of 2 instead of a live one: the
+  /// BRR point of a BRR/History grid, leasing the grid's shared campaign,
+  /// or History over a probe-logging catalog with a streamed trace.
+  bool replay = false;
 };
 
 /// The file's bytes as a `mix_seed(0, bytes)` digest.
@@ -498,7 +501,7 @@ std::string render_golden_row(const GoldenRow& row, int threads) {
   fs::remove_all(dir);
   const bool culled = row.culled_fleet > 0;
   const std::string testbed =
-      row.coord || culled ? "VanLAN" : "DieselNet-Ch1";
+      row.coord || culled || row.replay ? "VanLAN" : "DieselNet-Ch1";
   ExperimentSpec spec;
   spec.grid.testbeds = {testbed};
   spec.grid.fleet_sizes = {culled ? row.culled_fleet : 2};
@@ -506,13 +509,18 @@ std::string render_golden_row(const GoldenRow& row, int threads) {
   spec.grid.policies = {"ViFi"};
   spec.grid.seeds = {1};
   spec.workload = "cbr";
+  if (row.replay) {
+    spec.workload = "replay";
+    spec.grid.policies = {row.catalog ? "History" : "BRR"};
+    if (!row.catalog) spec.grid.policies.push_back("History");
+  }
   if (row.catalog) {
     scenario::CampaignConfig cfg;
     cfg.days = 1;
     cfg.trips_per_day = 3;
     cfg.trip_duration = Time::seconds(10.0);
     cfg.seed = row.coord ? 7 : 42;
-    cfg.log_probes = false;
+    cfg.log_probes = row.replay;
     tracegen::write_catalog(
         catalog.string(), "unit",
         scenario::generate_campaign(make_testbed(testbed, 2), cfg));
@@ -527,9 +535,12 @@ std::string render_golden_row(const GoldenRow& row, int threads) {
     if (culled)
       spec.metric_columns = {"mac.transmissions", "mac.collisions",
                              "mac.decode_attempts", "mac.channel_losses"};
+    else if (row.replay)
+      spec.metric_columns = {"obs.trace.dropped_events"};
     else
       spec.metric_columns = {"mac.transmissions", "core.salvaged"};
     spec.trace_dir = traces.string();
+    spec.trace_stream = row.replay && row.catalog;
   }
   const ExperimentPoint point = spec.enumerate().front();
 
@@ -555,20 +566,24 @@ std::string render_golden_row(const GoldenRow& row, int threads) {
   return out;
 }
 
-// The live executor's bytes, pinned. The golden file was recorded from the
+// The executor's bytes, pinned. The live rows were recorded from the
 // historical sequential trip loop (the culled row from the medium that
-// scanned every frame on the air); the unified executor must reproduce it
-// on one worker and on four, for every point shape that takes a different
-// branch (catalog vs stochastic trips, a TripScope session, the coord
-// history fit, a contended culled fleet). Re-pin with VIFI_UPDATE_GOLDEN=1
-// only for an intended output change.
-TEST(Executor, LivePointsMatchTheGoldenBytesOnAnyWorkerCount) {
+// scanned every frame on the air), the replay rows from the sequential
+// replay loop; the executor must reproduce them through run_point and on a
+// pool of four, for every point shape that takes a different branch
+// (catalog vs stochastic trips, a TripScope session, the coord history
+// fit, a contended culled fleet, a shared replay campaign, a streamed
+// replay trace). Re-pin with VIFI_UPDATE_GOLDEN=1 only for an intended
+// output change.
+TEST(Executor, PointsMatchTheGoldenBytesOnAnyWorkerCount) {
   const GoldenRow rows[] = {
       {"catalog", true, false, false},
       {"instrumented", true, true, false},
       {"coord", true, false, true},
       {"stochastic", false, false, true},
       {"culled", false, true, false, 24},
+      {"replay_pooled", false, true, false, 0, true},
+      {"replay_catalog", true, true, false, 0, true},
   };
   const std::string path =
       std::string(VIFI_TEST_DATA_DIR) + "/executor_golden.txt";
@@ -628,8 +643,12 @@ TEST(Executor, FailedTripLeavesNoPartSpools) {
   spec.trace_dir = (dir / "traces").string();
   spec.trace_stream = true;
   const ExperimentPoint point = spec.enumerate().front();
-  EXPECT_THROW(run_point_sharded(point, Runner({.threads = 2})),
-               std::runtime_error);
+  try {
+    run_point_sharded(point, Runner({.threads = 2}));
+    ADD_FAILURE() << "the point did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("trip 1: ", 0), 0u) << e.what();
+  }
   for (const auto& entry : fs::directory_iterator(dir / "traces"))
     EXPECT_NE(entry.path().extension(), ".part") << entry.path();
   fs::remove_all(dir);
@@ -737,17 +756,6 @@ TEST(Executor, UnknownCoordinationFailsLoudly) {
   spec.trips_per_day = 1;
   spec.trip_duration = Time::seconds(5.0);
   EXPECT_THROW(run_point(spec.enumerate().front()), std::runtime_error);
-}
-
-TEST(Executor, ShardedReplayPointMatchesRunPoint) {
-  // Replay points run on the calling thread whatever the pool; the sharded
-  // entry point must still produce run_point's exact result.
-  const ExperimentPoint point = small_replay_spec().enumerate().front();
-  ResultSink a, b;
-  a.add(run_point(point));
-  b.add(run_point_sharded(point, Runner({.threads = 2})));
-  EXPECT_EQ(a.to_json(), b.to_json());
-  EXPECT_EQ(a.to_csv(), b.to_csv());
 }
 
 TEST(Executor, UnknownWorkloadOrPolicyIsAContractViolation) {
