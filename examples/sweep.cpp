@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "runtime/executor.h"
 #include "runtime/runner.h"
 #include "util/table.h"
 
@@ -44,7 +43,9 @@ std::vector<std::uint64_t> split_csv_u64(const std::string& s) {
 int usage(const char* argv0) {
   std::cerr
       << "Usage: " << argv0 << " [options]\n"
-      << "  --threads N         worker threads (default 4; 0 = hardware)\n"
+      << "  --threads N         worker threads (default 4; 0 = hardware),\n"
+         "                      split between points and each point's\n"
+         "                      trips; output is byte-identical for any N\n"
       << "  --testbeds a,b      default VanLAN,DieselNet-Ch1\n"
       << "  --fleets a,b        vehicles per testbed, default 1\n"
       << "  --trace-sets d1,d2  TraceCatalog directories to replay as an\n"
@@ -78,11 +79,6 @@ int usage(const char* argv0) {
       << "  --cull              live (cbr) points: run the medium with\n"
          "                      spatial interference culling — the\n"
          "                      city-scale operating mode for large fleets\n"
-      << "  --shard-trips       cbr points: shard each point's trips (a\n"
-         "                      catalog's streamed trip groups, or its\n"
-         "                      stochastic draws) across the worker pool\n"
-         "                      instead of parallelising across points;\n"
-         "                      output is byte-identical either way\n"
       << "  --json PATH         write JSON here instead of stdout\n"
       << "  --csv PATH          also write CSV here\n"
       << "  --summary           print a per-point summary table to stderr\n"
@@ -106,7 +102,6 @@ int main(int argc, char** argv) {
   std::string json_path, csv_path;
   bool summary = false;
   bool fairness = false;
-  bool shard_trips = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -139,7 +134,6 @@ int main(int argc, char** argv) {
     else if (arg == "--trace-stream") spec.trace_stream = true;
     else if (arg == "--metrics") spec.metric_columns = split_csv(value());
     else if (arg == "--cull") spec.cull_medium = true;
-    else if (arg == "--shard-trips") shard_trips = true;
     else if (arg == "--json") json_path = value();
     else if (arg == "--csv") csv_path = value();
     else if (arg == "--summary") summary = true;
@@ -172,16 +166,7 @@ int main(int argc, char** argv) {
             << spec.grid.seeds.size() << " seeds) on " << runner.threads()
             << " thread(s)\n";
 
-  // --shard-trips runs points one after another on a one-worker Runner;
-  // the pool parallelises *within* each point by sharding its live trips.
-  // Same bytes as run(spec).
-  const runtime::ResultSink sink =
-      shard_trips ? runtime::Runner().run(
-                        spec.enumerate(),
-                        [&runner](const runtime::ExperimentPoint& p) {
-                          return runtime::run_point_sharded(p, runner);
-                        })
-                  : runner.run(spec);
+  const runtime::ResultSink sink = runner.run(spec);
 
   if (summary) {
     // Fairness columns come from the fleet points' metrics; fleet-1 points

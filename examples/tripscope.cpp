@@ -324,15 +324,16 @@ int main(int argc, char** argv) {
   if (argc >= 2 && std::string(argv[1]) == "query")
     return run_query(argc, argv);
 
-  runtime::ExperimentPoint point;
-  point.testbed = "VanLAN";
-  point.policy = "ViFi";
-  point.workload = "cbr";
-  point.days = 1;
-  point.trips_per_day = 1;
+  // A one-point sweep: the point, its seeds included, is the one `sweep`
+  // enumerates for the same flags, so both export the same timeline.
+  runtime::ExperimentSpec spec;
+  spec.grid.testbeds = {"VanLAN"};
+  spec.grid.policies = {"ViFi"};
+  spec.workload = "cbr";
+  spec.days = 1;
+  spec.trips_per_day = 1;
   std::string out_dir;
   std::size_t print_events = 0;
-  std::uint64_t base_seed = 20080817;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -343,46 +344,31 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--testbed") point.testbed = value();
-    else if (arg == "--fleet") point.fleet_size = std::atoi(value().c_str());
-    else if (arg == "--policy") point.policy = value();
-    else if (arg == "--workload") point.workload = value();
-    else if (arg == "--seed") point.seed = std::stoull(value());
-    else if (arg == "--days") point.days = std::atoi(value().c_str());
-    else if (arg == "--trips") point.trips_per_day = std::atoi(value().c_str());
+    if (arg == "--testbed") spec.grid.testbeds = {value()};
+    else if (arg == "--fleet")
+      spec.grid.fleet_sizes = {std::atoi(value().c_str())};
+    else if (arg == "--policy") spec.grid.policies = {value()};
+    else if (arg == "--workload") spec.workload = value();
+    else if (arg == "--seed") spec.grid.seeds = {std::stoull(value())};
+    else if (arg == "--days") spec.days = std::atoi(value().c_str());
+    else if (arg == "--trips") spec.trips_per_day = std::atoi(value().c_str());
     else if (arg == "--trip-seconds")
-      point.trip_duration = Time::seconds(std::atof(value().c_str()));
-    else if (arg == "--catalog") point.trace_set = value();
+      spec.trip_duration = Time::seconds(std::atof(value().c_str()));
+    else if (arg == "--catalog") spec.grid.trace_sets = {value()};
     else if (arg == "--events")
       print_events = static_cast<std::size_t>(std::atoll(value().c_str()));
     else if (arg == "--out") out_dir = value();
     else return usage(argv[0]);
   }
-  if (!runtime::known_testbed(point.testbed)) {
-    std::cerr << "unknown testbed: " << point.testbed << "\n";
+  if (!runtime::known_testbed(spec.grid.testbeds.front())) {
+    std::cerr << "unknown testbed: " << spec.grid.testbeds.front() << "\n";
     return usage(argv[0]);
   }
-  if (point.fleet_size < 1) {
+  if (spec.grid.fleet_sizes.front() < 1) {
     std::cerr << "--fleet must be >= 1\n";
     return usage(argv[0]);
   }
-  // Derive the point's seeds the same way ExperimentSpec::enumerate does,
-  // so a tripscope replay of a sweep point sees the same campaign.
-  point.campaign_seed =
-      runtime::mix_seed(runtime::mix_seed(base_seed, point.testbed),
-                        point.seed);
-  if (point.fleet_size > 1)
-    point.campaign_seed = runtime::mix_seed(
-        point.campaign_seed, "fleet" + std::to_string(point.fleet_size));
-  if (!point.trace_set.empty()) {
-    std::filesystem::path dir =
-        std::filesystem::path(point.trace_set).lexically_normal();
-    if (!dir.has_filename()) dir = dir.parent_path();
-    const std::string id = dir.filename().string();
-    point.campaign_seed = runtime::mix_seed(
-        point.campaign_seed, "trace_set:" + (id.empty() ? point.trace_set : id));
-  }
-  point.point_seed = runtime::mix_seed(point.campaign_seed, point.policy);
+  const runtime::ExperimentPoint point = spec.enumerate().front();
 
   // Install the observability session ourselves: run_point records into it
   // and we own the printing/export afterwards.

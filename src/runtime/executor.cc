@@ -220,12 +220,161 @@ class CampaignLease {
   const std::shared_ptr<CampaignSlot> slot_;
 };
 
-/// The §3.1 replay workload, on the calling thread: the point's generated
-/// campaign (shared with the sweep's other policies through its pool), or
-/// the point's catalog (shared, immutable), whose Campaign the History
-/// policy reads in place.
+/// The named §3.1 hard-handoff policy (History reads the whole campaign);
+/// null for AllBSes, which replays without one. Throws ContractViolation
+/// for an unknown name.
+std::unique_ptr<handoff::HandoffPolicy> make_replay_policy(
+    const std::string& policy, const trace::Campaign& campaign) {
+  using namespace handoff;
+  if (policy == "AllBSes") return nullptr;
+  std::unique_ptr<HandoffPolicy> p;
+  if (policy == "BestBS") p = std::make_unique<BestBsPolicy>();
+  if (policy == "History") p = std::make_unique<HistoryPolicy>(campaign);
+  if (policy == "RSSI") p = std::make_unique<RssiPolicy>();
+  if (policy == "BRR") p = std::make_unique<BrrPolicy>();
+  if (policy == "Sticky") p = std::make_unique<StickyPolicy>();
+  VIFI_EXPECTS(p != nullptr);
+  return p;
+}
+
+/// Everything one trip contributes to its point — and, folded in trip order
+/// with merge(), the point's running total: the shared metric accumulation
+/// plus, for fleet points, the per-vehicle fairness view (delivered/sent
+/// packets, airtime from the medium's ledger, the infrastructure/client
+/// occupancy split). Fleet-1 tallies carry no per-vehicle vectors.
+struct TripTally {
+  MetricAccumulator acc;
+  std::vector<double> veh_delivered, veh_sent, veh_airtime_s;
+  double infra_airtime_s = 0.0, vehicle_airtime_s = 0.0;
+
+  /// \p vehicles per-vehicle slots (0 for a fleet-1 point), all zero.
+  explicit TripTally(std::size_t vehicles = 0)
+      : veh_delivered(vehicles, 0.0),
+        veh_sent(vehicles, 0.0),
+        veh_airtime_s(vehicles, 0.0) {}
+
+  /// Adds \p other's per-trip values after this tally's: summed in trip
+  /// order, the floating-point totals match a sequential loop bit for bit.
+  void merge(const TripTally& other) {
+    acc.merge(other.acc);
+    for (std::size_t i = 0; i < veh_delivered.size(); ++i) {
+      veh_delivered[i] += other.veh_delivered[i];
+      veh_sent[i] += other.veh_sent[i];
+      veh_airtime_s[i] += other.veh_airtime_s[i];
+    }
+    infra_airtime_s += other.infra_airtime_s;
+    vehicle_airtime_s += other.vehicle_airtime_s;
+  }
+};
+
+/// What one trip hands the fold: its tally and its span on the point's
+/// timeline, where the next trip's events begin.
+struct TripOutcome {
+  TripTally tally;
+  Time span = Time::zero();
+};
+
+/// A finished trip held until every earlier trip has folded: its outcome
+/// plus the recorder and registry it recorded into (null when the point
+/// has no such session).
+struct TripSlot {
+  TripOutcome out;
+  std::unique_ptr<obs::TraceRecorder> recorder;
+  std::unique_ptr<obs::MetricsRegistry> metrics;
+};
+
+/// Trip \p trip's part spool, beside a streaming session's own spool.
+std::string part_spool(const obs::TraceRecorder& session, std::size_t trip) {
+  char part[32];
+  std::snprintf(part, sizeof(part), ".trip%05zu.part", trip);
+  return session.spool_path() + part;
+}
+
+/// The one trip loop of both workloads. Runs trips [0, n) of the point on
+/// \p pool — run_trip must be a pure function of the trip index, so any
+/// worker may run it — and folds each into \p total in trip order as soon
+/// as every earlier trip is done. When the point has a session, a trip
+/// records into its own recorder and registry (a part spool beside a
+/// streaming session, rings of the session's capacity otherwise), absorbed
+/// at the summed spans of the trips before it: one timeline per point,
+/// byte for byte a sequential loop's for any worker count, and an inline
+/// pool holds one trip's session at a time. A failed trip throws
+/// "trip N: <what>" for the lowest failing N and leaves no part spool.
+void fold_trips(std::size_t n, const Runner& pool,
+                const std::function<TripOutcome(std::size_t)>& run_trip,
+                TripTally& total) {
+  obs::TraceRecorder* session_rec = obs::current_recorder();
+  obs::MetricsRegistry* session_metrics = obs::current_metrics();
+  Time trace_base =
+      session_rec != nullptr ? session_rec->time_base() : Time::zero();
+  std::vector<std::optional<TripSlot>> slots(n);
+  std::size_t folded = 0;  // Trips [0, folded) are in total and session.
+  std::mutex mu;
+  std::atomic<bool> failed{false};
+  const ResultSink trips = pool.run_indexed(n, [&](std::size_t trip) {
+    PointResult status;
+    status.index = trip;
+    if (failed.load()) return status;  // The point is lost already.
+    TripSlot slot;
+    try {
+      // The trip's scopes are live before run_trip builds anything:
+      // VifiSystem labels its nodes through current_recorder().
+      std::optional<obs::TraceScope> trace_scope;
+      std::optional<obs::MetricsScope> metrics_scope;
+      if (session_rec != nullptr) {
+        slot.recorder = session_rec->streaming()
+                            ? std::make_unique<obs::TraceRecorder>(
+                                  std::make_unique<obs::StreamSink>(
+                                      part_spool(*session_rec, trip)))
+                            : std::make_unique<obs::TraceRecorder>(
+                                  session_rec->per_node_capacity());
+        trace_scope.emplace(*slot.recorder);
+      }
+      if (session_metrics != nullptr) {
+        slot.metrics = std::make_unique<obs::MetricsRegistry>();
+        metrics_scope.emplace(*slot.metrics);
+      }
+      slot.out = run_trip(trip);
+    } catch (...) {
+      failed = true;
+      throw;
+    }
+    const std::lock_guard<std::mutex> lock(mu);
+    slots[trip] = std::move(slot);
+    for (; folded < n && slots[folded].has_value(); ++folded) {
+      TripSlot& done = *slots[folded];
+      total.merge(done.out.tally);
+      if (done.recorder != nullptr) {
+        session_rec->absorb(*done.recorder, trace_base);
+        trace_base = trace_base + done.out.span;
+      }
+      if (done.metrics != nullptr) session_metrics->merge(*done.metrics);
+      const bool part = done.recorder != nullptr && done.recorder->streaming();
+      slots[folded].reset();
+      if (part) std::filesystem::remove(part_spool(*session_rec, folded));
+    }
+    return status;
+  });
+  for (const PointResult& status : trips.ordered()) {
+    if (status.error.empty()) continue;
+    // Trips from the failed one on never folded: close their part spools
+    // (the failed trip's own included) and delete them.
+    slots.clear();
+    if (session_rec != nullptr && session_rec->streaming())
+      for (std::size_t trip = folded; trip < n; ++trip)
+        std::filesystem::remove(part_spool(*session_rec, trip));
+    throw std::runtime_error("trip " + std::to_string(status.index) + ": " +
+                             status.error);
+  }
+  if (session_rec != nullptr) session_rec->set_time_base(trace_base);
+}
+
+/// The §3.1 replay workload: the point's generated campaign (shared with
+/// the sweep's other policies through its pool), or the point's catalog
+/// (shared, immutable), whose Campaign the History policy reads in place.
+/// Each trace of the campaign is one trip of the fold.
 void run_replay(const scenario::Testbed& bed, const ExperimentPoint& point,
-                PointResult& r) {
+                const Runner& pool, PointResult& r) {
   std::shared_ptr<const tracegen::TraceCatalog> catalog;
   std::optional<CampaignLease> lease;
   const trace::Campaign* campaign = nullptr;
@@ -252,41 +401,37 @@ void run_replay(const scenario::Testbed& bed, const ExperimentPoint& point,
     days = catalog->days();
   }
 
+  // An unknown policy fails the point itself, not each of its trips.
+  make_replay_policy(point.policy, *campaign);
+
   // Fleet campaigns carry one trace per vehicle per trip; every vehicle's
   // log replays under the policy and aggregates into the point's metrics.
   // Fleet points (V > 1) additionally split deliveries per logging vehicle
   // for the fairness columns; fleet-1 points skip this entirely so their
   // output stays byte-identical to the pre-fairness sweeps.
-  MetricAccumulator acc;
-  const bool fairness = bed.fleet_size() > 1;
-  std::map<sim::NodeId, double> per_vehicle;
-  // One timeline per point: each trip's slot-relative event times land
-  // after the previous trip's horizon.
-  obs::TraceRecorder* rec = obs::current_recorder();
-  Time trace_base = rec ? rec->time_base() : Time::zero();
-  for (const auto& trip : campaign->trips) {
-    if (rec) {
-      rec->set_time_base(trace_base);
-      trace_base = trace_base + std::max(trip.duration, Time::seconds(1.0));
-    }
-    const auto stream =
-        outcomes_to_stream(replay_trip(trip, point.policy, *campaign));
-    if (fairness) {
-      double delivered = 0.0;
-      for (const int d : stream.delivered) delivered += d;
-      per_vehicle[trip.vehicle] += delivered;
-    }
-    acc.add_trip(stream, point.session);
-  }
-  acc.finish(days, r);
-  if (rec) rec->set_time_base(trace_base);
-  if (fairness) {
-    std::vector<double> veh_delivered;
-    veh_delivered.reserve(bed.vehicle_ids().size());
-    for (const sim::NodeId v : bed.vehicle_ids())
-      veh_delivered.push_back(per_vehicle[v]);
-    r.metrics["fairness_jain_delivery"] = mac::jain_index(veh_delivered);
-    r.series["veh_delivered"] = std::move(veh_delivered);
+  const std::vector<sim::NodeId>& vehicles = bed.vehicle_ids();
+  const std::size_t fleet = vehicles.size() > 1 ? vehicles.size() : 0;
+  TripTally total(fleet);
+  fold_trips(
+      campaign->trips.size(), pool,
+      [&](std::size_t i) {
+        const trace::MeasurementTrace& trip = campaign->trips[i];
+        const auto stream =
+            outcomes_to_stream(replay_trip(trip, point.policy, *campaign));
+        TripOutcome out{TripTally(fleet),
+                        std::max(trip.duration, Time::seconds(1.0))};
+        out.tally.acc.add_trip(stream, point.session);
+        const auto v = std::ranges::find(vehicles, trip.vehicle);
+        if (fleet > 0 && v != vehicles.end())
+          for (const int d : stream.delivered)
+            out.tally.veh_delivered[v - vehicles.begin()] += d;
+        return out;
+      },
+      total);
+  total.acc.finish(days, r);
+  if (fleet > 0) {
+    r.metrics["fairness_jain_delivery"] = mac::jain_index(total.veh_delivered);
+    r.series["veh_delivered"] = std::move(total.veh_delivered);
   }
 }
 
@@ -353,27 +498,16 @@ void seed_coordination(const ExperimentPoint& point,
   sys.coord.history = coord::fit_history(trips);
 }
 
-/// Everything one live trip contributes to its point: the shared metric
-/// accumulation plus — for fleet points — the per-vehicle fairness view
-/// (delivered/sent packets, airtime from the medium's ledger, and the
-/// infrastructure/client occupancy split).
-struct LiveTripOutcome {
-  MetricAccumulator acc;
-  std::vector<double> veh_delivered, veh_sent, veh_airtime_s;
-  double infra_airtime_s = 0.0, vehicle_airtime_s = 0.0;
-  Time sim_end = Time::zero();  ///< Final simulator clock (recorder base).
-};
-
-/// Runs one already-constructed live trip to its horizon and measures it.
-/// \p trace_horizon carries a replay trip's absolute schedule horizon;
-/// nullopt means a stochastic trip (one route lap).
-LiveTripOutcome measure_live_trip(const scenario::Testbed& bed,
-                                  const ExperimentPoint& point,
-                                  scenario::LiveTrip& live,
-                                  std::optional<Time> trace_horizon) {
+/// Runs one already-constructed live trip to its horizon and measures it;
+/// its span is the final simulator clock. \p trace_horizon carries a
+/// replay trip's absolute schedule horizon; nullopt means a stochastic
+/// trip (one route lap).
+TripOutcome measure_live_trip(const scenario::Testbed& bed,
+                              const ExperimentPoint& point,
+                              scenario::LiveTrip& live,
+                              std::optional<Time> trace_horizon) {
   const std::size_t fleet = static_cast<std::size_t>(bed.fleet_size());
   const bool fairness = fleet > 1;
-  LiveTripOutcome out;
   live.run_until(scenario::LiveTrip::warmup());
   // One CBR probe stream per vehicle, all sharing the trip's medium —
   // fleet points measure the stack under real multi-client contention.
@@ -393,79 +527,50 @@ LiveTripOutcome measure_live_trip(const scenario::Testbed& bed,
           : live.simulator().now() + bed.trip_duration();
   for (auto& cbr : cbrs) cbr->start(end);
   live.run_until(end + Time::seconds(1.0));
-  out.sim_end = live.simulator().now();
+  TripOutcome out{TripTally(fairness ? fleet : 0), live.simulator().now()};
   if (obs::MetricsRegistry* metrics = obs::current_metrics()) {
     live.system().medium().publish(*metrics);
     live.system().stats().publish(*metrics);
     for (const auto& cbr : cbrs) cbr->publish(*metrics);
     if (live.coord() != nullptr) live.coord()->publish(*metrics);
   }
-  for (auto& cbr : cbrs) out.acc.add_trip(cbr->slot_stream(), point.session);
+  TripTally& tally = out.tally;
+  for (auto& cbr : cbrs) tally.acc.add_trip(cbr->slot_stream(), point.session);
   if (fairness) {
-    out.veh_delivered.assign(fleet, 0.0);
-    out.veh_sent.assign(fleet, 0.0);
-    out.veh_airtime_s.assign(fleet, 0.0);
     const mac::MediumStats ms = live.medium_stats();
     for (std::size_t i = 0; i < fleet; ++i) {
-      out.veh_delivered[i] = static_cast<double>(cbrs[i]->delivered());
-      out.veh_sent[i] = static_cast<double>(cbrs[i]->sent());
+      tally.veh_delivered[i] = static_cast<double>(cbrs[i]->delivered());
+      tally.veh_sent[i] = static_cast<double>(cbrs[i]->sent());
       const mac::NodeAirtime& row = ms.node(bed.vehicle_ids()[i]);
-      out.veh_airtime_s[i] = (row.tx_airtime + row.rx_airtime).to_seconds();
+      tally.veh_airtime_s[i] = (row.tx_airtime + row.rx_airtime).to_seconds();
     }
-    out.infra_airtime_s =
+    tally.infra_airtime_s =
         ms.tx_airtime(mac::NodeRole::Infrastructure).to_seconds();
-    out.vehicle_airtime_s =
+    tally.vehicle_airtime_s =
         ms.tx_airtime(mac::NodeRole::Vehicle).to_seconds();
   }
   return out;
 }
 
-/// Point-level fold of one trip's outcome: the += sequence matches the
-/// historical in-loop accumulation exactly (per-trip values added in trip
-/// order), keeping floating-point sums bit-identical.
-struct LiveFold {
-  MetricAccumulator acc;
-  std::vector<double> veh_delivered, veh_sent, veh_airtime_s;
-  double infra_airtime_s = 0.0, vehicle_airtime_s = 0.0;
-
-  explicit LiveFold(std::size_t fleet)
-      : veh_delivered(fleet, 0.0),
-        veh_sent(fleet, 0.0),
-        veh_airtime_s(fleet, 0.0) {}
-
-  void add(const LiveTripOutcome& out, bool fairness) {
-    acc.merge(out.acc);
-    if (!fairness) return;
-    for (std::size_t i = 0; i < veh_delivered.size(); ++i) {
-      veh_delivered[i] += out.veh_delivered[i];
-      veh_sent[i] += out.veh_sent[i];
-      veh_airtime_s[i] += out.veh_airtime_s[i];
-    }
-    infra_airtime_s += out.infra_airtime_s;
-    vehicle_airtime_s += out.vehicle_airtime_s;
-  }
-};
-
-/// Shared tail of the live paths: metric distillation, fairness columns
-/// (fleet points only) and §5.3.2 call quality.
-void finish_live_point(const LiveFold& fold, int days, bool fairness,
-                       PointResult& r) {
-  fold.acc.finish(days, r);
-  if (fairness) {
+/// The live tail: metric distillation, fairness columns (fleet points
+/// only) and §5.3.2 call quality.
+void finish_live_point(const TripTally& total, int days, PointResult& r) {
+  total.acc.finish(days, r);
+  if (!total.veh_delivered.empty()) {
     double min_rate = 1.0;
-    for (std::size_t i = 0; i < fold.veh_delivered.size(); ++i)
-      min_rate = std::min(min_rate, fold.veh_sent[i] > 0.0
-                                        ? fold.veh_delivered[i] /
-                                              fold.veh_sent[i]
+    for (std::size_t i = 0; i < total.veh_delivered.size(); ++i)
+      min_rate = std::min(min_rate, total.veh_sent[i] > 0.0
+                                        ? total.veh_delivered[i] /
+                                              total.veh_sent[i]
                                         : 0.0);
-    r.metrics["airtime_infra_s"] = fold.infra_airtime_s;
-    r.metrics["airtime_vehicle_s"] = fold.vehicle_airtime_s;
-    r.metrics["fairness_jain_airtime"] = mac::jain_index(fold.veh_airtime_s);
+    r.metrics["airtime_infra_s"] = total.infra_airtime_s;
+    r.metrics["airtime_vehicle_s"] = total.vehicle_airtime_s;
+    r.metrics["fairness_jain_airtime"] = mac::jain_index(total.veh_airtime_s);
     r.metrics["fairness_jain_delivery"] =
-        mac::jain_index(fold.veh_delivered);
+        mac::jain_index(total.veh_delivered);
     r.metrics["per_vehicle_delivery_min"] = min_rate;
-    r.series["veh_airtime_s"] = fold.veh_airtime_s;
-    r.series["veh_delivered"] = fold.veh_delivered;
+    r.series["veh_airtime_s"] = total.veh_airtime_s;
+    r.series["veh_delivered"] = total.veh_delivered;
   }
 
   // §5.3.2 call quality under the fixed delay budget, charging half the
@@ -477,152 +582,53 @@ void finish_live_point(const LiveFold& fold, int days, bool fairness,
       apps::mos_g729(delay_ms, 1.0 - r.metrics["delivery_rate"]);
 }
 
-/// One live trip's contribution to its point, held until every earlier
-/// trip has folded: the measured outcome plus the recorder and registry
-/// the trip recorded into (null when the point has no such session).
-struct TripSlot {
-  bool done = false;
-  LiveTripOutcome out;
-  std::unique_ptr<obs::TraceRecorder> recorder;
-  std::unique_ptr<obs::MetricsRegistry> metrics;
-};
-
-/// Trip \p trip's part spool, beside a streaming session's own spool.
-std::string part_spool(const obs::TraceRecorder& session, std::size_t trip) {
-  char part[32];
-  std::snprintf(part, sizeof(part), ".trip%05zu.part", trip);
-  return session.spool_path() + part;
-}
-
-/// Runs live trip \p trip of the point — a pure function of (point, trip
-/// index), so any worker may run it — under its own recorder/registry
-/// when the point has a session: part spools beside a streaming session,
-/// rings of the session's capacity otherwise. Absorbed in trip order,
-/// either reproduces the bytes of recording straight into the session.
-TripSlot run_live_trip(const scenario::Testbed& bed,
-                       const ExperimentPoint& point,
-                       const core::SystemConfig& sys,
-                       const tracegen::CatalogStream* stream,
-                       const obs::TraceRecorder* session_rec,
-                       bool session_metrics, std::size_t trip) {
-  TripSlot slot;
-  // The trip scope must be live before LiveTrip's construction:
-  // VifiSystem labels its nodes through current_recorder().
-  std::optional<obs::TraceScope> trace_scope;
-  std::optional<obs::MetricsScope> metrics_scope;
-  if (session_rec != nullptr) {
-    slot.recorder =
-        session_rec->streaming()
-            ? std::make_unique<obs::TraceRecorder>(
-                  std::make_unique<obs::StreamSink>(
-                      part_spool(*session_rec, trip)))
-            : std::make_unique<obs::TraceRecorder>(
-                  session_rec->per_node_capacity());
-    trace_scope.emplace(*slot.recorder);
-  }
-  if (session_metrics) {
-    slot.metrics = std::make_unique<obs::MetricsRegistry>();
-    metrics_scope.emplace(*slot.metrics);
-  }
-  const std::uint64_t seed =
-      mix_seed(point.point_seed, static_cast<std::uint64_t>(trip));
-  if (stream != nullptr) {
-    // Replay trips drive the fleet loss schedule straight from their trip
-    // group's traces, loaded for this trip only.
-    const std::vector<trace::MeasurementTrace> traces =
-        stream->load_group(trip);
-    std::vector<const trace::MeasurementTrace*> ptrs;
-    ptrs.reserve(traces.size());
-    for (const trace::MeasurementTrace& t : traces) ptrs.push_back(&t);
-    scenario::LiveTrip live(bed, ptrs, sys, seed);
-    slot.out = measure_live_trip(bed, point, live, traces.front().duration);
-  } else {
-    // Stochastic trips draw a fresh channel.
-    scenario::LiveTrip live(bed, sys, seed);
-    slot.out = measure_live_trip(bed, point, live, std::nullopt);
-  }
-  slot.done = true;
-  return slot;
-}
-
 /// The §5.2 live workload: the point's trips — a catalog's trip groups,
-/// streamed one at a time, or days x trips_per_day stochastic draws —
-/// sharded across \p pool. Outcomes, recorders and registries fold in trip
-/// order as soon as every earlier trip is done, replaying a sequential
-/// loop's accumulation exactly: the bytes are the same for any worker
-/// count, and an inline pool holds one trip's session at a time.
+/// streamed one at a time, or days x trips_per_day stochastic draws from
+/// per-trip seeds — through the trip fold on \p pool.
 void run_live(const scenario::Testbed& bed, const ExperimentPoint& point,
               const Runner& pool, PointResult& r) {
+  // Replay points run every trip group of their catalog exactly once; the
+  // point's days/trips knobs describe generated campaigns only, under a
+  // replay campaign's precondition.
   std::optional<tracegen::CatalogStream> stream;
-  if (!point.trace_set.empty()) {
+  std::size_t n = 0;
+  if (point.trace_set.empty()) {
+    n = scenario::campaign_trip_count(replay_campaign_config(point));
+  } else {
     stream = tracegen::CatalogStream::open(point.trace_set);
     validate_catalog_shape(point, bed, stream->testbed(), stream->fleet_size(),
                            stream->vehicle_ids());
+    n = stream->trip_groups();
   }
   core::SystemConfig sys = live_system_config(point, bed);
   seed_coordination(point, bed, sys);
-  // Replay points run every trip group of their catalog exactly once; the
-  // point's days/trips knobs describe generated campaigns only.
-  const std::size_t n =
-      stream ? stream->trip_groups()
-             : static_cast<std::size_t>(point.days * point.trips_per_day);
   // Fleet points (V > 1) accumulate the per-vehicle fairness view on top
   // of the shared metric set; fleet-1 points skip all of it so their
   // output bytes stay identical to the single-vehicle sweeps.
-  const bool fairness = bed.fleet_size() > 1;
-
-  // One timeline per point: each trip's simulator restarts at zero, so a
-  // trip's recorder is absorbed at the previous trips' summed horizons.
-  obs::TraceRecorder* session_rec = obs::current_recorder();
-  obs::MetricsRegistry* session_metrics = obs::current_metrics();
-  Time trace_base =
-      session_rec != nullptr ? session_rec->time_base() : Time::zero();
-  LiveFold fold(static_cast<std::size_t>(bed.fleet_size()));
-  std::vector<TripSlot> slots(n);
-  std::size_t folded = 0;  // Trips [0, folded) are in fold and session.
-  std::mutex mu;
-  std::atomic<bool> failed{false};
-  const ResultSink trips = pool.run_indexed(n, [&](std::size_t trip) {
-    PointResult status;
-    status.index = trip;
-    if (failed.load()) return status;  // The point is lost already.
-    TripSlot slot;
-    try {
-      slot = run_live_trip(bed, point, sys, stream ? &*stream : nullptr,
-                           session_rec, session_metrics != nullptr, trip);
-    } catch (...) {
-      failed = true;
-      throw;
-    }
-    const std::lock_guard<std::mutex> lock(mu);
-    slots[trip] = std::move(slot);
-    for (; folded < n && slots[folded].done; ++folded) {
-      TripSlot& done = slots[folded];
-      fold.add(done.out, fairness);
-      if (done.recorder != nullptr) {
-        session_rec->absorb(*done.recorder, trace_base);
-        trace_base = trace_base + done.out.sim_end;
-      }
-      if (done.metrics != nullptr) session_metrics->merge(*done.metrics);
-      const bool part = done.recorder != nullptr && done.recorder->streaming();
-      done = TripSlot{};
-      if (part) std::filesystem::remove(part_spool(*session_rec, folded));
-    }
-    return status;
-  });
-  for (const PointResult& status : trips.ordered()) {
-    if (status.error.empty()) continue;
-    // Trips from the failed one on never folded: close their part spools
-    // (the failed trip's own included) and delete them.
-    slots.clear();
-    if (session_rec != nullptr && session_rec->streaming())
-      for (std::size_t trip = folded; trip < n; ++trip)
-        std::filesystem::remove(part_spool(*session_rec, trip));
-    throw std::runtime_error("trip " + std::to_string(status.index) + ": " +
-                             status.error);
-  }
-  if (session_rec != nullptr) session_rec->set_time_base(trace_base);
-  finish_live_point(fold, stream ? stream->days() : point.days, fairness, r);
+  const std::size_t fleet = static_cast<std::size_t>(bed.fleet_size());
+  TripTally total(fleet > 1 ? fleet : 0);
+  fold_trips(
+      n, pool,
+      [&](std::size_t trip) {
+        const std::uint64_t seed =
+            mix_seed(point.point_seed, static_cast<std::uint64_t>(trip));
+        if (!stream) {
+          // Stochastic trips draw a fresh channel.
+          scenario::LiveTrip live(bed, sys, seed);
+          return measure_live_trip(bed, point, live, std::nullopt);
+        }
+        // Replay trips drive the fleet loss schedule straight from their
+        // trip group's traces, loaded for this trip only.
+        const std::vector<trace::MeasurementTrace> traces =
+            stream->load_group(trip);
+        std::vector<const trace::MeasurementTrace*> ptrs;
+        ptrs.reserve(traces.size());
+        for (const trace::MeasurementTrace& t : traces) ptrs.push_back(&t);
+        scenario::LiveTrip live(bed, ptrs, sys, seed);
+        return measure_live_trip(bed, point, live, traces.front().duration);
+      },
+      total);
+  finish_live_point(total, stream ? stream->days() : point.days, r);
 }
 
 /// The recorder a point that owns its session records into: ring-backed
@@ -783,16 +789,9 @@ analysis::SlotStream outcomes_to_stream(
 std::vector<handoff::SlotOutcome> replay_trip(
     const trace::MeasurementTrace& trip, const std::string& policy,
     const trace::Campaign& campaign) {
-  using namespace handoff;
-  if (policy == "AllBSes") return replay_allbses(trip);
-  std::unique_ptr<HandoffPolicy> p;
-  if (policy == "BestBS") p = std::make_unique<BestBsPolicy>();
-  if (policy == "History") p = std::make_unique<HistoryPolicy>(campaign);
-  if (policy == "RSSI") p = std::make_unique<RssiPolicy>();
-  if (policy == "BRR") p = std::make_unique<BrrPolicy>();
-  if (policy == "Sticky") p = std::make_unique<StickyPolicy>();
-  VIFI_EXPECTS(p != nullptr);
-  return replay_hard_handoff(trip, *p);
+  if (policy == "AllBSes") return handoff::replay_allbses(trip);
+  return handoff::replay_hard_handoff(trip,
+                                      *make_replay_policy(policy, campaign));
 }
 
 PointResult run_point(const ExperimentPoint& point) {
@@ -826,7 +825,7 @@ PointResult run_point_sharded(const ExperimentPoint& point,
 
   const scenario::Testbed bed = make_testbed(point.testbed, point.fleet_size);
   if (point.workload == "replay") {
-    run_replay(bed, point, r);
+    run_replay(bed, point, pool, r);
   } else if (point.workload == "cbr") {
     run_live(bed, point, pool, r);
   } else {

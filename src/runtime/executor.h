@@ -68,15 +68,16 @@ struct MetricAccumulator {
 /// write-once result — byte for byte the campaign it would generate alone.
 PointResult run_point(const ExperimentPoint& point);
 
-/// Executes one point, sharding a "cbr" point's trips across \p pool's
-/// workers: a catalog point opens its catalog as a CatalogStream (manifest
-/// only; each worker loads just its own trip group), a stochastic point
-/// draws its days x trips_per_day trips from per-trip seeds. Each trip
-/// records into its own TripScope recorder/registry when the point has a
-/// session (point-owned, or installed by the caller); outcomes and
-/// sessions fold in trip order, so the result and every trace artifact
-/// are byte-identical for any thread count. "replay" points run on the
-/// calling thread. Throws on trip failure, leaving no part spool behind.
+/// Executes one point, sharding its trips across \p pool's workers. Both
+/// workloads run one trip loop: a "replay" trip is one trace of the
+/// point's campaign, a "cbr" trip is a catalog's trip group (the catalog
+/// opened as a CatalogStream, manifest only; each worker loads just its
+/// own group) or one of days x trips_per_day stochastic draws from per-trip
+/// seeds. Each trip records into its own TripScope recorder/registry when
+/// the point has a session (point-owned, or installed by the caller);
+/// outcomes and sessions fold in trip order, so the result and every trace
+/// artifact are byte-identical for any thread count. Throws on trip
+/// failure ("trip N: ..."), leaving no part spool behind.
 PointResult run_point_sharded(const ExperimentPoint& point,
                               const Runner& pool);
 

@@ -68,9 +68,14 @@ ResultSink Runner::run(const std::vector<ExperimentPoint>& points,
 }
 
 ResultSink Runner::run(const ExperimentSpec& spec) const {
-  return run(spec.enumerate(), [](const ExperimentPoint& p) {
-    return run_point(p);
-  });
+  const std::vector<ExperimentPoint> points = spec.enumerate();
+  const int at_once = static_cast<int>(std::clamp<std::size_t>(
+      points.size(), 1, static_cast<std::size_t>(threads_)));
+  const Runner trips({.threads = threads_ / at_once});
+  return Runner({.threads = at_once})
+      .run(points, [&trips](const ExperimentPoint& p) {
+        return run_point_sharded(p, trips);
+      });
 }
 
 }  // namespace vifi::runtime

@@ -38,8 +38,11 @@ class Runner {
   /// Number of workers the pool will actually use.
   int threads() const { return threads_; }
 
-  /// Runs every point of the spec through the built-in executor
-  /// (runtime::run_point).
+  /// Runs every point of the spec through the built-in executor, splitting
+  /// the pool itself: min(threads, points) points run at once, each through
+  /// runtime::run_point_sharded on a pool of threads / that workers, so a
+  /// grid wider than the pool parallelises across points and a narrower
+  /// one across each point's trips. The bytes do not depend on the split.
   ResultSink run(const ExperimentSpec& spec) const;
 
   /// Runs explicit points through a custom point function. \p fn is called

@@ -15,6 +15,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/export.h"
@@ -410,9 +411,9 @@ TEST(CampaignPool, PointFailingAfterTheCampaignIsSharedKeepsItsErrorRow) {
   for (const int threads : {1, 4}) {
     const ResultSink got = Runner({.threads = threads}).run(spec);
     for (const PointResult& r : got.ordered()) {
-      if (r.policy == "Teleport")
-        EXPECT_NE(r.error.find("precondition failed"), std::string::npos)
-            << r.index;
+      if (r.policy == "Teleport")  // The point's error, not a trip's.
+        EXPECT_EQ(r.error.rfind("precondition failed: p != nullptr", 0), 0u)
+            << r.index << ": " << r.error;
       else
         EXPECT_TRUE(r.error.empty()) << r.index << ": " << r.error;
     }
@@ -421,16 +422,28 @@ TEST(CampaignPool, PointFailingAfterTheCampaignIsSharedKeepsItsErrorRow) {
 }
 
 TEST(CampaignPool, EmptyCampaignFailsEveryPointWithThePrecondition) {
-  for (const bool zero_days : {true, false}) {
-    ExperimentSpec spec = shared_replay_grid();
-    (zero_days ? spec.days : spec.trips_per_day) = 0;
-    const ResultSink got = Runner({.threads = 4}).run(spec);
-    ASSERT_EQ(got.size(), 36u);
-    for (const PointResult& r : got.ordered())
-      EXPECT_NE(r.error.find("precondition failed: config.days > 0 && "
-                             "config.trips_per_day > 0"),
-                std::string::npos)
-          << r.index << ": " << r.error;
+  // Stochastic cbr points draw days x trips_per_day trips under the same
+  // precondition, and fail before any trip runs.
+  ExperimentSpec cbr;
+  cbr.grid.testbeds = {"VanLAN"};
+  cbr.grid.policies = {"ViFi", "BRR"};
+  cbr.grid.seeds = {1, 2};
+  cbr.workload = "cbr";
+  cbr.trip_duration = Time::seconds(5.0);
+  for (const ExperimentSpec& grid : {shared_replay_grid(), cbr}) {
+    for (const auto& [days, trips] : {std::pair{0, 2}, {1, 0}, {-1, 2}}) {
+      ExperimentSpec spec = grid;
+      spec.days = days;
+      spec.trips_per_day = trips;
+      const ResultSink got = Runner({.threads = 4}).run(spec);
+      ASSERT_EQ(got.size(), spec.grid.size());
+      for (const PointResult& r : got.ordered())
+        EXPECT_NE(r.error.find("precondition failed: config.days > 0 && "
+                               "config.trips_per_day > 0"),
+                  std::string::npos)
+            << spec.workload << " " << days << " x " << trips << ", point "
+            << r.index << ": " << r.error;
+    }
   }
 }
 
@@ -742,6 +755,19 @@ TEST(Executor, UnwritableExportFailsThePointNamingTheFile) {
     EXPECT_NE(error.find(blocked.string()), std::string::npos)
         << threads << " worker(s): " << error;
   }
+  fs::remove_all(dir);
+}
+
+// A catalog cbr point takes its trips from the catalog: the days and
+// trips_per_day knobs of a stochastic campaign do not apply to it.
+TEST(Executor, CatalogCbrPointIgnoresTheCampaignKnobs) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "vifi_test_catalog_knobs";
+  fs::remove_all(dir);
+  ExperimentPoint point = streamed_catalog_point(dir);
+  point.days = 0;
+  point.trips_per_day = 0;
+  EXPECT_GT(run_point(point).metrics.at("slots"), 0.0);
   fs::remove_all(dir);
 }
 
