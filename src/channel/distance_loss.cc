@@ -28,6 +28,58 @@ double DistanceLossCurve::reception_prob(double distance_m) const {
   return params_.p_max / (1.0 + std::exp(z));
 }
 
+namespace {
+
+/// Bands over [0, cutoff^2): 64 KB of bounds per table once all are filled.
+constexpr std::size_t kBands = 4096;
+
+// The slacks widen each band so that its bounds hold for the values the
+// exact path computes, not only for the true curve.
+//
+// Distance, relative: the band a link falls in comes from d2 = dx*dx +
+// dy*dy (three roundings), the index d2 * bands_per_m2 and the band's ends
+// sqrt(i / bands_per_m2) (two more roundings, sqrt correctly rounded), and
+// the exact path measures the link with std::hypot (glibc: within 1 ulp).
+// Together these move a length by under 1e-15 of itself; 1e-9 puts every
+// hypot result inside its band's widened ends, and keeps far_sq beyond any
+// length hypot rounds to the cutoff or below.
+constexpr double kDistanceSlack = 1e-9;
+// Probability, relative: the curve's subtraction, division, addition and
+// division are correctly rounded and so monotone in d; std::exp is within
+// a few ulps of the true exponential, so two lengths in order can give
+// curve values a few ulps out of order. 1e-12 covers that, and the rounding
+// of the curve at the band ends and of the widening products, many times
+// over.
+constexpr double kProbSlack = 1e-12;
+
+}  // namespace
+
+DistanceBands::DistanceBands(const DistanceLossCurve& curve)
+    : curve_(curve),
+      bands_per_m2_(static_cast<double>(kBands) /
+                    (curve.cutoff_m() * curve.cutoff_m())),
+      far_sq_(curve.cutoff_m() * curve.cutoff_m() * (1.0 + kDistanceSlack)),
+      bands_(kBands) {}
+
+const DistanceBands::Bounds* DistanceBands::find(double d2) {
+  // The last band reaches the cutoff, where the exact path's `d > cutoff`
+  // test decides; a zero cutoff makes x NaN or infinite.
+  const double x = d2 * bands_per_m2_;
+  if (!(x < static_cast<double>(kBands - 1))) return nullptr;
+  const auto i = static_cast<std::size_t>(x);
+  Bounds& b = bands_[i];
+  if (b.hi == 0.0) {
+    const double near_m = std::sqrt(static_cast<double>(i) / bands_per_m2_);
+    const double far_m = std::sqrt(static_cast<double>(i + 1) / bands_per_m2_);
+    // The curve falls with distance: the near end bounds it from above.
+    b.hi = curve_.reception_prob(near_m * (1.0 - kDistanceSlack)) *
+           (1.0 + kProbSlack);
+    b.lo = curve_.reception_prob(far_m * (1.0 + kDistanceSlack)) *
+           (1.0 - kProbSlack);
+  }
+  return &b;
+}
+
 double synthesize_rssi_dbm(double distance_m, Rng& rng) {
   // Log-distance path loss, exponent 2.8 (suburban), 8 dB shadowing.
   const double d = std::max(distance_m, 1.0);

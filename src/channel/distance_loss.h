@@ -6,6 +6,8 @@
 /// matches outdoor 1 Mbps 802.11b with omni antennas — the fixed, lowest
 /// rate the paper uses to maximise range (§5.1).
 
+#include <vector>
+
 #include "util/rng.h"
 
 namespace vifi::channel {
@@ -44,6 +46,37 @@ class DistanceLossCurve {
  private:
   Params params_;
   double cutoff_m_;
+};
+
+/// Bounds on a curve's value at a link's length, looked up from the squared
+/// length so that callers can often settle a link without `std::hypot` or
+/// `std::exp`. The squared lengths below the cutoff are split into equal
+/// bands; each band holds the curve at its two end distances, widened
+/// outward, and is filled on first use.
+class DistanceBands {
+ public:
+  struct Bounds {
+    double lo = 0.0;
+    double hi = 0.0;  ///< 0 until the band is filled.
+  };
+
+  explicit DistanceBands(const DistanceLossCurve& curve);
+
+  /// Bounds with `lo <= curve.reception_prob(std::hypot(dx, dy)) <= hi` for
+  /// any dx, dy with `d2 == dx * dx + dy * dy`. Null where only the exact
+  /// curve decides: in the band that touches the cutoff, beyond it, and for
+  /// a NaN \p d2.
+  const Bounds* find(double d2);
+
+  /// Squared length above which `std::hypot(dx, dy)` is certainly beyond
+  /// the cutoff.
+  double far_sq() const { return far_sq_; }
+
+ private:
+  DistanceLossCurve curve_;
+  double bands_per_m2_;
+  double far_sq_;
+  std::vector<Bounds> bands_;
 };
 
 /// Synthetic received signal strength (dBm) for beacon logs: log-distance

@@ -13,20 +13,21 @@ namespace vifi::channel {
 
 using sim::NodeId;
 
-/// One frame's channel outcome at one receiver: the reception probability
-/// in effect and the delivery draw made against it.
+/// One frame's channel outcome at one receiver: whether the link's reception
+/// probability reaches the caller's audibility threshold, and the delivery
+/// draw made against that probability.
 struct Reception {
-  double prob = 0.0;
+  bool audible = false;
   bool delivered = false;
 };
 
 /// Per-link packet-delivery oracle.
 ///
-/// `sample_delivery` draws one channel realisation for a single frame and
-/// may advance hidden burst state; it must be called in non-decreasing time
-/// order per link. `reception_prob` is a side-effect-free snapshot of the
-/// current average delivery probability (what a perfect estimator would
-/// know), used by idealised policies and analysis.
+/// `sample_delivery` draws one channel realisation for a single frame; it
+/// must be called in non-decreasing time order per link. `reception_prob`
+/// is a side-effect-free snapshot of the current average delivery
+/// probability (what a perfect estimator would know), used by idealised
+/// policies, analysis and trace records.
 class LossModel {
  public:
   virtual ~LossModel() = default;
@@ -35,12 +36,15 @@ class LossModel {
 
   virtual double reception_prob(NodeId tx, NodeId rx, Time now) const = 0;
 
-  /// `reception_prob` and `sample_delivery` for one frame in one call — the
-  /// medium's per-receiver hot path. Same result and draw sequence as the
-  /// two calls in that order; models override it to evaluate the link once.
-  virtual Reception sample(NodeId tx, NodeId rx, Time now) {
-    const double prob = reception_prob(tx, rx, now);
-    return {prob, sample_delivery(tx, rx, now)};
+  /// The medium's per-receiver hot path: `reception_prob(tx, rx, now) >=
+  /// audible_at`, then `sample_delivery(tx, rx, now)`, in one call. Same
+  /// results and draw sequence as those two calls in that order; models
+  /// override it to evaluate the link once, or to settle both answers from
+  /// bounds on the probability. The probability itself is available only
+  /// through `reception_prob`.
+  virtual Reception sample(NodeId tx, NodeId rx, Time now, double audible_at) {
+    const bool audible = reception_prob(tx, rx, now) >= audible_at;
+    return {audible, sample_delivery(tx, rx, now)};
   }
 };
 

@@ -10,7 +10,7 @@
 /// The schedule is symmetric per one-second bucket; finer-timescale
 /// behaviour and asymmetry are deliberately ignored, as in the paper.
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "channel/loss_model.h"
@@ -40,7 +40,7 @@ class TraceLossModel final : public LossModel {
   bool sample_delivery(NodeId tx, NodeId rx, Time now) override;
   double reception_prob(NodeId tx, NodeId rx, Time now) const override;
   /// One schedule lookup serves both the probability and the draw.
-  Reception sample(NodeId tx, NodeId rx, Time now) override;
+  Reception sample(NodeId tx, NodeId rx, Time now, double audible_at) override;
 
  private:
   struct PairSchedule {
@@ -48,9 +48,17 @@ class TraceLossModel final : public LossModel {
     double constant = -1.0;          // >= 0 overrides when second unset
   };
 
-  static sim::LinkKey canonical(NodeId a, NodeId b);
+  /// The pair's schedule, created on first use.
+  PairSchedule& schedule(NodeId a, NodeId b);
+  /// The pair's schedule; null where nothing was recorded.
+  const PairSchedule* find(NodeId a, NodeId b) const;
 
-  std::unordered_map<sim::LinkKey, PairSchedule> pairs_;
+  /// A pair lives in the row of its lower id, indexed by the higher id, as
+  /// 1 + its index in `schedules_` (0 = none). Rows grow on demand, so a
+  /// node that is never the lower end of a recorded pair (a vehicle, whose
+  /// ids follow the BSes') keeps an empty row.
+  std::vector<std::vector<std::uint32_t>> rows_;
+  std::vector<PairSchedule> schedules_;
   int horizon_ = 0;
   Rng rng_;
 };

@@ -61,16 +61,23 @@ class VehicularChannel final : public LossModel {
   /// receiver against the same transmitter position).
   using PositionFn = std::function<mobility::Vec2(NodeId, Time)>;
 
+  /// Throws ContractViolation unless every multiplier is in [0, 1] and every
+  /// sojourn mean is positive: spatial culling and the bounds below rest on
+  /// multipliers that can only lower a link's probability.
   VehicularChannel(VehicularChannelParams params, PositionFn positions,
                    Rng rng);
 
   /// Marks a node as mobile: it gets a common-mode fade process.
   void mark_mobile(NodeId node);
 
+  /// `sample(tx, rx, now, +inf).delivered`: the same bounds path.
   bool sample_delivery(NodeId tx, NodeId rx, Time now) override;
   double reception_prob(NodeId tx, NodeId rx, Time now) const override;
-  /// One link evaluation serves both the probability and the draw.
-  Reception sample(NodeId tx, NodeId rx, Time now) override;
+  /// Bounds first: a link's band of distances bounds its probability, so
+  /// most draws are settled without `std::hypot`, `std::exp` or, for a
+  /// clear miss, the fade states. The results and draws are exactly those
+  /// of the probability followed by `Rng::bernoulli`.
+  Reception sample(NodeId tx, NodeId rx, Time now, double audible_at) override;
 
   /// Distance-only mean reception (no fade states); for analysis and tests.
   double geometric_reception_prob(NodeId tx, NodeId rx, Time now) const;
@@ -99,16 +106,32 @@ class VehicularChannel final : public LossModel {
     NodeState& rx_state;
   };
 
+  /// Which of a link's multipliers apply at one instant.
+  struct Fades {
+    bool burst = false;
+    bool gray = false;
+    bool tx_fade = false;
+    bool rx_fade = false;
+  };
+
   NodeState& node_state(NodeId n) const;
   Link link(NodeId tx, NodeId rx) const;
   TwoStateProcess& burst(Link l) const;  // ON == Bad state
   TwoStateProcess& gray(Link l) const;   // ON == gray period
   TwoStateProcess* fade(NodeState& ns, NodeId n) const;  // null if fixed
   mobility::Vec2 position(NodeState& ns, NodeId n, Time now) const;
-  double instantaneous_prob(NodeId tx, NodeId rx, Time now) const;
+  /// Transmitter position minus receiver position at \p now.
+  mobility::Vec2 offset(const Link& l, Time now) const;
+  Fades fades(const Link& l, Time now) const;
+  /// \p p times the multipliers of \p f, in one fixed order, clamped to
+  /// [0, 1]. Monotone in \p p, and never above it.
+  double faded(double p, Fades f) const;
+  /// The exact probability of link \p l, \p delta long, at \p now.
+  double exact_prob(const Link& l, mobility::Vec2 delta, Time now) const;
 
   VehicularChannelParams params_;
   DistanceLossCurve curve_;
+  DistanceBands bands_;
   PositionFn positions_;
   mutable Rng rng_;
   mutable std::vector<NodeState> nodes_;

@@ -153,17 +153,21 @@ Time Medium::transmit(Frame frame) {
   refresh_receivers(now);
   for (const std::uint32_t i : ports_[tx_idx].receivers) {
     Port& rx = ports_[i];
-    // Decode sampling also advances burst state for sub-threshold links,
-    // keeping the stochastic processes in sync with wall-clock time.
-    const channel::Reception r = loss_.sample(tx.tx, rx.node, now);
-    if (r.prob >= params_.audibility_threshold) listen(rx, tx);
+    // Sub-threshold links are sampled too: their decode draws are part of
+    // the shared draw sequence.
+    const channel::Reception r =
+        loss_.sample(tx.tx, rx.node, now, params_.audibility_threshold);
+    if (r.audible) listen(rx, tx);
     ++rx.ledger.decode_attempts;
     ++decode_attempts_;
     if (r.delivered) {
       tx.decoders.push_back(i);
+      // reception_prob is pure at a fixed instant, so the record costs the
+      // exact probability only when someone records it.
       if (rec)
         rec->record(obs::EventKind::FrameDecode, now, rx.node, tx.tx,
-                    tx.frame.data.packet_id, r.prob, 0.0,
+                    tx.frame.data.packet_id,
+                    loss_.reception_prob(tx.tx, rx.node, now), 0.0,
                     static_cast<std::int32_t>(tx.frame.type));
     } else {
       ++rx.ledger.channel_losses;

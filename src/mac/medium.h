@@ -52,10 +52,10 @@ namespace vifi::mac {
 /// sub-audibility proof holds at every transmit instant as long as
 /// `margin_m >= max node speed x refresh`.
 ///
-/// Semantics when enabled: culled links get *no* sample_delivery call, so
-/// their hidden burst state is not advanced per frame (the channel models
-/// advance state lazily by wall-clock time, so this is safe but changes
-/// the shared draw sequence) — a culled run is deterministic and conserves
+/// Semantics when enabled: culled links get *no* `LossModel::sample` call,
+/// so they take no decode draw (the channel models advance their fade
+/// state lazily by wall-clock time, so this is safe but changes the shared
+/// draw sequence) — a culled run is deterministic and conserves
 /// airtime/decode counts exactly, but its results differ from an unculled
 /// run. Leaving `MediumParams::culling` unset keeps the historical
 /// every-node broadcast byte-for-byte.

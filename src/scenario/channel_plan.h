@@ -101,12 +101,12 @@ class ChannelizedLoss final : public channel::LossModel {
   }
 
   /// One base evaluation per frame; a gated link still advances the base
-  /// draw, exactly as sample_delivery does.
-  channel::Reception sample(sim::NodeId tx, sim::NodeId rx,
-                            Time now) override {
+  /// draw, exactly as sample_delivery does, and has probability 0.
+  channel::Reception sample(sim::NodeId tx, sim::NodeId rx, Time now,
+                            double audible_at) override {
     const bool audible = can_hear(tx, rx);
-    const channel::Reception r = base_.sample(tx, rx, now);
-    return audible ? r : channel::Reception{};
+    const channel::Reception r = base_.sample(tx, rx, now, audible_at);
+    return audible ? r : channel::Reception{0.0 >= audible_at, false};
   }
 
  private:

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "channel/distance_loss.h"
 #include "channel/markov.h"
@@ -151,6 +152,39 @@ VehicularChannel::PositionFn static_positions(double separation) {
   };
 }
 
+TEST(VehicularChannel, RejectsInvalidParamsAtConstruction) {
+  // Culling and the channel's bounds assume every multiplier is in [0, 1];
+  // a zero sojourn mean would otherwise throw only at the first frame.
+  using Params = VehicularChannelParams;
+  const auto builds = [](const Params& p) {
+    VehicularChannel ch(p, static_positions(50.0), Rng(3));
+  };
+  EXPECT_NO_THROW(builds(Params{}));
+  const std::vector<void (*)(Params&)> bad = {
+      [](Params& p) { p.ge_bad_multiplier = 1.5; },
+      [](Params& p) { p.ge_bad_multiplier = -0.1; },
+      [](Params& p) { p.gray_multiplier = 1.0 + 1e-12; },
+      [](Params& p) { p.gray_multiplier = std::nan(""); },
+      [](Params& p) { p.common_multiplier = 2.0; },
+      [](Params& p) { p.ge_mean_good = Time::zero(); },
+      [](Params& p) { p.ge_mean_bad = Time::zero(); },
+      [](Params& p) { p.gray_mean_off = Time::zero(); },
+      [](Params& p) { p.gray_mean_on = Time::seconds(-1.0); },
+      [](Params& p) { p.common_mean_off = Time::zero(); },
+      [](Params& p) { p.common_mean_on = Time::zero(); },
+  };
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    Params p;
+    bad[i](p);
+    EXPECT_THROW(builds(p), vifi::ContractViolation) << "field " << i;
+  }
+  // The bounds of the interval are valid multipliers.
+  Params edges;
+  edges.ge_bad_multiplier = 0.0;
+  edges.gray_multiplier = 1.0;
+  EXPECT_NO_THROW(builds(edges));
+}
+
 TEST(VehicularChannel, CloseLinkDeliversMost) {
   VehicularChannelParams params;
   VehicularChannel ch(params, static_positions(20.0), Rng(11));
@@ -270,28 +304,40 @@ TEST(VehicularChannel, DeterministicForSameSeed) {
 }
 
 TEST(VehicularChannel, FusedSampleMatchesProbabilityThenDraw) {
-  // One evaluation per receiver must reproduce reception_prob followed by
-  // sample_delivery exactly: the same probability and the same draws.
+  // The reference is the exact probability, then one bernoulli draw on the
+  // channel's own draw stream: sample() must reproduce both answers and
+  // draw exactly when the reference draws.
   VehicularChannelParams params;
   const auto positions = [](NodeId id, Time t) {
     return Vec2{id.value() * 45.0 + 6.0 * t.to_seconds(), 20.0 * id.value()};
   };
   VehicularChannel fused(params, positions, Rng(61));
-  VehicularChannel split(params, positions, Rng(61));
-  for (VehicularChannel* ch : {&fused, &split}) {
+  VehicularChannel exact(params, positions, Rng(61));
+  Rng draws = Rng(61).fork("per-packet-draws");
+  for (VehicularChannel* ch : {&fused, &exact}) {
     ch->mark_mobile(NodeId(3));
     ch->mark_mobile(NodeId(4));
   }
+  int audible = 0, delivered = 0;
   for (int i = 0; i < 3000; ++i) {
     const Time t = Time::millis(7.0 * i);
     const NodeId tx(i % 5);
     for (int r = 0; r < 5; ++r) {
       if (r == tx.value()) continue;
-      const Reception got = fused.sample(tx, NodeId(r), t);
-      ASSERT_EQ(got.prob, split.reception_prob(tx, NodeId(r), t)) << i;
-      ASSERT_EQ(got.delivered, split.sample_delivery(tx, NodeId(r), t)) << i;
+      const double prob = exact.reception_prob(tx, NodeId(r), t);
+      const Reception got = fused.sample(tx, NodeId(r), t, 0.05);
+      ASSERT_EQ(got.audible, prob >= 0.05) << i;
+      ASSERT_EQ(got.delivered, draws.bernoulli(prob)) << i;
+      audible += got.audible;
+      delivered += got.delivered;
     }
   }
+  EXPECT_GT(audible, 0);
+  EXPECT_GT(delivered, 0);
+  // The streams are still in step.
+  EXPECT_EQ(fused.sample_delivery(NodeId(0), NodeId(1), Time::seconds(30)),
+            draws.bernoulli(exact.reception_prob(NodeId(0), NodeId(1),
+                                                 Time::seconds(30))));
 }
 
 TEST(VehicularChannel, EvaluatesEachPositionOncePerInstant) {
@@ -305,11 +351,12 @@ TEST(VehicularChannel, EvaluatesEachPositionOncePerInstant) {
       },
       Rng(67));
   // One transmit instant: the transmitter once, each receiver once.
-  for (int r = 1; r <= 5; ++r) ch.sample(NodeId(0), NodeId(r), Time::millis(10));
+  for (int r = 1; r <= 5; ++r)
+    ch.sample(NodeId(0), NodeId(r), Time::millis(10), 0.05);
   EXPECT_EQ(calls, 6);
   EXPECT_GT(ch.reception_prob(NodeId(2), NodeId(1), Time::millis(10)), 0.0);
   EXPECT_EQ(calls, 6);
-  ch.sample(NodeId(0), NodeId(1), Time::millis(11));
+  ch.sample(NodeId(0), NodeId(1), Time::millis(11), 0.05);
   EXPECT_EQ(calls, 8);
 }
 
@@ -325,8 +372,9 @@ TEST(TraceLossModel, FusedSampleMatchesProbabilityThenDraw) {
   for (int i = 0; i < 4000; ++i) {
     const Time t = Time::millis(0.5 * i);
     for (const auto& [tx, rx] : {std::pair{0, 1}, {1, 0}, {2, 1}, {0, 2}}) {
-      const Reception got = fused.sample(NodeId(tx), NodeId(rx), t);
-      ASSERT_EQ(got.prob, split.reception_prob(NodeId(tx), NodeId(rx), t));
+      const Reception got = fused.sample(NodeId(tx), NodeId(rx), t, 0.5);
+      ASSERT_EQ(got.audible,
+                split.reception_prob(NodeId(tx), NodeId(rx), t) >= 0.5);
       ASSERT_EQ(got.delivered,
                 split.sample_delivery(NodeId(tx), NodeId(rx), t));
     }
