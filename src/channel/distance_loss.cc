@@ -30,7 +30,7 @@ double DistanceLossCurve::reception_prob(double distance_m) const {
 
 namespace {
 
-/// Bands over [0, cutoff^2): 64 KB of bounds per table once all are filled.
+/// Bands over [0, cutoff^2): 64 KB of bounds per table, filled lazily.
 constexpr std::size_t kBands = 4096;
 
 // The slacks widen each band so that its bounds hold for the values the
