@@ -162,8 +162,8 @@ Time Medium::transmit(Frame frame) {
     ++decode_attempts_;
     if (r.delivered) {
       tx.decoders.push_back(i);
-      // reception_prob is pure at a fixed instant, so the record costs the
-      // exact probability only when someone records it.
+      // Only a record needs the exact probability. reception_prob is pure
+      // at a fixed instant, so asking for it changes no draw.
       if (rec)
         rec->record(obs::EventKind::FrameDecode, now, rx.node, tx.tx,
                     tx.frame.data.packet_id,
