@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -103,42 +104,49 @@ int main(int argc, char** argv) {
   bool summary = false;
   bool fairness = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        std::exit(usage(argv[0]));
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto value = [&]() -> std::string {
+        if (i + 1 >= argc) {
+          std::cerr << arg << " needs a value\n";
+          std::exit(usage(argv[0]));
+        }
+        return argv[++i];
+      };
+      if (arg == "--threads") threads = std::atoi(value().c_str());
+      else if (arg == "--testbeds") spec.grid.testbeds = split_csv(value());
+      else if (arg == "--fleets") {
+        spec.grid.fleet_sizes.clear();
+        for (const auto& item : split_csv(value()))
+          spec.grid.fleet_sizes.push_back(std::atoi(item.c_str()));
       }
-      return argv[++i];
-    };
-    if (arg == "--threads") threads = std::atoi(value().c_str());
-    else if (arg == "--testbeds") spec.grid.testbeds = split_csv(value());
-    else if (arg == "--fleets") {
-      spec.grid.fleet_sizes.clear();
-      for (const auto& item : split_csv(value()))
-        spec.grid.fleet_sizes.push_back(std::atoi(item.c_str()));
+      else if (arg == "--trace-sets") spec.grid.trace_sets = split_csv(value());
+      else if (arg == "--policies") spec.grid.policies = split_csv(value());
+      else if (arg == "--coordination")
+        spec.grid.coordinations = split_csv(value());
+      else if (arg == "--seeds") spec.grid.seeds = split_csv_u64(value());
+      else if (arg == "--days") spec.days = std::atoi(value().c_str());
+      else if (arg == "--trips")
+        spec.trips_per_day = std::atoi(value().c_str());
+      else if (arg == "--trip-seconds")
+        spec.trip_duration = Time::seconds(std::atof(value().c_str()));
+      else if (arg == "--workload") spec.workload = value();
+      else if (arg == "--base-seed") spec.base_seed = std::stoull(value());
+      else if (arg == "--trace") spec.trace_dir = value();
+      else if (arg == "--trace-stream") spec.trace_stream = true;
+      else if (arg == "--metrics") spec.metric_columns = split_csv(value());
+      else if (arg == "--cull") spec.cull_medium = true;
+      else if (arg == "--json") json_path = value();
+      else if (arg == "--csv") csv_path = value();
+      else if (arg == "--summary") summary = true;
+      else if (arg == "--fairness") fairness = true;
+      else return usage(argv[0]);
     }
-    else if (arg == "--trace-sets") spec.grid.trace_sets = split_csv(value());
-    else if (arg == "--policies") spec.grid.policies = split_csv(value());
-    else if (arg == "--coordination")
-      spec.grid.coordinations = split_csv(value());
-    else if (arg == "--seeds") spec.grid.seeds = split_csv_u64(value());
-    else if (arg == "--days") spec.days = std::atoi(value().c_str());
-    else if (arg == "--trips") spec.trips_per_day = std::atoi(value().c_str());
-    else if (arg == "--trip-seconds")
-      spec.trip_duration = Time::seconds(std::atof(value().c_str()));
-    else if (arg == "--workload") spec.workload = value();
-    else if (arg == "--base-seed") spec.base_seed = std::stoull(value());
-    else if (arg == "--trace") spec.trace_dir = value();
-    else if (arg == "--trace-stream") spec.trace_stream = true;
-    else if (arg == "--metrics") spec.metric_columns = split_csv(value());
-    else if (arg == "--cull") spec.cull_medium = true;
-    else if (arg == "--json") json_path = value();
-    else if (arg == "--csv") csv_path = value();
-    else if (arg == "--summary") summary = true;
-    else if (arg == "--fairness") fairness = true;
-    else return usage(argv[0]);
+  } catch (const std::logic_error&) {
+    // std::stoull: not a number, or out of range.
+    std::cerr << "malformed number\n";
+    return usage(argv[0]);
   }
 
   for (const auto& bed : spec.grid.testbeds) {

@@ -20,6 +20,7 @@
 #include <iostream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "runtime/runner.h"
@@ -91,6 +92,17 @@ std::string require(const std::map<std::string, std::string>& flags,
   return it->second;
 }
 
+/// std::stoull for a flag value: a malformed or out-of-range number is a
+/// usage error, not an abort.
+std::uint64_t to_u64(const std::string& text) {
+  try {
+    return std::stoull(text);
+  } catch (const std::logic_error&) {
+    std::cerr << "malformed number: " << text << "\n";
+    std::exit(usage());
+  }
+}
+
 int cmd_record(int argc, char** argv) {
   const auto flags = parse_flags(argc, argv, 2, nullptr);
   const std::string testbed = require(flags, "--testbed");
@@ -105,7 +117,7 @@ int cmd_record(int argc, char** argv) {
   cfg.trips_per_day = std::atoi(get(flags, "--trips", "1").c_str());
   cfg.trip_duration =
       Time::seconds(std::atof(get(flags, "--trip-seconds", "0").c_str()));
-  cfg.seed = std::stoull(get(flags, "--seed", "1"));
+  cfg.seed = to_u64(get(flags, "--seed", "1"));
   cfg.log_probes = false;  // beacon-only: what replay schedules consume
   const scenario::Testbed bed = runtime::make_testbed(testbed, vehicles);
   const trace::Campaign campaign = scenario::generate_campaign(bed, cfg);
@@ -148,7 +160,7 @@ int cmd_synth(int argc, char** argv) {
   spec.trips_per_day = std::atoi(get(flags, "--trips", "1").c_str());
   spec.trip_duration =
       Time::seconds(std::atof(get(flags, "--trip-seconds", "0").c_str()));
-  spec.seed = std::stoull(get(flags, "--seed", "1"));
+  spec.seed = to_u64(get(flags, "--seed", "1"));
   const trace::Campaign campaign = tracegen::synthesize_fleet(model, spec);
   tracegen::write_catalog(out, get(flags, "--name", "synthetic"), campaign);
   std::cout << "synthesized " << campaign.trips.size() << " traces ("
@@ -173,7 +185,7 @@ int cmd_replay(int argc, char** argv) {
     std::istringstream ss(s);
     std::string item;
     while (std::getline(ss, item, ','))
-      if (!item.empty()) spec.grid.seeds.push_back(std::stoull(item));
+      if (!item.empty()) spec.grid.seeds.push_back(to_u64(item));
   }
   spec.workload = "cbr";
 

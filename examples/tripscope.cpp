@@ -28,6 +28,7 @@
 #include <iostream>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -335,30 +336,37 @@ int main(int argc, char** argv) {
   std::string out_dir;
   std::size_t print_events = 0;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        std::exit(usage(argv[0]));
-      }
-      return argv[++i];
-    };
-    if (arg == "--testbed") spec.grid.testbeds = {value()};
-    else if (arg == "--fleet")
-      spec.grid.fleet_sizes = {std::atoi(value().c_str())};
-    else if (arg == "--policy") spec.grid.policies = {value()};
-    else if (arg == "--workload") spec.workload = value();
-    else if (arg == "--seed") spec.grid.seeds = {std::stoull(value())};
-    else if (arg == "--days") spec.days = std::atoi(value().c_str());
-    else if (arg == "--trips") spec.trips_per_day = std::atoi(value().c_str());
-    else if (arg == "--trip-seconds")
-      spec.trip_duration = Time::seconds(std::atof(value().c_str()));
-    else if (arg == "--catalog") spec.grid.trace_sets = {value()};
-    else if (arg == "--events")
-      print_events = static_cast<std::size_t>(std::atoll(value().c_str()));
-    else if (arg == "--out") out_dir = value();
-    else return usage(argv[0]);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto value = [&]() -> std::string {
+        if (i + 1 >= argc) {
+          std::cerr << arg << " needs a value\n";
+          std::exit(usage(argv[0]));
+        }
+        return argv[++i];
+      };
+      if (arg == "--testbed") spec.grid.testbeds = {value()};
+      else if (arg == "--fleet")
+        spec.grid.fleet_sizes = {std::atoi(value().c_str())};
+      else if (arg == "--policy") spec.grid.policies = {value()};
+      else if (arg == "--workload") spec.workload = value();
+      else if (arg == "--seed") spec.grid.seeds = {std::stoull(value())};
+      else if (arg == "--days") spec.days = std::atoi(value().c_str());
+      else if (arg == "--trips")
+        spec.trips_per_day = std::atoi(value().c_str());
+      else if (arg == "--trip-seconds")
+        spec.trip_duration = Time::seconds(std::atof(value().c_str()));
+      else if (arg == "--catalog") spec.grid.trace_sets = {value()};
+      else if (arg == "--events")
+        print_events = static_cast<std::size_t>(std::atoll(value().c_str()));
+      else if (arg == "--out") out_dir = value();
+      else return usage(argv[0]);
+    }
+  } catch (const std::logic_error&) {
+    // std::stoull: not a number, or out of range.
+    std::cerr << "malformed number\n";
+    return usage(argv[0]);
   }
   if (!runtime::known_testbed(spec.grid.testbeds.front())) {
     std::cerr << "unknown testbed: " << spec.grid.testbeds.front() << "\n";
@@ -399,35 +407,7 @@ int main(int argc, char** argv) {
     for (const sim::NodeId node : recorder.nodes()) {
       std::map<std::string, std::uint64_t> per_cat;
       const auto events = recorder.ring(node).snapshot();
-      for (const obs::TraceEvent& e : events) {
-        switch (e.kind) {
-          case obs::EventKind::BeaconTx:
-          case obs::EventKind::BeaconRx:
-            ++per_cat["beacon"];
-            break;
-          case obs::EventKind::AnchorChange:
-          case obs::EventKind::AuxSetChange:
-            ++per_cat["designation"];
-            break;
-          case obs::EventKind::RelayEval:
-          case obs::EventKind::RelayTx:
-            ++per_cat["relay"];
-            break;
-          case obs::EventKind::SalvageRequest:
-          case obs::EventKind::SalvageHandoff:
-          case obs::EventKind::SalvageDeliver:
-            ++per_cat["salvage"];
-            break;
-          case obs::EventKind::AppDeliver:
-            ++per_cat["app"];
-            break;
-          case obs::EventKind::Handoff:
-            ++per_cat["handoff"];
-            break;
-          default:
-            ++per_cat["mac"];
-        }
-      }
+      for (const obs::TraceEvent& e : events) ++per_cat[obs::category(e.kind)];
       table.add_row({node_name(recorder, node), std::to_string(events.size()),
                      std::to_string(per_cat["beacon"]),
                      std::to_string(per_cat["designation"]),

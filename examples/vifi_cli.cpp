@@ -12,6 +12,7 @@
 
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "apps/cbr.h"
@@ -82,7 +83,14 @@ bool parse(int argc, char** argv, Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse(argc, argv, opt)) return usage(argv[0]);
+  bool parsed = false;
+  try {
+    parsed = parse(argc, argv, opt);
+  } catch (const std::logic_error&) {
+    // std::stod/stoull/stoi: not a number, or out of range.
+    std::cerr << "malformed number\n";
+  }
+  if (!parsed) return usage(argv[0]);
 
   // Testbed.
   scenario::Testbed bed = [&] {

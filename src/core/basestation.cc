@@ -32,7 +32,10 @@ VifiBasestation::VifiBasestation(sim::Simulator& sim, mac::Radio& radio,
       beaconing_(sim, radio, rng.fork("beacons"), config.beacon_period),
       second_tick_(sim, Time::seconds(1.0), [this] { on_second_tick(); }),
       relay_tick_(sim, config.relay_check_period, [this] { on_relay_tick(); }),
-      pump_tick_(sim, Time::millis(50), [this] { pump_all(); }) {
+      pump_tick_(sim, Time::millis(50), [this] { pump_all(); }),
+      receiver_(sim, radio, config, Direction::Upstream, stats) {
+  receiver_.set_release_handler(
+      [this](const net::PacketRef& p) { forward_to_gateway(p); });
   radio_.set_receiver([this](const mac::Frame& f) { on_frame(f); });
   radio_.set_idle_callback([this] { pump_all(); });
   beaconing_.set_payload_provider([this] { return beacon_payload(); });
@@ -54,8 +57,7 @@ VifiSender& VifiBasestation::sender_for(NodeId vehicle) {
     sender->set_hop_dst_provider([this, vehicle]() -> NodeId {
       return is_anchor_for(vehicle) ? vehicle : NodeId{};
     });
-    sender->set_piggyback_provider(
-        [this] { return recent_received_ids(); });
+    sender->set_piggyback_provider([this] { return receiver_.recent_ids(); });
     sender->set_designated_aux_provider([this, vehicle] {
       const auto vit = vehicles_.find(vehicle);
       return vit == vehicles_.end()
@@ -100,17 +102,6 @@ mac::BeaconPayload VifiBasestation::beacon_payload() {
   p.from_vehicle = false;
   p.prob_reports = pab_.export_reports(sim_.now());
   return p;
-}
-
-std::vector<std::uint64_t> VifiBasestation::recent_received_ids() const {
-  return {recent_rx_order_.begin(), recent_rx_order_.end()};
-}
-
-void VifiBasestation::send_ack(std::uint64_t packet_id) {
-  mac::Frame ack;
-  ack.type = mac::FrameType::Ack;
-  ack.ack.packet_id = packet_id;
-  radio_.send(std::move(ack));
 }
 
 void VifiBasestation::on_frame(const mac::Frame& f) {
@@ -217,8 +208,9 @@ void VifiBasestation::on_data(const mac::Frame& f) {
       }
       salvage_buffer_.erase(id);
     }
-    accept_upstream(f.packet, f.data.packet_id, f.data.link_seq,
-                    f.data.attempt, f.data.is_relay, f.data.relayer);
+    receiver_.accept({.packet = f.packet, .link_seq = f.data.link_seq,
+                      .attempt = f.data.attempt, .relayed = f.data.is_relay,
+                      .peer = f.data.relayer, .origin = f.data.origin});
     return;
   }
 
@@ -250,54 +242,6 @@ void VifiBasestation::on_data(const mac::Frame& f) {
   overheard_.push_back({f, sim_.now(), vehicle});
 }
 
-void VifiBasestation::accept_upstream(const net::PacketRef& packet,
-                                      std::uint64_t id,
-                                      std::uint64_t link_seq, int attempt,
-                                      bool relayed, NodeId relayer) {
-  VIFI_EXPECTS(packet != nullptr);
-  const bool is_new = received_up_.insert(id);
-
-  if (stats_) {
-    if (relayed)
-      stats_->on_relay_reached_dst(id, attempt, relayer);
-    else
-      stats_->on_dst_rx_direct(id, attempt);
-  }
-
-  if (!relayed) {
-    send_ack(id);
-    acked_once_.insert(id);
-  } else if (acked_once_.insert(id)) {
-    send_ack(id);
-  }
-
-  if (is_new) {
-    recent_rx_order_.push_back(id);
-    while (recent_rx_order_.size() >
-           static_cast<std::size_t>(config_.piggyback_depth))
-      recent_rx_order_.pop_front();
-    if (obs::TraceRecorder* rec = obs::current_recorder())
-      rec->record(obs::EventKind::AppDeliver, sim_.now(), self(), relayer, id,
-                  0.0, 0.0, 0);
-    if (config_.inorder_delivery && link_seq != 0) {
-      auto it = sequencers_.find(packet->src);
-      if (it == sequencers_.end()) {
-        it = sequencers_
-                 .emplace(packet->src,
-                          std::make_unique<Sequencer>(
-                              sim_, config_.reorder_hold,
-                              [this](const net::PacketRef& p) {
-                                forward_to_gateway(p);
-                              }))
-                 .first;
-      }
-      it->second->push(link_seq, packet);
-    } else {
-      forward_to_gateway(packet);
-    }
-  }
-}
-
 void VifiBasestation::forward_to_gateway(const net::PacketRef& packet) {
   net::WireMessage fwd;
   fwd.kind = net::WireMessage::Kind::Data;
@@ -321,8 +265,9 @@ void VifiBasestation::on_wire(const net::WireMessage& msg) {
       break;
     case net::WireMessage::Kind::RelayedData:
       VIFI_EXPECTS(msg.packet != nullptr);
-      accept_upstream(msg.packet, msg.packet->id, msg.link_seq, msg.attempt,
-                      /*relayed=*/true, msg.from);
+      receiver_.accept({.packet = msg.packet, .link_seq = msg.link_seq,
+                        .attempt = msg.attempt, .relayed = true,
+                        .peer = msg.from, .origin = msg.packet->src});
       break;
     case net::WireMessage::Kind::SalvageRequest: {
       // Hand over unacknowledged recent Internet packets destined for the

@@ -4,11 +4,11 @@
 /// A ViFi basestation. Its behaviour towards a vehicle depends on the role
 /// the *vehicle's* beacons assign to it (§4.3):
 ///
-///   anchor    — terminates the wireless hop: receives upstream data
-///               (direct or relayed over the backplane), acknowledges,
-///               forwards to the wired gateway; sources downstream data
-///               received from the gateway; keeps a salvage buffer and
-///               answers salvage pulls (§4.5);
+///   anchor    — terminates the wireless hop: its VifiReceiver acks and
+///               forwards upstream data (direct or relayed over the
+///               backplane) to the wired gateway; a VifiSender per vehicle
+///               sources downstream data from the gateway; keeps a salvage
+///               buffer and answers salvage pulls (§4.5);
 ///   auxiliary — opportunistically overhears data frames and, when no ACK
 ///               follows within a short window, probabilistically relays:
 ///               upstream over the backplane, downstream over the air
@@ -24,8 +24,8 @@
 #include "core/config.h"
 #include "core/id_set.h"
 #include "core/pab.h"
+#include "core/receiver.h"
 #include "core/sender.h"
-#include "core/sequencer.h"
 #include "core/stats.h"
 #include "mac/beaconing.h"
 #include "mac/radio.h"
@@ -116,14 +116,9 @@ class VifiBasestation {
   void on_wire(const net::WireMessage& msg);
   void on_second_tick();
   void on_relay_tick();
-  void accept_upstream(const net::PacketRef& packet, std::uint64_t id,
-                       std::uint64_t link_seq, int attempt, bool relayed,
-                       NodeId relayer);
   void forward_to_gateway(const net::PacketRef& packet);
   void enqueue_downstream(const net::PacketRef& packet);
   void become_anchor(NodeId vehicle, NodeId prev_anchor);
-  void send_ack(std::uint64_t packet_id);
-  std::vector<std::uint64_t> recent_received_ids() const;
   mac::BeaconPayload beacon_payload();
   net::Direction frame_direction(const mac::Frame& f, NodeId vehicle) const;
 
@@ -146,15 +141,14 @@ class VifiBasestation {
   /// Downstream data paths (anchor duty), one per served vehicle — VanLAN
   /// itself ran two vans (§2.1).
   std::map<NodeId, std::unique_ptr<VifiSender>> senders_;
+  /// Upstream data path (anchor duty): one for all vehicles, window too.
+  VifiReceiver receiver_;
 
   std::map<NodeId, VehicleState> vehicles_;
 
   std::vector<OverheardEntry> overheard_;
   RecentIdSet relay_considered_;
   RecentIdSet acks_overheard_;
-  RecentIdSet received_up_;
-  RecentIdSet acked_once_;
-  std::deque<std::uint64_t> recent_rx_order_;
 
   std::map<std::uint64_t, SalvageEntry> salvage_buffer_;
   std::uint64_t relays_sent_ = 0;
@@ -162,8 +156,6 @@ class VifiBasestation {
   /// Live relay-probability histogram, registered at construction when a
   /// MetricsRegistry is installed on this thread (nullptr otherwise).
   obs::Histogram* relay_prob_hist_ = nullptr;
-  /// In-order forwarding buffers per vehicle (§4.7 extension).
-  std::map<NodeId, std::unique_ptr<Sequencer>> sequencers_;
   /// CoordTier seams (see the setters above); empty when no manager rides.
   std::function<void(NodeId, NodeId, NodeId)> beacon_observer_;
   std::function<bool(NodeId)> relay_filter_;

@@ -17,12 +17,13 @@ VifiVehicle::VifiVehicle(sim::Simulator& sim, mac::Radio& radio,
       beaconing_(sim, radio, rng.fork("beacons"), config.beacon_period),
       second_tick_(sim, Time::seconds(1.0), [this] { on_second_tick(); }),
       pump_tick_(sim, Time::millis(50), [this] { sender_.pump(); }),
-      sender_(sim, radio, config, radio.self(), Direction::Upstream) {
+      sender_(sim, radio, config, radio.self(), Direction::Upstream),
+      receiver_(sim, radio, config, Direction::Downstream, stats) {
   radio_.set_receiver([this](const mac::Frame& f) { on_frame(f); });
   radio_.set_idle_callback([this] { sender_.pump(); });
   beaconing_.set_payload_provider([this] { return beacon_payload(); });
   sender_.set_hop_dst_provider([this] { return anchor_; });
-  sender_.set_piggyback_provider([this] { return recent_received_ids(); });
+  sender_.set_piggyback_provider([this] { return receiver_.recent_ids(); });
   sender_.set_designated_aux_provider(
       [this] { return static_cast<int>(auxiliaries().size()); });
   sender_.set_stats(stats);
@@ -42,7 +43,7 @@ void VifiVehicle::send_up(net::PacketRef packet) {
 
 void VifiVehicle::set_delivery_handler(
     std::function<void(const net::PacketRef&)> fn) {
-  deliver_ = std::move(fn);
+  receiver_.set_release_handler(std::move(fn));
 }
 
 std::vector<NodeId> VifiVehicle::auxiliaries() const {
@@ -144,17 +145,6 @@ mac::BeaconPayload VifiVehicle::beacon_payload() {
   return p;
 }
 
-std::vector<std::uint64_t> VifiVehicle::recent_received_ids() const {
-  return {recent_rx_order_.begin(), recent_rx_order_.end()};
-}
-
-void VifiVehicle::send_ack(std::uint64_t packet_id) {
-  mac::Frame ack;
-  ack.type = mac::FrameType::Ack;
-  ack.ack.packet_id = packet_id;
-  radio_.send(std::move(ack));
-}
-
 void VifiVehicle::on_frame(const mac::Frame& f) {
   const Time now = sim_.now();
   switch (f.type) {
@@ -186,52 +176,11 @@ void VifiVehicle::on_data(const mac::Frame& f) {
   for (std::uint64_t id : f.data.piggyback_acked)
     sender_.acknowledge(id, sim_.now(), /*explicit_ack=*/false);
 
-  const std::uint64_t id = f.data.packet_id;
-  const bool is_new = received_.insert(id);
-
-  if (!f.data.is_relay) {
-    if (stats_) stats_->on_dst_rx_direct(id, f.data.attempt);
-    // Direct reception: always acknowledge (covers lost-ACK retries).
-    send_ack(id);
-    acked_once_.insert(id);
-  } else {
-    if (stats_) stats_->on_relay_reached_dst(id, f.data.attempt, f.tx);
-    // Relayed reception: acknowledge only if not acked before (§4.3 step 4).
-    if (acked_once_.insert(id)) send_ack(id);
-  }
-
-  if (is_new) {
-    recent_rx_order_.push_back(id);
-    while (recent_rx_order_.size() >
-           static_cast<std::size_t>(config_.piggyback_depth))
-      recent_rx_order_.pop_front();
-    if (stats_) stats_->on_app_delivered(Direction::Downstream);
-    if (obs::TraceRecorder* rec = obs::current_recorder())
-      rec->record(obs::EventKind::AppDeliver, sim_.now(), self(), f.tx, id,
-                  0.0, 0.0, 1);
-    if (f.packet)
-      deliver_up_the_stack(f.data.origin, f.data.link_seq, f.packet);
-  }
-}
-
-void VifiVehicle::deliver_up_the_stack(NodeId origin, std::uint64_t link_seq,
-                                       const net::PacketRef& packet) {
-  if (!deliver_) return;
-  if (!config_.inorder_delivery || link_seq == 0) {
-    deliver_(packet);
-    return;
-  }
-  auto it = sequencers_.find(origin);
-  if (it == sequencers_.end()) {
-    it = sequencers_
-             .emplace(origin, std::make_unique<Sequencer>(
-                                  sim_, config_.reorder_hold,
-                                  [this](const net::PacketRef& p) {
-                                    deliver_(p);
-                                  }))
-             .first;
-  }
-  it->second->push(link_seq, packet);
+  const bool is_new = receiver_.accept(
+      {.packet = f.packet, .link_seq = f.data.link_seq,
+       .attempt = f.data.attempt, .relayed = f.data.is_relay, .peer = f.tx,
+       .origin = f.data.origin});
+  if (is_new && stats_) stats_->on_app_delivered(Direction::Downstream);
 }
 
 }  // namespace vifi::core

@@ -4,22 +4,18 @@
 /// The ViFi client on the vehicle (§4.3): picks the anchor with BRR over
 /// beacons, designates every other recently-heard BS as auxiliary,
 /// broadcasts beacons carrying {anchor, previous anchor, auxiliaries, pab
-/// gossip}, sources upstream packets through the VifiSender, sinks
-/// downstream packets (direct or relayed) with duplicate suppression, and
-/// acknowledges per the §4.3 rules.
+/// gossip}, sources upstream packets through its VifiSender and sinks
+/// downstream packets (direct or relayed) through its VifiReceiver, which
+/// suppresses duplicates and acknowledges per the §4.3 rules.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
-#include <memory>
 #include <vector>
 
 #include "core/config.h"
-#include "core/id_set.h"
 #include "core/pab.h"
+#include "core/receiver.h"
 #include "core/sender.h"
-#include "core/sequencer.h"
 #include "core/stats.h"
 #include "mac/beaconing.h"
 #include "mac/radio.h"
@@ -63,8 +59,6 @@ class VifiVehicle {
   void on_second_tick();
   void select_anchor();
   mac::BeaconPayload beacon_payload();
-  void send_ack(std::uint64_t packet_id);
-  std::vector<std::uint64_t> recent_received_ids() const;
 
   sim::Simulator& sim_;
   mac::Radio& radio_;
@@ -75,21 +69,12 @@ class VifiVehicle {
   sim::PeriodicTimer second_tick_;
   sim::PeriodicTimer pump_tick_;
   VifiSender sender_;
+  VifiReceiver receiver_;
 
   NodeId anchor_{};
   NodeId prev_anchor_{};
   std::uint64_t anchor_switches_ = 0;
   int last_aux_count_ = 0;  ///< Last auxiliary-set size traced.
-
-  RecentIdSet received_;
-  RecentIdSet acked_once_;  ///< Ids acked in response to a *relayed* copy.
-  std::deque<std::uint64_t> recent_rx_order_;  ///< For piggybacking.
-  std::function<void(const net::PacketRef&)> deliver_;
-  /// In-order delivery buffers, one per stream origin (§4.7 extension).
-  std::map<NodeId, std::unique_ptr<Sequencer>> sequencers_;
-
-  void deliver_up_the_stack(NodeId origin, std::uint64_t link_seq,
-                            const net::PacketRef& packet);
 };
 
 }  // namespace vifi::core

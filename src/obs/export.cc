@@ -24,42 +24,6 @@ int tid_of(sim::NodeId node) {
   return node.valid() ? node.value() : kNoNodeTid;
 }
 
-const char* category(EventKind kind) {
-  switch (kind) {
-    case EventKind::BeaconTx:
-    case EventKind::BeaconRx:
-      return "beacon";
-    case EventKind::AnchorChange:
-    case EventKind::AuxSetChange:
-      return "designation";
-    case EventKind::RelayEval:
-    case EventKind::RelayTx:
-      return "relay";
-    case EventKind::SalvageRequest:
-    case EventKind::SalvageHandoff:
-    case EventKind::SalvageDeliver:
-      return "salvage";
-    case EventKind::FrameEnqueue:
-    case EventKind::FrameTx:
-    case EventKind::FrameDecode:
-    case EventKind::FrameCollide:
-    case EventKind::FrameDeliver:
-    case EventKind::FrameDrop:
-      return "mac";
-    case EventKind::AppDeliver:
-      return "app";
-    case EventKind::Handoff:
-      return "handoff";
-    case EventKind::CoordTransition:
-    case EventKind::CoordPrestage:
-    case EventKind::CoordSuppress:
-      return "coord";
-    case EventKind::Log:
-      return "log";
-  }
-  return "?";
-}
-
 /// Longest line a Line is asked to hold, with room to spare: a Chrome
 /// event line is under 320 bytes (two 20-digit integers and two 24-byte
 /// doubles at most, plus a 16-byte kind name and the field names).
@@ -216,6 +180,42 @@ void chrome_event(Line& line, const TraceEvent& e) {
 }
 
 }  // namespace
+
+const char* category(EventKind kind) {
+  switch (kind) {
+    case EventKind::BeaconTx:
+    case EventKind::BeaconRx:
+      return "beacon";
+    case EventKind::AnchorChange:
+    case EventKind::AuxSetChange:
+      return "designation";
+    case EventKind::RelayEval:
+    case EventKind::RelayTx:
+      return "relay";
+    case EventKind::SalvageRequest:
+    case EventKind::SalvageHandoff:
+    case EventKind::SalvageDeliver:
+      return "salvage";
+    case EventKind::FrameEnqueue:
+    case EventKind::FrameTx:
+    case EventKind::FrameDecode:
+    case EventKind::FrameCollide:
+    case EventKind::FrameDeliver:
+    case EventKind::FrameDrop:
+      return "mac";
+    case EventKind::AppDeliver:
+      return "app";
+    case EventKind::Handoff:
+      return "handoff";
+    case EventKind::CoordTransition:
+    case EventKind::CoordPrestage:
+    case EventKind::CoordSuppress:
+      return "coord";
+    case EventKind::Log:
+      return "log";
+  }
+  return "?";
+}
 
 std::string json_escape(std::string_view s) {
   std::string out;

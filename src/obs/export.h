@@ -34,6 +34,9 @@
 
 namespace vifi::obs {
 
+/// The trace-event category of \p kind ("beacon", "relay", "mac"...).
+const char* category(EventKind kind);
+
 /// Escapes a string for embedding inside a JSON string literal
 /// (quotes, backslashes, control characters as \uXXXX).
 std::string json_escape(std::string_view s);

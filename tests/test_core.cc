@@ -1,22 +1,27 @@
 // Unit tests for ViFi core components: pab estimation/gossip, the relay
 // probability computation (Eq. 1-3 and the ¬G variants), the sender's
-// acknowledgment handling and retransmission order, stats accounting, and
-// the id set.
+// acknowledgment handling and retransmission order, the receiver's §4.3
+// ack rule, duplicate suppression, piggyback window and in-order release,
+// stats accounting, and the id set.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include "channel/loss_model.h"
 #include "core/id_set.h"
 #include "core/pab.h"
+#include "core/receiver.h"
 #include "core/relay_policy.h"
 #include "core/sender.h"
 #include "core/stats.h"
 #include "mac/medium.h"
 #include "mac/radio.h"
 #include "net/packet.h"
+#include "obs/recorder.h"
 #include "sim/simulator.h"
 #include "util/contracts.h"
 #include "util/rng.h"
@@ -709,6 +714,181 @@ TEST(VifiSender, SendsTheEarliestQueuedReadyPacket) {
   ASSERT_GT(rig.air.frames.size(), before);
   EXPECT_EQ(std::get<1>(rig.air.frames[before]), p1);
   EXPECT_EQ(std::get<2>(rig.air.frames[before]), 2);
+}
+
+// -------------------------------------------------------- VifiReceiver --
+
+/// Logs the ids of the ACK frames it hears.
+class AckLog final : public mac::FrameSink {
+ public:
+  void on_frame(const mac::Frame& f) override {
+    if (f.type == mac::FrameType::Ack) acks.push_back(f.ack.packet_id);
+  }
+  std::size_t count(std::uint64_t id) const {
+    return static_cast<std::size_t>(std::count(acks.begin(), acks.end(), id));
+  }
+  std::vector<std::uint64_t> acks;
+};
+
+/// A destination radio (node 0) on a lossless medium with the source
+/// (node 1) listening for its ACKs; each copy is handed to the receiver
+/// the way the owning agents do, and the airtime it takes to ack is run
+/// off before the next.
+struct ReceiverRig {
+  sim::Simulator sim;
+  PerfectLoss loss;
+  mac::Medium medium{sim, loss, {}};
+  AckLog air;
+  mac::Radio radio{sim, medium, NodeId(0), Rng(1)};
+  net::PacketFactory factory;
+  std::vector<std::uint64_t> released;
+
+  ReceiverRig() { medium.attach(NodeId(1), &air); }
+
+  void wire(VifiReceiver& receiver) {
+    receiver.set_release_handler(
+        [this](const net::PacketRef& p) { released.push_back(p->id); });
+  }
+  net::PacketRef packet(Direction dir) {
+    return factory.make(dir, NodeId(1), NodeId(0), 100, sim.now());
+  }
+  void arrive(VifiReceiver& receiver, const net::PacketRef& p, bool relayed,
+              std::uint64_t link_seq = 0, NodeId origin = NodeId(1)) {
+    receiver.accept({.packet = p,
+                     .link_seq = link_seq,
+                     .attempt = 1,
+                     .relayed = relayed,
+                     .peer = relayed ? NodeId(2) : NodeId(1),
+                     .origin = origin});
+    run_for(Time::millis(5));
+  }
+  void run_for(Time t) { sim.run_until(sim.now() + t); }
+};
+
+constexpr Direction kBothDirections[] = {Direction::Upstream,
+                                         Direction::Downstream};
+
+TEST(VifiReceiver, AcksEveryDirectCopy) {
+  for (const Direction dir : kBothDirections) {
+    SCOPED_TRACE(dir == Direction::Upstream ? "upstream" : "downstream");
+    ReceiverRig rig;
+    VifiReceiver receiver(rig.sim, rig.radio, VifiConfig{}, dir, nullptr);
+    rig.wire(receiver);
+    const net::PacketRef p = rig.packet(dir);
+    for (int i = 0; i < 3; ++i) rig.arrive(receiver, p, /*relayed=*/false);
+    EXPECT_EQ(rig.air.count(p->id), 3u);
+    // A direct copy after a relayed one is acked too.
+    const net::PacketRef q = rig.packet(dir);
+    rig.arrive(receiver, q, /*relayed=*/true);
+    rig.arrive(receiver, q, /*relayed=*/false);
+    EXPECT_EQ(rig.air.count(q->id), 2u);
+  }
+}
+
+TEST(VifiReceiver, AcksARelayedCopyOnlyIfNoCopyWasAcked) {
+  for (const Direction dir : kBothDirections) {
+    SCOPED_TRACE(dir == Direction::Upstream ? "upstream" : "downstream");
+    ReceiverRig rig;
+    VifiReceiver receiver(rig.sim, rig.radio, VifiConfig{}, dir, nullptr);
+    rig.wire(receiver);
+    // The first copy is a relay: acked once, later relays are not.
+    const net::PacketRef p = rig.packet(dir);
+    rig.arrive(receiver, p, /*relayed=*/true);
+    rig.arrive(receiver, p, /*relayed=*/true);
+    EXPECT_EQ(rig.air.count(p->id), 1u);
+    // Directly acked first: no relayed copy is acked after it (§4.3 step 4).
+    const net::PacketRef q = rig.packet(dir);
+    rig.arrive(receiver, q, /*relayed=*/false);
+    rig.arrive(receiver, q, /*relayed=*/true);
+    rig.arrive(receiver, q, /*relayed=*/true);
+    EXPECT_EQ(rig.air.count(q->id), 1u);
+  }
+}
+
+TEST(VifiReceiver, DeliversDuplicatesOnceAndKeepsThemOutOfTheWindow) {
+  for (const Direction dir : kBothDirections) {
+    SCOPED_TRACE(dir == Direction::Upstream ? "upstream" : "downstream");
+    ReceiverRig rig;
+    VifiReceiver receiver(rig.sim, rig.radio, VifiConfig{}, dir, nullptr);
+    rig.wire(receiver);
+    const net::PacketRef p = rig.packet(dir);
+    const net::PacketRef q = rig.packet(dir);
+    EXPECT_TRUE(receiver.accept({.packet = p}));
+    EXPECT_TRUE(receiver.accept({.packet = q}));
+    EXPECT_FALSE(receiver.accept({.packet = p}));
+    rig.arrive(receiver, p, /*relayed=*/true);
+    rig.arrive(receiver, q, /*relayed=*/false);
+    EXPECT_EQ(rig.released, (std::vector<std::uint64_t>{p->id, q->id}));
+    EXPECT_EQ(receiver.recent_ids(),
+              (std::vector<std::uint64_t>{p->id, q->id}));
+  }
+}
+
+TEST(VifiReceiver, WindowHoldsTheNewestPiggybackDepthIds) {
+  for (const Direction dir : kBothDirections) {
+    SCOPED_TRACE(dir == Direction::Upstream ? "upstream" : "downstream");
+    ReceiverRig rig;
+    VifiConfig config;
+    config.piggyback_depth = 3;
+    VifiReceiver receiver(rig.sim, rig.radio, config, dir, nullptr);
+    std::vector<std::uint64_t> ids;
+    for (int i = 0; i < 5; ++i) {
+      const net::PacketRef p = rig.packet(dir);
+      ids.push_back(p->id);
+      rig.arrive(receiver, p, /*relayed=*/i % 2 == 1);
+      rig.arrive(receiver, p, /*relayed=*/false);
+    }
+    EXPECT_EQ(receiver.recent_ids(),
+              (std::vector<std::uint64_t>{ids[2], ids[3], ids[4]}));
+  }
+}
+
+TEST(VifiReceiver, InorderReleaseIsPerOriginInLinkSeqOrder) {
+  for (const Direction dir : kBothDirections) {
+    SCOPED_TRACE(dir == Direction::Upstream ? "upstream" : "downstream");
+    ReceiverRig rig;
+    VifiConfig config;
+    config.inorder_delivery = true;
+    config.reorder_hold = Time::seconds(1.0);
+    VifiReceiver receiver(rig.sim, rig.radio, config, dir, nullptr);
+    rig.wire(receiver);
+    const NodeId a(5), b(6);
+    const net::PacketRef a1 = rig.packet(dir), a2 = rig.packet(dir);
+    const net::PacketRef b1 = rig.packet(dir), b2 = rig.packet(dir);
+    const net::PacketRef unsequenced = rig.packet(dir);
+    // b's second packet waits for its first; a's stream is not held by it.
+    rig.arrive(receiver, b2, /*relayed=*/false, 2, b);
+    rig.arrive(receiver, a2, /*relayed=*/true, 2, a);
+    rig.arrive(receiver, a1, /*relayed=*/false, 1, a);
+    EXPECT_EQ(rig.released, (std::vector<std::uint64_t>{a1->id, a2->id}));
+    rig.arrive(receiver, unsequenced, /*relayed=*/false, 0, b);
+    rig.arrive(receiver, b1, /*relayed=*/false, 1, b);
+    EXPECT_EQ(rig.released,
+              (std::vector<std::uint64_t>{a1->id, a2->id, unsequenced->id,
+                                          b1->id, b2->id}));
+  }
+}
+
+TEST(VifiReceiver, AppDeliverCarriesThePeerAndTheDirection) {
+  for (const Direction dir : kBothDirections) {
+    SCOPED_TRACE(dir == Direction::Upstream ? "upstream" : "downstream");
+    obs::TraceRecorder recorder;
+    obs::TraceScope scope(recorder);
+    ReceiverRig rig;
+    VifiReceiver receiver(rig.sim, rig.radio, VifiConfig{}, dir, nullptr);
+    const net::PacketRef p = rig.packet(dir);
+    receiver.accept({.packet = p, .peer = NodeId(7)});
+    receiver.accept({.packet = p, .peer = NodeId(8)});
+    std::vector<obs::TraceEvent> delivers;
+    recorder.visit([&](const obs::TraceEvent& e) {
+      if (e.kind == obs::EventKind::AppDeliver) delivers.push_back(e);
+    });
+    ASSERT_EQ(delivers.size(), 1u);
+    EXPECT_EQ(delivers[0].node, NodeId(0));
+    EXPECT_EQ(delivers[0].peer, NodeId(7));
+    EXPECT_EQ(delivers[0].id, p->id);
+    EXPECT_EQ(delivers[0].c, dir == Direction::Downstream ? 1 : 0);
+  }
 }
 
 // ------------------------------------------------------------ RecentIdSet --

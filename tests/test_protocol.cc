@@ -317,9 +317,12 @@ TEST_F(ProtocolTest, InorderDeliveryConfigStillDeliversEverything) {
   run_for(Time::seconds(2.0));
   EXPECT_EQ(vehicle_got_.size(), 30u);
   EXPECT_EQ(host_got_.size(), 30u);
-  // In-order: ids strictly increasing per direction.
+  // In-order: ids strictly increasing per direction. Upstream goes through
+  // the anchor's sequencer, downstream through the vehicle's.
   for (std::size_t i = 1; i < vehicle_got_.size(); ++i)
     EXPECT_LT(vehicle_got_[i - 1], vehicle_got_[i]);
+  for (std::size_t i = 1; i < host_got_.size(); ++i)
+    EXPECT_LT(host_got_[i - 1], host_got_[i]);
 }
 
 TEST_F(ProtocolTest, RetxIntervalAdaptsToAckDelays) {
