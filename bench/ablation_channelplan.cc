@@ -35,14 +35,14 @@ analysis::SlotStream run_trip(const scenario::Testbed& bed, bool channelized,
   scenario::ChannelPlan plan =
       scenario::ChannelPlan::cellular(bed.bs_ids(), channelized ? 3 : 1);
   scenario::ChannelizedLoss loss(
-      *base, plan, bed.vehicle(), aux_radios, [&]() {
+      *base, plan, bed.vehicle_ids(), aux_radios, [&](sim::NodeId vehicle) {
         const sim::NodeId anchor =
-            system ? system->vehicle().anchor() : sim::NodeId{};
+            system ? system->vehicle(vehicle).anchor() : sim::NodeId{};
         return anchor.valid() ? plan.channel_of(anchor) : -1;
       });
   system = std::make_unique<core::VifiSystem>(
-      sim, loss, bed.bs_ids(), bed.vehicle(), bed.wired_host(), cfg);
-  apps::VifiTransport transport(*system);
+      sim, loss, bed.bs_ids(), bed.vehicle_ids(), bed.wired_host(), cfg);
+  apps::VifiTransport transport(*system, bed.vehicle());
   system->start();
   sim.run_until(Time::seconds(3.0));
   apps::CbrWorkload cbr(sim, transport);

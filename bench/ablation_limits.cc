@@ -55,8 +55,8 @@ core::CoordinationSummary run_ring(int n_bs, Time duration) {
   core::SystemConfig cfg = vifi_system();
   cfg.vifi.max_retx = 0;
   cfg.seed = 4000 + static_cast<std::uint64_t>(n_bs);
-  core::VifiSystem system(sim, loss, bs_ids, vehicle, gateway, cfg);
-  apps::VifiTransport transport(system);
+  core::VifiSystem system(sim, loss, bs_ids, {vehicle}, gateway, cfg);
+  apps::VifiTransport transport(system, vehicle);
   system.start();
   sim.run_until(Time::seconds(3.0));
   apps::CbrWorkload cbr(sim, transport);

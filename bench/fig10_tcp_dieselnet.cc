@@ -26,7 +26,7 @@ int main() {
         systems.size(), campaign.trips.size(),
         [&](std::size_t system, std::size_t trip) {
           const trace::MeasurementTrace& trip_trace = campaign.trips[trip];
-          scenario::LiveTrip live(bed, trip_trace, systems[system],
+          scenario::LiveTrip live(bed, {&trip_trace}, systems[system],
                                   10100 + trip);
           return tcp_pair_trip(
               live, trip_trace.duration - scenario::LiveTrip::warmup());

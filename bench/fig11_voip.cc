@@ -57,7 +57,7 @@ int main() {
                      [&](std::size_t system, std::size_t trip) {
                        const trace::MeasurementTrace& trip_trace =
                            campaign.trips[trip];
-                       scenario::LiveTrip live(bed, trip_trace,
+                       scenario::LiveTrip live(bed, {&trip_trace},
                                                systems[system], 11200 + trip);
                        // Cap call length: enough windows per trip,
                        // affordable with more trips for tighter medians.

@@ -344,7 +344,7 @@ void run_packet_path(benchmark::State& state, bool coord, Tracing tracing) {
       config.coord.history = {{10, 11, 5}, {11, 12, 5}};
     }
     core::VifiSystem system(sim, loss, {NodeId(10), NodeId(11), NodeId(12)},
-                            NodeId(1), NodeId(100), config);
+                            {NodeId(1)}, NodeId(100), config);
     std::optional<coord::ConnectivityManager> manager;
     if (coord) {
       manager.emplace(sim, config.coord);

@@ -29,7 +29,7 @@ int main() {
         cfg.vifi.variant = variants[variant].second;
         cfg.vifi.max_retx = 0;  // isolate the coordination mechanism
         const trace::MeasurementTrace& trip_trace = campaign.trips[trip];
-        scenario::LiveTrip live(bed, trip_trace, cfg, 14000 + trip);
+        scenario::LiveTrip live(bed, {&trip_trace}, cfg, 14000 + trip);
         cbr_trip(live, trip_trace.duration - scenario::LiveTrip::warmup());
         return live.system().stats().coordination(net::Direction::Downstream);
       });

@@ -38,7 +38,7 @@ int main() {
           scenario::LiveTrip deployed(bed, vifi_system(), seed);
           return voip_trip(deployed, bed.trip_duration());
         }
-        scenario::LiveTrip replay(bed, campaign.trips[trip], vifi_system(),
+        scenario::LiveTrip replay(bed, {&campaign.trips[trip]}, vifi_system(),
                                   seed, /*use_bs_beacon_logs=*/true);
         return voip_trip(replay, bed.trip_duration());
       });

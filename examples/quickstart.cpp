@@ -40,7 +40,7 @@ int main() {
   //    each direction every 100 ms.
   int up_delivered = 0, down_delivered = 0;
   trip.system().host().set_delivery_handler(
-      [&](const net::PacketRef&) { ++up_delivered; });
+      bed.vehicle(), [&](const net::PacketRef&) { ++up_delivered; });
   trip.system().vehicle().set_delivery_handler(
       [&](const net::PacketRef&) { ++down_delivered; });
 

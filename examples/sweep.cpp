@@ -11,11 +11,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cli_args.h"
 #include "runtime/runner.h"
 #include "util/table.h"
 
@@ -33,11 +35,13 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-std::vector<std::uint64_t> split_csv_u64(const std::string& s) {
-  const std::vector<std::string> items = split_csv(s);
-  std::vector<std::uint64_t> out;
-  out.reserve(items.size());
-  for (const auto& item : items) out.push_back(std::stoull(item));
+/// Every item of a comma-separated flag value, parsed strictly.
+template <class T>
+std::vector<T> split_csv_numbers(const std::string& flag, const std::string& s,
+                                 T lo = std::numeric_limits<T>::lowest()) {
+  std::vector<T> out;
+  for (const auto& item : split_csv(s))
+    out.push_back(cli::parse_number<T>(flag, item, lo));
   return out;
 }
 
@@ -114,25 +118,26 @@ int main(int argc, char** argv) {
         }
         return argv[++i];
       };
-      if (arg == "--threads") threads = std::atoi(value().c_str());
+      if (arg == "--threads")
+        threads = cli::parse_number(arg, value(), 0, 1024);
       else if (arg == "--testbeds") spec.grid.testbeds = split_csv(value());
-      else if (arg == "--fleets") {
-        spec.grid.fleet_sizes.clear();
-        for (const auto& item : split_csv(value()))
-          spec.grid.fleet_sizes.push_back(std::atoi(item.c_str()));
-      }
+      else if (arg == "--fleets")
+        spec.grid.fleet_sizes = split_csv_numbers(arg, value(), 1);
       else if (arg == "--trace-sets") spec.grid.trace_sets = split_csv(value());
       else if (arg == "--policies") spec.grid.policies = split_csv(value());
       else if (arg == "--coordination")
         spec.grid.coordinations = split_csv(value());
-      else if (arg == "--seeds") spec.grid.seeds = split_csv_u64(value());
-      else if (arg == "--days") spec.days = std::atoi(value().c_str());
+      else if (arg == "--seeds")
+        spec.grid.seeds = split_csv_numbers<std::uint64_t>(arg, value());
+      else if (arg == "--days") spec.days = cli::parse_number(arg, value(), 0);
       else if (arg == "--trips")
-        spec.trips_per_day = std::atoi(value().c_str());
+        spec.trips_per_day = cli::parse_number(arg, value(), 0);
       else if (arg == "--trip-seconds")
-        spec.trip_duration = Time::seconds(std::atof(value().c_str()));
+        spec.trip_duration =
+            Time::seconds(cli::parse_number(arg, value(), 0.0, 1e7));
       else if (arg == "--workload") spec.workload = value();
-      else if (arg == "--base-seed") spec.base_seed = std::stoull(value());
+      else if (arg == "--base-seed")
+        spec.base_seed = cli::parse_number<std::uint64_t>(arg, value());
       else if (arg == "--trace") spec.trace_dir = value();
       else if (arg == "--trace-stream") spec.trace_stream = true;
       else if (arg == "--metrics") spec.metric_columns = split_csv(value());
@@ -143,21 +148,14 @@ int main(int argc, char** argv) {
       else if (arg == "--fairness") fairness = true;
       else return usage(argv[0]);
     }
-  } catch (const std::logic_error&) {
-    // std::stoull: not a number, or out of range.
-    std::cerr << "malformed number\n";
+  } catch (const cli::BadNumber& e) {
+    std::cerr << e.what() << "\n";
     return usage(argv[0]);
   }
 
   for (const auto& bed : spec.grid.testbeds) {
     if (!runtime::known_testbed(bed)) {
       std::cerr << "unknown testbed: " << bed << "\n";
-      return usage(argv[0]);
-    }
-  }
-  for (const int fleet : spec.grid.fleet_sizes) {
-    if (fleet < 1) {
-      std::cerr << "fleet sizes must be >= 1\n";
       return usage(argv[0]);
     }
   }

@@ -18,11 +18,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "cli_args.h"
 #include "runtime/runner.h"
 #include "scenario/campaign.h"
 #include "tracegen/catalog.h"
@@ -92,15 +94,12 @@ std::string require(const std::map<std::string, std::string>& flags,
   return it->second;
 }
 
-/// std::stoull for a flag value: a malformed or out-of-range number is a
-/// usage error, not an abort.
-std::uint64_t to_u64(const std::string& text) {
-  try {
-    return std::stoull(text);
-  } catch (const std::logic_error&) {
-    std::cerr << "malformed number: " << text << "\n";
-    std::exit(usage());
-  }
+/// A numeric flag, strictly parsed (cli::parse_number) into [lo, hi].
+template <class T>
+T number(const std::map<std::string, std::string>& flags,
+         const std::string& key, const std::string& fallback, T lo,
+         T hi = std::numeric_limits<T>::max()) {
+  return cli::parse_number(key, get(flags, key, fallback), lo, hi);
 }
 
 int cmd_record(int argc, char** argv) {
@@ -111,13 +110,13 @@ int cmd_record(int argc, char** argv) {
     return 2;
   }
   const std::string out = require(flags, "--out");
-  const int vehicles = std::atoi(get(flags, "--vehicles", "1").c_str());
+  const int vehicles = number(flags, "--vehicles", "1", 1);
   scenario::CampaignConfig cfg;
-  cfg.days = std::atoi(get(flags, "--days", "1").c_str());
-  cfg.trips_per_day = std::atoi(get(flags, "--trips", "1").c_str());
+  cfg.days = number(flags, "--days", "1", 0);
+  cfg.trips_per_day = number(flags, "--trips", "1", 0);
   cfg.trip_duration =
-      Time::seconds(std::atof(get(flags, "--trip-seconds", "0").c_str()));
-  cfg.seed = to_u64(get(flags, "--seed", "1"));
+      Time::seconds(number(flags, "--trip-seconds", "0", 0.0, 1e7));
+  cfg.seed = number<std::uint64_t>(flags, "--seed", "1", 0);
   cfg.log_probes = false;  // beacon-only: what replay schedules consume
   const scenario::Testbed bed = runtime::make_testbed(testbed, vehicles);
   const trace::Campaign campaign = scenario::generate_campaign(bed, cfg);
@@ -137,7 +136,7 @@ int cmd_fit(int argc, char** argv) {
   }
   const std::string out = require(flags, "--out");
   tracegen::FitOptions opts;
-  opts.gap_tolerance_s = std::atoi(get(flags, "--gap-seconds", "2").c_str());
+  opts.gap_tolerance_s = number(flags, "--gap-seconds", "2", 0);
   const auto catalog = tracegen::load_catalog_shared(catalog_dir);
   std::vector<const trace::MeasurementTrace*> trips;
   for (const auto& t : catalog->traces()) trips.push_back(&t);
@@ -155,12 +154,12 @@ int cmd_synth(int argc, char** argv) {
       tracegen::load_model_file(require(flags, "--model"));
   const std::string out = require(flags, "--out");
   tracegen::SynthesisSpec spec;
-  spec.vehicles = std::atoi(get(flags, "--vehicles", "1").c_str());
-  spec.days = std::atoi(get(flags, "--days", "1").c_str());
-  spec.trips_per_day = std::atoi(get(flags, "--trips", "1").c_str());
+  spec.vehicles = number(flags, "--vehicles", "1", 1);
+  spec.days = number(flags, "--days", "1", 0);
+  spec.trips_per_day = number(flags, "--trips", "1", 0);
   spec.trip_duration =
-      Time::seconds(std::atof(get(flags, "--trip-seconds", "0").c_str()));
-  spec.seed = to_u64(get(flags, "--seed", "1"));
+      Time::seconds(number(flags, "--trip-seconds", "0", 0.0, 1e7));
+  spec.seed = number<std::uint64_t>(flags, "--seed", "1", 0);
   const trace::Campaign campaign = tracegen::synthesize_fleet(model, spec);
   tracegen::write_catalog(out, get(flags, "--name", "synthetic"), campaign);
   std::cout << "synthesized " << campaign.trips.size() << " traces ("
@@ -172,6 +171,7 @@ int cmd_synth(int argc, char** argv) {
 int cmd_replay(int argc, char** argv) {
   const auto flags = parse_flags(argc, argv, 2, nullptr);
   const std::string dir = require(flags, "--catalog");
+  const int threads = number(flags, "--threads", "0", 0, 1024);
   const auto catalog = tracegen::load_catalog_shared(dir);
 
   runtime::ExperimentSpec spec;
@@ -185,11 +185,12 @@ int cmd_replay(int argc, char** argv) {
     std::istringstream ss(s);
     std::string item;
     while (std::getline(ss, item, ','))
-      if (!item.empty()) spec.grid.seeds.push_back(to_u64(item));
+      if (!item.empty())
+        spec.grid.seeds.push_back(
+            cli::parse_number<std::uint64_t>("--seeds", item));
   }
   spec.workload = "cbr";
 
-  const int threads = std::atoi(get(flags, "--threads", "0").c_str());
   const runtime::Runner runner({.threads = threads});
   std::cerr << "replaying catalog '" << catalog->name() << "' ("
             << catalog->testbed() << ", fleet " << catalog->fleet_size()
@@ -235,6 +236,9 @@ int main(int argc, char** argv) {
     if (cmd == "fit") return cmd_fit(argc, argv);
     if (cmd == "synth") return cmd_synth(argc, argv);
     if (cmd == "replay") return cmd_replay(argc, argv);
+  } catch (const cli::BadNumber& e) {
+    std::cerr << e.what() << "\n";
+    return usage();
   } catch (const std::exception& e) {
     std::cerr << "traceforge " << cmd << ": " << e.what() << "\n";
     return 1;

@@ -25,13 +25,17 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <system_error>
+#include <utility>
 #include <vector>
 
+#include "cli_args.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
@@ -228,32 +232,40 @@ int run_query(int argc, char** argv) {
   std::size_t limit = 0;
   bool jsonl = false, counts = false, spans = false;
 
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        std::exit(query_usage(argv[0]));
+  try {
+    for (int i = 3; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto value = [&]() -> std::string {
+        if (i + 1 >= argc) {
+          std::cerr << arg << " needs a value\n";
+          std::exit(query_usage(argv[0]));
+        }
+        return argv[++i];
+      };
+      if (arg == "--node")
+        node_filter = sim::NodeId{cli::parse_number(arg, value(), 0)};
+      else if (arg == "--kind") {
+        const std::string name = value();
+        kind_filter = parse_kind(name);
+        if (!kind_filter) {
+          std::cerr << "unknown event kind: " << name << "\n";
+          return query_usage(argv[0]);
+        }
       }
-      return argv[++i];
-    };
-    if (arg == "--node") node_filter = sim::NodeId{std::atoi(value().c_str())};
-    else if (arg == "--kind") {
-      const std::string name = value();
-      kind_filter = parse_kind(name);
-      if (!kind_filter) {
-        std::cerr << "unknown event kind: " << name << "\n";
-        return query_usage(argv[0]);
-      }
+      else if (arg == "--from")
+        from = Time::seconds(cli::parse_number(arg, value(), 0.0, 1e9));
+      else if (arg == "--to")
+        to = Time::seconds(cli::parse_number(arg, value(), 0.0, 1e9));
+      else if (arg == "--limit")
+        limit = cli::parse_number<std::size_t>(arg, value());
+      else if (arg == "--jsonl") jsonl = true;
+      else if (arg == "--counts") counts = true;
+      else if (arg == "--spans") spans = true;
+      else return query_usage(argv[0]);
     }
-    else if (arg == "--from") from = Time::seconds(std::atof(value().c_str()));
-    else if (arg == "--to") to = Time::seconds(std::atof(value().c_str()));
-    else if (arg == "--limit")
-      limit = static_cast<std::size_t>(std::atoll(value().c_str()));
-    else if (arg == "--jsonl") jsonl = true;
-    else if (arg == "--counts") counts = true;
-    else if (arg == "--spans") spans = true;
-    else return query_usage(argv[0]);
+  } catch (const cli::BadNumber& e) {
+    std::cerr << e.what() << "\n";
+    return query_usage(argv[0]);
   }
   const bool overview = !counts && !spans && limit == 0 && !jsonl;
   if (overview) counts = spans = true;
@@ -348,33 +360,41 @@ int main(int argc, char** argv) {
       };
       if (arg == "--testbed") spec.grid.testbeds = {value()};
       else if (arg == "--fleet")
-        spec.grid.fleet_sizes = {std::atoi(value().c_str())};
+        spec.grid.fleet_sizes = {cli::parse_number(arg, value(), 1)};
       else if (arg == "--policy") spec.grid.policies = {value()};
       else if (arg == "--workload") spec.workload = value();
-      else if (arg == "--seed") spec.grid.seeds = {std::stoull(value())};
-      else if (arg == "--days") spec.days = std::atoi(value().c_str());
+      else if (arg == "--seed")
+        spec.grid.seeds = {cli::parse_number<std::uint64_t>(arg, value())};
+      else if (arg == "--days") spec.days = cli::parse_number(arg, value(), 0);
       else if (arg == "--trips")
-        spec.trips_per_day = std::atoi(value().c_str());
+        spec.trips_per_day = cli::parse_number(arg, value(), 0);
       else if (arg == "--trip-seconds")
-        spec.trip_duration = Time::seconds(std::atof(value().c_str()));
+        spec.trip_duration =
+            Time::seconds(cli::parse_number(arg, value(), 0.0, 1e7));
       else if (arg == "--catalog") spec.grid.trace_sets = {value()};
       else if (arg == "--events")
-        print_events = static_cast<std::size_t>(std::atoll(value().c_str()));
+        print_events = cli::parse_number<std::size_t>(arg, value());
       else if (arg == "--out") out_dir = value();
       else return usage(argv[0]);
     }
-  } catch (const std::logic_error&) {
-    // std::stoull: not a number, or out of range.
-    std::cerr << "malformed number\n";
+  } catch (const cli::BadNumber& e) {
+    std::cerr << e.what() << "\n";
     return usage(argv[0]);
   }
   if (!runtime::known_testbed(spec.grid.testbeds.front())) {
     std::cerr << "unknown testbed: " << spec.grid.testbeds.front() << "\n";
     return usage(argv[0]);
   }
-  if (spec.grid.fleet_sizes.front() < 1) {
-    std::cerr << "--fleet must be >= 1\n";
-    return usage(argv[0]);
+  namespace fs = std::filesystem;
+  if (!out_dir.empty()) {
+    // Fail before the point runs, not after it.
+    std::error_code ec;
+    fs::create_directories(out_dir, ec);
+    if (ec) {
+      std::cerr << "error: cannot create output directory " << out_dir << ": "
+                << ec.message() << "\n";
+      return 1;
+    }
   }
   const runtime::ExperimentPoint point = spec.enumerate().front();
 
@@ -504,20 +524,24 @@ int main(int argc, char** argv) {
   }
 
   if (!out_dir.empty()) {
-    namespace fs = std::filesystem;
-    fs::create_directories(out_dir);
     const fs::path base = fs::path(out_dir);
-    {
-      std::ofstream os((base / "trip.trace.json").string());
-      obs::write_chrome_trace(recorder, os);
-    }
-    {
-      std::ofstream os((base / "trip.jsonl").string());
-      obs::write_jsonl(recorder, os);
-    }
-    {
-      std::ofstream os((base / "trip.metrics.json").string());
-      os << metrics.to_json();
+    using Render = std::function<void(std::ostream&)>;
+    const std::pair<const char*, Render> files[] = {
+        {"trip.trace.json",
+         [&](std::ostream& os) { obs::write_chrome_trace(recorder, os); }},
+        {"trip.jsonl",
+         [&](std::ostream& os) { obs::write_jsonl(recorder, os); }},
+        {"trip.metrics.json",
+         [&](std::ostream& os) { os << metrics.to_json(); }}};
+    for (const auto& [name, render] : files) {
+      const std::string path = (base / name).string();
+      std::ofstream os(path);
+      render(os);
+      os.close();
+      if (os.fail()) {
+        std::cerr << "error: cannot write " << path << "\n";
+        return 1;
+      }
     }
     std::cout << "wrote " << (base / "trip.trace.json").string()
               << " (load in Perfetto), trip.jsonl, trip.metrics.json\n";

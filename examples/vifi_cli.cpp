@@ -10,14 +10,15 @@
 // maps 1:1 onto the public API, so this doubles as executable
 // documentation of the configuration space.
 
-#include <cstring>
+#include <cstdint>
+#include <cstdlib>
 #include <iostream>
-#include <stdexcept>
 #include <string>
 
 #include "apps/cbr.h"
 #include "apps/transfer_driver.h"
 #include "apps/voip.h"
+#include "cli_args.h"
 #include "scenario/live.h"
 #include "scenario/testbed.h"
 #include "util/table.h"
@@ -63,11 +64,11 @@ bool parse(int argc, char** argv, Options& opt) {
     } else if (arg == "--app" && next(value)) {
       opt.app = value;
     } else if (arg == "--duration" && next(value)) {
-      opt.duration_s = std::stod(value);
+      opt.duration_s = cli::parse_number(arg, value, 0.0, 1e7);
     } else if (arg == "--seed" && next(value)) {
-      opt.seed = std::stoull(value);
+      opt.seed = cli::parse_number<std::uint64_t>(arg, value);
     } else if (arg == "--max-aux" && next(value)) {
-      opt.max_aux = std::stoi(value);
+      opt.max_aux = cli::parse_number(arg, value, -1, 1000);
     } else if (arg == "--inorder") {
       opt.inorder = true;
     } else if (arg == "--variant" && next(value)) {
@@ -86,9 +87,8 @@ int main(int argc, char** argv) {
   bool parsed = false;
   try {
     parsed = parse(argc, argv, opt);
-  } catch (const std::logic_error&) {
-    // std::stod/stoull/stoi: not a number, or out of range.
-    std::cerr << "malformed number\n";
+  } catch (const cli::BadNumber& e) {
+    std::cerr << e.what() << "\n";
   }
   if (!parsed) return usage(argv[0]);
 

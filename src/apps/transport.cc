@@ -4,14 +4,6 @@
 
 namespace vifi::apps {
 
-VifiTransport::VifiTransport(core::VifiSystem& system)
-    : system_(system), vehicle_(system.vehicle_id()) {
-  system_.vehicle().set_delivery_handler(
-      [this](const net::PacketRef& p) { dispatch(p); });
-  system_.host().set_delivery_handler(
-      [this](const net::PacketRef& p) { dispatch(p); });
-}
-
 VifiTransport::VifiTransport(core::VifiSystem& system, sim::NodeId vehicle)
     : system_(system), vehicle_(vehicle) {
   system_.vehicle(vehicle_).set_delivery_handler(

@@ -1,10 +1,10 @@
 #pragma once
 
 /// \file transport.h
-/// The application-facing datagram service between the vehicle and the
-/// wired host. Applications (VoIP, TCP, probes) are transport-agnostic:
-/// they run unchanged over ViFi/BRR (VifiTransport) or over the cellular
-/// comparison link (§5.3.1).
+/// The application-facing datagram service between a vehicle and the
+/// wired host, one per vehicle of a fleet. Applications (VoIP, TCP,
+/// probes) are transport-agnostic: they run unchanged over ViFi/BRR
+/// (VifiTransport) or over the cellular comparison link (§5.3.1).
 
 #include <functional>
 #include <map>
@@ -39,16 +39,12 @@ class Transport {
   virtual Time now() const = 0;
 };
 
-/// Transport over a live ViFi (or BRR-configured) deployment.
-///
-/// The single-argument form binds the whole system (first vehicle +
-/// catch-all host handler) — the historical single-vehicle behaviour. The
-/// two-argument form binds one vehicle of a fleet: it registers a
-/// per-vehicle host handler, so one VifiTransport per vehicle coexists on
-/// the shared wired host.
+/// Transport over a live ViFi (or BRR-configured) deployment, bound to one
+/// vehicle of the fleet: it registers that vehicle's delivery handler and
+/// its per-vehicle handler on the wired host, so one VifiTransport per
+/// vehicle coexists on the shared host.
 class VifiTransport final : public Transport {
  public:
-  explicit VifiTransport(core::VifiSystem& system);
   VifiTransport(core::VifiSystem& system, sim::NodeId vehicle);
 
   /// The vehicle this transport serves.

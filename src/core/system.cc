@@ -9,12 +9,6 @@
 namespace vifi::core {
 
 VifiSystem::VifiSystem(sim::Simulator& sim, channel::LossModel& loss,
-                       std::vector<NodeId> bs_ids, NodeId vehicle_id,
-                       NodeId gateway_id, SystemConfig config)
-    : VifiSystem(sim, loss, std::move(bs_ids),
-                 std::vector<NodeId>{vehicle_id}, gateway_id, config) {}
-
-VifiSystem::VifiSystem(sim::Simulator& sim, channel::LossModel& loss,
                        std::vector<NodeId> bs_ids,
                        std::vector<NodeId> vehicle_ids, NodeId gateway_id,
                        SystemConfig config)

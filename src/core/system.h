@@ -2,10 +2,11 @@
 
 /// \file system.h
 /// Assembles a complete ViFi deployment over a given channel: one medium,
-/// one backplane, one radio + basestation agent per BS, the vehicle client,
-/// and the wired correspondent host. This is the public entry point for
-/// running live protocol experiments; examples and benches build it from a
-/// scenario::Testbed plus either a stochastic or a trace-driven channel.
+/// one backplane, one radio + basestation agent per BS, one client per
+/// vehicle of the fleet, and the wired correspondent host. This is the
+/// public entry point for running live protocol experiments; examples and
+/// benches build it from a scenario::Testbed plus either a stochastic or a
+/// trace-driven channel.
 
 #include <memory>
 #include <vector>
@@ -38,14 +39,10 @@ struct SystemConfig {
 
 class VifiSystem {
  public:
-  /// Single-vehicle deployment. \p loss must outlive the system. BS ids
-  /// must be distinct from the vehicle and gateway ids.
-  VifiSystem(sim::Simulator& sim, channel::LossModel& loss,
-             std::vector<NodeId> bs_ids, NodeId vehicle_id, NodeId gateway_id,
-             SystemConfig config);
-
-  /// Fleet deployment — VanLAN itself ran two vans (§2.1). Each vehicle
-  /// gets its own ViFi client; BSes anchor them independently.
+  /// A fleet deployment — VanLAN itself ran two vans (§2.1); a single
+  /// vehicle is a one-element fleet. Each vehicle gets its own ViFi client;
+  /// BSes anchor them independently. \p loss must outlive the system. BS
+  /// ids must be distinct from the vehicle and gateway ids.
   VifiSystem(sim::Simulator& sim, channel::LossModel& loss,
              std::vector<NodeId> bs_ids, std::vector<NodeId> vehicle_ids,
              NodeId gateway_id, SystemConfig config);

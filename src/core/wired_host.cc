@@ -34,11 +34,6 @@ void WiredHost::send_down(net::PacketRef packet) {
 }
 
 void WiredHost::set_delivery_handler(
-    std::function<void(const net::PacketRef&)> fn) {
-  deliver_ = std::move(fn);
-}
-
-void WiredHost::set_delivery_handler(
     NodeId vehicle, std::function<void(const net::PacketRef&)> fn) {
   VIFI_EXPECTS(vehicle.valid());
   deliver_per_vehicle_[vehicle] = std::move(fn);
@@ -59,11 +54,8 @@ void WiredHost::on_wire(const net::WireMessage& msg) {
       if (!delivered_.insert(msg.packet->id)) return;  // duplicate
       if (stats_) stats_->on_app_delivered(net::Direction::Upstream);
       const auto it = deliver_per_vehicle_.find(msg.packet->src);
-      if (it != deliver_per_vehicle_.end() && it->second) {
+      if (it != deliver_per_vehicle_.end() && it->second)
         it->second(msg.packet);
-      } else if (deliver_) {
-        deliver_(msg.packet);
-      }
       break;
     }
     default:

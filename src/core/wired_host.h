@@ -5,7 +5,8 @@
 /// the vehicle's *currently registered* anchor (anchors register when the
 /// vehicle's beacons designate them, §4.3); packets in flight to a previous
 /// anchor are the ones salvaging rescues (§4.5). Upstream packets arriving
-/// from any anchor are delivered to the application.
+/// from any anchor are delivered once, to the handler registered for the
+/// packet's source vehicle.
 
 #include <functional>
 #include <map>
@@ -31,13 +32,9 @@ class WiredHost {
   /// (and counted) if no anchor has registered for that vehicle yet.
   void send_down(net::PacketRef packet);
 
-  /// Unique upstream deliveries (catch-all: packets from any vehicle that
-  /// has no per-vehicle handler registered).
-  void set_delivery_handler(std::function<void(const net::PacketRef&)> fn);
-
-  /// Unique upstream deliveries originating from one vehicle. Fleet
-  /// deployments register one handler per vehicle; a per-vehicle handler
-  /// takes precedence over the catch-all for its vehicle's packets.
+  /// Unique upstream deliveries originating from one vehicle: one handler
+  /// per vehicle, and registering again replaces it. A vehicle without a
+  /// handler still counts its deliveries in the stats.
   void set_delivery_handler(NodeId vehicle,
                             std::function<void(const net::PacketRef&)> fn);
 
@@ -54,7 +51,6 @@ class WiredHost {
   VifiStats* stats_;
   std::map<NodeId, NodeId> anchor_of_;  // vehicle -> registered anchor
   RecentIdSet delivered_;
-  std::function<void(const net::PacketRef&)> deliver_;
   std::map<NodeId, std::function<void(const net::PacketRef&)>>
       deliver_per_vehicle_;  // keyed by packet source vehicle
   std::uint64_t undeliverable_ = 0;

@@ -4,12 +4,13 @@
 
 namespace vifi::scenario {
 
-namespace {
-
-/// Samples one vehicle's probe stream against an existing channel.
-BurstProbeRun probe_one(channel::VehicularChannel& channel, NodeId bs,
-                        NodeId veh, Time trip_duration, Time period,
-                        double in_range_threshold) {
+BurstProbeRun burst_probe_single(const Testbed& bed, NodeId bs,
+                                 Time trip_duration, Time period, Rng rng,
+                                 double in_range_threshold, NodeId vehicle) {
+  VIFI_EXPECTS(period > Time::zero());
+  auto channel = bed.make_channel(rng.fork("channel"));
+  const NodeId veh = vehicle.valid() ? vehicle : bed.vehicle();
+  VIFI_EXPECTS(bed.is_vehicle(veh));
   BurstProbeRun run;
   run.bs = bs;
   run.vehicle = veh;
@@ -19,38 +20,11 @@ BurstProbeRun probe_one(channel::VehicularChannel& channel, NodeId bs,
   run.in_range.reserve(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) {
     const Time now = period * static_cast<double>(i);
-    run.received.push_back(channel.sample_delivery(bs, veh, now));
-    run.in_range.push_back(channel.geometric_reception_prob(bs, veh, now) >=
+    run.received.push_back(channel->sample_delivery(bs, veh, now));
+    run.in_range.push_back(channel->geometric_reception_prob(bs, veh, now) >=
                            in_range_threshold);
   }
   return run;
-}
-
-}  // namespace
-
-BurstProbeRun burst_probe_single(const Testbed& bed, NodeId bs,
-                                 Time trip_duration, Time period, Rng rng,
-                                 double in_range_threshold, NodeId vehicle) {
-  VIFI_EXPECTS(period > Time::zero());
-  auto channel = bed.make_channel(rng.fork("channel"));
-  const NodeId veh = vehicle.valid() ? vehicle : bed.vehicle();
-  VIFI_EXPECTS(bed.is_vehicle(veh));
-  return probe_one(*channel, bs, veh, trip_duration, period,
-                   in_range_threshold);
-}
-
-std::vector<BurstProbeRun> burst_probe_fleet(const Testbed& bed, NodeId bs,
-                                             Time trip_duration, Time period,
-                                             Rng rng,
-                                             double in_range_threshold) {
-  VIFI_EXPECTS(period > Time::zero());
-  auto channel = bed.make_channel(rng.fork("channel"));
-  std::vector<BurstProbeRun> runs;
-  runs.reserve(bed.vehicle_ids().size());
-  for (const NodeId veh : bed.vehicle_ids())
-    runs.push_back(probe_one(*channel, bs, veh, trip_duration, period,
-                             in_range_threshold));
-  return runs;
 }
 
 PairProbeRun burst_probe_pair(const Testbed& bed, NodeId a, NodeId b,

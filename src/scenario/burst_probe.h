@@ -31,13 +31,6 @@ BurstProbeRun burst_probe_single(const Testbed& bed, NodeId bs,
                                  double in_range_threshold = 0.2,
                                  NodeId vehicle = NodeId{});
 
-/// Per-vehicle observation logs of the same probe stream: every vehicle of
-/// the fleet samples the shared channel realisation, in fleet order.
-std::vector<BurstProbeRun> burst_probe_fleet(const Testbed& bed, NodeId bs,
-                                             Time trip_duration, Time period,
-                                             Rng rng,
-                                             double in_range_threshold = 0.2);
-
 /// Fig. 6(b): interleaved probes from two BSes; probe i of A and probe i of
 /// B belong to the same 20 ms interval.
 struct PairProbeRun {

@@ -11,9 +11,9 @@
 /// `ChannelizedLoss` wraps any base loss model with channel gating:
 ///
 ///   * every BS serves clients on its own primary channel;
-///   * the vehicle's data channel follows its current anchor;
-///   * with aux radios, BSes *hear* all channels but still transmit to the
-///     vehicle on the vehicle's channel (relaying, per §6);
+///   * each vehicle's data channel follows its own current anchor;
+///   * with aux radios, BSes *hear* all channels but still transmit to a
+///     vehicle on that vehicle's channel (relaying, per §6);
 ///   * without aux radios, cross-channel BSes are deaf to each other and
 ///     to vehicles tuned elsewhere;
 ///   * beacons are assumed visible across channels (clients scan; the
@@ -22,7 +22,7 @@
 /// Because the wrapper cannot see frame types, beacon visibility is
 /// modelled by keeping *BS-to-vehicle* reception open in both
 /// configurations; the gating bites on what matters for diversity — which
-/// BSes can overhear the vehicle's transmissions and each other.
+/// BSes can overhear a vehicle's transmissions and each other.
 
 #include <functional>
 #include <map>
@@ -65,10 +65,8 @@ class ChannelizedLoss final : public channel::LossModel {
   /// anchor's primary channel); called only for registered vehicles.
   using ServingChannelFn = std::function<int(sim::NodeId vehicle)>;
 
-  /// Fleet form: every id in \p vehicles is gated by its *own* serving
-  /// channel. (The single-vehicle predecessor kept one `vehicle_` /
-  /// `vehicle_channel_` pair, so a second vehicle fell through to the
-  /// BS-to-BS branch and was silently gated as a channel-0 BS.)
+  /// Every id in \p vehicles (the whole fleet; a single vehicle is a
+  /// one-element fleet) is gated by its *own* serving channel.
   ChannelizedLoss(channel::LossModel& base, ChannelPlan plan,
                   std::vector<sim::NodeId> vehicles, bool aux_radios,
                   ServingChannelFn serving_channel)
@@ -77,16 +75,6 @@ class ChannelizedLoss final : public channel::LossModel {
         vehicles_(vehicles.begin(), vehicles.end()),
         aux_radios_(aux_radios),
         serving_channel_(std::move(serving_channel)) {}
-
-  /// Single-vehicle convenience, matching the original interface.
-  ChannelizedLoss(channel::LossModel& base, ChannelPlan plan,
-                  sim::NodeId vehicle, bool aux_radios,
-                  std::function<int()> vehicle_channel)
-      : ChannelizedLoss(base, std::move(plan),
-                        std::vector<sim::NodeId>{vehicle}, aux_radios,
-                        [fn = std::move(vehicle_channel)](sim::NodeId) {
-                          return fn();
-                        }) {}
 
   bool sample_delivery(sim::NodeId tx, sim::NodeId rx, Time now) override {
     const bool audible = can_hear(tx, rx);

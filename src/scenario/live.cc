@@ -16,31 +16,14 @@ void LiveTrip::build_stack(const Testbed& bed, core::SystemConfig config,
     coord_ = std::make_unique<coord::ConnectivityManager>(sim_, config.coord);
     coord::attach(*system_, *coord_);
   }
-  if (bed.fleet_size() == 1) {
-    // Single-vehicle form: the transport keeps the historical catch-all
-    // host handler, so callers may still override it wholesale.
-    transports_.push_back(std::make_unique<apps::VifiTransport>(*system_));
-  } else {
-    for (const NodeId v : bed.vehicle_ids())
-      transports_.push_back(std::make_unique<apps::VifiTransport>(*system_, v));
-  }
+  for (const NodeId v : bed.vehicle_ids())
+    transports_.push_back(std::make_unique<apps::VifiTransport>(*system_, v));
 }
 
 LiveTrip::LiveTrip(const Testbed& bed, core::SystemConfig config,
                    std::uint64_t trip_seed) {
   Rng root(trip_seed);
   channel_ = bed.make_channel(root.fork("channel"));
-  build_stack(bed, config, root.fork("system").next_u64());
-}
-
-LiveTrip::LiveTrip(const Testbed& bed, const trace::MeasurementTrace& trip,
-                   core::SystemConfig config, std::uint64_t trip_seed,
-                   bool use_bs_beacon_logs) {
-  Rng root(trip_seed);
-  trace::LossScheduleOptions options;
-  options.vehicle = trip.vehicle.valid() ? trip.vehicle : bed.vehicle();
-  options.use_bs_beacon_logs = use_bs_beacon_logs;
-  channel_ = trace::build_loss_schedule(trip, options, root.fork("schedule"));
   build_stack(bed, config, root.fork("system").next_u64());
 }
 

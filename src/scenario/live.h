@@ -6,9 +6,10 @@
 /// full ViFi/BRR stack + a fresh simulator. Experiments attach application
 /// workloads through the transport and run the clock.
 ///
-/// Fleet testbeds get the whole fleet: one ViFi client per vehicle on the
-/// shared medium/backplane, and one transport per vehicle so workloads
-/// attach per vehicle.
+/// Every trip carries the testbed's whole fleet (a single vehicle is a
+/// one-element fleet): one ViFi client per vehicle on the shared
+/// medium/backplane, and one transport per vehicle so workloads attach per
+/// vehicle.
 
 #include <memory>
 #include <vector>
@@ -33,16 +34,10 @@ class LiveTrip {
            std::uint64_t trip_seed);
 
   /// Trace-driven trip (the DieselNet methodology): the §5.1 loss schedule
-  /// built from a beacon log replaces the stochastic channel. \p trip's
-  /// `vehicle` field names the connected vehicle (invalid = the testbed's
-  /// first vehicle); the rest of the fleet has no schedule and stays deaf.
-  LiveTrip(const Testbed& bed, const trace::MeasurementTrace& trip,
-           core::SystemConfig config, std::uint64_t trip_seed,
-           bool use_bs_beacon_logs = false);
-
-  /// Trace-driven fleet trip: one trace per vehicle of the same trip, as
-  /// generate_campaign produces for fleet testbeds (and a catalog's
-  /// `fleet_trip` / `load_group` return).
+  /// built from the beacon logs replaces the stochastic channel. One trace
+  /// per vehicle of the same trip, each naming its logging vehicle, as
+  /// generate_campaign produces (and a catalog's `fleet_trip` /
+  /// `load_group` return); a single-vehicle testbed passes `{&trace}`.
   LiveTrip(const Testbed& bed,
            const std::vector<const trace::MeasurementTrace*>& trips,
            core::SystemConfig config, std::uint64_t trip_seed,

@@ -45,15 +45,6 @@ void add_interbs_links(channel::TraceLossModel& model,
 
 }  // namespace
 
-std::unique_ptr<channel::TraceLossModel> build_loss_schedule(
-    const MeasurementTrace& trip, const LossScheduleOptions& options,
-    Rng rng) {
-  auto model = std::make_unique<channel::TraceLossModel>(rng.fork("draws"));
-  add_vehicle_links(*model, trip, options.vehicle);
-  add_interbs_links(*model, trip, options.use_bs_beacon_logs, rng);
-  return model;
-}
-
 std::unique_ptr<channel::TraceLossModel> build_fleet_loss_schedule(
     const std::vector<const MeasurementTrace*>& trips,
     bool use_bs_beacon_logs, Rng rng) {

@@ -1,8 +1,9 @@
 #pragma once
 
 /// \file loss_schedule.h
-/// The paper's trace-driven simulation input (§5.1): converts logged beacon
-/// receptions into a per-second symmetric loss schedule.
+/// The paper's trace-driven simulation input (§5.1): converts each
+/// vehicle's logged beacon receptions into a per-second symmetric loss
+/// schedule.
 ///
 ///  * vehicle <-> BS: loss = 1 - beacons_heard / beacons_sent per second;
 ///  * BS <-> BS (DieselNet, where inter-BS behaviour is unknown): pairs
@@ -20,23 +21,13 @@
 
 namespace vifi::trace {
 
-struct LossScheduleOptions {
-  /// Vehicle node id to register in the schedule.
-  NodeId vehicle;
-  /// Use logged BS-to-BS beacons (VanLAN validation) instead of the
-  /// DieselNet co-visibility + Uniform(0,1) rule.
-  bool use_bs_beacon_logs = false;
-};
-
-/// Builds the §5.1 loss schedule for one trip.
-std::unique_ptr<channel::TraceLossModel> build_loss_schedule(
-    const MeasurementTrace& trip, const LossScheduleOptions& options,
-    Rng rng);
-
-/// Fleet form: one trace per vehicle of the same trip (each trace's
-/// `vehicle` field identifies its logger). The vehicle<->BS schedules of
-/// all traces merge into one model; inter-BS links are configured once,
+/// Builds the §5.1 loss schedule for one trip of a fleet: one trace per
+/// vehicle (each trace's `vehicle` field identifies its logger; a
+/// single-vehicle trip is a one-trace fleet). The vehicle<->BS schedules
+/// of all traces merge into one model; inter-BS links are configured once,
 /// from the first trace, since BS-side behaviour is shared infrastructure.
+/// \p use_bs_beacon_logs takes them from logged BS-to-BS beacons (VanLAN
+/// validation) instead of the DieselNet co-visibility + Uniform(0,1) rule.
 std::unique_ptr<channel::TraceLossModel> build_fleet_loss_schedule(
     const std::vector<const MeasurementTrace*>& trips,
     bool use_bs_beacon_logs, Rng rng);

@@ -31,8 +31,10 @@ class FleetTest : public ::testing::Test {
         [this](const net::PacketRef& p) { got_a_.push_back(p->id); });
     system_->vehicle(NodeId(kVehB)).set_delivery_handler(
         [this](const net::PacketRef& p) { got_b_.push_back(p->id); });
-    system_->host().set_delivery_handler(
-        [this](const net::PacketRef& p) { got_host_.push_back(p->src); });
+    for (const int v : {kVehA, kVehB})
+      system_->host().set_delivery_handler(
+          NodeId(v),
+          [this](const net::PacketRef& p) { got_host_.push_back(p->src); });
     system_->start();
   }
 
@@ -88,6 +90,47 @@ TEST_F(FleetTest, UpstreamCarriesSourceIdentity) {
             got_host_.end());
   EXPECT_NE(std::find(got_host_.begin(), got_host_.end(), NodeId(kVehB)),
             got_host_.end());
+}
+
+TEST_F(FleetTest, ReregisteringAHostHandlerReplacesThePreviousOne) {
+  // A caller overriding a transport's handler (the quickstart does) must
+  // take every later delivery of that vehicle.
+  connect_disjoint();
+  build();
+  run_for(Time::seconds(3.0));
+  std::vector<std::uint64_t> replaced;
+  system_->host().set_delivery_handler(
+      NodeId(kVehA),
+      [&replaced](const net::PacketRef& p) { replaced.push_back(p->id); });
+  const auto pa = system_->send_up(100, 0, 0, {}, NodeId(kVehA));
+  system_->send_up(100, 0, 0, {}, NodeId(kVehB));
+  run_for(Time::seconds(1.0));
+  ASSERT_EQ(replaced.size(), 1u);
+  EXPECT_EQ(replaced[0], pa->id);
+  // The first handler of A no longer fires; B's is untouched.
+  EXPECT_EQ(got_host_, std::vector<NodeId>{NodeId(kVehB)});
+}
+
+TEST_F(FleetTest, VehicleWithoutHostHandlerIsCountedButReachesNoOtherOne) {
+  connect_disjoint();
+  SystemConfig config;
+  config.seed = 5;
+  VifiSystem system(sim_, loss_, {NodeId(kBs0), NodeId(kBs1)},
+                    {NodeId(kVehA), NodeId(kVehB)}, NodeId(kGw), config);
+  std::vector<NodeId> got_b;
+  system.host().set_delivery_handler(
+      NodeId(kVehB),
+      [&got_b](const net::PacketRef& p) { got_b.push_back(p->src); });
+  system.start();
+  run_for(Time::seconds(3.0));
+  system.send_up(100, 0, 0, {}, NodeId(kVehA));
+  run_for(Time::seconds(1.0));
+  EXPECT_EQ(system.stats().app_delivered(net::Direction::Upstream), 1);
+  EXPECT_TRUE(got_b.empty());
+  system.send_up(100, 0, 0, {}, NodeId(kVehB));
+  run_for(Time::seconds(1.0));
+  EXPECT_EQ(system.stats().app_delivered(net::Direction::Upstream), 2);
+  EXPECT_EQ(got_b, std::vector<NodeId>{NodeId(kVehB)});
 }
 
 TEST_F(FleetTest, OneBsCanAnchorTwoVehicles) {

@@ -52,7 +52,7 @@ TEST(Integration, UpstreamPacketsReachHost) {
   trip.run_until(LiveTrip::warmup());
   int delivered = 0;
   trip.system().host().set_delivery_handler(
-      [&](const net::PacketRef&) { ++delivered; });
+      bed.vehicle(), [&](const net::PacketRef&) { ++delivered; });
   for (int i = 0; i < 50; ++i) {
     trip.system().send_up(200, 1, static_cast<std::uint64_t>(i));
     trip.run_until(trip.simulator().now() + Time::millis(100.0));
@@ -175,7 +175,7 @@ TEST(Integration, TraceDrivenTripRunsProtocol) {
   const auto campaign = generate_campaign(bed, cc);
   ASSERT_EQ(campaign.trips.size(), 1u);
 
-  LiveTrip trip(bed, campaign.trips[0], vifi_config(), 110);
+  LiveTrip trip(bed, {&campaign.trips[0]}, vifi_config(), 110);
   trip.run_until(LiveTrip::warmup());
   apps::CbrWorkload cbr(trip.simulator(), trip.transport());
   const Time end = Time::seconds(100.0);

@@ -31,10 +31,11 @@ class ProtocolTest : public ::testing::Test {
     config.seed = 77;
     system_ = std::make_unique<VifiSystem>(
         sim_, loss_, std::vector<NodeId>{NodeId(kBs0), NodeId(kBs1)},
-        NodeId(kVehicle), NodeId(kGateway), config);
+        std::vector<NodeId>{NodeId(kVehicle)}, NodeId(kGateway), config);
     system_->vehicle().set_delivery_handler(
         [this](const net::PacketRef& p) { vehicle_got_.push_back(p->id); });
     system_->host().set_delivery_handler(
+        NodeId(kVehicle),
         [this](const net::PacketRef& p) { host_got_.push_back(p->id); });
     system_->start();
   }

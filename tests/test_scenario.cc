@@ -554,7 +554,7 @@ TEST(LiveTrip, TraceDrivenConstructorUsesSchedule) {
   cfg.trip_duration = Time::seconds(30.0);
   cfg.log_probes = false;
   const auto campaign = generate_campaign(bed, cfg);
-  LiveTrip trip(bed, campaign.trips[0], core::SystemConfig{}, 44);
+  LiveTrip trip(bed, {&campaign.trips[0]}, core::SystemConfig{}, 44);
   trip.run_until(Time::seconds(10.0));
   // The loss model must be the schedule, not the stochastic channel:
   // beyond the trace horizon everything is unreachable.

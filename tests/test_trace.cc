@@ -210,9 +210,8 @@ TEST(LossSchedule, VehicleLinkFollowsBeaconRatio) {
   for (int i = 0; i < 7; ++i)
     t.vehicle_beacons.push_back({Time::millis(i * 10.0), NodeId(0), -60.0});
 
-  LossScheduleOptions opts;
-  opts.vehicle = veh;
-  const auto model = build_loss_schedule(t, opts, Rng(1));
+  t.vehicle = veh;
+  const auto model = build_fleet_loss_schedule({&t}, false, Rng(1));
   EXPECT_NEAR(model->loss_rate(veh, NodeId(0), Time::millis(500.0)), 0.3,
               1e-9);
   EXPECT_NEAR(model->loss_rate(NodeId(0), veh, Time::millis(500.0)), 0.3,
@@ -234,9 +233,8 @@ TEST(LossSchedule, CovisibilityRule) {
   EXPECT_TRUE(ever_covisible(t, NodeId(0), NodeId(1)));
   EXPECT_FALSE(ever_covisible(t, NodeId(0), NodeId(2)));
 
-  LossScheduleOptions opts;
-  opts.vehicle = NodeId(7);
-  const auto model = build_loss_schedule(t, opts, Rng(2));
+  t.vehicle = NodeId(7);
+  const auto model = build_fleet_loss_schedule({&t}, false, Rng(2));
   // Co-visible pair: Uniform(0,1) constant loss -> strictly < 1.
   EXPECT_LT(model->loss_rate(NodeId(0), NodeId(1), Time::zero()), 1.0);
   // Never co-visible: unreachable.
@@ -253,10 +251,9 @@ TEST(LossSchedule, BsBeaconLogsGiveInterBsSchedule) {
     t.bs_beacons.push_back({Time::millis(i * 10.0), NodeId(0), NodeId(1)});
     t.bs_beacons.push_back({Time::millis(i * 10.0), NodeId(1), NodeId(0)});
   }
-  LossScheduleOptions opts;
-  opts.vehicle = NodeId(9);
-  opts.use_bs_beacon_logs = true;
-  const auto model = build_loss_schedule(t, opts, Rng(3));
+  t.vehicle = NodeId(9);
+  const auto model =
+      build_fleet_loss_schedule({&t}, /*use_bs_beacon_logs=*/true, Rng(3));
   EXPECT_NEAR(model->loss_rate(NodeId(0), NodeId(1), Time::millis(500.0)),
               0.0, 1e-9);
 }
@@ -324,10 +321,9 @@ TEST(LossSchedule, DeterministicInterBsDraws) {
   t.bs_ids = {NodeId(0), NodeId(1)};
   t.vehicle_beacons.push_back({Time::millis(100.0), NodeId(0), -60.0});
   t.vehicle_beacons.push_back({Time::millis(200.0), NodeId(1), -60.0});
-  LossScheduleOptions opts;
-  opts.vehicle = NodeId(7);
-  const auto a = build_loss_schedule(t, opts, Rng(42));
-  const auto b = build_loss_schedule(t, opts, Rng(42));
+  t.vehicle = NodeId(7);
+  const auto a = build_fleet_loss_schedule({&t}, false, Rng(42));
+  const auto b = build_fleet_loss_schedule({&t}, false, Rng(42));
   EXPECT_DOUBLE_EQ(a->loss_rate(NodeId(0), NodeId(1), Time::zero()),
                    b->loss_rate(NodeId(0), NodeId(1), Time::zero()));
 }
