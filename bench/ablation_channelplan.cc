@@ -26,7 +26,7 @@ analysis::SlotStream run_trip(const scenario::Testbed& bed, bool channelized,
   Rng root(seed);
   auto base = bed.make_channel(root.fork("channel"));
 
-  core::SystemConfig cfg = vifi_system();
+  core::SystemConfig cfg = runtime::live_policy_config("ViFi");
   cfg.vifi.max_retx = 0;
   cfg.seed = root.fork("system").next_u64();
 

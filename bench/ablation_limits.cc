@@ -52,7 +52,7 @@ core::CoordinationSummary run_ring(int n_bs, Time duration) {
   for (int i = 0; i < n_bs; ++i) bs_ids.push_back(sim::NodeId(i));
 
   sim::Simulator sim;
-  core::SystemConfig cfg = vifi_system();
+  core::SystemConfig cfg = runtime::live_policy_config("ViFi");
   cfg.vifi.max_retx = 0;
   cfg.seed = 4000 + static_cast<std::uint64_t>(n_bs);
   core::VifiSystem system(sim, loss, bs_ids, {vehicle}, gateway, cfg);

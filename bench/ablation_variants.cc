@@ -26,7 +26,7 @@ int main() {
   const auto calls = map_grid(
       variants.size(), static_cast<std::size_t>(trips),
       [&](std::size_t variant, std::size_t trip) {
-        core::SystemConfig cfg = vifi_system();
+        core::SystemConfig cfg = runtime::live_policy_config("ViFi");
         cfg.vifi.variant = variants[variant].second;
         scenario::LiveTrip live(bed, cfg, 15000 + trip);
         Call call{voip_trip(live, bed.trip_duration())};

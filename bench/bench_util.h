@@ -3,7 +3,10 @@
 /// \file bench_util.h
 /// Shared plumbing for the per-figure bench binaries: the scale knob, the
 /// one trip-parallel loop (map_trips), standard campaign and live-trip
-/// recipes, and session sweeps used by several figures.
+/// recipes, and session sweeps used by several figures. The protocols a
+/// bench compares come by name from the runtime, like a sweep point's:
+/// runtime::replay_trip for the §3.1 policies, runtime::live_policy_config
+/// for the §5 ViFi, BRR and Diversity stacks.
 
 #include <charconv>
 #include <cstdlib>
@@ -19,7 +22,6 @@
 #include "apps/cbr.h"
 #include "apps/transfer_driver.h"
 #include "apps/voip.h"
-#include "handoff/policies.h"
 #include "handoff/replay.h"
 #include "runtime/executor.h"
 #include "runtime/runner.h"
@@ -260,24 +262,5 @@ struct VoipTally {
                             : 0.0;
   }
 };
-
-/// Standard protocol configurations (§5.1).
-inline core::SystemConfig vifi_system() {
-  core::SystemConfig cfg;
-  return cfg;
-}
-
-inline core::SystemConfig brr_system() {
-  core::SystemConfig cfg;
-  cfg.vifi.diversity = false;
-  cfg.vifi.salvage = false;
-  return cfg;
-}
-
-inline core::SystemConfig diversity_only_system() {
-  core::SystemConfig cfg;
-  cfg.vifi.salvage = false;
-  return cfg;
-}
 
 }  // namespace vifi::bench

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   // The coord tier rides the plain ViFi stack with the BS-side
   // ConnectivityManager enabled, its predictor seeded from the same
   // campaign the replay oracles use.
-  core::SystemConfig coord_config = vifi_system();
+  core::SystemConfig coord_config = runtime::live_policy_config("ViFi");
   coord_config.coord.enabled = true;
   {
     std::vector<const trace::MeasurementTrace*> trips;
@@ -69,8 +69,9 @@ int main(int argc, char** argv) {
   // Live CBR streams for ViFi, BRR and Coord, one stream per trip, run
   // trip-parallel; session definitions are applied to the recorded streams
   // afterwards. Seeds match the pre-runtime version of this bench.
-  const std::vector<core::SystemConfig> systems{vifi_system(), brr_system(),
-                                                coord_config};
+  const std::vector<core::SystemConfig> systems{
+      runtime::live_policy_config("ViFi"), runtime::live_policy_config("BRR"),
+      coord_config};
   const auto streams = map_grid(
       systems.size(), static_cast<std::size_t>(live_trips),
       [&](std::size_t system, std::size_t trip) {

@@ -18,7 +18,8 @@ int main() {
 
   // Per trip, BRR then ViFi on the same seed.
   const std::vector<std::pair<std::string, core::SystemConfig>> systems{
-      {"BRR ", brr_system()}, {"ViFi", vifi_system()}};
+      {"BRR ", runtime::live_policy_config("BRR")},
+      {"ViFi", runtime::live_policy_config("ViFi")}};
   const auto streams = map_grid(
       static_cast<std::size_t>(trips), systems.size(),
       [&](std::size_t trip, std::size_t system) {

@@ -26,9 +26,9 @@ int main() {
                     "aborted", "salvaged pkts %"});
 
   const std::vector<std::pair<std::string, core::SystemConfig>> systems{
-      {"BRR", brr_system()},
-      {"Only Diversity", diversity_only_system()},
-      {"ViFi", vifi_system()}};
+      {"BRR", runtime::live_policy_config("BRR")},
+      {"Only Diversity", runtime::live_policy_config("Diversity")},
+      {"ViFi", runtime::live_policy_config("ViFi")}};
   // One TCP trip: both transfer directions plus the ViFi stack's salvage
   // and source-attempt counters.
   struct TcpTrip {

@@ -16,7 +16,8 @@ int main() {
       "Figure 10 — TCP transfers/second, trace-driven DieselNet");
   table.set_header({"channel", "BRR", "ViFi", "ViFi/BRR"});
 
-  const std::vector<core::SystemConfig> systems{brr_system(), vifi_system()};
+  const std::vector<core::SystemConfig> systems{
+      runtime::live_policy_config("BRR"), runtime::live_policy_config("ViFi")};
   for (int channel : {1, 6}) {
     const scenario::Testbed bed = scenario::make_dieselnet(channel);
     const trace::Campaign campaign =

@@ -20,7 +20,8 @@ int main() {
                     "ViFi/BRR", "BRR intr/h", "ViFi intr/h"});
 
   // calls[system][trip]: BRR's calls then ViFi's, on the same seeds.
-  const std::vector<core::SystemConfig> systems{brr_system(), vifi_system()};
+  const std::vector<core::SystemConfig> systems{
+      runtime::live_policy_config("BRR"), runtime::live_policy_config("ViFi")};
   using Calls = std::vector<std::vector<apps::VoipResult>>;
   auto add_row = [&](const std::string& label, const Calls& calls) {
     VoipTally brr, vifi;

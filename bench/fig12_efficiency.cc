@@ -50,7 +50,8 @@ int main() {
   const int trips = 4 * scale();
 
   // BRR's trips, then ViFi's, on the same seeds.
-  const std::vector<core::SystemConfig> systems{brr_system(), vifi_system()};
+  const std::vector<core::SystemConfig> systems{
+      runtime::live_policy_config("BRR"), runtime::live_policy_config("ViFi")};
   const auto runs = map_grid(
       systems.size(), static_cast<std::size_t>(trips),
       [&](std::size_t system, std::size_t trip) {

@@ -23,7 +23,8 @@ int main() {
   };
   const std::vector<Coordination> runs =
       map_trips(static_cast<std::size_t>(trips), [&](std::size_t trip) {
-        scenario::LiveTrip live(bed, vifi_system(), 13000 + trip);
+        scenario::LiveTrip live(bed, runtime::live_policy_config("ViFi"),
+                                13000 + trip);
         tcp_pair_trip(live, bed.trip_duration());
         const auto& stats = live.system().stats();
         return Coordination{stats.coordination(net::Direction::Upstream),

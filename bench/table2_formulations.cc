@@ -25,7 +25,7 @@ int main() {
   const auto runs = map_grid(
       variants.size(), campaign.trips.size(),
       [&](std::size_t variant, std::size_t trip) {
-        core::SystemConfig cfg = vifi_system();
+        core::SystemConfig cfg = runtime::live_policy_config("ViFi");
         cfg.vifi.variant = variants[variant].second;
         cfg.vifi.max_retx = 0;  // isolate the coordination mechanism
         const trace::MeasurementTrace& trip_trace = campaign.trips[trip];

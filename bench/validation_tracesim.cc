@@ -35,11 +35,13 @@ int main() {
       [&](std::size_t trip, std::size_t replayed) {
         const std::uint64_t seed = 16100 + trip;
         if (replayed == 0) {
-          scenario::LiveTrip deployed(bed, vifi_system(), seed);
+          scenario::LiveTrip deployed(bed, runtime::live_policy_config("ViFi"),
+                                      seed);
           return voip_trip(deployed, bed.trip_duration());
         }
-        scenario::LiveTrip replay(bed, {&campaign.trips[trip]}, vifi_system(),
-                                  seed, /*use_bs_beacon_logs=*/true);
+        scenario::LiveTrip replay(bed, {&campaign.trips[trip]},
+                                  runtime::live_policy_config("ViFi"), seed,
+                                  /*use_bs_beacon_logs=*/true);
         return voip_trip(replay, bed.trip_duration());
       });
 

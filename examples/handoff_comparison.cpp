@@ -6,8 +6,8 @@
 #include <iostream>
 
 #include "analysis/sessions.h"
-#include "handoff/policies.h"
 #include "handoff/replay.h"
+#include "runtime/executor.h"
 #include "scenario/campaign.h"
 #include "scenario/testbed.h"
 #include "util/table.h"
@@ -30,35 +30,16 @@ int main() {
                     "interruptions"});
 
   const analysis::SessionDef def{};  // >= 50% reception per 1 s interval
-  for (const std::string name :
-       {"AllBSes", "BestBS", "History", "RSSI", "BRR", "Sticky"}) {
+  for (const std::string& name : runtime::replay_policy_names()) {
     std::int64_t delivered = 0;
     std::vector<double> sessions;
     int interruptions = 0;
     for (const auto& trip : campaign.trips) {
-      std::vector<handoff::SlotOutcome> outcomes;
-      if (name == "AllBSes") {
-        outcomes = handoff::replay_allbses(trip);
-      } else {
-        std::unique_ptr<handoff::HandoffPolicy> policy;
-        if (name == "BestBS")
-          policy = std::make_unique<handoff::BestBsPolicy>();
-        else if (name == "History")
-          policy = std::make_unique<handoff::HistoryPolicy>(campaign);
-        else if (name == "RSSI")
-          policy = std::make_unique<handoff::RssiPolicy>();
-        else if (name == "BRR")
-          policy = std::make_unique<handoff::BrrPolicy>();
-        else
-          policy = std::make_unique<handoff::StickyPolicy>();
-        outcomes = handoff::replay_hard_handoff(trip, *policy);
-      }
+      const std::vector<handoff::SlotOutcome> outcomes =
+          runtime::replay_trip(trip, name, campaign);
       delivered += handoff::packets_delivered(outcomes);
 
-      analysis::SlotStream stream;
-      stream.slot = Time::millis(100);
-      stream.per_slot_max = 2;
-      for (const auto& o : outcomes) stream.delivered.push_back(o.delivered());
+      const analysis::SlotStream stream = runtime::outcomes_to_stream(outcomes);
       const auto lengths = analysis::session_lengths_s(stream, def);
       sessions.insert(sessions.end(), lengths.begin(), lengths.end());
       interruptions +=

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cli_args.h"
+#include "runtime/executor.h"
 #include "runtime/runner.h"
 #include "util/table.h"
 
@@ -156,6 +157,14 @@ int main(int argc, char** argv) {
   for (const auto& bed : spec.grid.testbeds) {
     if (!runtime::known_testbed(bed)) {
       std::cerr << "unknown testbed: " << bed << "\n";
+      return usage(argv[0]);
+    }
+  }
+  for (const auto& policy : spec.grid.policies) {
+    try {
+      runtime::check_policy(spec.workload, policy);
+    } catch (const std::runtime_error& e) {
+      std::cerr << e.what() << "\n";
       return usage(argv[0]);
     }
   }

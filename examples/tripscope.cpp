@@ -385,6 +385,12 @@ int main(int argc, char** argv) {
     std::cerr << "unknown testbed: " << spec.grid.testbeds.front() << "\n";
     return usage(argv[0]);
   }
+  try {
+    runtime::check_policy(spec.workload, spec.grid.policies.front());
+  } catch (const std::runtime_error& e) {
+    std::cerr << e.what() << "\n";
+    return usage(argv[0]);
+  }
   namespace fs = std::filesystem;
   if (!out_dir.empty()) {
     // Fail before the point runs, not after it.

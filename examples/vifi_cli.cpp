@@ -13,12 +13,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <map>
 #include <string>
 
 #include "apps/cbr.h"
 #include "apps/transfer_driver.h"
 #include "apps/voip.h"
 #include "cli_args.h"
+#include "runtime/executor.h"
 #include "scenario/live.h"
 #include "scenario/testbed.h"
 #include "util/table.h"
@@ -101,17 +103,16 @@ int main(int argc, char** argv) {
     std::exit(usage(argv[0]));
   }();
 
-  // Protocol configuration.
-  core::SystemConfig config;
-  if (opt.protocol == "brr") {
-    config.vifi.diversity = false;
-    config.vifi.salvage = false;
-  } else if (opt.protocol == "diversity") {
-    config.vifi.salvage = false;
-  } else if (opt.protocol != "vifi") {
+  // Protocol configuration: each spelling names one of the runtime's live
+  // policies.
+  const std::map<std::string, std::string> protocols{
+      {"vifi", "ViFi"}, {"brr", "BRR"}, {"diversity", "Diversity"}};
+  const auto protocol = protocols.find(opt.protocol);
+  if (protocol == protocols.end()) {
     std::cerr << "unknown protocol: " << opt.protocol << "\n";
     return usage(argv[0]);
   }
+  core::SystemConfig config = runtime::live_policy_config(protocol->second);
   config.vifi.max_auxiliaries = opt.max_aux;
   config.vifi.inorder_delivery = opt.inorder;
   if (opt.variant == "g1") config.vifi.variant = core::RelayVariant::NoG1;

@@ -6,6 +6,7 @@
 #include <iostream>
 
 #include "apps/voip.h"
+#include "runtime/executor.h"
 #include "scenario/live.h"
 #include "scenario/testbed.h"
 #include "util/table.h"
@@ -49,13 +50,10 @@ int main() {
   const scenario::Testbed bed = scenario::make_vanlan();
   const std::uint64_t seed = 7;
 
-  core::SystemConfig brr;
-  brr.vifi.diversity = false;
-  brr.vifi.salvage = false;
-
   const apps::VoipResult with_vifi =
-      drive_and_talk(bed, core::SystemConfig{}, seed);
-  const apps::VoipResult with_brr = drive_and_talk(bed, brr, seed);
+      drive_and_talk(bed, runtime::live_policy_config("ViFi"), seed);
+  const apps::VoipResult with_brr =
+      drive_and_talk(bed, runtime::live_policy_config("BRR"), seed);
 
   std::cout << "Call quality timeline, one char per 3 s window "
                "('*'>=4, '+'>=3, '-'>=2, '!'=interruption):\n\n";

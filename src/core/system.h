@@ -67,8 +67,6 @@ class VifiSystem {
 
   const std::vector<NodeId>& bs_ids() const { return bs_ids_; }
   const std::vector<NodeId>& vehicle_ids() const { return vehicle_ids_; }
-  NodeId vehicle_id() const { return vehicle_ids_.front(); }
-  NodeId gateway_id() const { return gateway_id_; }
 
   /// Convenience: makes and sends one upstream application packet from a
   /// vehicle (default: the first).

@@ -34,8 +34,7 @@ struct RssiTable {
 
 }  // namespace
 
-std::vector<NodeId> RssiPolicy::compute_choices(
-    const MeasurementTrace& trip) {
+std::vector<NodeId> RssiPolicy::choose(const MeasurementTrace& trip) {
   const auto secs = static_cast<std::size_t>(std::max(1, trip.seconds()));
   const RssiTable rssi = RssiTable::build(trip);
   std::map<NodeId, Ewma> avg;
@@ -71,7 +70,7 @@ std::vector<NodeId> RssiPolicy::compute_choices(
   return choices;
 }
 
-std::vector<NodeId> BrrPolicy::compute_choices(const MeasurementTrace& trip) {
+std::vector<NodeId> BrrPolicy::choose(const MeasurementTrace& trip) {
   const auto secs = static_cast<std::size_t>(std::max(1, trip.seconds()));
   const auto counts = trace::beacon_counts_per_second(trip);
   std::map<NodeId, Ewma> ratio;
@@ -105,8 +104,7 @@ std::vector<NodeId> BrrPolicy::compute_choices(const MeasurementTrace& trip) {
   return choices;
 }
 
-std::vector<NodeId> StickyPolicy::compute_choices(
-    const MeasurementTrace& trip) {
+std::vector<NodeId> StickyPolicy::choose(const MeasurementTrace& trip) {
   const auto secs = static_cast<std::size_t>(std::max(1, trip.seconds()));
   const auto counts = trace::beacon_counts_per_second(trip);
   const RssiTable rssi = RssiTable::build(trip);
@@ -178,8 +176,7 @@ const HistoryPolicy::DayTable& HistoryPolicy::table_for_day(int day) {
   return cache_.emplace(day, std::move(table)).first->second;
 }
 
-std::vector<NodeId> HistoryPolicy::compute_choices(
-    const MeasurementTrace& trip) {
+std::vector<NodeId> HistoryPolicy::choose(const MeasurementTrace& trip) {
   const auto secs = static_cast<std::size_t>(std::max(1, trip.seconds()));
   const auto counts = trace::beacon_counts_per_second(trip);
   const DayTable* history =
@@ -227,8 +224,7 @@ std::vector<NodeId> HistoryPolicy::compute_choices(
   return choices;
 }
 
-std::vector<NodeId> BestBsPolicy::compute_choices(
-    const MeasurementTrace& trip) {
+std::vector<NodeId> BestBsPolicy::choose(const MeasurementTrace& trip) {
   const auto secs = static_cast<std::size_t>(std::max(1, trip.seconds()));
   std::vector<NodeId> choices(secs);
   for (std::size_t s = 0; s < secs; ++s) {

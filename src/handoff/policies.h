@@ -1,7 +1,9 @@
 #pragma once
 
 /// \file policies.h
-/// The six handoff policies of §3.1.
+/// The six handoff policies of §3.1. Each is built by its paper name in
+/// one place, runtime::make_replay_policy (reached through
+/// runtime::replay_trip), which every bench, example and sweep point uses.
 ///
 /// 1. RSSI    — exponential average (alpha 0.5) of received-beacon RSSI;
 ///              what commodity NICs do.
@@ -17,48 +19,38 @@
 ///              lives in replay.h since it is not an association policy.
 
 #include <map>
-#include <memory>
 
 #include "handoff/policy.h"
 #include "trace/observations.h"
 
 namespace vifi::handoff {
 
-class RssiPolicy final : public PerSecondPolicy {
+class RssiPolicy final : public HandoffPolicy {
  public:
   /// \p staleness: a BS is a candidate only if heard within this window.
   explicit RssiPolicy(double alpha = 0.5, int staleness_s = 5)
       : alpha_(alpha), staleness_s_(staleness_s) {}
-  std::string name() const override { return "RSSI"; }
-
- protected:
-  std::vector<NodeId> compute_choices(const MeasurementTrace& trip) override;
+  std::vector<NodeId> choose(const MeasurementTrace& trip) override;
 
  private:
   double alpha_;
   int staleness_s_;
 };
 
-class BrrPolicy final : public PerSecondPolicy {
+class BrrPolicy final : public HandoffPolicy {
  public:
   explicit BrrPolicy(double alpha = 0.5) : alpha_(alpha) {}
-  std::string name() const override { return "BRR"; }
-
- protected:
-  std::vector<NodeId> compute_choices(const MeasurementTrace& trip) override;
+  std::vector<NodeId> choose(const MeasurementTrace& trip) override;
 
  private:
   double alpha_;
 };
 
-class StickyPolicy final : public PerSecondPolicy {
+class StickyPolicy final : public HandoffPolicy {
  public:
   explicit StickyPolicy(Time silence = Time::seconds(3.0))
       : silence_(silence) {}
-  std::string name() const override { return "Sticky"; }
-
- protected:
-  std::vector<NodeId> compute_choices(const MeasurementTrace& trip) override;
+  std::vector<NodeId> choose(const MeasurementTrace& trip) override;
 
  private:
   Time silence_;
@@ -67,14 +59,11 @@ class StickyPolicy final : public PerSecondPolicy {
 /// History needs the whole campaign: day d associates using day d-1 logs.
 /// On day 0 (or in cells never visited before) it falls back to the BS
 /// with the highest recent beacon count.
-class HistoryPolicy final : public PerSecondPolicy {
+class HistoryPolicy final : public HandoffPolicy {
  public:
   explicit HistoryPolicy(const trace::Campaign& campaign,
                          double cell_size_m = 25.0);
-  std::string name() const override { return "History"; }
-
- protected:
-  std::vector<NodeId> compute_choices(const MeasurementTrace& trip) override;
+  std::vector<NodeId> choose(const MeasurementTrace& trip) override;
 
  private:
   struct CellScore {
@@ -92,12 +81,9 @@ class HistoryPolicy final : public PerSecondPolicy {
 
 /// Oracle upper bound for hard handoff: per one-second period, associates
 /// to the BS with the best (down + up) reception in that period (§3.1.5).
-class BestBsPolicy final : public PerSecondPolicy {
+class BestBsPolicy final : public HandoffPolicy {
  public:
-  std::string name() const override { return "BestBS"; }
-
- protected:
-  std::vector<NodeId> compute_choices(const MeasurementTrace& trip) override;
+  std::vector<NodeId> choose(const MeasurementTrace& trip) override;
 };
 
 }  // namespace vifi::handoff

@@ -1,17 +1,18 @@
 #pragma once
 
 /// \file policy.h
-/// Hard-handoff policy interface for trace replay (§3.1). A policy watches a
-/// trip unfold and decides, per probe slot, which single BS the client is
-/// associated with. Per §3.1 the study deliberately ignores switching and
-/// scanning delays to expose the *inherent* limits of hard handoff.
+/// Hard-handoff policy interface for trace replay (§3.1). All of §3.1's
+/// policies re-decide once per second: a policy reads a whole trip and
+/// returns the single BS the client is associated with during each of its
+/// seconds; replay_hard_handoff (replay.h) maps each probe slot onto its
+/// second. Per §3.1 the study deliberately ignores switching and scanning
+/// delays to expose the *inherent* limits of hard handoff.
 ///
 /// Information discipline: practical policies (RSSI, BRR, Sticky, History)
 /// must only use beacon observations from strictly earlier seconds, plus —
 /// for History — the previous day's logs. Oracle policies (BestBS) read
 /// future probe outcomes by design.
 
-#include <string>
 #include <vector>
 
 #include "trace/observations.h"
@@ -25,31 +26,9 @@ class HandoffPolicy {
  public:
   virtual ~HandoffPolicy() = default;
 
-  virtual std::string name() const = 0;
-
-  /// Resets state and prepares for replaying \p trip.
-  virtual void begin_trip(const MeasurementTrace& trip) = 0;
-
-  /// The BS associated during probe slot \p slot_index (invalid NodeId if
-  /// not associated). Called in increasing slot order.
-  virtual NodeId associate(std::size_t slot_index) = 0;
-};
-
-/// Base for policies that re-decide once per second (all of §3.1's do).
-/// Subclasses produce the per-second association sequence for a trip.
-class PerSecondPolicy : public HandoffPolicy {
- public:
-  void begin_trip(const MeasurementTrace& trip) final;
-  NodeId associate(std::size_t slot_index) final;
-
- protected:
-  /// choices[s] = BS associated during second s.
-  virtual std::vector<NodeId> compute_choices(
-      const MeasurementTrace& trip) = 0;
-
- private:
-  std::vector<NodeId> choices_;
-  const MeasurementTrace* trip_ = nullptr;
+  /// choices[s] = the BS associated during second s of \p trip (an invalid
+  /// NodeId if none), with at least trip.seconds() entries.
+  virtual std::vector<NodeId> choose(const MeasurementTrace& trip) = 0;
 };
 
 }  // namespace vifi::handoff

@@ -7,14 +7,28 @@
 
 namespace vifi::handoff {
 
+namespace {
+
+/// The trip second \p slot falls in, clamped to the last of \p seconds
+/// (> 0) for slots past the last full second.
+std::size_t slot_second(const trace::ProbeSlot& slot, std::size_t seconds) {
+  return std::min(static_cast<std::size_t>(slot.t.to_micros() / 1'000'000),
+                  seconds - 1);
+}
+
+}  // namespace
+
 std::vector<SlotOutcome> replay_hard_handoff(const MeasurementTrace& trip,
                                              HandoffPolicy& policy) {
-  policy.begin_trip(trip);
+  const std::vector<NodeId> choices = policy.choose(trip);
+  VIFI_ENSURES(static_cast<int>(choices.size()) >= trip.seconds());
   obs::TraceRecorder* rec = obs::current_recorder();
   NodeId last_bs{};
   std::vector<SlotOutcome> outcomes(trip.slots.size());
   for (std::size_t i = 0; i < trip.slots.size(); ++i) {
-    const NodeId bs = policy.associate(i);
+    const NodeId bs = choices.empty()
+                          ? NodeId{}
+                          : choices[slot_second(trip.slots[i], choices.size())];
     if (rec && bs != last_bs) {
       rec->record(obs::EventKind::Handoff, trip.slots[i].t, trip.vehicle, bs,
                   i);
@@ -66,9 +80,7 @@ std::vector<SlotOutcome> replay_allbses(const MeasurementTrace& trip,
 
   for (std::size_t i = 0; i < trip.slots.size(); ++i) {
     const trace::ProbeSlot& slot = trip.slots[i];
-    const auto sec = std::min(
-        static_cast<std::size_t>(slot.t.to_micros() / 1'000'000), secs - 1);
-    for (NodeId bs : allowed[sec]) {
+    for (NodeId bs : allowed[slot_second(slot, secs)]) {
       outcomes[i].up = outcomes[i].up || slot.up_to(bs);
       outcomes[i].down = outcomes[i].down || slot.down_from(bs);
     }

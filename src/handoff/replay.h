@@ -4,7 +4,9 @@
 /// Replays a measurement trace under a handoff policy and reports which of
 /// the client's 100 ms-workload packets got through (§3.1: "the traces of
 /// broadcast packets and the current association determine which packets
-/// are successfully received").
+/// are successfully received"). Both replays map a probe slot onto its
+/// trip second the same way: hard handoff to index the policy's
+/// per-second choices, AllBSes to index its per-second BS sets.
 
 #include <vector>
 
@@ -20,7 +22,10 @@ struct SlotOutcome {
   int delivered() const { return (up ? 1 : 0) + (down ? 1 : 0); }
 };
 
-/// Hard handoff: only the associated BS counts.
+/// Hard handoff: only the associated BS counts. Each probe slot is served
+/// by \p policy's choice for the second it falls in; slots past the last
+/// full second use the last choice. Throws ContractViolation if the policy
+/// returns fewer than trip.seconds() choices.
 std::vector<SlotOutcome> replay_hard_handoff(const MeasurementTrace& trip,
                                              HandoffPolicy& policy);
 

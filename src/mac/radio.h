@@ -37,8 +37,6 @@ class Radio final : public FrameSink {
   /// Queues a frame for transmission; sends as soon as the channel allows.
   void send(Frame frame);
 
-  /// Frames queued but not yet on the air (excludes the one being sent).
-  std::size_t queue_length() const { return queue_.size(); }
   bool transmitting() const { return transmitting_; }
   /// Idle == nothing queued and not transmitting.
   bool idle() const { return queue_.empty() && !transmitting_; }

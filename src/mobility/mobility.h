@@ -42,7 +42,6 @@ class PathMobility final : public MobilityModel {
 
   Vec2 position_at(Time t) const override;
 
-  double speed_mps() const { return speed_mps_; }
   const WaypointPath& path() const { return path_; }
   /// Duration of one full traversal of the path.
   Time lap_time() const;

@@ -221,20 +221,18 @@ class CampaignLease {
 };
 
 /// The named §3.1 hard-handoff policy (History reads the whole campaign);
-/// null for AllBSes, which replays without one. Throws ContractViolation
+/// null for AllBSes, which replays without one. Throws std::runtime_error
 /// for an unknown name.
 std::unique_ptr<handoff::HandoffPolicy> make_replay_policy(
     const std::string& policy, const trace::Campaign& campaign) {
   using namespace handoff;
-  if (policy == "AllBSes") return nullptr;
-  std::unique_ptr<HandoffPolicy> p;
-  if (policy == "BestBS") p = std::make_unique<BestBsPolicy>();
-  if (policy == "History") p = std::make_unique<HistoryPolicy>(campaign);
-  if (policy == "RSSI") p = std::make_unique<RssiPolicy>();
-  if (policy == "BRR") p = std::make_unique<BrrPolicy>();
-  if (policy == "Sticky") p = std::make_unique<StickyPolicy>();
-  VIFI_EXPECTS(p != nullptr);
-  return p;
+  check_policy("replay", policy);
+  if (policy == "BestBS") return std::make_unique<BestBsPolicy>();
+  if (policy == "History") return std::make_unique<HistoryPolicy>(campaign);
+  if (policy == "RSSI") return std::make_unique<RssiPolicy>();
+  if (policy == "BRR") return std::make_unique<BrrPolicy>();
+  if (policy == "Sticky") return std::make_unique<StickyPolicy>();
+  return nullptr;
 }
 
 /// Everything one trip contributes to its point — and, folded in trip order
@@ -435,22 +433,12 @@ void run_replay(const scenario::Testbed& bed, const ExperimentPoint& point,
   }
 }
 
-/// The live stack configuration a point runs under (§5.2): policy switches,
-/// link-layer retransmissions off, and — for city-scale points — the
-/// medium's spatial culling derived from the testbed geometry.
+/// The live stack configuration a point runs under (§5.2): the policy's
+/// switches, link-layer retransmissions off, and — for city-scale points —
+/// the medium's spatial culling derived from the testbed geometry.
 core::SystemConfig live_system_config(const ExperimentPoint& point,
                                       const scenario::Testbed& bed) {
-  core::SystemConfig sys;
-  if (point.policy == "ViFi") {
-    // Defaults: diversity + salvage on.
-  } else if (point.policy == "BRR") {
-    sys.vifi.diversity = false;
-    sys.vifi.salvage = false;
-  } else if (point.policy == "Diversity") {
-    sys.vifi.salvage = false;
-  } else {
-    VIFI_EXPECTS(!"unknown live policy (expected ViFi/BRR/Diversity)");
-  }
+  core::SystemConfig sys = live_policy_config(point.policy);
   sys.vifi.max_retx = 0;  // §5.2: link-layer retransmissions disabled.
   if (point.cull_medium)
     sys.medium.culling = bed.make_culling(sys.medium.audibility_threshold);
@@ -713,6 +701,37 @@ const std::vector<std::string>& replay_policy_names() {
   static const std::vector<std::string> names{
       "AllBSes", "BestBS", "History", "RSSI", "BRR", "Sticky"};
   return names;
+}
+
+const std::vector<std::string>& live_policy_names() {
+  static const std::vector<std::string> names{"ViFi", "BRR", "Diversity"};
+  return names;
+}
+
+core::SystemConfig live_policy_config(const std::string& name) {
+  check_policy("cbr", name);
+  core::SystemConfig sys;  // ViFi: diversity and salvage on.
+  if (name == "BRR") {
+    sys.vifi.diversity = false;
+    sys.vifi.salvage = false;
+  } else if (name == "Diversity") {
+    sys.vifi.salvage = false;
+  }
+  return sys;
+}
+
+void check_policy(const std::string& workload, const std::string& policy) {
+  const bool live = workload == "cbr";
+  if (!live && workload != "replay") return;
+  const std::vector<std::string>& names =
+      live ? live_policy_names() : replay_policy_names();
+  if (std::ranges::find(names, policy) != names.end()) return;
+  std::string expected;
+  for (const std::string& name : names)
+    expected += (expected.empty() ? "" : "/") + name;
+  throw std::runtime_error("unknown " + std::string(live ? "live" : "replay") +
+                           " policy '" + policy + "' (expected " + expected +
+                           ")");
 }
 
 const std::vector<double>& cdf_quantiles() {

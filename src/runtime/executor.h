@@ -4,15 +4,17 @@
 /// Built-in interpretation of an `ExperimentPoint`: construct the testbed,
 /// realise the measurement campaign from the point's derived seed (once
 /// per sweep, shared by the points that replay it), run the policy — trace
-/// replay for the §3.1 policies, the live ViFi/BRR stack for the "cbr"
-/// workload — and distil the standard metric set (delivery rate,
-/// packets/day, session lengths, throughput CDF quantiles, MOS).
+/// replay for the §3.1 policies, the live ViFi/BRR/Diversity stacks for
+/// the "cbr" workload, each built by name here — and distil the standard
+/// metric set (delivery rate, packets/day, session lengths, throughput CDF
+/// quantiles, MOS).
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "analysis/sessions.h"
+#include "core/system.h"
 #include "handoff/replay.h"
 #include "runtime/experiment.h"
 #include "runtime/result.h"
@@ -24,6 +26,21 @@ class Runner;
 
 /// Replay policy names understood by the executor, in the paper's ordering.
 const std::vector<std::string>& replay_policy_names();
+
+/// Live ("cbr" workload) policy names: the §5 ViFi stack and its two
+/// baselines, BRR hard handoff and "only diversity" (fig09).
+const std::vector<std::string>& live_policy_names();
+
+/// The stack switches of live policy \p name: ViFi keeps diversity and
+/// salvage on, Diversity turns salvage off, BRR turns both off; every
+/// other field keeps its default. Throws std::runtime_error naming the
+/// policy and the expected names for any other name.
+core::SystemConfig live_policy_config(const std::string& name);
+
+/// Throws std::runtime_error ("unknown replay policy 'X' (expected ...)",
+/// or the live equivalent) unless \p policy is one of \p workload's
+/// names. An unknown workload is left to the point, which fails on it.
+void check_policy(const std::string& workload, const std::string& policy);
 
 /// Converts replay outcomes into the analysis slot stream (100 ms slots,
 /// one packet each way).

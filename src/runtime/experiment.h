@@ -79,7 +79,7 @@ struct ExperimentPoint {
   /// TraceCatalog directory this point replays; empty = generate the
   /// campaign stochastically from campaign_seed (the historical path).
   std::string trace_set;
-  std::string policy;     ///< §3.1 replay policy, or "ViFi"/"BRR" live.
+  std::string policy;     ///< A §3.1 replay or a §5 live policy name.
   /// CoordTier axis value: "" (no axis), "pab" (explicit baseline) or
   /// "coord" (BS-side predictive coordination). Deliberately NOT mixed
   /// into any seed: a coord point and its pab twin run identical trips.

@@ -2,16 +2,18 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
 
+#include "obs/export.h"
 #include "util/contracts.h"
 
 namespace vifi::runtime {
 
 namespace {
+
+using obs::json_escape;
 
 /// Shortest round-trip rendering via std::to_chars: locale-independent (a
 /// host program switching LC_NUMERIC cannot corrupt the JSON/CSV) and
@@ -21,28 +23,6 @@ std::string format_double(double v) {
   const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
   VIFI_EXPECTS(ec == std::errc{});
   return std::string(buf, end);
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// CSV cells are plain identifiers and numbers; quote defensively anyway.

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "handoff/policies.h"
 #include "handoff/replay.h"
 #include "trace/observations.h"
+#include "util/contracts.h"
 
 namespace vifi::handoff {
 namespace {
@@ -13,6 +17,19 @@ using sim::NodeId;
 using trace::BeaconObs;
 using trace::MeasurementTrace;
 using trace::ProbeSlot;
+
+/// A policy that returns the same per-second choices for any trip.
+class FixedPolicy final : public HandoffPolicy {
+ public:
+  explicit FixedPolicy(std::vector<NodeId> choices)
+      : choices_(std::move(choices)) {}
+  std::vector<NodeId> choose(const MeasurementTrace&) override {
+    return choices_;
+  }
+
+ private:
+  std::vector<NodeId> choices_;
+};
 
 /// Builds a trace where BS0 is strong for the first half of the trip and
 /// BS1 for the second half; beacons and probes agree.
@@ -43,11 +60,11 @@ MeasurementTrace two_phase_trace(int seconds = 10) {
 TEST(BrrPolicy, TracksTheStrongBs) {
   MeasurementTrace t = two_phase_trace(10);
   BrrPolicy policy;
-  policy.begin_trip(t);
+  const std::vector<NodeId> choices = policy.choose(t);
   // Early in the trip: associated with BS0 (after a warm-up second).
-  EXPECT_EQ(policy.associate(25), NodeId(0));
+  EXPECT_EQ(choices[2], NodeId(0));
   // Late in the trip: must have switched to BS1.
-  EXPECT_EQ(policy.associate(95), NodeId(1));
+  EXPECT_EQ(choices[9], NodeId(1));
 }
 
 TEST(BrrPolicy, ReplayDeliversNearlyEverything) {
@@ -67,9 +84,9 @@ TEST(RssiPolicy, PrefersStrongerSignal) {
   // dropped once its beacons go stale, despite its higher average.
   MeasurementTrace t = two_phase_trace(20);
   RssiPolicy policy;
-  policy.begin_trip(t);
-  EXPECT_EQ(policy.associate(60), NodeId(0));
-  EXPECT_EQ(policy.associate(195), NodeId(1));
+  const std::vector<NodeId> choices = policy.choose(t);
+  EXPECT_EQ(choices[6], NodeId(0));
+  EXPECT_EQ(choices[19], NodeId(1));
 }
 
 TEST(RssiPolicy, StaleBsesAreNotCandidates) {
@@ -95,8 +112,8 @@ TEST(RssiPolicy, StaleBsesAreNotCandidates) {
             {slot.t + Time::millis(1.0), NodeId(1), -80.0});
     }
   RssiPolicy policy;
-  policy.begin_trip(t);
-  EXPECT_EQ(policy.associate(99), NodeId(1));  // weak but fresh beats stale
+  const std::vector<NodeId> choices = policy.choose(t);
+  EXPECT_EQ(choices[9], NodeId(1));  // weak but fresh beats stale
 }
 
 TEST(StickyPolicy, HoldsThroughShortSilence) {
@@ -117,10 +134,10 @@ TEST(StickyPolicy, HoldsThroughShortSilence) {
       t.vehicle_beacons.push_back({slot.t, NodeId(1), -65.0});
     }
   StickyPolicy policy;
-  policy.begin_trip(t);
-  EXPECT_EQ(policy.associate(20), NodeId(0));
-  EXPECT_EQ(policy.associate(45), NodeId(0));  // silent but within 3 s
-  EXPECT_EQ(policy.associate(70), NodeId(0));  // came back
+  const std::vector<NodeId> choices = policy.choose(t);
+  EXPECT_EQ(choices[2], NodeId(0));
+  EXPECT_EQ(choices[4], NodeId(0));  // silent but within 3 s
+  EXPECT_EQ(choices[7], NodeId(0));  // came back
 }
 
 TEST(StickyPolicy, SwitchesAfterLongSilence) {
@@ -137,18 +154,18 @@ TEST(StickyPolicy, SwitchesAfterLongSilence) {
       t.vehicle_beacons.push_back({slot.t, NodeId(1), -65.0});
     }
   StickyPolicy policy;
-  policy.begin_trip(t);
-  EXPECT_EQ(policy.associate(15), NodeId(0));
-  EXPECT_EQ(policy.associate(90), NodeId(1));  // switched after 3 s silence
+  const std::vector<NodeId> choices = policy.choose(t);
+  EXPECT_EQ(choices[1], NodeId(0));
+  EXPECT_EQ(choices[9], NodeId(1));  // switched after 3 s silence
 }
 
 TEST(BestBsPolicy, PicksTheOracleBest) {
   MeasurementTrace t = two_phase_trace(10);
   BestBsPolicy policy;
-  policy.begin_trip(t);
+  const std::vector<NodeId> choices = policy.choose(t);
   // No warm-up needed: it reads the future.
-  EXPECT_EQ(policy.associate(0), NodeId(0));
-  EXPECT_EQ(policy.associate(99), NodeId(1));
+  EXPECT_EQ(choices[0], NodeId(0));
+  EXPECT_EQ(choices[9], NodeId(1));
 }
 
 TEST(BestBsPolicy, UpperBoundsPracticalPolicies) {
@@ -174,9 +191,9 @@ TEST(HistoryPolicy, UsesPreviousDayAtSameLocation) {
   campaign.trips.push_back(day1);
 
   HistoryPolicy policy(campaign);
-  policy.begin_trip(campaign.trips[1]);
-  EXPECT_EQ(policy.associate(5), NodeId(0));  // immediately correct
-  EXPECT_EQ(policy.associate(95), NodeId(1));
+  const std::vector<NodeId> choices = policy.choose(campaign.trips[1]);
+  EXPECT_EQ(choices[0], NodeId(0));  // immediately correct
+  EXPECT_EQ(choices[9], NodeId(1));
 }
 
 TEST(AllBses, UnionDeliversEverythingAnyBsGot) {
@@ -210,14 +227,43 @@ TEST(AllBses, RestrictedToKBses) {
 
 TEST(Replay, UnassociatedSlotsDeliverNothing) {
   MeasurementTrace t = two_phase_trace(4);
-  // A policy that never associates.
-  class NullPolicy final : public HandoffPolicy {
-   public:
-    std::string name() const override { return "null"; }
-    void begin_trip(const MeasurementTrace&) override {}
-    NodeId associate(std::size_t) override { return NodeId{}; }
-  } null_policy;
+  // A policy that never associates: an invalid BS for every second.
+  FixedPolicy null_policy(std::vector<NodeId>(4));
   EXPECT_EQ(packets_delivered(replay_hard_handoff(t, null_policy)), 0);
+}
+
+TEST(Replay, SlotsPastTheLastFullSecondUseTheLastChoice) {
+  // A 2 s trip whose probe log runs 2 s past its duration; each slot is
+  // heard by one BS only, so delivery shows which choice served it.
+  const NodeId first(3), last(7);
+  MeasurementTrace t;
+  t.duration = Time::seconds(2.0);
+  t.bs_ids = {first, last};
+  for (int s = 0; s < 4; ++s) {
+    ProbeSlot slot;
+    slot.t = Time::millis(s * 1000.0 + 500.0);
+    const NodeId heard = s == 0 ? first : last;
+    slot.down_heard = {heard};
+    slot.up_heard_by = {heard};
+    t.slots.push_back(slot);
+  }
+  FixedPolicy policy({first, last});
+  const auto outcomes = replay_hard_handoff(t, policy);
+  ASSERT_EQ(outcomes.size(), 4u);
+  for (const SlotOutcome& o : outcomes) EXPECT_EQ(o.delivered(), 2);
+}
+
+TEST(Replay, PolicyWithTooFewChoicesIsAContractViolation) {
+  const MeasurementTrace t = two_phase_trace(4);
+  FixedPolicy short_policy({NodeId(0), NodeId(0), NodeId(1)});
+  EXPECT_THROW(replay_hard_handoff(t, short_policy), ContractViolation);
+}
+
+TEST(Replay, NoChoicesForAZeroSecondTripDeliverNothing) {
+  MeasurementTrace t = two_phase_trace(1);
+  t.duration = Time::zero();  // seconds() == 0: no choice is owed.
+  FixedPolicy empty(std::vector<NodeId>{});
+  EXPECT_EQ(packets_delivered(replay_hard_handoff(t, empty)), 0);
 }
 
 }  // namespace

@@ -412,7 +412,7 @@ TEST(CampaignPool, PointFailingAfterTheCampaignIsSharedKeepsItsErrorRow) {
     const ResultSink got = Runner({.threads = threads}).run(spec);
     for (const PointResult& r : got.ordered()) {
       if (r.policy == "Teleport")  // The point's error, not a trip's.
-        EXPECT_EQ(r.error.rfind("precondition failed: p != nullptr", 0), 0u)
+        EXPECT_EQ(r.error.rfind("unknown replay policy 'Teleport'", 0), 0u)
             << r.index << ": " << r.error;
       else
         EXPECT_TRUE(r.error.empty()) << r.index << ": " << r.error;
@@ -784,15 +784,68 @@ TEST(Executor, UnknownCoordinationFailsLoudly) {
   EXPECT_THROW(run_point(spec.enumerate().front()), std::runtime_error);
 }
 
-TEST(Executor, UnknownWorkloadOrPolicyIsAContractViolation) {
+TEST(Executor, UnknownWorkloadIsAContractViolation) {
   ExperimentSpec spec = small_replay_spec();
   spec.workload = "warp-drive";
   EXPECT_THROW(run_point(spec.enumerate()[0]), ContractViolation);
+}
 
+// An unknown policy fails its point with an error naming the policy and the
+// workload's names, replay and live alike.
+TEST(Executor, UnknownPolicyFailsThePointNamingIt) {
+  ExperimentSpec replay = small_replay_spec();
+  replay.grid.policies = {"Bogus"};
   ExperimentSpec live = small_replay_spec();
   live.workload = "cbr";
   live.grid.policies = {"Sticky"};  // replay-only policy, invalid live
-  EXPECT_THROW(run_point(live.enumerate()[0]), ContractViolation);
+  const std::vector<std::pair<ExperimentSpec, std::string>> cases{
+      {replay,
+       "unknown replay policy 'Bogus' "
+       "(expected AllBSes/BestBS/History/RSSI/BRR/Sticky)"},
+      {live, "unknown live policy 'Sticky' (expected ViFi/BRR/Diversity)"}};
+  for (const auto& [spec, want] : cases) {
+    try {
+      run_point(spec.enumerate()[0]);
+      ADD_FAILURE() << spec.workload << " point ran";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(e.what(), want);
+    }
+  }
+}
+
+TEST(CheckPolicy, KnowsEachWorkloadsOwnNames) {
+  for (const std::string& name : replay_policy_names())
+    EXPECT_NO_THROW(check_policy("replay", name)) << name;
+  for (const std::string& name : live_policy_names())
+    EXPECT_NO_THROW(check_policy("cbr", name)) << name;
+  EXPECT_THROW(check_policy("replay", "ViFi"), std::runtime_error);
+  EXPECT_THROW(check_policy("cbr", "BestBS"), std::runtime_error);
+  // An unknown workload is the point's to reject.
+  EXPECT_NO_THROW(check_policy("warp-drive", "Bogus"));
+}
+
+// The three §5 stacks by name: the switches the benches, examples and
+// live points all run, and nothing else.
+TEST(LivePolicy, EachNameSetsItsDiversityAndSalvageSwitches) {
+  EXPECT_EQ(live_policy_names(),
+            (std::vector<std::string>{"ViFi", "BRR", "Diversity"}));
+  struct Switches {
+    std::string name;
+    bool diversity, salvage;
+  };
+  const core::SystemConfig defaults;
+  for (const Switches& want : {Switches{"ViFi", true, true},
+                               Switches{"BRR", false, false},
+                               Switches{"Diversity", true, false}}) {
+    const core::SystemConfig sys = live_policy_config(want.name);
+    EXPECT_EQ(sys.vifi.diversity, want.diversity) << want.name;
+    EXPECT_EQ(sys.vifi.salvage, want.salvage) << want.name;
+    EXPECT_EQ(sys.vifi.max_retx, defaults.vifi.max_retx) << want.name;
+    EXPECT_EQ(sys.vifi.max_auxiliaries, defaults.vifi.max_auxiliaries)
+        << want.name;
+  }
+  for (const std::string name : {"", "vifi", "AllBSes", "Sticky", "Bogus"})
+    EXPECT_THROW(live_policy_config(name), std::runtime_error) << name;
 }
 
 }  // namespace
