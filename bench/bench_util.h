@@ -1,18 +1,17 @@
 #pragma once
 
 /// \file bench_util.h
-/// Shared plumbing for the per-figure bench binaries: the scale knob, the
-/// one trip-parallel loop (map_trips), standard campaign and live-trip
-/// recipes, and session sweeps used by several figures. The protocols a
-/// bench compares come by name from the runtime, like a sweep point's:
-/// runtime::replay_trip for the §3.1 policies, runtime::live_policy_config
-/// for the §5 ViFi, BRR and Diversity stacks.
+/// Shared plumbing for the `paper` runs and the fleet benches: the scale
+/// knob, the one trip-parallel loop (map_trips), standard campaign and
+/// live-trip recipes, and session sweeps used by several figures. The
+/// protocols a bench compares come by name from the runtime, like a sweep
+/// point's: runtime::replay_trip for the §3.1 policies,
+/// runtime::live_policy_config for the §5 ViFi, BRR and Diversity stacks.
 
 #include <charconv>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -42,12 +41,19 @@ struct ValueEntry {
   bool bigger_is_better = true;
 };
 
-/// Writes value entries in the google-benchmark JSON shape bench_compare
-/// understands (`--merge`s into BENCH.json next to the perf suite).
-/// Doubles are rendered shortest-round-trip, matching runtime::ResultSink.
-inline void write_value_entries(std::ostream& out,
-                                const std::string& executable,
-                                const std::vector<ValueEntry>& entries) {
+/// Writes value entries to \p path in the google-benchmark JSON shape
+/// bench_compare understands (`--merge`s into BENCH.json next to the perf
+/// suite), doubles shortest-round-trip like runtime::ResultSink. Prints
+/// "wrote <what> to <path>" and returns 0, or 1 if \p path cannot be opened.
+inline int write_value_entries(const std::string& path,
+                               const std::string& executable,
+                               const std::vector<ValueEntry>& entries,
+                               const std::string& what) {
+  std::ofstream out(path);
+  if (!out.good()) {
+    std::cerr << "error: cannot write " << path << "\n";
+    return 1;
+  }
   auto fmt = [](double v) {
     char buf[40];
     const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
@@ -62,13 +68,15 @@ inline void write_value_entries(std::ostream& out,
         << (entries[i].bigger_is_better ? "true" : "false") << "}";
   }
   out << "\n  ]\n}\n";
+  std::cout << "wrote " << what << " to " << path << "\n";
+  return 0;
 }
 
 /// VIFI_BENCH_SCALE multiplies trip counts; 1 (also when unset) is the
 /// quick default. Anything but a whole integer >= 1 ends the bench with
 /// exit code 2.
 inline int scale() {
-  // Read from main() before any worker thread starts (never inside a
+  // Read on the main thread before any worker starts (never inside a
   // map_trips body); benches take their scale knob from the launcher.
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
   const char* s = std::getenv("VIFI_BENCH_SCALE");

@@ -16,8 +16,6 @@
 // bench/baseline.json — CI merges them into BENCH.json so the curve is
 // tracked like any other benchmark.
 
-#include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
@@ -195,11 +193,6 @@ int main(int argc, char** argv) {
             << TextTable::num(pab.jain, 3) << ")\n";
 
   if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out.good()) {
-      std::cerr << "error: cannot write " << json_path << "\n";
-      return 1;
-    }
     std::vector<ValueEntry> entries;
     for (const auto& bed : spec.grid.testbeds) {
       for (const int v : spec.grid.fleet_sizes) {
@@ -216,8 +209,8 @@ int main(int argc, char** argv) {
                        coord_delivery_ratio, true});
     entries.push_back(
         {"FleetContention/VanLAN/V4/coord_jain_delivery", coord.jain, true});
-    write_value_entries(out, "fleet_contention", entries);
-    std::cout << "wrote fairness curve to " << json_path << "\n";
+    return write_value_entries(json_path, "fleet_contention", entries,
+                               "fairness curve");
   }
   return 0;
 }

@@ -34,9 +34,7 @@
 //             1024-bus trip group through the sharded executor.
 //             Completion is the bar; nothing is gated.
 
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
@@ -157,18 +155,12 @@ int run_large(const std::string& json_path) {
   std::cout << "\nsharded thread-count determinism (8 vs 1): "
             << (thread_invariant ? "OK" : "FAILED") << "\n";
 
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out.good()) {
-      std::cerr << "error: cannot write " << json_path << "\n";
-      std::filesystem::remove_all(root);
-      return 1;
-    }
-    write_value_entries(out, "fleet_replay", entries);
-    std::cout << "wrote large replay curve to " << json_path << "\n";
-  }
+  int status = thread_invariant ? 0 : 1;
+  if (!json_path.empty())
+    status |= write_value_entries(json_path, "fleet_replay", entries,
+                                  "large replay curve");
   std::filesystem::remove_all(root);
-  return thread_invariant ? 0 : 1;
+  return status;
 }
 
 int run_v1024() {
@@ -373,13 +365,8 @@ int main(int argc, char** argv) {
             << TextTable::pct(pab_delivery, 1) << ", ratio "
             << TextTable::num(coord_delivery_ratio, 3) << ")\n";
 
+  int status = deterministic ? 0 : 1;
   if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out.good()) {
-      std::cerr << "error: cannot write " << json_path << "\n";
-      std::filesystem::remove_all(root);
-      return 1;
-    }
     std::vector<ValueEntry> entries;
     for (const int v : kFleets) {
       for (const std::string& source : sources) {
@@ -394,10 +381,10 @@ int main(int argc, char** argv) {
     entries.push_back({"FleetReplay/" + std::string(kTestbed) +
                            "/V4/real/coord_delivery_ratio",
                        coord_delivery_ratio, true});
-    write_value_entries(out, "fleet_replay", entries);
-    std::cout << "wrote replay curve to " << json_path << "\n";
+    status |= write_value_entries(json_path, "fleet_replay", entries,
+                                  "replay curve");
   }
 
   std::filesystem::remove_all(root);
-  return deterministic ? 0 : 1;
+  return status;
 }

@@ -27,7 +27,6 @@
 //             baseline churn.
 
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -219,11 +218,6 @@ int run_large(const std::string& json_path) {
             << "\n";
 
   if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out.good()) {
-      std::cerr << "error: cannot write " << json_path << "\n";
-      return 1;
-    }
     std::vector<ValueEntry> entries;
     for (const auto& [fleet, c] : cells) {
       const std::string prefix = "FleetScale/" + std::string(kLargeTestbed) +
@@ -232,8 +226,9 @@ int run_large(const std::string& json_path) {
       entries.push_back({prefix + "jain_delivery", c.jain, true});
     }
     entries.push_back({"FleetScale/cull_speedup_v256", speedup, true});
-    write_value_entries(out, "fleet_scale", entries);
-    std::cout << "wrote large-fleet curve to " << json_path << "\n";
+    if (write_value_entries(json_path, "fleet_scale", entries,
+                            "large-fleet curve") != 0)
+      return 1;
   }
   return deterministic ? 0 : 1;
 }

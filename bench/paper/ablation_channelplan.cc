@@ -12,11 +12,10 @@
 #include <iostream>
 
 #include "apps/cbr.h"
-#include "bench_util.h"
+#include "figures.h"
 #include "scenario/channel_plan.h"
 
 using namespace vifi;
-using namespace vifi::bench;
 
 namespace {
 
@@ -55,7 +54,7 @@ analysis::SlotStream run_trip(const scenario::Testbed& bed, bool channelized,
 
 }  // namespace
 
-int main() {
+void vifi::bench::ablation_channelplan() {
   const scenario::Testbed bed = scenario::make_vanlan();
   const int trips = 3 * scale();
 
@@ -98,5 +97,4 @@ int main() {
   std::cout << "\nPaper shape check: channelisation hurts ViFi (fewer "
                "same-channel auxiliaries); §6's auxiliary radios recover "
                "most of the lost diversity.\n";
-  return 0;
 }

@@ -6,12 +6,11 @@
 #include <iostream>
 
 #include "apps/cbr.h"
-#include "bench_util.h"
 #include "channel/vehicular.h"
 #include "core/system.h"
+#include "figures.h"
 
 using namespace vifi;
-using namespace vifi::bench;
 
 namespace {
 
@@ -68,7 +67,7 @@ core::CoordinationSummary run_ring(int n_bs, Time duration) {
 
 }  // namespace
 
-int main() {
+void vifi::bench::ablation_limits() {
   const Time duration = Time::seconds(60.0 * scale());
   const std::vector<int> ring_sizes{3, 6, 11, 16, 21};
   const std::vector<core::CoordinationSummary> rings =
@@ -103,5 +102,4 @@ int main() {
   std::cout << "\nPaper shape check: with many equidistant auxiliaries the "
                "variance of the relay count grows — false positives and/or "
                "false negatives inflate relative to the small-ring case.\n";
-  return 0;
 }

@@ -5,12 +5,9 @@
 
 #include <iostream>
 
-#include "bench_util.h"
+#include "figures.h"
 
-using namespace vifi;
-using namespace vifi::bench;
-
-int main() {
+void vifi::bench::ablation_variants() {
   const scenario::Testbed bed = scenario::make_vanlan();
   const int trips = 3 * scale();
 
@@ -58,5 +55,4 @@ int main() {
   std::cout << "\nPaper shape check: ViFi at least matches every variant; "
                "!G3 wastes airtime on redundant relays, !G1 over-relays "
                "with many auxiliaries, !G2 under-uses well-placed ones.\n";
-  return 0;
 }

@@ -13,13 +13,10 @@
 
 #include <iostream>
 
-#include "bench_util.h"
+#include "figures.h"
 #include "util/rng.h"
 
-using namespace vifi;
-using namespace vifi::bench;
-
-int main() {
+void vifi::bench::fig02_aggregate() {
   const scenario::Testbed bed = scenario::make_vanlan();
   const trace::Campaign campaign = vanlan_campaign(bed);
   const int days = campaign.days();
@@ -95,5 +92,4 @@ int main() {
   std::cout << "\nPaper shape check: AllBSes best; BestBS second; History/"
                "RSSI/BRR close behind (within ~25% of AllBSes); Sticky "
                "clearly worst; all rise with BS density.\n";
-  return 0;
 }

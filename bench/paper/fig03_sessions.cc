@@ -8,12 +8,9 @@
 
 #include <iostream>
 
-#include "bench_util.h"
+#include "figures.h"
 
-using namespace vifi;
-using namespace vifi::bench;
-
-int main() {
+void vifi::bench::fig03_sessions() {
   const scenario::Testbed bed = scenario::make_vanlan();
   const trace::Campaign campaign = vanlan_campaign(bed);
   const analysis::SessionDef def{};  // 50% in 1 s (§3.3)
@@ -58,5 +55,4 @@ int main() {
   }
   std::cout << "\nPaper shape check: median(AllBSes) > 2x median(BestBS) "
                "and >> median(BRR); Sticky worst.\n";
-  return 0;
 }

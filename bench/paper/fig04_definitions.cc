@@ -8,12 +8,9 @@
 
 #include <iostream>
 
-#include "bench_util.h"
+#include "figures.h"
 
-using namespace vifi;
-using namespace vifi::bench;
-
-int main() {
+void vifi::bench::fig04_definitions() {
   const scenario::Testbed bed = scenario::make_vanlan();
   const trace::Campaign campaign = vanlan_campaign(bed);
   const std::vector<std::string> policies{"AllBSes", "BestBS", "BRR",
@@ -67,5 +64,4 @@ int main() {
   std::cout << "\nPaper shape check: curves converge at lax definitions "
                "(long intervals / low ratios) and fan out as requirements "
                "tighten, AllBSes on top, Sticky at the bottom.\n";
-  return 0;
 }

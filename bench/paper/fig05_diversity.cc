@@ -8,12 +8,9 @@
 #include <iostream>
 
 #include "analysis/diversity.h"
-#include "bench_util.h"
+#include "figures.h"
 
-using namespace vifi;
-using namespace vifi::bench;
-
-int main() {
+void vifi::bench::fig05_diversity() {
   const scenario::Testbed vanlan = scenario::make_vanlan();
   const scenario::Testbed ch1 = scenario::make_dieselnet(1);
   const scenario::Testbed ch6 = scenario::make_dieselnet(6);
@@ -67,5 +64,4 @@ int main() {
   table.print(std::cout);
   std::cout << "\nPaper shape check: vehicles regularly hear 2+ BSes; k=2 "
                "captures most of the AllBSes gain, k=3 nearly all.\n";
-  return 0;
 }

@@ -12,13 +12,10 @@
 #include <iostream>
 
 #include "analysis/burst.h"
-#include "bench_util.h"
+#include "figures.h"
 #include "scenario/burst_probe.h"
 
-using namespace vifi;
-using namespace vifi::bench;
-
-int main() {
+void vifi::bench::fig06_burstiness() {
   const scenario::Testbed bed = scenario::make_vanlan();
   const int trips = 6 * scale();
 
@@ -90,5 +87,4 @@ int main() {
                "times above the unconditional loss and decays with k; "
                "same-path conditionals collapse while cross-path "
                "conditionals stay near unconditional.\n";
-  return 0;
 }

@@ -11,16 +11,14 @@
 // recorded slot streams (and hence every chart) are identical for any
 // thread count.
 
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "coord/predictor.h"
+#include "figures.h"
 
 using namespace vifi;
-using namespace vifi::bench;
 
 namespace {
 
@@ -38,18 +36,7 @@ double aggregate_loss(const std::vector<analysis::SlotStream>& streams) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::cerr << "Usage: " << argv[0] << " [--json PATH]\n";
-      return 2;
-    }
-  }
-
+std::vector<vifi::bench::ValueEntry> vifi::bench::fig07_vifi_link() {
   const scenario::Testbed bed = scenario::make_vanlan();
   const trace::Campaign campaign = vanlan_campaign(bed);
   const int live_trips = 6 * scale();
@@ -149,23 +136,11 @@ int main(int argc, char** argv) {
   std::cout << "Paper shape check: ViFi above BestBS and approaching "
                "AllBSes across both sweeps; BRR far below.\n";
 
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out.good()) {
-      std::cerr << "error: cannot write " << json_path << "\n";
-      return 1;
-    }
-    std::vector<ValueEntry> entries;
-    entries.push_back({"Fig07/VanLAN/ViFi/aggregate_loss", vifi_loss, false});
-    entries.push_back(
-        {"Fig07/VanLAN/Coord/aggregate_loss", coord_loss, false});
-    entries.push_back({"Fig07/VanLAN/BRR/aggregate_loss", brr_loss, false});
-    // Ratio of the two live twins; < 1 means coord loses less than PAB.
-    entries.push_back({"Fig07/VanLAN/coord_vs_pab_loss_ratio",
-                       vifi_loss > 0.0 ? coord_loss / vifi_loss : 1.0,
-                       false});
-    write_value_entries(out, "fig07_vifi_link", entries);
-    std::cout << "wrote aggregate-loss entries to " << json_path << "\n";
-  }
-  return 0;
+  return {
+      {"Fig07/VanLAN/ViFi/aggregate_loss", vifi_loss, false},
+      {"Fig07/VanLAN/Coord/aggregate_loss", coord_loss, false},
+      {"Fig07/VanLAN/BRR/aggregate_loss", brr_loss, false},
+      // Ratio of the two live twins; < 1 means coord loses less than PAB.
+      {"Fig07/VanLAN/coord_vs_pab_loss_ratio",
+       vifi_loss > 0.0 ? coord_loss / vifi_loss : 1.0, false}};
 }

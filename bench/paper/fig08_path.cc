@@ -6,12 +6,9 @@
 
 #include <iostream>
 
-#include "bench_util.h"
+#include "figures.h"
 
-using namespace vifi;
-using namespace vifi::bench;
-
-int main() {
+void vifi::bench::fig08_path() {
   const scenario::Testbed bed = scenario::make_vanlan();
   const analysis::SessionDef def{};
   const int trips = 3 * scale();
@@ -47,5 +44,4 @@ int main() {
             << "  ViFi=" << TextTable::num(vifi_total / trips, 1) << "\n";
   std::cout << "Paper shape check: ViFi has markedly fewer interruptions "
                "than BRR on the same paths.\n";
-  return 0;
 }

@@ -11,12 +11,9 @@
 #include <iostream>
 
 #include "apps/cellular.h"
-#include "bench_util.h"
+#include "figures.h"
 
-using namespace vifi;
-using namespace vifi::bench;
-
-int main() {
+void vifi::bench::fig09_tcp_vanlan() {
   const scenario::Testbed bed = scenario::make_vanlan();
   const int trips = 4 * scale();
 
@@ -93,5 +90,4 @@ int main() {
                "most of the gain from diversity with a visible salvage "
                "slice; ViFi >2x BRR transfers/session; ViFi competitive "
                "with EVDO (paper: 0.75 s down / 1.2 s up).\n";
-  return 0;
 }

@@ -6,12 +6,9 @@
 
 #include <iostream>
 
-#include "bench_util.h"
+#include "figures.h"
 
-using namespace vifi;
-using namespace vifi::bench;
-
-int main() {
+void vifi::bench::fig10_tcp_dieselnet() {
   TextTable table(
       "Figure 10 — TCP transfers/second, trace-driven DieselNet");
   table.set_header({"channel", "BRR", "ViFi", "ViFi/BRR"});
@@ -48,5 +45,4 @@ int main() {
   table.print(std::cout);
   std::cout << "\nPaper shape check: ViFi roughly doubles BRR's transfer "
                "rate on both channels.\n";
-  return 0;
 }

@@ -9,12 +9,9 @@
 #include <iostream>
 #include <utility>
 
-#include "bench_util.h"
+#include "figures.h"
 
-using namespace vifi;
-using namespace vifi::bench;
-
-int main() {
+void vifi::bench::fig11_voip() {
   TextTable table("Figure 11 — uninterrupted VoIP sessions");
   table.set_header({"environment", "BRR median (s)", "ViFi median (s)",
                     "ViFi/BRR", "BRR intr/h", "ViFi intr/h"});
@@ -76,5 +73,4 @@ int main() {
             << " (paper: 3.4 vs 3.0)\n";
   std::cout << "Paper shape check: ViFi sessions >2x BRR on VanLAN and "
                ">1.5x on both DieselNet channels; ViFi MoS above BRR.\n";
-  return 0;
 }

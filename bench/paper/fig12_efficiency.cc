@@ -8,10 +8,9 @@
 
 #include <iostream>
 
-#include "bench_util.h"
+#include "figures.h"
 
 using namespace vifi;
-using namespace vifi::bench;
 
 namespace {
 
@@ -45,7 +44,7 @@ core::EfficiencySummary fold(const std::vector<EffTrip>& trips) {
 
 }  // namespace
 
-int main() {
+void vifi::bench::fig12_efficiency() {
   const scenario::Testbed bed = scenario::make_vanlan();
   const int trips = 4 * scale();
 
@@ -88,5 +87,4 @@ int main() {
   std::cout << "\nPaper shape check: upstream ViFi well above BRR and near "
                "PerfectRelay; downstream all comparable (relays spend some "
                "airtime, so BRR can edge ViFi slightly).\n";
-  return 0;
 }

@@ -9,12 +9,9 @@
 
 #include <iostream>
 
-#include "bench_util.h"
+#include "figures.h"
 
-using namespace vifi;
-using namespace vifi::bench;
-
-int main() {
+void vifi::bench::table1_coordination() {
   const scenario::Testbed bed = scenario::make_vanlan();
   const int trips = 4 * scale();
 
@@ -84,5 +81,4 @@ int main() {
                "~1-3 hearing it; moderate false positives (~25-35%), low "
                "upstream false negatives; upstream relays always arrive "
                "(backplane), downstream relays ~half.\n";
-  return 0;
 }

@@ -8,12 +8,9 @@
 
 #include <iostream>
 
-#include "bench_util.h"
+#include "figures.h"
 
-using namespace vifi;
-using namespace vifi::bench;
-
-int main() {
+void vifi::bench::table2_formulations() {
   const scenario::Testbed bed = scenario::make_dieselnet(1);
   const trace::Campaign campaign = beacon_campaign(bed, 2, 1, 556);
 
@@ -53,5 +50,4 @@ int main() {
   std::cout << "\nPaper shape check: false negatives similar across all "
                "mechanisms; ViFi has clearly the lowest false positives, "
                "!G3 by far the highest.\n";
-  return 0;
 }

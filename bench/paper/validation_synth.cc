@@ -11,26 +11,24 @@
 //    |P(loss_{i+1}|loss_i)/P(loss) (synth) - (source)|.
 //
 // All three are deterministic functions of the committed seeds (they
-// transfer across machines) and smaller is better. With --json PATH they
-// are emitted as value entries (bigger_is_better: false) for
-// bench_compare.py, so a fidelity regression fails CI like a slowdown.
+// transfer across machines) and smaller is better. `paper
+// validation_synth --json PATH` writes them as value entries
+// (bigger_is_better: false) for bench_compare.py, so a fidelity
+// regression fails CI like a slowdown.
 // Values are floored at 0.01: the gate compares ratios, and a
 // near-zero baseline would turn double noise into spurious failures.
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
+#include "figures.h"
 #include "tracegen/fit.h"
 #include "tracegen/synth.h"
 
 using namespace vifi;
-using namespace vifi::bench;
 
 namespace {
 
@@ -50,7 +48,7 @@ double gated(double v) { return std::max(v, 0.01); }
 
 Fidelity validate(const std::string& testbed, std::uint64_t source_seed,
                   std::uint64_t synth_seed) {
-  const int trips = 4 * scale();
+  const int trips = 4 * bench::scale();
   const Time duration = Time::seconds(120.0);
 
   const scenario::Testbed bed = runtime::make_testbed(testbed, 1);
@@ -88,28 +86,15 @@ Fidelity validate(const std::string& testbed, std::uint64_t source_seed,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::cerr << "Usage: " << argv[0] << " [--json PATH]\n";
-      return 2;
-    }
-  }
-
-  const std::vector<std::string> testbeds{"VanLAN", "DieselNet-Ch1"};
-  std::vector<Fidelity> results;
+std::vector<vifi::bench::ValueEntry> vifi::bench::validation_synth() {
+  std::vector<ValueEntry> entries;
   TextTable table(
       "TraceForge validation — synthetic vs source trace statistics");
   table.set_header({"testbed", "contact CDF KS", "mean loss (src)",
                     "mean loss (synth)", "loss gap", "burst ratio (src)",
                     "burst ratio (synth)", "burst gap"});
-  for (const std::string& bed : testbeds) {
+  for (const std::string bed : {"VanLAN", "DieselNet-Ch1"}) {
     const Fidelity f = validate(bed, 16180, 27182);
-    results.push_back(f);
     table.add_row({bed, TextTable::num(f.ks, 3),
                    TextTable::pct(f.loss_src, 1),
                    TextTable::pct(f.loss_syn, 1),
@@ -117,30 +102,16 @@ int main(int argc, char** argv) {
                    TextTable::num(f.burst_ratio_src, 2),
                    TextTable::num(f.burst_ratio_syn, 2),
                    TextTable::num(f.burst_gap, 2)});
+    const std::string prefix = "ValidationSynth/" + bed + "/";
+    entries.push_back({prefix + "contact_cdf_ks", gated(f.ks), false});
+    entries.push_back({prefix + "mean_loss_gap", gated(f.loss_gap), false});
+    entries.push_back(
+        {prefix + "burstiness_ratio_gap", gated(f.burst_gap), false});
   }
   table.print(std::cout);
   std::cout << "\nPaper shape check: synthetic traces keep the source's "
                "contact-duration CDF (small KS), its in-contact loss level, "
                "and its conditional-loss clustering (burst ratio > 1 on "
                "both sides, Fig. 6).\n";
-
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out.good()) {
-      std::cerr << "error: cannot write " << json_path << "\n";
-      return 1;
-    }
-    std::vector<ValueEntry> entries;
-    for (std::size_t i = 0; i < testbeds.size(); ++i) {
-      const Fidelity& f = results[i];
-      const std::string prefix = "ValidationSynth/" + testbeds[i] + "/";
-      entries.push_back({prefix + "contact_cdf_ks", gated(f.ks), false});
-      entries.push_back({prefix + "mean_loss_gap", gated(f.loss_gap), false});
-      entries.push_back(
-          {prefix + "burstiness_ratio_gap", gated(f.burst_gap), false});
-    }
-    write_value_entries(out, "validation_synth", entries);
-    std::cout << "wrote fidelity metrics to " << json_path << "\n";
-  }
-  return 0;
+  return entries;
 }

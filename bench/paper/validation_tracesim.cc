@@ -10,12 +10,9 @@
 #include <cmath>
 #include <iostream>
 
-#include "bench_util.h"
+#include "figures.h"
 
-using namespace vifi;
-using namespace vifi::bench;
-
-int main() {
+void vifi::bench::validation_tracesim() {
   const scenario::Testbed bed = scenario::make_vanlan();
   const int trips = 5 * scale();
 
@@ -75,5 +72,4 @@ int main() {
             << "s difference="
             << TextTable::num(std::abs(dep_median - sim_median), 1)
             << "s (paper: within ~5 s)\n";
-  return 0;
 }

@@ -154,22 +154,10 @@ int main(int argc, char** argv) {
     return usage(argv[0]);
   }
 
-  for (const auto& bed : spec.grid.testbeds) {
-    if (!runtime::known_testbed(bed)) {
-      std::cerr << "unknown testbed: " << bed << "\n";
-      return usage(argv[0]);
-    }
-  }
-  for (const auto& policy : spec.grid.policies) {
-    try {
-      runtime::check_policy(spec.workload, policy);
-    } catch (const std::runtime_error& e) {
-      std::cerr << e.what() << "\n";
-      return usage(argv[0]);
-    }
-  }
-  if (spec.trace_stream && spec.trace_dir.empty()) {
-    std::cerr << "--trace-stream requires --trace DIR\n";
+  try {
+    runtime::check_spec(spec);
+  } catch (const std::runtime_error& e) {
+    std::cerr << e.what() << "\n";
     return usage(argv[0]);
   }
 

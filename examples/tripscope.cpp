@@ -381,12 +381,8 @@ int main(int argc, char** argv) {
     std::cerr << e.what() << "\n";
     return usage(argv[0]);
   }
-  if (!runtime::known_testbed(spec.grid.testbeds.front())) {
-    std::cerr << "unknown testbed: " << spec.grid.testbeds.front() << "\n";
-    return usage(argv[0]);
-  }
   try {
-    runtime::check_policy(spec.workload, spec.grid.policies.front());
+    runtime::check_spec(spec);
   } catch (const std::runtime_error& e) {
     std::cerr << e.what() << "\n";
     return usage(argv[0]);

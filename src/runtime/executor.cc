@@ -734,6 +734,26 @@ void check_policy(const std::string& workload, const std::string& policy) {
                            ")");
 }
 
+void check_spec(const ExperimentSpec& spec) {
+  for (const std::string& bed : spec.grid.testbeds)
+    if (!known_testbed(bed))
+      throw std::runtime_error("unknown testbed: " + bed);
+  if (spec.workload != "replay" && spec.workload != "cbr")
+    throw std::runtime_error("unknown workload '" + spec.workload +
+                             "' (expected replay/cbr)");
+  for (const std::string& policy : spec.grid.policies)
+    check_policy(spec.workload, policy);
+  if (spec.workload == "replay" && !spec.grid.coordinations.empty())
+    throw std::runtime_error(
+        "the coordination axis applies to cbr (live) points only");
+  for (const std::string& coordination : spec.grid.coordinations)
+    if (coordination != "pab" && coordination != "coord")
+      throw std::runtime_error("unknown coordination '" + coordination +
+                               "' (expected pab/coord)");
+  if (spec.trace_stream && spec.trace_dir.empty())
+    throw std::runtime_error("trace_stream requires a trace_dir");
+}
+
 const std::vector<double>& cdf_quantiles() {
   static const std::vector<double> qs{0.10, 0.25, 0.50, 0.75, 0.90};
   return qs;

@@ -42,6 +42,14 @@ core::SystemConfig live_policy_config(const std::string& name);
 /// names. An unknown workload is left to the point, which fails on it.
 void check_policy(const std::string& workload, const std::string& policy);
 
+/// Throws std::runtime_error naming the first thing in \p spec no point
+/// can run: an unknown testbed, workload, policy or coordination, a
+/// coordination axis on replay points (which ignore it), or trace_stream
+/// without a trace_dir. A CLI calls it before enumerating, so a bad spec is
+/// one usage error rather than a failure per point; the executor keeps its
+/// own checks for hand-built points.
+void check_spec(const ExperimentSpec& spec);
+
 /// Converts replay outcomes into the analysis slot stream (100 ms slots,
 /// one packet each way).
 analysis::SlotStream outcomes_to_stream(

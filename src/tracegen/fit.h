@@ -121,7 +121,7 @@ BurstinessStats measure_burstiness(
     const FitOptions& opts = {});
 
 /// Pooled contact-duration samples (sorted) — the source side of the
-/// synthetic-vs-source CDF distance `bench/validation_synth` gates.
+/// synthetic-vs-source CDF distance `paper validation_synth` gates.
 std::vector<double> pooled_contact_durations(
     const std::vector<const trace::MeasurementTrace*>& trips,
     const FitOptions& opts = {});

@@ -824,6 +824,49 @@ TEST(CheckPolicy, KnowsEachWorkloadsOwnNames) {
   EXPECT_NO_THROW(check_policy("warp-drive", "Bogus"));
 }
 
+// Everything a spec names is checked once, before any point runs; each
+// case breaks one thing and must be the one the message names.
+TEST(CheckSpec, NamesTheFirstThingNoPointCanRun) {
+  ExperimentSpec live = small_replay_spec();
+  live.workload = "cbr";
+  live.grid.policies = {"ViFi", "BRR"};
+  live.grid.coordinations = {"pab", "coord"};
+  EXPECT_NO_THROW(check_spec(small_replay_spec()));
+  EXPECT_NO_THROW(check_spec(live));
+
+  std::vector<std::pair<ExperimentSpec, std::string>> cases;
+  ExperimentSpec bad = live;
+  bad.grid.testbeds = {"VanLAN", "CabLAN"};
+  cases.emplace_back(bad, "unknown testbed: CabLAN");
+  bad = live;
+  bad.workload = "warp-drive";
+  cases.emplace_back(bad,
+                     "unknown workload 'warp-drive' (expected replay/cbr)");
+  bad = live;
+  bad.grid.policies = {"ViFi", "BestBS"};
+  cases.emplace_back(
+      bad, "unknown live policy 'BestBS' (expected ViFi/BRR/Diversity)");
+  bad = small_replay_spec();
+  bad.grid.coordinations = {"pab"};
+  cases.emplace_back(bad,
+                     "the coordination axis applies to cbr (live) points only");
+  bad = live;
+  bad.grid.coordinations = {"pab", "teleport"};
+  cases.emplace_back(bad,
+                     "unknown coordination 'teleport' (expected pab/coord)");
+  bad = live;
+  bad.trace_stream = true;
+  cases.emplace_back(bad, "trace_stream requires a trace_dir");
+  for (const auto& [spec, want] : cases) {
+    try {
+      check_spec(spec);
+      ADD_FAILURE() << "accepted: " << want;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(e.what(), want);
+    }
+  }
+}
+
 // The three §5 stacks by name: the switches the benches, examples and
 // live points all run, and nothing else.
 TEST(LivePolicy, EachNameSetsItsDiversityAndSalvageSwitches) {

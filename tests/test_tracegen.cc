@@ -174,7 +174,7 @@ TEST(Synthesize, VehicleIdsFollowTestbedConvention) {
 TEST(Synthesize, StatisticallyMatchesTheSource) {
   // Record a real campaign, fit, synthesize an equally-sized set, and
   // compare the §5-relevant statistics. Tolerances are loose — this is a
-  // sanity floor; bench/validation_synth gates the tight numbers.
+  // sanity floor; `paper validation_synth` gates the tight numbers.
   const scenario::Testbed bed = scenario::make_dieselnet(1);
   scenario::CampaignConfig cc;
   cc.days = 1;
