@@ -1,9 +1,9 @@
 #pragma once
 
 /// \file bench_util.h
-/// Shared plumbing for the `paper` runs and the fleet benches: the scale
-/// knob, the one trip-parallel loop (map_trips), standard campaign and
-/// live-trip recipes, and session sweeps used by several figures. The
+/// Shared plumbing for the `paper` runs: the scale knob, the one
+/// trip-parallel loop (map_trips), standard campaign and live-trip
+/// recipes, and session sweeps used by several figures. The
 /// protocols a bench compares come by name from the runtime, like a sweep
 /// point's: runtime::replay_trip for the §3.1 policies,
 /// runtime::live_policy_config for the §5 ViFi, BRR and Diversity stacks.
@@ -96,16 +96,11 @@ inline int scale() {
 /// Runs fn(trip) for every trip in [0, n) on all cores and returns the
 /// results in trip order. Each trip depends only on its own seed and the
 /// caller folds the results sequentially, so the bench prints the same
-/// bytes as a sequential loop. A failing trip ends the bench: its index
-/// and error go to stderr and the process exits 1.
+/// bytes as a sequential loop. A failing trip throws "index I: <error>",
+/// which ends the run: the paper driver prints it and exits 1.
 template <class Fn>
 auto map_trips(std::size_t n, Fn&& fn) {
-  try {
-    return runtime::Runner({.threads = 0}).map(n, std::forward<Fn>(fn));
-  } catch (const std::exception& e) {
-    std::cerr << "error: trip failed: " << e.what() << "\n";
-    std::exit(1);
-  }
+  return runtime::Runner({.threads = 0}).map(n, std::forward<Fn>(fn));
 }
 
 /// map_trips over a rows x trips grid, e.g. one row per protocol

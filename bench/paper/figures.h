@@ -1,9 +1,11 @@
 #pragma once
 
 /// \file figures.h
-/// The `paper` driver's runs, one per figure, table, ablation and
-/// validation, each defined in NAME.cc. A run prints to stdout; the two CI
-/// gates also return the value entries `paper NAME --json PATH` writes.
+/// The `paper` driver's runs: one per figure, table, ablation and
+/// validation, each defined in NAME.cc, and the fleet studies, defined in
+/// fleet.cc. A run prints to stdout; the runs CI gates also return the
+/// value entries `paper NAME --json PATH` writes. A run whose own check
+/// fails (a failed sweep point, a byte-compare mismatch) throws.
 
 #include <vector>
 
@@ -29,5 +31,9 @@ void ablation_limits();
 void ablation_variants();
 std::vector<ValueEntry> validation_synth();
 void validation_tracesim();
+std::vector<ValueEntry> fleet_contention();
+std::vector<ValueEntry> fleet_replay();
+std::vector<ValueEntry> fleet_large();
+void fleet_v1024();
 
 }  // namespace vifi::bench

@@ -1,8 +1,10 @@
-// The paper driver: every figure, table, ablation and validation run of
-// the reproduction, registered by name in one binary (see usage below).
-// VIFI_BENCH_SCALE=N multiplies every run's trip counts (bench_util.h).
+// The paper driver: every figure, table, ablation, validation and fleet
+// run of the reproduction, registered by name in one binary (see usage
+// below). VIFI_BENCH_SCALE=N multiplies every run's trip counts
+// (bench_util.h). A run whose own check fails exits 1 with the reason.
 
 #include <algorithm>
+#include <exception>
 #include <iostream>
 #include <iterator>
 #include <string_view>
@@ -43,6 +45,10 @@ constexpr Run kRuns[] = {
     {"ablation_variants", ablation_variants},
     {"validation_synth", nullptr, validation_synth, "fidelity metrics"},
     {"validation_tracesim", validation_tracesim},
+    {"fleet_contention", nullptr, fleet_contention, "fairness curve"},
+    {"fleet_replay", nullptr, fleet_replay, "replay curve"},
+    {"fleet_large", nullptr, fleet_large, "large-fleet curves"},
+    {"fleet_v1024", fleet_v1024},
 };
 
 }  // namespace
@@ -57,13 +63,22 @@ int main(int argc, char** argv) {
   const bool json = argc == 4 && std::string_view(argv[2]) == "--json";
   if (run == std::end(kRuns) || (argc != 2 && !(json && run->gated))) {
     std::cerr << "Usage: " << argv[0] << " --list | NAME [--json PATH]\n"
-                 "  (--json: fig07_vifi_link and validation_synth only)\n";
+              << "  (--json only for:";
+    for (const Run& gated : kRuns)
+      if (gated.gated != nullptr) std::cerr << " " << gated.name;
+    std::cerr << ")\n";
     return 2;
   }
-  if (run->gated == nullptr) {
-    run->print();
-    return 0;
+  try {
+    if (run->gated == nullptr) {
+      run->print();
+      return 0;
+    }
+    const std::vector<ValueEntry> entries = run->gated();
+    return json ? write_value_entries(argv[3], run->name, entries, run->what)
+                : 0;
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << run->name << ": " << e.what() << "\n";
+    return 1;
   }
-  const std::vector<ValueEntry> entries = run->gated();
-  return json ? write_value_entries(argv[3], run->name, entries, run->what) : 0;
 }

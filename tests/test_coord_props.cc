@@ -166,9 +166,11 @@ TEST(CoordProps, SuppressionEventsNeverUndercutTheConfidenceFloor) {
     params.min_confidence = 0.4;
     ConnectivityManager mgr(sim, params);
     drive_schedule(seed, sim, mgr);
-    for (const obs::TraceEvent& e : recorder.merged())
-      if (e.kind == obs::EventKind::CoordSuppress)
+    for (const obs::TraceEvent& e : recorder.merged()) {
+      if (e.kind == obs::EventKind::CoordSuppress) {
         ASSERT_GE(e.a, params.min_confidence) << "seed " << seed;
+      }
+    }
   }
 }
 

@@ -246,7 +246,7 @@ TEST_F(FleetTest, UnknownVehicleIdThrows) {
 /// monotone non-decreasing) while each client keeps less of it (per-vehicle
 /// delivery is non-increasing), and the medium's fairness index over the
 /// fleet stays a valid Jain value in (0, 1]. This pins the shape the
-/// bench/fleet_contention knee study measures.
+/// `paper fleet_contention` knee study measures.
 class ContentionTest : public ::testing::Test {
  protected:
   struct Outcome {

@@ -17,7 +17,7 @@ Comparison is by benchmark name. Two entry kinds are understood:
   * time entries — ordinary google-benchmark results, compared on
     `cpu_time` (normalised to ns); smaller is better.
   * value entries — unitless quality metrics (e.g. the fairness curve
-    bench/fleet_contention emits) carrying a `value` field instead of
+    `paper fleet_contention` emits) carrying a `value` field instead of
     `cpu_time`, plus optional `bigger_is_better` (default true). The gate
     fails when the value moves beyond the threshold in the *bad*
     direction; a good-direction move is reported as IMPROVED.
