@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "fakes.h"
 #include "scenario/burst_probe.h"
@@ -13,6 +15,7 @@
 #include "scenario/channel_plan.h"
 #include "scenario/live.h"
 #include "scenario/testbed.h"
+#include "trace/trace_io.h"
 #include "util/contracts.h"
 
 namespace vifi::scenario {
@@ -254,6 +257,73 @@ TEST(Campaign, TracesNameTheirLoggingVehicle) {
   ASSERT_EQ(fleet.trips.size(), 2u);
   EXPECT_EQ(fleet.trips[0].vehicle, duo.vehicle_ids()[0]);
   EXPECT_EQ(fleet.trips[1].vehicle, duo.vehicle_ids()[1]);
+}
+
+/// FNV-1a 64 of one trace's `vifi-trace v1` bytes, as 16 hex digits.
+std::string trace_digest(const trace::MeasurementTrace& t) {
+  std::ostringstream os;
+  trace::save_trace(t, os);
+  std::uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : os.str()) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  char hex[24];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(h));
+  return hex;
+}
+
+// The bytes of every trace a full-lap campaign produces, pinned: any
+// change to mobility, the channel's draw order or the generator's logging
+// moves a digest. Fleets of three put vehicles across the lap wrap and
+// (DieselNet) on every stop's dwell; VanLAN also logs BS-to-BS beacons.
+TEST(Campaign, TraceBytesArePinned) {
+  struct Case {
+    const char* testbed;
+    int fleet;
+    std::vector<std::string> digests;  // (day, trip, vehicle) order
+  };
+  const std::vector<Case> cases = {
+      {"VanLAN",
+       1,
+       {"23bc537d1010e863", "f2a3fac3ee3b925d", "bfc583e27474370d",
+        "155a10df08780237"}},
+      {"VanLAN",
+       3,
+       {"6c328ddc16b0a4bd", "60da508fd3ac0898", "7cf68f5911955084",
+        "c833af77bc9fea8d", "9b570bc3d4510962", "f66af25a7c8de0f8",
+        "d9d4aa086efd3a53", "d11ce5cde3cb5952", "9e8c8f7a7851a995",
+        "14de132d638b2db2", "0ff1829d4c25a704", "ff7d3fcb7c8a8d97"}},
+      {"DieselNet-Ch1",
+       1,
+       {"55e25260e5e6a518", "ab2b4d40b3ea3145", "d86adfa04c43eab7",
+        "6cd5d80c28ced30b"}},
+      {"DieselNet-Ch1",
+       3,
+       {"70b0d9117ed545ff", "a9acc82266f4e22f", "3f87f611ff91cefc",
+        "733fafa3e0ab72ac", "e24a3a566c937cae", "ff9b13b62ef0777d",
+        "a0e5fb6590e9584a", "d9f2766c635d1577", "459cc26140454738",
+        "69b74cb4accfb638", "699d3cb15dae1a76", "3fb2f89222a51d83"}},
+  };
+  for (const Case& c : cases) {
+    const std::string name = c.testbed;
+    const Testbed bed =
+        name == "VanLAN" ? make_vanlan(c.fleet) : make_dieselnet(1, c.fleet);
+    CampaignConfig cfg;
+    cfg.days = 2;
+    cfg.trips_per_day = 2;
+    cfg.seed = 29;
+    cfg.log_probes = true;
+    cfg.log_bs_beacons = name == "VanLAN";
+    const trace::Campaign campaign = generate_campaign(bed, cfg);
+    std::vector<std::string> got;
+    for (const auto& t : campaign.trips) got.push_back(trace_digest(t));
+    std::string listing;
+    for (const std::string& d : got) listing += "\"" + d + "\", ";
+    EXPECT_EQ(got, c.digests) << name << " fleet " << c.fleet << ": "
+                              << listing;
+  }
 }
 
 TEST(FilterSubset, DropsExcludedBsEverywhere) {
