@@ -49,13 +49,18 @@ void vifi::bench::fig05_diversity() {
       "§3.4.1 — AllBSes restricted to the best k BSes (packets delivered, "
       "thousands, whole VanLAN campaign)");
   table.set_header({"k", "packets (K)", "% of full AllBSes"});
+  std::vector<trace::SlotMasks> heard;
+  heard.reserve(c_van.trips.size());
+  for (const auto& trip : c_van.trips) heard.emplace_back(trip);
   std::int64_t full = 0;
-  for (const auto& trip : c_van.trips)
-    full += handoff::packets_delivered(handoff::replay_allbses(trip));
+  for (std::size_t i = 0; i < c_van.trips.size(); ++i)
+    full += handoff::packets_delivered(
+        handoff::replay_allbses(c_van.trips[i], heard[i]));
   for (int k : {1, 2, 3, 4, 11}) {
     std::int64_t got = 0;
-    for (const auto& trip : c_van.trips)
-      got += handoff::packets_delivered(handoff::replay_allbses(trip, k));
+    for (std::size_t i = 0; i < c_van.trips.size(); ++i)
+      got += handoff::packets_delivered(
+          handoff::replay_allbses(c_van.trips[i], heard[i], k));
     table.add_row({std::to_string(k),
                    TextTable::num(static_cast<double>(got) / 1000.0, 1),
                    TextTable::pct(static_cast<double>(got) /

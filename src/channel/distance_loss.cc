@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 
 #include "util/contracts.h"
 
@@ -30,7 +31,7 @@ double DistanceLossCurve::reception_prob(double distance_m) const {
 
 namespace {
 
-/// Bands over [0, cutoff^2): 64 KB of bounds per table, filled lazily.
+/// Bands over [0, cutoff^2): 64 KB of bounds per table.
 constexpr std::size_t kBands = 4096;
 
 // The slacks widen each band so that its bounds hold for the values the
@@ -59,25 +60,57 @@ DistanceBands::DistanceBands(const DistanceLossCurve& curve)
       bands_per_m2_(static_cast<double>(kBands) /
                     (curve.cutoff_m() * curve.cutoff_m())),
       far_sq_(curve.cutoff_m() * curve.cutoff_m() * (1.0 + kDistanceSlack)),
-      bands_(kBands) {}
+      bands_(kBands) {
+  // find() never reads the last band, which touches the cutoff.
+  for (std::size_t i = 0; i + 1 < kBands; ++i) {
+    const double near_m = std::sqrt(static_cast<double>(i) / bands_per_m2_);
+    const double far_m = std::sqrt(static_cast<double>(i + 1) / bands_per_m2_);
+    // The curve falls with distance: the near end bounds it from above.
+    bands_[i].hi = curve_.reception_prob(near_m * (1.0 - kDistanceSlack)) *
+                   (1.0 + kProbSlack);
+    bands_[i].lo = curve_.reception_prob(far_m * (1.0 + kDistanceSlack)) *
+                   (1.0 - kProbSlack);
+  }
+}
 
-const DistanceBands::Bounds* DistanceBands::find(double d2) {
+std::shared_ptr<const DistanceBands> DistanceBands::shared(
+    const DistanceLossCurve& curve) {
+  // Most recently used first; a handful covers every testbed calibration
+  // while bounding what a sweep over many curves keeps alive.
+  constexpr std::size_t kKept = 8;
+  static std::mutex mu;
+  static std::vector<std::shared_ptr<const DistanceBands>> kept;
+  const DistanceLossCurve::Params& p = curve.params();
+  const auto same = [&p](const std::shared_ptr<const DistanceBands>& b) {
+    const DistanceLossCurve::Params& q = b->curve_.params();
+    return q.p_max == p.p_max && q.midpoint_m == p.midpoint_m &&
+           q.width_m == p.width_m;
+  };
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    const auto it = std::find_if(kept.begin(), kept.end(), same);
+    if (it != kept.end()) {
+      std::rotate(kept.begin(), it, it + 1);
+      return kept.front();
+    }
+  }
+  // Built outside the lock; a concurrent builder of the same curve makes an
+  // identical table, and whichever lands second is simply not kept.
+  auto built = std::make_shared<const DistanceBands>(curve);
+  const std::lock_guard<std::mutex> lock(mu);
+  const auto it = std::find_if(kept.begin(), kept.end(), same);
+  if (it != kept.end()) return *it;
+  if (kept.size() == kKept) kept.pop_back();
+  kept.insert(kept.begin(), built);
+  return built;
+}
+
+const DistanceBands::Bounds* DistanceBands::find(double d2) const {
   // The last band reaches the cutoff, where the exact path's `d > cutoff`
   // test decides; a zero cutoff makes x NaN or infinite.
   const double x = d2 * bands_per_m2_;
   if (!(x < static_cast<double>(kBands - 1))) return nullptr;
-  const auto i = static_cast<std::size_t>(x);
-  Bounds& b = bands_[i];
-  if (b.hi == 0.0) {
-    const double near_m = std::sqrt(static_cast<double>(i) / bands_per_m2_);
-    const double far_m = std::sqrt(static_cast<double>(i + 1) / bands_per_m2_);
-    // The curve falls with distance: the near end bounds it from above.
-    b.hi = curve_.reception_prob(near_m * (1.0 - kDistanceSlack)) *
-           (1.0 + kProbSlack);
-    b.lo = curve_.reception_prob(far_m * (1.0 + kDistanceSlack)) *
-           (1.0 - kProbSlack);
-  }
-  return &b;
+  return &bands_[static_cast<std::size_t>(x)];
 }
 
 double synthesize_rssi_dbm(double distance_m, Rng& rng) {

@@ -6,6 +6,7 @@
 /// matches outdoor 1 Mbps 802.11b with omni antennas — the fixed, lowest
 /// rate the paper uses to maximise range (§5.1).
 
+#include <memory>
 #include <vector>
 
 #include "util/rng.h"
@@ -52,21 +53,28 @@ class DistanceLossCurve {
 /// length so that callers can often settle a link without `std::hypot` or
 /// `std::exp`. The squared lengths below the cutoff are split into equal
 /// bands; each band holds the curve at its two end distances, widened
-/// outward, and is filled on first use.
+/// outward. A table is immutable once built, so channels on the same curve
+/// share one (see shared()).
 class DistanceBands {
  public:
   struct Bounds {
     double lo = 0.0;
-    double hi = 0.0;  ///< 0 until the band is filled.
+    double hi = 0.0;
   };
 
   explicit DistanceBands(const DistanceLossCurve& curve);
+
+  /// The table of \p curve, shared by every caller with the same curve
+  /// parameters (a few recent curves are kept; the bounds do not depend on
+  /// which caller built them).
+  static std::shared_ptr<const DistanceBands> shared(
+      const DistanceLossCurve& curve);
 
   /// Bounds with `lo <= curve.reception_prob(std::hypot(dx, dy)) <= hi` for
   /// any dx, dy with `d2 == dx * dx + dy * dy`. Null where only the exact
   /// curve decides: in the band that touches the cutoff, beyond it, and for
   /// a NaN \p d2.
-  const Bounds* find(double d2);
+  const Bounds* find(double d2) const;
 
   /// Squared length above which `std::hypot(dx, dy)` is certainly beyond
   /// the cutoff.

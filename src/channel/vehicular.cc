@@ -21,7 +21,7 @@ VehicularChannel::VehicularChannel(VehicularChannelParams params,
                                    PositionFn positions, Rng rng)
     : params_(params),
       curve_(params.distance),
-      bands_(curve_),
+      bands_(DistanceBands::shared(curve_)),
       positions_(std::move(positions)),
       rng_(rng),
       draw_rng_(rng.fork("per-packet-draws")) {
@@ -40,6 +40,16 @@ VehicularChannel::VehicularChannel(VehicularChannelParams params,
 void VehicularChannel::mark_mobile(NodeId node) {
   VIFI_EXPECTS(node.valid());
   node_state(node).mobile = true;
+}
+
+void VehicularChannel::mark_fixed(NodeId node) {
+  NodeState& ns = node_state(node);
+  ns.position = positions_(node, Time::zero());
+  ns.fixed = true;
+}
+
+mobility::Vec2 VehicularChannel::position(NodeId node, Time now) const {
+  return position(node_state(node), node, now);
 }
 
 VehicularChannel::NodeState& VehicularChannel::node_state(NodeId n) const {
@@ -93,7 +103,7 @@ TwoStateProcess* VehicularChannel::fade(NodeState& ns, NodeId n) const {
 
 mobility::Vec2 VehicularChannel::position(NodeState& ns, NodeId n,
                                           Time now) const {
-  if (ns.position_at != now) {
+  if (ns.position_at != now && !ns.fixed) {
     ns.position = positions_(n, now);
     ns.position_at = now;
   }
@@ -162,16 +172,16 @@ Reception VehicularChannel::sample(NodeId tx, NodeId rx, Time now,
   const mobility::Vec2 a = position(l.tx_state, tx, now);
   const mobility::Vec2 b = position(l.rx_state, rx, now);
   const mobility::Vec2 delta{a.x - b.x, a.y - b.y};
-  const double d2 = delta.x * delta.x + delta.y * delta.y;
+  const double d2 = squared_length(a, b);
   // Beyond the cutoff: probability 0, which bernoulli settles without a
-  // draw, and no fade state is looked at.
-  if (d2 > bands_.far_sq()) return {0.0 >= audible_at, false};
+  // draw, and no fade state is looked at (out_of_range() is this test).
+  if (d2 > bands_->far_sq()) return {0.0 >= audible_at, false};
 
   // Every multiplier is in [0, 1] and `faded` applies them in one order with
   // monotone roundings, so the band's bounds with all four applied and
   // without any bracket the probability. Strictly inside (0, 1), bernoulli
   // draws one uniform; otherwise the exact path settles it.
-  const DistanceBands::Bounds* band = bands_.find(d2);
+  const DistanceBands::Bounds* band = bands_->find(d2);
   if (band == nullptr || !(band->hi < 1.0) ||
       !(faded(band->lo, {true, true, true, true}) > 0.0)) {
     const double p = exact_prob(l, delta, now);

@@ -70,6 +70,21 @@ class VehicularChannel final : public LossModel {
   /// Marks a node as mobile: it gets a common-mode fade process.
   void mark_mobile(NodeId node);
 
+  /// Marks a node that never moves (a BS): its position is read once, here,
+  /// and the position function is not asked for it again.
+  void mark_fixed(NodeId node);
+
+  /// \p node's position at \p now, through the channel's own cache: the
+  /// draws that follow at the same instant do not evaluate it again.
+  mobility::Vec2 position(NodeId node, Time now) const;
+
+  /// True when a link between nodes at \p a and \p b is beyond the cutoff:
+  /// sample() settles it without a draw and without touching a fade state,
+  /// so a caller may skip that call altogether.
+  bool out_of_range(mobility::Vec2 a, mobility::Vec2 b) const {
+    return squared_length(a, b) > bands_->far_sq();
+  }
+
   /// `sample(tx, rx, now, +inf).delivered`: the same bounds path.
   bool sample_delivery(NodeId tx, NodeId rx, Time now) override;
   double reception_prob(NodeId tx, NodeId rx, Time now) const override;
@@ -90,6 +105,7 @@ class VehicularChannel final : public LossModel {
   /// created yet), so the per-receiver hot path indexes instead of hashing.
   struct NodeState {
     bool mobile = false;
+    bool fixed = false;  ///< `position` holds for all time.
     std::optional<TwoStateProcess> fade_on;  // ON == vehicle-wide fade
     std::vector<std::uint32_t> burst_slot;   // by receiver
     std::vector<std::uint32_t> gray_slot;    // by peer, both directions
@@ -114,6 +130,14 @@ class VehicularChannel final : public LossModel {
     bool rx_fade = false;
   };
 
+  /// The squared length that out_of_range() and sample() test, computed
+  /// in one place so both reach the same verdict.
+  static double squared_length(mobility::Vec2 a, mobility::Vec2 b) {
+    const double dx = a.x - b.x;
+    const double dy = a.y - b.y;
+    return dx * dx + dy * dy;
+  }
+
   NodeState& node_state(NodeId n) const;
   Link link(NodeId tx, NodeId rx) const;
   TwoStateProcess& burst(Link l) const;  // ON == Bad state
@@ -131,7 +155,7 @@ class VehicularChannel final : public LossModel {
 
   VehicularChannelParams params_;
   DistanceLossCurve curve_;
-  DistanceBands bands_;
+  std::shared_ptr<const DistanceBands> bands_;
   PositionFn positions_;
   mutable Rng rng_;
   mutable std::vector<NodeState> nodes_;

@@ -9,115 +9,153 @@ namespace vifi::handoff {
 
 namespace {
 
-/// Per-BS, per-second mean RSSI as a dense table (NaN-free: pair of
-/// has-value flag and value).
-struct RssiTable {
-  std::map<NodeId, std::vector<std::pair<bool, double>>> rows;
+std::size_t trip_seconds(const MeasurementTrace& trip) {
+  return static_cast<std::size_t>(std::max(1, trip.seconds()));
+}
 
-  static RssiTable build(const MeasurementTrace& trip) {
-    RssiTable t;
-    const auto secs = static_cast<std::size_t>(std::max(1, trip.seconds()));
-    for (NodeId bs : trip.bs_ids)
-      t.rows[bs].assign(secs, {false, 0.0});
-    const auto per_bs = trace::beacon_rssi_per_second(trip);
-    for (const auto& [bs, entries] : per_bs) {
-      auto it = t.rows.find(bs);
-      if (it == t.rows.end()) continue;
-      for (const auto& [sec, avg] : entries) {
-        if (sec >= 0 && static_cast<std::size_t>(sec) < it->second.size())
-          it->second[static_cast<std::size_t>(sec)] = {true, avg};
-      }
+/// The BS position (SlotMasks::position) of each entry of trip.bs_ids.
+std::vector<int> bs_positions(const MeasurementTrace& trip,
+                              const SlotMasks& heard) {
+  std::vector<int> pos;
+  pos.reserve(trip.bs_ids.size());
+  for (const NodeId bs : trip.bs_ids) pos.push_back(heard.position(bs));
+  return pos;
+}
+
+/// Per-second vehicle-side beacon counts and RSSI sums of a trip's BSes,
+/// flat by BS position, so a BS listed twice reads one row. Like
+/// trace::beacon_counts_per_second and beacon_rssi_per_second, it keeps
+/// only listed BSes and seconds in [0, trip seconds), and sums each cell's
+/// RSSI in beacon order.
+class BeaconTable {
+ public:
+  BeaconTable(const MeasurementTrace& trip, const SlotMasks& heard)
+      : secs_(trip_seconds(trip)),
+        count_(trip.bs_ids.size() * secs_, 0),
+        rssi_sum_(count_.size(), 0.0) {
+    for (const trace::BeaconObs& b : trip.vehicle_beacons) {
+      const std::int64_t s = b.t.to_micros() / 1'000'000;
+      const int k = heard.position(b.bs);
+      if (k < 0 || s < 0 || static_cast<std::uint64_t>(s) >= secs_) continue;
+      const std::size_t i = cell(k, static_cast<std::size_t>(s));
+      ++count_[i];
+      rssi_sum_[i] += b.rssi_dbm;
     }
-    return t;
   }
+
+  /// Beacons decoded from the BS at position \p k during second \p s.
+  int count(int k, std::size_t s) const { return count_[cell(k, s)]; }
+  /// Their mean RSSI; only where count(k, s) > 0.
+  double mean_rssi(int k, std::size_t s) const {
+    const std::size_t i = cell(k, s);
+    return rssi_sum_[i] / static_cast<double>(count_[i]);
+  }
+
+ private:
+  std::size_t cell(int k, std::size_t s) const {
+    return static_cast<std::size_t>(k) * secs_ + s;
+  }
+
+  std::size_t secs_;
+  std::vector<int> count_;
+  std::vector<double> rssi_sum_;
 };
+
+/// One Ewma per BS position.
+std::vector<Ewma> ewmas(std::size_t n, double alpha) {
+  std::vector<Ewma> out;
+  out.reserve(n);
+  for (std::size_t k = 0; k < n; ++k) out.emplace_back(alpha);
+  return out;
+}
 
 }  // namespace
 
-std::vector<NodeId> RssiPolicy::choose(const MeasurementTrace& trip) {
-  const auto secs = static_cast<std::size_t>(std::max(1, trip.seconds()));
-  const RssiTable rssi = RssiTable::build(trip);
-  std::map<NodeId, Ewma> avg;
-  std::map<NodeId, int> last_heard;
-  for (NodeId bs : trip.bs_ids) avg.emplace(bs, Ewma(alpha_));
+std::vector<NodeId> RssiPolicy::choose(const MeasurementTrace& trip,
+                                       const SlotMasks& heard) {
+  const std::size_t secs = trip_seconds(trip);
+  const BeaconTable beacons(trip, heard);
+  const std::vector<int> pos = bs_positions(trip, heard);
+  std::vector<Ewma> avg = ewmas(pos.size(), alpha_);
+  std::vector<int> last_heard(pos.size(), -1);  // -1: never heard
 
   std::vector<NodeId> choices(secs);
   for (std::size_t s = 0; s < secs; ++s) {
     // Decide for second s using data from seconds < s.
     NodeId best{};
     double best_rssi = -1e9;
-    for (NodeId bs : trip.bs_ids) {
-      const auto lh = last_heard.find(bs);
-      if (lh == last_heard.end() ||
-          static_cast<int>(s) - lh->second > staleness_s_)
-        continue;
-      const Ewma& e = avg.at(bs);
+    for (std::size_t j = 0; j < pos.size(); ++j) {
+      const int lh = last_heard[static_cast<std::size_t>(pos[j])];
+      if (lh < 0 || static_cast<int>(s) - lh > staleness_s_) continue;
+      const Ewma& e = avg[static_cast<std::size_t>(pos[j])];
       if (e.initialized() && e.value() > best_rssi) {
         best_rssi = e.value();
-        best = bs;
+        best = trip.bs_ids[j];
       }
     }
     choices[s] = best;
     // Fold in second-s observations for future decisions.
-    for (NodeId bs : trip.bs_ids) {
-      const auto& [has, value] = rssi.rows.at(bs)[s];
-      if (has) {
-        avg.at(bs).update(value);
-        last_heard[bs] = static_cast<int>(s);
+    for (const int k : pos) {
+      if (beacons.count(k, s) > 0) {
+        avg[static_cast<std::size_t>(k)].update(beacons.mean_rssi(k, s));
+        last_heard[static_cast<std::size_t>(k)] = static_cast<int>(s);
       }
     }
   }
   return choices;
 }
 
-std::vector<NodeId> BrrPolicy::choose(const MeasurementTrace& trip) {
-  const auto secs = static_cast<std::size_t>(std::max(1, trip.seconds()));
-  const auto counts = trace::beacon_counts_per_second(trip);
-  std::map<NodeId, Ewma> ratio;
-  std::map<NodeId, bool> seen;
-  for (NodeId bs : trip.bs_ids) ratio.emplace(bs, Ewma(alpha_));
+std::vector<NodeId> BrrPolicy::choose(const MeasurementTrace& trip,
+                                      const SlotMasks& heard) {
+  const std::size_t secs = trip_seconds(trip);
+  const BeaconTable beacons(trip, heard);
+  const std::vector<int> pos = bs_positions(trip, heard);
+  std::vector<Ewma> ratio = ewmas(pos.size(), alpha_);
+  std::vector<char> seen(pos.size(), 0);
 
   std::vector<NodeId> choices(secs);
   for (std::size_t s = 0; s < secs; ++s) {
     NodeId best{};
     double best_ratio = 0.0;  // require strictly positive estimate
-    for (NodeId bs : trip.bs_ids) {
-      if (!seen[bs]) continue;
-      const Ewma& e = ratio.at(bs);
+    for (std::size_t j = 0; j < pos.size(); ++j) {
+      const auto k = static_cast<std::size_t>(pos[j]);
+      if (!seen[k]) continue;
+      const Ewma& e = ratio[k];
       if (e.initialized() && e.value() > best_ratio) {
         best_ratio = e.value();
-        best = bs;
+        best = trip.bs_ids[j];
       }
     }
     choices[s] = best;
-    for (NodeId bs : trip.bs_ids) {
-      const auto& row = counts.at(bs);
-      const int c = s < row.size() ? row[s] : 0;
-      if (c > 0) seen[bs] = true;
+    for (const int k : pos) {
+      const int c = beacons.count(k, s);
+      const auto i = static_cast<std::size_t>(k);
+      if (c > 0) seen[i] = 1;
       // Once a BS has been seen, zero-count seconds drive its average down
       // (self-ageing); unseen BSes are not updated to avoid phantom zeros.
-      if (seen[bs])
-        ratio.at(bs).update(
+      if (seen[i])
+        ratio[i].update(
             std::min(1.0, static_cast<double>(c) / trip.beacons_per_second));
     }
   }
   return choices;
 }
 
-std::vector<NodeId> StickyPolicy::choose(const MeasurementTrace& trip) {
-  const auto secs = static_cast<std::size_t>(std::max(1, trip.seconds()));
-  const auto counts = trace::beacon_counts_per_second(trip);
-  const RssiTable rssi = RssiTable::build(trip);
+std::vector<NodeId> StickyPolicy::choose(const MeasurementTrace& trip,
+                                         const SlotMasks& heard) {
+  const std::size_t secs = trip_seconds(trip);
+  const BeaconTable beacons(trip, heard);
+  const std::vector<int> pos = bs_positions(trip, heard);
 
   auto last_second_rssi_best = [&](std::size_t s) {
     NodeId best{};
     double best_rssi = -1e9;
     if (s == 0) return best;
-    for (NodeId bs : trip.bs_ids) {
-      const auto& [has, value] = rssi.rows.at(bs)[s - 1];
-      if (has && value > best_rssi) {
-        best_rssi = value;
-        best = bs;
+    for (std::size_t j = 0; j < pos.size(); ++j) {
+      if (beacons.count(pos[j], s - 1) > 0 &&
+          beacons.mean_rssi(pos[j], s - 1) > best_rssi) {
+        best_rssi = beacons.mean_rssi(pos[j], s - 1);
+        best = trip.bs_ids[j];
       }
     }
     return best;
@@ -144,8 +182,7 @@ std::vector<NodeId> StickyPolicy::choose(const MeasurementTrace& trip) {
     choices[s] = current;
     // Update silence from this second's beacons.
     if (current.valid()) {
-      const auto& row = counts.at(current);
-      const int c = s < row.size() ? row[s] : 0;
+      const int c = beacons.count(heard.position(current), s);
       silent_for = c > 0 ? 0 : silent_for + 1;
     }
   }
@@ -163,12 +200,14 @@ const HistoryPolicy::DayTable& HistoryPolicy::table_for_day(int day) {
   if (it != cache_.end()) return it->second;
   DayTable table;
   for (const auto* trip : campaign_.trips_on_day(day)) {
-    for (const trace::ProbeSlot& slot : trip->slots) {
-      const auto cell = mobility::grid_cell(slot.vehicle_pos, cell_size_m_);
+    const SlotMasks heard(*trip);
+    for (std::size_t i = 0; i < trip->slots.size(); ++i) {
+      const auto cell =
+          mobility::grid_cell(trip->slots[i].vehicle_pos, cell_size_m_);
       for (NodeId bs : trip->bs_ids) {
         auto& sc = table[{cell, bs}];
-        sc.sum += (slot.down_from(bs) ? 1.0 : 0.0) +
-                  (slot.up_to(bs) ? 1.0 : 0.0);
+        sc.sum += (heard.down(i, bs) ? 1.0 : 0.0) +
+                  (heard.up(i, bs) ? 1.0 : 0.0);
         ++sc.n;
       }
     }
@@ -176,9 +215,11 @@ const HistoryPolicy::DayTable& HistoryPolicy::table_for_day(int day) {
   return cache_.emplace(day, std::move(table)).first->second;
 }
 
-std::vector<NodeId> HistoryPolicy::choose(const MeasurementTrace& trip) {
-  const auto secs = static_cast<std::size_t>(std::max(1, trip.seconds()));
-  const auto counts = trace::beacon_counts_per_second(trip);
+std::vector<NodeId> HistoryPolicy::choose(const MeasurementTrace& trip,
+                                          const SlotMasks& heard) {
+  const std::size_t secs = trip_seconds(trip);
+  const BeaconTable beacons(trip, heard);
+  const std::vector<int> pos = bs_positions(trip, heard);
   const DayTable* history =
       trip.day > 0 ? &table_for_day(trip.day - 1) : nullptr;
 
@@ -187,12 +228,11 @@ std::vector<NodeId> HistoryPolicy::choose(const MeasurementTrace& trip) {
     NodeId best{};
     int best_count = 0;
     if (s == 0) return best;
-    for (NodeId bs : trip.bs_ids) {
-      const auto& row = counts.at(bs);
-      const int c = (s - 1) < row.size() ? row[s - 1] : 0;
+    for (std::size_t j = 0; j < pos.size(); ++j) {
+      const int c = beacons.count(pos[j], s - 1);
       if (c > best_count) {
         best_count = c;
-        best = bs;
+        best = trip.bs_ids[j];
       }
     }
     return best;
@@ -224,8 +264,9 @@ std::vector<NodeId> HistoryPolicy::choose(const MeasurementTrace& trip) {
   return choices;
 }
 
-std::vector<NodeId> BestBsPolicy::choose(const MeasurementTrace& trip) {
-  const auto secs = static_cast<std::size_t>(std::max(1, trip.seconds()));
+std::vector<NodeId> BestBsPolicy::choose(const MeasurementTrace& trip,
+                                         const SlotMasks& heard) {
+  const std::size_t secs = trip_seconds(trip);
   std::vector<NodeId> choices(secs);
   for (std::size_t s = 0; s < secs; ++s) {
     // Count two-way probe successes within second s (the future second the
@@ -233,12 +274,7 @@ std::vector<NodeId> BestBsPolicy::choose(const MeasurementTrace& trip) {
     NodeId best{};
     int best_score = -1;
     for (NodeId bs : trip.bs_ids) {
-      int score = 0;
-      for (std::size_t i = s * 10; i < std::min(trip.slots.size(), (s + 1) * 10);
-           ++i) {
-        const trace::ProbeSlot& slot = trip.slots[i];
-        score += (slot.down_from(bs) ? 1 : 0) + (slot.up_to(bs) ? 1 : 0);
-      }
+      const int score = heard.successes(s * 10, (s + 1) * 10, bs);
       if (score > best_score) {
         best_score = score;
         best = bs;

@@ -30,7 +30,8 @@ class RssiPolicy final : public HandoffPolicy {
   /// \p staleness: a BS is a candidate only if heard within this window.
   explicit RssiPolicy(double alpha = 0.5, int staleness_s = 5)
       : alpha_(alpha), staleness_s_(staleness_s) {}
-  std::vector<NodeId> choose(const MeasurementTrace& trip) override;
+  std::vector<NodeId> choose(const MeasurementTrace& trip,
+                             const SlotMasks& heard) override;
 
  private:
   double alpha_;
@@ -40,7 +41,8 @@ class RssiPolicy final : public HandoffPolicy {
 class BrrPolicy final : public HandoffPolicy {
  public:
   explicit BrrPolicy(double alpha = 0.5) : alpha_(alpha) {}
-  std::vector<NodeId> choose(const MeasurementTrace& trip) override;
+  std::vector<NodeId> choose(const MeasurementTrace& trip,
+                             const SlotMasks& heard) override;
 
  private:
   double alpha_;
@@ -50,7 +52,8 @@ class StickyPolicy final : public HandoffPolicy {
  public:
   explicit StickyPolicy(Time silence = Time::seconds(3.0))
       : silence_(silence) {}
-  std::vector<NodeId> choose(const MeasurementTrace& trip) override;
+  std::vector<NodeId> choose(const MeasurementTrace& trip,
+                             const SlotMasks& heard) override;
 
  private:
   Time silence_;
@@ -63,7 +66,8 @@ class HistoryPolicy final : public HandoffPolicy {
  public:
   explicit HistoryPolicy(const trace::Campaign& campaign,
                          double cell_size_m = 25.0);
-  std::vector<NodeId> choose(const MeasurementTrace& trip) override;
+  std::vector<NodeId> choose(const MeasurementTrace& trip,
+                             const SlotMasks& heard) override;
 
  private:
   struct CellScore {
@@ -83,7 +87,8 @@ class HistoryPolicy final : public HandoffPolicy {
 /// to the BS with the best (down + up) reception in that period (§3.1.5).
 class BestBsPolicy final : public HandoffPolicy {
  public:
-  std::vector<NodeId> choose(const MeasurementTrace& trip) override;
+  std::vector<NodeId> choose(const MeasurementTrace& trip,
+                             const SlotMasks& heard) override;
 };
 
 }  // namespace vifi::handoff

@@ -16,19 +16,23 @@
 #include <vector>
 
 #include "trace/observations.h"
+#include "trace/slot_masks.h"
 
 namespace vifi::handoff {
 
 using sim::NodeId;
 using trace::MeasurementTrace;
+using trace::SlotMasks;
 
 class HandoffPolicy {
  public:
   virtual ~HandoffPolicy() = default;
 
   /// choices[s] = the BS associated during second s of \p trip (an invalid
-  /// NodeId if none), with at least trip.seconds() entries.
-  virtual std::vector<NodeId> choose(const MeasurementTrace& trip) = 0;
+  /// NodeId if none), with at least trip.seconds() entries. \p heard is
+  /// the trip's slot membership, built once per replay and shared with it.
+  virtual std::vector<NodeId> choose(const MeasurementTrace& trip,
+                                     const SlotMasks& heard) = 0;
 };
 
 }  // namespace vifi::handoff

@@ -19,8 +19,9 @@ std::size_t slot_second(const trace::ProbeSlot& slot, std::size_t seconds) {
 }  // namespace
 
 std::vector<SlotOutcome> replay_hard_handoff(const MeasurementTrace& trip,
+                                             const SlotMasks& heard,
                                              HandoffPolicy& policy) {
-  const std::vector<NodeId> choices = policy.choose(trip);
+  const std::vector<NodeId> choices = policy.choose(trip, heard);
   VIFI_ENSURES(static_cast<int>(choices.size()) >= trip.seconds());
   obs::TraceRecorder* rec = obs::current_recorder();
   NodeId last_bs{};
@@ -35,8 +36,8 @@ std::vector<SlotOutcome> replay_hard_handoff(const MeasurementTrace& trip,
       last_bs = bs;
     }
     if (!bs.valid()) continue;
-    outcomes[i].up = trip.slots[i].up_to(bs);
-    outcomes[i].down = trip.slots[i].down_from(bs);
+    outcomes[i].up = heard.up(i, bs);
+    outcomes[i].down = heard.down(i, bs);
     if (rec) {
       if (outcomes[i].up)
         rec->record(obs::EventKind::AppDeliver, trip.slots[i].t, bs,
@@ -50,40 +51,55 @@ std::vector<SlotOutcome> replay_hard_handoff(const MeasurementTrace& trip,
 }
 
 std::vector<SlotOutcome> replay_allbses(const MeasurementTrace& trip,
-                                        int max_bs) {
-  std::vector<SlotOutcome> outcomes(trip.slots.size());
-  // Per second, optionally restrict to the k best BSes of that second.
+                                        const SlotMasks& heard, int max_bs) {
+  /// The BSes a slot may use: bits where the masks cover them, the rest
+  /// (past the 64th BS) listed.
+  struct Allowed {
+    std::uint64_t bits = 0;
+    std::vector<NodeId> rest;
+
+    void add(NodeId bs, const SlotMasks& masks) {
+      const std::uint64_t b = masks.bit(bs);
+      if (b != 0) {
+        bits |= b;
+      } else {
+        rest.push_back(bs);
+      }
+    }
+  };
+  // One set for the whole trip, or per second the k best BSes of that
+  // second.
   const auto secs = static_cast<std::size_t>(std::max(1, trip.seconds()));
-  std::vector<std::vector<NodeId>> allowed(secs);
+  std::vector<Allowed> allowed(max_bs < 0 ? 1 : secs);
   if (max_bs < 0) {
-    for (auto& a : allowed) a = trip.bs_ids;
+    for (NodeId bs : trip.bs_ids) allowed[0].add(bs, heard);
   } else {
     for (std::size_t s = 0; s < secs; ++s) {
       std::vector<std::pair<int, NodeId>> scored;
-      for (NodeId bs : trip.bs_ids) {
-        int score = 0;
-        for (std::size_t i = s * 10;
-             i < std::min(trip.slots.size(), (s + 1) * 10); ++i)
-          score += (trip.slots[i].down_from(bs) ? 1 : 0) +
-                   (trip.slots[i].up_to(bs) ? 1 : 0);
-        scored.emplace_back(score, bs);
-      }
+      for (NodeId bs : trip.bs_ids)
+        scored.emplace_back(heard.successes(s * 10, (s + 1) * 10, bs), bs);
       std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
         if (a.first != b.first) return a.first > b.first;
         return a.second < b.second;
       });
       for (int k = 0; k < std::min<int>(max_bs, static_cast<int>(scored.size()));
            ++k)
-        allowed[s].push_back(scored[static_cast<std::size_t>(k)].second);
+        allowed[s].add(scored[static_cast<std::size_t>(k)].second, heard);
     }
   }
 
+  std::vector<SlotOutcome> outcomes(trip.slots.size());
   for (std::size_t i = 0; i < trip.slots.size(); ++i) {
     const trace::ProbeSlot& slot = trip.slots[i];
-    for (NodeId bs : allowed[slot_second(slot, secs)]) {
-      outcomes[i].up = outcomes[i].up || slot.up_to(bs);
-      outcomes[i].down = outcomes[i].down || slot.down_from(bs);
-    }
+    const Allowed& a = allowed[max_bs < 0 ? 0 : slot_second(slot, secs)];
+    outcomes[i].up = (heard.up_bits(i) & a.bits) != 0 ||
+                     std::ranges::any_of(a.rest, [&](NodeId bs) {
+                       return slot.up_to(bs);
+                     });
+    outcomes[i].down = (heard.down_bits(i) & a.bits) != 0 ||
+                       std::ranges::any_of(a.rest, [&](NodeId bs) {
+                         return slot.down_from(bs);
+                       });
   }
   return outcomes;
 }

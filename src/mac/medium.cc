@@ -127,6 +127,8 @@ Time Medium::transmit(Frame frame) {
   const Port* sender = port(frame.tx);
   VIFI_EXPECTS(sender != nullptr);
   const auto tx_idx = static_cast<std::size_t>(sender - ports_.data());
+  const int bytes = frame.bytes_on_air();
+  VIFI_EXPECTS(bytes <= kMaxFrameBytes);
   const Time now = sim_.now();
   prune(now);
 
@@ -134,7 +136,7 @@ Time Medium::transmit(Frame frame) {
   tx.seq = next_seq_++;
   tx.tx = frame.tx;
   tx.start = now;
-  tx.end = now + airtime(frame.bytes_on_air());
+  tx.end = now + airtime(bytes);
   tx.frame = std::move(frame);
 
   obs::TraceRecorder* rec = obs::current_recorder();
@@ -260,7 +262,7 @@ void Medium::prune(Time now) {
   // it; anything ended more than a max-frame-time ago is irrelevant.
   // Deferred while finish() is dispatching out of active_.
   if (delivering_) return;
-  pruned_before_ = std::max(pruned_before_, now - airtime(2000));
+  pruned_before_ = std::max(pruned_before_, now - airtime(kMaxFrameBytes));
   while (!active_.empty() && pruned(active_.front().end)) active_.pop_front();
 }
 

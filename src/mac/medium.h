@@ -122,10 +122,17 @@ class Medium {
   /// by the Radio, which owns carrier-sense timing.
   void note_deferral(NodeId node, Time wait);
 
+  /// The longest frame (Frame::bytes_on_air()) the medium carries. Records
+  /// are pruned once they ended this frame's airtime ago, so a longer frame
+  /// could outlive records it overlaps and miss their collisions without
+  /// any error; transmit() rejects it instead.
+  static constexpr int kMaxFrameBytes = 2000;
+
   /// Starts transmitting \p frame from node \p frame.tx immediately. The
   /// caller (Radio) is responsible for carrier-sense deferral; the medium
   /// will happily model the resulting collision otherwise. Returns the
-  /// time the channel is held (airtime).
+  /// time the channel is held (airtime). Throws ContractViolation for a
+  /// frame longer than kMaxFrameBytes, before anything is on the air.
   Time transmit(Frame frame);
 
   /// Airtime of a frame with the given MAC-body size.

@@ -41,7 +41,12 @@ BusMobility::BusMobility(WaypointPath path, double cruise_mps,
     VIFI_EXPECTS(!s.dwell.is_negative());
   }
   Time dwell_total = Time::zero();
-  for (const Stop& s : stops_) dwell_total += s.dwell;
+  double prev_m = 0.0;
+  for (const Stop& s : stops_) {
+    dwell_total += s.dwell;
+    leg_time_.push_back(Time::seconds((s.at_distance_m - prev_m) / cruise_mps_));
+    prev_m = s.at_distance_m;
+  }
   lap_time_ = Time::seconds(path_.total_length() / cruise_mps_) + dwell_total;
 }
 
@@ -51,11 +56,10 @@ double BusMobility::lap_distance_at(Time t_in_lap) const {
   // Walk the lap: cruise segments interleaved with dwells.
   double pos_m = 0.0;
   Time t = t_in_lap;
-  for (const Stop& s : stops_) {
-    const double leg = s.at_distance_m - pos_m;
-    const Time leg_time = Time::seconds(leg / cruise_mps_);
-    if (t <= leg_time) return pos_m + cruise_mps_ * t.to_seconds();
-    t -= leg_time;
+  for (std::size_t i = 0; i < stops_.size(); ++i) {
+    const Stop& s = stops_[i];
+    if (t <= leg_time_[i]) return pos_m + cruise_mps_ * t.to_seconds();
+    t -= leg_time_[i];
     pos_m = s.at_distance_m;
     if (t <= s.dwell) return pos_m;
     t -= s.dwell;

@@ -79,6 +79,9 @@ class BusMobility final : public MobilityModel {
   WaypointPath path_;
   double cruise_mps_;
   std::vector<Stop> stops_;  // sorted by at_distance_m
+  /// leg_time_[i]: cruise time from the previous stop (or the lap start)
+  /// to stops_[i].
+  std::vector<Time> leg_time_;
   Time lap_time_;
   Time start_phase_;
 };

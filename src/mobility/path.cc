@@ -16,14 +16,23 @@ WaypointPath::WaypointPath(std::vector<Vec2> waypoints, bool closed)
   if (closed_)
     cumulative_.push_back(cumulative_.back() +
                           distance(waypoints_.back(), waypoints_.front()));
+  ends_ = waypoints_;
+  if (closed_) ends_.push_back(waypoints_.front());
   VIFI_ENSURES(total_length() > 0.0);
 }
 
 Vec2 WaypointPath::position_at_distance(double dist) const {
   const double len = total_length();
   if (closed_) {
-    dist = std::fmod(dist, len);
-    if (dist < 0.0) dist += len;
+    // std::fmod is exact: a distance already in [0, len) is its own
+    // remainder, and one in [len, 2 len) has remainder dist - len, which
+    // is exact (Sterbenz). Only the rest needs the library call.
+    if (dist >= len && dist < 2.0 * len) {
+      dist -= len;
+    } else if (!(dist >= 0.0 && dist < len)) {
+      dist = std::fmod(dist, len);
+      if (dist < 0.0) dist += len;
+    }
   } else {
     dist = std::clamp(dist, 0.0, len);
   }
@@ -37,9 +46,7 @@ Vec2 WaypointPath::position_at_distance(double dist) const {
   const double seg_start = cumulative_[seg];
   const double seg_len = cumulative_[seg + 1] - seg_start;
   const double t = seg_len > 0.0 ? (dist - seg_start) / seg_len : 0.0;
-  const Vec2 a = waypoints_[seg % waypoints_.size()];
-  const Vec2 b = waypoints_[(seg + 1) % waypoints_.size()];
-  return lerp(a, b, t);
+  return lerp(ends_[seg], ends_[seg + 1], t);
 }
 
 }  // namespace vifi::mobility

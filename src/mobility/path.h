@@ -29,6 +29,9 @@ class WaypointPath {
 
  private:
   std::vector<Vec2> waypoints_;
+  /// The waypoints, then (if closed) the first again: segment i runs from
+  /// ends_[i] to ends_[i + 1].
+  std::vector<Vec2> ends_;
   std::vector<double> cumulative_;  // cumulative_[i] = length up to segment i
   bool closed_;
 };

@@ -124,12 +124,22 @@ class CampaignSlot {
       for (auto& part : parts_)
         for (auto& t : part) campaign_.trips.push_back(std::move(t));
       parts_ = {};
+      masks_.resize(campaign_.trips.size());
+      masks_once_ = std::vector<std::once_flag>(campaign_.trips.size());
       ready_.notify_all();
     }
     std::unique_lock<std::mutex> lock(mu_);
     ready_.wait(lock, [&] { return landed_ == n || error_ != nullptr; });
     if (error_ != nullptr) std::rethrow_exception(error_);
     return campaign_;
+  }
+
+  /// Trace \p i's slot masks, built by the first point that replays it and
+  /// read by every policy after. Only after generate() has returned.
+  const trace::SlotMasks& masks(std::size_t i) {
+    std::call_once(masks_once_[i],
+                   [this, i] { masks_[i].emplace(campaign_.trips[i]); });
+    return *masks_[i];
   }
 
  private:
@@ -142,6 +152,8 @@ class CampaignSlot {
   std::size_t landed_ = 0;   ///< Trips generated; all = campaign_ is set.
   std::exception_ptr error_;
   trace::Campaign campaign_;  ///< Immutable once every trip has landed.
+  std::vector<std::optional<trace::SlotMasks>> masks_;  ///< Per trace.
+  std::vector<std::once_flag> masks_once_;
 };
 
 }  // namespace
@@ -213,6 +225,8 @@ class CampaignLease {
   const trace::Campaign& campaign(const scenario::Testbed& bed) {
     return slot_->generate(bed);
   }
+  /// Trace \p i's shared slot masks; after campaign().
+  const trace::SlotMasks& masks(std::size_t i) { return slot_->masks(i); }
 
  private:
   const std::uint64_t key_;
@@ -233,6 +247,15 @@ std::unique_ptr<handoff::HandoffPolicy> make_replay_policy(
   if (policy == "BRR") return std::make_unique<BrrPolicy>();
   if (policy == "Sticky") return std::make_unique<StickyPolicy>();
   return nullptr;
+}
+
+/// replay_trip with the trip's slot masks already built.
+std::vector<handoff::SlotOutcome> replay_with(
+    const trace::MeasurementTrace& trip, const trace::SlotMasks& heard,
+    const std::string& policy, const trace::Campaign& campaign) {
+  if (policy == "AllBSes") return handoff::replay_allbses(trip, heard);
+  return handoff::replay_hard_handoff(trip, heard,
+                                      *make_replay_policy(policy, campaign));
 }
 
 /// Everything one trip contributes to its point — and, folded in trip order
@@ -414,8 +437,13 @@ void run_replay(const scenario::Testbed& bed, const ExperimentPoint& point,
       campaign->trips.size(), pool,
       [&](std::size_t i) {
         const trace::MeasurementTrace& trip = campaign->trips[i];
-        const auto stream =
-            outcomes_to_stream(replay_trip(trip, point.policy, *campaign));
+        // A generated campaign's masks are shared by the sweep's policies;
+        // a catalog trip builds its own.
+        std::optional<trace::SlotMasks> own;
+        const trace::SlotMasks& heard =
+            lease ? lease->masks(i) : own.emplace(trip);
+        const auto stream = outcomes_to_stream(
+            replay_with(trip, heard, point.policy, *campaign));
         TripOutcome out{TripTally(fleet),
                         std::max(trip.duration, Time::seconds(1.0))};
         out.tally.acc.add_trip(stream, point.session);
@@ -619,13 +647,12 @@ void run_live(const scenario::Testbed& bed, const ExperimentPoint& point,
   finish_live_point(total, stream ? stream->days() : point.days, r);
 }
 
-/// The recorder a point that owns its session records into: ring-backed
-/// by default, stream-backed (full-fidelity disk spool next to the other
+/// The recorder a point that dumps its trace records into: ring-backed by
+/// default, stream-backed (full-fidelity disk spool next to the other
 /// trace artifacts) when the point asks for --trace-stream.
 std::unique_ptr<obs::TraceRecorder> make_point_recorder(
     const ExperimentPoint& point) {
-  if (!point.trace_stream || point.trace_dir.empty())
-    return std::make_unique<obs::TraceRecorder>();
+  if (!point.trace_stream) return std::make_unique<obs::TraceRecorder>();
   namespace fs = std::filesystem;
   fs::create_directories(point.trace_dir);
   char tag[40];
@@ -828,9 +855,7 @@ analysis::SlotStream outcomes_to_stream(
 std::vector<handoff::SlotOutcome> replay_trip(
     const trace::MeasurementTrace& trip, const std::string& policy,
     const trace::Campaign& campaign) {
-  if (policy == "AllBSes") return handoff::replay_allbses(trip);
-  return handoff::replay_hard_handoff(trip,
-                                      *make_replay_policy(policy, campaign));
+  return replay_with(trip, trace::SlotMasks(trip), policy, campaign);
 }
 
 PointResult run_point(const ExperimentPoint& point) {
@@ -843,23 +868,24 @@ PointResult run_point_sharded(const ExperimentPoint& point,
 
   // TripScope session. A caller (e.g. examples/tripscope) may have
   // installed a recorder/registry on this thread already — the point then
-  // records into those and the caller owns the export. Otherwise, when the
-  // point asks for a trace dump or metric columns, the point runs inside
-  // its own session; content is a pure function of the point, so sweep
-  // trace files are byte-identical for any worker count.
+  // records into those and the caller owns the export. Otherwise a point
+  // that dumps a trace records into its own recorder, and one that dumps a
+  // trace or asks for metric columns into its own registry (metric columns
+  // alone keep no trace: nothing would write it). Content is a pure
+  // function of the point, so sweep trace files are byte-identical for any
+  // worker count.
   std::unique_ptr<obs::TraceRecorder> own_recorder;
   std::unique_ptr<obs::MetricsRegistry> own_metrics;
   std::optional<obs::TraceScope> trace_scope;
   std::optional<obs::MetricsScope> metrics_scope;
-  if (!point.trace_dir.empty() || !point.metric_columns.empty()) {
-    if (obs::current_recorder() == nullptr) {
-      own_recorder = make_point_recorder(point);
-      trace_scope.emplace(*own_recorder);
-    }
-    if (obs::current_metrics() == nullptr) {
-      own_metrics = std::make_unique<obs::MetricsRegistry>();
-      metrics_scope.emplace(*own_metrics);
-    }
+  if (!point.trace_dir.empty() && obs::current_recorder() == nullptr) {
+    own_recorder = make_point_recorder(point);
+    trace_scope.emplace(*own_recorder);
+  }
+  if ((!point.trace_dir.empty() || !point.metric_columns.empty()) &&
+      obs::current_metrics() == nullptr) {
+    own_metrics = std::make_unique<obs::MetricsRegistry>();
+    metrics_scope.emplace(*own_metrics);
   }
 
   const scenario::Testbed bed = make_testbed(point.testbed, point.fleet_size);

@@ -38,22 +38,38 @@ std::vector<trace::MeasurementTrace> generate_campaign_trip(
 
   auto channel = bed.make_channel(rng.fork("channel"));
   Rng rssi_rng = rng.fork("rssi");
+  const std::vector<NodeId>& bs_ids = bed.bs_ids();
+  std::vector<mobility::Vec2> bs_pos;
+  bs_pos.reserve(bs_ids.size());
+  for (NodeId bs : bs_ids) bs_pos.push_back(bed.bs_position(bs));
 
   const Time slot_len = Time::millis(100);
   const auto n_slots =
       static_cast<std::int64_t>(duration.to_micros() / slot_len.to_micros());
   const int beacons_per_slot = std::max(1, config.beacons_per_second / 10);
+  if (config.log_probes)
+    for (auto& t : logs) t.slots.reserve(static_cast<std::size_t>(n_slots));
 
+  // A vehicle and a BS beyond the channel's cutoff are skipped without a
+  // sample call: sample() would settle both directions with no draw and no
+  // fade state, so the draws that remain, and their order, are unchanged.
+  std::vector<mobility::Vec2> slot_fix(vehicles.size());
   for (std::int64_t i = 0; i < n_slots; ++i) {
     const Time now = slot_len * static_cast<double>(i);
+    // Each vehicle's slot-start GPS fix, read once through the channel's
+    // cache, which the probe draws at `now` then hit.
+    for (std::size_t v = 0; v < vehicles.size(); ++v)
+      slot_fix[v] = channel->position(vehicles[v], now);
 
     if (config.log_probes) {
       for (std::size_t v = 0; v < vehicles.size(); ++v) {
         const NodeId veh = vehicles[v];
         trace::ProbeSlot slot;
         slot.t = now;
-        slot.vehicle_pos = bed.position(veh, now);
-        for (NodeId bs : bed.bs_ids()) {
+        slot.vehicle_pos = slot_fix[v];
+        for (std::size_t k = 0; k < bs_ids.size(); ++k) {
+          if (channel->out_of_range(slot_fix[v], bs_pos[k])) continue;
+          const NodeId bs = bs_ids[k];
           if (channel->sample_delivery(bs, veh, now))
             slot.down_heard.push_back(bs);
           if (channel->sample_delivery(veh, bs, now))
@@ -68,19 +84,20 @@ std::vector<trace::MeasurementTrace> generate_campaign_trip(
       const Time bt = now + Time::millis(37);  // fixed offset inside slot
       for (std::size_t v = 0; v < vehicles.size(); ++v) {
         const NodeId veh = vehicles[v];
-        // Slot-start GPS fix, as the original generator recorded it — keeps
-        // single-vehicle campaign bytes identical across the fleet refactor.
-        const mobility::Vec2 vpos = bed.position(veh, now);
-        for (NodeId bs : bed.bs_ids()) {
-          if (!channel->sample_delivery(bs, veh, bt)) continue;
-          const double d = mobility::distance(bed.position(bs, bt), vpos);
+        const mobility::Vec2 at_bt = channel->position(veh, bt);
+        for (std::size_t k = 0; k < bs_ids.size(); ++k) {
+          if (channel->out_of_range(at_bt, bs_pos[k])) continue;
+          if (!channel->sample_delivery(bs_ids[k], veh, bt)) continue;
+          // RSSI from the slot-start GPS fix, as the original generator
+          // recorded it — keeps campaign bytes identical across refactors.
+          const double d = mobility::distance(bs_pos[k], slot_fix[v]);
           logs[v].vehicle_beacons.push_back(
-              {bt, bs, channel::synthesize_rssi_dbm(d, rssi_rng)});
+              {bt, bs_ids[k], channel::synthesize_rssi_dbm(d, rssi_rng)});
         }
       }
       if (config.log_bs_beacons) {
-        for (NodeId tx : bed.bs_ids())
-          for (NodeId rx : bed.bs_ids()) {
+        for (NodeId tx : bs_ids)
+          for (NodeId rx : bs_ids) {
             if (tx == rx) continue;
             if (channel->sample_delivery(tx, rx, bt)) {
               // BS-side logs are shared infrastructure; mirror them into

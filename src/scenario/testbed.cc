@@ -71,6 +71,7 @@ std::unique_ptr<channel::VehicularChannel> Testbed::make_channel(
   auto ch = std::make_unique<channel::VehicularChannel>(channel_params_,
                                                         position_fn(), rng);
   for (NodeId v : vehicle_ids_) ch->mark_mobile(v);
+  for (NodeId bs : bs_ids_) ch->mark_fixed(bs);
   return ch;
 }
 

@@ -68,8 +68,8 @@ class Testbed {
   /// channel constructed with this.
   channel::VehicularChannel::PositionFn position_fn() const;
 
-  /// A fresh stochastic channel with every vehicle marked mobile.
-  /// Deterministic per \p rng.
+  /// A fresh stochastic channel with every vehicle marked mobile and every
+  /// BS marked fixed. Deterministic per \p rng.
   std::unique_ptr<channel::VehicularChannel> make_channel(Rng rng) const;
 
   /// Spatial-culling configuration for media running on this testbed:

@@ -23,7 +23,8 @@ class FixedPolicy final : public HandoffPolicy {
  public:
   explicit FixedPolicy(std::vector<NodeId> choices)
       : choices_(std::move(choices)) {}
-  std::vector<NodeId> choose(const MeasurementTrace&) override {
+  std::vector<NodeId> choose(const MeasurementTrace&,
+                             const SlotMasks&) override {
     return choices_;
   }
 
@@ -60,7 +61,7 @@ MeasurementTrace two_phase_trace(int seconds = 10) {
 TEST(BrrPolicy, TracksTheStrongBs) {
   MeasurementTrace t = two_phase_trace(10);
   BrrPolicy policy;
-  const std::vector<NodeId> choices = policy.choose(t);
+  const std::vector<NodeId> choices = policy.choose(t, SlotMasks(t));
   // Early in the trip: associated with BS0 (after a warm-up second).
   EXPECT_EQ(choices[2], NodeId(0));
   // Late in the trip: must have switched to BS1.
@@ -72,7 +73,7 @@ TEST(BrrPolicy, ReplayDeliversNearlyEverything) {
   // packets except around the switch.
   MeasurementTrace t = two_phase_trace(10);
   BrrPolicy policy;
-  const auto outcomes = replay_hard_handoff(t, policy);
+  const auto outcomes = replay_hard_handoff(t, SlotMasks(t), policy);
   const auto delivered = packets_delivered(outcomes);
   // Loses only the warm-up second and the second around the switch.
   EXPECT_GE(delivered, 2 * 75);
@@ -84,7 +85,7 @@ TEST(RssiPolicy, PrefersStrongerSignal) {
   // dropped once its beacons go stale, despite its higher average.
   MeasurementTrace t = two_phase_trace(20);
   RssiPolicy policy;
-  const std::vector<NodeId> choices = policy.choose(t);
+  const std::vector<NodeId> choices = policy.choose(t, SlotMasks(t));
   EXPECT_EQ(choices[6], NodeId(0));
   EXPECT_EQ(choices[19], NodeId(1));
 }
@@ -112,7 +113,7 @@ TEST(RssiPolicy, StaleBsesAreNotCandidates) {
             {slot.t + Time::millis(1.0), NodeId(1), -80.0});
     }
   RssiPolicy policy;
-  const std::vector<NodeId> choices = policy.choose(t);
+  const std::vector<NodeId> choices = policy.choose(t, SlotMasks(t));
   EXPECT_EQ(choices[9], NodeId(1));  // weak but fresh beats stale
 }
 
@@ -134,7 +135,7 @@ TEST(StickyPolicy, HoldsThroughShortSilence) {
       t.vehicle_beacons.push_back({slot.t, NodeId(1), -65.0});
     }
   StickyPolicy policy;
-  const std::vector<NodeId> choices = policy.choose(t);
+  const std::vector<NodeId> choices = policy.choose(t, SlotMasks(t));
   EXPECT_EQ(choices[2], NodeId(0));
   EXPECT_EQ(choices[4], NodeId(0));  // silent but within 3 s
   EXPECT_EQ(choices[7], NodeId(0));  // came back
@@ -154,7 +155,7 @@ TEST(StickyPolicy, SwitchesAfterLongSilence) {
       t.vehicle_beacons.push_back({slot.t, NodeId(1), -65.0});
     }
   StickyPolicy policy;
-  const std::vector<NodeId> choices = policy.choose(t);
+  const std::vector<NodeId> choices = policy.choose(t, SlotMasks(t));
   EXPECT_EQ(choices[1], NodeId(0));
   EXPECT_EQ(choices[9], NodeId(1));  // switched after 3 s silence
 }
@@ -162,7 +163,7 @@ TEST(StickyPolicy, SwitchesAfterLongSilence) {
 TEST(BestBsPolicy, PicksTheOracleBest) {
   MeasurementTrace t = two_phase_trace(10);
   BestBsPolicy policy;
-  const std::vector<NodeId> choices = policy.choose(t);
+  const std::vector<NodeId> choices = policy.choose(t, SlotMasks(t));
   // No warm-up needed: it reads the future.
   EXPECT_EQ(choices[0], NodeId(0));
   EXPECT_EQ(choices[9], NodeId(1));
@@ -173,9 +174,9 @@ TEST(BestBsPolicy, UpperBoundsPracticalPolicies) {
   BestBsPolicy best;
   BrrPolicy brr;
   StickyPolicy sticky;
-  const auto d_best = packets_delivered(replay_hard_handoff(t, best));
-  const auto d_brr = packets_delivered(replay_hard_handoff(t, brr));
-  const auto d_sticky = packets_delivered(replay_hard_handoff(t, sticky));
+  const auto d_best = packets_delivered(replay_hard_handoff(t, SlotMasks(t), best));
+  const auto d_brr = packets_delivered(replay_hard_handoff(t, SlotMasks(t), brr));
+  const auto d_sticky = packets_delivered(replay_hard_handoff(t, SlotMasks(t), sticky));
   EXPECT_GE(d_best, d_brr);
   EXPECT_GE(d_best, d_sticky);
 }
@@ -191,7 +192,8 @@ TEST(HistoryPolicy, UsesPreviousDayAtSameLocation) {
   campaign.trips.push_back(day1);
 
   HistoryPolicy policy(campaign);
-  const std::vector<NodeId> choices = policy.choose(campaign.trips[1]);
+  const MeasurementTrace& today = campaign.trips[1];
+  const std::vector<NodeId> choices = policy.choose(today, SlotMasks(today));
   EXPECT_EQ(choices[0], NodeId(0));  // immediately correct
   EXPECT_EQ(choices[9], NodeId(1));
 }
@@ -200,7 +202,7 @@ TEST(AllBses, UnionDeliversEverythingAnyBsGot) {
   MeasurementTrace t = two_phase_trace(6);
   // Damage BS-specific reception: remove BS0 from one slot's down list.
   t.slots[5].down_heard.clear();
-  const auto outcomes = replay_allbses(t);
+  const auto outcomes = replay_allbses(t, SlotMasks(t));
   EXPECT_FALSE(outcomes[5].down);
   EXPECT_TRUE(outcomes[6].down);
   const auto delivered = packets_delivered(outcomes);
@@ -209,18 +211,18 @@ TEST(AllBses, UnionDeliversEverythingAnyBsGot) {
 
 TEST(AllBses, DominatesEveryHardHandoffPolicy) {
   const MeasurementTrace t = two_phase_trace(20);
-  const auto d_all = packets_delivered(replay_allbses(t));
+  const auto d_all = packets_delivered(replay_allbses(t, SlotMasks(t)));
   BestBsPolicy best;
-  EXPECT_GE(d_all, packets_delivered(replay_hard_handoff(t, best)));
+  EXPECT_GE(d_all, packets_delivered(replay_hard_handoff(t, SlotMasks(t), best)));
 }
 
 TEST(AllBses, RestrictedToKBses) {
   // With the per-second best-k restriction, k = 1 equals BestBS-like
   // behaviour and k = all equals the full union.
   const MeasurementTrace t = two_phase_trace(10);
-  const auto d1 = packets_delivered(replay_allbses(t, 1));
-  const auto d2 = packets_delivered(replay_allbses(t, 2));
-  const auto dall = packets_delivered(replay_allbses(t));
+  const auto d1 = packets_delivered(replay_allbses(t, SlotMasks(t), 1));
+  const auto d2 = packets_delivered(replay_allbses(t, SlotMasks(t), 2));
+  const auto dall = packets_delivered(replay_allbses(t, SlotMasks(t)));
   EXPECT_LE(d1, d2);
   EXPECT_EQ(d2, dall);  // only two BSes exist
 }
@@ -229,7 +231,7 @@ TEST(Replay, UnassociatedSlotsDeliverNothing) {
   MeasurementTrace t = two_phase_trace(4);
   // A policy that never associates: an invalid BS for every second.
   FixedPolicy null_policy(std::vector<NodeId>(4));
-  EXPECT_EQ(packets_delivered(replay_hard_handoff(t, null_policy)), 0);
+  EXPECT_EQ(packets_delivered(replay_hard_handoff(t, SlotMasks(t), null_policy)), 0);
 }
 
 TEST(Replay, SlotsPastTheLastFullSecondUseTheLastChoice) {
@@ -248,7 +250,7 @@ TEST(Replay, SlotsPastTheLastFullSecondUseTheLastChoice) {
     t.slots.push_back(slot);
   }
   FixedPolicy policy({first, last});
-  const auto outcomes = replay_hard_handoff(t, policy);
+  const auto outcomes = replay_hard_handoff(t, SlotMasks(t), policy);
   ASSERT_EQ(outcomes.size(), 4u);
   for (const SlotOutcome& o : outcomes) EXPECT_EQ(o.delivered(), 2);
 }
@@ -256,14 +258,14 @@ TEST(Replay, SlotsPastTheLastFullSecondUseTheLastChoice) {
 TEST(Replay, PolicyWithTooFewChoicesIsAContractViolation) {
   const MeasurementTrace t = two_phase_trace(4);
   FixedPolicy short_policy({NodeId(0), NodeId(0), NodeId(1)});
-  EXPECT_THROW(replay_hard_handoff(t, short_policy), ContractViolation);
+  EXPECT_THROW(replay_hard_handoff(t, SlotMasks(t), short_policy), ContractViolation);
 }
 
 TEST(Replay, NoChoicesForAZeroSecondTripDeliverNothing) {
   MeasurementTrace t = two_phase_trace(1);
   t.duration = Time::zero();  // seconds() == 0: no choice is owed.
   FixedPolicy empty(std::vector<NodeId>{});
-  EXPECT_EQ(packets_delivered(replay_hard_handoff(t, empty)), 0);
+  EXPECT_EQ(packets_delivered(replay_hard_handoff(t, SlotMasks(t), empty)), 0);
 }
 
 }  // namespace

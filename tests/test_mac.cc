@@ -266,10 +266,34 @@ TEST(Medium, TransmittingNodeLosesOverlappingDecodes) {
   EXPECT_EQ(s.node(NodeId(1)).collisions_seen, 1u);
 }
 
-TEST(Medium, CollisionsOnlySeeTransmissionsInsideTheKeepWindow) {
-  // A frame longer than the 2000-byte bound outlives the prune window: an
-  // overlapping short frame pruned before it finishes no longer destroys
-  // its decode, while the short frame, resolved first, still collides.
+TEST(Medium, OversizeFramesAreRejected) {
+  // A frame longer than the bound would outlive the prune window and miss
+  // the collisions of records pruned before it finishes; the medium
+  // rejects it before anything is on the air. A frame at the bound is fine.
+  sim::Simulator sim;
+  FakeLoss loss;
+  Medium medium(sim, loss, {});
+  Collector a, r;
+  medium.attach(NodeId(0), &a);
+  medium.attach(NodeId(2), &r);
+  loss.set(NodeId(0), NodeId(2), 1.0);
+  net::PacketFactory factory;
+  Frame over = data_frame(factory, sim, 4000);  // ~32 ms on the air
+  over.tx = NodeId(0);
+  EXPECT_THROW(medium.transmit(over), vifi::ContractViolation);
+  EXPECT_EQ(medium.transmissions(), 0u);
+  Frame at_bound = data_frame(factory, sim, Medium::kMaxFrameBytes - 24);
+  ASSERT_EQ(at_bound.bytes_on_air(), Medium::kMaxFrameBytes);
+  at_bound.tx = NodeId(0);
+  EXPECT_EQ(medium.transmit(at_bound), medium.airtime(Medium::kMaxFrameBytes));
+  sim.run();
+  EXPECT_EQ(r.frames.size(), 1u);
+}
+
+TEST(Medium, LongestFrameCollidesWithRecordsAPruneWouldDrop) {
+  // The prune window covers the longest frame: a transmit just before it
+  // ends prunes nothing it overlaps, so an overlapping short frame, long
+  // finished, still destroys its decode (and collides itself).
   sim::Simulator sim;
   FakeLoss loss;
   Medium medium(sim, loss, {});
@@ -281,20 +305,19 @@ TEST(Medium, CollisionsOnlySeeTransmissionsInsideTheKeepWindow) {
   loss.set(NodeId(0), NodeId(2), 1.0);
   loss.set(NodeId(1), NodeId(2), 1.0);
   net::PacketFactory factory;
-  Frame long_frame = data_frame(factory, sim, 4000);  // ~32 ms on the air
+  Frame long_frame = data_frame(factory, sim, Medium::kMaxFrameBytes - 24);
   long_frame.tx = NodeId(0);
   Frame short_frame = data_frame(factory, sim, 200);  // ~1.8 ms
   short_frame.tx = NodeId(1);
-  medium.transmit(long_frame);
+  const Time hold = medium.transmit(long_frame);
   medium.transmit(short_frame);
-  sim.run_until(Time::millis(20.0));
+  sim.run_until(hold - Time::micros(1));
   Frame probe = data_frame(factory, sim, 10);  // its transmit() prunes
   probe.tx = NodeId(3);
   medium.transmit(probe);
   sim.run();
-  ASSERT_EQ(r.frames.size(), 1u);
-  EXPECT_EQ(r.frames[0].tx, NodeId(0));
-  EXPECT_EQ(medium.collisions(), 1u);
+  EXPECT_TRUE(r.frames.empty());
+  EXPECT_EQ(medium.collisions(), 2u);
 }
 
 TEST(Medium, NonOverlappingTransmissionsBothDeliver) {

@@ -760,6 +760,27 @@ TEST(Executor, UnwritableExportFailsThePointNamingTheFile) {
 
 // A catalog cbr point takes its trips from the catalog: the days and
 // trips_per_day knobs of a stochastic campaign do not apply to it.
+// A point that asks only for metric columns keeps no trace, since nothing
+// would write it: its dropped-events column reads 0 even on a fleet whose
+// per-node rings would overflow (this point overflows them when traced),
+// while its other columns are still filled from the point's registry.
+TEST(Executor, MetricOnlyPointKeepsNoTrace) {
+  ExperimentSpec spec;
+  spec.grid.testbeds = {"VanLAN"};
+  spec.grid.fleet_sizes = {16};
+  spec.grid.policies = {"ViFi"};
+  spec.grid.seeds = {1};
+  spec.workload = "cbr";
+  spec.days = 1;
+  spec.trips_per_day = 1;
+  spec.trip_duration = Time::seconds(80.0);
+  spec.metric_columns = {"obs.trace.dropped_events", "mac.transmissions"};
+  const PointResult r = run_point(spec.enumerate().front());
+  ASSERT_TRUE(r.error.empty()) << r.error;
+  EXPECT_EQ(r.metrics.at("obs.obs.trace.dropped_events"), 0.0);
+  EXPECT_GT(r.metrics.at("obs.mac.transmissions"), 0.0);
+}
+
 TEST(Executor, CatalogCbrPointIgnoresTheCampaignKnobs) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "vifi_test_catalog_knobs";
