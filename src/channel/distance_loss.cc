@@ -86,23 +86,15 @@ std::shared_ptr<const DistanceBands> DistanceBands::shared(
     return q.p_max == p.p_max && q.midpoint_m == p.midpoint_m &&
            q.width_m == p.width_m;
   };
-  {
-    const std::lock_guard<std::mutex> lock(mu);
-    const auto it = std::find_if(kept.begin(), kept.end(), same);
-    if (it != kept.end()) {
-      std::rotate(kept.begin(), it, it + 1);
-      return kept.front();
-    }
-  }
-  // Built outside the lock; a concurrent builder of the same curve makes an
-  // identical table, and whichever lands second is simply not kept.
-  auto built = std::make_shared<const DistanceBands>(curve);
   const std::lock_guard<std::mutex> lock(mu);
   const auto it = std::find_if(kept.begin(), kept.end(), same);
-  if (it != kept.end()) return *it;
-  if (kept.size() == kKept) kept.pop_back();
-  kept.insert(kept.begin(), built);
-  return built;
+  if (it != kept.end()) {
+    std::rotate(kept.begin(), it, it + 1);
+  } else {
+    if (kept.size() == kKept) kept.pop_back();
+    kept.insert(kept.begin(), std::make_shared<const DistanceBands>(curve));
+  }
+  return kept.front();
 }
 
 const DistanceBands::Bounds* DistanceBands::find(double d2) const {

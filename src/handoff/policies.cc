@@ -24,9 +24,8 @@ std::vector<int> bs_positions(const MeasurementTrace& trip,
 
 /// Per-second vehicle-side beacon counts and RSSI sums of a trip's BSes,
 /// flat by BS position, so a BS listed twice reads one row. Like
-/// trace::beacon_counts_per_second and beacon_rssi_per_second, it keeps
-/// only listed BSes and seconds in [0, trip seconds), and sums each cell's
-/// RSSI in beacon order.
+/// trace::beacon_counts_per_second, it keeps only listed BSes and seconds
+/// in [0, trip seconds); each cell's RSSI is summed in beacon order.
 class BeaconTable {
  public:
   BeaconTable(const MeasurementTrace& trip, const SlotMasks& heard)
@@ -206,8 +205,7 @@ const HistoryPolicy::DayTable& HistoryPolicy::table_for_day(int day) {
           mobility::grid_cell(trip->slots[i].vehicle_pos, cell_size_m_);
       for (NodeId bs : trip->bs_ids) {
         auto& sc = table[{cell, bs}];
-        sc.sum += (heard.down(i, bs) ? 1.0 : 0.0) +
-                  (heard.up(i, bs) ? 1.0 : 0.0);
+        sc.sum += heard.successes(i, i + 1, bs);
         ++sc.n;
       }
     }

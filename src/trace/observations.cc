@@ -29,29 +29,6 @@ std::map<NodeId, std::vector<int>> beacon_counts_per_second(
   return counts;
 }
 
-std::map<NodeId, std::vector<std::pair<int, double>>> beacon_rssi_per_second(
-    const MeasurementTrace& t) {
-  struct Acc {
-    int n = 0;
-    double sum = 0.0;
-  };
-  std::map<NodeId, std::map<int, Acc>> acc;
-  for (const BeaconObs& b : t.vehicle_beacons) {
-    const int s = static_cast<int>(b.t.to_micros() / 1'000'000);
-    auto& a = acc[b.bs][s];
-    ++a.n;
-    a.sum += b.rssi_dbm;
-  }
-  std::map<NodeId, std::vector<std::pair<int, double>>> out;
-  for (const auto& [bs, per_sec] : acc) {
-    auto& vec = out[bs];
-    vec.reserve(per_sec.size());
-    for (const auto& [s, a] : per_sec)
-      vec.emplace_back(s, a.sum / static_cast<double>(a.n));
-  }
-  return out;
-}
-
 int Campaign::days() const {
   int d = 0;
   for (const auto& t : trips) d = std::max(d, t.day + 1);

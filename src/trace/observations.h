@@ -71,10 +71,6 @@ struct MeasurementTrace {
 std::map<NodeId, std::vector<int>> beacon_counts_per_second(
     const MeasurementTrace& t);
 
-/// Per-second mean beacon RSSI per BS (only seconds with >= 1 beacon).
-std::map<NodeId, std::vector<std::pair<int, double>>> beacon_rssi_per_second(
-    const MeasurementTrace& t);
-
 /// A whole measurement campaign: several days, several trips per day.
 struct Campaign {
   std::string testbed;

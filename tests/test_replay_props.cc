@@ -1,9 +1,10 @@
 // Property tests for the replay study's fast paths: the mobility position
-// path and the slot masks must answer bit for bit what the straightforward
-// formulas answer — std::fmod + std::upper_bound + `%` wrap for a position
-// on a path, a leg-by-leg walk for a bus lap, and a scan of the slot's
-// lists for slot membership — over seeded inputs that include every
-// boundary the fast paths special-case.
+// path, the slot masks and the policies' flat tables must answer bit for
+// bit what the straightforward formulas answer — std::fmod +
+// std::upper_bound + `%` wrap for a position on a path, a leg-by-leg walk
+// for a bus lap, a scan of the slot's lists for slot membership, and
+// NodeId-keyed maps for the per-second policy state — over seeded inputs
+// that include every boundary the fast paths special-case.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "handoff/policies.h"
@@ -20,6 +23,7 @@
 #include "mobility/mobility.h"
 #include "mobility/path.h"
 #include "trace/slot_masks.h"
+#include "util/ewma.h"
 #include "util/rng.h"
 
 namespace vifi {
@@ -421,6 +425,237 @@ TEST(SlotMaskProps, MaskedReplaysMatchTheListScans) {
     handoff::BestBsPolicy best;
     EXPECT_EQ(best.choose(trip, masks), reference_best_bs(trip))
         << "trial " << trial;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Policies: flat per-position tables against the NodeId-keyed maps
+// ---------------------------------------------------------------------------
+
+/// The reference RSSI / BRR / Sticky / History choices: per-second beacon
+/// tables in maps (counts from trace::beacon_counts_per_second), per-BS
+/// state in maps keyed by NodeId, slot membership by list scans.
+struct ReferencePolicies {
+  using Rows = std::map<NodeId, std::vector<std::pair<bool, double>>>;
+
+  /// Per listed BS and trip second: whether a beacon was heard, and the
+  /// mean RSSI of that second's beacons, summed in beacon order.
+  static Rows rssi_rows(const trace::MeasurementTrace& trip) {
+    std::map<NodeId, std::map<int, std::pair<int, double>>> acc;
+    for (const trace::BeaconObs& b : trip.vehicle_beacons) {
+      auto& [n, sum] = acc[b.bs][static_cast<int>(b.t.to_micros() / 1'000'000)];
+      ++n;
+      sum += b.rssi_dbm;
+    }
+    Rows rows;
+    const auto secs = static_cast<std::size_t>(std::max(1, trip.seconds()));
+    for (const NodeId bs : trip.bs_ids) rows[bs].assign(secs, {false, 0.0});
+    for (const auto& [bs, per_sec] : acc) {
+      auto it = rows.find(bs);
+      if (it == rows.end()) continue;
+      for (const auto& [sec, a] : per_sec)
+        if (sec >= 0 && static_cast<std::size_t>(sec) < it->second.size())
+          it->second[static_cast<std::size_t>(sec)] = {
+              true, a.second / static_cast<double>(a.first)};
+    }
+    return rows;
+  }
+
+  static std::vector<NodeId> rssi(const trace::MeasurementTrace& trip) {
+    const auto secs = static_cast<std::size_t>(std::max(1, trip.seconds()));
+    const Rows rows = rssi_rows(trip);
+    std::map<NodeId, Ewma> avg;
+    std::map<NodeId, int> last_heard;
+    for (const NodeId bs : trip.bs_ids) avg.emplace(bs, Ewma(0.5));
+    std::vector<NodeId> choices(secs);
+    for (std::size_t s = 0; s < secs; ++s) {
+      double best_rssi = -1e9;
+      for (const NodeId bs : trip.bs_ids) {
+        const auto lh = last_heard.find(bs);
+        if (lh == last_heard.end() || static_cast<int>(s) - lh->second > 5)
+          continue;
+        const Ewma& e = avg.at(bs);
+        if (e.initialized() && e.value() > best_rssi) {
+          best_rssi = e.value();
+          choices[s] = bs;
+        }
+      }
+      for (const NodeId bs : trip.bs_ids) {
+        const auto& [has, value] = rows.at(bs)[s];
+        if (has) {
+          avg.at(bs).update(value);
+          last_heard[bs] = static_cast<int>(s);
+        }
+      }
+    }
+    return choices;
+  }
+
+  static std::vector<NodeId> brr(const trace::MeasurementTrace& trip) {
+    const auto secs = static_cast<std::size_t>(std::max(1, trip.seconds()));
+    const auto counts = trace::beacon_counts_per_second(trip);
+    std::map<NodeId, Ewma> ratio;
+    std::map<NodeId, bool> seen;
+    for (const NodeId bs : trip.bs_ids) ratio.emplace(bs, Ewma(0.5));
+    std::vector<NodeId> choices(secs);
+    for (std::size_t s = 0; s < secs; ++s) {
+      double best_ratio = 0.0;
+      for (const NodeId bs : trip.bs_ids) {
+        if (!seen[bs]) continue;
+        const Ewma& e = ratio.at(bs);
+        if (e.initialized() && e.value() > best_ratio) {
+          best_ratio = e.value();
+          choices[s] = bs;
+        }
+      }
+      for (const NodeId bs : trip.bs_ids) {
+        const int c = counts.at(bs)[s];
+        if (c > 0) seen[bs] = true;
+        if (seen[bs])
+          ratio.at(bs).update(
+              std::min(1.0, static_cast<double>(c) / trip.beacons_per_second));
+      }
+    }
+    return choices;
+  }
+
+  static std::vector<NodeId> sticky(const trace::MeasurementTrace& trip) {
+    const auto secs = static_cast<std::size_t>(std::max(1, trip.seconds()));
+    const auto counts = trace::beacon_counts_per_second(trip);
+    const Rows rows = rssi_rows(trip);
+    const auto strongest_before = [&](std::size_t s) {
+      NodeId best{};
+      double best_rssi = -1e9;
+      if (s == 0) return best;
+      for (const NodeId bs : trip.bs_ids) {
+        const auto& [has, value] = rows.at(bs)[s - 1];
+        if (has && value > best_rssi) {
+          best_rssi = value;
+          best = bs;
+        }
+      }
+      return best;
+    };
+    std::vector<NodeId> choices(secs);
+    NodeId current{};
+    int silent_for = 0;
+    for (std::size_t s = 0; s < secs; ++s) {
+      if (!current.valid()) {
+        current = strongest_before(s);
+        silent_for = 0;
+      } else if (silent_for >= 3) {
+        const NodeId next = strongest_before(s);
+        if (next.valid()) {
+          current = next;
+          silent_for = 0;
+        }
+      }
+      choices[s] = current;
+      if (current.valid())
+        silent_for = counts.at(current)[s] > 0 ? 0 : silent_for + 1;
+    }
+    return choices;
+  }
+
+  static std::vector<NodeId> history(const trace::Campaign& campaign,
+                                     const trace::MeasurementTrace& trip) {
+    using Key = std::pair<mobility::GridCell, NodeId>;
+    std::map<Key, std::pair<double, int>> table;
+    for (const auto* t : campaign.trips_on_day(trip.day - 1))
+      for (const auto& slot : t->slots) {
+        const auto cell = mobility::grid_cell(slot.vehicle_pos, 25.0);
+        for (const NodeId bs : t->bs_ids) {
+          auto& [sum, n] = table[{cell, bs}];
+          sum += (slot.down_from(bs) ? 1.0 : 0.0) + (slot.up_to(bs) ? 1.0 : 0.0);
+          ++n;
+        }
+      }
+    const auto secs = static_cast<std::size_t>(std::max(1, trip.seconds()));
+    const auto counts = trace::beacon_counts_per_second(trip);
+    std::vector<NodeId> choices(secs);
+    for (std::size_t s = 0; s < secs; ++s) {
+      NodeId chosen{};
+      if (trip.day > 0 && s * 10 < trip.slots.size()) {
+        const auto cell =
+            mobility::grid_cell(trip.slots[s * 10].vehicle_pos, 25.0);
+        double best_score = 0.0;
+        for (const NodeId bs : trip.bs_ids) {
+          const auto it = table.find({cell, bs});
+          if (it == table.end() || it->second.second == 0) continue;
+          const double score = it->second.first / it->second.second;
+          if (score > best_score) {
+            best_score = score;
+            chosen = bs;
+          }
+        }
+      }
+      if (!chosen.valid() && s > 0) {
+        int best_count = 0;
+        for (const NodeId bs : trip.bs_ids) {
+          const int c = counts.at(bs)[s - 1];
+          if (c > best_count) {
+            best_count = c;
+            chosen = bs;
+          }
+        }
+      }
+      choices[s] = chosen;
+    }
+    return choices;
+  }
+};
+
+/// random_trip plus beacons: from listed and unlisted BSes, at instants
+/// from before the trip start to past its end, and positions on a small
+/// grid so History's cells repeat across days.
+trace::MeasurementTrace random_beacon_trip(Rng& rng, int n_bs, int day) {
+  trace::MeasurementTrace t = random_trip(rng, n_bs);
+  t.day = day;
+  t.beacons_per_second = static_cast<int>(rng.uniform_int(1, 12));
+  for (auto& slot : t.slots)
+    slot.vehicle_pos = {25.0 * static_cast<double>(rng.uniform_int(0, 3)),
+                        25.0 * static_cast<double>(rng.uniform_int(0, 2))};
+  const auto n = rng.uniform_int(0, 20 * t.seconds());
+  for (std::int64_t i = 0; i < n; ++i) {
+    trace::BeaconObs b;
+    b.t = Time::micros(rng.uniform_int(-2'000'000, t.duration.to_micros() +
+                                                       2'000'000));
+    b.bs = !t.bs_ids.empty() && rng.bernoulli(0.85)
+               ? t.bs_ids[static_cast<std::size_t>(rng.uniform_int(
+                     0, static_cast<std::int64_t>(t.bs_ids.size()) - 1))]
+               : NodeId(static_cast<int>(rng.uniform_int(0, 1 << 17)));
+    b.rssi_dbm = rng.uniform(-95.0, -40.0);
+    t.vehicle_beacons.push_back(b);
+  }
+  std::sort(t.vehicle_beacons.begin(), t.vehicle_beacons.end(),
+            [](const auto& a, const auto& b) { return a.t < b.t; });
+  return t;
+}
+
+TEST(PolicyProps, FlatTablesChooseWhatTheMapsChose) {
+  Rng rng(2525);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n_bs = kBsCounts[trial % std::size(kBsCounts)];
+    trace::Campaign campaign;
+    for (int day = 0; day < 2; ++day)
+      for (int k = 0; k < 2; ++k)
+        campaign.trips.push_back(random_beacon_trip(rng, n_bs, day));
+    for (const auto& trip : campaign.trips) {
+      const trace::SlotMasks heard(trip);
+      handoff::RssiPolicy rssi;
+      handoff::BrrPolicy brr;
+      handoff::StickyPolicy sticky;
+      handoff::HistoryPolicy history(campaign);
+      EXPECT_EQ(rssi.choose(trip, heard), ReferencePolicies::rssi(trip))
+          << "trial " << trial;
+      EXPECT_EQ(brr.choose(trip, heard), ReferencePolicies::brr(trip))
+          << "trial " << trial;
+      EXPECT_EQ(sticky.choose(trip, heard), ReferencePolicies::sticky(trip))
+          << "trial " << trial;
+      EXPECT_EQ(history.choose(trip, heard),
+                ReferencePolicies::history(campaign, trip))
+          << "trial " << trial << " day " << trip.day;
+    }
   }
 }
 

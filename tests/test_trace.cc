@@ -51,16 +51,6 @@ TEST(BeaconCounts, PerSecondBuckets) {
   EXPECT_EQ(counts.at(NodeId(1))[1], 1);
 }
 
-TEST(BeaconRssi, PerSecondAverages) {
-  MeasurementTrace t = tiny_trace();
-  t.vehicle_beacons.push_back({Time::millis(150.0), NodeId(0), -63.5});
-  const auto rssi = beacon_rssi_per_second(t);
-  const auto& bs0 = rssi.at(NodeId(0));
-  ASSERT_EQ(bs0.size(), 1u);
-  EXPECT_EQ(bs0[0].first, 0);
-  EXPECT_DOUBLE_EQ(bs0[0].second, (-61.5 + -63.5) / 2.0);
-}
-
 TEST(Campaign, DayAndTripOrganisation) {
   Campaign c;
   for (int day = 0; day < 2; ++day)
