@@ -75,8 +75,8 @@ DistanceBands::DistanceBands(const DistanceLossCurve& curve)
 
 std::shared_ptr<const DistanceBands> DistanceBands::shared(
     const DistanceLossCurve& curve) {
-  // Most recently used first; a handful covers every testbed calibration
-  // while bounding what a sweep over many curves keeps alive.
+  // The most recently built tables: a handful covers every testbed
+  // calibration while bounding what a sweep over many curves keeps alive.
   constexpr std::size_t kKept = 8;
   static std::mutex mu;
   static std::vector<std::shared_ptr<const DistanceBands>> kept;
@@ -88,13 +88,10 @@ std::shared_ptr<const DistanceBands> DistanceBands::shared(
   };
   const std::lock_guard<std::mutex> lock(mu);
   const auto it = std::find_if(kept.begin(), kept.end(), same);
-  if (it != kept.end()) {
-    std::rotate(kept.begin(), it, it + 1);
-  } else {
-    if (kept.size() == kKept) kept.pop_back();
-    kept.insert(kept.begin(), std::make_shared<const DistanceBands>(curve));
-  }
-  return kept.front();
+  if (it != kept.end()) return *it;
+  if (kept.size() == kKept) kept.erase(kept.begin());
+  kept.push_back(std::make_shared<const DistanceBands>(curve));
+  return kept.back();
 }
 
 const DistanceBands::Bounds* DistanceBands::find(double d2) const {

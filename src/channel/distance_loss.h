@@ -65,8 +65,8 @@ class DistanceBands {
   explicit DistanceBands(const DistanceLossCurve& curve);
 
   /// The table of \p curve, shared by every caller with the same curve
-  /// parameters (a few recent curves are kept; the bounds do not depend on
-  /// which caller built them).
+  /// parameters (the few most recently built are kept; the bounds do not
+  /// depend on which caller built them).
   static std::shared_ptr<const DistanceBands> shared(
       const DistanceLossCurve& curve);
 

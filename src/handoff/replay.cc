@@ -76,6 +76,7 @@ std::vector<SlotOutcome> replay_allbses(const MeasurementTrace& trip,
   } else {
     for (std::size_t s = 0; s < secs; ++s) {
       std::vector<std::pair<int, NodeId>> scored;
+      scored.reserve(trip.bs_ids.size());
       for (NodeId bs : trip.bs_ids)
         scored.emplace_back(heard.successes(s * 10, (s + 1) * 10, bs), bs);
       std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {

@@ -12,7 +12,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <utility>
 #include <vector>
@@ -252,15 +251,13 @@ TEST(PathProps, BusLapAndDwellBoundariesMatchTheLegWalk) {
   // The DieselNet route itself, at a few fleet phases.
   const mobility::Layout layout = mobility::dieselnet_layout(1);
   const ReferencePath ref_path(layout.route_waypoints, true);
-  std::vector<mobility::BusMobility::Stop> stops;
-  for (const auto& s : layout.stops) stops.push_back({s.at_distance_m, s.dwell});
   const Time lap = mobility::route_cycle_time(layout);
   for (const double phase : {0.0, 1.0 / 3.0, 2.0 / 3.0}) {
-    const ReferenceBus ref{ref_path, layout.cruise_mps, stops, lap * phase,
-                           lap};
+    const ReferenceBus ref{ref_path, layout.cruise_mps, layout.stops,
+                           lap * phase, lap};
     const mobility::BusMobility bus(
         mobility::WaypointPath(layout.route_waypoints, true),
-        layout.cruise_mps, stops, lap * phase);
+        layout.cruise_mps, layout.stops, lap * phase);
     expect_bus_matches(ref, bus, rng, "DieselNet route");
   }
 }

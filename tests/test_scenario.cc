@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <sstream>
@@ -318,6 +320,7 @@ TEST(Campaign, TraceBytesArePinned) {
     cfg.log_bs_beacons = name == "VanLAN";
     const trace::Campaign campaign = generate_campaign(bed, cfg);
     std::vector<std::string> got;
+    got.reserve(campaign.trips.size());
     for (const auto& t : campaign.trips) got.push_back(trace_digest(t));
     std::string listing;
     for (const std::string& d : got) listing += "\"" + d + "\", ";
