@@ -625,6 +625,71 @@ TEST(Executor, PointsMatchTheGoldenBytesOnAnyWorkerCount) {
   }
 }
 
+/// Every file a live (cbr) catalog point writes under \p trace_dir, as
+/// "name digest" lines, run on \p threads workers: DieselNet-Ch1 with
+/// coord, a fleet of four over three trip groups, so many nodes' chunk
+/// flushes interleave in a streamed spool and three trips are stitched.
+std::string live_trace_digests(bool stream, int threads) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "vifi_test_live_pin";
+  fs::remove_all(dir);
+  const scenario::Testbed bed = make_testbed("DieselNet-Ch1", 4);
+  scenario::CampaignConfig cfg;
+  cfg.days = 1;
+  cfg.trips_per_day = 3;
+  cfg.trip_duration = Time::seconds(12.0);
+  cfg.seed = 30;
+  cfg.log_probes = false;
+  tracegen::write_catalog((dir / "catalog").string(), "unit",
+                          scenario::generate_campaign(bed, cfg));
+  ExperimentSpec spec;
+  spec.grid.testbeds = {"DieselNet-Ch1"};
+  spec.grid.fleet_sizes = {4};
+  spec.grid.trace_sets = {(dir / "catalog").string()};
+  spec.grid.policies = {"ViFi"};
+  spec.grid.coordinations = {"coord"};
+  spec.grid.seeds = {1};
+  spec.workload = "cbr";
+  spec.trace_dir = (dir / "traces").string();
+  spec.trace_stream = stream;
+  const ExperimentPoint point = spec.enumerate().front();
+  tracegen::drop_catalog_cache();
+  const PointResult r =
+      threads == 1 ? run_point(point)
+                   : run_point_sharded(point, Runner({.threads = threads}));
+  tracegen::drop_catalog_cache();
+  EXPECT_TRUE(r.error.empty()) << r.error;
+  std::vector<fs::path> files;
+  for (const auto& entry : fs::directory_iterator(dir / "traces"))
+    files.push_back(entry.path());
+  std::sort(files.begin(), files.end());
+  std::string out;
+  for (const fs::path& f : files)
+    out += f.filename().string() + " " + digest_of(f) + "\n";
+  fs::remove_all(dir);
+  return out;
+}
+
+// The trace bytes of a live catalog point, pinned, streamed and
+// ring-traced: the golden table streams only a replay point, whose spool
+// has few nodes and no interleaved flushes. Any change to the spool
+// writer, the part-spool absorb or the exporters moves a digest.
+TEST(Executor, LiveTraceBytesArePinned) {
+  const std::string streamed =
+      "point_0000.jsonl c9bb56529e6ac0f0\n"
+      "point_0000.metrics.json 3e9b9731e7115d82\n"
+      "point_0000.spool 14119fe7b54f036e\n"
+      "point_0000.trace.json 598dcd20603f13cb\n";
+  const std::string ring =
+      "point_0000.jsonl c9bb56529e6ac0f0\n"
+      "point_0000.metrics.json 3e9b9731e7115d82\n"
+      "point_0000.trace.json 598dcd20603f13cb\n";
+  for (const int threads : {1, 4}) {
+    EXPECT_EQ(live_trace_digests(true, threads), streamed) << threads;
+    EXPECT_EQ(live_trace_digests(false, threads), ring) << threads;
+  }
+}
+
 // A failing trip must not strand the per-trip part spools a streamed point
 // writes beside its session spool: the point throws and trace_dir holds no
 // `*.part` file afterwards.
