@@ -188,38 +188,52 @@ std::vector<NodeId> StickyPolicy::choose(const MeasurementTrace& trip,
   return choices;
 }
 
-HistoryPolicy::HistoryPolicy(const trace::Campaign& campaign,
+HistoryTables::HistoryTables(const trace::Campaign& campaign,
                              double cell_size_m)
     : campaign_(campaign), cell_size_m_(cell_size_m) {
   VIFI_EXPECTS(cell_size_m > 0.0);
+  int days = 0;
+  for (const MeasurementTrace& t : campaign.trips)
+    days = std::max(days, t.day + 1);
+  built_ = std::vector<std::once_flag>(static_cast<std::size_t>(days));
+  tables_.resize(static_cast<std::size_t>(days));
 }
 
-const HistoryPolicy::DayTable& HistoryPolicy::table_for_day(int day) {
-  auto it = cache_.find(day);
-  if (it != cache_.end()) return it->second;
-  DayTable table;
-  for (const auto* trip : campaign_.trips_on_day(day)) {
-    const SlotMasks heard(*trip);
-    for (std::size_t i = 0; i < trip->slots.size(); ++i) {
-      const auto cell =
-          mobility::grid_cell(trip->slots[i].vehicle_pos, cell_size_m_);
-      for (NodeId bs : trip->bs_ids) {
-        auto& sc = table[{cell, bs}];
-        sc.sum += heard.successes(i, i + 1, bs);
-        ++sc.n;
+const HistoryTables::DayTable& HistoryTables::day(int day) const {
+  static const DayTable kEmpty;
+  if (day < 0 || static_cast<std::size_t>(day) >= tables_.size())
+    return kEmpty;
+  const auto d = static_cast<std::size_t>(day);
+  std::call_once(built_[d], [&] {
+    DayTable& table = tables_[d];
+    for (const auto* trip : campaign_.trips_on_day(day)) {
+      const SlotMasks heard(*trip);
+      for (std::size_t i = 0; i < trip->slots.size(); ++i) {
+        const auto cell =
+            mobility::grid_cell(trip->slots[i].vehicle_pos, cell_size_m_);
+        for (NodeId bs : trip->bs_ids) {
+          auto& sc = table[{cell, bs}];
+          sc.sum += heard.successes(i, i + 1, bs);
+          ++sc.n;
+        }
       }
     }
-  }
-  return cache_.emplace(day, std::move(table)).first->second;
+  });
+  return tables_[d];
 }
+
+HistoryPolicy::HistoryPolicy(const trace::Campaign& campaign,
+                             double cell_size_m)
+    : own_(std::make_unique<HistoryTables>(campaign, cell_size_m)),
+      tables_(own_.get()) {}
 
 std::vector<NodeId> HistoryPolicy::choose(const MeasurementTrace& trip,
                                           const SlotMasks& heard) {
   const std::size_t secs = trip_seconds(trip);
   const BeaconTable beacons(trip, heard);
   const std::vector<int> pos = bs_positions(trip, heard);
-  const DayTable* history =
-      trip.day > 0 ? &table_for_day(trip.day - 1) : nullptr;
+  const HistoryTables::DayTable* history =
+      trip.day > 0 ? &tables_->day(trip.day - 1) : nullptr;
 
   // Fallback: the BS with the highest beacon count in the previous second.
   auto fallback = [&](std::size_t s) {
@@ -244,7 +258,7 @@ std::vector<NodeId> HistoryPolicy::choose(const MeasurementTrace& trip,
       const std::size_t slot_index = s * 10;
       if (slot_index < trip.slots.size()) {
         const auto cell = mobility::grid_cell(
-            trip.slots[slot_index].vehicle_pos, cell_size_m_);
+            trip.slots[slot_index].vehicle_pos, tables_->cell_size_m());
         double best_score = 0.0;
         for (NodeId bs : trip.bs_ids) {
           const auto it = history->find({cell, bs});

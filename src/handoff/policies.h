@@ -19,6 +19,10 @@
 ///              lives in replay.h since it is not an association policy.
 
 #include <map>
+#include <memory>
+#include <mutex>
+#include <utility>
+#include <vector>
 
 #include "handoff/policy.h"
 #include "trace/observations.h"
@@ -59,28 +63,50 @@ class StickyPolicy final : public HandoffPolicy {
   Time silence_;
 };
 
-/// History needs the whole campaign: day d associates using day d-1 logs.
-/// On day 0 (or in cells never visited before) it falls back to the BS
-/// with the highest recent beacon count.
-class HistoryPolicy final : public HandoffPolicy {
+/// History's per-location reception over one campaign: day d's table maps
+/// each (grid cell, BS) to the two-way probe successes of day d's slots
+/// in that cell. Each day's table is built once, on first use, and is
+/// immutable after, so every trace a point replays (on any worker) reads
+/// the same table instead of rebuilding it.
+class HistoryTables {
  public:
-  explicit HistoryPolicy(const trace::Campaign& campaign,
-                         double cell_size_m = 25.0);
-  std::vector<NodeId> choose(const MeasurementTrace& trip,
-                             const SlotMasks& heard) override;
-
- private:
   struct CellScore {
     double sum = 0.0;
     int n = 0;
   };
   using DayTable = std::map<std::pair<mobility::GridCell, NodeId>, CellScore>;
 
-  const DayTable& table_for_day(int day);
+  /// \p campaign must outlive the tables.
+  explicit HistoryTables(const trace::Campaign& campaign,
+                         double cell_size_m = 25.0);
 
+  /// Day \p day's table (empty for a day without trips). Thread-safe.
+  const DayTable& day(int day) const;
+  double cell_size_m() const { return cell_size_m_; }
+
+ private:
   const trace::Campaign& campaign_;
   double cell_size_m_;
-  std::map<int, DayTable> cache_;
+  mutable std::vector<std::once_flag> built_;  ///< Per campaign day.
+  mutable std::vector<DayTable> tables_;
+};
+
+/// History needs the whole campaign: day d associates using day d-1 logs.
+/// On day 0 (or in cells never visited before) it falls back to the BS
+/// with the highest recent beacon count.
+class HistoryPolicy final : public HandoffPolicy {
+ public:
+  /// Reads \p tables, which must outlive the policy.
+  explicit HistoryPolicy(const HistoryTables& tables) : tables_(&tables) {}
+  /// Builds its own tables over \p campaign.
+  explicit HistoryPolicy(const trace::Campaign& campaign,
+                         double cell_size_m = 25.0);
+  std::vector<NodeId> choose(const MeasurementTrace& trip,
+                             const SlotMasks& heard) override;
+
+ private:
+  std::unique_ptr<const HistoryTables> own_;
+  const HistoryTables* tables_;
 };
 
 /// Oracle upper bound for hard handoff: per one-second period, associates

@@ -234,28 +234,29 @@ class CampaignLease {
   const std::shared_ptr<CampaignSlot> slot_;
 };
 
-/// The named §3.1 hard-handoff policy (History reads the whole campaign);
-/// null for AllBSes, which replays without one. Throws std::runtime_error
-/// for an unknown name.
+/// The named §3.1 hard-handoff policy (History reads \p history, the
+/// campaign's shared day tables); null for AllBSes, which replays without
+/// one. Throws std::runtime_error for an unknown name.
 std::unique_ptr<handoff::HandoffPolicy> make_replay_policy(
-    const std::string& policy, const trace::Campaign& campaign) {
+    const std::string& policy, const handoff::HistoryTables& history) {
   using namespace handoff;
   check_policy("replay", policy);
   if (policy == "BestBS") return std::make_unique<BestBsPolicy>();
-  if (policy == "History") return std::make_unique<HistoryPolicy>(campaign);
+  if (policy == "History") return std::make_unique<HistoryPolicy>(history);
   if (policy == "RSSI") return std::make_unique<RssiPolicy>();
   if (policy == "BRR") return std::make_unique<BrrPolicy>();
   if (policy == "Sticky") return std::make_unique<StickyPolicy>();
   return nullptr;
 }
 
-/// replay_trip with the trip's slot masks already built.
+/// replay_trip with the trip's slot masks and the campaign's History
+/// tables already built.
 std::vector<handoff::SlotOutcome> replay_with(
     const trace::MeasurementTrace& trip, const trace::SlotMasks& heard,
-    const std::string& policy, const trace::Campaign& campaign) {
+    const std::string& policy, const handoff::HistoryTables& history) {
   if (policy == "AllBSes") return handoff::replay_allbses(trip, heard);
   return handoff::replay_hard_handoff(trip, heard,
-                                      *make_replay_policy(policy, campaign));
+                                      *make_replay_policy(policy, history));
 }
 
 /// Everything one trip contributes to its point — and, folded in trip order
@@ -423,7 +424,10 @@ void run_replay(const scenario::Testbed& bed, const ExperimentPoint& point,
   }
 
   // An unknown policy fails the point itself, not each of its trips.
-  make_replay_policy(point.policy, *campaign);
+  // History's day tables are built once for the point's campaign, by the
+  // first trace that needs each day, and read by every trace after.
+  const handoff::HistoryTables history(*campaign);
+  make_replay_policy(point.policy, history);
 
   // Fleet campaigns carry one trace per vehicle per trip; every vehicle's
   // log replays under the policy and aggregates into the point's metrics.
@@ -443,7 +447,7 @@ void run_replay(const scenario::Testbed& bed, const ExperimentPoint& point,
         const trace::SlotMasks& heard =
             lease ? lease->masks(i) : own.emplace(trip);
         const auto stream = outcomes_to_stream(
-            replay_with(trip, heard, point.policy, *campaign));
+            replay_with(trip, heard, point.policy, history));
         TripOutcome out{TripTally(fleet),
                         std::max(trip.duration, Time::seconds(1.0))};
         out.tally.acc.add_trip(stream, point.session);
@@ -855,7 +859,8 @@ analysis::SlotStream outcomes_to_stream(
 std::vector<handoff::SlotOutcome> replay_trip(
     const trace::MeasurementTrace& trip, const std::string& policy,
     const trace::Campaign& campaign) {
-  return replay_with(trip, trace::SlotMasks(trip), policy, campaign);
+  return replay_with(trip, trace::SlotMasks(trip), policy,
+                     handoff::HistoryTables(campaign));
 }
 
 PointResult run_point(const ExperimentPoint& point) {
