@@ -29,19 +29,81 @@ int tid_of(sim::NodeId node) {
 /// doubles at most, plus a 16-byte kind name and the field names).
 constexpr std::size_t kLineBytes = 512;
 
+/// True when %.17g prints \p v as an integer (below 1e17 and integral),
+/// except -0, which %.17g spells "-0".
+bool prints_as_integer(double v) {
+  return v > -1e17 && v < 1e17 &&
+         v == static_cast<double>(static_cast<std::int64_t>(v)) &&
+         (v != 0.0 || !std::signbit(v));
+}
+
 /// Writes \p v as printf's "%.17g" renders it into [p, p + 32).
 char* put_double(char* p, double v) {
-  // Most event arguments are integral (zeros, attempts, flags), and %.17g
-  // prints an integral value below 1e17 as that integer: take the cheap
-  // integer path for those, except -0, which %.17g spells "-0".
-  if (v > -1e17 && v < 1e17 &&
-      v == static_cast<double>(static_cast<std::int64_t>(v)) &&
-      (v != 0.0 || !std::signbit(v)))
+  // Most event arguments are integral (zeros, attempts, flags): take the
+  // cheap integer path for those.
+  if (prints_as_integer(v))
     return std::to_chars(p, p + 32, static_cast<std::int64_t>(v)).ptr;
   // general + precision 17 is printf's %.17g byte for byte (exponent
   // form, inf/nan spellings included); the shortest round-trip form of
   // plain std::to_chars is not, and would change every export.
   return std::to_chars(p, p + 32, v, std::chars_format::general, 17).ptr;
+}
+
+/// put_double through a direct-mapped cache keyed by the double's bits:
+/// an export renders each distinct non-integral value once (a recording
+/// repeats a few hundred airtimes and probabilities many thousand times).
+class DoubleMemo {
+ public:
+  char* put(char* p, double v) {
+    if (prints_as_integer(v))
+      return std::to_chars(p, p + 32, static_cast<std::int64_t>(v)).ptr;
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    // Integral values never get here, so bits 0 (+0.0) marks a free slot.
+    Slot& slot = slots_[(bits * 0x9E3779B97F4A7C15ull) >> (64 - kSlotBits)];
+    if (slot.bits != bits) {
+      slot.bits = bits;
+      slot.len = static_cast<std::uint8_t>(
+          std::to_chars(slot.text, slot.text + sizeof(slot.text), v,
+                        std::chars_format::general, 17)
+              .ptr -
+          slot.text);
+    }
+    std::memcpy(p, slot.text, slot.len);
+    return p + slot.len;
+  }
+
+ private:
+  static constexpr int kSlotBits = 10;
+  struct Slot {
+    std::uint64_t bits = 0;
+    std::uint8_t len = 0;
+    char text[24];  ///< %.17g is at most 24 bytes ("-1.2345678901234567e-308").
+  };
+  Slot slots_[std::size_t{1} << kSlotBits];
+};
+
+/// The constant text of each kind's lines: the Chrome event head up to
+/// the tid, and the JSONL kind and node keys.
+struct KindText {
+  std::string chrome_head;
+  std::string jsonl_kind;
+};
+
+const KindText& kind_text(EventKind kind) {
+  static const std::vector<KindText> texts = [] {
+    std::vector<KindText> out(kEventKindCount);
+    for (int k = 0; k < kEventKindCount; ++k) {
+      const auto kind = static_cast<EventKind>(k);
+      out[k].chrome_head = std::string("{\"name\":\"") + to_string(kind) +
+                           "\",\"cat\":\"" + category(kind) +
+                           "\",\"pid\":0,\"tid\":";
+      out[k].jsonl_kind =
+          std::string(",\"kind\":\"") + to_string(kind) + "\",\"node\":\"";
+    }
+    return out;
+  }();
+  return texts[static_cast<int>(kind)];
 }
 
 /// One output line rendered on the stack: literals are copied with
@@ -58,14 +120,18 @@ class Line {
     return raw(s, N - 1);
   }
   Line& str(const char* s) { return raw(s, std::strlen(s)); }
+  Line& str(const std::string& s) { return raw(s.data(), s.size()); }
   template <typename Int>
   Line& num(Int v) {
     n_ = static_cast<std::size_t>(
         std::to_chars(buf_ + n_, buf_ + kLineBytes, v).ptr - buf_);
     return *this;
   }
-  Line& dbl(double v) {
-    n_ = static_cast<std::size_t>(put_double(buf_ + n_, v) - buf_);
+  /// \p v, through \p memo when there is one.
+  Line& dbl(double v, DoubleMemo* memo = nullptr) {
+    char* p = buf_ + n_;
+    n_ = static_cast<std::size_t>(
+        (memo != nullptr ? memo->put(p, v) : put_double(p, v)) - buf_);
     return *this;
   }
   /// "n<id>", or "-" for an invalid node.
@@ -150,33 +216,52 @@ class BlockWriter {
 };
 
 /// A Chrome event line's object, after the separator \p line may carry.
-void chrome_event(Line& line, const TraceEvent& e) {
-  line.lit("{\"name\":\"")
-      .str(to_string(e.kind))
-      .lit("\",\"cat\":\"")
-      .str(category(e.kind))
-      .lit("\",\"pid\":0,\"tid\":")
+void chrome_event(Line& line, const TraceEvent& e, DoubleMemo& memo) {
+  line.str(kind_text(e.kind).chrome_head)
       .num(tid_of(e.node))
       .lit(",\"ts\":")
       .num(e.at.to_micros());
   if (e.kind == EventKind::FrameTx) {
     // Frame transmissions are duration slices: `a` carries the airtime.
     line.lit(",\"ph\":\"X\",\"dur\":")
-        .num(static_cast<std::int64_t>(e.a * 1e6 + 0.5));
+        .num(static_cast<std::int64_t>(e.a * 1e6 + 0.5))
+        .lit(",\"args\":{\"peer\":\"");
   } else {
-    line.lit(",\"ph\":\"i\",\"s\":\"t\"");
+    line.lit(",\"ph\":\"i\",\"s\":\"t\",\"args\":{\"peer\":\"");
   }
-  line.lit(",\"args\":{\"peer\":\"")
+  line.node(e.peer)
+      .lit("\",\"id\":")
+      .num(e.id)
+      .lit(",\"a\":")
+      .dbl(e.a, &memo)
+      .lit(",\"b\":")
+      .dbl(e.b, &memo)
+      .lit(",\"c\":")
+      .num(e.c)
+      .lit("}}");
+}
+
+/// append_jsonl's line, its doubles rendered through \p memo if any.
+void jsonl_event(std::string& out, const TraceEvent& e, DoubleMemo* memo) {
+  Line()
+      .lit("{\"seq\":")
+      .num(e.seq)
+      .lit(",\"t_us\":")
+      .num(e.at.to_micros())
+      .str(kind_text(e.kind).jsonl_kind)
+      .node(e.node)
+      .lit("\",\"peer\":\"")
       .node(e.peer)
       .lit("\",\"id\":")
       .num(e.id)
       .lit(",\"a\":")
-      .dbl(e.a)
+      .dbl(e.a, memo)
       .lit(",\"b\":")
-      .dbl(e.b)
+      .dbl(e.b, memo)
       .lit(",\"c\":")
       .num(e.c)
-      .lit("}}");
+      .lit("}\n")
+      .append_to(out);
 }
 
 }  // namespace
@@ -230,27 +315,7 @@ void append_double(std::string& out, double v) {
 }
 
 void append_jsonl(std::string& out, const TraceEvent& e) {
-  Line()
-      .lit("{\"seq\":")
-      .num(e.seq)
-      .lit(",\"t_us\":")
-      .num(e.at.to_micros())
-      .lit(",\"kind\":\"")
-      .str(to_string(e.kind))
-      .lit("\",\"node\":\"")
-      .node(e.node)
-      .lit("\",\"peer\":\"")
-      .node(e.peer)
-      .lit("\",\"id\":")
-      .num(e.id)
-      .lit(",\"a\":")
-      .dbl(e.a)
-      .lit(",\"b\":")
-      .dbl(e.b)
-      .lit(",\"c\":")
-      .num(e.c)
-      .lit("}\n")
-      .append_to(out);
+  jsonl_event(out, e, nullptr);
 }
 
 void write_chrome_trace(const TraceRecorder& recorder, std::ostream& os) {
@@ -295,9 +360,10 @@ void write_chrome_trace(const TraceRecorder& recorder, std::ostream& os) {
   // whose open intervals close at the latest event time.
   SpanBuilder spans;
   Time horizon;
+  DoubleMemo memo;
   recorder.visit([&](const TraceEvent& e) {
     Line line = open_line();
-    chrome_event(line, e);
+    chrome_event(line, e, memo);
     line.append_to(out);
     w.spill();
     spans.add(e);
@@ -366,8 +432,9 @@ void write_jsonl(const TraceRecorder& recorder, std::ostream& os) {
     append_escaped(out, dropped_warning(dropped));
     Line().lit("\",\"dropped\":").num(dropped).lit("}\n").append_to(out);
   }
+  DoubleMemo memo;
   recorder.visit([&](const TraceEvent& e) {
-    append_jsonl(out, e);
+    jsonl_event(out, e, &memo);
     w.spill();
   });
   for (const LogRecord& rec : recorder.log_records()) {

@@ -102,7 +102,7 @@ class TraceRecorder {
   /// per-kind counts (sink kinds must match; ring capacities must match).
   /// The sharded executor uses this to stitch per-worker trip recorders
   /// into one point timeline; a stream \p other's part spool is finalized
-  /// and fully replayed through its ordered visit (streams never drop).
+  /// and copied in whole, record by record (streams never drop).
   void absorb(const TraceRecorder& other, Time offset);
 
   /// Human-readable track label for a node ("bs", "vehicle", "host").

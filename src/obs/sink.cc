@@ -123,16 +123,11 @@ void StreamSink::visit(const EventFn& fn) const {
 
 void StreamSink::absorb(const StreamSink& other, Time at_offset,
                         std::uint64_t seq_offset) {
-  // Stream absorb is a full replay: unlike rings nothing was overwritten,
-  // so the stitched spool holds every event of every trip — and because
-  // the push sequence (hence block-flush cadence) matches a sequential
-  // recording's, so do the resulting bytes.
-  other.visit([&](const TraceEvent& e) {
-    TraceEvent shifted = e;
-    shifted.at = e.at + at_offset;
-    shifted.seq = e.seq + seq_offset;
-    writer_->push(shifted);
-  });
+  // Nothing was overwritten, so the stitched spool holds every event of
+  // every trip; the writer copies other's records as they are, in the
+  // order that pushing them one by one would write them.
+  if (!other.finalized()) other.finalize({});
+  writer_->absorb(SpoolReader(other.path()), at_offset, seq_offset);
 }
 
 void StreamSink::set_node_label(sim::NodeId node, const std::string& label) {

@@ -16,11 +16,12 @@
 ///
 /// The set is closed: two plain classes with the same push / nodes /
 /// visit / absorb shape and no common base. Both replay their retained
-/// events in seq order through `visit` — the read path of the exporters
-/// and of `absorb`, which folds another sink *of the same kind* in so the
-/// sharded executor can stitch per-trip sinks into one session sink with
-/// the same bytes a sequential recording would produce (the determinism
-/// contract recorder.h states). A stream's visit is SpoolReader's merge:
+/// events in seq order through `visit`, the read path of the exporters.
+/// `absorb` folds another sink *of the same kind* in so the sharded
+/// executor can stitch per-trip sinks into one session sink with the same
+/// bytes a sequential recording would produce (the determinism contract
+/// recorder.h states): a ring replays the other's window, a stream copies
+/// the other's encoded records. A stream's visit is SpoolReader's merge:
 /// it never holds the whole spool in memory.
 
 #include <cstdint>
@@ -103,10 +104,11 @@ class StreamSink {
   /// Finalizes the spool (with no logs, if the recorder has not already
   /// finalized it) and streams every record back in seq order.
   void visit(const EventFn& fn) const;
-  /// Finalizes and visits \p other's spool, pushing each record here
-  /// shifted by \p at_offset / \p seq_offset. The sharded executor absorbs
-  /// per-trip part spools this way, in trip order, so the session spool
-  /// is byte-identical to a sequential recording's.
+  /// Finalizes \p other's spool and appends its records here shifted by
+  /// \p at_offset / \p seq_offset (SpoolWriter::absorb: copied as
+  /// encoded, never decoded). The sharded executor absorbs per-trip part
+  /// spools this way, in trip order, so the session spool is
+  /// byte-identical to a sequential recording's.
   void absorb(const StreamSink& other, Time at_offset,
               std::uint64_t seq_offset);
   /// Track label persisted in the spool footer.

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "util/contracts.h"
 
@@ -68,11 +71,163 @@ constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8;
 constexpr std::size_t kTrailerBytes = 8 + 8;
 constexpr std::size_t kChunkHeaderBytes = 4 + 4;
 
+/// Record field offsets (see the record layout in spool.h).
+constexpr std::size_t kSeqField = 8;
+constexpr std::size_t kKindField = 36;
+/// Node ids below this reach their SpoolWriter state by a dense index.
+constexpr int kDenseNodes = 1 << 16;
+
+template <typename T>
+T load(const char* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(T));
+  return v;
+}
+
+template <typename T>
+void store(char* p, T v) {
+  std::memcpy(p, &v, sizeof(T));
+}
+
 std::ifstream open_spool(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open spool " + path);
   return in;
 }
+
+/// The kind byte of the record at \p rec, checked: a byte that names no
+/// EventKind would index the per-kind counters out of bounds.
+int record_kind(const char* rec, const std::string& path) {
+  const auto kind = static_cast<unsigned char>(rec[kKindField]);
+  if (kind >= kEventKindCount)
+    throw std::runtime_error("spool record has unknown event kind " +
+                             std::to_string(kind) + " in " + path);
+  return kind;
+}
+
+/// Holds one node's records to strictly ascending seq: a corrupt spool
+/// must fail, not yield a silently mis-ordered timeline.
+class SeqOrder {
+ public:
+  explicit SeqOrder(const std::string& path) : path_(&path) {}
+
+  void check(std::uint64_t seq) {
+    if (seen_ && seq <= last_)
+      throw std::runtime_error("spool records out of seq order in " +
+                               *path_);
+    seen_ = true;
+    last_ = seq;
+  }
+  std::uint64_t last() const { return last_; }
+
+ private:
+  const std::string* path_;
+  bool seen_ = false;
+  std::uint64_t last_ = 0;
+};
+
+/// Holds an absorb to seqs that no two nodes share: with each node's
+/// SeqOrder, the check that visit()'s merged order makes. A bitmap over
+/// the part's seq range [lo, hi] when it is dense enough to be small,
+/// else a list sorted and checked at finish().
+class SeqClaims {
+ public:
+  SeqClaims(std::uint64_t lo, std::uint64_t hi, std::uint64_t records,
+            const std::string& path)
+      : lo_(lo), hi_(hi), path_(path) {
+    if (lo > hi) return;  // no records
+    const std::uint64_t words = (hi - lo) / 64 + 1;
+    if (words <= records + 1024)
+      bits_.assign(words, 0);
+    else
+      sparse_ = true;
+  }
+
+  void claim(std::uint64_t seq) {
+    if (sparse_) {
+      seqs_.push_back(seq);
+      return;
+    }
+    // Beyond a node's last record, its own order check would fail later.
+    if (seq < lo_ || seq > hi_) fail();
+    const std::uint64_t i = seq - lo_;
+    std::uint64_t& word = bits_[i >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (i & 63);
+    if ((word & bit) != 0) fail();
+    word |= bit;
+  }
+
+  void finish() {
+    std::sort(seqs_.begin(), seqs_.end());
+    if (std::adjacent_find(seqs_.begin(), seqs_.end()) != seqs_.end())
+      fail();
+  }
+
+ private:
+  [[noreturn]] void fail() const {
+    throw std::runtime_error("spool records out of seq order in " + path_);
+  }
+
+  std::uint64_t lo_, hi_;
+  const std::string& path_;
+  bool sparse_ = false;
+  std::vector<std::uint64_t> bits_;
+  std::vector<std::uint64_t> seqs_;
+};
+
+/// A spool open for reads at any offset, seeking only when a read does not
+/// continue the previous one. Every failed read is a truncated chunk.
+class ChunkFile {
+ public:
+  explicit ChunkFile(const std::string& path)
+      : in_(open_spool(path)), path_(path) {}
+
+  void read(std::uint64_t offset, char* out, std::size_t n) {
+    if (offset != pos_) in_.seekg(static_cast<std::int64_t>(offset));
+    in_.read(out, static_cast<std::streamsize>(n));
+    if (!in_) throw std::runtime_error("truncated spool chunk in " + path_);
+    pos_ = offset + n;
+  }
+
+  /// Reads chunk \p ref of \p node (header and records) into \p buf,
+  /// checking its header against the footer index.
+  void read_chunk(sim::NodeId node, const SpoolChunkRef& ref,
+                  std::vector<char>& buf) {
+    buf.resize(kChunkHeaderBytes +
+               static_cast<std::size_t>(ref.count) * kSpoolRecordBytes);
+    read(ref.offset, buf.data(), buf.size());
+    check_header(buf.data(), node, ref);
+  }
+
+  /// Reads and checks only chunk \p ref's header.
+  void read_header(sim::NodeId node, const SpoolChunkRef& ref) {
+    char header[kChunkHeaderBytes];
+    read(ref.offset, header, sizeof(header));
+    check_header(header, node, ref);
+  }
+
+  /// The seq of the record at file offset \p record.
+  std::uint64_t seq_at(std::uint64_t record) {
+    char seq[8];
+    read(record + kSeqField, seq, sizeof(seq));
+    return load<std::uint64_t>(seq);
+  }
+
+ private:
+  void check_header(const char* header, sim::NodeId node,
+                    const SpoolChunkRef& ref) const {
+    if (load<std::int32_t>(header) != node.value())
+      throw std::runtime_error("spool index points at a foreign chunk in " +
+                               path_);
+    if (load<std::uint32_t>(header + 4) != ref.count)
+      throw std::runtime_error(
+          "spool chunk count disagrees with the footer in " + path_);
+  }
+
+  std::ifstream in_;
+  const std::string& path_;
+  std::uint64_t pos_ = 0;
+};
 
 }  // namespace
 
@@ -134,6 +289,7 @@ SpoolWriter::SpoolWriter(std::string path, std::size_t block_events)
   put<std::uint32_t>(header, static_cast<std::uint32_t>(kSpoolRecordBytes));
   put<std::uint64_t>(header, static_cast<std::uint64_t>(block_events_));
   out_.write(header.data(), static_cast<std::streamsize>(header.size()));
+  offset_ = header.size();
 }
 
 SpoolWriter::~SpoolWriter() {
@@ -147,24 +303,137 @@ SpoolWriter::~SpoolWriter() {
   }
 }
 
+SpoolWriter::NodeState& SpoolWriter::state(sim::NodeId node) {
+  const int id = node.value();
+  const bool dense = id >= 0 && id < kDenseNodes;
+  if (dense && static_cast<std::size_t>(id) < dense_.size() &&
+      dense_[id] != nullptr)
+    return *dense_[id];
+  NodeState& s = nodes_[node];
+  if (dense) {
+    if (static_cast<std::size_t>(id) >= dense_.size())
+      dense_.resize(static_cast<std::size_t>(id) + 1, nullptr);
+    dense_[id] = &s;
+  }
+  return s;
+}
+
+char* SpoolWriter::record_at(NodeState& s, std::size_t i) {
+  if (s.block == nullptr)
+    s.block.reset(new char[kChunkHeaderBytes +
+                           block_events_ * kSpoolRecordBytes]);
+  return s.block.get() + kChunkHeaderBytes + i * kSpoolRecordBytes;
+}
+
 void SpoolWriter::push(const TraceEvent& e) {
   VIFI_EXPECTS(!finalized_);
   ++pushed_;
   ++kind_counts_[static_cast<int>(e.kind)];
   max_at_us_ = std::max(max_at_us_, e.at.to_micros());
-  auto it = nodes_.find(e.node);
-  if (it == nodes_.end()) {
-    it = nodes_.emplace(e.node, NodeState{}).first;
-    it->second.block.reserve(block_events_);
+  NodeState& s = state(e.node);
+  ++s.events;
+  encode_event(e, record_at(s, s.fill));
+  if (++s.fill >= block_events_) flush_block(e.node, s);
+}
+
+void SpoolWriter::absorb(const SpoolReader& part, Time at_offset,
+                         std::uint64_t seq_offset) {
+  VIFI_EXPECTS(!finalized_);
+  const std::string& path = part.path();
+  ChunkFile in(path);
+  // Where the copy of one of part's nodes stands.
+  struct Source {
+    const SpoolNodeIndex* idx;
+    NodeState* state;
+    SeqOrder order;
+    std::size_t chunk = 0;  ///< Next chunk of idx to open.
+    std::uint32_t left = 0;  ///< Records of the open chunk not yet copied.
+    std::uint64_t pos = 0;   ///< File offset of the next of them.
+  };
+  std::vector<Source> sources;
+  std::uint64_t lo = std::numeric_limits<std::uint64_t>::max(), hi = 0;
+  for (const SpoolNodeIndex& idx : part.nodes()) {
+    if (idx.events == 0) continue;
+    sources.push_back({&idx, &state(idx.node), SeqOrder(path)});
+    // A node's first and last records bound its seqs (or its order
+    // check fails), so together they bound the part's.
+    const auto first = std::find_if(idx.chunks.begin(), idx.chunks.end(),
+                                    [](const SpoolChunkRef& c) {
+                                      return c.count > 0;
+                                    });
+    const auto last = std::find_if(idx.chunks.rbegin(), idx.chunks.rend(),
+                                   [](const SpoolChunkRef& c) {
+                                     return c.count > 0;
+                                   });
+    lo = std::min(lo, in.seq_at(first->offset + kChunkHeaderBytes));
+    hi = std::max(hi, in.seq_at(last->offset + kChunkHeaderBytes +
+                                (last->count - 1) * kSpoolRecordBytes));
   }
-  NodeState& state = it->second;
-  ++state.events;
-  state.block.push_back(e);
-  if (state.block.size() >= block_events_) flush_block(e.node, state);
+  SeqClaims claims(lo, hi, part.recorded(), path);
+  const std::int64_t at_us = at_offset.to_micros();
+
+  // Copies src's records into its node's block until the block is full
+  // (true) or the node has no records left (false), shifting each in
+  // place and counting it as push() would.
+  const auto fill = [&](Source& src) {
+    NodeState& s = *src.state;
+    while (s.fill < block_events_) {
+      if (src.left == 0) {
+        if (src.chunk == src.idx->chunks.size()) return false;
+        const SpoolChunkRef& ref = src.idx->chunks[src.chunk++];
+        in.read_header(src.idx->node, ref);
+        src.left = ref.count;
+        src.pos = ref.offset + kChunkHeaderBytes;
+        continue;
+      }
+      const std::uint32_t n = std::min<std::uint32_t>(
+          src.left, static_cast<std::uint32_t>(block_events_ - s.fill));
+      char* rec = record_at(s, s.fill);
+      in.read(src.pos, rec, n * kSpoolRecordBytes);
+      for (std::uint32_t i = 0; i < n; ++i, rec += kSpoolRecordBytes) {
+        const int kind = record_kind(rec, path);
+        const auto seq = load<std::uint64_t>(rec + kSeqField);
+        src.order.check(seq);
+        claims.claim(seq);
+        const std::int64_t at = load<std::int64_t>(rec) + at_us;
+        store(rec, at);
+        store(rec + kSeqField, seq + seq_offset);
+        ++kind_counts_[kind];
+        max_at_us_ = std::max(max_at_us_, at);
+      }
+      s.fill += n;
+      s.events += n;
+      pushed_ += n;
+      src.left -= n;
+      src.pos += n * kSpoolRecordBytes;
+    }
+    return true;
+  };
+
+  // A sequential push flushes a block at the record that fills it, so
+  // full blocks go to disk in the order of those records' seqs: a heap
+  // holds each node's next full block, keyed by its last seq.
+  using Full = std::pair<std::uint64_t, std::size_t>;  // (seq, source)
+  std::vector<Full> full;
+  for (std::size_t i = 0; i < sources.size(); ++i)
+    if (fill(sources[i])) full.emplace_back(sources[i].order.last(), i);
+  std::make_heap(full.begin(), full.end(), std::greater<>());
+  while (!full.empty()) {
+    std::pop_heap(full.begin(), full.end(), std::greater<>());
+    Source& src = sources[full.back().second];
+    flush_block(src.idx->node, *src.state);
+    if (fill(src)) {
+      full.back().first = src.order.last();
+      std::push_heap(full.begin(), full.end(), std::greater<>());
+    } else {
+      full.pop_back();
+    }
+  }
+  claims.finish();
 }
 
 void SpoolWriter::set_node_label(sim::NodeId node, const std::string& label) {
-  nodes_[node].label = label;
+  state(node).label = label;
 }
 
 std::vector<sim::NodeId> SpoolWriter::nodes() const {
@@ -177,32 +446,26 @@ std::vector<sim::NodeId> SpoolWriter::nodes() const {
   return out;
 }
 
-void SpoolWriter::flush_block(sim::NodeId node, NodeState& state) {
-  std::string chunk;
-  chunk.reserve(kChunkHeaderBytes + state.block.size() * kSpoolRecordBytes);
-  put<std::int32_t>(chunk, node.value());
-  put<std::uint32_t>(chunk, static_cast<std::uint32_t>(state.block.size()));
-  char rec[kSpoolRecordBytes];
-  for (const TraceEvent& e : state.block) {
-    encode_event(e, rec);
-    chunk.append(rec, kSpoolRecordBytes);
-  }
-  state.chunks.push_back(
-      {static_cast<std::uint64_t>(out_.tellp()),
-       static_cast<std::uint32_t>(state.block.size())});
-  out_.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
-  state.block.clear();
+void SpoolWriter::flush_block(sim::NodeId node, NodeState& s) {
+  char* chunk = s.block.get();
+  store<std::int32_t>(chunk, node.value());
+  store<std::uint32_t>(chunk + 4, s.fill);
+  const std::size_t bytes = kChunkHeaderBytes + s.fill * kSpoolRecordBytes;
+  s.chunks.push_back({offset_, s.fill});
+  out_.write(chunk, static_cast<std::streamsize>(bytes));
+  offset_ += bytes;
+  s.fill = 0;
 }
 
 void SpoolWriter::finalize(const std::vector<SpoolLog>& logs) {
   if (finalized_) return;
   finalized_ = true;
-  for (auto& [node, state] : nodes_)
-    if (!state.block.empty()) flush_block(node, state);
+  for (auto& [node, s] : nodes_)
+    if (s.fill > 0) flush_block(node, s);
   kind_counts_[static_cast<int>(EventKind::Log)] =
       static_cast<std::uint64_t>(logs.size());
 
-  const std::uint64_t footer_offset = static_cast<std::uint64_t>(out_.tellp());
+  const std::uint64_t footer_offset = offset_;
   std::string footer;
   put<std::uint64_t>(footer, pushed_);
   put<std::int64_t>(footer, max_at_us_);
@@ -210,16 +473,16 @@ void SpoolWriter::finalize(const std::vector<SpoolLog>& logs) {
   for (int k = 0; k < kEventKindCount; ++k)
     put<std::uint64_t>(footer, kind_counts_[k]);
   put<std::uint32_t>(footer, static_cast<std::uint32_t>(nodes_.size()));
-  for (const auto& [node, state] : nodes_) {
+  for (const auto& [node, s] : nodes_) {
     put<std::int32_t>(footer, node.value());
-    put<std::uint64_t>(footer, state.events);
-    put<std::uint32_t>(footer, static_cast<std::uint32_t>(state.chunks.size()));
-    for (const SpoolChunkRef& c : state.chunks) {
+    put<std::uint64_t>(footer, s.events);
+    put<std::uint32_t>(footer, static_cast<std::uint32_t>(s.chunks.size()));
+    for (const SpoolChunkRef& c : s.chunks) {
       put<std::uint64_t>(footer, c.offset);
       put<std::uint32_t>(footer, c.count);
     }
-    put<std::uint32_t>(footer, static_cast<std::uint32_t>(state.label.size()));
-    footer += state.label;
+    put<std::uint32_t>(footer, static_cast<std::uint32_t>(s.label.size()));
+    footer += s.label;
   }
   put<std::uint32_t>(footer, static_cast<std::uint32_t>(logs.size()));
   for (const SpoolLog& log : logs) {
@@ -344,48 +607,27 @@ const SpoolNodeIndex* SpoolReader::find_node(sim::NodeId node) const {
 
 namespace {
 
-/// Reads chunk \p ref of \p node (header and records) into \p buf with one
-/// read, checking the chunk header against the footer index.
-void read_chunk(std::ifstream& in, const std::string& path, sim::NodeId node,
-                const SpoolChunkRef& ref, std::vector<char>& buf) {
-  buf.resize(kChunkHeaderBytes +
-             static_cast<std::size_t>(ref.count) * kSpoolRecordBytes);
-  in.seekg(static_cast<std::int64_t>(ref.offset));
-  in.read(buf.data(), static_cast<std::streamsize>(buf.size()));
-  if (!in) throw std::runtime_error("truncated spool chunk in " + path);
-  std::int32_t got_node = 0;
-  std::uint32_t got_count = 0;
-  std::memcpy(&got_node, buf.data(), 4);
-  std::memcpy(&got_count, buf.data() + 4, 4);
-  if (got_node != node.value())
-    throw std::runtime_error("spool index points at a foreign chunk in " +
-                             path);
-  if (got_count != ref.count)
-    throw std::runtime_error(
-        "spool chunk count disagrees with the footer in " + path);
-}
-
-/// One node's chunk list, read one chunk at a time: head() is the next
-/// record, decoded from the single chunk held in memory.
+/// One node's chunk list, read one chunk at a time: record() is the
+/// node's current record, still encoded.
 class NodeCursor {
  public:
   explicit NodeCursor(const SpoolNodeIndex& idx) : idx_(&idx) {}
 
-  /// Decodes the node's next record into head(); false once it is done.
-  bool next(std::ifstream& in, const std::string& path) {
+  /// Steps to the node's next record; false once it is done.
+  bool next(ChunkFile& in) {
     while (pos_ == end_) {
       if (chunk_ == idx_->chunks.size()) return false;
       const SpoolChunkRef& ref = idx_->chunks[chunk_++];
-      read_chunk(in, path, idx_->node, ref, buf_);
+      in.read_chunk(idx_->node, ref, buf_);
       pos_ = 0;
       end_ = ref.count;
     }
-    head_ = decode_event(buf_.data() + kChunkHeaderBytes +
-                         pos_++ * kSpoolRecordBytes);
+    record_ = buf_.data() + kChunkHeaderBytes + pos_++ * kSpoolRecordBytes;
     return true;
   }
 
-  const TraceEvent& head() const { return head_; }
+  const char* record() const { return record_; }
+  std::uint64_t seq() const { return load<std::uint64_t>(record_ + kSeqField); }
 
  private:
   const SpoolNodeIndex* idx_;
@@ -393,78 +635,65 @@ class NodeCursor {
   std::size_t pos_ = 0;    ///< Next record within buf_.
   std::size_t end_ = 0;    ///< Records in buf_.
   std::vector<char> buf_;
-  TraceEvent head_;
+  const char* record_ = nullptr;
 };
 
-/// Holds an ordered read to strictly ascending seq: a corrupt spool must
-/// fail, not yield a silently mis-ordered timeline.
-class SeqOrder {
- public:
-  explicit SeqOrder(const std::string& path) : path_(path) {}
-
-  void check(std::uint64_t seq) {
-    if (seen_ && seq <= last_)
-      throw std::runtime_error("spool records out of seq order in " + path_);
-    seen_ = true;
-    last_ = seq;
-  }
-
- private:
-  const std::string& path_;
-  bool seen_ = false;
-  std::uint64_t last_ = 0;
-};
+/// Decodes the record at \p rec, its kind checked, and hands it to \p fn.
+void emit(const char* rec, const std::string& path, const EventFn& fn) {
+  record_kind(rec, path);
+  fn(decode_event(rec));
+}
 
 /// Streams one node's records in seq order.
-void read_node(std::ifstream& in, const std::string& path,
+void read_node(ChunkFile& in, const std::string& path,
                const SpoolNodeIndex& idx, const EventFn& fn) {
   NodeCursor cursor(idx);
   SeqOrder order(path);
-  while (cursor.next(in, path)) {
-    order.check(cursor.head().seq);
-    fn(cursor.head());
+  while (cursor.next(in)) {
+    order.check(cursor.seq());
+    emit(cursor.record(), path, fn);
   }
 }
 
 }  // namespace
 
 void SpoolReader::scan(const EventFn& fn) const {
-  std::ifstream in = open_spool(path_);
+  ChunkFile in(path_);
   for (const SpoolNodeIndex& idx : nodes_) read_node(in, path_, idx, fn);
 }
 
 void SpoolReader::scan_node(sim::NodeId node, const EventFn& fn) const {
   const SpoolNodeIndex* idx = find_node(node);
   if (idx == nullptr) return;
-  std::ifstream in = open_spool(path_);
+  ChunkFile in(path_);
   read_node(in, path_, *idx, fn);
 }
 
 void SpoolReader::visit(const EventFn& fn) const {
-  std::ifstream in = open_spool(path_);
+  ChunkFile in(path_);
   std::vector<NodeCursor> cursors;
   cursors.reserve(nodes_.size());
   for (const SpoolNodeIndex& idx : nodes_) cursors.emplace_back(idx);
-  // Min-heap on each node's head seq: popping the least head and pushing
+  // Min-heap of (head seq, cursor): popping the least head and pushing
   // that node's next record replays the recording order.
-  const auto later = [](const NodeCursor* x, const NodeCursor* y) {
-    return x->head().seq > y->head().seq;
-  };
-  std::vector<NodeCursor*> heap;
+  using Head = std::pair<std::uint64_t, std::size_t>;
+  std::vector<Head> heap;
   heap.reserve(cursors.size());
-  for (NodeCursor& c : cursors)
-    if (c.next(in, path_)) heap.push_back(&c);
-  std::make_heap(heap.begin(), heap.end(), later);
+  for (std::size_t i = 0; i < cursors.size(); ++i)
+    if (cursors[i].next(in)) heap.emplace_back(cursors[i].seq(), i);
+  std::make_heap(heap.begin(), heap.end(), std::greater<>());
   SeqOrder order(path_);
   while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    NodeCursor* c = heap.back();
-    order.check(c->head().seq);
-    fn(c->head());
-    if (c->next(in, path_))
-      std::push_heap(heap.begin(), heap.end(), later);
-    else
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+    NodeCursor& c = cursors[heap.back().second];
+    order.check(heap.back().first);
+    emit(c.record(), path_, fn);
+    if (c.next(in)) {
+      heap.back().first = c.seq();
+      std::push_heap(heap.begin(), heap.end(), std::greater<>());
+    } else {
       heap.pop_back();
+    }
   }
 }
 

@@ -26,12 +26,16 @@
 /// node's chunks without reading the rest of the file. A node's chunks,
 /// in index order, hold its records seq-ascending, so the recording order
 /// is a k-way merge of the nodes' chunk lists (SpoolReader::visit).
+///
+/// Record layout (56 bytes): i64 at_us, u64 seq, u64 id, i32 node,
+/// i32 peer, i32 c, u8 kind, 3 pad bytes, f64 a, f64 b.
 
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -82,9 +86,11 @@ struct SpoolLog {
   std::string message;
 };
 
-/// Writes one spool file. Pushes buffer into per-node blocks and flush to
-/// disk only when a block fills; finalize() flushes the remainder and
-/// writes the footer + trailer. Destruction finalizes best-effort so a
+class SpoolReader;
+
+/// Writes one spool file. Pushes encode into per-node blocks, which go to
+/// disk as one chunk each when they fill; finalize() flushes the remainder
+/// and writes the footer + trailer. Destruction finalizes best-effort so a
 /// spool is never left without its index.
 class SpoolWriter {
  public:
@@ -97,6 +103,18 @@ class SpoolWriter {
   /// Buffers one event on its node's block (amortised: one chunk write per
   /// block_events pushes). Must not be called after finalize().
   void push(const TraceEvent& e);
+
+  /// Appends every record of the finalized spool \p part, its times
+  /// shifted by \p at_offset and its seqs by \p seq_offset: the same bytes
+  /// as pushing part's visit() order here, without decoding a record.
+  /// Records are copied chunk by chunk into their node's block, and the
+  /// blocks that fill are written in the order of the records that fill
+  /// them, as a sequential push would. Throws std::runtime_error naming
+  /// part's file where visit() would, and on an unknown kind byte. Nodes
+  /// of \p part without records are not added (labels travel with the
+  /// recorder).
+  void absorb(const SpoolReader& part, Time at_offset,
+              std::uint64_t seq_offset);
 
   /// Track label recorded into the footer's node index.
   void set_node_label(sim::NodeId node, const std::string& label);
@@ -120,21 +138,30 @@ class SpoolWriter {
   struct NodeState {
     std::uint64_t events = 0;
     std::string label;
-    std::vector<TraceEvent> block;
+    /// The next chunk as it goes to disk: the chunk header, then `fill`
+    /// encoded records. Allocated at the node's first record.
+    std::unique_ptr<char[]> block;
+    std::uint32_t fill = 0;
     std::vector<SpoolChunkRef> chunks;
   };
 
-  void flush_block(sim::NodeId node, NodeState& state);
+  NodeState& state(sim::NodeId node);
+  /// Where \p s's record \p i goes in its block.
+  char* record_at(NodeState& s, std::size_t i);
+  void flush_block(sim::NodeId node, NodeState& s);
 
   std::string path_;
   std::size_t block_events_;
   bool finalized_ = false;
+  std::uint64_t offset_ = 0;  ///< File offset of the next write.
   std::uint64_t pushed_ = 0;
   std::int64_t max_at_us_ = 0;
   std::uint64_t kind_counts_[kEventKindCount] = {};
   /// Ordered: finalize's residual-block flush and the footer index walk
   /// nodes ascending, part of the byte-determinism contract.
   std::map<sim::NodeId, NodeState> nodes_;
+  /// nodes_ entries by id, for the ids below 2^16 (others use the map).
+  std::vector<NodeState*> dense_;
   std::ofstream out_;
 };
 
@@ -143,7 +170,8 @@ class SpoolWriter {
 /// scan_node() seeks straight to one node's chunks via the footer index.
 /// Every read throws std::runtime_error naming the file when a chunk
 /// disagrees with the footer index (foreign node, record count, short
-/// read) or, for the seq-ordered reads, when records go backwards.
+/// read), when a record's kind byte names no EventKind, or when a node's
+/// records (and, for visit(), the merged timeline) go backwards.
 class SpoolReader {
  public:
   /// Opens and validates \p path; throws std::runtime_error with a crisp
@@ -172,10 +200,11 @@ class SpoolReader {
   /// Streams only \p node's records in seq order, seeking each chunk via
   /// the footer index; a node absent from the index is a no-op.
   void scan_node(sim::NodeId node, const EventFn& fn) const;
-  /// Streams every record in seq (recording) order: a k-way merge over
-  /// the nodes' chunk lists, each already seq-ascending, holding one
-  /// decoded chunk per node rather than the whole file. This is the read
-  /// path of the exporters and of StreamSink::absorb.
+  /// Streams every record in seq (recording) order: a k-way merge on a
+  /// (seq, node) heap over the nodes' chunk lists, each already
+  /// seq-ascending, holding one encoded chunk per node rather than the
+  /// whole file and decoding each record as it is emitted. This is the
+  /// read path of the exporters.
   void visit(const EventFn& fn) const;
   /// visit() collected into a vector, for callers that want the whole
   /// timeline in memory (tests, small spools).

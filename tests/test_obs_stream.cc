@@ -1,6 +1,6 @@
 // Tests for TripScope Streams: the spool on-disk format (round-trip,
 // footer index, crisp errors on foreign/truncated files and on hostile
-// chunks under the seq-ordered reader), StreamSink /
+// chunks and records under every reader), StreamSink /
 // TraceRecorder streaming semantics (ring-vs-stream export byte-identity
 // when the run fits the ring, full fidelity past the ring horizon,
 // trip-order absorb reproducing a direct recording's spool bytes), the
@@ -225,6 +225,14 @@ TEST(Spool, HostileChunksThrowNamingTheFileOnEveryRead) {
     poke<std::uint64_t>(
         c.bytes, first.offset + kChunkHeader + kSpoolRecordBytes + kSeqField,
         0);
+    cases.push_back(std::move(c));
+  }
+  {
+    // Node 1's first record carries a kind byte that names no EventKind:
+    // a reader indexing per-kind counters with it would run out of bounds.
+    constexpr std::uint64_t kKindField = 36;
+    Case c{"kind", bytes, "unknown event kind 200"};
+    poke<std::uint8_t>(c.bytes, first.offset + kChunkHeader + kKindField, 200);
     cases.push_back(std::move(c));
   }
   {
