@@ -8,8 +8,10 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/span.h"
+#include "util/contracts.h"
 
 namespace vifi::obs {
 
@@ -26,7 +28,8 @@ int tid_of(sim::NodeId node) {
 
 /// Longest line a Line is asked to hold, with room to spare: a Chrome
 /// event line is under 320 bytes (two 20-digit integers and two 24-byte
-/// doubles at most, plus a 16-byte kind name and the field names).
+/// doubles at most, plus a 16-byte kind name and the field names), and a
+/// fixed-width copy writes at most 64 bytes past a line's end.
 constexpr std::size_t kLineBytes = 512;
 
 /// True when %.17g prints \p v as an integer (below 1e17 and integral),
@@ -69,7 +72,7 @@ class DoubleMemo {
               .ptr -
           slot.text);
     }
-    std::memcpy(p, slot.text, slot.len);
+    std::memcpy(p, slot.text, sizeof(slot.text));  // fixed width; see Line
     return p + slot.len;
   }
 
@@ -83,23 +86,37 @@ class DoubleMemo {
   Slot slots_[std::size_t{1} << kSlotBits];
 };
 
+/// A short constant text kept in a fixed-width array, so a line copies
+/// all kWidth bytes with one fixed-size move (the line buffer has room
+/// to spare) and keeps the first `len`.
+struct Snippet {
+  static constexpr std::size_t kWidth = 64;
+  char text[kWidth] = {};
+  std::size_t len = 0;
+
+  explicit Snippet(const std::string& s) : len(s.size()) {
+    VIFI_ENSURES(len <= kWidth);
+    std::memcpy(text, s.data(), len);
+  }
+};
+
 /// The constant text of each kind's lines: the Chrome event head up to
 /// the tid, and the JSONL kind and node keys.
 struct KindText {
-  std::string chrome_head;
-  std::string jsonl_kind;
+  Snippet chrome_head;
+  Snippet jsonl_kind;
 };
 
 const KindText& kind_text(EventKind kind) {
   static const std::vector<KindText> texts = [] {
-    std::vector<KindText> out(kEventKindCount);
+    std::vector<KindText> out;
+    out.reserve(kEventKindCount);
     for (int k = 0; k < kEventKindCount; ++k) {
       const auto kind = static_cast<EventKind>(k);
-      out[k].chrome_head = std::string("{\"name\":\"") + to_string(kind) +
-                           "\",\"cat\":\"" + category(kind) +
-                           "\",\"pid\":0,\"tid\":";
-      out[k].jsonl_kind =
-          std::string(",\"kind\":\"") + to_string(kind) + "\",\"node\":\"";
+      const std::string name = to_string(kind);
+      out.push_back({Snippet("{\"name\":\"" + name + "\",\"cat\":\"" +
+                             category(kind) + "\",\"pid\":0,\"tid\":"),
+                     Snippet(",\"kind\":\"" + name + "\",\"node\":\"")});
     }
     return out;
   }();
@@ -120,7 +137,11 @@ class Line {
     return raw(s, N - 1);
   }
   Line& str(const char* s) { return raw(s, std::strlen(s)); }
-  Line& str(const std::string& s) { return raw(s.data(), s.size()); }
+  Line& str(const Snippet& s) {
+    std::memcpy(buf_ + n_, s.text, Snippet::kWidth);
+    n_ += s.len;
+    return *this;
+  }
   template <typename Int>
   Line& num(Int v) {
     n_ = static_cast<std::size_t>(

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -229,6 +228,35 @@ class ChunkFile {
   std::uint64_t pos_ = 0;
 };
 
+/// (seq, index) entries of a min-heap on seq: the k-way merges of the
+/// reader and of the writer's absorb.
+using SeqHead = std::pair<std::uint64_t, std::size_t>;
+
+bool later(const SeqHead& x, const SeqHead& y) { return x.first > y.first; }
+
+/// Restores the heap after its top entry changed: the merges replace the
+/// top in place (or drop it), then sift it down once, instead of a pop
+/// and a push.
+void sift_top(std::vector<SeqHead>& heap) {
+  if (heap.empty()) return;
+  const SeqHead moving = heap.front();
+  std::size_t i = 0;
+  for (std::size_t child = 1; child < heap.size(); child = 2 * i + 1) {
+    if (child + 1 < heap.size() && later(heap[child], heap[child + 1]))
+      ++child;
+    if (!later(moving, heap[child])) break;
+    heap[i] = heap[child];
+    i = child;
+  }
+  heap[i] = moving;
+}
+
+/// Drops the heap's top entry.
+void drop_top(std::vector<SeqHead>& heap) {
+  heap.front() = heap.back();
+  heap.pop_back();
+}
+
 }  // namespace
 
 void encode_event(const TraceEvent& e, char* out) {
@@ -413,21 +441,18 @@ void SpoolWriter::absorb(const SpoolReader& part, Time at_offset,
   // A sequential push flushes a block at the record that fills it, so
   // full blocks go to disk in the order of those records' seqs: a heap
   // holds each node's next full block, keyed by its last seq.
-  using Full = std::pair<std::uint64_t, std::size_t>;  // (seq, source)
-  std::vector<Full> full;
+  std::vector<SeqHead> full;  // (seq, source)
   for (std::size_t i = 0; i < sources.size(); ++i)
     if (fill(sources[i])) full.emplace_back(sources[i].order.last(), i);
-  std::make_heap(full.begin(), full.end(), std::greater<>());
+  std::make_heap(full.begin(), full.end(), later);
   while (!full.empty()) {
-    std::pop_heap(full.begin(), full.end(), std::greater<>());
-    Source& src = sources[full.back().second];
+    Source& src = sources[full.front().second];
     flush_block(src.idx->node, *src.state);
-    if (fill(src)) {
-      full.back().first = src.order.last();
-      std::push_heap(full.begin(), full.end(), std::greater<>());
-    } else {
-      full.pop_back();
-    }
+    if (fill(src))
+      full.front().first = src.order.last();
+    else
+      drop_top(full);
+    sift_top(full);
   }
   claims.finish();
 }
@@ -674,26 +699,23 @@ void SpoolReader::visit(const EventFn& fn) const {
   std::vector<NodeCursor> cursors;
   cursors.reserve(nodes_.size());
   for (const SpoolNodeIndex& idx : nodes_) cursors.emplace_back(idx);
-  // Min-heap of (head seq, cursor): popping the least head and pushing
-  // that node's next record replays the recording order.
-  using Head = std::pair<std::uint64_t, std::size_t>;
-  std::vector<Head> heap;
+  // Min-heap of (head seq, cursor): emitting the least head and sifting
+  // that node's next record down from the top replays the recording order.
+  std::vector<SeqHead> heap;
   heap.reserve(cursors.size());
   for (std::size_t i = 0; i < cursors.size(); ++i)
     if (cursors[i].next(in)) heap.emplace_back(cursors[i].seq(), i);
-  std::make_heap(heap.begin(), heap.end(), std::greater<>());
+  std::make_heap(heap.begin(), heap.end(), later);
   SeqOrder order(path_);
   while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
-    NodeCursor& c = cursors[heap.back().second];
-    order.check(heap.back().first);
+    NodeCursor& c = cursors[heap.front().second];
+    order.check(heap.front().first);
     emit(c.record(), path_, fn);
-    if (c.next(in)) {
-      heap.back().first = c.seq();
-      std::push_heap(heap.begin(), heap.end(), std::greater<>());
-    } else {
-      heap.pop_back();
-    }
+    if (c.next(in))
+      heap.front().first = c.seq();
+    else
+      drop_top(heap);
+    sift_top(heap);
   }
 }
 
