@@ -222,11 +222,6 @@ const HistoryTables::DayTable& HistoryTables::day(int day) const {
   return tables_[d];
 }
 
-HistoryPolicy::HistoryPolicy(const trace::Campaign& campaign,
-                             double cell_size_m)
-    : own_(std::make_unique<HistoryTables>(campaign, cell_size_m)),
-      tables_(own_.get()) {}
-
 std::vector<NodeId> HistoryPolicy::choose(const MeasurementTrace& trip,
                                           const SlotMasks& heard) {
   const std::size_t secs = trip_seconds(trip);

@@ -19,7 +19,6 @@
 ///              lives in replay.h since it is not an association policy.
 
 #include <map>
-#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -98,14 +97,10 @@ class HistoryPolicy final : public HandoffPolicy {
  public:
   /// Reads \p tables, which must outlive the policy.
   explicit HistoryPolicy(const HistoryTables& tables) : tables_(&tables) {}
-  /// Builds its own tables over \p campaign.
-  explicit HistoryPolicy(const trace::Campaign& campaign,
-                         double cell_size_m = 25.0);
   std::vector<NodeId> choose(const MeasurementTrace& trip,
                              const SlotMasks& heard) override;
 
  private:
-  std::unique_ptr<const HistoryTables> own_;
   const HistoryTables* tables_;
 };
 

@@ -136,7 +136,6 @@ class Line {
   Line& lit(const char (&s)[N]) {
     return raw(s, N - 1);
   }
-  Line& str(const char* s) { return raw(s, std::strlen(s)); }
   Line& str(const Snippet& s) {
     std::memcpy(buf_ + n_, s.text, Snippet::kWidth);
     n_ += s.len;

@@ -191,7 +191,8 @@ TEST(HistoryPolicy, UsesPreviousDayAtSameLocation) {
   day1.day = 1;
   campaign.trips.push_back(day1);
 
-  HistoryPolicy policy(campaign);
+  const HistoryTables tables(campaign);
+  HistoryPolicy policy(tables);
   const MeasurementTrace& today = campaign.trips[1];
   const std::vector<NodeId> choices = policy.choose(today, SlotMasks(today));
   EXPECT_EQ(choices[0], NodeId(0));  // immediately correct

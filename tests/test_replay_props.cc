@@ -637,12 +637,13 @@ TEST(PolicyProps, FlatTablesChooseWhatTheMapsChose) {
     for (int day = 0; day < 2; ++day)
       for (int k = 0; k < 2; ++k)
         campaign.trips.push_back(random_beacon_trip(rng, n_bs, day));
+    const handoff::HistoryTables tables(campaign);
     for (const auto& trip : campaign.trips) {
       const trace::SlotMasks heard(trip);
       handoff::RssiPolicy rssi;
       handoff::BrrPolicy brr;
       handoff::StickyPolicy sticky;
-      handoff::HistoryPolicy history(campaign);
+      handoff::HistoryPolicy history(tables);
       EXPECT_EQ(rssi.choose(trip, heard), ReferencePolicies::rssi(trip))
           << "trial " << trial;
       EXPECT_EQ(brr.choose(trip, heard), ReferencePolicies::brr(trip))
