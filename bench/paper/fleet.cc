@@ -34,11 +34,7 @@
 // bench/baseline.json and bench/baseline_large.json. Wall times go to
 // stderr, so stdout is a pure function of the code and the scale.
 
-#include <unistd.h>
-
-#include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -55,6 +51,7 @@
 #include "tracegen/fit.h"
 #include "tracegen/synth.h"
 #include "util/rng.h"
+#include "util/scratch_dir.h"
 
 using namespace vifi;
 using namespace vifi::bench;
@@ -208,34 +205,6 @@ CoordTwin run_coord_twin(runtime::ExperimentSpec spec,
   }
   return twin;
 }
-
-/// A directory of one run's own under temp_directory_path(), named by pid
-/// and a counter so concurrent runs never share one, and removed with
-/// everything in it however the run ends.
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& stem) {
-    static std::atomic<int> counter{0};
-    const std::filesystem::path tmp = std::filesystem::temp_directory_path();
-    do {
-      path_ = tmp / (stem + "_" + std::to_string(::getpid()) + "_" +
-                     std::to_string(counter++));
-    } while (!std::filesystem::create_directory(path_));
-  }
-  ~ScratchDir() {
-    std::error_code ignored;
-    std::filesystem::remove_all(path_, ignored);
-  }
-  ScratchDir(const ScratchDir&) = delete;
-  ScratchDir& operator=(const ScratchDir&) = delete;
-
-  std::string sub(const std::string& name) const {
-    return (path_ / name).string();
-  }
-
- private:
-  std::filesystem::path path_;
-};
 
 /// One DieselNet-Ch1 trip of a V-bus fleet, beacon-logged (§2.2).
 trace::Campaign record_fleet(int vehicles) {

@@ -300,15 +300,12 @@ BENCHMARK(BM_MediumBroadcastCulled)->Arg(256);
 // End-to-end packet path
 // ---------------------------------------------------------------------------
 
-/// What the end-to-end packet-path benches record while they run.
-enum class Tracing { Off, Rings, Stream };
-
 /// The deployment every packet-path bench times, built afresh per
 /// iteration: 3 BSes, one vehicle driving past them, 100 CBR upstream
 /// packets over 2 s. \p coord attaches the BS-side ConnectivityManager;
-/// \p tracing installs a recorder (rings or a disk spool) and a registry
-/// for the iteration.
-void run_packet_path(benchmark::State& state, bool coord, Tracing tracing) {
+/// \p traced installs a recorder spooling to disk and a registry for the
+/// iteration.
+void run_packet_path(benchmark::State& state, bool coord, bool traced) {
   constexpr int kPackets = 100;
   constexpr double kSimSeconds = 2.0;
   const std::string spool =
@@ -319,10 +316,8 @@ void run_packet_path(benchmark::State& state, bool coord, Tracing tracing) {
     std::optional<obs::MetricsRegistry> metrics;
     std::optional<obs::TraceScope> trace_scope;
     std::optional<obs::MetricsScope> metrics_scope;
-    if (tracing == Tracing::Rings) recorder.emplace();
-    if (tracing == Tracing::Stream)
+    if (traced) {
       recorder.emplace(std::make_unique<obs::StreamSink>(spool));
-    if (recorder) {
       metrics.emplace();
       trace_scope.emplace(*recorder);
       metrics_scope.emplace(*metrics);
@@ -357,20 +352,22 @@ void run_packet_path(benchmark::State& state, bool coord, Tracing tracing) {
                       [&system] { system.send_up(500); });
     }
     sim.run_until(Time::seconds(kSimSeconds + 1.0));
-    if (tracing == Tracing::Stream) recorder->finalize();
-    if (recorder) benchmark::DoNotOptimize(recorder->recorded());
+    if (recorder) {
+      recorder->finalize();
+      benchmark::DoNotOptimize(recorder->recorded());
+    }
     benchmark::DoNotOptimize(system.stats());
     if (manager) benchmark::DoNotOptimize(manager->transitions());
   }
   state.SetItemsProcessed(state.iterations() * kPackets);
-  if (tracing == Tracing::Stream) std::filesystem::remove(spool);
+  if (traced) std::filesystem::remove(spool);
 }
 
 void BM_EndToEndPacketPath(benchmark::State& state) {
   // Exercises the full chain: packet factory -> sender queue -> radio
   // CSMA -> medium sampling -> PAB/beacons -> relay consideration -> ack
   // handling.
-  run_packet_path(state, false, Tracing::Off);
+  run_packet_path(state, false, false);
 }
 BENCHMARK(BM_EndToEndPacketPath);
 
@@ -380,7 +377,7 @@ void BM_CoordEndToEnd(benchmark::State& state) {
   // state machine, predicts the drive-past succession (10 -> 11 -> 12)
   // and filters relays. Compare against BM_EndToEndPacketPath to read
   // the cost of coordination on the hot path.
-  run_packet_path(state, true, Tracing::Off);
+  run_packet_path(state, true, false);
 }
 BENCHMARK(BM_CoordEndToEnd);
 
@@ -443,11 +440,13 @@ BENCHMARK(BM_ReplaySweep)->MeasureProcessCPUTime()->UseRealTime();
 // TripScope observability
 // ---------------------------------------------------------------------------
 
-void BM_TraceRecordEnabled(benchmark::State& state) {
-  // Cost of the recording path itself: thread-local load + ring push.
-  // The tracing-OFF cost (load + branch, no recorder installed) is what
-  // BM_EndToEndPacketPath / BM_FleetEndToEnd measure — they run without a
-  // scope, so any regression there is regression of the disabled path.
+void BM_TraceStreamEnabled(benchmark::State& state) {
+  // Cost of the recording path itself: thread-local load, stamping, and
+  // the amortised spool push (block buffering + one chunk write per
+  // kSpoolBlockEvents pushes). The tracing-OFF cost (load + branch, no
+  // recorder installed) is what BM_EndToEndPacketPath / BM_FleetEndToEnd
+  // measure — they run without a scope, so any regression there is
+  // regression of the disabled path.
   obs::TraceRecorder recorder;
   obs::TraceScope scope(recorder);
   const NodeId node(3);
@@ -463,49 +462,13 @@ void BM_TraceRecordEnabled(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TraceRecordEnabled);
-
-void BM_EndToEndTraceOn(benchmark::State& state) {
-  // BM_EndToEndPacketPath with a recorder + registry installed: the price
-  // of a fully-traced point. Compare against BM_EndToEndPacketPath to read
-  // the enabled-tracing overhead; the gate holds both within +-15%.
-  run_packet_path(state, false, Tracing::Rings);
-}
-BENCHMARK(BM_EndToEndTraceOn);
-
-void BM_TraceStreamEnabled(benchmark::State& state) {
-  // BM_TraceRecordEnabled with the disk spool behind the recorder: the
-  // amortised per-event cost of streaming (block buffering + one chunk
-  // write per kSpoolBlockEvents pushes). Compare against
-  // BM_TraceRecordEnabled to read the rings-vs-streams premium.
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "vifi_bench_stream.spool")
-          .string();
-  obs::TraceRecorder recorder(std::make_unique<obs::StreamSink>(path));
-  obs::TraceScope scope(recorder);
-  const NodeId node(3);
-  const NodeId peer(10);
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    ++i;
-    obs::TraceRecorder* rec = obs::current_recorder();
-    if (rec)
-      rec->record(obs::EventKind::FrameTx, Time::micros(i), node, peer, i,
-                  0.002, 1.0, 0);
-    benchmark::DoNotOptimize(rec);
-  }
-  state.SetItemsProcessed(state.iterations());
-  recorder.finalize();
-  std::filesystem::remove(path);
-}
 BENCHMARK(BM_TraceStreamEnabled);
 
 void BM_EndToEndTraceStreamOn(benchmark::State& state) {
-  // BM_EndToEndTraceOn with the recorder spooling to disk: the price of a
-  // fully-traced point at full fidelity (no ring horizon). Compare
-  // against BM_EndToEndTraceOn for the streaming overhead on a whole
-  // deployment.
-  run_packet_path(state, false, Tracing::Stream);
+  // BM_EndToEndPacketPath with a recorder + registry installed: the price
+  // of a fully-traced point. Compare against BM_EndToEndPacketPath to read
+  // the enabled-tracing overhead.
+  run_packet_path(state, false, true);
 }
 BENCHMARK(BM_EndToEndTraceStreamOn);
 
@@ -532,7 +495,7 @@ class CountingBuf final : public std::streambuf {
 void BM_ExportStreamedPoint(benchmark::State& state) {
   // Chrome trace plus JSONL of a fixed streamed recording: the spool's
   // seq-ordered read, span derivation and rendering that a
-  // `sweep --trace --trace-stream` point pays after its simulation. The
+  // `sweep --trace` point pays after its simulation. The
   // recording (48 nodes, every event kind; `a` a full-precision double,
   // `b` integral, as attempt counts and flags mostly are) is spooled once,
   // outside the timed loop.

@@ -71,14 +71,11 @@ int usage(const char* argv0) {
       << "  --trip-seconds S    trip length; 0 = one full route lap\n"
       << "  --workload W        replay (default) or cbr\n"
       << "  --base-seed N       default 20080817\n"
-      << "  --trace DIR         TripScope: dump per-point timelines into\n"
-         "                      DIR (point_NNNN.trace.json Chrome/Perfetto\n"
-         "                      format, .jsonl event stream, .metrics.json)\n"
-      << "  --trace-stream      TripScope: spool each point's full event\n"
-         "                      stream to DIR/point_NNNN.spool instead of\n"
-         "                      the in-memory rings (full fidelity past the\n"
-         "                      16k-per-node ring horizon; query with\n"
-         "                      `tripscope query`); requires --trace\n"
+      << "  --trace DIR         TripScope: spool every event of each point to\n"
+         "                      DIR/point_NNNN.spool (query with `tripscope\n"
+         "                      query`) and dump its timeline beside it\n"
+         "                      (.trace.json Chrome/Perfetto format, .jsonl\n"
+         "                      event stream, .metrics.json)\n"
       << "  --metrics a,b       TripScope: emit registered metrics as result\n"
          "                      columns (exact key or name summed over\n"
          "                      labels), e.g. mac.transmissions\n"
@@ -140,7 +137,6 @@ int main(int argc, char** argv) {
       else if (arg == "--base-seed")
         spec.base_seed = cli::parse_number<std::uint64_t>(arg, value());
       else if (arg == "--trace") spec.trace_dir = value();
-      else if (arg == "--trace-stream") spec.trace_stream = true;
       else if (arg == "--metrics") spec.metric_columns = split_csv(value());
       else if (arg == "--cull") spec.cull_medium = true;
       else if (arg == "--json") json_path = value();

@@ -7,8 +7,8 @@
 // (loadable in Perfetto / chrome://tracing), a JSONL event stream, and a
 // metrics JSON document.
 //
-// The `query` subcommand reads a spooled trace (sweep --trace-stream)
-// without loading it whole: the spool's footer index seeks straight to a
+// The `query` subcommand reads a spooled trace (sweep --trace) without
+// loading it whole: the spool's footer index seeks straight to a
 // node's chunks, filters stream chunk-by-chunk, per-kind counts reconcile
 // exactly against the recorder counters stored in the footer, and span
 // summaries report anchor-tenure percentiles and the handoff gap
@@ -72,8 +72,8 @@ int usage(const char* argv0) {
       << "  --out DIR          export trip.trace.json (Chrome/Perfetto),\n"
          "                     trip.jsonl and trip.metrics.json into DIR\n"
       << "Subcommands:\n"
-      << "  query SPOOL ...    inspect a spooled trace (sweep\n"
-         "                     --trace-stream); see `" << argv0
+      << "  query SPOOL ...    inspect a spooled trace (sweep --trace);\n"
+         "                     see `" << argv0
       << " query`\n";
   return 2;
 }
@@ -91,8 +91,8 @@ std::string node_name(const obs::TraceRecorder& rec, sim::NodeId node) {
 int query_usage(const char* argv0) {
   std::cerr
       << "Usage: " << argv0 << " query SPOOL [options]\n"
-      << "  Reads a TripScope spool (sweep --trace-stream) via its footer\n"
-         "  index — chunks stream from disk, never the whole file.\n"
+      << "  Reads a TripScope spool (sweep --trace) via its footer index —\n"
+         "  chunks stream from disk, never the whole file.\n"
       << "  --node N           only node N's events (footer-index seek)\n"
       << "  --kind NAME        only events of this kind (e.g. beacon_rx,\n"
          "                     anchor_change, coord_transition)\n"
@@ -426,11 +426,19 @@ int main(int argc, char** argv) {
     TextTable table("Timeline summary (events per node)");
     table.set_header({"node", "events", "beacon", "designation", "relay",
                       "salvage", "mac", "app", "handoff"});
-    for (const sim::NodeId node : recorder.nodes()) {
+    struct NodeCounts {
+      std::uint64_t events = 0;
       std::map<std::string, std::uint64_t> per_cat;
-      const auto events = recorder.ring(node).snapshot();
-      for (const obs::TraceEvent& e : events) ++per_cat[obs::category(e.kind)];
-      table.add_row({node_name(recorder, node), std::to_string(events.size()),
+    };
+    std::map<sim::NodeId, NodeCounts> per_node;
+    recorder.visit([&per_node](const obs::TraceEvent& e) {
+      NodeCounts& counts = per_node[e.node];
+      ++counts.events;
+      ++counts.per_cat[obs::category(e.kind)];
+    });
+    for (const sim::NodeId node : recorder.nodes()) {
+      auto& [events, per_cat] = per_node[node];
+      table.add_row({node_name(recorder, node), std::to_string(events),
                      std::to_string(per_cat["beacon"]),
                      std::to_string(per_cat["designation"]),
                      std::to_string(per_cat["relay"]),
@@ -440,12 +448,7 @@ int main(int argc, char** argv) {
                      std::to_string(per_cat["handoff"])});
     }
     table.print(std::cout);
-    std::cout << recorder.recorded() << " events recorded";
-    if (recorder.dropped() > 0)
-      std::cout << " (" << recorder.dropped()
-                << " oldest dropped by ring wrap; exact per-kind counts "
-                   "below survive)";
-    std::cout << "\n\n";
+    std::cout << recorder.recorded() << " events recorded\n\n";
   }
 
   // --- per-kind exact counts ----------------------------------------------

@@ -27,15 +27,14 @@ std::vector<double> interval_ratios(const SlotStream& stream,
   return ratios;
 }
 
-std::vector<double> session_lengths_s(const SlotStream& stream,
-                                      const SessionDef& def) {
-  const std::vector<double> ratios = interval_ratios(stream, def.interval);
-  const double interval_s = def.interval.to_seconds();
+std::vector<double> run_lengths(const std::vector<double>& values,
+                                double threshold, double step) {
+  VIFI_EXPECTS(step > 0.0);
   std::vector<double> lengths;
   double run = 0.0;
-  for (double r : ratios) {
-    if (r >= def.min_ratio) {
-      run += interval_s;
+  for (const double v : values) {
+    if (v >= threshold) {
+      run += step;
     } else if (run > 0.0) {
       lengths.push_back(run);
       run = 0.0;
@@ -43,6 +42,12 @@ std::vector<double> session_lengths_s(const SlotStream& stream,
   }
   if (run > 0.0) lengths.push_back(run);
   return lengths;
+}
+
+std::vector<double> session_lengths_s(const SlotStream& stream,
+                                      const SessionDef& def) {
+  return run_lengths(interval_ratios(stream, def.interval), def.min_ratio,
+                     def.interval.to_seconds());
 }
 
 Cdf session_time_cdf(const std::vector<double>& lengths) {

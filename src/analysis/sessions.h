@@ -37,6 +37,13 @@ struct SessionDef {
 std::vector<double> interval_ratios(const SlotStream& stream,
                                     Time interval);
 
+/// The one run-length rule behind every session metric: the lengths of
+/// the maximal runs of consecutive \p values at or above \p threshold,
+/// each value adding \p step (> 0) to its run, in input order. A run
+/// still open at the end of the input counts.
+std::vector<double> run_lengths(const std::vector<double>& values,
+                                double threshold, double step);
+
 /// Lengths (seconds) of all sessions in the stream.
 std::vector<double> session_lengths_s(const SlotStream& stream,
                                       const SessionDef& def);

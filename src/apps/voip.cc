@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "analysis/sessions.h"
-#include "util/contracts.h"
 #include "util/stats.h"
 
 namespace vifi::apps {
@@ -85,19 +84,7 @@ VoipResult VoipCall::result() const {
 
 std::vector<double> mos_session_lengths(const std::vector<double>& window_mos,
                                         double threshold, double window_s) {
-  VIFI_EXPECTS(window_s > 0.0);
-  std::vector<double> lengths;
-  double run = 0.0;
-  for (double m : window_mos) {
-    if (m >= threshold) {
-      run += window_s;
-    } else if (run > 0.0) {
-      lengths.push_back(run);
-      run = 0.0;
-    }
-  }
-  if (run > 0.0) lengths.push_back(run);
-  return lengths;
+  return analysis::run_lengths(window_mos, threshold, window_s);
 }
 
 }  // namespace vifi::apps

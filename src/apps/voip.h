@@ -76,7 +76,7 @@ class VoipCall {
 };
 
 /// Session lengths (seconds) from a MoS-per-window series: maximal runs of
-/// windows with MoS >= threshold.
+/// windows with MoS >= threshold (analysis::run_lengths).
 std::vector<double> mos_session_lengths(const std::vector<double>& window_mos,
                                         double threshold, double window_s);
 

@@ -63,8 +63,8 @@ inline constexpr int kEventKindCount = static_cast<int>(EventKind::Log) + 1;
 
 const char* to_string(EventKind kind);
 
-/// One recorded protocol event. 64 bytes, trivially copyable; the ring
-/// buffers move these around by value.
+/// One recorded protocol event. 64 bytes, trivially copyable; the spool
+/// encodes it into a 56-byte record (spool.h).
 struct TraceEvent {
   Time at;                ///< Timeline time (recorder base + sim clock).
   std::uint64_t seq = 0;  ///< Recorder-wide order, for deterministic merge.

@@ -203,12 +203,6 @@ void append_escaped(std::string& out, std::string_view s) {
   }
 }
 
-std::string dropped_warning(std::uint64_t dropped) {
-  return "ring dropped " + std::to_string(dropped) +
-         " events (oldest overwritten); timeline is truncated — use "
-         "--trace-stream for full fidelity";
-}
-
 /// One export's rendering buffer: lines are appended to a single reused
 /// string that goes to the stream in large blocks.
 class BlockWriter {
@@ -367,8 +361,7 @@ void write_chrome_trace(const TraceRecorder& recorder, std::ostream& os) {
     }
     out += "\"}}";
   }
-  const std::uint64_t dropped = recorder.dropped();
-  if (!recorder.log_records().empty() || dropped > 0)
+  if (!recorder.log_records().empty())
     open_line()
         .lit("{\"ph\":\"M\",\"pid\":0,\"tid\":")
         .num(kLogTid)
@@ -407,18 +400,6 @@ void write_chrome_trace(const TraceRecorder& recorder, std::ostream& os) {
     w.spill();
   }
 
-  if (dropped > 0) {
-    open_line().lit("{\"name\":\"").append_to(out);
-    append_escaped(out, dropped_warning(dropped));
-    Line()
-        .lit("\",\"cat\":\"log\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":")
-        .num(kLogTid)
-        .lit(",\"ts\":0,\"args\":{\"dropped\":")
-        .num(dropped)
-        .lit("}}")
-        .append_to(out);
-  }
-
   for (const LogRecord& rec : recorder.log_records()) {
     open_line().lit("{\"name\":\"").append_to(out);
     append_escaped(out, rec.message);
@@ -447,11 +428,6 @@ std::string chrome_trace_json(const TraceRecorder& recorder) {
 void write_jsonl(const TraceRecorder& recorder, std::ostream& os) {
   BlockWriter w(os);
   std::string& out = w.buf();
-  if (const std::uint64_t dropped = recorder.dropped(); dropped > 0) {
-    out += "{\"warning\":\"";
-    append_escaped(out, dropped_warning(dropped));
-    Line().lit("\",\"dropped\":").num(dropped).lit("}\n").append_to(out);
-  }
   DoubleMemo memo;
   recorder.visit([&](const TraceEvent& e) {
     jsonl_event(out, e, &memo);

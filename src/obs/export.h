@@ -15,16 +15,13 @@
 ///    counts for the same point.
 ///
 /// Both renderings are pure functions of the recorder's contents. Each is
-/// one streaming pass over TraceRecorder::visit — for a spooled recorder
-/// the spool is merged chunk by chunk, never held whole — rendering each
+/// one streaming pass over TraceRecorder::visit — the spool is merged
+/// chunk by chunk, never held whole — rendering each
 /// event line into one stack buffer (literals by memcpy, numbers by
 /// std::to_chars) that is appended to the output once. The writers only
-/// read the recorder, so once a streaming recorder is finalized several
-/// may run at once: the runtime writes a point's files concurrently on
-/// the point's own pool.
-/// When a ring-backed recorder has overwritten events (`dropped() > 0`)
-/// both formats carry a one-line truncation warning, because silent
-/// truncation made count reconciliation fail with no visible cause.
+/// read the recorder, so once its spool is finalized several may run at
+/// once: the runtime writes a point's files concurrently on the point's
+/// own pool.
 
 #include <iosfwd>
 #include <string>

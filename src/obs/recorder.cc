@@ -1,7 +1,6 @@
 #include "obs/recorder.h"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "util/contracts.h"
 
@@ -64,8 +63,9 @@ const char* to_string(EventKind kind) {
   return "?";
 }
 
-TraceRecorder::TraceRecorder(std::size_t per_node_capacity)
-    : sink_(std::in_place_type<RingSink>, per_node_capacity) {}
+TraceRecorder::TraceRecorder()
+    : scratch_(std::make_unique<ScratchDir>("vifi_trace")),
+      sink_(scratch_->sub("trace.spool")) {}
 
 TraceRecorder::TraceRecorder(std::unique_ptr<StreamSink> stream)
     : sink_(take(std::move(stream))) {}
@@ -86,7 +86,7 @@ void TraceRecorder::record(EventKind kind, Time at, sim::NodeId node,
   last_local_ = at;
   ++recorded_;
   ++kind_counts_[static_cast<int>(kind)];
-  std::visit([&e](auto& sink) { sink.push(e); }, sink_);
+  sink_.push(e);
 }
 
 void TraceRecorder::log(LogLevel level, std::string message) {
@@ -98,23 +98,6 @@ void TraceRecorder::log(LogLevel level, std::string message) {
   ++kind_counts_[static_cast<int>(EventKind::Log)];
   logs_.push_back(std::move(rec));
   if (logs_.size() > kMaxLogRecords) logs_.pop_front();
-}
-
-std::size_t TraceRecorder::per_node_capacity() const {
-  const auto* rings = std::get_if<RingSink>(&sink_);
-  VIFI_EXPECTS(rings != nullptr);
-  return rings->per_node_capacity();
-}
-
-std::uint64_t TraceRecorder::dropped() const {
-  const auto* rings = std::get_if<RingSink>(&sink_);
-  return rings != nullptr ? rings->dropped() : 0;
-}
-
-const std::string& TraceRecorder::spool_path() const {
-  const auto* stream = std::get_if<StreamSink>(&sink_);
-  VIFI_EXPECTS(stream != nullptr);
-  return stream->path();
 }
 
 std::vector<SpoolLog> TraceRecorder::spool_logs() const {
@@ -132,13 +115,11 @@ std::vector<SpoolLog> TraceRecorder::spool_logs() const {
 }
 
 void TraceRecorder::finalize() const {
-  const auto* stream = std::get_if<StreamSink>(&sink_);
-  if (stream != nullptr && !stream->finalized()) stream->finalize(spool_logs());
+  if (!sink_.finalized()) sink_.finalize(spool_logs());
 }
 
 void TraceRecorder::set_node_label(sim::NodeId node, std::string label) {
-  if (auto* stream = std::get_if<StreamSink>(&sink_))
-    stream->set_node_label(node, label);
+  sink_.set_node_label(node, label);
   labels_[node] = std::move(label);
 }
 
@@ -149,8 +130,7 @@ const std::string& TraceRecorder::node_label(sim::NodeId node) const {
 }
 
 std::vector<sim::NodeId> TraceRecorder::nodes() const {
-  std::vector<sim::NodeId> out =
-      std::visit([](const auto& sink) { return sink.nodes(); }, sink_);
+  std::vector<sim::NodeId> out = sink_.nodes();
   for (const auto& [node, label] : labels_) {
     (void)label;
     if (std::find(out.begin(), out.end(), node) == out.end())
@@ -160,17 +140,11 @@ std::vector<sim::NodeId> TraceRecorder::nodes() const {
   return out;
 }
 
-const EventRing& TraceRecorder::ring(sim::NodeId node) const {
-  static const EventRing kEmpty{1};
-  const auto* rings = std::get_if<RingSink>(&sink_);
-  return rings != nullptr ? rings->ring(node) : kEmpty;
-}
-
 void TraceRecorder::visit(const EventFn& fn) const {
-  // Seal a streaming recorder's spool first so its footer carries the
-  // routed logs (StreamSink::visit alone would finalize without them).
+  // Seal the spool first so its footer carries the routed logs
+  // (StreamSink::visit alone would finalize without them).
   finalize();
-  std::visit([&fn](const auto& sink) { sink.visit(fn); }, sink_);
+  sink_.visit(fn);
 }
 
 std::vector<TraceEvent> TraceRecorder::merged() const {
@@ -180,18 +154,11 @@ std::vector<TraceEvent> TraceRecorder::merged() const {
 }
 
 void TraceRecorder::absorb(const TraceRecorder& other, Time offset) {
-  VIFI_EXPECTS(streaming() == other.streaming());
   // Sequence numbers continue after everything (events *and* logs) this
   // recorder has issued, exactly as if other's stream had been recorded
   // here next.
   const std::uint64_t seq_offset = next_seq_ - 1;
-  // Same kind, checked above: absorb the other recorder's sink of it.
-  std::visit(
-      [&](auto& sink) {
-        using Sink = std::decay_t<decltype(sink)>;
-        sink.absorb(std::get<Sink>(other.sink_), offset, seq_offset);
-      },
-      sink_);
+  sink_.absorb(other.sink_, offset, seq_offset);
   for (const LogRecord& log : other.logs_) {
     LogRecord shifted = log;
     shifted.at = log.at + offset;

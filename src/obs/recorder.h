@@ -2,18 +2,14 @@
 
 /// \file recorder.h
 /// TripScope's TraceRecorder: typed protocol events (event.h) stamped
-/// with a timeline time and a recorder-wide sequence number, handed to
-/// the one backend the recorder holds by value (sink.h) — a RingSink of
-/// per-node rings by default, or a StreamSink disk spool for
-/// full-fidelity city-scale timelines — plus a bounded side channel for
-/// routed log lines. The backend is fixed at construction; the recorder
-/// is the only place that dispatches on which one it holds.
-///
-/// Recording is *pull-free and allocation-free on the steady state* with
-/// the default ring sink: each node's events land in a fixed-capacity
-/// ring that overwrites its oldest entries on wrap (the newest window is
-/// what a timeline wants), and the recorder-wide sequence number makes
-/// the merged stream deterministic.
+/// with a timeline time and a recorder-wide sequence number, spooled to
+/// disk by the StreamSink the recorder holds by value (sink.h), plus a
+/// bounded side channel for routed log lines. Every event is kept: the
+/// spool buffers each node's events in fixed-size blocks and appends them
+/// off the hot path, and the recorder-wide sequence number makes the
+/// merged stream deterministic. A caller names the spool file, or a
+/// default-constructed recorder spools into a scratch directory of its
+/// own, removed with the recorder.
 ///
 /// Enabling/disabling is a thread-local pointer: `current_recorder()`
 /// returns the recorder installed by the innermost `TraceScope` on this
@@ -32,13 +28,13 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "obs/event.h"
 #include "obs/sink.h"
 #include "sim/ids.h"
 #include "util/logging.h"
+#include "util/scratch_dir.h"
 #include "util/time.h"
 
 namespace vifi::obs {
@@ -53,12 +49,12 @@ struct LogRecord {
 
 class TraceRecorder {
  public:
-  /// Ring-backed recorder (the default): \p per_node_capacity bounds
-  /// each node's ring (64 B per slot).
-  explicit TraceRecorder(std::size_t per_node_capacity = 1 << 14);
+  /// A recorder spooling into a scratch directory of its own, which is
+  /// removed with everything in it when the recorder goes away.
+  TraceRecorder();
 
-  /// Stream-backed recorder — `std::make_unique<StreamSink>(path)` for a
-  /// full-fidelity disk spool.
+  /// A recorder spooling to the caller's sink —
+  /// `std::make_unique<StreamSink>(path)` keeps the spool at `path`.
   explicit TraceRecorder(std::unique_ptr<StreamSink> stream);
 
   TraceRecorder(const TraceRecorder&) = delete;
@@ -81,16 +77,12 @@ class TraceRecorder {
   /// recorder holds the whole point's timeline.
   void set_time_base(Time base) { base_ = base; }
   Time time_base() const { return base_; }
-  /// Each node's ring capacity; expects a ring recorder (!streaming()).
-  std::size_t per_node_capacity() const;
 
-  /// True when the backend is a StreamSink (events spooled to disk).
-  bool streaming() const { return std::holds_alternative<StreamSink>(sink_); }
-  /// The stream sink's spool path; expects streaming().
-  const std::string& spool_path() const;
-  /// Seals a streaming recorder's spool (flushes residual blocks, writes
-  /// the footer with the routed logs). No-op for ring recorders and on
-  /// repeat calls; recording after finalize is a contract violation.
+  /// The spool file.
+  const std::string& spool_path() const { return sink_.path(); }
+  /// Seals the spool (flushes residual blocks, writes the footer with the
+  /// routed logs). No-op on repeat calls; recording after finalize is a
+  /// contract violation.
   void finalize() const;
 
   /// Folds a whole recorder in: \p other's events land at their recorded
@@ -98,11 +90,10 @@ class TraceRecorder {
   /// recorder's. When \p other recorded one trip (base 0) and \p offset is
   /// the accumulated horizon, the result is byte-identical to having
   /// recorded that trip directly into this recorder under
-  /// set_time_base(offset) — including ring overwrite behaviour and
-  /// per-kind counts (sink kinds must match; ring capacities must match).
-  /// The sharded executor uses this to stitch per-worker trip recorders
-  /// into one point timeline; a stream \p other's part spool is finalized
-  /// and copied in whole, record by record (streams never drop).
+  /// set_time_base(offset), per-kind counts included. The sharded
+  /// executor uses this to stitch per-worker trip recorders into one point
+  /// timeline: \p other's part spool is finalized and copied in whole,
+  /// record by record.
   void absorb(const TraceRecorder& other, Time offset);
 
   /// Human-readable track label for a node ("bs", "vehicle", "host").
@@ -112,22 +103,20 @@ class TraceRecorder {
   // --- queries (exporters, tests, the tripscope CLI) ---------------------
   /// Nodes with at least one event or a label, ascending id.
   std::vector<sim::NodeId> nodes() const;
-  /// A node's ring; an empty one for unseen nodes and stream recorders.
-  const EventRing& ring(sim::NodeId node) const;
-  /// Calls \p fn on every retained event in recording order (seq
-  /// ascending). For a streaming recorder this finalizes the spool and
-  /// streams it back through SpoolReader's merge, one chunk per node in
-  /// memory — it is an export-time call, not a mid-run one.
+  /// Calls \p fn on every event in recording order (seq ascending). This
+  /// finalizes the spool and streams it back through SpoolReader's merge,
+  /// one chunk per node in memory — it is an export-time call, not a
+  /// mid-run one.
   void visit(const EventFn& fn) const;
   /// visit() collected into a vector.
   std::vector<TraceEvent> merged() const;
   const std::deque<LogRecord>& log_records() const { return logs_; }
 
   std::uint64_t recorded() const { return recorded_; }
-  /// Events lost to ring overwrites (streams never drop).
-  std::uint64_t dropped() const;
-  /// Total events recorded of one kind (counted even when a ring has
-  /// since overwritten them — reconciliation wants exact counts).
+  /// Always 0: the spool keeps every event. Kept for callers that still
+  /// report it (benchmark/vifibench.cc's obs.dropped count).
+  std::uint64_t dropped() const { return 0; }
+  /// Total events recorded of one kind.
   std::uint64_t count(EventKind kind) const {
     return kind_counts_[static_cast<int>(kind)];
   }
@@ -140,7 +129,10 @@ class TraceRecorder {
   std::uint64_t next_seq_ = 1;
   std::uint64_t recorded_ = 0;
   std::uint64_t kind_counts_[kEventKindCount] = {};
-  std::variant<RingSink, StreamSink> sink_;
+  /// The default constructor's spool directory, declared before sink_ so
+  /// the spool is closed before the directory is removed.
+  std::unique_ptr<ScratchDir> scratch_;
+  StreamSink sink_;
   std::map<sim::NodeId, std::string> labels_;
   std::deque<LogRecord> logs_;
   static constexpr std::size_t kMaxLogRecords = 4096;

@@ -1,31 +1,19 @@
 #pragma once
 
 /// \file sink.h
-/// TripScope's two trace backends. A TraceRecorder holds exactly one of
-/// them (recorder.h), by value, and hands it every event after stamping
-/// it (timeline time, global seq):
+/// TripScope's trace backend: a StreamSink spools every event a
+/// TraceRecorder (recorder.h) hands it, stamped with its timeline time and
+/// global seq, into a chunked per-node binary file (spool.h), flushing in
+/// fixed-size blocks off the hot path. It never drops an event.
 ///
-///   RingSink    per-node fixed-capacity rings, overwrite-oldest — the
-///               default. Zero I/O, bounded memory, keeps the newest
-///               window per node; `dropped()` counts what wrapping
-///               overwrote.
-///   StreamSink  full fidelity to disk — spools every event into a
-///               chunked per-node binary file (spool.h), flushing in
-///               fixed-size blocks off the hot path. Never drops;
-///               city-scale timelines survive past the ring horizon.
-///
-/// The set is closed: two plain classes with the same push / nodes /
-/// visit / absorb shape and no common base. Both replay their retained
-/// events in seq order through `visit`, the read path of the exporters.
-/// `absorb` folds another sink *of the same kind* in so the sharded
-/// executor can stitch per-trip sinks into one session sink with the same
+/// `visit` replays the spool in seq order through SpoolReader's merge —
+/// the read path of the exporters, which never holds the whole spool in
+/// memory. `absorb` folds another sink's spool in, so the sharded executor
+/// can stitch per-trip part spools into one session spool with the same
 /// bytes a sequential recording would produce (the determinism contract
-/// recorder.h states): a ring replays the other's window, a stream copies
-/// the other's encoded records. A stream's visit is SpoolReader's merge:
-/// it never holds the whole spool in memory.
+/// recorder.h states).
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,61 +25,7 @@
 
 namespace vifi::obs {
 
-/// Fixed-capacity event ring. Overwrites the oldest entry once full;
-/// `dropped()` counts overwritten events so exporters can say so.
-class EventRing {
- public:
-  explicit EventRing(std::size_t capacity);
-
-  void push(const TraceEvent& e);
-
-  std::size_t size() const { return events_.size(); }
-  std::size_t capacity() const { return capacity_; }
-  std::uint64_t dropped() const { return dropped_; }
-  /// Folds another ring's drop count in (RingSink::absorb: the absorbed
-  /// ring's own overwrites must still be accounted for).
-  void add_dropped(std::uint64_t n) { dropped_ += n; }
-
-  /// Events oldest-to-newest (unwraps the ring).
-  std::vector<TraceEvent> snapshot() const;
-
- private:
-  std::size_t capacity_;
-  std::size_t head_ = 0;  ///< Next write position once the ring is full.
-  std::uint64_t dropped_ = 0;
-  std::vector<TraceEvent> events_;
-};
-
-/// The default in-memory backend: one EventRing per node.
-class RingSink {
- public:
-  explicit RingSink(std::size_t per_node_capacity);
-
-  void push(const TraceEvent& e);
-  /// Events lost to ring overwrites, summed over nodes.
-  std::uint64_t dropped() const;
-  /// Nodes with at least one retained event, ascending id.
-  std::vector<sim::NodeId> nodes() const;
-  /// Calls \p fn on every retained event in seq order.
-  void visit(const EventFn& fn) const;
-  /// Folds \p other's retained windows in, shifted by \p at_offset /
-  /// \p seq_offset, exactly as if those events had been pushed here next.
-  /// Capacities must match.
-  void absorb(const RingSink& other, Time at_offset,
-              std::uint64_t seq_offset);
-
-  std::size_t per_node_capacity() const { return per_node_capacity_; }
-  /// A node's ring; a shared empty ring for unseen nodes.
-  const EventRing& ring(sim::NodeId node) const;
-
- private:
-  std::size_t per_node_capacity_;
-  /// Ordered map: node iteration order is deterministic and references
-  /// stay stable while rings grow elsewhere.
-  std::map<sim::NodeId, EventRing> rings_;
-};
-
-/// The full-fidelity disk backend: every event spooled to \p path.
+/// The recorder's backend: every event spooled to \p path.
 class StreamSink {
  public:
   explicit StreamSink(std::string path,

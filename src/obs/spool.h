@@ -2,9 +2,8 @@
 
 /// \file spool.h
 /// TripScope's disk spool: the on-disk format behind obs::StreamSink and
-/// the `tripscope query` engine. A spool holds one recorder's
-/// full-fidelity event stream — rings keep the newest window, spools keep
-/// everything, so city-scale timelines survive past 16k events per node.
+/// the `tripscope query` engine. A spool holds every event one recorder
+/// recorded, so a city-scale timeline is complete however long it runs.
 ///
 /// Layout (fixed-width host-endian fields; spools are per-run artifacts
 /// compared byte-wise on one host, not an interchange format):

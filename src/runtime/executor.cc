@@ -305,7 +305,7 @@ struct TripSlot {
   std::unique_ptr<obs::MetricsRegistry> metrics;
 };
 
-/// Trip \p trip's part spool, beside a streaming session's own spool.
+/// Trip \p trip's part spool, beside the session's own spool.
 std::string part_spool(const obs::TraceRecorder& session, std::size_t trip) {
   char part[32];
   std::snprintf(part, sizeof(part), ".trip%05zu.part", trip);
@@ -316,12 +316,12 @@ std::string part_spool(const obs::TraceRecorder& session, std::size_t trip) {
 /// \p pool — run_trip must be a pure function of the trip index, so any
 /// worker may run it — and folds each into \p total in trip order as soon
 /// as every earlier trip is done. When the point has a session, a trip
-/// records into its own recorder and registry (a part spool beside a
-/// streaming session, rings of the session's capacity otherwise), absorbed
-/// at the summed spans of the trips before it: one timeline per point,
-/// byte for byte a sequential loop's for any worker count, and an inline
-/// pool holds one trip's session at a time. A failed trip throws
-/// "trip N: <what>" for the lowest failing N and leaves no part spool.
+/// records into its own recorder and registry (a part spool beside the
+/// session's spool), absorbed at the summed spans of the trips before it:
+/// one timeline per point, byte for byte a sequential loop's for any
+/// worker count, and an inline pool holds one trip's session at a time. A
+/// failed trip throws "trip N: <what>" for the lowest failing N and leaves
+/// no part spool.
 void fold_trips(std::size_t n, const Runner& pool,
                 const std::function<TripOutcome(std::size_t)>& run_trip,
                 TripTally& total) {
@@ -344,12 +344,8 @@ void fold_trips(std::size_t n, const Runner& pool,
       std::optional<obs::TraceScope> trace_scope;
       std::optional<obs::MetricsScope> metrics_scope;
       if (session_rec != nullptr) {
-        slot.recorder = session_rec->streaming()
-                            ? std::make_unique<obs::TraceRecorder>(
-                                  std::make_unique<obs::StreamSink>(
-                                      part_spool(*session_rec, trip)))
-                            : std::make_unique<obs::TraceRecorder>(
-                                  session_rec->per_node_capacity());
+        slot.recorder = std::make_unique<obs::TraceRecorder>(
+            std::make_unique<obs::StreamSink>(part_spool(*session_rec, trip)));
         trace_scope.emplace(*slot.recorder);
       }
       if (session_metrics != nullptr) {
@@ -371,9 +367,9 @@ void fold_trips(std::size_t n, const Runner& pool,
         trace_base = trace_base + done.out.span;
       }
       if (done.metrics != nullptr) session_metrics->merge(*done.metrics);
-      const bool part = done.recorder != nullptr && done.recorder->streaming();
       slots[folded].reset();
-      if (part) std::filesystem::remove(part_spool(*session_rec, folded));
+      if (session_rec != nullptr)
+        std::filesystem::remove(part_spool(*session_rec, folded));
     }
     return status;
   });
@@ -382,7 +378,7 @@ void fold_trips(std::size_t n, const Runner& pool,
     // Trips from the failed one on never folded: close their part spools
     // (the failed trip's own included) and delete them.
     slots.clear();
-    if (session_rec != nullptr && session_rec->streaming())
+    if (session_rec != nullptr)
       for (std::size_t trip = folded; trip < n; ++trip)
         std::filesystem::remove(part_spool(*session_rec, trip));
     throw std::runtime_error("trip " + std::to_string(status.index) + ": " +
@@ -651,12 +647,10 @@ void run_live(const scenario::Testbed& bed, const ExperimentPoint& point,
   finish_live_point(total, stream ? stream->days() : point.days, r);
 }
 
-/// The recorder a point that dumps its trace records into: ring-backed by
-/// default, stream-backed (full-fidelity disk spool next to the other
-/// trace artifacts) when the point asks for --trace-stream.
+/// The recorder a point that dumps its trace records into: every event
+/// spooled to `point_NNNN.spool` next to the point's other trace files.
 std::unique_ptr<obs::TraceRecorder> make_point_recorder(
     const ExperimentPoint& point) {
-  if (!point.trace_stream) return std::make_unique<obs::TraceRecorder>();
   namespace fs = std::filesystem;
   fs::create_directories(point.trace_dir);
   char tag[40];
@@ -677,13 +671,6 @@ void export_tripscope(const ExperimentPoint& point, PointResult& r,
                       obs::MetricsRegistry* metrics,
                       const obs::MetricsRegistry* own_metrics,
                       const Runner& pool) {
-  // Ring truncation is loud, not silent: a dropped-events counter beside
-  // the export warnings, so reconciliation failures name their cause.
-  const obs::TraceRecorder* rec =
-      own_recorder != nullptr ? own_recorder : obs::current_recorder();
-  if (rec != nullptr && metrics != nullptr && rec->dropped() > 0)
-    metrics->counter("obs.trace.dropped_events")
-        .add(static_cast<double>(rec->dropped()));
   if (metrics != nullptr && !point.metric_columns.empty()) {
     // Exact flattened key first (`mac.frames_tx{node=n3,role=vehicle}`),
     // else the bare name summed across its label variants.
@@ -701,8 +688,8 @@ void export_tripscope(const ExperimentPoint& point, PointResult& r,
   std::snprintf(tag, sizeof(tag), "point_%04zu",
                 static_cast<std::size_t>(point.index));
   const std::string base = (fs::path(point.trace_dir) / tag).string();
-  // A stream recorder's visit seals its spool on first use; seal it here,
-  // once, so the concurrent visits below only read it.
+  // A recorder's visit seals its spool on first use; seal it here, once,
+  // so the concurrent visits below only read it.
   own_recorder->finalize();
   using Render = std::function<void(std::ostream&)>;
   std::vector<std::pair<std::string, Render>> files{
@@ -781,8 +768,6 @@ void check_spec(const ExperimentSpec& spec) {
     if (coordination != "pab" && coordination != "coord")
       throw std::runtime_error("unknown coordination '" + coordination +
                                "' (expected pab/coord)");
-  if (spec.trace_stream && spec.trace_dir.empty())
-    throw std::runtime_error("trace_stream requires a trace_dir");
 }
 
 const std::vector<double>& cdf_quantiles() {

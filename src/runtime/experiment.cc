@@ -73,7 +73,6 @@ std::vector<ExperimentPoint> ExperimentSpec::enumerate() const {
             p.session = session;
             p.cull_medium = cull_medium;
             p.trace_dir = trace_dir;
-            p.trace_stream = trace_stream;
             p.metric_columns = metric_columns;
             p.campaign_seed = mix_seed(mix_seed(base_seed, bed), seed);
             // Fleet size 1 mixes nothing in: single-vehicle sweeps keep the

@@ -97,16 +97,12 @@ struct ExperimentPoint {
   /// default; large-fleet sweeps opt in, the historical grids stay off.
   bool cull_medium = false;
 
-  /// TripScope: directory for per-point timeline exports. Non-empty makes
+  /// TripScope: directory for per-point timeline files. Non-empty makes
   /// run_point() record the whole point into a TraceRecorder (unless one is
-  /// already installed on the thread) and write
-  /// `point_<index>.trace.json` / `.jsonl` / `.metrics.json` there.
+  /// already installed on the thread) spooling every event to
+  /// `point_<index>.spool` there, and write `point_<index>.trace.json` /
+  /// `.jsonl` / `.metrics.json` beside it.
   std::string trace_dir;
-  /// TripScope: spool the point's full event stream to
-  /// `<trace_dir>/point_<index>.spool` (obs::StreamSink) instead of the
-  /// default in-memory rings — full fidelity past the ring horizon, at
-  /// the cost of disk I/O. Requires a non-empty trace_dir.
-  bool trace_stream = false;
   /// TripScope: registered metric names (exact flattened keys, or bare
   /// names summed across label variants) to surface as result columns
   /// (`obs.<name>` in the point's metrics map).
@@ -144,10 +140,12 @@ struct ExperimentSpec {
   bool cull_medium = false;
   std::uint64_t base_seed = 20080817;
   /// TripScope knobs, copied verbatim onto every point (see
-  /// ExperimentPoint::trace_dir / trace_stream / metric_columns).
+  /// ExperimentPoint::trace_dir / metric_columns).
   std::string trace_dir;
-  bool trace_stream = false;
   std::vector<std::string> metric_columns;
+  /// Ignored: every traced point streams its spool. Kept only because
+  /// benchmark/vifibench.cc (line 904) still sets it.
+  bool trace_stream = false;
 
   /// Row-major (testbed, fleet size, policy, seed) enumeration with
   /// derived seeds. Stochastic replay points share one CampaignPool when

@@ -1,6 +1,7 @@
 #include "tracegen/model_io.h"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -30,6 +31,13 @@ void save_samples(std::ostream& os, const char* tag, NodeId bs,
   os << tag << " " << bs.value() << " " << xs.size();
   for (const double x : xs) os << " " << fmt(x);
   os << "\n";
+}
+
+/// Fails line \p line_no unless link field \p field is finite and >= 0.
+void require_non_negative(int line_no, const char* field, double v) {
+  if (!(v >= 0.0 && std::isfinite(v)))
+    fail(line_no, std::string(field) + " must be finite and >= 0, got " +
+                      fmt(v));
 }
 
 std::vector<double> load_samples(std::istringstream& ls, int line_no) {
@@ -101,6 +109,7 @@ TraceModel load_model(std::istream& is) {
       if (!ls) fail(line_no, "bad model header");
       if (model.beacons_per_second <= 0)
         fail(line_no, "beacons_per_second must be positive");
+      if (dur_us <= 0) fail(line_no, "trip duration must be positive");
       model.trip_duration = Time::micros(dur_us);
       have_header = true;
     } else if (tag == "link") {
@@ -114,6 +123,10 @@ TraceModel load_model(std::istream& is) {
       ls >> id >> kw >> l.contact_rate_hz >> kw >> on_us >> kw >> off_us >>
           kw >> l.rssi_mean_dbm >> kw >> l.rssi_stddev_dbm;
       if (!ls || id < 0) fail(line_no, "bad link line");
+      require_non_negative(line_no, "rate", l.contact_rate_hz);
+      require_non_negative(line_no, "on_us", static_cast<double>(on_us));
+      require_non_negative(line_no, "off_us", static_cast<double>(off_us));
+      require_non_negative(line_no, "rssi_sd", l.rssi_stddev_dbm);
       l.bs = NodeId(id);
       l.mean_on = Time::micros(on_us);
       l.mean_off = Time::micros(off_us);
@@ -126,6 +139,13 @@ TraceModel load_model(std::istream& is) {
       if (open_link == nullptr || id != open_link->bs.value())
         fail(line_no, tag + " line does not follow its link line");
       auto xs = load_samples(ls, line_no);
+      for (const double x : xs) {
+        // Negated comparisons so that NaN fails them too.
+        if (tag == "durations" && !(x > 0.0 && std::isfinite(x)))
+          fail(line_no, "durations must be finite and > 0, got " + fmt(x));
+        if (tag == "losses" && !(x >= 0.0 && x <= 1.0))
+          fail(line_no, "losses must lie in [0, 1], got " + fmt(x));
+      }
       if (tag == "durations") {
         open_link->duration_s = std::move(xs);
         have_durations = true;

@@ -48,6 +48,29 @@ TEST(IntervalRatios, IntervalSmallerThanSlotThrows) {
       vifi::ContractViolation);
 }
 
+TEST(RunLengths, EmptyInputHasNoRuns) {
+  EXPECT_TRUE(run_lengths({}, 0.5, 1.0).empty());
+}
+
+TEST(RunLengths, TrailingRunCountsAndThresholdIsInclusive) {
+  // Runs: [0.5, 0.9] closed by 0.1, then [0.7, 1.0, 0.5] open at the end.
+  EXPECT_EQ(run_lengths({0.5, 0.9, 0.1, 0.0, 0.7, 1.0, 0.5}, 0.5, 2.0),
+            (std::vector<double>{4.0, 6.0}));
+}
+
+TEST(RunLengths, RunSpanningTheWholeInputIsOneRun) {
+  EXPECT_EQ(run_lengths(std::vector<double>(5, 0.8), 0.5, 0.1).size(), 1u);
+  // Summed step by step, as the session metrics always have.
+  double want = 0.0;
+  for (int i = 0; i < 5; ++i) want += 0.1;
+  EXPECT_EQ(run_lengths(std::vector<double>(5, 0.8), 0.5, 0.1),
+            (std::vector<double>{want}));
+}
+
+TEST(RunLengths, NonPositiveStepThrows) {
+  EXPECT_THROW(run_lengths({1.0}, 0.5, 0.0), ContractViolation);
+}
+
 TEST(SessionLengths, SplitsOnInadequateIntervals) {
   // Seconds: good good bad good -> sessions of 2 s and 1 s.
   std::vector<int> d;

@@ -101,9 +101,9 @@ void drive_schedule(std::uint64_t seed, sim::Simulator& sim,
 
 TEST(CoordProps, RandomSchedulesKeepEveryInvariant) {
   for (std::uint64_t seed = 1; seed <= kSchedules; ++seed) {
-    // Roomy rings: every transition is retained, so the reconciliation
-    // below sees the complete stream.
-    obs::TraceRecorder recorder(1 << 16);
+    // The recorder keeps every event, so the reconciliation below sees
+    // the complete stream.
+    obs::TraceRecorder recorder;
     obs::TraceScope scope(recorder);
     sim::Simulator sim;
     core::CoordParams params;
@@ -126,7 +126,6 @@ TEST(CoordProps, RandomSchedulesKeepEveryInvariant) {
     ASSERT_EQ(mgr.suppressed_relays(),
               recorder.count(obs::EventKind::CoordSuppress))
         << "seed " << seed;
-    ASSERT_EQ(recorder.dropped(), 0u) << "seed " << seed;
 
     // (b) replay the recorded transition stream per client: it must form
     // one connected chain from Idle (every transition leaves the phase the
@@ -157,7 +156,7 @@ TEST(CoordProps, RandomSchedulesKeepEveryInvariant) {
 // its window, which can never undercut the configured floor.
 TEST(CoordProps, SuppressionEventsNeverUndercutTheConfidenceFloor) {
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
-    obs::TraceRecorder recorder(1 << 16);
+    obs::TraceRecorder recorder;
     obs::TraceScope scope(recorder);
     sim::Simulator sim;
     core::CoordParams params;

@@ -1,4 +1,4 @@
-// Tests for TripScope: TraceRecorder ring semantics, scope nesting, the
+// Tests for TripScope: TraceRecorder semantics, scope nesting, the
 // MetricsRegistry (key canonicalisation, histogram bucketing, flatten /
 // total), JSON escaping and the %.17g double rendering of the exporters,
 // one pinned export of a crafted recording, and — the observability
@@ -29,52 +29,21 @@
 namespace vifi::obs {
 namespace {
 
-TraceEvent event_at(double t_s, std::uint64_t id) {
-  TraceEvent e;
-  e.at = Time::seconds(t_s);
-  e.id = id;
-  e.kind = EventKind::BeaconTx;
-  e.node = sim::NodeId{1};
-  return e;
-}
-
-TEST(EventRing, FillsToCapacityWithoutDropping) {
-  EventRing ring(4);
-  for (std::uint64_t i = 0; i < 4; ++i) ring.push(event_at(0.1, i));
-  EXPECT_EQ(ring.size(), 4u);
-  EXPECT_EQ(ring.dropped(), 0u);
-  const auto events = ring.snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(events[i].id, i);
-}
-
-TEST(EventRing, WrapsByOverwritingTheOldest) {
-  EventRing ring(4);
-  for (std::uint64_t i = 0; i < 10; ++i) ring.push(event_at(0.1, i));
-  EXPECT_EQ(ring.size(), 4u);
-  EXPECT_EQ(ring.capacity(), 4u);
-  EXPECT_EQ(ring.dropped(), 6u);
-  // snapshot() unwraps: the newest window, oldest-to-newest.
-  const auto events = ring.snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(events[i].id, 6 + i);
-}
-
-TEST(EventRing, ZeroCapacityIsAContractViolation) {
-  EXPECT_THROW(EventRing ring(0), ContractViolation);
-}
-
-TEST(TraceRecorder, CountsStayExactAcrossRingWrap) {
-  TraceRecorder rec(8);
+TEST(TraceRecorder, KeepsEveryEventAndCountsEachKindExactly) {
+  TraceRecorder rec;
   const sim::NodeId node{3};
-  for (int i = 0; i < 20; ++i)
+  // Past one spool block, so a chunk is flushed mid-recording.
+  for (int i = 0; i < 600; ++i)
     rec.record(EventKind::FrameTx, Time::seconds(0.01 * i), node);
-  rec.record(EventKind::AnchorChange, Time::seconds(1.0), node);
-  EXPECT_EQ(rec.recorded(), 21u);
-  EXPECT_EQ(rec.dropped(), 13u);  // 21 records into an 8-slot ring
-  EXPECT_EQ(rec.ring(node).size(), 8u);
-  // Per-kind counters survive the overwrites — reconciliation relies on it.
-  EXPECT_EQ(rec.count(EventKind::FrameTx), 20u);
+  rec.record(EventKind::AnchorChange, Time::seconds(10.0), node);
+  EXPECT_EQ(rec.recorded(), 601u);
+  EXPECT_EQ(rec.dropped(), 0u);
+  const auto merged = rec.merged();
+  ASSERT_EQ(merged.size(), 601u);
+  for (std::size_t i = 0; i < merged.size(); ++i)
+    EXPECT_EQ(merged[i].seq, i + 1);
+  // Per-kind counters reconcile with the timeline.
+  EXPECT_EQ(rec.count(EventKind::FrameTx), 600u);
   EXPECT_EQ(rec.count(EventKind::AnchorChange), 1u);
   EXPECT_EQ(rec.count(EventKind::SalvageRequest), 0u);
 }
@@ -85,7 +54,7 @@ TEST(TraceRecorder, TimeBaseStitchesTripsOntoOneTimeline) {
   rec.record(EventKind::BeaconTx, Time::seconds(2.0), node);
   rec.set_time_base(Time::seconds(100.0));
   rec.record(EventKind::BeaconTx, Time::seconds(2.0), node);
-  const auto events = rec.ring(node).snapshot();
+  const auto events = rec.merged();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].at, Time::seconds(2.0));
   EXPECT_EQ(events[1].at, Time::seconds(102.0));
@@ -103,9 +72,9 @@ TEST(TraceRecorder, MergedIsSeqOrderedAcrossNodes) {
   EXPECT_EQ(merged[1].node, sim::NodeId{7});
 }
 
-TEST(TraceRecorder, UnseenNodeHasEmptyRingAndLabelsListNodes) {
+TEST(TraceRecorder, LabelledAndRecordedNodesAreListed) {
   TraceRecorder rec;
-  EXPECT_EQ(rec.ring(sim::NodeId{42}).size(), 0u);
+  EXPECT_TRUE(rec.nodes().empty());
   rec.set_node_label(sim::NodeId{5}, "bs");
   rec.record(EventKind::BeaconTx, Time::seconds(0.0), sim::NodeId{9});
   const auto nodes = rec.nodes();
@@ -344,14 +313,14 @@ TEST(ExportDouble, MatchesPrintf17gOnIntegralValues) {
   }
 }
 
-// A crafted ring recording exercising every rendering path: labels needing
-// escapes, an invalid node and peer, a wrapped ring (the dropped warning),
-// FrameTx durations, all three span kinds with an open phase closed at the
-// last event, a routed log line with control characters, and doubles
-// covering exponent forms, -0, a subnormal and inf. The expected bytes
-// were produced by the snprintf/ostream exporters these replaced.
+// A crafted recording exercising every rendering path: labels needing
+// escapes, an invalid node and peer, FrameTx durations, all three span
+// kinds with an open phase closed at the last event, a routed log line
+// with control characters, and doubles covering exponent forms, -0, a
+// subnormal and inf. The event lines were produced by the snprintf/ostream
+// exporters these replaced.
 TEST(TraceExport, PinnedRecordingRendersUnchangedBytes) {
-  TraceRecorder rec(/*per_node_capacity=*/6);  // node 2's ring wraps once
+  TraceRecorder rec;
   const sim::NodeId n1{1}, n2{2}, none{};
   rec.set_node_label(n1, "bs");
   rec.set_node_label(n2, "vehicle \"x\"");
@@ -380,6 +349,7 @@ TEST(TraceExport, PinnedRecordingRendersUnchangedBytes) {
 {"ph":"M","pid":0,"tid":2,"name":"thread_name","args":{"name":"n2 vehicle \"x\""}},
 {"ph":"M","pid":0,"tid":1000001,"name":"thread_name","args":{"name":"log"}},
 {"name":"beacon_tx","cat":"beacon","pid":0,"tid":1,"ts":0,"ph":"i","s":"t","args":{"peer":"-","id":0,"a":0,"b":0,"c":0}},
+{"name":"beacon_rx","cat":"beacon","pid":0,"tid":2,"ts":100250,"ph":"i","s":"t","args":{"peer":"n1","id":1,"a":-63.25,"b":0,"c":0}},
 {"name":"anchor_change","cat":"designation","pid":0,"tid":2,"ts":100300,"ph":"i","s":"t","args":{"peer":"n1","id":1,"a":0.30000000000000004,"b":0,"c":0}},
 {"name":"frame_tx","cat":"mac","pid":0,"tid":2,"ts":1500000,"ph":"X","dur":1235,"args":{"peer":"n1","id":42,"a":0.0012344999999999999,"b":2,"c":1}},
 {"name":"relay_eval","cat":"relay","pid":0,"tid":1,"ts":1500001,"ph":"i","s":"t","args":{"peer":"n2","id":18446744073709551615,"a":0.33333333333333331,"b":1e-300,"c":-7}},
@@ -389,16 +359,15 @@ TEST(TraceExport, PinnedRecordingRendersUnchangedBytes) {
 {"name":"coord_transition","cat":"coord","pid":0,"tid":2,"ts":3000000,"ph":"i","s":"t","args":{"peer":"n1","id":4,"a":4.9406564584124654e-324,"b":10000000000000000,"c":530}},
 {"name":"anchor_change","cat":"designation","pid":0,"tid":2,"ts":4000000,"ph":"i","s":"t","args":{"peer":"-","id":2,"a":0,"b":0,"c":0}},
 {"name":"app_deliver","cat":"app","pid":0,"tid":1,"ts":4500000,"ph":"i","s":"t","args":{"peer":"n2","id":9,"a":inf,"b":2.5000000000000001e-05,"c":1}},
+{"name":"contact","cat":"span","ph":"X","pid":0,"tid":2,"ts":100250,"dur":1999750,"args":{"peer":"n1"}},
 {"name":"anchor_tenure","cat":"span","ph":"X","pid":0,"tid":2,"ts":100300,"dur":3899700,"args":{"peer":"n1"}},
 {"name":"phase:Discovered","cat":"span","ph":"X","pid":0,"tid":2,"ts":2000000,"dur":1000000,"args":{"peer":"n1"}},
-{"name":"contact","cat":"span","ph":"X","pid":0,"tid":2,"ts":2100000,"dur":0,"args":{"peer":"n1"}},
 {"name":"phase:Associated","cat":"span","ph":"X","pid":0,"tid":2,"ts":3000000,"dur":1500000,"args":{"peer":"n1"}},
-{"name":"ring dropped 1 events (oldest overwritten); timeline is truncated — use --trace-stream for full fidelity","cat":"log","ph":"i","s":"t","pid":0,"tid":1000001,"ts":0,"args":{"dropped":1}},
 {"name":"tab\tand \u0001 ctl","cat":"log","ph":"i","s":"t","pid":0,"tid":1000001,"ts":4000000,"args":{"level":2}}
 ]}
 )pin");
-  EXPECT_EQ(events_jsonl(rec), R"pin({"warning":"ring dropped 1 events (oldest overwritten); timeline is truncated — use --trace-stream for full fidelity","dropped":1}
-{"seq":1,"t_us":0,"kind":"beacon_tx","node":"n1","peer":"-","id":0,"a":0,"b":0,"c":0}
+  EXPECT_EQ(events_jsonl(rec), R"pin({"seq":1,"t_us":0,"kind":"beacon_tx","node":"n1","peer":"-","id":0,"a":0,"b":0,"c":0}
+{"seq":2,"t_us":100250,"kind":"beacon_rx","node":"n2","peer":"n1","id":1,"a":-63.25,"b":0,"c":0}
 {"seq":3,"t_us":100300,"kind":"anchor_change","node":"n2","peer":"n1","id":1,"a":0.30000000000000004,"b":0,"c":0}
 {"seq":4,"t_us":1500000,"kind":"frame_tx","node":"n2","peer":"n1","id":42,"a":0.0012344999999999999,"b":2,"c":1}
 {"seq":5,"t_us":1500001,"kind":"relay_eval","node":"n1","peer":"n2","id":18446744073709551615,"a":0.33333333333333331,"b":1e-300,"c":-7}

@@ -307,7 +307,7 @@ TEST(AbsorbProps, HostilePartsThrowWhereVisitThrows) {
 // distinct values than memo slots (collisions, evictions, -0, integral
 // values, infinities) every line must equal the uncached append_jsonl's.
 TEST(ExportProps, MemoizedDoublesRenderAsPrintfDoes) {
-  TraceRecorder rec(1 << 16);
+  TraceRecorder rec;
   Rng rng = Rng(30).fork("export-props");
   const double specials[] = {-0.0, 0.0, 1e17, -1e17, 1e300, 5e-324,
                              0.1, 1.0 / 3.0, -2.5, 1e16 + 1.0};

@@ -553,7 +553,6 @@ std::string render_golden_row(const GoldenRow& row, int threads) {
     else
       spec.metric_columns = {"mac.transmissions", "core.salvaged"};
     spec.trace_dir = traces.string();
-    spec.trace_stream = row.replay && row.catalog;
   }
   const ExperimentPoint point = spec.enumerate().front();
 
@@ -628,8 +627,8 @@ TEST(Executor, PointsMatchTheGoldenBytesOnAnyWorkerCount) {
 /// Every file a live (cbr) catalog point writes under \p trace_dir, as
 /// "name digest" lines, run on \p threads workers: DieselNet-Ch1 with
 /// coord, a fleet of four over three trip groups, so many nodes' chunk
-/// flushes interleave in a streamed spool and three trips are stitched.
-std::string live_trace_digests(bool stream, int threads) {
+/// flushes interleave in the spool and three trips are stitched.
+std::string live_trace_digests(int threads) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "vifi_test_live_pin";
   fs::remove_all(dir);
@@ -651,7 +650,6 @@ std::string live_trace_digests(bool stream, int threads) {
   spec.grid.seeds = {1};
   spec.workload = "cbr";
   spec.trace_dir = (dir / "traces").string();
-  spec.trace_stream = stream;
   const ExperimentPoint point = spec.enumerate().front();
   tracegen::drop_catalog_cache();
   const PointResult r =
@@ -670,33 +668,23 @@ std::string live_trace_digests(bool stream, int threads) {
   return out;
 }
 
-// The trace bytes of a live catalog point, pinned, streamed and
-// ring-traced: the golden table streams only a replay point, whose spool
-// has few nodes and no interleaved flushes. Any change to the spool
-// writer, the part-spool absorb or the exporters moves a digest.
+// The trace bytes of a live DieselNet-Ch1 catalog point with coord,
+// pinned beside the golden table's rows. Any change to the spool writer,
+// the part-spool absorb or the exporters moves a digest.
 TEST(Executor, LiveTraceBytesArePinned) {
-  const std::string streamed =
+  const std::string want =
       "point_0000.jsonl c9bb56529e6ac0f0\n"
       "point_0000.metrics.json 3e9b9731e7115d82\n"
       "point_0000.spool 14119fe7b54f036e\n"
       "point_0000.trace.json 598dcd20603f13cb\n";
-  const std::string ring =
-      "point_0000.jsonl c9bb56529e6ac0f0\n"
-      "point_0000.metrics.json 3e9b9731e7115d82\n"
-      "point_0000.trace.json 598dcd20603f13cb\n";
-  for (const int threads : {1, 4}) {
-    EXPECT_EQ(live_trace_digests(true, threads), streamed) << threads;
-    EXPECT_EQ(live_trace_digests(false, threads), ring) << threads;
-  }
+  for (const int threads : {1, 4})
+    EXPECT_EQ(live_trace_digests(threads), want) << threads;
 }
 
-// A failing trip must not strand the per-trip part spools a streamed point
-// writes beside its session spool: the point throws and trace_dir holds no
-// `*.part` file afterwards.
-TEST(Executor, FailedTripLeavesNoPartSpools) {
+/// A cbr point over a DieselNet-Ch1 catalog written to \p dir/catalog,
+/// whose trip 1 throws: one of that trip's traces is missing.
+ExperimentPoint catalog_point_failing_trip_1(const std::filesystem::path& dir) {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "vifi_test_part_spools";
-  fs::remove_all(dir);
   const scenario::Testbed bed = make_testbed("DieselNet-Ch1", 2);
   scenario::CampaignConfig cfg;
   cfg.days = 1;
@@ -706,11 +694,10 @@ TEST(Executor, FailedTripLeavesNoPartSpools) {
   cfg.log_probes = false;
   tracegen::write_catalog((dir / "catalog").string(), "unit",
                           scenario::generate_campaign(bed, cfg));
-  ASSERT_TRUE(fs::remove(dir / "catalog" /
+  EXPECT_TRUE(fs::remove(dir / "catalog" /
                          ("day0_trip1_veh" +
                           std::to_string(bed.vehicle_ids()[0].value()) +
                           ".vifitrace")));
-
   ExperimentSpec spec;
   spec.grid.testbeds = {"DieselNet-Ch1"};
   spec.grid.fleet_sizes = {2};
@@ -718,9 +705,18 @@ TEST(Executor, FailedTripLeavesNoPartSpools) {
   spec.grid.policies = {"ViFi"};
   spec.grid.seeds = {1};
   spec.workload = "cbr";
-  spec.trace_dir = (dir / "traces").string();
-  spec.trace_stream = true;
-  const ExperimentPoint point = spec.enumerate().front();
+  return spec.enumerate().front();
+}
+
+// A failing trip must not strand the per-trip part spools a traced point
+// writes beside its session spool: the point throws and trace_dir holds no
+// `*.part` file afterwards.
+TEST(Executor, FailedTripLeavesNoPartSpools) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "vifi_test_part_spools";
+  fs::remove_all(dir);
+  ExperimentPoint point = catalog_point_failing_trip_1(dir);
+  point.trace_dir = (dir / "traces").string();
   try {
     run_point_sharded(point, Runner({.threads = 2}));
     ADD_FAILURE() << "the point did not throw";
@@ -754,14 +750,13 @@ ExperimentPoint streamed_catalog_point(const std::filesystem::path& dir) {
   spec.workload = "cbr";
   spec.metric_columns = {"mac.transmissions"};
   spec.trace_dir = (dir / "traces").string();
-  spec.trace_stream = true;
   return spec.enumerate().front();
 }
 
 // A streamed point's four files — the spool and the three exports, which
 // are written concurrently on the point's pool — must not depend on that
 // pool: run_point's inline worker and sharded pools of 2 and 4 give the
-// same bytes. (The golden's instrumented rows are ring-backed.)
+// same bytes.
 TEST(Executor, StreamedExportsAreIdenticalOnAnyWorkerCount) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "vifi_test_stream_exports";
@@ -801,6 +796,39 @@ TEST(Executor, StreamedExportsAreIdenticalOnAnyWorkerCount) {
   fs::remove_all(dir);
 }
 
+// A default-constructed recorder spools into a scratch directory of its
+// own, which goes with everything in it when the recorder does: after a
+// point that ran and was read back, and after a point whose trip threw
+// while the caller's recorder was installed (its part spools lived there).
+TEST(Executor, DefaultRecorderLeavesNothingBehind) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "vifi_test_scratch_spool";
+  fs::remove_all(dir);
+  const ExperimentPoint failing = catalog_point_failing_trip_1(dir / "bad");
+  ExperimentPoint good = streamed_catalog_point(dir / "good");
+  good.trace_dir.clear();
+  for (const ExperimentPoint* point :
+       std::initializer_list<const ExperimentPoint*>{&good, &failing}) {
+    const bool throws = point == &failing;
+    fs::path scratch;
+    {
+      obs::TraceRecorder recorder;
+      const obs::TraceScope scope(recorder);
+      scratch = fs::path(recorder.spool_path()).parent_path();
+      EXPECT_TRUE(fs::is_directory(scratch));
+      try {
+        run_point_sharded(*point, Runner({.threads = 2}));
+        EXPECT_FALSE(throws) << "the point did not throw";
+        EXPECT_EQ(recorder.merged().size(), recorder.recorded());
+      } catch (const std::runtime_error& e) {
+        EXPECT_TRUE(throws) << e.what();
+      }
+    }
+    EXPECT_FALSE(fs::exists(scratch)) << scratch;
+  }
+  fs::remove_all(dir);
+}
+
 // An export file that cannot be written fails the point, and the error
 // names the file.
 TEST(Executor, UnwritableExportFailsThePointNamingTheFile) {
@@ -826,9 +854,9 @@ TEST(Executor, UnwritableExportFailsThePointNamingTheFile) {
 // A catalog cbr point takes its trips from the catalog: the days and
 // trips_per_day knobs of a stochastic campaign do not apply to it.
 // A point that asks only for metric columns keeps no trace, since nothing
-// would write it: its dropped-events column reads 0 even on a fleet whose
-// per-node rings would overflow (this point overflows them when traced),
-// while its other columns are still filled from the point's registry.
+// would write it, while its columns are still filled from the point's
+// registry. A column naming a metric nothing registers, such as
+// obs.trace.dropped_events, reads 0.
 TEST(Executor, MetricOnlyPointKeepsNoTrace) {
   ExperimentSpec spec;
   spec.grid.testbeds = {"VanLAN"};
@@ -919,6 +947,9 @@ TEST(CheckSpec, NamesTheFirstThingNoPointCanRun) {
   live.grid.coordinations = {"pab", "coord"};
   EXPECT_NO_THROW(check_spec(small_replay_spec()));
   EXPECT_NO_THROW(check_spec(live));
+  ExperimentSpec ignored = live;
+  ignored.trace_stream = true;  // ignored: every traced point streams
+  EXPECT_NO_THROW(check_spec(ignored));
 
   std::vector<std::pair<ExperimentSpec, std::string>> cases;
   ExperimentSpec bad = live;
@@ -940,9 +971,6 @@ TEST(CheckSpec, NamesTheFirstThingNoPointCanRun) {
   bad.grid.coordinations = {"pab", "teleport"};
   cases.emplace_back(bad,
                      "unknown coordination 'teleport' (expected pab/coord)");
-  bad = live;
-  bad.trace_stream = true;
-  cases.emplace_back(bad, "trace_stream requires a trace_dir");
   for (const auto& [spec, want] : cases) {
     try {
       check_spec(spec);

@@ -553,6 +553,73 @@ TEST(ModelIo, RejectsMismatchedParallelSampleLists) {
   }
 }
 
+TEST(ModelIo, RejectsOutOfRangeValuesNamingTheField) {
+  const trace::MeasurementTrace t = two_contact_trace();
+  std::ostringstream fitted;
+  save_model(fit_model({&t}, {}), fitted);
+  std::vector<std::string> lines;
+  {
+    std::istringstream in(fitted.str());
+    for (std::string l; std::getline(in, l);) lines.push_back(l);
+  }
+  // The index of the first line tagged \p tag.
+  const auto find = [&lines](const std::string& tag) {
+    std::size_t i = 0;
+    while (i < lines.size() && lines[i].rfind(tag + " ", 0) != 0) ++i;
+    return i;
+  };
+  // Line \p i with the value after \p key set to \p value.
+  const auto set_field = [&lines](std::size_t i, const std::string& key,
+                                  const std::string& value) {
+    std::istringstream words(lines[i]);
+    std::string out, w;
+    for (bool next = false; words >> w; next = w == key)
+      out += (out.empty() ? "" : " ") + (next ? value : w);
+    return out;
+  };
+  const std::size_t header = find("model"), link = find("link"),
+                    durations = find("durations"), losses = find("losses");
+  ASSERT_LT(losses, lines.size());
+  std::string bs;
+  std::istringstream(lines[link]) >> bs >> bs;
+  struct Case {
+    std::size_t index;
+    std::string line;
+    std::string expect;
+  };
+  const Case cases[] = {
+      {losses, "losses " + bs + " 1 7", "losses must lie in [0, 1], got 7"},
+      {losses, "losses " + bs + " 1 -0.5", "losses must lie in [0, 1]"},
+      {durations, "durations " + bs + " 1 -9",
+       "durations must be finite and > 0, got -9"},
+      {durations, "durations " + bs + " 1 0",
+       "durations must be finite and > 0"},
+      {link, set_field(link, "rate", "-1"), "rate must be finite and >= 0"},
+      {link, set_field(link, "on_us", "-5"), "on_us must be finite and >= 0"},
+      {link, set_field(link, "off_us", "-5"), "off_us must be finite and >= 0"},
+      {link, set_field(link, "rssi_sd", "-1"),
+       "rssi_sd must be finite and >= 0"},
+      {header, set_field(header, "duration_us", "0"),
+       "trip duration must be positive"},
+  };
+  for (const Case& c : cases) {
+    ASSERT_NE(c.line, lines[c.index]);
+    std::string text;
+    for (std::size_t i = 0; i < lines.size(); ++i)
+      text += (i == c.index ? c.line : lines[i]) + "\n";
+    std::istringstream in(text);
+    const std::string want =
+        "line " + std::to_string(c.index + 1) + ": " + c.expect;
+    try {
+      load_model(in);
+      ADD_FAILURE() << "accepted: " << c.line;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what() << " (want " << want << ")";
+    }
+  }
+}
+
 class ReplayAxisTest : public CatalogTest {};
 
 TEST_F(ReplayAxisTest, GridEnumeratesTraceSetsLikeAnyAxis) {
