@@ -35,7 +35,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
-#include "obs/sink.h"
 #include "runtime/executor.h"
 #include "runtime/runner.h"
 #include "scenario/live.h"
@@ -317,7 +316,7 @@ void run_packet_path(benchmark::State& state, bool coord, bool traced) {
     std::optional<obs::TraceScope> trace_scope;
     std::optional<obs::MetricsScope> metrics_scope;
     if (traced) {
-      recorder.emplace(std::make_unique<obs::StreamSink>(spool));
+      recorder.emplace(std::make_unique<obs::SpoolWriter>(spool));
       metrics.emplace();
       trace_scope.emplace(*recorder);
       metrics_scope.emplace(*metrics);
@@ -504,7 +503,7 @@ void BM_ExportStreamedPoint(benchmark::State& state) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "vifi_bench_export.spool")
           .string();
-  obs::TraceRecorder recorder(std::make_unique<obs::StreamSink>(path));
+  obs::TraceRecorder recorder(std::make_unique<obs::SpoolWriter>(path));
   Rng rng = Rng(11).fork("export-bench");
   for (int i = 0; i < kEvents; ++i) {
     const auto kind = static_cast<obs::EventKind>(

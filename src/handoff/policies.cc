@@ -13,12 +13,12 @@ std::size_t trip_seconds(const MeasurementTrace& trip) {
   return static_cast<std::size_t>(std::max(1, trip.seconds()));
 }
 
-/// The BS position (SlotMasks::position) of each entry of trip.bs_ids.
-std::vector<int> bs_positions(const MeasurementTrace& trip,
-                              const SlotMasks& heard) {
+/// The BS position (MeasurementTrace::bs_position) of each entry of
+/// trip.bs_ids.
+std::vector<int> bs_positions(const MeasurementTrace& trip) {
   std::vector<int> pos;
   pos.reserve(trip.bs_ids.size());
-  for (const NodeId bs : trip.bs_ids) pos.push_back(heard.position(bs));
+  for (const NodeId bs : trip.bs_ids) pos.push_back(trip.bs_position(bs));
   return pos;
 }
 
@@ -28,13 +28,13 @@ std::vector<int> bs_positions(const MeasurementTrace& trip,
 /// in [0, trip seconds); each cell's RSSI is summed in beacon order.
 class BeaconTable {
  public:
-  BeaconTable(const MeasurementTrace& trip, const SlotMasks& heard)
+  explicit BeaconTable(const MeasurementTrace& trip)
       : secs_(trip_seconds(trip)),
         count_(trip.bs_ids.size() * secs_, 0),
         rssi_sum_(count_.size(), 0.0) {
     for (const trace::BeaconObs& b : trip.vehicle_beacons) {
       const std::int64_t s = b.t.to_micros() / 1'000'000;
-      const int k = heard.position(b.bs);
+      const int k = trip.bs_position(b.bs);
       if (k < 0 || s < 0 || static_cast<std::uint64_t>(s) >= secs_) continue;
       const std::size_t i = cell(k, static_cast<std::size_t>(s));
       ++count_[i];
@@ -70,11 +70,10 @@ std::vector<Ewma> ewmas(std::size_t n, double alpha) {
 
 }  // namespace
 
-std::vector<NodeId> RssiPolicy::choose(const MeasurementTrace& trip,
-                                       const SlotMasks& heard) {
+std::vector<NodeId> RssiPolicy::choose(const MeasurementTrace& trip) {
   const std::size_t secs = trip_seconds(trip);
-  const BeaconTable beacons(trip, heard);
-  const std::vector<int> pos = bs_positions(trip, heard);
+  const BeaconTable beacons(trip);
+  const std::vector<int> pos = bs_positions(trip);
   std::vector<Ewma> avg = ewmas(pos.size(), alpha_);
   std::vector<int> last_heard(pos.size(), -1);  // -1: never heard
 
@@ -104,11 +103,10 @@ std::vector<NodeId> RssiPolicy::choose(const MeasurementTrace& trip,
   return choices;
 }
 
-std::vector<NodeId> BrrPolicy::choose(const MeasurementTrace& trip,
-                                      const SlotMasks& heard) {
+std::vector<NodeId> BrrPolicy::choose(const MeasurementTrace& trip) {
   const std::size_t secs = trip_seconds(trip);
-  const BeaconTable beacons(trip, heard);
-  const std::vector<int> pos = bs_positions(trip, heard);
+  const BeaconTable beacons(trip);
+  const std::vector<int> pos = bs_positions(trip);
   std::vector<Ewma> ratio = ewmas(pos.size(), alpha_);
   std::vector<char> seen(pos.size(), 0);
 
@@ -140,11 +138,10 @@ std::vector<NodeId> BrrPolicy::choose(const MeasurementTrace& trip,
   return choices;
 }
 
-std::vector<NodeId> StickyPolicy::choose(const MeasurementTrace& trip,
-                                         const SlotMasks& heard) {
+std::vector<NodeId> StickyPolicy::choose(const MeasurementTrace& trip) {
   const std::size_t secs = trip_seconds(trip);
-  const BeaconTable beacons(trip, heard);
-  const std::vector<int> pos = bs_positions(trip, heard);
+  const BeaconTable beacons(trip);
+  const std::vector<int> pos = bs_positions(trip);
 
   auto last_second_rssi_best = [&](std::size_t s) {
     NodeId best{};
@@ -181,7 +178,7 @@ std::vector<NodeId> StickyPolicy::choose(const MeasurementTrace& trip,
     choices[s] = current;
     // Update silence from this second's beacons.
     if (current.valid()) {
-      const int c = beacons.count(heard.position(current), s);
+      const int c = beacons.count(trip.bs_position(current), s);
       silent_for = c > 0 ? 0 : silent_for + 1;
     }
   }
@@ -207,13 +204,11 @@ const HistoryTables::DayTable& HistoryTables::day(int day) const {
   std::call_once(built_[d], [&] {
     DayTable& table = tables_[d];
     for (const auto* trip : campaign_.trips_on_day(day)) {
-      const SlotMasks heard(*trip);
       for (std::size_t i = 0; i < trip->slots.size(); ++i) {
-        const auto cell =
-            mobility::grid_cell(trip->slots[i].vehicle_pos, cell_size_m_);
+        const auto cell = mobility::grid_cell(trip->slots.pos(i), cell_size_m_);
         for (NodeId bs : trip->bs_ids) {
           auto& sc = table[{cell, bs}];
-          sc.sum += heard.successes(i, i + 1, bs);
+          sc.sum += trip->slot_successes(i, i + 1, bs);
           ++sc.n;
         }
       }
@@ -222,11 +217,10 @@ const HistoryTables::DayTable& HistoryTables::day(int day) const {
   return tables_[d];
 }
 
-std::vector<NodeId> HistoryPolicy::choose(const MeasurementTrace& trip,
-                                          const SlotMasks& heard) {
+std::vector<NodeId> HistoryPolicy::choose(const MeasurementTrace& trip) {
   const std::size_t secs = trip_seconds(trip);
-  const BeaconTable beacons(trip, heard);
-  const std::vector<int> pos = bs_positions(trip, heard);
+  const BeaconTable beacons(trip);
+  const std::vector<int> pos = bs_positions(trip);
   const HistoryTables::DayTable* history =
       trip.day > 0 ? &tables_->day(trip.day - 1) : nullptr;
 
@@ -252,8 +246,8 @@ std::vector<NodeId> HistoryPolicy::choose(const MeasurementTrace& trip,
       // The vehicle's position at this second (first slot of the second).
       const std::size_t slot_index = s * 10;
       if (slot_index < trip.slots.size()) {
-        const auto cell = mobility::grid_cell(
-            trip.slots[slot_index].vehicle_pos, tables_->cell_size_m());
+        const auto cell = mobility::grid_cell(trip.slots.pos(slot_index),
+                                              tables_->cell_size_m());
         double best_score = 0.0;
         for (NodeId bs : trip.bs_ids) {
           const auto it = history->find({cell, bs});
@@ -271,8 +265,7 @@ std::vector<NodeId> HistoryPolicy::choose(const MeasurementTrace& trip,
   return choices;
 }
 
-std::vector<NodeId> BestBsPolicy::choose(const MeasurementTrace& trip,
-                                         const SlotMasks& heard) {
+std::vector<NodeId> BestBsPolicy::choose(const MeasurementTrace& trip) {
   const std::size_t secs = trip_seconds(trip);
   std::vector<NodeId> choices(secs);
   for (std::size_t s = 0; s < secs; ++s) {
@@ -281,7 +274,7 @@ std::vector<NodeId> BestBsPolicy::choose(const MeasurementTrace& trip,
     NodeId best{};
     int best_score = -1;
     for (NodeId bs : trip.bs_ids) {
-      const int score = heard.successes(s * 10, (s + 1) * 10, bs);
+      const int score = trip.slot_successes(s * 10, (s + 1) * 10, bs);
       if (score > best_score) {
         best_score = score;
         best = bs;

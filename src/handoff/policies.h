@@ -33,8 +33,7 @@ class RssiPolicy final : public HandoffPolicy {
   /// \p staleness: a BS is a candidate only if heard within this window.
   explicit RssiPolicy(double alpha = 0.5, int staleness_s = 5)
       : alpha_(alpha), staleness_s_(staleness_s) {}
-  std::vector<NodeId> choose(const MeasurementTrace& trip,
-                             const SlotMasks& heard) override;
+  std::vector<NodeId> choose(const MeasurementTrace& trip) override;
 
  private:
   double alpha_;
@@ -44,8 +43,7 @@ class RssiPolicy final : public HandoffPolicy {
 class BrrPolicy final : public HandoffPolicy {
  public:
   explicit BrrPolicy(double alpha = 0.5) : alpha_(alpha) {}
-  std::vector<NodeId> choose(const MeasurementTrace& trip,
-                             const SlotMasks& heard) override;
+  std::vector<NodeId> choose(const MeasurementTrace& trip) override;
 
  private:
   double alpha_;
@@ -55,8 +53,7 @@ class StickyPolicy final : public HandoffPolicy {
  public:
   explicit StickyPolicy(Time silence = Time::seconds(3.0))
       : silence_(silence) {}
-  std::vector<NodeId> choose(const MeasurementTrace& trip,
-                             const SlotMasks& heard) override;
+  std::vector<NodeId> choose(const MeasurementTrace& trip) override;
 
  private:
   Time silence_;
@@ -97,8 +94,7 @@ class HistoryPolicy final : public HandoffPolicy {
  public:
   /// Reads \p tables, which must outlive the policy.
   explicit HistoryPolicy(const HistoryTables& tables) : tables_(&tables) {}
-  std::vector<NodeId> choose(const MeasurementTrace& trip,
-                             const SlotMasks& heard) override;
+  std::vector<NodeId> choose(const MeasurementTrace& trip) override;
 
  private:
   const HistoryTables* tables_;
@@ -108,8 +104,7 @@ class HistoryPolicy final : public HandoffPolicy {
 /// to the BS with the best (down + up) reception in that period (§3.1.5).
 class BestBsPolicy final : public HandoffPolicy {
  public:
-  std::vector<NodeId> choose(const MeasurementTrace& trip,
-                             const SlotMasks& heard) override;
+  std::vector<NodeId> choose(const MeasurementTrace& trip) override;
 };
 
 }  // namespace vifi::handoff

@@ -24,20 +24,17 @@ struct SlotOutcome {
 
 /// Hard handoff: only the associated BS counts. Each probe slot is served
 /// by \p policy's choice for the second it falls in; slots past the last
-/// full second use the last choice. \p heard is SlotMasks(trip), which
-/// the policy reads too. Throws ContractViolation if the policy returns
-/// fewer than trip.seconds() choices.
+/// full second use the last choice. Throws ContractViolation if the policy
+/// returns fewer than trip.seconds() choices.
 std::vector<SlotOutcome> replay_hard_handoff(const MeasurementTrace& trip,
-                                             const SlotMasks& heard,
                                              HandoffPolicy& policy);
 
 /// AllBSes oracle diversity (§3.1.6): upstream succeeds if any BS heard the
 /// packet; downstream succeeds if the vehicle heard any BS that slot.
-/// \p heard is SlotMasks(trip). \p max_bs < 0 uses all BSes; otherwise
-/// the union is restricted per second to the \p max_bs best BSes of that
-/// second (the §3.4.1 "two BSes give most of the gain" experiment).
+/// \p max_bs < 0 uses all BSes; otherwise the union is restricted per
+/// second to the \p max_bs best BSes of that second (the §3.4.1 "two BSes
+/// give most of the gain" experiment).
 std::vector<SlotOutcome> replay_allbses(const MeasurementTrace& trip,
-                                        const SlotMasks& heard,
                                         int max_bs = -1);
 
 /// Total packets delivered across a trip (both directions).

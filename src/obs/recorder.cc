@@ -8,11 +8,6 @@ namespace vifi::obs {
 
 namespace {
 thread_local TraceRecorder* t_current = nullptr;
-
-StreamSink take(std::unique_ptr<StreamSink> stream) {
-  VIFI_EXPECTS(stream != nullptr);
-  return std::move(*stream);
-}
 }  // namespace
 
 const char* to_string(EventKind kind) {
@@ -65,10 +60,12 @@ const char* to_string(EventKind kind) {
 
 TraceRecorder::TraceRecorder()
     : scratch_(std::make_unique<ScratchDir>("vifi_trace")),
-      sink_(scratch_->sub("trace.spool")) {}
+      spool_(std::make_unique<SpoolWriter>(scratch_->sub("trace.spool"))) {}
 
-TraceRecorder::TraceRecorder(std::unique_ptr<StreamSink> stream)
-    : sink_(take(std::move(stream))) {}
+TraceRecorder::TraceRecorder(std::unique_ptr<SpoolWriter> spool)
+    : spool_(std::move(spool)) {
+  VIFI_EXPECTS(spool_ != nullptr);
+}
 
 void TraceRecorder::record(EventKind kind, Time at, sim::NodeId node,
                            sim::NodeId peer, std::uint64_t id, double a,
@@ -86,7 +83,7 @@ void TraceRecorder::record(EventKind kind, Time at, sim::NodeId node,
   last_local_ = at;
   ++recorded_;
   ++kind_counts_[static_cast<int>(kind)];
-  sink_.push(e);
+  spool_->push(e);
 }
 
 void TraceRecorder::log(LogLevel level, std::string message) {
@@ -115,11 +112,11 @@ std::vector<SpoolLog> TraceRecorder::spool_logs() const {
 }
 
 void TraceRecorder::finalize() const {
-  if (!sink_.finalized()) sink_.finalize(spool_logs());
+  if (!spool_->finalized()) spool_->finalize(spool_logs());
 }
 
 void TraceRecorder::set_node_label(sim::NodeId node, std::string label) {
-  sink_.set_node_label(node, label);
+  spool_->set_node_label(node, label);
   labels_[node] = std::move(label);
 }
 
@@ -130,7 +127,7 @@ const std::string& TraceRecorder::node_label(sim::NodeId node) const {
 }
 
 std::vector<sim::NodeId> TraceRecorder::nodes() const {
-  std::vector<sim::NodeId> out = sink_.nodes();
+  std::vector<sim::NodeId> out = spool_->nodes();
   for (const auto& [node, label] : labels_) {
     (void)label;
     if (std::find(out.begin(), out.end(), node) == out.end())
@@ -141,10 +138,10 @@ std::vector<sim::NodeId> TraceRecorder::nodes() const {
 }
 
 void TraceRecorder::visit(const EventFn& fn) const {
-  // Seal the spool first so its footer carries the routed logs
-  // (StreamSink::visit alone would finalize without them).
+  // Seal the spool first so its footer carries the routed logs, then
+  // stream it back through the reader's merge.
   finalize();
-  sink_.visit(fn);
+  SpoolReader(spool_->path()).visit(fn);
 }
 
 std::vector<TraceEvent> TraceRecorder::merged() const {
@@ -156,9 +153,11 @@ std::vector<TraceEvent> TraceRecorder::merged() const {
 void TraceRecorder::absorb(const TraceRecorder& other, Time offset) {
   // Sequence numbers continue after everything (events *and* logs) this
   // recorder has issued, exactly as if other's stream had been recorded
-  // here next.
+  // here next. other's spool is sealed and copied in record by record, as
+  // encoded.
   const std::uint64_t seq_offset = next_seq_ - 1;
-  sink_.absorb(other.sink_, offset, seq_offset);
+  other.finalize();
+  spool_->absorb(SpoolReader(other.spool_path()), offset, seq_offset);
   for (const LogRecord& log : other.logs_) {
     LogRecord shifted = log;
     shifted.at = log.at + offset;

@@ -3,11 +3,11 @@
 /// \file recorder.h
 /// TripScope's TraceRecorder: typed protocol events (event.h) stamped
 /// with a timeline time and a recorder-wide sequence number, spooled to
-/// disk by the StreamSink the recorder holds by value (sink.h), plus a
-/// bounded side channel for routed log lines. Every event is kept: the
-/// spool buffers each node's events in fixed-size blocks and appends them
-/// off the hot path, and the recorder-wide sequence number makes the
-/// merged stream deterministic. A caller names the spool file, or a
+/// disk by the recorder's SpoolWriter (spool.h), plus a bounded side
+/// channel for routed log lines. Every event is kept: the spool buffers
+/// each node's events in fixed-size blocks and appends them off the hot
+/// path, and the recorder-wide sequence number makes the merged stream
+/// deterministic. A caller names the spool file, or a
 /// default-constructed recorder spools into a scratch directory of its
 /// own, removed with the recorder.
 ///
@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "obs/event.h"
-#include "obs/sink.h"
+#include "obs/spool.h"
 #include "sim/ids.h"
 #include "util/logging.h"
 #include "util/scratch_dir.h"
@@ -53,9 +53,9 @@ class TraceRecorder {
   /// removed with everything in it when the recorder goes away.
   TraceRecorder();
 
-  /// A recorder spooling to the caller's sink —
-  /// `std::make_unique<StreamSink>(path)` keeps the spool at `path`.
-  explicit TraceRecorder(std::unique_ptr<StreamSink> stream);
+  /// A recorder spooling to the caller's writer —
+  /// `std::make_unique<SpoolWriter>(path)` keeps the spool at `path`.
+  explicit TraceRecorder(std::unique_ptr<SpoolWriter> spool);
 
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
@@ -79,7 +79,7 @@ class TraceRecorder {
   Time time_base() const { return base_; }
 
   /// The spool file.
-  const std::string& spool_path() const { return sink_.path(); }
+  const std::string& spool_path() const { return spool_->path(); }
   /// Seals the spool (flushes residual blocks, writes the footer with the
   /// routed logs). No-op on repeat calls; recording after finalize is a
   /// contract violation.
@@ -129,10 +129,11 @@ class TraceRecorder {
   std::uint64_t next_seq_ = 1;
   std::uint64_t recorded_ = 0;
   std::uint64_t kind_counts_[kEventKindCount] = {};
-  /// The default constructor's spool directory, declared before sink_ so
+  /// The default constructor's spool directory, declared before spool_ so
   /// the spool is closed before the directory is removed.
   std::unique_ptr<ScratchDir> scratch_;
-  StreamSink sink_;
+  /// Heap-held, so const export calls may seal it (finalize, visit).
+  std::unique_ptr<SpoolWriter> spool_;
   std::map<sim::NodeId, std::string> labels_;
   std::deque<LogRecord> logs_;
   static constexpr std::size_t kMaxLogRecords = 4096;

@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file spool.h
-/// TripScope's disk spool: the on-disk format behind obs::StreamSink and
-/// the `tripscope query` engine. A spool holds every event one recorder
+/// TripScope's disk spool: the on-disk format behind obs::TraceRecorder
+/// and the `tripscope query` engine. A spool holds every event one recorder
 /// recorded, so a city-scale timeline is complete however long it runs.
 ///
 /// Layout (fixed-width host-endian fields; spools are per-run artifacts
@@ -163,6 +163,11 @@ class SpoolWriter {
   std::vector<NodeState*> dense_;
   std::ofstream out_;
 };
+
+/// SpoolWriter's former name. benchmark/vifibench.cc still spells the
+/// recorder's writer this way (vifibench.cc:765 and :921); nothing else
+/// does.
+using StreamSink = SpoolWriter;
 
 /// Reads one spool file. The constructor parses only the trailer + footer;
 /// scans stream chunk-by-chunk (never materialising the whole file) and

@@ -124,22 +124,12 @@ class CampaignSlot {
       for (auto& part : parts_)
         for (auto& t : part) campaign_.trips.push_back(std::move(t));
       parts_ = {};
-      masks_.resize(campaign_.trips.size());
-      masks_once_ = std::vector<std::once_flag>(campaign_.trips.size());
       ready_.notify_all();
     }
     std::unique_lock<std::mutex> lock(mu_);
     ready_.wait(lock, [&] { return landed_ == n || error_ != nullptr; });
     if (error_ != nullptr) std::rethrow_exception(error_);
     return campaign_;
-  }
-
-  /// Trace \p i's slot masks, built by the first point that replays it and
-  /// read by every policy after. Only after generate() has returned.
-  const trace::SlotMasks& masks(std::size_t i) {
-    std::call_once(masks_once_[i],
-                   [this, i] { masks_[i].emplace(campaign_.trips[i]); });
-    return *masks_[i];
   }
 
  private:
@@ -152,8 +142,6 @@ class CampaignSlot {
   std::size_t landed_ = 0;   ///< Trips generated; all = campaign_ is set.
   std::exception_ptr error_;
   trace::Campaign campaign_;  ///< Immutable once every trip has landed.
-  std::vector<std::optional<trace::SlotMasks>> masks_;  ///< Per trace.
-  std::vector<std::once_flag> masks_once_;
 };
 
 }  // namespace
@@ -225,8 +213,6 @@ class CampaignLease {
   const trace::Campaign& campaign(const scenario::Testbed& bed) {
     return slot_->generate(bed);
   }
-  /// Trace \p i's shared slot masks; after campaign().
-  const trace::SlotMasks& masks(std::size_t i) { return slot_->masks(i); }
 
  private:
   const std::uint64_t key_;
@@ -249,13 +235,12 @@ std::unique_ptr<handoff::HandoffPolicy> make_replay_policy(
   return nullptr;
 }
 
-/// replay_trip with the trip's slot masks and the campaign's History
-/// tables already built.
+/// replay_trip with the campaign's History tables already built.
 std::vector<handoff::SlotOutcome> replay_with(
-    const trace::MeasurementTrace& trip, const trace::SlotMasks& heard,
-    const std::string& policy, const handoff::HistoryTables& history) {
-  if (policy == "AllBSes") return handoff::replay_allbses(trip, heard);
-  return handoff::replay_hard_handoff(trip, heard,
+    const trace::MeasurementTrace& trip, const std::string& policy,
+    const handoff::HistoryTables& history) {
+  if (policy == "AllBSes") return handoff::replay_allbses(trip);
+  return handoff::replay_hard_handoff(trip,
                                       *make_replay_policy(policy, history));
 }
 
@@ -345,7 +330,7 @@ void fold_trips(std::size_t n, const Runner& pool,
       std::optional<obs::MetricsScope> metrics_scope;
       if (session_rec != nullptr) {
         slot.recorder = std::make_unique<obs::TraceRecorder>(
-            std::make_unique<obs::StreamSink>(part_spool(*session_rec, trip)));
+            std::make_unique<obs::SpoolWriter>(part_spool(*session_rec, trip)));
         trace_scope.emplace(*slot.recorder);
       }
       if (session_metrics != nullptr) {
@@ -437,13 +422,8 @@ void run_replay(const scenario::Testbed& bed, const ExperimentPoint& point,
       campaign->trips.size(), pool,
       [&](std::size_t i) {
         const trace::MeasurementTrace& trip = campaign->trips[i];
-        // A generated campaign's masks are shared by the sweep's policies;
-        // a catalog trip builds its own.
-        std::optional<trace::SlotMasks> own;
-        const trace::SlotMasks& heard =
-            lease ? lease->masks(i) : own.emplace(trip);
-        const auto stream = outcomes_to_stream(
-            replay_with(trip, heard, point.policy, history));
+        const auto stream =
+            outcomes_to_stream(replay_with(trip, point.policy, history));
         TripOutcome out{TripTally(fleet),
                         std::max(trip.duration, Time::seconds(1.0))};
         out.tally.acc.add_trip(stream, point.session);
@@ -657,7 +637,7 @@ std::unique_ptr<obs::TraceRecorder> make_point_recorder(
   std::snprintf(tag, sizeof(tag), "point_%04zu.spool",
                 static_cast<std::size_t>(point.index));
   return std::make_unique<obs::TraceRecorder>(
-      std::make_unique<obs::StreamSink>(
+      std::make_unique<obs::SpoolWriter>(
           (fs::path(point.trace_dir) / tag).string()));
 }
 
@@ -844,8 +824,7 @@ analysis::SlotStream outcomes_to_stream(
 std::vector<handoff::SlotOutcome> replay_trip(
     const trace::MeasurementTrace& trip, const std::string& policy,
     const trace::Campaign& campaign) {
-  return replay_with(trip, trace::SlotMasks(trip), policy,
-                     handoff::HistoryTables(campaign));
+  return replay_with(trip, policy, handoff::HistoryTables(campaign));
 }
 
 PointResult run_point(const ExperimentPoint& point) {

@@ -54,6 +54,7 @@ std::vector<trace::MeasurementTrace> generate_campaign_trip(
   // sample call: sample() would settle both directions with no draw and no
   // fade state, so the draws that remain, and their order, are unchanged.
   std::vector<mobility::Vec2> slot_fix(vehicles.size());
+  std::vector<NodeId> down, up;  // One slot's heard BSes.
   for (std::int64_t i = 0; i < n_slots; ++i) {
     const Time now = slot_len * static_cast<double>(i);
     // Each vehicle's slot-start GPS fix, read once through the channel's
@@ -64,18 +65,15 @@ std::vector<trace::MeasurementTrace> generate_campaign_trip(
     if (config.log_probes) {
       for (std::size_t v = 0; v < vehicles.size(); ++v) {
         const NodeId veh = vehicles[v];
-        trace::ProbeSlot slot;
-        slot.t = now;
-        slot.vehicle_pos = slot_fix[v];
+        down.clear();
+        up.clear();
         for (std::size_t k = 0; k < bs_ids.size(); ++k) {
           if (channel->out_of_range(slot_fix[v], bs_pos[k])) continue;
           const NodeId bs = bs_ids[k];
-          if (channel->sample_delivery(bs, veh, now))
-            slot.down_heard.push_back(bs);
-          if (channel->sample_delivery(veh, bs, now))
-            slot.up_heard_by.push_back(bs);
+          if (channel->sample_delivery(bs, veh, now)) down.push_back(bs);
+          if (channel->sample_delivery(veh, bs, now)) up.push_back(bs);
         }
-        logs[v].slots.push_back(std::move(slot));
+        logs[v].add_slot(now, slot_fix[v], down, up);
       }
     }
 
@@ -136,10 +134,9 @@ trace::MeasurementTrace filter_to_bs_subset(
   out.bs_ids.clear();
   for (NodeId id : t.bs_ids)
     if (keep(id)) out.bs_ids.push_back(id);
-  for (auto& slot : out.slots) {
-    std::erase_if(slot.down_heard, [&](NodeId id) { return !keep(id); });
-    std::erase_if(slot.up_heard_by, [&](NodeId id) { return !keep(id); });
-  }
+  // The kept slots' masks are taken over the kept BSes' positions.
+  out.slots = {};
+  out.add_slots(t.slots, keep);
   std::erase_if(out.vehicle_beacons,
                 [&](const trace::BeaconObs& b) { return !keep(b.bs); });
   std::erase_if(out.bs_beacons, [&](const trace::BsBeaconObs& b) {

@@ -1,5 +1,6 @@
 #include "trace/trace_io.h"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -16,6 +17,16 @@ constexpr const char* kMagicPrefix = "# vifi-trace v";
   throw std::runtime_error("trace parse error at line " +
                            std::to_string(line_no) + ": " + why);
 }
+
+/// A slot line's node id: a non-empty token of digits, within int.
+int node_id(const std::string& tok, int line_no) {
+  int id = 0;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, id);
+  if (tok[0] < '0' || tok[0] > '9' || ec != std::errc() || ptr != end)
+    fail(line_no, "bad node id '" + tok + "' in slot line");
+  return id;
+}
 }  // namespace
 
 void save_trace(const MeasurementTrace& t, std::ostream& os) {
@@ -28,12 +39,12 @@ void save_trace(const MeasurementTrace& t, std::ostream& os) {
   // round-trip byte-identically.
   if (t.vehicle.valid()) os << "vehicle " << t.vehicle.value() << "\n";
   for (NodeId bs : t.bs_ids) os << "bs " << bs.value() << "\n";
-  for (const ProbeSlot& s : t.slots) {
-    os << "slot " << s.t.to_micros() << " " << s.vehicle_pos.x << " "
-       << s.vehicle_pos.y << " down";
-    for (NodeId id : s.down_heard) os << " " << id.value();
+  for (std::size_t i = 0; i < t.slots.size(); ++i) {
+    os << "slot " << t.slots.start(i).to_micros() << " " << t.slots.pos(i).x
+       << " " << t.slots.pos(i).y << " down";
+    for (NodeId id : t.slots.down_ids(i)) os << " " << id.value();
     os << " up";
-    for (NodeId id : s.up_heard_by) os << " " << id.value();
+    for (NodeId id : t.slots.up_ids(i)) os << " " << id.value();
     os << "\n";
   }
   for (const BeaconObs& b : t.vehicle_beacons)
@@ -65,6 +76,10 @@ MeasurementTrace load_trace(std::istream& is) {
                       "')");
   }
   bool have_header = false;
+  // A `bs` line after slot lines changes the positions the slot masks
+  // are taken over: the slots are added again once the list is complete.
+  bool relist = false;
+  std::vector<NodeId> down, up;  // One slot line's ids.
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
@@ -72,11 +87,13 @@ MeasurementTrace load_trace(std::istream& is) {
     std::string tag;
     ls >> tag;
     if (tag == "trace") {
-      std::string kw;
+      std::string kw[4];
       std::int64_t dur_us = 0;
-      ls >> t.testbed >> kw >> t.day >> kw >> t.trip >> kw >> dur_us >> kw >>
-          t.beacons_per_second;
-      if (!ls) fail(line_no, "bad or truncated trace header: '" + line + "'");
+      ls >> t.testbed >> kw[0] >> t.day >> kw[1] >> t.trip >> kw[2] >>
+          dur_us >> kw[3] >> t.beacons_per_second;
+      if (!ls || kw[0] != "day" || kw[1] != "trip" || kw[2] != "duration_us" ||
+          kw[3] != "bps")
+        fail(line_no, "bad or truncated trace header: '" + line + "'");
       if (t.beacons_per_second <= 0)
         fail(line_no, "beacons_per_second must be positive");
       if (dur_us < 0) fail(line_no, "negative trip duration");
@@ -92,37 +109,30 @@ MeasurementTrace load_trace(std::istream& is) {
       ls >> id;
       if (!ls || id < 0) fail(line_no, "bad bs line: '" + line + "'");
       t.bs_ids.push_back(NodeId(id));
+      if (!t.slots.empty()) relist = true;
     } else if (tag == "slot") {
-      ProbeSlot s;
       std::int64_t us = 0;
+      mobility::Vec2 pos;
       std::string kw;
-      ls >> us >> s.vehicle_pos.x >> s.vehicle_pos.y >> kw;
+      ls >> us >> pos.x >> pos.y >> kw;
       if (!ls || kw != "down")
         fail(line_no, "bad or truncated slot line: '" + line + "'");
-      s.t = Time::micros(us);
+      down.clear();
+      up.clear();
       std::string tok;
-      bool in_down = true;
       bool saw_up = false;
       while (ls >> tok) {
         if (tok == "up") {
           if (saw_up) fail(line_no, "slot line has two 'up' markers");
-          in_down = false;
           saw_up = true;
           continue;
         }
-        int id = -1;
-        try {
-          id = std::stoi(tok);
-        } catch (const std::exception&) {
-          fail(line_no, "bad node id '" + tok + "' in slot line");
-        }
-        if (id < 0) fail(line_no, "negative node id in slot line");
-        (in_down ? s.down_heard : s.up_heard_by).push_back(NodeId(id));
+        (saw_up ? up : down).push_back(NodeId(node_id(tok, line_no)));
       }
       if (!saw_up)
         fail(line_no, "truncated slot line (missing 'up' marker): '" + line +
                           "'");
-      t.slots.push_back(std::move(s));
+      t.add_slot(Time::micros(us), pos, down, up);
     } else if (tag == "beacon") {
       BeaconObs b;
       std::int64_t us = 0;
@@ -150,6 +160,11 @@ MeasurementTrace load_trace(std::istream& is) {
   }
   if (!have_header)
     fail(line_no, "missing trace header (truncated or empty trace?)");
+  if (relist) {
+    const ProbeLog parsed = std::move(t.slots);
+    t.slots = {};
+    t.add_slots(parsed);
+  }
   return t;
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -16,15 +17,13 @@ namespace {
 using sim::NodeId;
 using trace::BeaconObs;
 using trace::MeasurementTrace;
-using trace::ProbeSlot;
 
 /// A policy that returns the same per-second choices for any trip.
 class FixedPolicy final : public HandoffPolicy {
  public:
   explicit FixedPolicy(std::vector<NodeId> choices)
       : choices_(std::move(choices)) {}
-  std::vector<NodeId> choose(const MeasurementTrace&,
-                             const SlotMasks&) override {
+  std::vector<NodeId> choose(const MeasurementTrace&) override {
     return choices_;
   }
 
@@ -33,8 +32,9 @@ class FixedPolicy final : public HandoffPolicy {
 };
 
 /// Builds a trace where BS0 is strong for the first half of the trip and
-/// BS1 for the second half; beacons and probes agree.
-MeasurementTrace two_phase_trace(int seconds = 10) {
+/// BS1 for the second half; beacons and probes agree, except that slot
+/// \p deaf_slot's vehicle decodes no probe.
+MeasurementTrace two_phase_trace(int seconds = 10, int deaf_slot = -1) {
   MeasurementTrace t;
   t.testbed = "synthetic";
   t.duration = Time::seconds(seconds);
@@ -43,16 +43,14 @@ MeasurementTrace two_phase_trace(int seconds = 10) {
   for (int s = 0; s < seconds; ++s) {
     const NodeId good = s < seconds / 2 ? NodeId(0) : NodeId(1);
     for (int i = 0; i < 10; ++i) {
-      ProbeSlot slot;
-      slot.t = Time::millis(s * 1000.0 + i * 100.0);
+      const Time at = Time::millis(s * 1000.0 + i * 100.0);
+      const std::vector<NodeId> heard{good};
       // One 25 m grid cell per second of driving.
-      slot.vehicle_pos = {s * 30.0, 0.0};
-      slot.down_heard = {good};
-      slot.up_heard_by = {good};
-      t.slots.push_back(slot);
+      t.add_slot(at, {s * 30.0, 0.0},
+                 s * 10 + i == deaf_slot ? std::span<const NodeId>{} : heard,
+                 heard);
       t.vehicle_beacons.push_back(
-          {slot.t + Time::millis(3.0), good,
-           good == NodeId(0) ? -55.0 : -60.0});
+          {at + Time::millis(3.0), good, good == NodeId(0) ? -55.0 : -60.0});
     }
   }
   return t;
@@ -61,7 +59,7 @@ MeasurementTrace two_phase_trace(int seconds = 10) {
 TEST(BrrPolicy, TracksTheStrongBs) {
   MeasurementTrace t = two_phase_trace(10);
   BrrPolicy policy;
-  const std::vector<NodeId> choices = policy.choose(t, SlotMasks(t));
+  const std::vector<NodeId> choices = policy.choose(t);
   // Early in the trip: associated with BS0 (after a warm-up second).
   EXPECT_EQ(choices[2], NodeId(0));
   // Late in the trip: must have switched to BS1.
@@ -73,7 +71,7 @@ TEST(BrrPolicy, ReplayDeliversNearlyEverything) {
   // packets except around the switch.
   MeasurementTrace t = two_phase_trace(10);
   BrrPolicy policy;
-  const auto outcomes = replay_hard_handoff(t, SlotMasks(t), policy);
+  const auto outcomes = replay_hard_handoff(t, policy);
   const auto delivered = packets_delivered(outcomes);
   // Loses only the warm-up second and the second around the switch.
   EXPECT_GE(delivered, 2 * 75);
@@ -85,7 +83,7 @@ TEST(RssiPolicy, PrefersStrongerSignal) {
   // dropped once its beacons go stale, despite its higher average.
   MeasurementTrace t = two_phase_trace(20);
   RssiPolicy policy;
-  const std::vector<NodeId> choices = policy.choose(t, SlotMasks(t));
+  const std::vector<NodeId> choices = policy.choose(t);
   EXPECT_EQ(choices[6], NodeId(0));
   EXPECT_EQ(choices[19], NodeId(1));
 }
@@ -99,21 +97,17 @@ TEST(RssiPolicy, StaleBsesAreNotCandidates) {
   t.bs_ids = {NodeId(0), NodeId(1)};
   for (int i = 0; i < 10; ++i) {
     t.vehicle_beacons.push_back({Time::millis(i * 10.0), NodeId(0), -40.0});
-    ProbeSlot s;
-    s.t = Time::millis(i * 100.0);
-    t.slots.push_back(s);
+    t.add_slot(Time::millis(i * 100.0), {}, {}, {});
   }
   for (int s = 1; s < 10; ++s)
     for (int i = 0; i < 10; ++i) {
-      ProbeSlot slot;
-      slot.t = Time::millis(s * 1000.0 + i * 100.0);
-      t.slots.push_back(slot);
+      const Time at = Time::millis(s * 1000.0 + i * 100.0);
+      t.add_slot(at, {}, {}, {});
       if (s >= 7)
-        t.vehicle_beacons.push_back(
-            {slot.t + Time::millis(1.0), NodeId(1), -80.0});
+        t.vehicle_beacons.push_back({at + Time::millis(1.0), NodeId(1), -80.0});
     }
   RssiPolicy policy;
-  const std::vector<NodeId> choices = policy.choose(t, SlotMasks(t));
+  const std::vector<NodeId> choices = policy.choose(t);
   EXPECT_EQ(choices[9], NodeId(1));  // weak but fresh beats stale
 }
 
@@ -126,16 +120,14 @@ TEST(StickyPolicy, HoldsThroughShortSilence) {
   t.bs_ids = {NodeId(0), NodeId(1)};
   for (int s = 0; s < 8; ++s)
     for (int i = 0; i < 10; ++i) {
-      ProbeSlot slot;
-      slot.t = Time::millis(s * 1000.0 + i * 100.0);
-      t.slots.push_back(slot);
+      const Time at = Time::millis(s * 1000.0 + i * 100.0);
+      t.add_slot(at, {}, {}, {});
       const bool bs0_silent = s >= 3 && s < 5;
-      if (!bs0_silent)
-        t.vehicle_beacons.push_back({slot.t, NodeId(0), -50.0});
-      t.vehicle_beacons.push_back({slot.t, NodeId(1), -65.0});
+      if (!bs0_silent) t.vehicle_beacons.push_back({at, NodeId(0), -50.0});
+      t.vehicle_beacons.push_back({at, NodeId(1), -65.0});
     }
   StickyPolicy policy;
-  const std::vector<NodeId> choices = policy.choose(t, SlotMasks(t));
+  const std::vector<NodeId> choices = policy.choose(t);
   EXPECT_EQ(choices[2], NodeId(0));
   EXPECT_EQ(choices[4], NodeId(0));  // silent but within 3 s
   EXPECT_EQ(choices[7], NodeId(0));  // came back
@@ -148,14 +140,13 @@ TEST(StickyPolicy, SwitchesAfterLongSilence) {
   t.bs_ids = {NodeId(0), NodeId(1)};
   for (int s = 0; s < 10; ++s)
     for (int i = 0; i < 10; ++i) {
-      ProbeSlot slot;
-      slot.t = Time::millis(s * 1000.0 + i * 100.0);
-      t.slots.push_back(slot);
-      if (s < 2) t.vehicle_beacons.push_back({slot.t, NodeId(0), -50.0});
-      t.vehicle_beacons.push_back({slot.t, NodeId(1), -65.0});
+      const Time at = Time::millis(s * 1000.0 + i * 100.0);
+      t.add_slot(at, {}, {}, {});
+      if (s < 2) t.vehicle_beacons.push_back({at, NodeId(0), -50.0});
+      t.vehicle_beacons.push_back({at, NodeId(1), -65.0});
     }
   StickyPolicy policy;
-  const std::vector<NodeId> choices = policy.choose(t, SlotMasks(t));
+  const std::vector<NodeId> choices = policy.choose(t);
   EXPECT_EQ(choices[1], NodeId(0));
   EXPECT_EQ(choices[9], NodeId(1));  // switched after 3 s silence
 }
@@ -163,7 +154,7 @@ TEST(StickyPolicy, SwitchesAfterLongSilence) {
 TEST(BestBsPolicy, PicksTheOracleBest) {
   MeasurementTrace t = two_phase_trace(10);
   BestBsPolicy policy;
-  const std::vector<NodeId> choices = policy.choose(t, SlotMasks(t));
+  const std::vector<NodeId> choices = policy.choose(t);
   // No warm-up needed: it reads the future.
   EXPECT_EQ(choices[0], NodeId(0));
   EXPECT_EQ(choices[9], NodeId(1));
@@ -174,9 +165,9 @@ TEST(BestBsPolicy, UpperBoundsPracticalPolicies) {
   BestBsPolicy best;
   BrrPolicy brr;
   StickyPolicy sticky;
-  const auto d_best = packets_delivered(replay_hard_handoff(t, SlotMasks(t), best));
-  const auto d_brr = packets_delivered(replay_hard_handoff(t, SlotMasks(t), brr));
-  const auto d_sticky = packets_delivered(replay_hard_handoff(t, SlotMasks(t), sticky));
+  const auto d_best = packets_delivered(replay_hard_handoff(t, best));
+  const auto d_brr = packets_delivered(replay_hard_handoff(t, brr));
+  const auto d_sticky = packets_delivered(replay_hard_handoff(t, sticky));
   EXPECT_GE(d_best, d_brr);
   EXPECT_GE(d_best, d_sticky);
 }
@@ -194,16 +185,15 @@ TEST(HistoryPolicy, UsesPreviousDayAtSameLocation) {
   const HistoryTables tables(campaign);
   HistoryPolicy policy(tables);
   const MeasurementTrace& today = campaign.trips[1];
-  const std::vector<NodeId> choices = policy.choose(today, SlotMasks(today));
+  const std::vector<NodeId> choices = policy.choose(today);
   EXPECT_EQ(choices[0], NodeId(0));  // immediately correct
   EXPECT_EQ(choices[9], NodeId(1));
 }
 
 TEST(AllBses, UnionDeliversEverythingAnyBsGot) {
-  MeasurementTrace t = two_phase_trace(6);
-  // Damage BS-specific reception: remove BS0 from one slot's down list.
-  t.slots[5].down_heard.clear();
-  const auto outcomes = replay_allbses(t, SlotMasks(t));
+  // Damage BS-specific reception: BS0 is missing from one slot's down list.
+  const MeasurementTrace t = two_phase_trace(6, /*deaf_slot=*/5);
+  const auto outcomes = replay_allbses(t);
   EXPECT_FALSE(outcomes[5].down);
   EXPECT_TRUE(outcomes[6].down);
   const auto delivered = packets_delivered(outcomes);
@@ -212,18 +202,18 @@ TEST(AllBses, UnionDeliversEverythingAnyBsGot) {
 
 TEST(AllBses, DominatesEveryHardHandoffPolicy) {
   const MeasurementTrace t = two_phase_trace(20);
-  const auto d_all = packets_delivered(replay_allbses(t, SlotMasks(t)));
+  const auto d_all = packets_delivered(replay_allbses(t));
   BestBsPolicy best;
-  EXPECT_GE(d_all, packets_delivered(replay_hard_handoff(t, SlotMasks(t), best)));
+  EXPECT_GE(d_all, packets_delivered(replay_hard_handoff(t, best)));
 }
 
 TEST(AllBses, RestrictedToKBses) {
   // With the per-second best-k restriction, k = 1 equals BestBS-like
   // behaviour and k = all equals the full union.
   const MeasurementTrace t = two_phase_trace(10);
-  const auto d1 = packets_delivered(replay_allbses(t, SlotMasks(t), 1));
-  const auto d2 = packets_delivered(replay_allbses(t, SlotMasks(t), 2));
-  const auto dall = packets_delivered(replay_allbses(t, SlotMasks(t)));
+  const auto d1 = packets_delivered(replay_allbses(t, 1));
+  const auto d2 = packets_delivered(replay_allbses(t, 2));
+  const auto dall = packets_delivered(replay_allbses(t));
   EXPECT_LE(d1, d2);
   EXPECT_EQ(d2, dall);  // only two BSes exist
 }
@@ -232,7 +222,7 @@ TEST(Replay, UnassociatedSlotsDeliverNothing) {
   MeasurementTrace t = two_phase_trace(4);
   // A policy that never associates: an invalid BS for every second.
   FixedPolicy null_policy(std::vector<NodeId>(4));
-  EXPECT_EQ(packets_delivered(replay_hard_handoff(t, SlotMasks(t), null_policy)), 0);
+  EXPECT_EQ(packets_delivered(replay_hard_handoff(t, null_policy)), 0);
 }
 
 TEST(Replay, SlotsPastTheLastFullSecondUseTheLastChoice) {
@@ -243,15 +233,11 @@ TEST(Replay, SlotsPastTheLastFullSecondUseTheLastChoice) {
   t.duration = Time::seconds(2.0);
   t.bs_ids = {first, last};
   for (int s = 0; s < 4; ++s) {
-    ProbeSlot slot;
-    slot.t = Time::millis(s * 1000.0 + 500.0);
-    const NodeId heard = s == 0 ? first : last;
-    slot.down_heard = {heard};
-    slot.up_heard_by = {heard};
-    t.slots.push_back(slot);
+    const std::vector<NodeId> heard{s == 0 ? first : last};
+    t.add_slot(Time::millis(s * 1000.0 + 500.0), {}, heard, heard);
   }
   FixedPolicy policy({first, last});
-  const auto outcomes = replay_hard_handoff(t, SlotMasks(t), policy);
+  const auto outcomes = replay_hard_handoff(t, policy);
   ASSERT_EQ(outcomes.size(), 4u);
   for (const SlotOutcome& o : outcomes) EXPECT_EQ(o.delivered(), 2);
 }
@@ -259,14 +245,14 @@ TEST(Replay, SlotsPastTheLastFullSecondUseTheLastChoice) {
 TEST(Replay, PolicyWithTooFewChoicesIsAContractViolation) {
   const MeasurementTrace t = two_phase_trace(4);
   FixedPolicy short_policy({NodeId(0), NodeId(0), NodeId(1)});
-  EXPECT_THROW(replay_hard_handoff(t, SlotMasks(t), short_policy), ContractViolation);
+  EXPECT_THROW(replay_hard_handoff(t, short_policy), ContractViolation);
 }
 
 TEST(Replay, NoChoicesForAZeroSecondTripDeliverNothing) {
   MeasurementTrace t = two_phase_trace(1);
   t.duration = Time::zero();  // seconds() == 0: no choice is owed.
   FixedPolicy empty(std::vector<NodeId>{});
-  EXPECT_EQ(packets_delivered(replay_hard_handoff(t, SlotMasks(t), empty)), 0);
+  EXPECT_EQ(packets_delivered(replay_hard_handoff(t, empty)), 0);
 }
 
 }  // namespace

@@ -24,7 +24,6 @@
 
 #include "obs/export.h"
 #include "obs/recorder.h"
-#include "obs/sink.h"
 #include "obs/spool.h"
 #include "util/rng.h"
 
@@ -161,13 +160,13 @@ TEST(AbsorbProps, StreamRecorderAbsorbMatchesADirectRecording) {
   for (int run = 0; run < 20; ++run) {
     Rng rng = Rng(static_cast<std::uint64_t>(run)).fork("absorb-props-rec");
     const auto block = static_cast<std::size_t>(rng.uniform_int(1, 8));
-    TraceRecorder direct(std::make_unique<StreamSink>(
+    TraceRecorder direct(std::make_unique<SpoolWriter>(
         (dir / "direct.spool").string(), block));
-    TraceRecorder session(std::make_unique<StreamSink>(
+    TraceRecorder session(std::make_unique<SpoolWriter>(
         (dir / "session.spool").string(), block));
     Time base;
     for (int trip = 0; trip < 3; ++trip) {
-      TraceRecorder part(std::make_unique<StreamSink>(
+      TraceRecorder part(std::make_unique<SpoolWriter>(
           (dir / ("trip" + std::to_string(trip))).string(), block));
       direct.set_time_base(base);
       const int events = static_cast<int>(rng.uniform_int(0, 200));

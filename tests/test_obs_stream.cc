@@ -1,7 +1,7 @@
 // Tests for TripScope Streams: the spool on-disk format (round-trip,
 // footer index, crisp errors on foreign/truncated files and on hostile
-// chunks and records under every reader), StreamSink /
-// TraceRecorder streaming semantics (exports independent of the spool's
+// chunks and records under every reader), the TraceRecorder +
+// SpoolWriter streaming semantics (exports independent of the spool's
 // block size, every event kept and reconciled against the footer,
 // trip-order absorb reproducing a direct recording's spool bytes), the
 // derived span layer, the MetricsRegistry::total histogram contract, and
@@ -21,7 +21,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
-#include "obs/sink.h"
 #include "obs/span.h"
 #include "obs/spool.h"
 #include "runtime/executor.h"
@@ -305,14 +304,14 @@ void record_schedule(TraceRecorder& rec, std::uint64_t seed, int events) {
   rec.log(LogLevel::Warn, "schedule done");
 }
 
-TEST(StreamSink, ExportsDoNotDependOnTheSpoolBlockSize) {
+TEST(RecorderSpool, ExportsDoNotDependOnTheSpoolBlockSize) {
   const fs::path dir = temp_dir("vifi_stream_blocks");
   // Property over several seeds: 8-event blocks flush a chunk every few
   // events per node, the default blocks each node's ~175 events once, at
   // finalize; spool -> load -> export renders the same bytes either way.
   for (const std::uint64_t seed : {1ull, 7ull, 20080817ull}) {
     TraceRecorder big_blocks;
-    TraceRecorder small_blocks(std::make_unique<StreamSink>(
+    TraceRecorder small_blocks(std::make_unique<SpoolWriter>(
         (dir / ("s" + std::to_string(seed) + ".spool")).string(),
         /*block_events=*/8));
     record_schedule(big_blocks, seed, 700);
@@ -325,10 +324,10 @@ TEST(StreamSink, ExportsDoNotDependOnTheSpoolBlockSize) {
   fs::remove_all(dir);
 }
 
-TEST(StreamSink, KeepsEveryEventAndReconcilesWithTheFooter) {
+TEST(RecorderSpool, KeepsEveryEventAndReconcilesWithTheFooter) {
   const fs::path dir = temp_dir("vifi_stream_all");
   TraceRecorder stream_rec(
-      std::make_unique<StreamSink>((dir / "all.spool").string(),
+      std::make_unique<SpoolWriter>((dir / "all.spool").string(),
                                    /*block_events=*/8));
   const int events = 600;  // 75 blocks' worth
   record_schedule(stream_rec, 99, events);
@@ -347,12 +346,12 @@ TEST(StreamSink, KeepsEveryEventAndReconcilesWithTheFooter) {
   fs::remove_all(dir);
 }
 
-TEST(StreamSink, AbsorbReproducesADirectRecordingsSpoolBytes) {
+TEST(RecorderSpool, AbsorbReproducesADirectRecordingsSpoolBytes) {
   const fs::path dir = temp_dir("vifi_stream_absorb");
   // Direct: two trips recorded sequentially under set_time_base into one
   // recorder.
   TraceRecorder direct(
-      std::make_unique<StreamSink>((dir / "direct.spool").string()));
+      std::make_unique<SpoolWriter>((dir / "direct.spool").string()));
   record_schedule(direct, 5, 300);
   direct.set_time_base(Time::seconds(40.0));
   record_schedule(direct, 6, 300);
@@ -361,12 +360,12 @@ TEST(StreamSink, AbsorbReproducesADirectRecordingsSpoolBytes) {
   // Stitched: per-trip part spools absorbed in trip order, exactly as
   // run_point_sharded does.
   TraceRecorder session(
-      std::make_unique<StreamSink>((dir / "session.spool").string()));
+      std::make_unique<SpoolWriter>((dir / "session.spool").string()));
   {
     TraceRecorder trip0(
-        std::make_unique<StreamSink>((dir / "t0.part").string()));
+        std::make_unique<SpoolWriter>((dir / "t0.part").string()));
     TraceRecorder trip1(
-        std::make_unique<StreamSink>((dir / "t1.part").string()));
+        std::make_unique<SpoolWriter>((dir / "t1.part").string()));
     record_schedule(trip0, 5, 300);
     record_schedule(trip1, 6, 300);
     session.absorb(trip0, Time::zero());

@@ -12,6 +12,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <utility>
 #include <vector>
@@ -21,7 +22,8 @@
 #include "mobility/layouts.h"
 #include "mobility/mobility.h"
 #include "mobility/path.h"
-#include "trace/slot_masks.h"
+#include "scenario/campaign.h"
+#include "trace/observations.h"
 #include "util/ewma.h"
 #include "util/rng.h"
 
@@ -297,46 +299,106 @@ trace::MeasurementTrace random_trip(Rng& rng, int n_bs) {
     }
   };
   const auto slots = rng.uniform_int(0, t.seconds() * 10 + 3);
+  std::vector<NodeId> down, up;
   for (std::int64_t i = 0; i < slots; ++i) {
-    trace::ProbeSlot s;
-    s.t = Time::millis(100.0 * static_cast<double>(i));
-    heard(s.down_heard);
-    heard(s.up_heard_by);
-    t.slots.push_back(std::move(s));
+    down.clear();
+    up.clear();
+    heard(down);
+    heard(up);
+    t.add_slot(Time::millis(100.0 * static_cast<double>(i)), {}, down, up);
   }
   return t;
 }
 
 const int kBsCounts[] = {0, 1, 5, 11, 63, 64, 65, 100};
 
+/// Slot \p i's down / up list scans.
+bool down_in(const trace::MeasurementTrace& trip, std::size_t i, NodeId bs) {
+  return std::ranges::find(trip.slots.down_ids(i), bs) !=
+         trip.slots.down_ids(i).end();
+}
+bool up_in(const trace::MeasurementTrace& trip, std::size_t i, NodeId bs) {
+  return std::ranges::find(trip.slots.up_ids(i), bs) !=
+         trip.slots.up_ids(i).end();
+}
+
+/// The queries worth asking of \p trip: every listed id, every heard id,
+/// and ids nobody lists.
+std::vector<NodeId> queries(const trace::MeasurementTrace& trip) {
+  std::vector<NodeId> out = trip.bs_ids;
+  for (std::size_t i = 0; i < trip.slots.size(); ++i) {
+    out.insert(out.end(), trip.slots.down_ids(i).begin(),
+               trip.slots.down_ids(i).end());
+    out.insert(out.end(), trip.slots.up_ids(i).begin(),
+               trip.slots.up_ids(i).end());
+  }
+  out.push_back(NodeId{});
+  out.push_back(NodeId(1 << 29));
+  return out;
+}
+
+/// Every membership query of \p trip against the list scans, and each
+/// slot's masks against the bits of its listed ids.
+void expect_masks_match_lists(const trace::MeasurementTrace& trip,
+                              int trial) {
+  for (const NodeId q : queries(trip)) {
+    const auto first = std::find(trip.bs_ids.begin(), trip.bs_ids.end(), q);
+    const int want_pos = first == trip.bs_ids.end()
+                             ? -1
+                             : static_cast<int>(first - trip.bs_ids.begin());
+    ASSERT_EQ(trip.bs_position(q), want_pos) << "trial " << trial;
+    ASSERT_EQ(trip.slot_bit(q),
+              want_pos >= 0 && want_pos < 64 ? std::uint64_t{1} << want_pos
+                                             : 0u);
+    for (std::size_t i = 0; i < trip.slots.size(); ++i) {
+      ASSERT_EQ(trip.slot_down(i, q), down_in(trip, i, q))
+          << "trial " << trial << " slot " << i << " id " << q.value();
+      ASSERT_EQ(trip.slot_up(i, q), up_in(trip, i, q))
+          << "trial " << trial << " slot " << i << " id " << q.value();
+    }
+  }
+  for (std::size_t i = 0; i < trip.slots.size(); ++i) {
+    std::uint64_t down = 0, up = 0;
+    for (const NodeId id : trip.slots.down_ids(i)) down |= trip.slot_bit(id);
+    for (const NodeId id : trip.slots.up_ids(i)) up |= trip.slot_bit(id);
+    ASSERT_EQ(trip.slots.down_bits(i), down) << "trial " << trial;
+    ASSERT_EQ(trip.slots.up_bits(i), up) << "trial " << trial;
+  }
+}
+
 TEST(SlotMaskProps, AgreeWithTheSlotListsOnAnyTrip) {
   Rng rng(6402);
   for (int trial = 0; trial < 120; ++trial) {
     const int n_bs = kBsCounts[trial % std::size(kBsCounts)];
+    expect_masks_match_lists(random_trip(rng, n_bs), trial);
+  }
+}
+
+TEST(SlotMaskProps, FilteredTracesRepackTheirMasks) {
+  Rng rng(8808);
+  for (int trial = 0; trial < 120; ++trial) {
+    const int n_bs = kBsCounts[trial % std::size(kBsCounts)];
     const trace::MeasurementTrace trip = random_trip(rng, n_bs);
-    const trace::SlotMasks masks(trip);
-    // Queries: every listed id, every heard id, and ids nobody lists.
-    std::vector<NodeId> queries = trip.bs_ids;
-    for (const auto& s : trip.slots) {
-      queries.insert(queries.end(), s.down_heard.begin(), s.down_heard.end());
-      queries.insert(queries.end(), s.up_heard_by.begin(), s.up_heard_by.end());
+    // Keep a random subset of the listed ids, plus one id nobody lists.
+    std::vector<NodeId> subset{NodeId(3 * n_bs + 5)};
+    for (const NodeId bs : trip.bs_ids)
+      if (rng.bernoulli(0.5)) subset.push_back(bs);
+    const auto kept = [&](NodeId id) {
+      return std::ranges::find(subset, id) != subset.end();
+    };
+    const trace::MeasurementTrace filtered =
+        scenario::filter_to_bs_subset(trip, subset);
+    ASSERT_EQ(filtered.slots.size(), trip.slots.size());
+    for (std::size_t i = 0; i < trip.slots.size(); ++i) {
+      ASSERT_EQ(filtered.slots.start(i), trip.slots.start(i));
+      std::vector<NodeId> down, up;
+      std::ranges::copy_if(trip.slots.down_ids(i), std::back_inserter(down),
+                           kept);
+      std::ranges::copy_if(trip.slots.up_ids(i), std::back_inserter(up), kept);
+      ASSERT_TRUE(std::ranges::equal(filtered.slots.down_ids(i), down));
+      ASSERT_TRUE(std::ranges::equal(filtered.slots.up_ids(i), up));
     }
-    queries.push_back(NodeId{});
-    queries.push_back(NodeId(1 << 29));
-    for (const NodeId q : queries) {
-      const auto first = std::find(trip.bs_ids.begin(), trip.bs_ids.end(), q);
-      const int want_pos = first == trip.bs_ids.end()
-                               ? -1
-                               : static_cast<int>(first - trip.bs_ids.begin());
-      ASSERT_EQ(masks.position(q), want_pos) << "trial " << trial;
-      ASSERT_EQ(masks.bit(q) != 0, want_pos >= 0 && want_pos < 64);
-      for (std::size_t i = 0; i < trip.slots.size(); ++i) {
-        ASSERT_EQ(masks.down(i, q), trip.slots[i].down_from(q))
-            << "trial " << trial << " slot " << i << " id " << q.value();
-        ASSERT_EQ(masks.up(i, q), trip.slots[i].up_to(q))
-            << "trial " << trial << " slot " << i << " id " << q.value();
-      }
-    }
+    expect_masks_match_lists(filtered, trial);
   }
 }
 
@@ -356,8 +418,7 @@ std::vector<handoff::SlotOutcome> reference_allbses(
       int score = 0;
       for (std::size_t i = s * 10; i < std::min(trip.slots.size(), (s + 1) * 10);
            ++i)
-        score += (trip.slots[i].down_from(bs) ? 1 : 0) +
-                 (trip.slots[i].up_to(bs) ? 1 : 0);
+        score += (down_in(trip, i, bs) ? 1 : 0) + (up_in(trip, i, bs) ? 1 : 0);
       scored.emplace_back(score, bs);
     }
     std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
@@ -371,11 +432,11 @@ std::vector<handoff::SlotOutcome> reference_allbses(
   std::vector<handoff::SlotOutcome> out(trip.slots.size());
   for (std::size_t i = 0; i < trip.slots.size(); ++i) {
     const std::size_t s = std::min(
-        static_cast<std::size_t>(trip.slots[i].t.to_micros() / 1'000'000),
+        static_cast<std::size_t>(trip.slots.start(i).to_micros() / 1'000'000),
         secs - 1);
     for (const NodeId bs : allowed[s]) {
-      out[i].up = out[i].up || trip.slots[i].up_to(bs);
-      out[i].down = out[i].down || trip.slots[i].down_from(bs);
+      out[i].up = out[i].up || up_in(trip, i, bs);
+      out[i].down = out[i].down || down_in(trip, i, bs);
     }
   }
   return out;
@@ -392,8 +453,7 @@ std::vector<NodeId> reference_best_bs(const trace::MeasurementTrace& trip) {
       int score = 0;
       for (std::size_t i = s * 10; i < std::min(trip.slots.size(), (s + 1) * 10);
            ++i)
-        score += (trip.slots[i].down_from(bs) ? 1 : 0) +
-                 (trip.slots[i].up_to(bs) ? 1 : 0);
+        score += (down_in(trip, i, bs) ? 1 : 0) + (up_in(trip, i, bs) ? 1 : 0);
       if (score > best_score) {
         best_score = score;
         choices[s] = bs;
@@ -408,9 +468,8 @@ TEST(SlotMaskProps, MaskedReplaysMatchTheListScans) {
   for (int trial = 0; trial < 80; ++trial) {
     const int n_bs = kBsCounts[trial % std::size(kBsCounts)];
     const trace::MeasurementTrace trip = random_trip(rng, n_bs);
-    const trace::SlotMasks masks(trip);
     for (const int max_bs : {-1, 0, 1, 2, 3, 70}) {
-      const auto got = handoff::replay_allbses(trip, masks, max_bs);
+      const auto got = handoff::replay_allbses(trip, max_bs);
       const auto want = reference_allbses(trip, max_bs);
       ASSERT_EQ(got.size(), want.size());
       for (std::size_t i = 0; i < got.size(); ++i) {
@@ -420,7 +479,7 @@ TEST(SlotMaskProps, MaskedReplaysMatchTheListScans) {
       }
     }
     handoff::BestBsPolicy best;
-    EXPECT_EQ(best.choose(trip, masks), reference_best_bs(trip))
+    EXPECT_EQ(best.choose(trip), reference_best_bs(trip))
         << "trial " << trial;
   }
 }
@@ -559,11 +618,12 @@ struct ReferencePolicies {
     using Key = std::pair<mobility::GridCell, NodeId>;
     std::map<Key, std::pair<double, int>> table;
     for (const auto* t : campaign.trips_on_day(trip.day - 1))
-      for (const auto& slot : t->slots) {
-        const auto cell = mobility::grid_cell(slot.vehicle_pos, 25.0);
+      for (std::size_t i = 0; i < t->slots.size(); ++i) {
+        const auto cell = mobility::grid_cell(t->slots.pos(i), 25.0);
         for (const NodeId bs : t->bs_ids) {
           auto& [sum, n] = table[{cell, bs}];
-          sum += (slot.down_from(bs) ? 1.0 : 0.0) + (slot.up_to(bs) ? 1.0 : 0.0);
+          sum += (down_in(*t, i, bs) ? 1.0 : 0.0) +
+                 (up_in(*t, i, bs) ? 1.0 : 0.0);
           ++n;
         }
       }
@@ -574,7 +634,7 @@ struct ReferencePolicies {
       NodeId chosen{};
       if (trip.day > 0 && s * 10 < trip.slots.size()) {
         const auto cell =
-            mobility::grid_cell(trip.slots[s * 10].vehicle_pos, 25.0);
+            mobility::grid_cell(trip.slots.pos(s * 10), 25.0);
         double best_score = 0.0;
         for (const NodeId bs : trip.bs_ids) {
           const auto it = table.find({cell, bs});
@@ -609,9 +669,13 @@ trace::MeasurementTrace random_beacon_trip(Rng& rng, int n_bs, int day) {
   trace::MeasurementTrace t = random_trip(rng, n_bs);
   t.day = day;
   t.beacons_per_second = static_cast<int>(rng.uniform_int(1, 12));
-  for (auto& slot : t.slots)
-    slot.vehicle_pos = {25.0 * static_cast<double>(rng.uniform_int(0, 3)),
-                        25.0 * static_cast<double>(rng.uniform_int(0, 2))};
+  const trace::ProbeLog slots = std::move(t.slots);
+  t.slots = {};
+  for (std::size_t i = 0; i < slots.size(); ++i)
+    t.add_slot(slots.start(i),
+               {25.0 * static_cast<double>(rng.uniform_int(0, 3)),
+                25.0 * static_cast<double>(rng.uniform_int(0, 2))},
+               slots.down_ids(i), slots.up_ids(i));
   const auto n = rng.uniform_int(0, 20 * t.seconds());
   for (std::int64_t i = 0; i < n; ++i) {
     trace::BeaconObs b;
@@ -639,18 +703,17 @@ TEST(PolicyProps, FlatTablesChooseWhatTheMapsChose) {
         campaign.trips.push_back(random_beacon_trip(rng, n_bs, day));
     const handoff::HistoryTables tables(campaign);
     for (const auto& trip : campaign.trips) {
-      const trace::SlotMasks heard(trip);
       handoff::RssiPolicy rssi;
       handoff::BrrPolicy brr;
       handoff::StickyPolicy sticky;
       handoff::HistoryPolicy history(tables);
-      EXPECT_EQ(rssi.choose(trip, heard), ReferencePolicies::rssi(trip))
+      EXPECT_EQ(rssi.choose(trip), ReferencePolicies::rssi(trip))
           << "trial " << trial;
-      EXPECT_EQ(brr.choose(trip, heard), ReferencePolicies::brr(trip))
+      EXPECT_EQ(brr.choose(trip), ReferencePolicies::brr(trip))
           << "trial " << trial;
-      EXPECT_EQ(sticky.choose(trip, heard), ReferencePolicies::sticky(trip))
+      EXPECT_EQ(sticky.choose(trip), ReferencePolicies::sticky(trip))
           << "trial " << trial;
-      EXPECT_EQ(history.choose(trip, heard),
+      EXPECT_EQ(history.choose(trip),
                 ReferencePolicies::history(campaign, trip))
           << "trial " << trial << " day " << trip.day;
     }

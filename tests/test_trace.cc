@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "trace/loss_schedule.h"
 #include "trace/observations.h"
@@ -14,7 +17,9 @@ namespace {
 
 using sim::NodeId;
 
-MeasurementTrace tiny_trace() {
+/// One slot at 100 ms in which the vehicle decoded BS0 (none if
+/// \p deaf) and both BSes decoded the vehicle.
+MeasurementTrace tiny_trace(bool deaf = false) {
   MeasurementTrace t;
   t.testbed = "TestBed";
   t.day = 1;
@@ -22,23 +27,24 @@ MeasurementTrace tiny_trace() {
   t.duration = Time::seconds(3.0);
   t.beacons_per_second = 10;
   t.bs_ids = {NodeId(0), NodeId(1)};
-  ProbeSlot s;
-  s.t = Time::millis(100.0);
-  s.vehicle_pos = {12.5, 7.25};
-  s.down_heard = {NodeId(0)};
-  s.up_heard_by = {NodeId(0), NodeId(1)};
-  t.slots.push_back(s);
+  const std::vector<NodeId> down{NodeId(0)}, up{NodeId(0), NodeId(1)};
+  t.add_slot(Time::millis(100.0), {12.5, 7.25},
+             deaf ? std::span<const NodeId>{} : down, up);
   t.vehicle_beacons.push_back({Time::millis(137.0), NodeId(0), -61.5});
   t.vehicle_beacons.push_back({Time::millis(1137.0), NodeId(1), -70.25});
   t.bs_beacons.push_back({Time::millis(200.0), NodeId(0), NodeId(1)});
   return t;
 }
 
-TEST(ProbeSlot, MembershipQueries) {
+TEST(ProbeLog, MembershipQueries) {
   const MeasurementTrace t = tiny_trace();
-  EXPECT_TRUE(t.slots[0].down_from(NodeId(0)));
-  EXPECT_FALSE(t.slots[0].down_from(NodeId(1)));
-  EXPECT_TRUE(t.slots[0].up_to(NodeId(1)));
+  EXPECT_TRUE(t.slot_down(0, NodeId(0)));
+  EXPECT_FALSE(t.slot_down(0, NodeId(1)));
+  EXPECT_TRUE(t.slot_up(0, NodeId(1)));
+  EXPECT_FALSE(t.slot_up(0, NodeId(2)));
+  EXPECT_EQ(t.slots.down_bits(0), 0b01u);
+  EXPECT_EQ(t.slots.up_bits(0), 0b11u);
+  EXPECT_EQ(t.slot_successes(0, 5, NodeId(0)), 2);
 }
 
 TEST(BeaconCounts, PerSecondBuckets) {
@@ -78,10 +84,9 @@ TEST(TraceIo, RoundTripsAllFields) {
   EXPECT_EQ(u.beacons_per_second, t.beacons_per_second);
   EXPECT_EQ(u.bs_ids, t.bs_ids);
   ASSERT_EQ(u.slots.size(), 1u);
-  EXPECT_EQ(u.slots[0].t, t.slots[0].t);
-  EXPECT_EQ(u.slots[0].vehicle_pos, t.slots[0].vehicle_pos);
-  EXPECT_EQ(u.slots[0].down_heard, t.slots[0].down_heard);
-  EXPECT_EQ(u.slots[0].up_heard_by, t.slots[0].up_heard_by);
+  EXPECT_EQ(u.slots.start(0), t.slots.start(0));
+  EXPECT_EQ(u.slots.pos(0), t.slots.pos(0));
+  EXPECT_TRUE(u.slots == t.slots);
   ASSERT_EQ(u.vehicle_beacons.size(), 2u);
   EXPECT_EQ(u.vehicle_beacons[0].bs, NodeId(0));
   EXPECT_DOUBLE_EQ(u.vehicle_beacons[0].rssi_dbm, -61.5);
@@ -107,13 +112,69 @@ TEST(TraceIo, LoggingVehicleRoundTripsAndLegacyTracesStayValid) {
 }
 
 TEST(TraceIo, EmptySlotListsRoundTrip) {
-  MeasurementTrace t = tiny_trace();
-  t.slots[0].down_heard.clear();
+  const MeasurementTrace t = tiny_trace(/*deaf=*/true);
   std::stringstream ss;
   save_trace(t, ss);
   const MeasurementTrace u = load_trace(ss);
-  EXPECT_TRUE(u.slots[0].down_heard.empty());
-  EXPECT_EQ(u.slots[0].up_heard_by.size(), 2u);
+  EXPECT_TRUE(u.slots.down_ids(0).empty());
+  EXPECT_EQ(u.slots.down_bits(0), 0u);
+  EXPECT_EQ(u.slots.up_ids(0).size(), 2u);
+}
+
+TEST(TraceIo, BsLinesAfterSlotLinesStillGiveTheSlotsTheirBits) {
+  std::stringstream ss;
+  ss << "# vifi-trace v1\n"
+     << "trace X day 0 trip 0 duration_us 1000000 bps 10\n"
+     << "bs 4\n"
+     << "slot 0 1.5 2.5 down 4 9 up 9\n"
+     << "bs 9\n";
+  const MeasurementTrace t = load_trace(ss);
+  EXPECT_EQ(t.slots.down_bits(0), 0b11u);
+  EXPECT_EQ(t.slots.up_bits(0), 0b10u);
+  EXPECT_TRUE(t.slot_up(0, NodeId(9)));
+}
+
+/// The message load_trace throws for \p text, or "" if it loads.
+std::string load_error(const std::string& text) {
+  std::stringstream ss(text);
+  try {
+    load_trace(ss);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TraceIo, SlotIdsMustBeAllDigits) {
+  const std::string head =
+      "# vifi-trace v1\ntrace X day 0 trip 0 duration_us 1000000 bps 10\n";
+  EXPECT_EQ(load_error(head + "slot 0 1 2 down 3 up 3\n"), "");
+  for (const char* id : {"3x", "x3", "+3", "-3", "3.0", "99999999999"}) {
+    const std::string what =
+        load_error(head + "slot 0 1 2 down " + id + " up 3\n");
+    EXPECT_NE(what.find("trace parse error at line 3: bad node id '" +
+                        std::string(id) + "'"),
+              std::string::npos)
+        << id << ": " << what;
+  }
+  EXPECT_NE(load_error(head + "slot 0 1 2 down up 3x\n").find("at line 3"),
+            std::string::npos);
+}
+
+TEST(TraceIo, HeaderKeywordsAreChecked) {
+  const std::string magic = "# vifi-trace v1\n";
+  EXPECT_EQ(load_error(magic + "trace X day 0 trip 0 duration_us 1 bps 10\n"),
+            "");
+  for (const char* header : {"trace VanLAN foo 0 bar 0 baz 1000000 qux 10",
+                             "trace X day 0 trip 0 duration_us 1 BPS 10",
+                             "trace X trip 0 day 0 duration_us 1 bps 10",
+                             "trace X day 0 trip 0 duration 1 bps 10"}) {
+    const std::string what = load_error(magic + header + "\n");
+    EXPECT_NE(what.find("trace parse error at line 2: bad or truncated trace "
+                        "header"),
+              std::string::npos)
+        << header << ": " << what;
+  }
 }
 
 TEST(TraceIo, RejectsBadMagic) {
