@@ -492,9 +492,9 @@ class CountingBuf final : public std::streambuf {
 };
 
 void BM_ExportStreamedPoint(benchmark::State& state) {
-  // Chrome trace plus JSONL of a fixed streamed recording: the spool's
-  // seq-ordered read, span derivation and rendering that a
-  // `sweep --trace` point pays after its simulation. The
+  // Chrome trace plus JSONL of a fixed streamed recording, one format per
+  // pass: the spool's seq-ordered read, span derivation and rendering that
+  // `tripscope export` pays (in one pass for both formats). The
   // recording (48 nodes, every event kind; `a` a full-precision double,
   // `b` integral, as attempt counts and flags mostly are) is spooled once,
   // outside the timed loop.

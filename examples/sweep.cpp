@@ -72,10 +72,11 @@ int usage(const char* argv0) {
       << "  --workload W        replay (default) or cbr\n"
       << "  --base-seed N       default 20080817\n"
       << "  --trace DIR         TripScope: spool every event of each point to\n"
-         "                      DIR/point_NNNN.spool (query with `tripscope\n"
-         "                      query`) and dump its timeline beside it\n"
-         "                      (.trace.json Chrome/Perfetto format, .jsonl\n"
-         "                      event stream, .metrics.json)\n"
+         "                      DIR/point_NNNN.spool and its metrics registry\n"
+         "                      to .metrics.json beside it; `tripscope\n"
+         "                      export` renders a spool's .trace.json\n"
+         "                      (Chrome/Perfetto) and .jsonl, `tripscope\n"
+         "                      query` reads it\n"
       << "  --metrics a,b       TripScope: emit registered metrics as result\n"
          "                      columns (exact key or name summed over\n"
          "                      labels), e.g. mac.transmissions\n"

@@ -1,48 +1,37 @@
-// TripScope CLI: replay one experiment point under full observability and
-// show what the protocol actually did — a per-node timeline summary of
-// typed protocol events (beacons, anchor switches, relay decisions,
-// salvage hand-offs, the frame lifecycle), the unified metrics registry,
-// and a reconciliation of timeline events against the point's delivery
-// counters. Optionally exports the timeline as Chrome trace-event JSON
-// (loadable in Perfetto / chrome://tracing), a JSONL event stream, and a
-// metrics JSON document.
+// TripScope CLI: reads the spool a traced sweep point writes (`sweep
+// --trace DIR` leaves DIR/point_NNNN.spool) and shows what the protocol
+// actually did.
 //
-// The `query` subcommand reads a spooled trace (sweep --trace) without
-// loading it whole: the spool's footer index seeks straight to a
-// node's chunks, filters stream chunk-by-chunk, per-kind counts reconcile
-// exactly against the recorder counters stored in the footer, and span
-// summaries report anchor-tenure percentiles and the handoff gap
-// distribution.
+// `export` renders a spool's two text exports beside it in one pass over
+// its events: point_NNNN.trace.json (Chrome trace-event JSON, loadable in
+// Perfetto / chrome://tracing) and point_NNNN.jsonl (one event per line).
+//
+// `query` reads a spool without loading it whole: the footer index seeks
+// straight to a node's chunks, filters stream chunk-by-chunk, per-kind
+// counts reconcile exactly against the recorder counters stored in the
+// footer, and span summaries report anchor-tenure percentiles and the
+// handoff gap distribution. Its overview also tabulates each node's
+// events by category.
 //
 // Examples:
-//   tripscope --testbed VanLAN --workload cbr --policy ViFi
-//   tripscope --testbed DieselNet-Ch1 --fleet 4 --workload cbr --out /tmp/ts
-//   tripscope --catalog ./catalog_dir --workload cbr --policy ViFi
+//   tripscope export /tmp/traces/point_0000.spool
 //   tripscope query /tmp/traces/point_0000.spool --counts --spans
 //   tripscope query point_0000.spool --node 3 --kind anchor_change --jsonl
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <functional>
 #include <iostream>
 #include <map>
 #include <optional>
-#include <stdexcept>
 #include <string>
-#include <system_error>
-#include <utility>
 #include <vector>
 
 #include "cli_args.h"
 #include "obs/export.h"
-#include "obs/metrics.h"
-#include "obs/recorder.h"
 #include "obs/span.h"
 #include "obs/spool.h"
-#include "runtime/executor.h"
-#include "runtime/experiment.h"
 #include "util/cdf.h"
 #include "util/table.h"
 
@@ -51,39 +40,13 @@ using namespace vifi;
 namespace {
 
 int usage(const char* argv0) {
-  std::cerr
-      << "Usage: " << argv0 << " [options]\n"
-      << "  --testbed NAME     VanLAN (default), DieselNet-Ch1, "
-         "DieselNet-Ch6\n"
-      << "  --fleet N          vehicles riding the testbed (default 1)\n"
-      << "  --policy P         replay: AllBSes/BestBS/History/RSSI/BRR/"
-         "Sticky\n"
-      << "                     cbr (live): ViFi/BRR/Diversity (default "
-         "ViFi)\n"
-      << "  --workload W       cbr (default) or replay\n"
-      << "  --seed N           replicate seed (default 1)\n"
-      << "  --days N           campaign days (default 1)\n"
-      << "  --trips N          trips per day (default 1)\n"
-      << "  --trip-seconds S   trip length; 0 = one full route lap\n"
-      << "  --catalog DIR      TraceCatalog directory to replay instead of\n"
-         "                     generating the campaign\n"
-      << "  --events N         print the first N merged timeline events\n"
-         "                     (default 0)\n"
-      << "  --out DIR          export trip.trace.json (Chrome/Perfetto),\n"
-         "                     trip.jsonl and trip.metrics.json into DIR\n"
-      << "Subcommands:\n"
-      << "  query SPOOL ...    inspect a spooled trace (sweep --trace);\n"
-         "                     see `" << argv0
-      << " query`\n";
+  std::cerr << "Usage: " << argv0 << " export SPOOL | query SPOOL [options]\n"
+            << "  export SPOOL       write X.trace.json (Chrome/Perfetto)\n"
+               "                     and X.jsonl beside SPOOL (X.spool,\n"
+               "                     from sweep --trace) in one pass\n"
+            << "  query SPOOL ...    inspect a spool; see `" << argv0
+            << " query`\n";
   return 2;
-}
-
-std::string node_name(const obs::TraceRecorder& rec, sim::NodeId node) {
-  if (!node.valid()) return "-";
-  std::string name = node.to_string();
-  const std::string& label = rec.node_label(node);
-  if (!label.empty()) name += "(" + label + ")";
-  return name;
 }
 
 // --- the query subcommand --------------------------------------------------
@@ -107,7 +70,8 @@ int query_usage(const char* argv0) {
          "                     handoff gap distribution, coord-phase\n"
          "                     occupancy, contact runs\n"
       << "  With none of --limit/--jsonl/--counts/--spans, prints the\n"
-      << "  overview plus --counts and --spans.\n";
+      << "  overview plus --counts, a per-node table of events by\n"
+      << "  category, and --spans.\n";
   return 2;
 }
 
@@ -164,9 +128,51 @@ bool query_counts(const obs::SpoolReader& reader) {
   return ok;
 }
 
-void query_spans(const obs::SpoolReader& reader) {
+/// Per-kind event counts of each node.
+using KindCounts = std::map<sim::NodeId, std::array<std::uint64_t,
+                                                    obs::kEventKindCount>>;
+
+/// Each node's events by category, one row per node of the footer index
+/// and one column per category in kind order (log lines are not chunk
+/// records).
+void print_node_table(const obs::SpoolReader& reader,
+                      const KindCounts& per_node) {
+  std::vector<std::string> header{"node", "events"};
+  for (int k = 0; k < obs::kEventKindCount; ++k) {
+    const std::string category = obs::category(static_cast<obs::EventKind>(k));
+    if (category != "log" &&
+        std::find(header.begin(), header.end(), category) == header.end())
+      header.push_back(category);
+  }
+  TextTable table("Timeline summary (events per node)");
+  table.set_header(header);
+  for (const obs::SpoolNodeIndex& idx : reader.nodes()) {
+    std::vector<std::string> row{spool_node_name(reader, idx.node),
+                                 std::to_string(idx.events)};
+    const auto it = per_node.find(idx.node);
+    for (std::size_t col = 2; col < header.size(); ++col) {
+      std::uint64_t n = 0;
+      for (int k = 0; it != per_node.end() && k < obs::kEventKindCount; ++k)
+        if (obs::category(static_cast<obs::EventKind>(k)) == header[col])
+          n += it->second[k];
+      row.push_back(std::to_string(n));
+    }
+    table.add_row(row);
+  }
+  table.print(std::cout);
+  std::cout << "\n";
+}
+
+/// Span summaries, from one visit; with \p node_table the same visit
+/// also tallies the per-node table, printed first.
+void query_spans(const obs::SpoolReader& reader, bool node_table) {
   obs::SpanBuilder builder;
-  reader.visit([&builder](const obs::TraceEvent& e) { builder.add(e); });
+  KindCounts per_node;
+  reader.visit([&](const obs::TraceEvent& e) {
+    builder.add(e);
+    if (node_table) ++per_node[e.node][static_cast<int>(e.kind)];
+  });
+  if (node_table) print_node_table(reader, per_node);
   const std::vector<obs::Span> spans =
       builder.finish(Time::micros(reader.max_at_us()));
 
@@ -323,7 +329,7 @@ int run_query(int argc, char** argv) {
 
     bool ok = true;
     if (counts) ok = query_counts(reader);
-    if (spans) query_spans(reader);
+    if (spans) query_spans(reader, overview);
     return ok ? 0 : 1;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
@@ -334,222 +340,14 @@ int run_query(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2 && std::string(argv[1]) == "query")
-    return run_query(argc, argv);
-
-  // A one-point sweep: the point, its seeds included, is the one `sweep`
-  // enumerates for the same flags, so both export the same timeline.
-  runtime::ExperimentSpec spec;
-  spec.grid.testbeds = {"VanLAN"};
-  spec.grid.policies = {"ViFi"};
-  spec.workload = "cbr";
-  spec.days = 1;
-  spec.trips_per_day = 1;
-  std::string out_dir;
-  std::size_t print_events = 0;
-
+  const std::string command = argc >= 2 ? argv[1] : "";
+  if (command == "query") return run_query(argc, argv);
+  if (command != "export" || argc != 3) return usage(argv[0]);
   try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto value = [&]() -> std::string {
-        if (i + 1 >= argc) {
-          std::cerr << arg << " needs a value\n";
-          std::exit(usage(argv[0]));
-        }
-        return argv[++i];
-      };
-      if (arg == "--testbed") spec.grid.testbeds = {value()};
-      else if (arg == "--fleet")
-        spec.grid.fleet_sizes = {cli::parse_number(arg, value(), 1)};
-      else if (arg == "--policy") spec.grid.policies = {value()};
-      else if (arg == "--workload") spec.workload = value();
-      else if (arg == "--seed")
-        spec.grid.seeds = {cli::parse_number<std::uint64_t>(arg, value())};
-      else if (arg == "--days") spec.days = cli::parse_number(arg, value(), 0);
-      else if (arg == "--trips")
-        spec.trips_per_day = cli::parse_number(arg, value(), 0);
-      else if (arg == "--trip-seconds")
-        spec.trip_duration =
-            Time::seconds(cli::parse_number(arg, value(), 0.0, 1e7));
-      else if (arg == "--catalog") spec.grid.trace_sets = {value()};
-      else if (arg == "--events")
-        print_events = cli::parse_number<std::size_t>(arg, value());
-      else if (arg == "--out") out_dir = value();
-      else return usage(argv[0]);
-    }
-  } catch (const cli::BadNumber& e) {
-    std::cerr << e.what() << "\n";
-    return usage(argv[0]);
+    obs::export_spool(argv[2]);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
   }
-  try {
-    runtime::check_spec(spec);
-  } catch (const std::runtime_error& e) {
-    std::cerr << e.what() << "\n";
-    return usage(argv[0]);
-  }
-  namespace fs = std::filesystem;
-  if (!out_dir.empty()) {
-    // Fail before the point runs, not after it.
-    std::error_code ec;
-    fs::create_directories(out_dir, ec);
-    if (ec) {
-      std::cerr << "error: cannot create output directory " << out_dir << ": "
-                << ec.message() << "\n";
-      return 1;
-    }
-  }
-  const runtime::ExperimentPoint point = spec.enumerate().front();
-
-  // Install the observability session ourselves: run_point records into it
-  // and we own the printing/export afterwards.
-  obs::TraceRecorder recorder;
-  obs::MetricsRegistry metrics;
-  runtime::PointResult result;
-  {
-    obs::TraceScope trace_scope(recorder);
-    obs::MetricsScope metrics_scope(metrics);
-    try {
-      result = runtime::run_point(point);
-    } catch (const std::exception& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      return 1;
-    }
-  }
-
-  std::cout << "TripScope: " << point.testbed << " fleet="
-            << point.fleet_size << " policy=" << point.policy
-            << " workload=" << point.workload << " seed=" << point.seed
-            << "\n\n";
-
-  // --- timeline summary: events per node per category ---------------------
-  {
-    TextTable table("Timeline summary (events per node)");
-    table.set_header({"node", "events", "beacon", "designation", "relay",
-                      "salvage", "mac", "app", "handoff"});
-    struct NodeCounts {
-      std::uint64_t events = 0;
-      std::map<std::string, std::uint64_t> per_cat;
-    };
-    std::map<sim::NodeId, NodeCounts> per_node;
-    recorder.visit([&per_node](const obs::TraceEvent& e) {
-      NodeCounts& counts = per_node[e.node];
-      ++counts.events;
-      ++counts.per_cat[obs::category(e.kind)];
-    });
-    for (const sim::NodeId node : recorder.nodes()) {
-      auto& [events, per_cat] = per_node[node];
-      table.add_row({node_name(recorder, node), std::to_string(events),
-                     std::to_string(per_cat["beacon"]),
-                     std::to_string(per_cat["designation"]),
-                     std::to_string(per_cat["relay"]),
-                     std::to_string(per_cat["salvage"]),
-                     std::to_string(per_cat["mac"]),
-                     std::to_string(per_cat["app"]),
-                     std::to_string(per_cat["handoff"])});
-    }
-    table.print(std::cout);
-    std::cout << recorder.recorded() << " events recorded\n\n";
-  }
-
-  // --- per-kind exact counts ----------------------------------------------
-  {
-    TextTable table("Protocol event counts (exact)");
-    table.set_header({"event", "count"});
-    for (int k = 0; k < obs::kEventKindCount; ++k) {
-      const auto kind = static_cast<obs::EventKind>(k);
-      if (recorder.count(kind) == 0) continue;
-      table.add_row({obs::to_string(kind),
-                     std::to_string(recorder.count(kind))});
-    }
-    table.print(std::cout);
-    std::cout << "\n";
-  }
-
-  if (print_events > 0) {
-    std::cout << "First " << print_events << " timeline events:\n";
-    std::size_t shown = 0;
-    recorder.visit([&](const obs::TraceEvent& e) {
-      if (shown++ >= print_events) return;
-      std::cout << "  t=" << e.at.to_micros() << "us " << obs::to_string(e.kind)
-                << " node=" << node_name(recorder, e.node)
-                << " peer=" << node_name(recorder, e.peer) << " id=" << e.id
-                << " a=" << e.a << " b=" << e.b << " c=" << e.c << "\n";
-    });
-    std::cout << "\n";
-  }
-
-  // --- point metrics + registry -------------------------------------------
-  {
-    TextTable table("Point metrics");
-    table.set_header({"metric", "value"});
-    for (const auto& [name, v] : result.metrics)
-      table.add_row({name, TextTable::num(v, 4)});
-    table.print(std::cout);
-    std::cout << "\n";
-  }
-  {
-    TextTable table("Metrics registry (totals by name)");
-    table.set_header({"name", "total"});
-    std::map<std::string, double> totals;
-    for (const auto& [key, v] : metrics.flatten()) {
-      const std::string name = key.substr(0, key.find('{'));
-      totals[name] += v;
-    }
-    for (const auto& [name, v] : totals)
-      table.add_row({name, TextTable::num(v, 4)});
-    table.print(std::cout);
-    std::cout << "\n";
-  }
-
-  // --- reconciliation: timeline vs delivery counters ----------------------
-  {
-    const double app_delivered =
-        static_cast<double>(recorder.count(obs::EventKind::AppDeliver));
-    const auto it = result.metrics.find("packets_delivered");
-    std::cout << "Reconciliation: " << app_delivered
-              << " AppDeliver timeline events";
-    if (it != result.metrics.end()) {
-      // The timeline counts unique end-to-end deliveries; the workload
-      // counters count deliveries within the slot deadline, so the
-      // timeline reads >= the counter.
-      std::cout << " vs packets_delivered=" << it->second
-                << (app_delivered + 0.5 >= it->second ? "  [ok]"
-                                                      : "  [MISMATCH]");
-    }
-    std::cout << "\n";
-    std::cout << "  relay: " << recorder.count(obs::EventKind::RelayEval)
-              << " evaluations, " << recorder.count(obs::EventKind::RelayTx)
-              << " relays sent; salvage: "
-              << recorder.count(obs::EventKind::SalvageRequest)
-              << " requests, "
-              << recorder.count(obs::EventKind::SalvageHandoff)
-              << " packets handed off, "
-              << recorder.count(obs::EventKind::SalvageDeliver)
-              << " delivered to the new anchor\n\n";
-  }
-
-  if (!out_dir.empty()) {
-    const fs::path base = fs::path(out_dir);
-    using Render = std::function<void(std::ostream&)>;
-    const std::pair<const char*, Render> files[] = {
-        {"trip.trace.json",
-         [&](std::ostream& os) { obs::write_chrome_trace(recorder, os); }},
-        {"trip.jsonl",
-         [&](std::ostream& os) { obs::write_jsonl(recorder, os); }},
-        {"trip.metrics.json",
-         [&](std::ostream& os) { os << metrics.to_json(); }}};
-    for (const auto& [name, render] : files) {
-      const std::string path = (base / name).string();
-      std::ofstream os(path);
-      render(os);
-      os.close();
-      if (os.fail()) {
-        std::cerr << "error: cannot write " << path << "\n";
-        return 1;
-      }
-    }
-    std::cout << "wrote " << (base / "trip.trace.json").string()
-              << " (load in Perfetto), trip.jsonl, trip.metrics.json\n";
-  }
-  return result.error.empty() ? 0 : 1;
+  return 0;
 }

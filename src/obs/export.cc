@@ -1,12 +1,15 @@
 #include "obs/export.h"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -332,10 +335,11 @@ void append_jsonl(std::string& out, const TraceEvent& e) {
   jsonl_event(out, e, nullptr);
 }
 
-void write_chrome_trace(const TraceRecorder& recorder, std::ostream& os) {
-  BlockWriter w(os);
-  std::string& out = w.buf();
-  out += "{\"traceEvents\":[\n";
+void write_exports(const SpoolReader& reader, std::ostream* chrome_os,
+                   std::ostream* jsonl_os) {
+  std::optional<BlockWriter> chrome, jsonl;
+  if (chrome_os != nullptr) chrome.emplace(*chrome_os);
+  if (jsonl_os != nullptr) jsonl.emplace(*jsonl_os);
   bool first = true;
   const auto open_line = [&first] {
     Line line;
@@ -343,80 +347,125 @@ void write_chrome_trace(const TraceRecorder& recorder, std::ostream& os) {
     first = false;
     return line;
   };
-
-  // One named thread track per node (metadata events).
-  for (const sim::NodeId node : recorder.nodes()) {
-    Line line = open_line();
-    line.lit("{\"ph\":\"M\",\"pid\":0,\"tid\":")
-        .num(tid_of(node))
-        .lit(",\"name\":\"thread_name\",\"args\":{\"name\":\"");
-    if (node.valid())
-      line.node(node);
-    else
-      line.lit("(none)");
-    line.append_to(out);
-    if (const std::string& label = recorder.node_label(node); !label.empty()) {
-      out += ' ';
-      append_escaped(out, label);
+  if (chrome) {
+    std::string& out = chrome->buf();
+    out += "{\"traceEvents\":[\n";
+    // One named thread track per node (metadata events).
+    for (const SpoolNodeIndex& idx : reader.nodes()) {
+      Line line = open_line();
+      line.lit("{\"ph\":\"M\",\"pid\":0,\"tid\":")
+          .num(tid_of(idx.node))
+          .lit(",\"name\":\"thread_name\",\"args\":{\"name\":\"");
+      (idx.node.valid() ? line.node(idx.node) : line.lit("(none)"))
+          .append_to(out);
+      if (!idx.label.empty()) {
+        out += ' ';
+        append_escaped(out, idx.label);
+      }
+      out += "\"}}";
     }
-    out += "\"}}";
+    if (!reader.logs().empty())
+      open_line()
+          .lit("{\"ph\":\"M\",\"pid\":0,\"tid\":")
+          .num(kLogTid)
+          .lit(",\"name\":\"thread_name\",\"args\":{\"name\":\"log\"}}")
+          .append_to(out);
   }
-  if (!recorder.log_records().empty())
-    open_line()
-        .lit("{\"ph\":\"M\",\"pid\":0,\"tid\":")
-        .num(kLogTid)
-        .lit(",\"name\":\"thread_name\",\"args\":{\"name\":\"log\"}}")
-        .append_to(out);
 
-  // One pass over the recording: each event is rendered and fed to the
-  // span layer (anchor tenures, coord-phase occupancy, contact runs),
-  // whose open intervals close at the latest event time.
+  // One pass over the spool: each event is rendered into both outputs and
+  // fed to the span layer (anchor tenures, coord-phase occupancy, contact
+  // runs), whose open intervals close at the spool's latest event time.
   SpanBuilder spans;
-  Time horizon;
   DoubleMemo memo;
-  recorder.visit([&](const TraceEvent& e) {
-    Line line = open_line();
-    chrome_event(line, e, memo);
-    line.append_to(out);
-    w.spill();
-    spans.add(e);
-    horizon = std::max(horizon, e.at);
+  reader.visit([&](const TraceEvent& e) {
+    if (chrome) {
+      Line line = open_line();
+      chrome_event(line, e, memo);
+      line.append_to(chrome->buf());
+      chrome->spill();
+      spans.add(e);
+    }
+    if (jsonl) {
+      jsonl_event(jsonl->buf(), e, &memo);
+      jsonl->spill();
+    }
   });
 
-  for (const Span& span : spans.finish(horizon)) {
-    open_line().lit("{\"name\":\"").append_to(out);
-    append_escaped(out, span_label(span));
-    Line()
-        .lit("\",\"cat\":\"span\",\"ph\":\"X\",\"pid\":0,\"tid\":")
-        .num(tid_of(span.node))
-        .lit(",\"ts\":")
-        .num(span.begin.to_micros())
-        .lit(",\"dur\":")
-        .num(span.duration().to_micros())
-        .lit(",\"args\":{\"peer\":\"")
-        .node(span.peer)
-        .lit("\"}}")
-        .append_to(out);
-    w.spill();
+  if (chrome) {
+    std::string& out = chrome->buf();
+    for (const Span& span : spans.finish(Time::micros(reader.max_at_us()))) {
+      open_line().lit("{\"name\":\"").append_to(out);
+      append_escaped(out, span_label(span));
+      Line()
+          .lit("\",\"cat\":\"span\",\"ph\":\"X\",\"pid\":0,\"tid\":")
+          .num(tid_of(span.node))
+          .lit(",\"ts\":")
+          .num(span.begin.to_micros())
+          .lit(",\"dur\":")
+          .num(span.duration().to_micros())
+          .lit(",\"args\":{\"peer\":\"")
+          .node(span.peer)
+          .lit("\"}}")
+          .append_to(out);
+      chrome->spill();
+    }
   }
-
-  for (const LogRecord& rec : recorder.log_records()) {
-    open_line().lit("{\"name\":\"").append_to(out);
-    append_escaped(out, rec.message);
-    Line()
-        .lit("\",\"cat\":\"log\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":")
-        .num(kLogTid)
-        .lit(",\"ts\":")
-        .num(rec.at.to_micros())
-        .lit(",\"args\":{\"level\":")
-        .num(static_cast<int>(rec.level))
-        .lit("}}")
-        .append_to(out);
-    w.spill();
+  for (const SpoolLog& log : reader.logs()) {
+    if (chrome) {
+      std::string& out = chrome->buf();
+      open_line().lit("{\"name\":\"").append_to(out);
+      append_escaped(out, log.message);
+      Line()
+          .lit("\",\"cat\":\"log\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":")
+          .num(kLogTid)
+          .lit(",\"ts\":")
+          .num(log.at_us)
+          .lit(",\"args\":{\"level\":")
+          .num(log.level)
+          .lit("}}")
+          .append_to(out);
+      chrome->spill();
+    }
+    if (jsonl) {
+      std::string& out = jsonl->buf();
+      Line()
+          .lit("{\"seq\":")
+          .num(log.seq)
+          .lit(",\"t_us\":")
+          .num(log.at_us)
+          .lit(",\"kind\":\"log\",\"level\":")
+          .num(log.level)
+          .lit(",\"message\":\"")
+          .append_to(out);
+      append_escaped(out, log.message);
+      out += "\"}\n";
+      jsonl->spill();
+    }
   }
+  if (chrome) {
+    chrome->buf() += "\n]}\n";
+    chrome->flush();
+  }
+  if (jsonl) jsonl->flush();
+}
 
-  out += "\n]}\n";
-  w.flush();
+void export_spool(const std::string& spool_path) {
+  const SpoolReader reader(spool_path);
+  const std::string base =
+      std::filesystem::path(spool_path).replace_extension().string();
+  const std::string chrome_path = base + ".trace.json";
+  const std::string jsonl_path = base + ".jsonl";
+  std::ofstream chrome(chrome_path), jsonl(jsonl_path);
+  write_exports(reader, &chrome, &jsonl);
+  chrome.close();
+  jsonl.close();
+  if (chrome.fail()) throw std::runtime_error("cannot write " + chrome_path);
+  if (jsonl.fail()) throw std::runtime_error("cannot write " + jsonl_path);
+}
+
+void write_chrome_trace(const TraceRecorder& recorder, std::ostream& os) {
+  recorder.finalize();
+  write_exports(SpoolReader(recorder.spool_path()), &os, nullptr);
 }
 
 std::string chrome_trace_json(const TraceRecorder& recorder) {
@@ -426,28 +475,8 @@ std::string chrome_trace_json(const TraceRecorder& recorder) {
 }
 
 void write_jsonl(const TraceRecorder& recorder, std::ostream& os) {
-  BlockWriter w(os);
-  std::string& out = w.buf();
-  DoubleMemo memo;
-  recorder.visit([&](const TraceEvent& e) {
-    jsonl_event(out, e, &memo);
-    w.spill();
-  });
-  for (const LogRecord& rec : recorder.log_records()) {
-    Line()
-        .lit("{\"seq\":")
-        .num(rec.seq)
-        .lit(",\"t_us\":")
-        .num(rec.at.to_micros())
-        .lit(",\"kind\":\"log\",\"level\":")
-        .num(static_cast<int>(rec.level))
-        .lit(",\"message\":\"")
-        .append_to(out);
-    append_escaped(out, rec.message);
-    out += "\"}\n";
-    w.spill();
-  }
-  w.flush();
+  recorder.finalize();
+  write_exports(SpoolReader(recorder.spool_path()), nullptr, &os);
 }
 
 std::string events_jsonl(const TraceRecorder& recorder) {

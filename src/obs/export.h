@@ -1,33 +1,32 @@
 #pragma once
 
 /// \file export.h
-/// Timeline exporters for TripScope recordings.
+/// Timeline exporters for TripScope spools.
 ///
-/// Two formats:
+/// Two formats, both pure functions of the spool and rendered together in
+/// one pass over SpoolReader::visit (the chunk-by-chunk merge; the spool
+/// is never held whole):
 ///  * Chrome trace-event JSON (`{"traceEvents": [...]}`), loadable in
-///    Perfetto / chrome://tracing: one track (tid) per simulated node,
-///    frame transmissions as duration ("X") slices, everything else as
-///    instant ("i") events with the typed arguments in `args` — plus the
-///    derived span layer (span.h) as "X" slices under cat "span", so
+///    Perfetto / chrome://tracing: `pid` 0 carries the whole deployment,
+///    one named track (tid) per node and a "log" track for routed log
+///    lines; frame transmissions are duration ("X") slices, everything
+///    else instant ("i") events with the typed arguments in `args`, plus
+///    the derived span layer (span.h) as "X" slices under cat "span", so
 ///    anchor tenures, coord-phase occupancy, and contacts render as bars.
-///  * JSONL: one event object per line in deterministic recording order —
-///    the grep/jq-friendly stream, byte-identical across runner thread
-///    counts for the same point.
+///  * JSONL: one object per line, events in seq order, then log records —
+///    the grep/jq-friendly stream.
 ///
-/// Both renderings are pure functions of the recorder's contents. Each is
-/// one streaming pass over TraceRecorder::visit — the spool is merged
-/// chunk by chunk, never held whole — rendering each
-/// event line into one stack buffer (literals by memcpy, numbers by
-/// std::to_chars) that is appended to the output once. The writers only
-/// read the recorder, so once its spool is finalized several may run at
-/// once: the runtime writes a point's files concurrently on the point's
-/// own pool.
+/// Each event line is rendered into one stack buffer (literals by memcpy,
+/// numbers by std::to_chars) and appended to its output once.
+/// `sweep --trace` writes only the spool and its metrics; export_spool
+/// (`tripscope export`) renders the two text files from it.
 
 #include <iosfwd>
 #include <string>
 #include <string_view>
 
 #include "obs/recorder.h"
+#include "obs/spool.h"
 
 namespace vifi::obs {
 
@@ -46,12 +45,19 @@ void append_double(std::string& out, double v);
 /// of write_jsonl, shared with `tripscope query --jsonl`.
 void append_jsonl(std::string& out, const TraceEvent& e);
 
-/// Chrome trace-event JSON. `pid` 0 carries the whole deployment; each
-/// node is a named thread track; routed log lines ride a "log" track.
+/// Renders the spool \p reader reads in one SpoolReader::visit: Chrome
+/// JSON into \p chrome and JSONL into \p jsonl, either of which may be null.
+void write_exports(const SpoolReader& reader, std::ostream* chrome,
+                   std::ostream* jsonl);
+
+/// Renders the spool at \p spool_path into `X.trace.json` and `X.jsonl`
+/// beside it (X the spool's path without its extension), in one pass.
+/// Throws std::runtime_error naming the file it cannot read or write.
+void export_spool(const std::string& spool_path);
+
+/// One format of a recorder's spool, sealed first (see write_exports).
 void write_chrome_trace(const TraceRecorder& recorder, std::ostream& os);
 std::string chrome_trace_json(const TraceRecorder& recorder);
-
-/// One JSON object per line: events in seq order, then log records.
 void write_jsonl(const TraceRecorder& recorder, std::ostream& os);
 std::string events_jsonl(const TraceRecorder& recorder);
 

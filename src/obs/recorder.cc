@@ -1,7 +1,5 @@
 #include "obs/recorder.h"
 
-#include <algorithm>
-
 #include "util/contracts.h"
 
 namespace vifi::obs {
@@ -97,22 +95,14 @@ void TraceRecorder::log(LogLevel level, std::string message) {
   if (logs_.size() > kMaxLogRecords) logs_.pop_front();
 }
 
-std::vector<SpoolLog> TraceRecorder::spool_logs() const {
-  std::vector<SpoolLog> out;
-  out.reserve(logs_.size());
-  for (const LogRecord& log : logs_) {
-    SpoolLog s;
-    s.at_us = log.at.to_micros();
-    s.seq = log.seq;
-    s.level = static_cast<std::int32_t>(log.level);
-    s.message = log.message;
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
 void TraceRecorder::finalize() const {
-  if (!spool_->finalized()) spool_->finalize(spool_logs());
+  if (spool_->finalized()) return;
+  std::vector<SpoolLog> logs;
+  logs.reserve(logs_.size());
+  for (const LogRecord& log : logs_)
+    logs.push_back({log.at.to_micros(), log.seq,
+                    static_cast<std::int32_t>(log.level), log.message});
+  spool_->finalize(logs);
 }
 
 void TraceRecorder::set_node_label(sim::NodeId node, std::string label) {
@@ -120,34 +110,9 @@ void TraceRecorder::set_node_label(sim::NodeId node, std::string label) {
   labels_[node] = std::move(label);
 }
 
-const std::string& TraceRecorder::node_label(sim::NodeId node) const {
-  static const std::string kEmpty;
-  const auto it = labels_.find(node);
-  return it == labels_.end() ? kEmpty : it->second;
-}
-
-std::vector<sim::NodeId> TraceRecorder::nodes() const {
-  std::vector<sim::NodeId> out = spool_->nodes();
-  for (const auto& [node, label] : labels_) {
-    (void)label;
-    if (std::find(out.begin(), out.end(), node) == out.end())
-      out.push_back(node);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-void TraceRecorder::visit(const EventFn& fn) const {
-  // Seal the spool first so its footer carries the routed logs, then
-  // stream it back through the reader's merge.
-  finalize();
-  SpoolReader(spool_->path()).visit(fn);
-}
-
 std::vector<TraceEvent> TraceRecorder::merged() const {
-  std::vector<TraceEvent> out;
-  visit([&out](const TraceEvent& e) { out.push_back(e); });
-  return out;
+  finalize();
+  return SpoolReader(spool_->path()).events();
 }
 
 void TraceRecorder::absorb(const TraceRecorder& other, Time offset) {

@@ -96,21 +96,13 @@ class TraceRecorder {
   /// record by record.
   void absorb(const TraceRecorder& other, Time offset);
 
-  /// Human-readable track label for a node ("bs", "vehicle", "host").
+  /// Human-readable track label for a node ("bs", "vehicle", "host"),
+  /// kept in the spool's node index.
   void set_node_label(sim::NodeId node, std::string label);
-  const std::string& node_label(sim::NodeId node) const;
 
-  // --- queries (exporters, tests, the tripscope CLI) ---------------------
-  /// Nodes with at least one event or a label, ascending id.
-  std::vector<sim::NodeId> nodes() const;
-  /// Calls \p fn on every event in recording order (seq ascending). This
-  /// finalizes the spool and streams it back through SpoolReader's merge,
-  /// one chunk per node in memory — it is an export-time call, not a
-  /// mid-run one.
-  void visit(const EventFn& fn) const;
-  /// visit() collected into a vector.
+  /// Every event in recording order (seq ascending), read back from the
+  /// spool, which this seals: an end-of-run call, not a mid-run one.
   std::vector<TraceEvent> merged() const;
-  const std::deque<LogRecord>& log_records() const { return logs_; }
 
   std::uint64_t recorded() const { return recorded_; }
   /// Always 0: the spool keeps every event. Kept for callers that still
@@ -122,8 +114,6 @@ class TraceRecorder {
   }
 
  private:
-  std::vector<SpoolLog> spool_logs() const;
-
   Time base_;
   Time last_local_;  ///< Last record()'s local time, for log timestamps.
   std::uint64_t next_seq_ = 1;

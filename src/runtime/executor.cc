@@ -23,7 +23,6 @@
 #include "coord/predictor.h"
 #include "handoff/policies.h"
 #include "mac/airtime.h"
-#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "runtime/runner.h"
@@ -627,30 +626,25 @@ void run_live(const scenario::Testbed& bed, const ExperimentPoint& point,
   finish_live_point(total, stream ? stream->days() : point.days, r);
 }
 
-/// The recorder a point that dumps its trace records into: every event
-/// spooled to `point_NNNN.spool` next to the point's other trace files.
-std::unique_ptr<obs::TraceRecorder> make_point_recorder(
-    const ExperimentPoint& point) {
+/// `point_NNNN<ext>` in the point's trace directory, which is created.
+std::string point_file(const ExperimentPoint& point, const char* ext) {
   namespace fs = std::filesystem;
   fs::create_directories(point.trace_dir);
-  char tag[40];
-  std::snprintf(tag, sizeof(tag), "point_%04zu.spool",
-                static_cast<std::size_t>(point.index));
-  return std::make_unique<obs::TraceRecorder>(
-      std::make_unique<obs::SpoolWriter>(
-          (fs::path(point.trace_dir) / tag).string()));
+  char tag[48];
+  std::snprintf(tag, sizeof(tag), "point_%04zu%s",
+                static_cast<std::size_t>(point.index), ext);
+  return (fs::path(point.trace_dir) / tag).string();
 }
 
 /// Shared TripScope tail of both point executors: metric result columns
-/// drawn from the session registry, and per-point trace files when the
-/// point owns its recorder (an ambient caller owns its own export). The
-/// files are written concurrently on the point's \p pool, each in one
-/// seq-ordered pass of its own, so their bytes do not depend on it.
+/// drawn from the session registry and, when the point owns its recorder
+/// (an ambient caller owns its own), the sealed spool and the registry's
+/// `.metrics.json` beside it. `tripscope export` renders the spool's text
+/// exports.
 void export_tripscope(const ExperimentPoint& point, PointResult& r,
                       const obs::TraceRecorder* own_recorder,
                       obs::MetricsRegistry* metrics,
-                      const obs::MetricsRegistry* own_metrics,
-                      const Runner& pool) {
+                      const obs::MetricsRegistry* own_metrics) {
   if (metrics != nullptr && !point.metric_columns.empty()) {
     // Exact flattened key first (`mac.frames_tx{node=n3,role=vehicle}`),
     // else the bare name summed across its label variants.
@@ -662,35 +656,13 @@ void export_tripscope(const ExperimentPoint& point, PointResult& r,
     }
   }
   if (own_recorder == nullptr || point.trace_dir.empty()) return;
-  namespace fs = std::filesystem;
-  fs::create_directories(point.trace_dir);
-  char tag[32];
-  std::snprintf(tag, sizeof(tag), "point_%04zu",
-                static_cast<std::size_t>(point.index));
-  const std::string base = (fs::path(point.trace_dir) / tag).string();
-  // A recorder's visit seals its spool on first use; seal it here, once,
-  // so the concurrent visits below only read it.
   own_recorder->finalize();
-  using Render = std::function<void(std::ostream&)>;
-  std::vector<std::pair<std::string, Render>> files{
-      {base + ".trace.json",
-       [&](std::ostream& os) { obs::write_chrome_trace(*own_recorder, os); }},
-      {base + ".jsonl",
-       [&](std::ostream& os) { obs::write_jsonl(*own_recorder, os); }}};
-  if (own_metrics != nullptr)
-    files.emplace_back(base + ".metrics.json", [&](std::ostream& os) {
-      os << own_metrics->to_json();
-    });
-  const std::vector<bool> written =
-      pool.map(files.size(), [&files](std::size_t i) {
-        std::ofstream os(files[i].first);
-        files[i].second(os);
-        os.close();
-        return !os.fail();
-      });
-  for (std::size_t i = 0; i < files.size(); ++i)
-    if (!written[i])
-      throw std::runtime_error("cannot write trace file " + files[i].first);
+  if (own_metrics == nullptr) return;
+  const std::string path = point_file(point, ".metrics.json");
+  std::ofstream os(path);
+  os << own_metrics->to_json();
+  os.close();
+  if (os.fail()) throw std::runtime_error("cannot write trace file " + path);
 }
 
 }  // namespace
@@ -835,9 +807,9 @@ PointResult run_point_sharded(const ExperimentPoint& point,
                               const Runner& pool) {
   PointResult r = identity_of(point);
 
-  // TripScope session. A caller (e.g. examples/tripscope) may have
+  // TripScope session. A caller (a test, a benchmark) may have
   // installed a recorder/registry on this thread already — the point then
-  // records into those and the caller owns the export. Otherwise a point
+  // records into those and the caller owns the spool. Otherwise a point
   // that dumps a trace records into its own recorder, and one that dumps a
   // trace or asks for metric columns into its own registry (metric columns
   // alone keep no trace: nothing would write it). Content is a pure
@@ -848,7 +820,8 @@ PointResult run_point_sharded(const ExperimentPoint& point,
   std::optional<obs::TraceScope> trace_scope;
   std::optional<obs::MetricsScope> metrics_scope;
   if (!point.trace_dir.empty() && obs::current_recorder() == nullptr) {
-    own_recorder = make_point_recorder(point);
+    own_recorder = std::make_unique<obs::TraceRecorder>(
+        std::make_unique<obs::SpoolWriter>(point_file(point, ".spool")));
     trace_scope.emplace(*own_recorder);
   }
   if ((!point.trace_dir.empty() || !point.metric_columns.empty()) &&
@@ -867,7 +840,7 @@ PointResult run_point_sharded(const ExperimentPoint& point,
   }
 
   export_tripscope(point, r, own_recorder.get(), obs::current_metrics(),
-                   own_metrics.get(), pool);
+                   own_metrics.get());
   return r;
 }
 

@@ -100,8 +100,9 @@ struct ExperimentPoint {
   /// TripScope: directory for per-point timeline files. Non-empty makes
   /// run_point() record the whole point into a TraceRecorder (unless one is
   /// already installed on the thread) spooling every event to
-  /// `point_<index>.spool` there, and write `point_<index>.trace.json` /
-  /// `.jsonl` / `.metrics.json` beside it.
+  /// `point_<index>.spool` there, and write the point's metrics registry
+  /// to `point_<index>.metrics.json` beside it. obs::export_spool
+  /// (`tripscope export`) renders the spool's `.trace.json` / `.jsonl`.
   std::string trace_dir;
   /// TripScope: registered metric names (exact flattened keys, or bare
   /// names summed across label variants) to surface as result columns

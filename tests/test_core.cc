@@ -880,9 +880,8 @@ TEST(VifiReceiver, AppDeliverCarriesThePeerAndTheDirection) {
     receiver.accept({.packet = p, .peer = NodeId(7)});
     receiver.accept({.packet = p, .peer = NodeId(8)});
     std::vector<obs::TraceEvent> delivers;
-    recorder.visit([&](const obs::TraceEvent& e) {
+    for (const obs::TraceEvent& e : recorder.merged())
       if (e.kind == obs::EventKind::AppDeliver) delivers.push_back(e);
-    });
     ASSERT_EQ(delivers.size(), 1u);
     EXPECT_EQ(delivers[0].node, NodeId(0));
     EXPECT_EQ(delivers[0].peer, NodeId(7));

@@ -72,17 +72,19 @@ TEST(TraceRecorder, MergedIsSeqOrderedAcrossNodes) {
   EXPECT_EQ(merged[1].node, sim::NodeId{7});
 }
 
+// The spool's node index lists every labelled or recorded node, ascending.
 TEST(TraceRecorder, LabelledAndRecordedNodesAreListed) {
   TraceRecorder rec;
-  EXPECT_TRUE(rec.nodes().empty());
   rec.set_node_label(sim::NodeId{5}, "bs");
   rec.record(EventKind::BeaconTx, Time::seconds(0.0), sim::NodeId{9});
-  const auto nodes = rec.nodes();
+  rec.finalize();
+  const std::vector<SpoolNodeIndex> nodes =
+      SpoolReader(rec.spool_path()).nodes();
   ASSERT_EQ(nodes.size(), 2u);
-  EXPECT_EQ(nodes[0], sim::NodeId{5});
-  EXPECT_EQ(nodes[1], sim::NodeId{9});
-  EXPECT_EQ(rec.node_label(sim::NodeId{5}), "bs");
-  EXPECT_EQ(rec.node_label(sim::NodeId{9}), "");
+  EXPECT_EQ(nodes[0].node, sim::NodeId{5});
+  EXPECT_EQ(nodes[1].node, sim::NodeId{9});
+  EXPECT_EQ(nodes[0].label, "bs");
+  EXPECT_EQ(nodes[1].label, "");
 }
 
 TEST(TraceScope, NestsAndRestoresThePreviousRecorder) {
@@ -126,11 +128,12 @@ TEST(WarnRouting, WarnAndErrorLandOnTheInstalledRecorder) {
     VIFI_DEBUG("below threshold, not routed");  // default level is Warn
   }
   VIFI_WARN("outside the scope, not routed");
-  ASSERT_EQ(rec.log_records().size(), 2u);
-  EXPECT_EQ(rec.log_records()[0].level, LogLevel::Warn);
-  EXPECT_NE(rec.log_records()[0].message.find("salvage queue overflow"),
-            std::string::npos);
-  EXPECT_EQ(rec.log_records()[1].level, LogLevel::Error);
+  rec.finalize();
+  const std::vector<SpoolLog> logs = SpoolReader(rec.spool_path()).logs();
+  ASSERT_EQ(logs.size(), 2u);
+  EXPECT_EQ(logs[0].level, static_cast<int>(LogLevel::Warn));
+  EXPECT_NE(logs[0].message.find("salvage queue overflow"), std::string::npos);
+  EXPECT_EQ(logs[1].level, static_cast<int>(LogLevel::Error));
   EXPECT_EQ(rec.count(EventKind::Log), 2u);
 }
 
@@ -531,7 +534,12 @@ TEST(TraceExport, SweepTraceFilesAreThreadCountInvariant) {
   EXPECT_EQ(one.to_json(), four.to_json());
 
   for (const char* tag : {"point_0000", "point_0001"}) {
-    for (const char* ext : {".trace.json", ".jsonl", ".metrics.json"}) {
+    // The point writes its spool and metrics; `tripscope export` renders
+    // the spool's text files.
+    for (const fs::path& dir : {dir_one, dir_four})
+      export_spool((dir / (std::string(tag) + ".spool")).string());
+    for (const char* ext :
+         {".spool", ".trace.json", ".jsonl", ".metrics.json"}) {
       const std::string name = std::string(tag) + ext;
       const std::string a = slurp(dir_one / name);
       const std::string b = slurp(dir_four / name);

@@ -6,7 +6,8 @@
 // sides of the writer's dense index, empty and label-only parts, sparse
 // seqs, and several parts absorbed in a row. Hostile parts must throw
 // where visit() throws. The exporters' double memo must render what the
-// uncached %.17g path renders.
+// uncached %.17g path renders, and their one-pass render of both formats
+// must give the bytes each format's own pass gives.
 
 #include <gtest/gtest.h>
 
@@ -324,8 +325,58 @@ TEST(ExportProps, MemoizedDoublesRenderAsPrintfDoes) {
                sim::NodeId{1}, static_cast<std::uint64_t>(i), a, b, 2);
   }
   std::string want;
-  rec.visit([&want](const TraceEvent& e) { append_jsonl(want, e); });
+  for (const TraceEvent& e : rec.merged()) append_jsonl(want, e);
   EXPECT_EQ(events_jsonl(rec), want);
+}
+
+// write_exports renders Chrome and JSONL from one visit, sharing the double
+// memo and the event loop; each file must equal a pass that renders only
+// its own format (write_chrome_trace, write_jsonl), and export_spool must
+// write those bytes beside the spool. Seeded recordings vary node ids on
+// both sides of the dense index and the invalid id, routed log lines,
+// labels that need escaping, a label-only node, and include an empty
+// spool (run 0) and a labels-only one (run 1).
+TEST(ExportProps, OnePassExportMatchesSeparateRenders) {
+  const fs::path dir = temp_dir("vifi_export_props");
+  for (int run = 0; run < 40; ++run) {
+    Rng rng = Rng(static_cast<std::uint64_t>(run)).fork("one-pass-export");
+    const std::string spool = (dir / "point_0000.spool").string();
+    TraceRecorder rec(std::make_unique<SpoolWriter>(
+        spool, static_cast<std::size_t>(rng.uniform_int(1, 8))));
+    const std::vector<int> ids = node_pool(rng);
+    const int events = run < 2 ? 0 : static_cast<int>(rng.uniform_int(1, 600));
+    for (int i = 0; i < events; ++i) {
+      const TraceEvent e = random_event(rng, ids, 0, 0);
+      rec.record(e.kind == EventKind::Log ? EventKind::RelayTx : e.kind,
+                 Time::micros(rng.uniform_int(0, 1000) + 1000 * i), e.node,
+                 e.peer, e.id, e.a, e.b, e.c);
+      if (rng.uniform01() < 0.02)
+        rec.log(rng.uniform01() < 0.5 ? LogLevel::Warn : LogLevel::Error,
+                "log \"" + std::to_string(i) + "\"\n\ttab\x01");
+    }
+    if (run != 0) {
+      for (const int id : ids)
+        if (rng.uniform01() < 0.5)
+          rec.set_node_label(sim::NodeId{id},
+                             "bs \"" + std::to_string(id) + "\"");
+      rec.set_node_label(sim::NodeId{777}, "label-only");
+    }
+    const std::string chrome = chrome_trace_json(rec);
+    const std::string jsonl = events_jsonl(rec);
+    std::ostringstream both_chrome, both_jsonl;
+    write_exports(SpoolReader(spool), &both_chrome, &both_jsonl);
+    EXPECT_EQ(both_chrome.str(), chrome) << "run " << run;
+    EXPECT_EQ(both_jsonl.str(), jsonl) << "run " << run;
+    export_spool(spool);
+    EXPECT_EQ(slurp((dir / "point_0000.trace.json").string()), chrome)
+        << "run " << run;
+    EXPECT_EQ(slurp((dir / "point_0000.jsonl").string()), jsonl)
+        << "run " << run;
+    if (run == 0) {
+      EXPECT_TRUE(jsonl.empty());
+    }
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

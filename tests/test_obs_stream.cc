@@ -538,6 +538,8 @@ TEST(StreamedSweep, SpoolAndExportBytesAreThreadCountInvariant) {
   EXPECT_FALSE(one.any_errors());
   EXPECT_EQ(one.to_json(), eight.to_json());
 
+  for (const fs::path& dir : {dir_one, dir_eight})
+    export_spool((dir / "point_0000.spool").string());
   for (const char* ext : {".spool", ".trace.json", ".jsonl", ".metrics.json"}) {
     const std::string name = std::string("point_0000") + ext;
     const std::string a = slurp(dir_one / name);

@@ -394,8 +394,9 @@ TEST(CampaignPool, SharedTripsReplayInCampaignOrder) {
     std::ostringstream want_jsonl;
     obs::write_jsonl(want, want_jsonl);
     char name[32];
-    std::snprintf(name, sizeof(name), "point_%04zu.jsonl", p.index);
-    std::ifstream got_file(dir / name);
+    std::snprintf(name, sizeof(name), "point_%04zu", p.index);
+    obs::export_spool((dir / name).string() + ".spool");
+    std::ifstream got_file(dir / (std::string(name) + ".jsonl"));
     std::ostringstream got_jsonl;
     got_jsonl << got_file.rdbuf();
     EXPECT_GT(want.recorded(), 0u);
@@ -503,6 +504,26 @@ std::string digest_of(const std::filesystem::path& p) {
   return hex;
 }
 
+/// Renders each spool in \p dir into its text exports beside it, as
+/// `tripscope export` does, then returns one "name digest" line per file
+/// there, in name order.
+std::string trace_digests(const std::filesystem::path& dir) {
+  namespace fs = std::filesystem;
+  const auto files = [&dir] {
+    std::vector<fs::path> out;
+    for (const auto& entry : fs::directory_iterator(dir))
+      out.push_back(entry.path());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  for (const fs::path& f : files())
+    if (f.extension() == ".spool") obs::export_spool(f.string());
+  std::string out;
+  for (const fs::path& f : files())
+    out += f.filename().string() + " " + digest_of(f) + "\n";
+  return out;
+}
+
 /// Runs \p row's point on \p threads workers and renders everything it
 /// produced: the result's JSON and CSV (trace_set renamed to the row, so no
 /// temp path leaks in) and one digest line per trace artifact.
@@ -566,14 +587,7 @@ std::string render_golden_row(const GoldenRow& row, int threads) {
   ResultSink sink;
   sink.add(std::move(r));
   std::string out = sink.to_json() + sink.to_csv();
-  if (row.instrumented) {
-    std::vector<fs::path> files;
-    for (const auto& entry : fs::directory_iterator(traces))
-      files.push_back(entry.path());
-    std::sort(files.begin(), files.end());
-    for (const fs::path& f : files)
-      out += f.filename().string() + " " + digest_of(f) + "\n";
-  }
+  if (row.instrumented) out += trace_digests(traces);
   fs::remove_all(dir);
   return out;
 }
@@ -657,13 +671,7 @@ std::string live_trace_digests(int threads) {
                    : run_point_sharded(point, Runner({.threads = threads}));
   tracegen::drop_catalog_cache();
   EXPECT_TRUE(r.error.empty()) << r.error;
-  std::vector<fs::path> files;
-  for (const auto& entry : fs::directory_iterator(dir / "traces"))
-    files.push_back(entry.path());
-  std::sort(files.begin(), files.end());
-  std::string out;
-  for (const fs::path& f : files)
-    out += f.filename().string() + " " + digest_of(f) + "\n";
+  const std::string out = trace_digests(dir / "traces");
   fs::remove_all(dir);
   return out;
 }
@@ -753,10 +761,9 @@ ExperimentPoint streamed_catalog_point(const std::filesystem::path& dir) {
   return spec.enumerate().front();
 }
 
-// A streamed point's four files — the spool and the three exports, which
-// are written concurrently on the point's pool — must not depend on that
-// pool: run_point's inline worker and sharded pools of 2 and 4 give the
-// same bytes.
+// A streamed point's two files — the spool and its metrics — and the
+// spool's two text exports must not depend on the point's pool: run_point's
+// inline worker and sharded pools of 2 and 4 give the same bytes.
 TEST(Executor, StreamedExportsAreIdenticalOnAnyWorkerCount) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "vifi_test_stream_exports";
@@ -769,6 +776,7 @@ TEST(Executor, StreamedExportsAreIdenticalOnAnyWorkerCount) {
         threads == 1 ? run_point(point)
                      : run_point_sharded(point, Runner({.threads = threads}));
     ASSERT_TRUE(r.error.empty()) << r.error;
+    obs::export_spool((dir / "traces" / "point_0000.spool").string());
     std::map<std::string, std::string> got;
     for (const auto& entry : fs::directory_iterator(dir / "traces")) {
       std::ifstream in(entry.path(), std::ios::binary);
@@ -829,14 +837,14 @@ TEST(Executor, DefaultRecorderLeavesNothingBehind) {
   fs::remove_all(dir);
 }
 
-// An export file that cannot be written fails the point, and the error
+// A metrics file that cannot be written fails the point, and the error
 // names the file.
 TEST(Executor, UnwritableExportFailsThePointNamingTheFile) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "vifi_test_export_error";
   fs::remove_all(dir);
   const ExperimentPoint point = streamed_catalog_point(dir);
-  const fs::path blocked = dir / "traces" / "point_0000.jsonl";
+  const fs::path blocked = dir / "traces" / "point_0000.metrics.json";
   fs::create_directories(blocked);
   for (const int threads : {1, 2}) {
     const ResultSink sink =
