@@ -198,6 +198,7 @@ void Medium::listen(Port& p, const ActiveTx& tx) {
   if (!p.heard.empty() && pruned(p.heard.front().end))
     std::erase_if(p.heard, [this](const Heard& h) { return pruned(h.end); });
   p.heard.push_back({tx.seq, tx.start, tx.end});
+  p.latest_end = std::max(p.latest_end, tx.end);
 }
 
 void Medium::finish(std::uint64_t seq) {
@@ -277,25 +278,16 @@ bool Medium::busy_for(NodeId listener, Time now) {
 }
 
 Time Medium::busy_until(NodeId listener, Time now) {
-  // Prune here too: a node that only listens (never transmits) must not
-  // scan — or, worse, depend on — records whose eviction would otherwise
-  // wait for someone else's transmit(). The end-time check below keeps
-  // the answer right for records inside the keep window regardless.
-  // Clamped to the simulation clock: a query about a future instant must
-  // not evict a still-in-flight record out from under its finish() event.
+  // Prune here too, so a node that only listens (never transmits) still
+  // advances the horizon. Clamped to the simulation clock: a query about a
+  // future instant must not evict a still-in-flight record out from under
+  // its finish() event.
   prune(std::min(now, sim_.now()));
-  Time until = now;
-  Port* p = port(listener);
-  if (p == nullptr) return until;
-  // Compact the pruned entries out and take the latest end in one pass.
-  auto kept = p->heard.begin();
-  for (const Heard& h : p->heard) {
-    if (pruned(h.end)) continue;
-    until = std::max(until, h.end);
-    *kept++ = h;
-  }
-  p->heard.erase(kept, p->heard.end());
-  return until;
+  // Every pruned record ended before the horizon, so at or after it the
+  // latest end ever heard is the latest unpruned one, or is in the past.
+  VIFI_EXPECTS(now >= pruned_before_);
+  const Port* p = port(listener);
+  return p == nullptr ? now : std::max(now, p->latest_end);
 }
 
 std::uint64_t Medium::transmissions_from(NodeId node) const {

@@ -14,12 +14,12 @@
 ///
 /// Per-frame cost: one LossModel::sample() per receiver on the sender's
 /// receiver list, and a per-listener airtime index (the transmissions
-/// audible at each node plus its own) that carrier sense and the collision
-/// check scan instead of every frame on the air. Nodes live in dense
-/// attach-order ports, so the hot path never hashes a node id, and each
-/// port's receiver list (every other port, or with culling the ones that
-/// survive the cell test) is rebuilt only when a node attaches or the cull
-/// cells refresh, never per frame.
+/// audible at each node plus its own) that the collision check scans
+/// instead of every frame on the air; carrier sense reads one latest end
+/// per listener. Nodes live in dense attach-order ports, so the hot path
+/// never hashes a node id, and each port's receiver list (every other
+/// port, or with culling the ones that survive the cell test) is rebuilt
+/// only when a node attaches or the cull cells refresh, never per frame.
 
 #include <cstdint>
 #include <deque>
@@ -144,7 +144,10 @@ class Medium {
   bool busy_for(NodeId listener, Time now);
 
   /// Latest end time among transmissions audible at \p listener
-  /// (now if the channel is idle for them). Prunes like busy_for().
+  /// (now if the channel is idle for them). Prunes like busy_for(). Throws
+  /// ContractViolation for an instant before the prune horizon (more than
+  /// a max-frame airtime before the latest instant pruned at), where
+  /// records it would need may already be gone.
   Time busy_until(NodeId listener, Time now);
 
   std::uint64_t transmissions() const { return transmissions_; }
@@ -191,9 +194,12 @@ class Medium {
     /// The per-node side of the global counters.
     NodeAirtime ledger;
     /// Per-listener airtime index: the transmissions audible here plus the
-    /// node's own, not yet pruned. busy_until() and the collision check read
-    /// only this, never the whole on-air set.
+    /// node's own, not yet pruned. The collision check reads only this,
+    /// never the whole on-air set.
     std::vector<Heard> heard;
+    /// Latest end among every transmission ever added to `heard`, pruned
+    /// ones included: busy_until()'s answer without a scan.
+    Time latest_end = Time::micros(std::numeric_limits<std::int64_t>::min());
     /// Ports that sample this node's transmissions, in ascending attach
     /// order: every other port, or with culling the ones that survived the
     /// latest cell refresh. Valid while receivers_fresh_.

@@ -416,6 +416,30 @@ TEST(Medium, LongFinishedTransmissionNeverReportsBusy) {
   EXPECT_EQ(medium.active_records(), 0u);
 }
 
+TEST(Medium, BusyQueryBeforeThePruneHorizonIsAContractViolation) {
+  sim::Simulator sim;
+  FakeLoss loss;
+  Medium medium(sim, loss, {});
+  Collector a, b;
+  medium.attach(NodeId(0), &a);
+  medium.attach(NodeId(1), &b);
+  loss.set(NodeId(0), NodeId(1), 1.0);
+  net::PacketFactory factory;
+  Frame f = data_frame(factory, sim, 500);
+  f.tx = NodeId(0);
+  const Time sent = sim.now();
+  medium.transmit(f);
+  sim.run_until(sim.now() + Time::seconds(30.0));
+  // Querying now prunes the transmission, so the instant it was sent
+  // lies before the prune horizon.
+  EXPECT_EQ(medium.busy_until(NodeId(1), sim.now()), sim.now());
+  EXPECT_THROW(medium.busy_until(NodeId(1), sent), vifi::ContractViolation);
+  EXPECT_THROW(medium.busy_for(NodeId(0), sent), vifi::ContractViolation);
+  // The horizon itself is still answerable.
+  const Time horizon = sim.now() - medium.airtime(Medium::kMaxFrameBytes);
+  EXPECT_EQ(medium.busy_until(NodeId(1), horizon), horizon);
+}
+
 TEST(Medium, FutureBusyQueryDoesNotEvictInFlightRecords) {
   sim::Simulator sim;
   FakeLoss loss;

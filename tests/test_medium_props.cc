@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <tuple>
 #include <utility>
@@ -170,6 +171,80 @@ TEST(MediumProperties, RandomSchedulesConserveAirtimeAndDecodes) {
     EXPECT_GT(jain_rx, 0.0);
     EXPECT_LE(jain_rx, 1.0 + 1e-12);
   }
+}
+
+// Carrier sense over random schedules: after each transmit, and at later
+// instants (some past the simulator clock), busy_until answers the latest
+// end among the unpruned transmissions audible at the node, its own
+// included, or the query instant if that is later. The oracle keeps its
+// own log of every transmission and its own prune horizon: the latest
+// instant the medium pruned at (transmit instants, and query instants
+// clamped to the clock) less one max-frame airtime.
+TEST(MediumProperties, BusyUntilIsTheLatestUnprunedAudibleEnd) {
+  constexpr double kAudibility = 0.05;  // MediumParams' default
+  struct Sent {
+    NodeId tx;
+    Time end;
+  };
+  std::uint64_t busy_answers = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    sim::Simulator sim;
+    const int nodes = static_cast<int>(rng.uniform_int(2, 6));
+    RandomLoss loss(nodes, rng.fork("probs"), rng.fork("samples"));
+    Medium medium(sim, loss, {});
+    std::vector<NullSink> sinks(static_cast<std::size_t>(nodes));
+    for (int n = 0; n < nodes; ++n)
+      medium.attach(NodeId(n), &sinks[static_cast<std::size_t>(n)]);
+    const Time keep = medium.airtime(Medium::kMaxFrameBytes);
+
+    std::vector<Sent> sent;
+    Time horizon = Time::micros(std::numeric_limits<std::int64_t>::min());
+    const auto check_all = [&](Time at) {
+      horizon = std::max(horizon, std::min(at, sim.now()) - keep);
+      for (int n = 0; n < nodes; ++n) {
+        const NodeId node(n);
+        Time want = at;
+        for (const Sent& s : sent)
+          if (s.end >= horizon &&
+              (s.tx == node ||
+               loss.reception_prob(s.tx, node, Time::zero()) >= kAudibility))
+            want = std::max(want, s.end);
+        busy_answers += want > at;
+        ASSERT_EQ(medium.busy_until(node, at), want)
+            << "node " << n << " at " << at.to_seconds() << " s";
+      }
+    };
+
+    net::PacketFactory factory;
+    const int transmissions = static_cast<int>(rng.uniform_int(1, 20));
+    Time at;
+    for (int i = 0; i < transmissions; ++i) {
+      const NodeId tx(static_cast<int>(rng.uniform_int(0, nodes - 1)));
+      Frame f = data_frame(factory, tx,
+                           static_cast<int>(rng.uniform_int(0, 1500)));
+      at += Time::micros(rng.uniform_int(0, 30000));
+      sim.schedule_at(at, [&, tx, f = std::move(f)]() mutable {
+        horizon = std::max(horizon, sim.now() - keep);
+        const Time held = medium.transmit(std::move(f));
+        sent.push_back({tx, sim.now() + held});
+        check_all(sim.now());
+      });
+      // Probes between transmissions, some about an instant ahead of the
+      // clock.
+      const Time probe = at + Time::micros(rng.uniform_int(0, 20000));
+      const Time ahead = rng.bernoulli(0.5)
+                             ? Time::micros(rng.uniform_int(0, 20000))
+                             : Time::zero();
+      sim.schedule_at(probe, [&, ahead] { check_all(sim.now() + ahead); });
+    }
+    sim.run();
+    check_all(sim.now());
+    check_all(sim.now() + Time::seconds(1.0));
+  }
+  // The schedules must hold the channel often, not only leave it idle.
+  EXPECT_GT(busy_answers, 1000u);
 }
 
 /// Loss model whose reception probability is a pure function of node

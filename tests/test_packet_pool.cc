@@ -4,7 +4,7 @@
 // hygiene. The behavioural guarantee that the pooled allocator changes
 // nothing observable (byte-identical sweep output vs. the shared_ptr era,
 // for any thread count) is enforced by the runtime determinism tests and
-// the CI sweep smoke test.
+// tools/samebytes.py.
 
 #include <gtest/gtest.h>
 
