@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/relay_policy.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "util/contracts.h"
@@ -38,7 +37,8 @@ VifiBasestation::VifiBasestation(sim::Simulator& sim, mac::Radio& radio,
       [this](const net::PacketRef& p) { forward_to_gateway(p); });
   radio_.set_receiver([this](const mac::Frame& f) { on_frame(f); });
   radio_.set_idle_callback([this] { pump_all(); });
-  beaconing_.set_payload_provider([this] { return beacon_payload(); });
+  beaconing_.set_payload_provider(
+      [this](mac::BeaconPayload& p) { beacon_payload(p); });
   backplane_.attach(self(),
                     [this](const net::WireMessage& m) { on_wire(m); });
   if (obs::MetricsRegistry* metrics = obs::current_metrics())
@@ -57,7 +57,8 @@ VifiSender& VifiBasestation::sender_for(NodeId vehicle) {
     sender->set_hop_dst_provider([this, vehicle]() -> NodeId {
       return is_anchor_for(vehicle) ? vehicle : NodeId{};
     });
-    sender->set_piggyback_provider([this] { return receiver_.recent_ids(); });
+    sender->set_piggyback_provider(
+        [this](std::vector<std::uint64_t>& ids) { receiver_.recent_ids(ids); });
     sender->set_designated_aux_provider([this, vehicle] {
       const auto vit = vehicles_.find(vehicle);
       return vit == vehicles_.end()
@@ -65,7 +66,7 @@ VifiSender& VifiBasestation::sender_for(NodeId vehicle) {
                  : static_cast<int>(vit->second.auxiliaries.size());
     });
     sender->set_stats(stats_);
-    it = senders_.emplace(vehicle, std::move(sender)).first;
+    it = senders_.try_emplace(vehicle, std::move(sender)).first;
   }
   return *it->second;
 }
@@ -97,11 +98,9 @@ bool VifiBasestation::is_anchor_for(NodeId vehicle) const {
   return it != vehicles_.end() && it->second.anchor == self();
 }
 
-mac::BeaconPayload VifiBasestation::beacon_payload() {
-  mac::BeaconPayload p;
+void VifiBasestation::beacon_payload(mac::BeaconPayload& p) const {
   p.from_vehicle = false;
-  p.prob_reports = pab_.export_reports(sim_.now());
-  return p;
+  pab_.export_reports(sim_.now(), p.prob_reports);
 }
 
 void VifiBasestation::on_frame(const mac::Frame& f) {
@@ -192,12 +191,6 @@ void VifiBasestation::become_anchor(NodeId vehicle, NodeId prev_anchor) {
   sender_for(vehicle).pump();
 }
 
-net::Direction VifiBasestation::frame_direction(const mac::Frame& f,
-                                                NodeId vehicle) const {
-  return f.data.origin == vehicle ? Direction::Upstream
-                                  : Direction::Downstream;
-}
-
 void VifiBasestation::on_data(const mac::Frame& f) {
   if (f.data.hop_dst == self()) {
     // We are the wireless-hop destination: upstream data from the vehicle.
@@ -228,7 +221,7 @@ void VifiBasestation::on_data(const mac::Frame& f) {
   } else {
     return;  // not a ViFi client we know about
   }
-  const VehicleState& st = vehicles_.at(vehicle);
+  const VehicleState& st = vehicles_.find(vehicle)->second;
   // Only BSes the vehicle designated act as auxiliaries (§4.3).
   if (std::find(st.auxiliaries.begin(), st.auxiliaries.end(), self()) ==
       st.auxiliaries.end())
@@ -238,8 +231,15 @@ void VifiBasestation::on_data(const mac::Frame& f) {
     stats_->on_aux_overhear(f.data.packet_id, f.data.attempt, self());
   // Buffer only once per packet.
   for (const OverheardEntry& e : overheard_)
-    if (e.frame.data.packet_id == f.data.packet_id) return;
-  overheard_.push_back({f, sim_.now(), vehicle});
+    if (e.packet_id == f.data.packet_id) return;
+  overheard_.push_back({.packet = f.packet,
+                        .packet_id = f.data.packet_id,
+                        .link_seq = f.data.link_seq,
+                        .attempt = f.data.attempt,
+                        .origin = f.data.origin,
+                        .hop_dst = f.data.hop_dst,
+                        .heard_at = sim_.now(),
+                        .vehicle = vehicle});
 }
 
 void VifiBasestation::forward_to_gateway(const net::PacketRef& packet) {
@@ -274,10 +274,13 @@ void VifiBasestation::on_wire(const net::WireMessage& msg) {
       // vehicle in question (§4.5).
       obs::TraceRecorder* rec = obs::current_recorder();
       const Time cutoff = sim_.now() - config_.salvage_window;
-      std::vector<std::uint64_t> moved;
-      for (const auto& [id, entry] : salvage_buffer_) {
-        if (entry.arrived < cutoff) continue;
-        if (entry.packet->dst != msg.about) continue;
+      const auto moves = [&](const auto& kv) {
+        return kv.second.arrived >= cutoff &&
+               kv.second.packet->dst == msg.about;
+      };
+      for (const auto& kv : salvage_buffer_) {
+        if (!moves(kv)) continue;
+        const auto& [id, entry] = kv;
         net::WireMessage reply;
         reply.kind = net::WireMessage::Kind::SalvageReply;
         reply.from = self();
@@ -288,10 +291,9 @@ void VifiBasestation::on_wire(const net::WireMessage& msg) {
         if (rec)
           rec->record(obs::EventKind::SalvageHandoff, sim_.now(), self(),
                       msg.from, id, 0.0, 0.0, msg.about.value());
-        moved.push_back(id);
         ++salvaged_out_;
       }
-      for (std::uint64_t id : moved) salvage_buffer_.erase(id);
+      salvage_buffer_.erase_if(moves);
       break;
     }
     case net::WireMessage::Kind::SalvageReply:
@@ -312,39 +314,40 @@ void VifiBasestation::on_wire(const net::WireMessage& msg) {
 void VifiBasestation::on_relay_tick() {
   const Time now = sim_.now();
   obs::TraceRecorder* rec = obs::current_recorder();
-  std::vector<OverheardEntry> pending;
-  pending.reserve(overheard_.size());
-  for (OverheardEntry& e : overheard_) {
+  // Entries still inside their ack wait move down over the decided ones,
+  // keeping arrival order.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < overheard_.size(); ++i) {
+    OverheardEntry& e = overheard_[i];
     if (e.heard_at + config_.ack_wait > now) {
-      pending.push_back(std::move(e));
+      if (kept != i) overheard_[kept] = std::move(e);
+      ++kept;
       continue;
     }
-    const std::uint64_t id = e.frame.data.packet_id;
+    const std::uint64_t id = e.packet_id;
     relay_considered_.insert(id);  // considered at most once (§4.3)
     if (acks_overheard_.contains(id)) continue;  // suppressed
 
     const auto vit = vehicles_.find(e.vehicle);
     if (vit == vehicles_.end()) continue;
     const VehicleState& st = vit->second;
-    const Direction dir = frame_direction(e.frame, e.vehicle);
-    const NodeId src = e.frame.data.origin;
-    const NodeId dst =
-        dir == Direction::Upstream ? st.anchor : e.frame.data.hop_dst;
+    const Direction dir =
+        e.origin == e.vehicle ? Direction::Upstream : Direction::Downstream;
+    const NodeId dst = dir == Direction::Upstream ? st.anchor : e.hop_dst;
     if (!dst.valid()) continue;
     // CoordTier seam: a confident live prediction suppresses redundant
     // auxiliary relays (the packet is considered, then skipped).
     if (relay_filter_ && relay_filter_(e.vehicle)) continue;
 
-    if (stats_) stats_->on_aux_contend(id, e.frame.data.attempt, self());
+    if (stats_) stats_->on_aux_contend(id, e.attempt, self());
 
-    RelayContext ctx;
-    ctx.self = self();
-    ctx.src = src;
-    ctx.dst = dst;
-    ctx.auxiliaries = st.auxiliaries;
-    ctx.pab = &pab_;
-    ctx.now = now;
-    const double p = relay_probability(ctx, config_.variant);
+    relay_ctx_.self = self();
+    relay_ctx_.src = e.origin;
+    relay_ctx_.dst = dst;
+    relay_ctx_.auxiliaries = st.auxiliaries;
+    relay_ctx_.pab = &pab_;
+    relay_ctx_.now = now;
+    const double p = relay_probability(relay_ctx_, config_.variant);
     if (relay_prob_hist_) relay_prob_hist_->observe(p);
     const bool chose_relay = rng_.bernoulli(p);
     if (rec)
@@ -354,7 +357,7 @@ void VifiBasestation::on_relay_tick() {
     if (!chose_relay) continue;
 
     ++relays_sent_;
-    if (stats_) stats_->on_aux_relay(id, e.frame.data.attempt, self());
+    if (stats_) stats_->on_aux_relay(id, e.attempt, self());
     if (dir == Direction::Upstream) {
       // Relay over the inter-BS backplane (§4.3).
       if (rec)
@@ -363,38 +366,43 @@ void VifiBasestation::on_relay_tick() {
       relay.kind = net::WireMessage::Kind::RelayedData;
       relay.from = self();
       relay.to = dst;
-      relay.packet = e.frame.packet;
-      relay.attempt = e.frame.data.attempt;
-      relay.link_seq = e.frame.data.link_seq;
-      relay.bytes = e.frame.packet->bytes + kWireHeaderBytes;
+      relay.packet = e.packet;
+      relay.attempt = e.attempt;
+      relay.link_seq = e.link_seq;
+      relay.bytes = e.packet->bytes + kWireHeaderBytes;
       backplane_.send(std::move(relay));
     } else {
-      // Relay on the vehicle-BS channel.
+      // Relay on the vehicle-BS channel: the overheard frame again, marked
+      // as a relay and without its piggybacked acks.
       if (rec)
         rec->record(obs::EventKind::RelayTx, now, self(), dst, id, p, 0.0, 1);
-      mac::Frame relay = e.frame;
+      mac::Frame relay = radio_.recycled_frame(mac::FrameType::Data);
+      relay.packet = e.packet;
+      relay.data.packet_id = id;
+      relay.data.link_seq = e.link_seq;
+      relay.data.attempt = e.attempt;
+      relay.data.origin = e.origin;
+      relay.data.hop_dst = e.hop_dst;
       relay.data.is_relay = true;
       relay.data.relayer = self();
-      relay.data.piggyback_acked.clear();
       if (stats_) stats_->on_wireless_data_tx(Direction::Downstream);
       radio_.send(std::move(relay));
     }
   }
-  overheard_ = std::move(pending);
+  overheard_.resize(kept);
 }
 
 void VifiBasestation::on_second_tick() {
   const Time now = sim_.now();
   pab_.tick_second(now);
   // Drop state for vehicles not heard from in a long time.
-  std::erase_if(vehicles_, [now](const auto& kv) {
+  vehicles_.erase_if([now](const auto& kv) {
     return (now - kv.second.last_beacon) > Time::seconds(10.0);
   });
   // Salvage buffer pruning: entries too old to ever be salvaged.
   const Time cutoff = now - config_.salvage_window * 5.0;
-  std::erase_if(salvage_buffer_, [cutoff](const auto& kv) {
-    return kv.second.arrived < cutoff;
-  });
+  salvage_buffer_.erase_if(
+      [cutoff](const auto& kv) { return kv.second.arrived < cutoff; });
 }
 
 }  // namespace vifi::core

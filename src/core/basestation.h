@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -25,12 +24,14 @@
 #include "core/id_set.h"
 #include "core/pab.h"
 #include "core/receiver.h"
+#include "core/relay_policy.h"
 #include "core/sender.h"
 #include "core/stats.h"
 #include "mac/beaconing.h"
 #include "mac/radio.h"
 #include "net/backplane.h"
 #include "sim/simulator.h"
+#include "util/flat_map.h"
 #include "util/rng.h"
 
 namespace vifi::obs {
@@ -97,9 +98,15 @@ class VifiBasestation {
     bool registered_as_anchor = false;
   };
 
-  /// An overheard, not-yet-decided data frame (auxiliary duty).
+  /// An overheard, not-yet-decided data frame (auxiliary duty): what a
+  /// relay of it needs, without the frame's piggyback list.
   struct OverheardEntry {
-    mac::Frame frame;
+    net::PacketRef packet;
+    std::uint64_t packet_id = 0;
+    std::uint64_t link_seq = 0;
+    int attempt = 0;
+    NodeId origin;
+    NodeId hop_dst;
     Time heard_at;
     NodeId vehicle;  ///< The vehicle this packet concerns.
   };
@@ -119,8 +126,7 @@ class VifiBasestation {
   void forward_to_gateway(const net::PacketRef& packet);
   void enqueue_downstream(const net::PacketRef& packet);
   void become_anchor(NodeId vehicle, NodeId prev_anchor);
-  mac::BeaconPayload beacon_payload();
-  net::Direction frame_direction(const mac::Frame& f, NodeId vehicle) const;
+  void beacon_payload(mac::BeaconPayload& p) const;
 
   /// Lazily creates the downstream sender serving \p vehicle.
   VifiSender& sender_for(NodeId vehicle);
@@ -139,18 +145,24 @@ class VifiBasestation {
   sim::PeriodicTimer relay_tick_;
   sim::PeriodicTimer pump_tick_;
   /// Downstream data paths (anchor duty), one per served vehicle — VanLAN
-  /// itself ran two vans (§2.1).
-  std::map<NodeId, std::unique_ptr<VifiSender>> senders_;
+  /// itself ran two vans (§2.1). Ascending vehicle id, the order acks are
+  /// offered and pumps run in.
+  FlatMap<NodeId, std::unique_ptr<VifiSender>> senders_;
   /// Upstream data path (anchor duty): one for all vehicles, window too.
   VifiReceiver receiver_;
 
-  std::map<NodeId, VehicleState> vehicles_;
+  FlatMap<NodeId, VehicleState> vehicles_;
 
+  /// Arrival order; on_relay_tick() compacts it in place.
   std::vector<OverheardEntry> overheard_;
   RecentIdSet relay_considered_;
   RecentIdSet acks_overheard_;
+  /// The relay decision's inputs, reused so the auxiliary set copies into
+  /// storage it already has.
+  RelayContext relay_ctx_;
 
-  std::map<std::uint64_t, SalvageEntry> salvage_buffer_;
+  /// By packet id: salvage replies go out in ascending id order.
+  FlatMap<std::uint64_t, SalvageEntry> salvage_buffer_;
   std::uint64_t relays_sent_ = 0;
   std::uint64_t salvaged_out_ = 0;
   /// Live relay-probability histogram, registered at construction when a

@@ -13,137 +13,101 @@ PabTable::PabTable(NodeId self, int beacons_per_second, double alpha)
 }
 
 void PabTable::note_beacon(NodeId from, Time now) {
-  ++counts_this_second_[from];
-  last_heard_[from] = now;
+  const auto [it, heard_first] = neighbors_.try_emplace(from);
+  Neighbor& n = it->second;
+  if (heard_first) n.incoming = Ewma(alpha_);
+  ++n.beacons_this_second;
+  n.last_heard = now;
 }
 
 void PabTable::fold_reports(const std::vector<mac::ProbReport>& reports,
                             Time now) {
-  Transmitter* row = nullptr;
+  FlatMap<NodeId, Row>::value_type* row = nullptr;
   for (const mac::ProbReport& r : reports) file(row, r, now);
 }
 
 void PabTable::fold_own_reports(const std::vector<mac::ProbReport>& reports,
                                 Time now) {
-  Transmitter* row = nullptr;
+  FlatMap<NodeId, Row>::value_type* row = nullptr;
   for (const mac::ProbReport& r : reports)
     if (r.from == self_) file(row, r, now);
 }
 
-void PabTable::file(Transmitter*& row, const mac::ProbReport& r, Time now) {
+void PabTable::file(FlatMap<NodeId, Row>::value_type*& row,
+                    const mac::ProbReport& r, Time now) {
   if (!r.from.valid() || !r.to.valid()) return;
   if (r.to == self_) return;  // we know our own incoming better
   // A beacon's reports come in runs sharing a transmitter (the sender's
   // reverse estimates), so the row is looked up once per run.
-  if (row == nullptr || row->from != r.from) {
-    auto it = std::lower_bound(
-        remote_.begin(), remote_.end(), r.from,
-        [](const Transmitter& t, NodeId from) { return t.from < from; });
-    if (it == remote_.end() || it->from != r.from)
-      it = remote_.insert(it, Transmitter{r.from, {}});
-    row = &*it;
-  }
-  auto link = std::lower_bound(
-      row->links.begin(), row->links.end(), r.to,
-      [](const Remote& l, NodeId to) { return l.to < to; });
-  if (link == row->links.end() || link->to != r.to)
-    link = row->links.insert(link, Remote{r.to, 0.0, now});
-  link->prob = std::clamp(r.prob, 0.0, 1.0);
-  link->last_update = now;
+  if (row == nullptr || row->first != r.from)
+    row = &*remote_.try_emplace(r.from).first;
+  Link& link = row->second[r.to];
+  link.prob = std::clamp(r.prob, 0.0, 1.0);
+  link.last_update = now;
 }
 
 void PabTable::tick_second(Time now) {
-  // Every neighbour heard recently gets an update; silence counts as zero
-  // so estimates age out naturally.
-  for (auto& [from, est] : incoming_) {
-    const auto it = counts_this_second_.find(from);
-    const int c = it == counts_this_second_.end() ? 0 : it->second;
-    // Only keep feeding zeros while the neighbour is plausibly nearby.
-    const auto lh = last_heard_.find(from);
-    const bool fresh = lh != last_heard_.end() &&
-                       (now - lh->second).to_seconds() < kFreshnessSeconds;
-    if (c > 0 || fresh) {
-      est.avg.update(std::min(
-          1.0, static_cast<double>(c) / beacons_per_second_));
-      est.last_update = now;
+  for (auto& [from, n] : neighbors_) {
+    const double ratio = std::min(
+        1.0, static_cast<double>(n.beacons_this_second) / beacons_per_second_);
+    // A new neighbour's first second, then every second while it is
+    // plausibly nearby: silence counts as zero, so estimates age out
+    // naturally.
+    if (!n.incoming.initialized() || n.beacons_this_second > 0 ||
+        (now - n.last_heard).to_seconds() < kFreshnessSeconds) {
+      n.incoming.update(ratio);
+      n.estimated_at = now;
     }
+    n.beacons_this_second = 0;
   }
-  // New neighbours.
-  for (const auto& [from, c] : counts_this_second_) {
-    if (incoming_.contains(from)) continue;
-    Estimate est;
-    est.avg = Ewma(alpha_);
-    est.avg.update(
-        std::min(1.0, static_cast<double>(c) / beacons_per_second_));
-    est.last_update = now;
-    incoming_.emplace(from, est);
-  }
-  counts_this_second_.clear();
   // Stale gossip reads as unknown already (get() checks the same age, and
   // time only moves on), so evicting it changes no answer and bounds the
   // table by the freshness window.
-  for (Transmitter& t : remote_)
-    std::erase_if(t.links,
-                  [now](const Remote& l) { return stale(l.last_update, now); });
-  std::erase_if(remote_, [](const Transmitter& t) { return t.links.empty(); });
+  for (auto& [from, row] : remote_)
+    row.erase_if([now](const Row::value_type& l) {
+      return stale(l.second.last_update, now);
+    });
 }
 
 std::size_t PabTable::gossip_entries() const {
   std::size_t n = 0;
-  for (const Transmitter& t : remote_) n += t.links.size();
+  for (const auto& [from, row] : remote_) n += row.size();
   return n;
 }
 
-const PabTable::Transmitter* PabTable::transmitter(NodeId from) const {
-  const auto it = std::lower_bound(
-      remote_.begin(), remote_.end(), from,
-      [](const Transmitter& t, NodeId f) { return t.from < f; });
-  return it == remote_.end() || it->from != from ? nullptr : &*it;
-}
-
 double PabTable::incoming(NodeId from, Time now, double fallback) const {
-  const auto it = incoming_.find(from);
-  if (it == incoming_.end() || !it->second.avg.initialized())
+  const auto it = neighbors_.find(from);
+  if (it == neighbors_.end() || !it->second.incoming.initialized())
     return fallback;
-  if (stale(it->second.last_update, now)) return fallback;
-  return it->second.avg.value();
+  if (stale(it->second.estimated_at, now)) return fallback;
+  return it->second.incoming.value();
 }
 
 double PabTable::get(NodeId from, NodeId to, Time now,
                      double fallback) const {
   if (to == self_) return incoming(from, now, fallback);
-  const Transmitter* t = transmitter(from);
-  if (t == nullptr) return fallback;
-  const auto it = std::lower_bound(
-      t->links.begin(), t->links.end(), to,
-      [](const Remote& l, NodeId r) { return l.to < r; });
-  if (it == t->links.end() || it->to != to) return fallback;
-  if (stale(it->last_update, now)) return fallback;
-  return it->prob;
+  const auto row = remote_.find(from);
+  if (row == remote_.end()) return fallback;
+  const auto it = row->second.find(to);
+  if (it == row->second.end()) return fallback;
+  if (stale(it->second.last_update, now)) return fallback;
+  return it->second.prob;
 }
 
-std::vector<NodeId> PabTable::recent_neighbors(Time now,
-                                               Time staleness) const {
-  std::vector<NodeId> out;
-  for (const auto& [from, t] : last_heard_)
-    if (now - t <= staleness) out.push_back(from);
-  return out;
-}
-
-std::vector<mac::ProbReport> PabTable::export_reports(Time now) const {
-  std::vector<mac::ProbReport> out;
+void PabTable::export_reports(Time now,
+                              std::vector<mac::ProbReport>& out) const {
+  out.clear();
   // Own incoming estimates: (neighbour -> self).
-  for (const auto& [from, est] : incoming_) {
-    if (!est.avg.initialized()) continue;
-    if (stale(est.last_update, now)) continue;
-    out.push_back({from, self_, est.avg.value()});
+  for (const auto& [from, n] : neighbors_) {
+    if (!n.incoming.initialized()) continue;
+    if (stale(n.estimated_at, now)) continue;
+    out.push_back({from, self_, n.incoming.value()});
   }
   // Reverse direction learned from gossip: (self -> neighbour), one row.
-  if (const Transmitter* t = transmitter(self_)) {
-    for (const Remote& l : t->links)
-      if (!stale(l.last_update, now)) out.push_back({self_, l.to, l.prob});
+  if (const auto row = remote_.find(self_); row != remote_.end()) {
+    for (const auto& [to, l] : row->second)
+      if (!stale(l.last_update, now)) out.push_back({self_, to, l.prob});
   }
-  return out;
 }
 
 }  // namespace vifi::core

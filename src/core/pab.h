@@ -19,13 +19,20 @@
 /// decisions read links between other nodes. A vehicle only ever gossips
 /// its own row back and reads nothing else from the table, so it folds
 /// that row alone (fold_own_reports) and skips the rest of each beacon.
+///
+/// Every table is a FlatMap keyed by NodeId: one record per beacon
+/// neighbour (this second's beacon count, when it was last heard, the
+/// incoming estimate) and one gossip row per transmitter. Iteration is in
+/// ascending id order, as the gossip payload and the anchor choice need,
+/// and a beacon heard, folded or exported allocates nothing once the
+/// neighbours and rows exist.
 
-#include <map>
 #include <vector>
 
 #include "mac/frame.h"
 #include "sim/ids.h"
 #include "util/ewma.h"
+#include "util/flat_map.h"
 #include "util/time.h"
 
 namespace vifi::core {
@@ -60,13 +67,18 @@ class PabTable {
   /// Incoming-probability estimate from \p from to self.
   double incoming(NodeId from, Time now, double fallback = 0.0) const;
 
-  /// Neighbours heard within \p staleness of \p now.
-  std::vector<NodeId> recent_neighbors(Time now, Time staleness) const;
+  /// Calls \p fn(NodeId) for each neighbour heard within \p staleness of
+  /// \p now, in ascending id order.
+  template <typename Fn>
+  void for_each_recent_neighbor(Time now, Time staleness, Fn&& fn) const {
+    for (const auto& [from, n] : neighbors_)
+      if (now - n.last_heard <= staleness) fn(from);
+  }
 
-  /// Gossip payload for this node's next beacon: all fresh incoming
-  /// estimates (from=neighbour, to=self) plus fresh reverse estimates
-  /// (from=self, to=neighbour) learned from neighbours' gossip.
-  std::vector<mac::ProbReport> export_reports(Time now) const;
+  /// Fills \p out with the gossip payload for this node's next beacon: all
+  /// fresh incoming estimates (from=neighbour, to=self) plus fresh reverse
+  /// estimates (from=self, to=neighbour) learned from neighbours' gossip.
+  void export_reports(Time now, std::vector<mac::ProbReport>& out) const;
 
   NodeId self() const { return self_; }
 
@@ -75,21 +87,22 @@ class PabTable {
   std::size_t gossip_entries() const;
 
  private:
-  struct Estimate {
-    Ewma avg{0.5};
-    Time last_update;
+  /// One node this one has heard beacons from.
+  struct Neighbor {
+    int beacons_this_second = 0;
+    Time last_heard;
+    /// Exponential average of the per-second reception ratio, from the
+    /// first tick_second() after the first beacon on.
+    Ewma incoming{0.5};
+    Time estimated_at;  ///< Latest update of `incoming`.
   };
-  /// Gossip about one link, filed under its transmitter.
-  struct Remote {
-    NodeId to;
+  /// Gossip about one link, filed under its transmitter and receiver.
+  struct Link {
     double prob = 0.0;
     Time last_update;
   };
-  /// Everything learned about one transmitter's links, sorted by `to`.
-  struct Transmitter {
-    NodeId from;
-    std::vector<Remote> links;
-  };
+  /// Everything learned about one transmitter's links, by receiver.
+  using Row = FlatMap<NodeId, Link>;
 
   /// Gossip entries and direct estimates go stale after this long.
   static constexpr double kFreshnessSeconds = 5.0;
@@ -97,21 +110,20 @@ class PabTable {
   static bool stale(Time last_update, Time now) {
     return (now - last_update).to_seconds() > kFreshnessSeconds;
   }
-  const Transmitter* transmitter(NodeId from) const;
   /// Files one report; \p row caches the previous report's transmitter
   /// row, since a beacon's reports come in runs sharing one.
-  void file(Transmitter*& row, const mac::ProbReport& r, Time now);
+  void file(FlatMap<NodeId, Row>::value_type*& row, const mac::ProbReport& r,
+            Time now);
 
   NodeId self_;
   int beacons_per_second_;
   double alpha_;
-  std::map<NodeId, int> counts_this_second_;
-  std::map<NodeId, Estimate> incoming_;          // from -> P(from->self)
-  /// Gossip (from,to) -> P indexed by transmitter, sorted by `from`: the
-  /// node's own row is its reverse estimates, and tick_second() evicts
-  /// what went stale, so the table holds only the freshness window.
-  std::vector<Transmitter> remote_;
-  std::map<NodeId, Time> last_heard_;
+  FlatMap<NodeId, Neighbor> neighbors_;
+  /// Gossip (from,to) -> P by transmitter: the node's own row is its
+  /// reverse estimates. tick_second() evicts stale links, so the rows hold
+  /// only the freshness window; an emptied row stays, keeping its storage
+  /// for the transmitter's next report.
+  FlatMap<NodeId, Row> remote_;
 };
 
 }  // namespace vifi::core

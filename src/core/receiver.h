@@ -13,7 +13,6 @@
 /// delivery is on (§4.7's "sequencing buffer at anchor BSes and vehicles").
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -26,6 +25,7 @@
 #include "mac/radio.h"
 #include "net/packet.h"
 #include "sim/simulator.h"
+#include "util/ring_queue.h"
 
 namespace vifi::core {
 
@@ -59,9 +59,11 @@ class VifiReceiver {
   /// packet's first copy.
   bool accept(const Arrival& a);
 
-  /// The newest `piggyback_depth` unique ids, oldest first (§4.8).
-  std::vector<std::uint64_t> recent_ids() const {
-    return {window_.begin(), window_.end()};
+  /// Sets \p out to the newest `piggyback_depth` unique ids, oldest first
+  /// (§4.8), reusing its storage.
+  void recent_ids(std::vector<std::uint64_t>& out) const {
+    out.resize(window_.size());
+    for (std::size_t i = 0; i < window_.size(); ++i) out[i] = window_[i];
   }
 
  private:
@@ -73,7 +75,7 @@ class VifiReceiver {
   std::function<void(const net::PacketRef&)> release_;
   RecentIdSet received_;
   RecentIdSet acked_once_;
-  std::deque<std::uint64_t> window_;
+  RingQueue<std::uint64_t> window_;
   /// In-order release buffers, one per stream origin (§4.7 extension).
   std::map<NodeId, std::unique_ptr<Sequencer>> sequencers_;
 };

@@ -45,24 +45,13 @@ struct Contender {
   double pd = 0.0;  ///< p(Bi -> d).
 };
 
-std::vector<Contender> gather(const RelayContext& ctx) {
-  std::vector<Contender> out;
-  out.reserve(ctx.auxiliaries.size());
-  for (NodeId bi : ctx.auxiliaries) {
-    Contender c;
-    c.id = bi;
-    c.c = contention_probability(ctx, bi);
-    c.pd = pab_or_symmetric(*ctx.pab, bi, ctx.dst, ctx.now, 0.0);
-    if (bi == ctx.self) c.pd = std::max(c.pd, kMinSelfHear);
-    out.push_back(c);
-  }
-  return out;
-}
-
-const Contender* find_self(const std::vector<Contender>& cs, NodeId self) {
-  for (const Contender& c : cs)
-    if (c.id == self) return &c;
-  return nullptr;
+Contender contender(const RelayContext& ctx, NodeId bi) {
+  Contender c;
+  c.id = bi;
+  c.c = contention_probability(ctx, bi);
+  c.pd = pab_or_symmetric(*ctx.pab, bi, ctx.dst, ctx.now, 0.0);
+  if (bi == ctx.self) c.pd = std::max(c.pd, kMinSelfHear);
+  return c;
 }
 
 }  // namespace
@@ -70,9 +59,22 @@ const Contender* find_self(const std::vector<Contender>& cs, NodeId self) {
 double relay_probability(const RelayContext& ctx, RelayVariant variant) {
   VIFI_EXPECTS(ctx.pab != nullptr);
   VIFI_EXPECTS(ctx.self.valid() && ctx.src.valid() && ctx.dst.valid());
-  const std::vector<Contender> cs = gather(ctx);
-  const Contender* self = find_self(cs, ctx.self);
-  if (self == nullptr) {
+  // One pass over B1..BK in designation order gathers what every variant
+  // but NoG3 needs, without materialising the contenders.
+  bool designated = false;
+  double self_pd = 0.0;
+  double sum_c = 0.0;  // sum_j c_j
+  double denom = 0.0;  // sum_j c_j * p_j
+  for (const NodeId bi : ctx.auxiliaries) {
+    const Contender c = contender(ctx, bi);
+    if (!designated && c.id == ctx.self) {
+      designated = true;
+      self_pd = c.pd;
+    }
+    sum_c += c.c;
+    denom += c.c * c.pd;
+  }
+  if (!designated) {
     // Not designated an auxiliary: relay conservatively as if alone.
     return std::clamp(
         pab_or_symmetric(*ctx.pab, ctx.self, ctx.dst, ctx.now, kMinSelfHear),
@@ -82,20 +84,21 @@ double relay_probability(const RelayContext& ctx, RelayVariant variant) {
   switch (variant) {
     case RelayVariant::NoG1: {
       // Ignore other relays: relay w.p. own delivery ratio to destination.
-      return std::clamp(self->pd, 0.0, 1.0);
+      return std::clamp(self_pd, 0.0, 1.0);
     }
     case RelayVariant::NoG2: {
       // Ignore connectivity: expected relays = 1 with equal weights,
       // r_i = 1 / sum_j c_j.
-      double sum_c = 0.0;
-      for (const Contender& c : cs) sum_c += c.c;
       if (sum_c <= 0.0) return 1.0;
       return std::clamp(1.0 / sum_c, 0.0, 1.0);
     }
     case RelayVariant::NoG3: {
       // Expected *deliveries* = 1, minimising expected relays
       // (waterfilling over auxiliaries sorted by p(Bi->d), §5.5.1).
-      std::vector<Contender> sorted = cs;
+      std::vector<Contender> sorted;
+      sorted.reserve(ctx.auxiliaries.size());
+      for (const NodeId bi : ctx.auxiliaries)
+        sorted.push_back(contender(ctx, bi));
       std::sort(sorted.begin(), sorted.end(),
                 [](const Contender& a, const Contender& b) {
                   if (a.pd != b.pd) return a.pd > b.pd;
@@ -119,11 +122,9 @@ double relay_probability(const RelayContext& ctx, RelayVariant variant) {
     }
     case RelayVariant::ViFi: {
       // Solve sum_i c_i * r * p_i = 1 for r; relay w.p. min(r * p_x, 1).
-      double denom = 0.0;
-      for (const Contender& c : cs) denom += c.c * c.pd;
       if (denom <= 0.0) return 1.0;  // pathological: nobody useful — relay
       const double r = 1.0 / denom;
-      return std::clamp(r * self->pd, 0.0, 1.0);
+      return std::clamp(r * self_pd, 0.0, 1.0);
     }
   }
   return 0.0;

@@ -30,7 +30,7 @@ void VifiSender::set_hop_dst_provider(std::function<NodeId()> provider) {
 }
 
 void VifiSender::set_piggyback_provider(
-    std::function<std::vector<std::uint64_t>()> provider) {
+    std::function<void(std::vector<std::uint64_t>&)> provider) {
   piggyback_ = std::move(provider);
 }
 
@@ -45,46 +45,39 @@ void VifiSender::set_drop_handler(
 
 void VifiSender::enqueue(net::PacketRef packet) {
   VIFI_EXPECTS(packet != nullptr);
-  Entry e;
+  Entry& e = entries_.emplace_back();
+  e.id = packet->id;
   e.packet = std::move(packet);
   e.next_ready = sim_.now();
-  ++queued_[e.packet->id];
-  entries_.push_back(std::move(e));
   pump();
 }
 
 Time VifiSender::retx_interval() const {
-  if (ack_delays_s_.size() < 20) return config_.retx_initial;
-  std::vector<double> v(ack_delays_s_.begin(), ack_delays_s_.end());
-  const Time p99 = Time::seconds(percentile(std::move(v), 99.0));
+  const std::size_t n = ack_delays_s_.size();
+  if (n < 20) return config_.retx_initial;
+  // Selected in a reused buffer: every retransmittable attempt asks.
+  delay_scratch_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) delay_scratch_[i] = ack_delays_s_[i];
+  const Time p99 = Time::seconds(percentile_in_place(delay_scratch_, 99.0));
   return std::clamp(p99, config_.retx_floor, config_.retx_cap);
 }
 
 void VifiSender::acknowledge(std::uint64_t packet_id, Time now,
                              bool explicit_ack) {
   // Late, duplicate or another sender's ack: almost every offer at a BS.
-  if (!queued_.contains(packet_id)) return;
   const auto it =
-      std::find_if(entries_.begin(), entries_.end(), [packet_id](const Entry& e) {
-        return e.packet->id == packet_id;
-      });
-  VIFI_EXPECTS(it != entries_.end());
+      std::find_if(entries_.begin(), entries_.end(),
+                   [packet_id](const Entry& e) { return e.id == packet_id; });
+  if (it == entries_.end()) return;
   if (explicit_ack && it->attempts > 0) {
     // Delay measured from the latest attempt: unique per-packet ids keep
     // acks from being credited to older *packets*; crediting an older
     // attempt of the same packet only makes the timer more conservative,
     // which is the direction §4.7 prefers.
+    if (ack_delays_s_.size() == kDelayWindow) ack_delays_s_.pop_front();
     ack_delays_s_.push_back((now - it->last_tx).to_seconds());
-    if (ack_delays_s_.size() > kDelayWindow) ack_delays_s_.pop_front();
   }
   ++acked_;
-  unqueue(it);
-}
-
-void VifiSender::unqueue(std::list<Entry>::iterator it) {
-  const auto count = queued_.find(it->packet->id);
-  VIFI_EXPECTS(count != queued_.end());
-  if (--count->second == 0) queued_.erase(count);
   entries_.erase(it);
 }
 
@@ -97,12 +90,12 @@ void VifiSender::pump() {
   // order, so that is the first ready entry. Only when none is ready does
   // the scan run to the end, for the earliest wake-up.
   Time earliest_future = Time::max();
-  for (auto e = entries_.begin(); e != entries_.end(); ++e) {
-    if (e->next_ready <= now) {
-      transmit(e);
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    if (entries_[i].next_ready <= now) {
+      transmit(i);
       return;
     }
-    earliest_future = std::min(earliest_future, e->next_ready);
+    earliest_future = std::min(earliest_future, entries_[i].next_ready);
   }
   if (earliest_future < Time::max()) arm_wake(earliest_future);
 }
@@ -117,8 +110,8 @@ void VifiSender::arm_wake(Time at) {
   });
 }
 
-void VifiSender::transmit(std::list<Entry>::iterator it) {
-  Entry& e = *it;
+void VifiSender::transmit(std::size_t i) {
+  Entry& e = entries_[i];
   const Time now = sim_.now();
   ++e.attempts;
   e.last_tx = now;
@@ -126,19 +119,18 @@ void VifiSender::transmit(std::list<Entry>::iterator it) {
   // packet sent early, §4.7, gets the earlier sequence number).
   if (e.link_seq == 0) e.link_seq = ++next_link_seq_;
 
-  mac::Frame f;
-  f.type = mac::FrameType::Data;
+  mac::Frame f = radio_.recycled_frame(mac::FrameType::Data);
   f.packet = e.packet;
-  f.data.packet_id = e.packet->id;
+  f.data.packet_id = e.id;
   f.data.link_seq = e.link_seq;
   f.data.attempt = e.attempts;
   f.data.origin = self_;
   f.data.hop_dst = hop_dst_();
   f.data.is_relay = false;
-  if (piggyback_) f.data.piggyback_acked = piggyback_();
+  if (piggyback_) piggyback_(f.data.piggyback_acked);
 
   if (stats_) {
-    stats_->on_source_tx(e.packet->id, e.attempts, dir_, now,
+    stats_->on_source_tx(e.id, e.attempts, dir_, now,
                          designated_aux_ ? designated_aux_() : 0);
     stats_->on_wireless_data_tx(dir_);
   }
@@ -146,9 +138,9 @@ void VifiSender::transmit(std::list<Entry>::iterator it) {
   const bool last_attempt = e.attempts >= 1 + config_.max_retx;
   if (last_attempt) {
     // No more attempts: the entry leaves the queue once the frame is out.
-    const net::PacketRef packet = e.packet;
+    const net::PacketRef packet = std::move(e.packet);
     const int attempts = e.attempts;
-    unqueue(it);
+    entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
     ++dropped_;
     radio_.send(std::move(f));
     if (obs::TraceRecorder* rec = obs::current_recorder())

@@ -9,12 +9,17 @@
 /// retransmitting spuriously". When the medium frees up before the head
 /// packet's retransmission time, the earliest *ready* packet is sent
 /// instead (allowed reordering, §4.7).
+///
+/// The queue is one vector in arrival order, so the per-packet path
+/// allocates nothing once it has reached its working length: enqueue
+/// appends, an ack or the last attempt erases in place, and an ack lookup
+/// scans the queued ids, which is faster than hashing at the queue
+/// lengths a sender sees. The delay window is a ring of at most 512
+/// samples, and retx_interval() takes its 99th percentile by selection in
+/// a reused buffer (percentile_in_place) instead of sorting a copy.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.h"
@@ -22,6 +27,7 @@
 #include "mac/radio.h"
 #include "net/packet.h"
 #include "sim/simulator.h"
+#include "util/ring_queue.h"
 
 namespace vifi::obs {
 class Histogram;
@@ -40,8 +46,10 @@ class VifiSender {
   /// Wireless-hop destination at transmit time (anchor for the vehicle,
   /// vehicle for the anchor). An invalid id pauses sending.
   void set_hop_dst_provider(std::function<NodeId()> provider);
-  /// Recently-received reverse-direction packet ids to piggyback (§4.8).
-  void set_piggyback_provider(std::function<std::vector<std::uint64_t>()>);
+  /// Fills a data frame's piggyback list (empty on entry) with recently
+  /// received reverse-direction packet ids (§4.8).
+  void set_piggyback_provider(
+      std::function<void(std::vector<std::uint64_t>&)> provider);
   /// Auxiliary-set size at transmit time (recorded in stats).
   void set_designated_aux_provider(std::function<int()> provider);
   void set_stats(VifiStats* stats) { stats_ = stats; }
@@ -68,6 +76,7 @@ class VifiSender {
 
  private:
   struct Entry {
+    std::uint64_t id = 0;  ///< packet->id, kept inline for ack lookups.
     net::PacketRef packet;
     int attempts = 0;
     Time next_ready;       ///< Earliest time the next attempt may go out.
@@ -75,9 +84,7 @@ class VifiSender {
     std::uint64_t link_seq = 0;  ///< Stream sequence, set at first tx.
   };
 
-  void transmit(std::list<Entry>::iterator it);
-  /// Removes a queued entry (acked, or out of attempts).
-  void unqueue(std::list<Entry>::iterator it);
+  void transmit(std::size_t i);
   void arm_wake(Time at);
 
   sim::Simulator& sim_;
@@ -86,22 +93,20 @@ class VifiSender {
   NodeId self_;
   Direction dir_;
   std::function<NodeId()> hop_dst_;
-  std::function<std::vector<std::uint64_t>()> piggyback_;
+  std::function<void(std::vector<std::uint64_t>&)> piggyback_;
   std::function<int()> designated_aux_;
   std::function<void(const net::PacketRef&)> on_drop_;
   VifiStats* stats_ = nullptr;
 
   /// The retransmission queue, in arrival order: entries are only ever
   /// pushed at the back, so the first ready entry is the earliest-queued
-  /// ready one.
-  std::list<Entry> entries_;
-  /// How many entries hold each queued packet id. A BS offers every
-  /// overheard ack to each of its per-vehicle senders, and almost all of
-  /// them miss; this answers those without walking the queue. A count, not
-  /// a set, because a salvage round trip can queue one packet twice.
-  std::unordered_map<std::uint64_t, std::uint32_t> queued_;
+  /// ready one. A salvage round trip can queue one packet twice; an ack
+  /// takes the earlier entry.
+  std::vector<Entry> entries_;
   std::uint64_t next_link_seq_ = 0;
-  std::deque<double> ack_delays_s_;  ///< Sliding window of samples.
+  RingQueue<double> ack_delays_s_;  ///< Sliding window of samples.
+  /// retx_interval()'s selection buffer, reused.
+  mutable std::vector<double> delay_scratch_;
   sim::EventId wake_{};
   Time wake_at_ = Time::max();
   std::uint64_t acked_ = 0;

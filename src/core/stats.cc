@@ -9,41 +9,52 @@
 namespace vifi::core {
 
 void VifiStats::on_source_tx(std::uint64_t id, int attempt, Direction dir,
-                             Time now, int designated_aux) {
+                             Time /*now*/, int designated_aux) {
   AttemptRecord rec;
   rec.dir = dir;
-  rec.tx_time = now;
   rec.designated_aux = designated_aux;
-  attempts_[key(id, attempt)] = std::move(rec);
+  const auto next = static_cast<std::uint32_t>(attempts_.size());
+  const auto [at, inserted] = index_.try_emplace(key(id, attempt), next);
+  // A key sent again (a salvaged packet re-sent by its new anchor, or an
+  // attempt number past 63) starts its record over.
+  if (inserted)
+    attempts_.push_back(rec);
+  else
+    attempts_[*at] = rec;
 }
 
-AttemptRecord* VifiStats::find(std::uint64_t id, int attempt) {
-  const auto it = attempts_.find(key(id, attempt));
-  return it == attempts_.end() ? nullptr : &it->second;
+VifiStats::AttemptRecord* VifiStats::find(std::uint64_t id, int attempt) {
+  const std::uint32_t* at = index_.find(key(id, attempt));
+  return at == nullptr ? nullptr : &attempts_[*at];
 }
 
 void VifiStats::on_dst_rx_direct(std::uint64_t id, int attempt) {
   if (AttemptRecord* r = find(id, attempt)) r->dst_heard = true;
 }
 
-void VifiStats::on_aux_overhear(std::uint64_t id, int attempt, NodeId aux) {
-  if (AttemptRecord* r = find(id, attempt)) r->aux_heard.push_back(aux);
+void VifiStats::on_aux_overhear(std::uint64_t id, int attempt,
+                                NodeId /*aux*/) {
+  if (AttemptRecord* r = find(id, attempt)) ++r->aux_heard;
 }
 
-void VifiStats::on_aux_contend(std::uint64_t id, int attempt, NodeId aux) {
-  if (AttemptRecord* r = find(id, attempt)) r->aux_contended.push_back(aux);
+void VifiStats::on_aux_contend(std::uint64_t id, int attempt,
+                               NodeId /*aux*/) {
+  if (AttemptRecord* r = find(id, attempt)) ++r->aux_contended;
 }
 
 void VifiStats::on_aux_relay(std::uint64_t id, int attempt, NodeId aux) {
-  if (AttemptRecord* r = find(id, attempt))
-    r->relays.push_back({aux, false});
+  if (AttemptRecord* r = find(id, attempt)) {
+    relays_.push_back({aux, false, r->first_relay});
+    r->first_relay = static_cast<std::uint32_t>(relays_.size() - 1);
+    ++r->relays;
+  }
 }
 
 void VifiStats::on_relay_reached_dst(std::uint64_t id, int attempt,
                                      NodeId aux) {
   if (AttemptRecord* r = find(id, attempt)) {
-    for (auto& relay : r->relays)
-      if (relay.aux == aux) relay.reached_dst = true;
+    for (std::uint32_t i = r->first_relay; i != kNoRelay; i = relays_[i].next)
+      if (relays_[i].aux == aux) relays_[i].reached_dst = true;
   }
 }
 
@@ -64,13 +75,9 @@ std::int64_t VifiStats::wireless_data_tx(Direction dir) const {
 }
 
 std::int64_t VifiStats::source_attempts(Direction dir) const {
-  std::int64_t n = 0;
-  // detlint: unordered-iter-ok(integer count; commutative, order-free)
-  for (const auto& [k, r] : attempts_) {
-    (void)k;
-    if (r.dir == dir) ++n;
-  }
-  return n;
+  return std::count_if(
+      attempts_.begin(), attempts_.end(),
+      [dir](const AttemptRecord& r) { return r.dir == dir; });
 }
 
 CoordinationSummary VifiStats::coordination(Direction dir) const {
@@ -84,31 +91,27 @@ CoordinationSummary VifiStats::coordination(Direction dir) const {
   std::int64_t failed_with_cover = 0, failed_no_relay = 0;
   std::int64_t relays = 0, relays_ok = 0;
 
-  // The one float sink, designated, goes through median() which sorts;
-  // pinned by CoordinationOrderInvariance in tests/test_core.cc.
-  // detlint: unordered-iter-ok(int64 sums commutative; median sorts)
-  for (const auto& [k, r] : attempts_) {
-    (void)k;
+  for (const AttemptRecord& r : attempts_) {
     if (r.dir != dir) continue;
     ++n;
     designated.push_back(static_cast<double>(r.designated_aux));
-    heard_sum += static_cast<std::int64_t>(r.aux_heard.size());
-    contend_sum += static_cast<std::int64_t>(r.aux_contended.size());
-    relays += static_cast<std::int64_t>(r.relays.size());
-    for (const auto& relay : r.relays)
-      if (relay.reached_dst) ++relays_ok;
+    heard_sum += r.aux_heard;
+    contend_sum += r.aux_contended;
+    relays += r.relays;
+    for (std::uint32_t i = r.first_relay; i != kNoRelay; i = relays_[i].next)
+      if (relays_[i].reached_dst) ++relays_ok;
     if (r.dst_heard) {
       ++reached;
-      if (!r.relays.empty()) {
+      if (r.relays > 0) {
         ++fp_events;
-        fp_relays += static_cast<std::int64_t>(r.relays.size());
-        fp_relay_count_sum += static_cast<std::int64_t>(r.relays.size());
+        fp_relays += r.relays;
+        fp_relay_count_sum += r.relays;
       }
     } else {
       ++failed;
-      if (!r.aux_heard.empty()) {
+      if (r.aux_heard > 0) {
         ++failed_with_cover;
-        if (r.relays.empty()) ++failed_no_relay;
+        if (r.relays == 0) ++failed_no_relay;
       }
     }
   }
@@ -177,24 +180,23 @@ EfficiencySummary VifiStats::efficiency() const {
   // and only when the destination missed the source transmission.
   std::int64_t up_attempts = 0, up_delivered = 0;
   std::int64_t down_attempts = 0, down_delivered = 0, down_relays = 0;
-  // detlint: unordered-iter-ok(integer counts only; commutative, order-free)
-  for (const auto& [k, r] : attempts_) {
-    (void)k;
+  for (const AttemptRecord& r : attempts_) {
     if (r.dir == Direction::Upstream) {
       // Upstream relays ride the backplane, so wireless cost is the source
       // transmission alone; delivery succeeds if any BS heard it.
       ++up_attempts;
-      if (r.dst_heard || !r.aux_heard.empty()) ++up_delivered;
+      if (r.dst_heard || r.aux_heard > 0) ++up_delivered;
     } else {
       ++down_attempts;
       bool delivered = r.dst_heard;
       if (!r.dst_heard) {
-        if (!r.relays.empty()) {
+        if (r.relays > 0) {
           // Outcome identical to ViFi's relaying (§5.4 rule i).
-          for (const auto& relay : r.relays)
-            delivered = delivered || relay.reached_dst;
+          for (std::uint32_t i = r.first_relay; i != kNoRelay;
+               i = relays_[i].next)
+            delivered = delivered || relays_[i].reached_dst;
           ++down_relays;  // PerfectRelay would have sent exactly one
-        } else if (!r.aux_heard.empty()) {
+        } else if (r.aux_heard > 0) {
           // ViFi did not relay; PerfectRelay would have, successfully
           // (§5.4 rule ii).
           delivered = true;

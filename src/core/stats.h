@@ -5,14 +5,22 @@
 /// transmission *attempt*. Feeds Table 1 (A1–C4), Table 2 / §5.5
 /// false-positive/negative rates, and the Fig. 12 medium-efficiency
 /// comparison including the PerfectRelay estimate (§5.4).
+///
+/// Every hook runs on the frame path, once per source attempt or per
+/// overhearing, relaying or receiving node, so the records are flat: one
+/// vector of fixed-size attempt records in first-transmission order, a
+/// FlatIdMap from (id, attempt) to a record, and one shared vector holding
+/// every attempt's relays as linked lists. None of them allocates per
+/// attempt; each grows by doubling with the trip. The summaries walk the
+/// records in that order, and every sum they take is an integer count, so
+/// no order reaches the figures.
 
 #include <cstdint>
-#include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "net/packet.h"
 #include "sim/ids.h"
+#include "util/flat_id_map.h"
 #include "util/time.h"
 
 namespace vifi::obs {
@@ -23,21 +31,6 @@ namespace vifi::core {
 
 using net::Direction;
 using sim::NodeId;
-
-/// Everything observed about one source transmission attempt.
-struct AttemptRecord {
-  Direction dir = Direction::Upstream;
-  Time tx_time;
-  int designated_aux = 0;  ///< Size of the auxiliary set at tx time.
-  bool dst_heard = false;  ///< Destination decoded this attempt directly.
-  std::vector<NodeId> aux_heard;     ///< Auxiliaries that decoded it.
-  std::vector<NodeId> aux_contended; ///< Heard it but no ACK at decision.
-  struct Relay {
-    NodeId aux;
-    bool reached_dst = false;
-  };
-  std::vector<Relay> relays;
-};
 
 /// Table 1 rows for one direction.
 struct CoordinationSummary {
@@ -101,12 +94,38 @@ class VifiStats {
   std::int64_t source_attempts(Direction dir) const;
 
  private:
+  /// Everything the summaries read about one source transmission attempt.
+  /// Overhearing and contending auxiliaries are only ever counted; the
+  /// relays are a list in relays_, because a relay's outcome is credited
+  /// to it by auxiliary id.
+  struct AttemptRecord {
+    Direction dir = Direction::Upstream;
+    bool dst_heard = false;  ///< Destination decoded this attempt directly.
+    int designated_aux = 0;  ///< Size of the auxiliary set at tx time.
+    std::int32_t aux_heard = 0;      ///< Auxiliaries that decoded it.
+    std::int32_t aux_contended = 0;  ///< Heard it but no ACK at decision.
+    std::int32_t relays = 0;
+    std::uint32_t first_relay = kNoRelay;  ///< Head of its relays_ list.
+  };
+  /// One auxiliary relay of an attempt, linked to the attempt's previous
+  /// one.
+  struct Relay {
+    NodeId aux;
+    bool reached_dst = false;
+    std::uint32_t next = kNoRelay;
+  };
+  static constexpr std::uint32_t kNoRelay = 0xFFFFFFFFu;
+
   static std::uint64_t key(std::uint64_t id, int attempt) {
     return id * 64 + static_cast<std::uint64_t>(attempt & 63);
   }
   AttemptRecord* find(std::uint64_t id, int attempt);
 
-  std::unordered_map<std::uint64_t, AttemptRecord> attempts_;
+  /// Every attempt in first-transmission order, and key -> index into it.
+  /// Both grow with the trip and are summarised at its end.
+  std::vector<AttemptRecord> attempts_;
+  FlatIdMap<std::uint32_t> index_;
+  std::vector<Relay> relays_;
   std::int64_t delivered_up_ = 0;
   std::int64_t delivered_down_ = 0;
   std::int64_t tx_up_ = 0;

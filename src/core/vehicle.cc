@@ -21,11 +21,12 @@ VifiVehicle::VifiVehicle(sim::Simulator& sim, mac::Radio& radio,
       receiver_(sim, radio, config, Direction::Downstream, stats) {
   radio_.set_receiver([this](const mac::Frame& f) { on_frame(f); });
   radio_.set_idle_callback([this] { sender_.pump(); });
-  beaconing_.set_payload_provider([this] { return beacon_payload(); });
+  beaconing_.set_payload_provider(
+      [this](mac::BeaconPayload& p) { beacon_payload(p); });
   sender_.set_hop_dst_provider([this] { return anchor_; });
-  sender_.set_piggyback_provider([this] { return receiver_.recent_ids(); });
-  sender_.set_designated_aux_provider(
-      [this] { return static_cast<int>(auxiliaries().size()); });
+  sender_.set_piggyback_provider(
+      [this](std::vector<std::uint64_t>& ids) { receiver_.recent_ids(ids); });
+  sender_.set_designated_aux_provider([this] { return auxiliary_count(); });
   sender_.set_stats(stats);
 }
 
@@ -47,29 +48,46 @@ void VifiVehicle::set_delivery_handler(
 }
 
 std::vector<NodeId> VifiVehicle::auxiliaries() const {
+  std::vector<NodeId> aux;
+  auxiliaries(aux);
+  return aux;
+}
+
+void VifiVehicle::auxiliaries(std::vector<NodeId>& aux) const {
   // "We currently pick all BSes that the vehicle hears as auxiliaries"
   // (§4.3), minus the anchor. With max_auxiliaries set, only the k
   // best-heard BSes are designated (§3.4.1 / §5.5.2 extension).
-  std::vector<NodeId> aux =
-      pab_.recent_neighbors(sim_.now(), config_.neighbor_staleness);
-  std::erase(aux, anchor_);
+  const Time now = sim_.now();
+  aux.clear();
+  pab_.for_each_recent_neighbor(now, config_.neighbor_staleness,
+                                [&](NodeId bs) {
+                                  if (bs != anchor_) aux.push_back(bs);
+                                });
   if (config_.max_auxiliaries >= 0 &&
       aux.size() > static_cast<std::size_t>(config_.max_auxiliaries)) {
-    const Time now = sim_.now();
     std::sort(aux.begin(), aux.end(), [&](NodeId a, NodeId b) {
       return pab_.incoming(a, now) > pab_.incoming(b, now);
     });
     aux.resize(static_cast<std::size_t>(config_.max_auxiliaries));
     std::sort(aux.begin(), aux.end());
   }
-  return aux;
+}
+
+int VifiVehicle::auxiliary_count() const {
+  int n = 0;
+  pab_.for_each_recent_neighbor(sim_.now(), config_.neighbor_staleness,
+                                [&](NodeId bs) {
+                                  if (bs != anchor_) ++n;
+                                });
+  return config_.max_auxiliaries >= 0 ? std::min(n, config_.max_auxiliaries)
+                                      : n;
 }
 
 void VifiVehicle::on_second_tick() {
   pab_.tick_second(sim_.now());
   select_anchor();
   if (obs::TraceRecorder* rec = obs::current_recorder()) {
-    const int aux_count = static_cast<int>(auxiliaries().size());
+    const int aux_count = auxiliary_count();
     if (aux_count != last_aux_count_) {
       rec->record(obs::EventKind::AuxSetChange, sim_.now(), self(), anchor_, 0,
                   0.0, 0.0, aux_count);
@@ -82,24 +100,22 @@ void VifiVehicle::on_second_tick() {
 void VifiVehicle::select_anchor() {
   // BRR anchor selection (§4.3) with hysteresis against flapping.
   const Time now = sim_.now();
-  const auto candidates =
-      pab_.recent_neighbors(now, config_.neighbor_staleness);
   NodeId best{};
   double best_score = 0.0;
-  for (NodeId bs : candidates) {
-    const double score = pab_.incoming(bs, now);
-    if (score > best_score) {
-      best_score = score;
-      best = bs;
-    }
-  }
+  bool anchor_stale = true;  // until found among the recent neighbours
+  pab_.for_each_recent_neighbor(now, config_.neighbor_staleness,
+                                [&](NodeId bs) {
+                                  if (bs == anchor_) anchor_stale = false;
+                                  const double score = pab_.incoming(bs, now);
+                                  if (score > best_score) {
+                                    best_score = score;
+                                    best = bs;
+                                  }
+                                });
   obs::TraceRecorder* rec = obs::current_recorder();
   if (!best.valid()) {
     if (anchor_.valid()) {
       // Current anchor has gone stale with no replacement in sight.
-      const bool anchor_stale =
-          std::find(candidates.begin(), candidates.end(), anchor_) ==
-          candidates.end();
       if (anchor_stale) {
         prev_anchor_ = anchor_;
         anchor_ = NodeId{};
@@ -121,9 +137,6 @@ void VifiVehicle::select_anchor() {
   }
   if (best == anchor_) return;
   const double current_score = pab_.incoming(anchor_, now);
-  const bool anchor_stale =
-      std::find(candidates.begin(), candidates.end(), anchor_) ==
-      candidates.end();
   if (anchor_stale ||
       best_score > current_score * (1.0 + config_.anchor_hysteresis)) {
     prev_anchor_ = anchor_;
@@ -135,14 +148,12 @@ void VifiVehicle::select_anchor() {
   }
 }
 
-mac::BeaconPayload VifiVehicle::beacon_payload() {
-  mac::BeaconPayload p;
+void VifiVehicle::beacon_payload(mac::BeaconPayload& p) const {
   p.from_vehicle = true;
   p.anchor = anchor_;
   p.prev_anchor = prev_anchor_;
-  p.auxiliaries = auxiliaries();
-  p.prob_reports = pab_.export_reports(sim_.now());
-  return p;
+  auxiliaries(p.auxiliaries);
+  pab_.export_reports(sim_.now(), p.prob_reports);
 }
 
 void VifiVehicle::on_frame(const mac::Frame& f) {

@@ -36,7 +36,12 @@ class VifiVehicle {
   NodeId self() const { return radio_.self(); }
   NodeId anchor() const { return anchor_; }
   NodeId prev_anchor() const { return prev_anchor_; }
+  /// The auxiliary set a beacon sent now would designate, ascending.
   std::vector<NodeId> auxiliaries() const;
+  /// Fills \p aux with that set, reusing its storage (the beacon path).
+  void auxiliaries(std::vector<NodeId>& aux) const;
+  /// Its size, without building it (every source transmission asks).
+  int auxiliary_count() const;
 
   /// Starts beaconing and periodic housekeeping.
   void start();
@@ -58,7 +63,7 @@ class VifiVehicle {
   void on_data(const mac::Frame& f);
   void on_second_tick();
   void select_anchor();
-  mac::BeaconPayload beacon_payload();
+  void beacon_payload(mac::BeaconPayload& p) const;
 
   sim::Simulator& sim_;
   mac::Radio& radio_;

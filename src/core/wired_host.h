@@ -9,13 +9,13 @@
 /// packet's source vehicle.
 
 #include <functional>
-#include <map>
 
 #include "core/id_set.h"
 #include "core/stats.h"
 #include "net/backplane.h"
 #include "net/packet.h"
 #include "sim/ids.h"
+#include "util/flat_map.h"
 
 namespace vifi::core {
 
@@ -49,9 +49,9 @@ class WiredHost {
   net::Backplane& backplane_;
   NodeId self_;
   VifiStats* stats_;
-  std::map<NodeId, NodeId> anchor_of_;  // vehicle -> registered anchor
+  FlatMap<NodeId, NodeId> anchor_of_;  // vehicle -> registered anchor
   RecentIdSet delivered_;
-  std::map<NodeId, std::function<void(const net::PacketRef&)>>
+  FlatMap<NodeId, std::function<void(const net::PacketRef&)>>
       deliver_per_vehicle_;  // keyed by packet source vehicle
   std::uint64_t undeliverable_ = 0;
 };

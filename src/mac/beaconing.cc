@@ -40,9 +40,8 @@ void Beaconing::arm() {
 
 void Beaconing::fire() {
   arm();
-  Frame f;
-  f.type = FrameType::Beacon;
-  if (provider_) f.beacon = provider_();
+  Frame f = radio_.recycled_frame(FrameType::Beacon);
+  if (provider_) provider_(f.beacon);
   if (obs::TraceRecorder* rec = obs::current_recorder())
     rec->record(obs::EventKind::BeaconTx, sim_.now(), radio_.self(), {}, sent_,
                 0.0, 0.0, f.beacon.from_vehicle ? 1 : 0);

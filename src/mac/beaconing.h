@@ -20,7 +20,10 @@ namespace vifi::mac {
 /// desynchronise nodes.
 class Beaconing {
  public:
-  using PayloadProvider = std::function<BeaconPayload()>;
+  /// Fills the beacon's payload in place; the payload arrives with its
+  /// vectors empty but holding the capacity of an earlier frame's, so a
+  /// provider that fills them allocates nothing in steady state.
+  using PayloadProvider = std::function<void(BeaconPayload&)>;
 
   Beaconing(sim::Simulator& sim, Radio& radio, Rng rng,
             Time period = Time::millis(100),

@@ -132,12 +132,15 @@ Time Medium::transmit(Frame frame) {
   const Time now = sim_.now();
   prune(now);
 
-  ActiveTx tx;
+  std::unique_ptr<ActiveTx>& slot = active_.push_slot();
+  if (!slot) slot = std::make_unique<ActiveTx>();
+  ActiveTx& tx = *slot;
   tx.seq = next_seq_++;
   tx.tx = frame.tx;
   tx.start = now;
   tx.end = now + airtime(bytes);
   tx.frame = std::move(frame);
+  tx.decoders.clear();
 
   obs::TraceRecorder* rec = obs::current_recorder();
   if (rec)
@@ -187,10 +190,19 @@ Time Medium::transmit(Frame frame) {
   // decodes of overlapping frames, exactly as an audible one would.
   listen(self, tx);
   const std::uint64_t seq = tx.seq;
-  const Time end = tx.end;
-  active_.push_back(std::move(tx));
-  sim_.schedule_at(end, [this, seq] { finish(seq); });
-  return end - now;
+  sim_.schedule_at(tx.end, [this, seq] { finish(seq); });
+  return tx.end - now;
+}
+
+Frame Medium::recycled_frame(FrameType type) {
+  std::vector<Frame>& spare = spare_frames_[static_cast<int>(type)];
+  Frame f;
+  if (!spare.empty()) {
+    f = std::move(spare.back());
+    spare.pop_back();
+  }
+  f.type = type;
+  return f;
 }
 
 void Medium::listen(Port& p, const ActiveTx& tx) {
@@ -202,16 +214,16 @@ void Medium::listen(Port& p, const ActiveTx& tx) {
 }
 
 void Medium::finish(std::uint64_t seq) {
-  const auto it = std::lower_bound(
-      active_.begin(), active_.end(), seq,
-      [](const ActiveTx& t, std::uint64_t s) { return t.seq < s; });
-  VIFI_EXPECTS(it != active_.end() && it->seq == seq);
+  VIFI_EXPECTS(!active_.empty() && seq >= active_.front()->seq);
+  const auto offset = static_cast<std::size_t>(seq - active_.front()->seq);
+  VIFI_EXPECTS(offset < active_.size() && active_[offset]->seq == seq);
   // Frame sinks may synchronously transmit (e.g. an ACK), which appends to
-  // active_ — a deque, so this record stays put — and tries to prune, which
-  // is deferred while delivering_. The record therefore stays addressable
-  // (no defensive deep copy of the frame), and transmissions that start
-  // during this one still see it for their own collision checks.
-  const ActiveTx& tx = *it;
+  // active_ — records live on the heap, so this one stays put — and tries
+  // to prune, which is deferred while delivering_. The record therefore
+  // stays addressable (no defensive deep copy of the frame), and
+  // transmissions that start during this one still see it for their own
+  // collision checks.
+  const ActiveTx& tx = *active_[offset];
   Port& sender = attached(tx.tx);
 
   // Resolve collisions against the snapshot of overlapping transmissions
@@ -264,13 +276,36 @@ void Medium::prune(Time now) {
   // Deferred while finish() is dispatching out of active_.
   if (delivering_) return;
   pruned_before_ = std::max(pruned_before_, now - airtime(kMaxFrameBytes));
-  while (!active_.empty() && pruned(active_.front().end)) active_.pop_front();
+  while (!active_.empty() && pruned(active_.front()->end)) {
+    recycle(active_.front()->frame);
+    active_.pop_front();
+  }
+}
+
+void Medium::recycle(Frame& f) {
+  // The packet handle is released now, as destroying the record would.
+  f.packet = {};
+  // Only storage is worth keeping. A frame built without recycled_frame()
+  // and carrying none (a test's, a bench's) is not kept, so the spare
+  // list holds at most about as many frames as were ever live at once.
+  if (f.beacon.auxiliaries.capacity() == 0 &&
+      f.beacon.prob_reports.capacity() == 0 &&
+      f.data.piggyback_acked.capacity() == 0)
+    return;
+  Frame& spare = spare_frames_[static_cast<int>(f.type)].emplace_back();
+  spare.beacon.auxiliaries.swap(f.beacon.auxiliaries);
+  spare.beacon.prob_reports.swap(f.beacon.prob_reports);
+  spare.data.piggyback_acked.swap(f.data.piggyback_acked);
+  spare.beacon.auxiliaries.clear();
+  spare.beacon.prob_reports.clear();
+  spare.data.piggyback_acked.clear();
 }
 
 std::size_t Medium::active_records() const {
-  return static_cast<std::size_t>(std::count_if(
-      active_.begin(), active_.end(),
-      [this](const ActiveTx& t) { return !pruned(t.end); }));
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < active_.size(); ++i)
+    if (!pruned(active_[i]->end)) ++n;
+  return n;
 }
 
 bool Medium::busy_for(NodeId listener, Time now) {

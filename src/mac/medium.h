@@ -20,11 +20,20 @@
 /// never hashes a node id, and each port's receiver list (every other
 /// port, or with culling the ones that survive the cell test) is rebuilt
 /// only when a node attaches or the cull cells refresh, never per frame.
+///
+/// Nor does a frame allocate once the medium has warmed up. Transmission
+/// records sit in a ring of heap records that are reused in turn, each
+/// keeping its decoder list's storage; finish() finds its record by seq
+/// offset from the ring's front. A pruned record's frame goes to a spare
+/// list of its type with its payload vectors cleared but their capacity
+/// kept, and recycled_frame() hands those out again: a beacon fills the
+/// gossip and auxiliary storage an earlier beacon grew, a data frame the
+/// piggyback list of an earlier data frame.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -34,6 +43,7 @@
 #include "mobility/vec2.h"
 #include "sim/ids.h"
 #include "sim/simulator.h"
+#include "util/ring_queue.h"
 #include "util/time.h"
 
 namespace vifi::obs {
@@ -138,6 +148,12 @@ class Medium {
   /// Airtime of a frame with the given MAC-body size.
   Time airtime(int mac_bytes) const;
 
+  /// A default-valued frame of type \p type whose payload vectors keep the
+  /// capacity of a pruned frame of that type, if one is spare (else a
+  /// fresh Frame). Frames built from it and transmitted return their
+  /// storage here when pruned.
+  Frame recycled_frame(FrameType type);
+
   /// True if any in-progress transmission is audible at \p listener.
   /// Prunes long-finished records first, so the answer (and the scan cost)
   /// never depends on when a transmit() last happened to prune.
@@ -178,7 +194,8 @@ class Medium {
     Time start;
     Time end;
     Frame frame;
-    /// Ports that sampled a successful decode at start-of-frame.
+    /// Ports that sampled a successful decode at start-of-frame; cleared,
+    /// not freed, when the record is reused.
     std::vector<std::uint32_t> decoders;
   };
   /// One transmission as one listener perceives it.
@@ -213,6 +230,8 @@ class Medium {
   bool pruned(Time end) const { return end < pruned_before_; }
   void finish(std::uint64_t seq);
   void prune(Time now);
+  /// Moves a pruned record's frame storage to spare_frames_.
+  void recycle(Frame& f);
   void refresh_receivers(Time now);
   bool culled(std::size_t a, std::size_t b) const;
 
@@ -232,10 +251,14 @@ class Medium {
   Time cull_refreshed_;
   double cull_cell_size_ = 0.0;
   double cull_range_sq_ = 0.0;  ///< (max_audible + 2*margin)^2, m^2.
-  /// Includes recently finished transmissions, in seq order. A deque so
-  /// records stay put while finish() dispatches from them even if a sink
-  /// synchronously transmits (appends); prune is deferred meanwhile.
-  std::deque<ActiveTx> active_;
+  /// Includes recently finished transmissions, in seq order, so the
+  /// record of seq s sits at s - front's seq. Each record lives on the
+  /// heap and stays put while finish() dispatches from it, even if a sink
+  /// synchronously transmits (appends, maybe growing the ring); prune is
+  /// deferred meanwhile. A popped slot keeps its record for reuse.
+  RingQueue<std::unique_ptr<ActiveTx>> active_;
+  /// Pruned frames' storage by FrameType, handed out by recycled_frame().
+  std::vector<Frame> spare_frames_[static_cast<int>(FrameType::Ack) + 1];
   /// Every record ending before this is pruned: it no longer exists for
   /// collisions, carrier sense or active_records(). Storage catches up
   /// lazily — active_ pops from the front, listeners drop their entries

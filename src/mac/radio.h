@@ -8,13 +8,13 @@
 /// ledger, so fairness snapshots see who queues behind whom.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "mac/frame.h"
 #include "mac/medium.h"
 #include "sim/ids.h"
 #include "sim/simulator.h"
+#include "util/ring_queue.h"
 #include "util/rng.h"
 
 namespace vifi::mac {
@@ -36,6 +36,10 @@ class Radio final : public FrameSink {
 
   /// Queues a frame for transmission; sends as soon as the channel allows.
   void send(Frame frame);
+
+  /// A default frame of \p type carrying the storage of a pruned one (see
+  /// Medium::recycled_frame()): build frames for send() from this.
+  Frame recycled_frame(FrameType type) { return medium_.recycled_frame(type); }
 
   bool transmitting() const { return transmitting_; }
   /// Idle == nothing queued and not transmitting.
@@ -61,7 +65,7 @@ class Radio final : public FrameSink {
   NodeId self_;
   Rng rng_;
   RadioParams params_;
-  std::deque<Frame> queue_;
+  RingQueue<Frame> queue_;
   bool transmitting_ = false;
   bool retry_scheduled_ = false;
   std::function<void(const Frame&)> receiver_;

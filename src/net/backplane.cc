@@ -57,12 +57,27 @@ void Backplane::send(WireMessage msg) {
   l.next_free = start + serialization;
   const Time deliver_at = l.next_free + l.params.latency;
 
-  sim_.schedule_at(deliver_at, [this, msg = std::move(msg)] {
-    const auto it = handlers_.find(msg.to);
-    if (it == handlers_.end()) return;  // receiver not attached: dropped
-    ++delivered_;
-    it->second(msg);
-  });
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  in_flight_[slot] = std::move(msg);
+  sim_.schedule_at(deliver_at, [this, slot] { deliver(slot); });
+}
+
+void Backplane::deliver(std::uint32_t slot) {
+  // Out of the slot before the handler runs: it may send, reusing the slot
+  // or growing in_flight_.
+  const WireMessage msg = std::move(in_flight_[slot]);
+  free_slots_.push_back(slot);
+  const auto it = handlers_.find(msg.to);
+  if (it == handlers_.end()) return;  // receiver not attached: dropped
+  ++delivered_;
+  it->second(msg);
 }
 
 }  // namespace vifi::net

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
+#include <vector>
 
 #include "net/packet.h"
 #include "sim/ids.h"
@@ -81,12 +82,18 @@ class Backplane {
   };
 
   LinkState& link(NodeId a, NodeId b);
+  void deliver(std::uint32_t slot);
 
   sim::Simulator& sim_;
   Rng rng_;
   LinkParams default_{};
   std::unordered_map<sim::LinkKey, LinkState> links_;
   std::unordered_map<NodeId, Handler> handlers_;
+  /// Messages on the wire, each in a reused slot its delivery event names:
+  /// a message is larger than an event's inline closure storage, so
+  /// capturing it would allocate per send.
+  std::vector<WireMessage> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t bytes_sent_ = 0;

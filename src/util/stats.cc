@@ -45,15 +45,24 @@ double RunningStats::max() const {
 }
 
 double percentile(std::vector<double> values, double p) {
+  return percentile_in_place(values, p);
+}
+
+double percentile_in_place(std::vector<double>& values, double p) {
   VIFI_EXPECTS(!values.empty());
   VIFI_EXPECTS(p >= 0.0 && p <= 100.0);
-  std::sort(values.begin(), values.end());
   if (values.size() == 1) return values.front();
   const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, values.size() - 1);
+  // The lo-th order statistic in place, every larger value after it, so
+  // the next one up is the least of those.
+  const auto at_lo = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(values.begin(), at_lo, values.end());
+  const double hi =
+      lo + 1 < values.size() ? *std::min_element(at_lo + 1, values.end())
+                             : *at_lo;
   const double frac = rank - static_cast<double>(lo);
-  return values[lo] + frac * (values[hi] - values[lo]);
+  return *at_lo + frac * (hi - *at_lo);
 }
 
 double median(std::vector<double> values) {

@@ -30,8 +30,13 @@ class RunningStats {
 };
 
 /// p-th percentile (p in [0,100]) with linear interpolation between order
-/// statistics. The input need not be sorted; an internal copy is sorted.
+/// statistics. The input need not be sorted.
 double percentile(std::vector<double> values, double p);
+
+/// percentile() of \p values, reordering them in place instead of taking
+/// a copy: it selects the two order statistics the percentile interpolates
+/// between (nth_element) rather than sorting, with the same result.
+double percentile_in_place(std::vector<double>& values, double p);
 
 double median(std::vector<double> values);
 

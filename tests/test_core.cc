@@ -33,6 +33,13 @@ using sim::NodeId;
 
 // ------------------------------------------------------------------ Pab --
 
+/// A table's beacon gossip payload at \p now.
+std::vector<mac::ProbReport> exported(const PabTable& pab, Time now) {
+  std::vector<mac::ProbReport> out;
+  pab.export_reports(now, out);
+  return out;
+}
+
 TEST(PabTable, IncomingEstimateFromBeaconCounts) {
   PabTable pab(NodeId(9), 10, 0.5);
   // 8 of 10 beacons in the first second.
@@ -84,7 +91,7 @@ TEST(PabTable, ExportContainsIncomingAndReverse) {
   pab.tick_second(Time::seconds(1.0));
   // Gossip learned from BS1's beacon: our outgoing probability to it.
   pab.fold_reports({{NodeId(9), NodeId(1), 0.7}}, Time::seconds(1.0));
-  const auto reports = pab.export_reports(Time::seconds(1.0));
+  const auto reports = exported(pab, Time::seconds(1.0));
   bool has_incoming = false, has_reverse = false;
   for (const auto& r : reports) {
     if (r.from == NodeId(1) && r.to == NodeId(9)) has_incoming = true;
@@ -107,7 +114,7 @@ TEST(PabTable, GossipFoldsInAnyOrderAndExportsTheOwnRowSorted) {
   EXPECT_DOUBLE_EQ(pab.get(NodeId(3), NodeId(1), Time::zero()), 0.4);
   EXPECT_DOUBLE_EQ(pab.get(NodeId(9), NodeId(4), Time::zero()), 0.5);
   EXPECT_DOUBLE_EQ(pab.get(NodeId(3), NodeId(2), Time::zero(), -1.0), -1.0);
-  const auto reports = pab.export_reports(Time::zero());
+  const auto reports = exported(pab, Time::zero());
   ASSERT_EQ(reports.size(), 2u);
   EXPECT_EQ(reports[0].to, NodeId(2));
   EXPECT_EQ(reports[1].to, NodeId(4));
@@ -128,7 +135,7 @@ TEST(PabTable, GossipIsEvictedOnceStale) {
   EXPECT_EQ(pab.gossip_entries(), 1u);
   EXPECT_DOUBLE_EQ(pab.get(NodeId(2), NodeId(3), Time::seconds(6.0), -1.0),
                    -1.0);
-  EXPECT_TRUE(pab.export_reports(Time::seconds(6.0)).empty());
+  EXPECT_TRUE(exported(pab, Time::seconds(6.0)).empty());
   EXPECT_DOUBLE_EQ(pab.get(NodeId(4), NodeId(5), Time::seconds(6.0)), 0.8);
   // A later report revives the link.
   pab.fold_reports({{NodeId(2), NodeId(3), 0.2}}, Time::seconds(7.0));
@@ -141,8 +148,9 @@ TEST(PabTable, RecentNeighbors) {
   PabTable pab(NodeId(9));
   pab.note_beacon(NodeId(1), Time::seconds(1.0));
   pab.note_beacon(NodeId(2), Time::seconds(5.0));
-  const auto recent =
-      pab.recent_neighbors(Time::seconds(6.0), Time::seconds(3.0));
+  std::vector<NodeId> recent;
+  pab.for_each_recent_neighbor(Time::seconds(6.0), Time::seconds(3.0),
+                               [&](NodeId n) { recent.push_back(n); });
   EXPECT_EQ(recent, (std::vector<NodeId>{NodeId(2)}));
 }
 
@@ -173,9 +181,9 @@ TEST(PabTable, VehicleFilesItsOwnRowOnlyWhileBsFilesEveryRow) {
       out.emplace_back(r.from, r.to, r.prob);
     return out;
   };
-  const auto exported = as_tuples(own.export_reports(t));
-  EXPECT_EQ(exported, as_tuples(every.export_reports(t)));
-  EXPECT_EQ(exported, (std::vector<std::tuple<NodeId, NodeId, double>>{
+  const auto own_payload = as_tuples(exported(own, t));
+  EXPECT_EQ(own_payload, as_tuples(exported(every, t)));
+  EXPECT_EQ(own_payload, (std::vector<std::tuple<NodeId, NodeId, double>>{
                           {NodeId(1), NodeId(9), 0.7},
                           {NodeId(9), NodeId(1), 0.8}}));
 
@@ -819,8 +827,9 @@ TEST(VifiReceiver, DeliversDuplicatesOnceAndKeepsThemOutOfTheWindow) {
     rig.arrive(receiver, p, /*relayed=*/true);
     rig.arrive(receiver, q, /*relayed=*/false);
     EXPECT_EQ(rig.released, (std::vector<std::uint64_t>{p->id, q->id}));
-    EXPECT_EQ(receiver.recent_ids(),
-              (std::vector<std::uint64_t>{p->id, q->id}));
+    std::vector<std::uint64_t> window = {99};
+    receiver.recent_ids(window);
+    EXPECT_EQ(window, (std::vector<std::uint64_t>{p->id, q->id}));
   }
 }
 
@@ -838,8 +847,9 @@ TEST(VifiReceiver, WindowHoldsTheNewestPiggybackDepthIds) {
       rig.arrive(receiver, p, /*relayed=*/i % 2 == 1);
       rig.arrive(receiver, p, /*relayed=*/false);
     }
-    EXPECT_EQ(receiver.recent_ids(),
-              (std::vector<std::uint64_t>{ids[2], ids[3], ids[4]}));
+    std::vector<std::uint64_t> window;
+    receiver.recent_ids(window);
+    EXPECT_EQ(window, (std::vector<std::uint64_t>{ids[2], ids[3], ids[4]}));
   }
 }
 

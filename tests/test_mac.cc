@@ -737,11 +737,7 @@ TEST(Beaconing, PayloadProviderIsCalled) {
   NodeId seen_anchor{};
   rx.set_receiver([&](const Frame& f) { seen_anchor = f.beacon.anchor; });
   Beaconing beaconing(sim, tx, Rng(12));
-  beaconing.set_payload_provider([] {
-    BeaconPayload p;
-    p.anchor = NodeId(7);
-    return p;
-  });
+  beaconing.set_payload_provider([](BeaconPayload& p) { p.anchor = NodeId(7); });
   beaconing.start();
   sim.run_until(Time::seconds(0.5));
   EXPECT_EQ(seen_anchor, NodeId(7));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -236,6 +237,36 @@ TEST(Percentile, UnsortedInput) {
 
 TEST(Percentile, SingleElement) {
   EXPECT_DOUBLE_EQ(percentile({42.0}, 99.0), 42.0);
+}
+
+TEST(Percentile, SelectionMatchesTheSortedDefinitionBitForBit) {
+  // Reference: the interpolated percentile read off a fully sorted copy.
+  const auto sorted_percentile = [](std::vector<double> v, double p) {
+    std::sort(v.begin(), v.end());
+    if (v.size() == 1) return v.front();
+    const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    const auto hi = std::min(lo + 1, v.size() - 1);
+    const double frac = rank - static_cast<double>(lo);
+    return v[lo] + frac * (v[hi] - v[lo]);
+  };
+  Rng rng(39);
+  for (int trial = 0; trial < 400; ++trial) {
+    // Sizes up to past the retransmission timer's 512-sample window, with
+    // repeated values in about half the trials.
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 600));
+    const bool repeats = rng.bernoulli(0.5);
+    std::vector<double> v(n);
+    for (double& x : v)
+      x = repeats ? static_cast<double>(rng.uniform_int(0, 20)) * 0.005
+                  : rng.exponential(0.05);
+    for (const double p : {0.0, 1.0, 50.0, 95.0, 99.0, 99.9, 100.0}) {
+      std::vector<double> scratch = v;
+      EXPECT_EQ(percentile_in_place(scratch, p), sorted_percentile(v, p))
+          << "n " << n << ", p " << p;
+      EXPECT_EQ(percentile(v, p), sorted_percentile(v, p));
+    }
+  }
 }
 
 TEST(Percentile, Contracts) {
