@@ -1,10 +1,10 @@
 #pragma once
 
 // Strict number parsing for the command-line examples (sweep, tripscope,
-// traceforge, vifi_cli). A flag's value must be one whole number inside the
-// flag's range: "x", "5s", "" or a "-1" count is rejected, where atoi/atof/
-// stod would read up to the first bad character and carry on. The caller
-// catches BadNumber, prints its usage and exits 2.
+// traceforge). A flag's value must be one whole number inside the flag's
+// range: "x", "5s", "" or a "-1" count is rejected, where atoi/atof/stod
+// would read up to the first bad character and carry on. The caller catches
+// BadNumber, prints its usage and exits 2.
 
 #include <charconv>
 #include <limits>

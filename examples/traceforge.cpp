@@ -1,4 +1,4 @@
-// TraceForge CLI: the fit / synthesize / replay pipeline over
+// TraceForge CLI: the record / fit / synthesize pipeline over
 // manifest-backed TraceCatalogs, as separate composable steps.
 //
 //   traceforge record --testbed DieselNet-Ch1 --vehicles 8 --trips 2
@@ -6,32 +6,31 @@
 //   traceforge fit catalog_src --out model.vifimodel
 //   traceforge synth --model model.vifimodel --vehicles 16 --trips 2
 //       --seed 9 --out catalog_16
-//   traceforge replay --catalog catalog_16 --threads 4 --json replay.json
 //
 // `record` logs a real campaign (beacons only, the DieselNet methodology)
 // as a catalog; `fit` distils a catalog into a `vifi-tracemodel v1`;
 // `synth` manufactures a statistically-matched fleet catalog from a model
-// (deterministic per --seed); `replay` runs the live ViFi stack over every
-// trip group of a catalog on the parallel runtime — byte-identical output
-// for any --threads value.
+// (deterministic per --seed). A catalog replays through the live stack as
+// a sweep point:
+//
+//   sweep --workload cbr --trace-sets catalog_16 --testbeds DieselNet-Ch1
+//       --fleets 16 --policies ViFi --threads 0 --json replay.json
 
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "cli_args.h"
-#include "runtime/runner.h"
+#include "runtime/experiment.h"
 #include "scenario/campaign.h"
 #include "tracegen/catalog.h"
 #include "tracegen/fit.h"
 #include "tracegen/model_io.h"
 #include "tracegen/synth.h"
-#include "util/table.h"
 
 using namespace vifi;
 
@@ -47,11 +46,7 @@ int usage() {
       << "      fit a generative model from a catalog's traces\n"
       << "  synth --model MODEL --out DIR [--vehicles V] [--days D]\n"
       << "        [--trips T] [--trip-seconds S] [--seed N] [--name NAME]\n"
-      << "      synthesize a statistically-matched fleet catalog\n"
-      << "  replay --catalog DIR [--threads N] [--policy P] [--seeds a,b]\n"
-      << "         [--json PATH] [--csv PATH]\n"
-      << "      replay every trip group through the live stack (ViFi/BRR/\n"
-      << "      Diversity; default ViFi)\n";
+      << "      synthesize a statistically-matched fleet catalog\n";
   return 2;
 }
 
@@ -168,64 +163,6 @@ int cmd_synth(int argc, char** argv) {
   return 0;
 }
 
-int cmd_replay(int argc, char** argv) {
-  const auto flags = parse_flags(argc, argv, 2, nullptr);
-  const std::string dir = require(flags, "--catalog");
-  const int threads = number(flags, "--threads", "0", 0, 1024);
-  const auto catalog = tracegen::load_catalog_shared(dir);
-
-  runtime::ExperimentSpec spec;
-  spec.name = "traceforge_replay";
-  spec.grid.testbeds = {catalog->testbed()};
-  spec.grid.fleet_sizes = {catalog->fleet_size()};
-  spec.grid.trace_sets = {dir};
-  spec.grid.policies = {get(flags, "--policy", "ViFi")};
-  spec.grid.seeds.clear();
-  for (const std::string& s : {get(flags, "--seeds", "1")}) {
-    std::istringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ','))
-      if (!item.empty())
-        spec.grid.seeds.push_back(
-            cli::parse_number<std::uint64_t>("--seeds", item));
-  }
-  spec.workload = "cbr";
-
-  const runtime::Runner runner({.threads = threads});
-  std::cerr << "replaying catalog '" << catalog->name() << "' ("
-            << catalog->testbed() << ", fleet " << catalog->fleet_size()
-            << ", " << catalog->trip_groups() << " trip groups) on "
-            << runner.threads() << " thread(s)\n";
-  const runtime::ResultSink sink = runner.run(spec);
-
-  TextTable table("Catalog replay");
-  table.set_header({"policy", "seed", "delivery", "pkts/day",
-                    "jain(delivery)", "min veh delivery"});
-  for (const auto& r : sink.ordered()) {
-    if (!r.error.empty()) {
-      std::cerr << "error: " << r.error << "\n";
-      continue;
-    }
-    auto metric_or_dash = [&r](const std::string& key, int digits) {
-      const auto it = r.metrics.find(key);
-      return it == r.metrics.end() ? std::string("-")
-                                   : TextTable::num(it->second, digits);
-    };
-    table.add_row({r.policy, std::to_string(r.seed),
-                   TextTable::pct(r.metrics.at("delivery_rate"), 1),
-                   TextTable::num(r.metrics.at("packets_per_day"), 0),
-                   metric_or_dash("fairness_jain_delivery", 3),
-                   metric_or_dash("per_vehicle_delivery_min", 3)});
-  }
-  table.print(std::cout);
-
-  const std::string json = get(flags, "--json", "");
-  const std::string csv = get(flags, "--csv", "");
-  if (!json.empty()) sink.write_json(json);
-  if (!csv.empty()) sink.write_csv(csv);
-  return sink.any_errors() ? 1 : 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -235,7 +172,6 @@ int main(int argc, char** argv) {
     if (cmd == "record") return cmd_record(argc, argv);
     if (cmd == "fit") return cmd_fit(argc, argv);
     if (cmd == "synth") return cmd_synth(argc, argv);
-    if (cmd == "replay") return cmd_replay(argc, argv);
   } catch (const cli::BadNumber& e) {
     std::cerr << e.what() << "\n";
     return usage();

@@ -36,8 +36,8 @@ class LiveTrip {
   /// Trace-driven trip (the DieselNet methodology): the §5.1 loss schedule
   /// built from the beacon logs replaces the stochastic channel. One trace
   /// per vehicle of the same trip, each naming its logging vehicle, as
-  /// generate_campaign produces (and a catalog's `fleet_trip` /
-  /// `load_group` return); a single-vehicle testbed passes `{&trace}`.
+  /// generate_campaign produces (and a catalog stream's `load_group`
+  /// returns); a single-vehicle testbed passes `{&trace}`.
   LiveTrip(const Testbed& bed,
            const std::vector<const trace::MeasurementTrace*>& trips,
            core::SystemConfig config, std::uint64_t trip_seed,

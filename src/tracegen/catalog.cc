@@ -212,19 +212,6 @@ std::vector<trace::MeasurementTrace> CatalogStream::load_group(
   return traces;
 }
 
-std::vector<const trace::MeasurementTrace*> TraceCatalog::fleet_trip(
-    std::size_t group) const {
-  stream_.group_key(group);  // Range-checks the index.
-  // Every group carries exactly the fleet, so group g is the g-th run of
-  // fleet_size traces.
-  const std::size_t fleet = static_cast<std::size_t>(fleet_size());
-  std::vector<const trace::MeasurementTrace*> out;
-  out.reserve(fleet);
-  for (std::size_t i = group * fleet; i < (group + 1) * fleet; ++i)
-    out.push_back(&campaign_.trips[i]);
-  return out;
-}
-
 void write_catalog(const std::string& dir, const std::string& catalog_name,
                    const trace::Campaign& campaign) {
   namespace fs = std::filesystem;

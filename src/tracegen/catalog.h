@@ -111,12 +111,6 @@ class TraceCatalog {
   /// Number of (day, trip) fleet groups.
   std::size_t trip_groups() const { return stream_.trip_groups(); }
 
-  /// One trip's fleet, in vehicle-id order — the exact shape
-  /// `trace::build_fleet_loss_schedule` and the fleet `LiveTrip` take.
-  /// The pointers stay valid for the catalog's lifetime.
-  std::vector<const trace::MeasurementTrace*> fleet_trip(
-      std::size_t group) const;
-
  private:
   CatalogStream stream_;
   trace::Campaign campaign_;

@@ -247,11 +247,11 @@ TEST_F(CatalogTest, WriteLoadRoundTrip) {
   EXPECT_EQ(cat.days(), 1);
   ASSERT_EQ(cat.trip_groups(), 3u);
   ASSERT_EQ(cat.traces().size(), 6u);
-  const auto fleet = cat.fleet_trip(1);
+  const auto fleet = CatalogStream::open(dir_.string()).load_group(1);
   ASSERT_EQ(fleet.size(), 2u);
-  EXPECT_EQ(fleet[0]->vehicle, NodeId(2));
-  EXPECT_EQ(fleet[1]->vehicle, NodeId(3));
-  EXPECT_EQ(fleet[0]->trip, 1);
+  EXPECT_EQ(fleet[0].vehicle, NodeId(2));
+  EXPECT_EQ(fleet[1].vehicle, NodeId(3));
+  EXPECT_EQ(fleet[0].trip, 1);
 }
 
 TEST_F(CatalogTest, SharedLoaderReturnsOneInstance) {
@@ -379,15 +379,19 @@ TEST_F(CatalogTest, StreamMatchesEagerLoadByteForByte) {
   EXPECT_EQ(stream.vehicle_ids(), eager.vehicle_ids());
   EXPECT_EQ(stream.days(), eager.days());
   ASSERT_EQ(stream.trip_groups(), eager.trip_groups());
+  // The eager catalog is every group loaded in order: group g is the g-th
+  // run of fleet_size traces.
+  const std::size_t fleet = static_cast<std::size_t>(eager.fleet_size());
+  ASSERT_EQ(eager.traces().size(), stream.trip_groups() * fleet);
   const auto scratch = dir_ / "cmp.vifitrace";
   for (std::size_t g = 0; g < stream.trip_groups(); ++g) {
     const std::vector<trace::MeasurementTrace> lazy = stream.load_group(g);
-    const auto fleet = eager.fleet_trip(g);
-    ASSERT_EQ(lazy.size(), fleet.size());
-    EXPECT_EQ(stream.group_key(g),
-              std::make_pair(fleet.front()->day, fleet.front()->trip));
+    ASSERT_EQ(lazy.size(), fleet);
+    const trace::MeasurementTrace& first = eager.traces()[g * fleet];
+    EXPECT_EQ(stream.group_key(g), std::make_pair(first.day, first.trip));
     for (std::size_t v = 0; v < lazy.size(); ++v)
-      EXPECT_EQ(trace_bytes(lazy[v], scratch), trace_bytes(*fleet[v], scratch))
+      EXPECT_EQ(trace_bytes(lazy[v], scratch),
+                trace_bytes(eager.traces()[g * fleet + v], scratch))
           << "group " << g << " vehicle slot " << v;
   }
 }
@@ -758,12 +762,14 @@ TEST_F(ReplayAxisTest, LiveTripBuildsStraightFromACatalog) {
   cc.log_probes = false;
   write_catalog(dir_.string(), "livetrip",
                 scenario::generate_campaign(bed, cc));
-  const auto catalog = load_catalog_shared(dir_.string());
-  scenario::LiveTrip trip(bed, catalog->fleet_trip(0), core::SystemConfig{},
-                          44);
+  const CatalogStream stream = CatalogStream::open(dir_.string());
+  const std::vector<trace::MeasurementTrace> group = stream.load_group(0);
+  std::vector<const trace::MeasurementTrace*> fleet;
+  for (const trace::MeasurementTrace& t : group) fleet.push_back(&t);
+  scenario::LiveTrip trip(bed, fleet, core::SystemConfig{}, 44);
   trip.run_until(Time::seconds(5.0));
   EXPECT_EQ(trip.transports().size(), 2u);
-  EXPECT_THROW(catalog->fleet_trip(7), std::runtime_error);
+  EXPECT_THROW(stream.load_group(7), std::runtime_error);
 }
 
 }  // namespace
