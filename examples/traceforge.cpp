@@ -16,13 +16,16 @@
 //   sweep --workload cbr --trace-sets catalog_16 --testbeds DieselNet-Ch1
 //       --fleets 16 --policies ViFi --threads 0 --json replay.json
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "cli_args.h"
 #include "runtime/experiment.h"
@@ -50,14 +53,20 @@ int usage() {
   return 2;
 }
 
-/// Minimal flag map: every option takes one value.
-std::map<std::string, std::string> parse_flags(int argc, char** argv,
-                                               int first,
-                                               std::string* positional) {
+/// Minimal flag map over a subcommand's \p known flags: every option
+/// takes one value, and a flag the subcommand does not know is a usage
+/// error, so a misspelt one never silently takes its default.
+std::map<std::string, std::string> parse_flags(
+    int argc, char** argv, std::initializer_list<std::string_view> known,
+    std::string* positional) {
   std::map<std::string, std::string> flags;
-  for (int i = first; i < argc; ++i) {
+  for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) == 0) {
+      if (std::find(known.begin(), known.end(), arg) == known.end()) {
+        std::cerr << "unknown option " << arg << "\n";
+        std::exit(usage());
+      }
       if (i + 1 >= argc) {
         std::cerr << arg << " needs a value\n";
         std::exit(usage());
@@ -98,7 +107,11 @@ T number(const std::map<std::string, std::string>& flags,
 }
 
 int cmd_record(int argc, char** argv) {
-  const auto flags = parse_flags(argc, argv, 2, nullptr);
+  const auto flags = parse_flags(argc, argv,
+                                 {"--testbed", "--out", "--vehicles", "--days",
+                                  "--trips", "--trip-seconds", "--seed",
+                                  "--name"},
+                                 nullptr);
   const std::string testbed = require(flags, "--testbed");
   if (!runtime::known_testbed(testbed)) {
     std::cerr << "unknown testbed: " << testbed << "\n";
@@ -124,7 +137,8 @@ int cmd_record(int argc, char** argv) {
 
 int cmd_fit(int argc, char** argv) {
   std::string catalog_dir;
-  const auto flags = parse_flags(argc, argv, 2, &catalog_dir);
+  const auto flags =
+      parse_flags(argc, argv, {"--out", "--gap-seconds"}, &catalog_dir);
   if (catalog_dir.empty()) {
     std::cerr << "fit needs a CATALOG_DIR\n";
     return usage();
@@ -144,7 +158,11 @@ int cmd_fit(int argc, char** argv) {
 }
 
 int cmd_synth(int argc, char** argv) {
-  const auto flags = parse_flags(argc, argv, 2, nullptr);
+  const auto flags = parse_flags(argc, argv,
+                                 {"--model", "--out", "--vehicles", "--days",
+                                  "--trips", "--trip-seconds", "--seed",
+                                  "--name"},
+                                 nullptr);
   const tracegen::TraceModel model =
       tracegen::load_model_file(require(flags, "--model"));
   const std::string out = require(flags, "--out");

@@ -109,11 +109,7 @@ bool query_counts(const obs::SpoolReader& reader) {
   table.set_header({"event", "scanned", "recorded", "match"});
   for (int k = 0; k < obs::kEventKindCount; ++k) {
     const auto kind = static_cast<obs::EventKind>(k);
-    // Log lines travel in the footer, not as chunk records.
-    const std::uint64_t have = kind == obs::EventKind::Log
-                                   ? static_cast<std::uint64_t>(
-                                         reader.logs().size())
-                                   : scanned[k];
+    const std::uint64_t have = scanned[k];
     const std::uint64_t want = reader.kind_count(kind);
     if (have == 0 && want == 0) continue;
     if (have != want) ok = false;
@@ -133,8 +129,8 @@ using KindCounts = std::map<sim::NodeId, std::array<std::uint64_t,
                                                     obs::kEventKindCount>>;
 
 /// Each node's events by category, one row per node of the footer index
-/// and one column per category in kind order (log lines are not chunk
-/// records).
+/// and one column per category in kind order (none for the retired Log
+/// kind, which no event carries).
 void print_node_table(const obs::SpoolReader& reader,
                       const KindCounts& per_node) {
   std::vector<std::string> header{"node", "events"};
@@ -283,8 +279,8 @@ int run_query(int argc, char** argv) {
       std::cout << "Spool: " << reader.path() << "\n  " << reader.recorded()
                 << " events across " << reader.nodes().size()
                 << " nodes, timeline end "
-                << Time::micros(reader.max_at_us()).to_seconds() << "s, "
-                << reader.logs().size() << " log lines, block "
+                << Time::micros(reader.max_at_us()).to_seconds()
+                << "s, block "
                 << reader.block_events() << " events\n\n";
     }
 

@@ -6,8 +6,8 @@
 /// the §4.4 relay-probability evaluations with their inputs, salvage
 /// hand-offs, the frame lifecycle on the medium, and handoff-policy
 /// association changes during §3.1 replays. Events are cheap enough to
-/// record on the hot path (no allocation, no strings); anything textual
-/// (log lines, node labels) travels on side channels in the recorder.
+/// record on the hot path (no allocation, no strings); node labels travel
+/// in the spool's node index.
 
 #include <cstdint>
 
@@ -54,8 +54,10 @@ enum class EventKind : std::uint8_t {
                     ///< (a: prediction confidence).
   CoordSuppress,    ///< auxiliary peer's relay for client node suppressed
                     ///< under a confident prediction (a: confidence).
-  // Satellite: VIFI_WARN+ log lines routed through the recorder.
-  Log,  ///< c: LogLevel; the message is in the recorder's log channel.
+  // Retired: no event carries this kind (TraceRecorder::record rejects
+  // it). It keeps its slot so the spool footer's per-kind count array,
+  // and with it every spool byte, stays as it was.
+  Log,
 };
 
 /// Total number of EventKind values (for per-kind counters).

@@ -8,7 +8,6 @@
 #include <fstream>
 #include <optional>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,10 +19,9 @@ namespace vifi::obs {
 
 namespace {
 
-/// Track id for nodes that have none (invalid NodeId) and for the log
-/// track — well clear of any simulated node id.
+/// Track id for nodes that have none (invalid NodeId) — well clear of any
+/// simulated node id.
 constexpr int kNoNodeTid = 1000000;
-constexpr int kLogTid = 1000001;
 
 int tid_of(sim::NodeId node) {
   return node.valid() ? node.value() : kNoNodeTid;
@@ -364,12 +362,6 @@ void write_exports(const SpoolReader& reader, std::ostream* chrome_os,
       }
       out += "\"}}";
     }
-    if (!reader.logs().empty())
-      open_line()
-          .lit("{\"ph\":\"M\",\"pid\":0,\"tid\":")
-          .num(kLogTid)
-          .lit(",\"name\":\"thread_name\",\"args\":{\"name\":\"log\"}}")
-          .append_to(out);
   }
 
   // One pass over the spool: each event is rendered into both outputs and
@@ -409,41 +401,7 @@ void write_exports(const SpoolReader& reader, std::ostream* chrome_os,
           .append_to(out);
       chrome->spill();
     }
-  }
-  for (const SpoolLog& log : reader.logs()) {
-    if (chrome) {
-      std::string& out = chrome->buf();
-      open_line().lit("{\"name\":\"").append_to(out);
-      append_escaped(out, log.message);
-      Line()
-          .lit("\",\"cat\":\"log\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":")
-          .num(kLogTid)
-          .lit(",\"ts\":")
-          .num(log.at_us)
-          .lit(",\"args\":{\"level\":")
-          .num(log.level)
-          .lit("}}")
-          .append_to(out);
-      chrome->spill();
-    }
-    if (jsonl) {
-      std::string& out = jsonl->buf();
-      Line()
-          .lit("{\"seq\":")
-          .num(log.seq)
-          .lit(",\"t_us\":")
-          .num(log.at_us)
-          .lit(",\"kind\":\"log\",\"level\":")
-          .num(log.level)
-          .lit(",\"message\":\"")
-          .append_to(out);
-      append_escaped(out, log.message);
-      out += "\"}\n";
-      jsonl->spill();
-    }
-  }
-  if (chrome) {
-    chrome->buf() += "\n]}\n";
+    out += "\n]}\n";
     chrome->flush();
   }
   if (jsonl) jsonl->flush();
@@ -468,21 +426,9 @@ void write_chrome_trace(const TraceRecorder& recorder, std::ostream& os) {
   write_exports(SpoolReader(recorder.spool_path()), &os, nullptr);
 }
 
-std::string chrome_trace_json(const TraceRecorder& recorder) {
-  std::ostringstream os;
-  write_chrome_trace(recorder, os);
-  return os.str();
-}
-
 void write_jsonl(const TraceRecorder& recorder, std::ostream& os) {
   recorder.finalize();
   write_exports(SpoolReader(recorder.spool_path()), nullptr, &os);
-}
-
-std::string events_jsonl(const TraceRecorder& recorder) {
-  std::ostringstream os;
-  write_jsonl(recorder, os);
-  return os.str();
 }
 
 }  // namespace vifi::obs

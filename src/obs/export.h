@@ -8,13 +8,13 @@
 /// is never held whole):
 ///  * Chrome trace-event JSON (`{"traceEvents": [...]}`), loadable in
 ///    Perfetto / chrome://tracing: `pid` 0 carries the whole deployment,
-///    one named track (tid) per node and a "log" track for routed log
-///    lines; frame transmissions are duration ("X") slices, everything
-///    else instant ("i") events with the typed arguments in `args`, plus
-///    the derived span layer (span.h) as "X" slices under cat "span", so
-///    anchor tenures, coord-phase occupancy, and contacts render as bars.
-///  * JSONL: one object per line, events in seq order, then log records —
-///    the grep/jq-friendly stream.
+///    one named track (tid) per node; frame transmissions are duration
+///    ("X") slices, everything else instant ("i") events with the typed
+///    arguments in `args`, plus the derived span layer (span.h) as "X"
+///    slices under cat "span", so anchor tenures, coord-phase occupancy,
+///    and contacts render as bars.
+///  * JSONL: one object per line, events in seq order — the
+///    grep/jq-friendly stream.
 ///
 /// Each event line is rendered into one stack buffer (literals by memcpy,
 /// numbers by std::to_chars) and appended to its output once.
@@ -57,8 +57,6 @@ void export_spool(const std::string& spool_path);
 
 /// One format of a recorder's spool, sealed first (see write_exports).
 void write_chrome_trace(const TraceRecorder& recorder, std::ostream& os);
-std::string chrome_trace_json(const TraceRecorder& recorder);
 void write_jsonl(const TraceRecorder& recorder, std::ostream& os);
-std::string events_jsonl(const TraceRecorder& recorder);
 
 }  // namespace vifi::obs

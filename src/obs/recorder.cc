@@ -68,9 +68,10 @@ TraceRecorder::TraceRecorder(std::unique_ptr<SpoolWriter> spool)
 void TraceRecorder::record(EventKind kind, Time at, sim::NodeId node,
                            sim::NodeId peer, std::uint64_t id, double a,
                            double b, std::int32_t c) {
+  VIFI_EXPECTS(kind != EventKind::Log);
   TraceEvent e;
   e.at = base_ + at;
-  e.seq = next_seq_++;
+  e.seq = spool_->pushed() + 1;
   e.id = id;
   e.node = node;
   e.peer = peer;
@@ -78,32 +79,10 @@ void TraceRecorder::record(EventKind kind, Time at, sim::NodeId node,
   e.c = c;
   e.a = a;
   e.b = b;
-  last_local_ = at;
-  ++recorded_;
-  ++kind_counts_[static_cast<int>(kind)];
   spool_->push(e);
 }
 
-void TraceRecorder::log(LogLevel level, std::string message) {
-  LogRecord rec;
-  rec.at = base_ + last_local_;
-  rec.seq = next_seq_++;
-  rec.level = level;
-  rec.message = std::move(message);
-  ++kind_counts_[static_cast<int>(EventKind::Log)];
-  logs_.push_back(std::move(rec));
-  if (logs_.size() > kMaxLogRecords) logs_.pop_front();
-}
-
-void TraceRecorder::finalize() const {
-  if (spool_->finalized()) return;
-  std::vector<SpoolLog> logs;
-  logs.reserve(logs_.size());
-  for (const LogRecord& log : logs_)
-    logs.push_back({log.at.to_micros(), log.seq,
-                    static_cast<std::int32_t>(log.level), log.message});
-  spool_->finalize(logs);
-}
+void TraceRecorder::finalize() const { spool_->finalize(); }
 
 void TraceRecorder::set_node_label(sim::NodeId node, std::string label) {
   spool_->set_node_label(node, label);
@@ -116,28 +95,13 @@ std::vector<TraceEvent> TraceRecorder::merged() const {
 }
 
 void TraceRecorder::absorb(const TraceRecorder& other, Time offset) {
-  // Sequence numbers continue after everything (events *and* logs) this
-  // recorder has issued, exactly as if other's stream had been recorded
-  // here next. other's spool is sealed and copied in record by record, as
-  // encoded.
-  const std::uint64_t seq_offset = next_seq_ - 1;
+  // Sequence numbers continue after every event this recorder holds,
+  // exactly as if other's stream had been recorded here next. other's
+  // spool is sealed and copied in record by record, as encoded; the spool
+  // writer counts the copies as it would pushes.
   other.finalize();
-  spool_->absorb(SpoolReader(other.spool_path()), offset, seq_offset);
-  for (const LogRecord& log : other.logs_) {
-    LogRecord shifted = log;
-    shifted.at = log.at + offset;
-    shifted.seq = log.seq + seq_offset;
-    logs_.push_back(std::move(shifted));
-    if (logs_.size() > kMaxLogRecords) logs_.pop_front();
-  }
+  spool_->absorb(SpoolReader(other.spool_path()), offset, spool_->pushed());
   for (const auto& [node, label] : other.labels_) set_node_label(node, label);
-  for (int k = 0; k < kEventKindCount; ++k)
-    kind_counts_[k] += other.kind_counts_[k];
-  recorded_ += other.recorded_;
-  next_seq_ += other.next_seq_ - 1;
-  // A log stamped after the absorb lands where a direct recording would
-  // have put it: offset + other's last local time, relative to our base.
-  last_local_ = offset + other.base_ + other.last_local_ - base_;
 }
 
 TraceRecorder* current_recorder() { return t_current; }

@@ -3,11 +3,10 @@
 /// \file recorder.h
 /// TripScope's TraceRecorder: typed protocol events (event.h) stamped
 /// with a timeline time and a recorder-wide sequence number, spooled to
-/// disk by the recorder's SpoolWriter (spool.h), plus a bounded side
-/// channel for routed log lines. Every event is kept: the spool buffers
-/// each node's events in fixed-size blocks and appends them off the hot
-/// path, and the recorder-wide sequence number makes the merged stream
-/// deterministic. A caller names the spool file, or a
+/// disk by the recorder's SpoolWriter (spool.h). Every event is kept: the
+/// spool buffers each node's events in fixed-size blocks and appends them
+/// off the hot path, and the recorder-wide sequence number makes the
+/// merged stream deterministic. A caller names the spool file, or a
 /// default-constructed recorder spools into a scratch directory of its
 /// own, removed with the recorder.
 ///
@@ -24,7 +23,6 @@
 /// concurrent points never share one.
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -33,19 +31,10 @@
 #include "obs/event.h"
 #include "obs/spool.h"
 #include "sim/ids.h"
-#include "util/logging.h"
 #include "util/scratch_dir.h"
 #include "util/time.h"
 
 namespace vifi::obs {
-
-/// A routed log line (the VIFI_WARN+ channel, satellite of ISSUE 6).
-struct LogRecord {
-  Time at;
-  std::uint64_t seq = 0;
-  LogLevel level = LogLevel::Warn;
-  std::string message;
-};
 
 class TraceRecorder {
  public:
@@ -62,15 +51,10 @@ class TraceRecorder {
 
   /// Records one event at time base() + \p at (the caller passes its
   /// simulator-local clock; the base stitches successive trips onto one
-  /// timeline).
+  /// timeline). \p kind must not be EventKind::Log, which no event carries.
   void record(EventKind kind, Time at, sim::NodeId node,
               sim::NodeId peer = {}, std::uint64_t id = 0, double a = 0.0,
               double b = 0.0, std::int32_t c = 0);
-
-  /// Records a routed log line (bounded; oldest dropped first). The
-  /// timestamp is base() + the last recorded event's local time — logging
-  /// has no clock of its own.
-  void log(LogLevel level, std::string message);
 
   /// Timeline offset added to every recorded time. The runtime sets this
   /// to the accumulated horizon before each trip of a point, so one
@@ -80,9 +64,8 @@ class TraceRecorder {
 
   /// The spool file.
   const std::string& spool_path() const { return spool_->path(); }
-  /// Seals the spool (flushes residual blocks, writes the footer with the
-  /// routed logs). No-op on repeat calls; recording after finalize is a
-  /// contract violation.
+  /// Seals the spool (flushes residual blocks, writes the footer). No-op
+  /// on repeat calls; recording after finalize is a contract violation.
   void finalize() const;
 
   /// Folds a whole recorder in: \p other's events land at their recorded
@@ -104,29 +87,24 @@ class TraceRecorder {
   /// spool, which this seals: an end-of-run call, not a mid-run one.
   std::vector<TraceEvent> merged() const;
 
-  std::uint64_t recorded() const { return recorded_; }
+  /// Total events recorded (absorbed ones included): the spool's count.
+  std::uint64_t recorded() const { return spool_->pushed(); }
   /// Always 0: the spool keeps every event. Kept for callers that still
   /// report it (benchmark/vifibench.cc's obs.dropped count).
   std::uint64_t dropped() const { return 0; }
   /// Total events recorded of one kind.
   std::uint64_t count(EventKind kind) const {
-    return kind_counts_[static_cast<int>(kind)];
+    return spool_->kind_count(kind);
   }
 
  private:
   Time base_;
-  Time last_local_;  ///< Last record()'s local time, for log timestamps.
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t recorded_ = 0;
-  std::uint64_t kind_counts_[kEventKindCount] = {};
   /// The default constructor's spool directory, declared before spool_ so
   /// the spool is closed before the directory is removed.
   std::unique_ptr<ScratchDir> scratch_;
   /// Heap-held, so const export calls may seal it (finalize, visit).
   std::unique_ptr<SpoolWriter> spool_;
   std::map<sim::NodeId, std::string> labels_;
-  std::deque<LogRecord> logs_;
-  static constexpr std::size_t kMaxLogRecords = 4096;
 };
 
 /// The recorder installed on this thread, or nullptr when tracing is off.

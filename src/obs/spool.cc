@@ -325,7 +325,7 @@ SpoolWriter::~SpoolWriter() {
   // (errors here cannot propagate out of a destructor).
   if (!finalized_) {
     try {
-      finalize({});
+      finalize();
     } catch (...) {  // NOLINT(bugprone-empty-catch)
     }
   }
@@ -482,13 +482,11 @@ void SpoolWriter::flush_block(sim::NodeId node, NodeState& s) {
   s.fill = 0;
 }
 
-void SpoolWriter::finalize(const std::vector<SpoolLog>& logs) {
+void SpoolWriter::finalize() {
   if (finalized_) return;
   finalized_ = true;
   for (auto& [node, s] : nodes_)
     if (s.fill > 0) flush_block(node, s);
-  kind_counts_[static_cast<int>(EventKind::Log)] =
-      static_cast<std::uint64_t>(logs.size());
 
   const std::uint64_t footer_offset = offset_;
   std::string footer;
@@ -509,14 +507,7 @@ void SpoolWriter::finalize(const std::vector<SpoolLog>& logs) {
     put<std::uint32_t>(footer, static_cast<std::uint32_t>(s.label.size()));
     footer += s.label;
   }
-  put<std::uint32_t>(footer, static_cast<std::uint32_t>(logs.size()));
-  for (const SpoolLog& log : logs) {
-    put<std::int64_t>(footer, log.at_us);
-    put<std::uint64_t>(footer, log.seq);
-    put<std::int32_t>(footer, log.level);
-    put<std::uint32_t>(footer, static_cast<std::uint32_t>(log.message.size()));
-    footer += log.message;
-  }
+  put<std::uint32_t>(footer, 0);  // log lines: none
   put<std::uint64_t>(footer, footer_offset);
   footer.append(kSpoolEndMagic, 8);
   out_.write(footer.data(), static_cast<std::streamsize>(footer.size()));
@@ -577,7 +568,7 @@ SpoolReader::SpoolReader(std::string path) : path_(std::move(path)) {
   for (int k = 0; k < kEventKindCount; ++k)
     kind_counts_[k] = cur.get<std::uint64_t>();
   // Smallest encodings: a node entry with no chunks and an empty label; a
-  // chunk ref; a log line with an empty message.
+  // chunk ref.
   const std::uint32_t node_count = cur.get_count(4 + 8 + 4 + 4);
   nodes_.reserve(node_count);
   std::uint64_t total = 0;
@@ -612,16 +603,11 @@ SpoolReader::SpoolReader(std::string path) : path_(std::move(path)) {
   if (total != recorded_)
     throw std::runtime_error(
         "spool chunk counts disagree with the footer in " + path_);
-  const std::uint32_t log_count = cur.get_count(8 + 8 + 4 + 4);
-  logs_.reserve(log_count);
-  for (std::uint32_t i = 0; i < log_count; ++i) {
-    SpoolLog log;
-    log.at_us = cur.get<std::int64_t>();
-    log.seq = cur.get<std::uint64_t>();
-    log.level = cur.get<std::int32_t>();
-    log.message = cur.get_string(cur.get<std::uint32_t>());
-    logs_.push_back(std::move(log));
-  }
+  const auto log_count = cur.get<std::uint32_t>();
+  if (log_count != 0)
+    throw std::runtime_error("spool footer claims " +
+                             std::to_string(log_count) +
+                             " log lines; spools carry none: " + path_);
 }
 
 const SpoolNodeIndex* SpoolReader::find_node(sim::NodeId node) const {

@@ -16,7 +16,9 @@
 ///            a pure function of the push sequence, so spool bytes are
 ///            deterministic for any worker count
 ///   footer   stream totals, exact per-kind counts, per-node chunk index
-///            with labels, and the recorder's routed log lines
+///            with labels, and a u32 log-line count that is always 0 (a
+///            retired channel; the reader rejects a spool whose count is
+///            not)
 ///   trailer  u64 footer_offset, magic "VIFIEND1"
 ///
 /// Records store doubles as raw IEEE-754 bits, so spool -> load -> export
@@ -76,15 +78,6 @@ struct SpoolNodeIndex {
 /// sink/recorder visitors built on them).
 using EventFn = std::function<void(const TraceEvent&)>;
 
-/// A routed log line carried in the footer (the recorder's bounded
-/// VIFI_WARN+ channel; logs are not chunk records).
-struct SpoolLog {
-  std::int64_t at_us = 0;
-  std::uint64_t seq = 0;
-  std::int32_t level = 0;
-  std::string message;
-};
-
 class SpoolReader;
 
 /// Writes one spool file. Pushes encode into per-node blocks, which go to
@@ -119,10 +112,8 @@ class SpoolWriter {
   void set_node_label(sim::NodeId node, const std::string& label);
 
   /// Flushes every non-empty block (ascending node order) and writes the
-  /// footer + trailer. Idempotent; the \p logs of the first call win. The
-  /// footer's Log kind count is logs.size() — log lines travel in the
-  /// footer, not as chunk records.
-  void finalize(const std::vector<SpoolLog>& logs);
+  /// footer + trailer. Idempotent.
+  void finalize();
   bool finalized() const { return finalized_; }
 
   const std::string& path() const { return path_; }
@@ -179,8 +170,9 @@ using StreamSink = SpoolWriter;
 class SpoolReader {
  public:
   /// Opens and validates \p path; throws std::runtime_error with a crisp
-  /// message on missing/truncated/foreign files, and on a footer whose
-  /// chunk index does not fit the data region or its own totals.
+  /// message on missing/truncated/foreign files, on a footer whose chunk
+  /// index does not fit the data region or its own totals, and on a footer
+  /// that carries log lines.
   explicit SpoolReader(std::string path);
 
   const std::string& path() const { return path_; }
@@ -195,7 +187,9 @@ class SpoolReader {
   }
   const std::vector<SpoolNodeIndex>& nodes() const { return nodes_; }
   const SpoolNodeIndex* find_node(sim::NodeId node) const;
-  const std::vector<SpoolLog>& logs() const { return logs_; }
+  /// Always empty: spools carry no log lines. Kept for the one caller that
+  /// still counts them (benchmark/vifibench.cc's reconcile_spool).
+  std::vector<std::string> logs() const { return {}; }
 
   /// Streams every record node by node (index order, each node's records
   /// seq-ascending): the cheapest full read, but not the timeline order —
@@ -221,7 +215,6 @@ class SpoolReader {
   std::uint64_t block_events_ = 0;
   std::uint64_t kind_counts_[kEventKindCount] = {};
   std::vector<SpoolNodeIndex> nodes_;
-  std::vector<SpoolLog> logs_;
 };
 
 }  // namespace vifi::obs

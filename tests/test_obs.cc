@@ -18,12 +18,12 @@
 #include <string>
 #include <vector>
 
+#include "export_strings.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "runtime/runner.h"
 #include "util/contracts.h"
-#include "util/logging.h"
 #include "util/rng.h"
 
 namespace vifi::obs {
@@ -46,6 +46,21 @@ TEST(TraceRecorder, KeepsEveryEventAndCountsEachKindExactly) {
   EXPECT_EQ(rec.count(EventKind::FrameTx), 600u);
   EXPECT_EQ(rec.count(EventKind::AnchorChange), 1u);
   EXPECT_EQ(rec.count(EventKind::SalvageRequest), 0u);
+}
+
+TEST(TraceRecorder, RecordingTheRetiredLogKindIsAContractViolation) {
+  TraceRecorder rec;
+  rec.record(EventKind::BeaconTx, Time::seconds(1.0), sim::NodeId{1});
+  EXPECT_THROW(
+      rec.record(EventKind::Log, Time::seconds(2.0), sim::NodeId{1}),
+      ContractViolation);
+  // The rejected event took no seq and no count.
+  EXPECT_EQ(rec.recorded(), 1u);
+  EXPECT_EQ(rec.count(EventKind::Log), 0u);
+  rec.record(EventKind::BeaconTx, Time::seconds(3.0), sim::NodeId{1});
+  const auto merged = rec.merged();
+  ASSERT_EQ(merged.size(), 2u);
+  EXPECT_EQ(merged[1].seq, 2u);
 }
 
 TEST(TraceRecorder, TimeBaseStitchesTripsOntoOneTimeline) {
@@ -117,24 +132,6 @@ TEST(MetricsScope, NestsAndRestoresThePreviousRegistry) {
     EXPECT_EQ(current_metrics(), &outer);
   }
   EXPECT_EQ(current_metrics(), nullptr);
-}
-
-TEST(WarnRouting, WarnAndErrorLandOnTheInstalledRecorder) {
-  TraceRecorder rec;
-  {
-    TraceScope scope(rec);
-    VIFI_WARN("salvage queue overflow on " << sim::NodeId{3});
-    VIFI_ERROR("bad frame");
-    VIFI_DEBUG("below threshold, not routed");  // default level is Warn
-  }
-  VIFI_WARN("outside the scope, not routed");
-  rec.finalize();
-  const std::vector<SpoolLog> logs = SpoolReader(rec.spool_path()).logs();
-  ASSERT_EQ(logs.size(), 2u);
-  EXPECT_EQ(logs[0].level, static_cast<int>(LogLevel::Warn));
-  EXPECT_NE(logs[0].message.find("salvage queue overflow"), std::string::npos);
-  EXPECT_EQ(logs[1].level, static_cast<int>(LogLevel::Error));
-  EXPECT_EQ(rec.count(EventKind::Log), 2u);
 }
 
 TEST(Histogram, BucketsAreInclusiveUpperBoundsPlusOverflow) {
@@ -212,10 +209,6 @@ TEST(ChromeTrace, NamesTracksAndEmitsDurationAndInstantEvents) {
              sim::NodeId{1}, 7, 0.002, 1.0, 0);
   rec.record(EventKind::AnchorChange, Time::seconds(2.0), sim::NodeId{2},
              sim::NodeId{1});
-  {
-    TraceScope scope(rec);
-    VIFI_WARN("routed \"quoted\" warning");
-  }
   const std::string json = chrome_trace_json(rec);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("thread_name"), std::string::npos);
@@ -225,17 +218,13 @@ TEST(ChromeTrace, NamesTracksAndEmitsDurationAndInstantEvents) {
   EXPECT_NE(json.find("\"dur\":2000"), std::string::npos);  // 0.002 s in us
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("anchor_change"), std::string::npos);
-  // The routed warning is escaped, not emitted raw.
-  EXPECT_NE(json.find("routed \\\"quoted\\\" warning"), std::string::npos);
-  EXPECT_EQ(json.find("routed \"quoted\" warning"), std::string::npos);
 }
 
-TEST(Jsonl, OneObjectPerEventPlusLogLines) {
+TEST(Jsonl, OneObjectPerEvent) {
   TraceRecorder rec;
   rec.record(EventKind::BeaconTx, Time::seconds(0.5), sim::NodeId{1});
   rec.record(EventKind::BeaconRx, Time::seconds(0.6), sim::NodeId{2},
              sim::NodeId{1});
-  rec.log(LogLevel::Warn, "something odd");
   const std::string jsonl = events_jsonl(rec);
   std::istringstream is(jsonl);
   std::string line;
@@ -246,9 +235,9 @@ TEST(Jsonl, OneObjectPerEventPlusLogLines) {
     EXPECT_EQ(line.front(), '{');
     EXPECT_EQ(line.back(), '}');
   }
-  EXPECT_EQ(lines, 3u);
+  EXPECT_EQ(lines, 2u);
   EXPECT_NE(jsonl.find("\"kind\":\"beacon_tx\""), std::string::npos);
-  EXPECT_NE(jsonl.find("something odd"), std::string::npos);
+  EXPECT_NE(jsonl.find("\"kind\":\"beacon_rx\""), std::string::npos);
 }
 
 // --- the exporters' double format: printf's %.17g, byte for byte -----------
@@ -318,10 +307,9 @@ TEST(ExportDouble, MatchesPrintf17gOnIntegralValues) {
 
 // A crafted recording exercising every rendering path: labels needing
 // escapes, an invalid node and peer, FrameTx durations, all three span
-// kinds with an open phase closed at the last event, a routed log line
-// with control characters, and doubles covering exponent forms, -0, a
-// subnormal and inf. The event lines were produced by the snprintf/ostream
-// exporters these replaced.
+// kinds with an open phase closed at the last event, and doubles covering
+// exponent forms, -0, a subnormal and inf. The event lines were produced
+// by the snprintf/ostream exporters these replaced.
 TEST(TraceExport, PinnedRecordingRendersUnchangedBytes) {
   TraceRecorder rec;
   const sim::NodeId n1{1}, n2{2}, none{};
@@ -343,14 +331,12 @@ TEST(TraceExport, PinnedRecordingRendersUnchangedBytes) {
   rec.record(EventKind::CoordTransition, Time::micros(3000000), n2, n1, 4,
              5e-324, 1e16, (2 << 8) | (1 << 4) | 2);
   rec.record(EventKind::AnchorChange, Time::micros(4000000), n2, none, 2);
-  rec.log(LogLevel::Warn, "tab\tand \x01 ctl");
   rec.record(EventKind::AppDeliver, Time::micros(4500000), n1, n2, 9,
              std::numeric_limits<double>::infinity(), 2.5e-5, 1);
   EXPECT_EQ(chrome_trace_json(rec), R"pin({"traceEvents":[
 {"ph":"M","pid":0,"tid":1000000,"name":"thread_name","args":{"name":"(none)"}},
 {"ph":"M","pid":0,"tid":1,"name":"thread_name","args":{"name":"n1 bs"}},
 {"ph":"M","pid":0,"tid":2,"name":"thread_name","args":{"name":"n2 vehicle \"x\""}},
-{"ph":"M","pid":0,"tid":1000001,"name":"thread_name","args":{"name":"log"}},
 {"name":"beacon_tx","cat":"beacon","pid":0,"tid":1,"ts":0,"ph":"i","s":"t","args":{"peer":"-","id":0,"a":0,"b":0,"c":0}},
 {"name":"beacon_rx","cat":"beacon","pid":0,"tid":2,"ts":100250,"ph":"i","s":"t","args":{"peer":"n1","id":1,"a":-63.25,"b":0,"c":0}},
 {"name":"anchor_change","cat":"designation","pid":0,"tid":2,"ts":100300,"ph":"i","s":"t","args":{"peer":"n1","id":1,"a":0.30000000000000004,"b":0,"c":0}},
@@ -365,8 +351,7 @@ TEST(TraceExport, PinnedRecordingRendersUnchangedBytes) {
 {"name":"contact","cat":"span","ph":"X","pid":0,"tid":2,"ts":100250,"dur":1999750,"args":{"peer":"n1"}},
 {"name":"anchor_tenure","cat":"span","ph":"X","pid":0,"tid":2,"ts":100300,"dur":3899700,"args":{"peer":"n1"}},
 {"name":"phase:Discovered","cat":"span","ph":"X","pid":0,"tid":2,"ts":2000000,"dur":1000000,"args":{"peer":"n1"}},
-{"name":"phase:Associated","cat":"span","ph":"X","pid":0,"tid":2,"ts":3000000,"dur":1500000,"args":{"peer":"n1"}},
-{"name":"tab\tand \u0001 ctl","cat":"log","ph":"i","s":"t","pid":0,"tid":1000001,"ts":4000000,"args":{"level":2}}
+{"name":"phase:Associated","cat":"span","ph":"X","pid":0,"tid":2,"ts":3000000,"dur":1500000,"args":{"peer":"n1"}}
 ]}
 )pin");
   EXPECT_EQ(events_jsonl(rec), R"pin({"seq":1,"t_us":0,"kind":"beacon_tx","node":"n1","peer":"-","id":0,"a":0,"b":0,"c":0}
@@ -379,8 +364,7 @@ TEST(TraceExport, PinnedRecordingRendersUnchangedBytes) {
 {"seq":8,"t_us":2500000,"kind":"handoff","node":"-","peer":"-","id":0,"a":-0,"b":1.2345678901234568e+17,"c":0}
 {"seq":9,"t_us":3000000,"kind":"coord_transition","node":"n2","peer":"n1","id":4,"a":4.9406564584124654e-324,"b":10000000000000000,"c":530}
 {"seq":10,"t_us":4000000,"kind":"anchor_change","node":"n2","peer":"-","id":2,"a":0,"b":0,"c":0}
-{"seq":12,"t_us":4500000,"kind":"app_deliver","node":"n1","peer":"n2","id":9,"a":inf,"b":2.5000000000000001e-05,"c":1}
-{"seq":11,"t_us":4000000,"kind":"log","level":2,"message":"tab\tand \u0001 ctl"}
+{"seq":11,"t_us":4500000,"kind":"app_deliver","node":"n1","peer":"n2","id":9,"a":inf,"b":2.5000000000000001e-05,"c":1}
 )pin");
 }
 

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "export_strings.h"
 #include "obs/export.h"
 #include "obs/recorder.h"
 #include "obs/spool.h"
@@ -88,9 +89,8 @@ TraceEvent random_event(Rng& rng, const std::vector<int>& ids,
   return e;
 }
 
-/// Writes a part spool of \p events events (seqs from 1, with gaps like a
-/// recorder's log lines; with \p sparse, some gaps are huge), and maybe a
-/// label-only node.
+/// Writes a part spool of \p events events (seqs from 1, with small gaps;
+/// with \p sparse, some gaps are huge), and maybe a label-only node.
 void write_part(Rng& rng, const std::string& path, int events, bool sparse) {
   const std::vector<int> ids = node_pool(rng);
   SpoolWriter part(path, static_cast<std::size_t>(rng.uniform_int(1, 8)));
@@ -103,7 +103,7 @@ void write_part(Rng& rng, const std::string& path, int events, bool sparse) {
     part.push(random_event(rng, ids, seq, at));
   }
   if (rng.uniform01() < 0.5) part.set_node_label(sim::NodeId{777}, "label-only");
-  part.finalize({});
+  part.finalize();
 }
 
 TEST(AbsorbProps, CopyingMatchesTheReplayByteForByte) {
@@ -146,8 +146,8 @@ TEST(AbsorbProps, CopyingMatchesTheReplayByteForByte) {
       }
       a.set_node_label(sim::NodeId{3}, "bs");
       b.set_node_label(sim::NodeId{3}, "bs");
-      a.finalize({});
-      b.finalize({});
+      a.finalize();
+      b.finalize();
     }
     ASSERT_EQ(slurp(fast), slurp(slow)) << "run " << run << ", block " << block;
   }
@@ -179,8 +179,6 @@ TEST(AbsorbProps, StreamRecorderAbsorbMatchesADirectRecording) {
         const double a = rng.uniform01();
         for (TraceRecorder* r : {&direct, &part})
           r->record(kind, at, node, sim::NodeId{1}, 7, a, 0.0, 1);
-        if (rng.uniform01() < 0.02)
-          for (TraceRecorder* r : {&direct, &part}) r->log(LogLevel::Warn, "w");
       }
       session.absorb(part, base);
       base = base + Time::seconds(3.0);
@@ -229,7 +227,7 @@ TEST(AbsorbProps, HostilePartsThrowWhereVisitThrows) {
       e.node = sim::NodeId{1 + i % 2};
       w.push(e);
     }
-    w.finalize({});
+    w.finalize();
   };
   for (const bool sparse : {false, true}) {
     const std::string good = (dir / "good.spool").string();
@@ -333,9 +331,9 @@ TEST(ExportProps, MemoizedDoublesRenderAsPrintfDoes) {
 // memo and the event loop; each file must equal a pass that renders only
 // its own format (write_chrome_trace, write_jsonl), and export_spool must
 // write those bytes beside the spool. Seeded recordings vary node ids on
-// both sides of the dense index and the invalid id, routed log lines,
-// labels that need escaping, a label-only node, and include an empty
-// spool (run 0) and a labels-only one (run 1).
+// both sides of the dense index and the invalid id, labels that need
+// escaping, a label-only node, and include an empty spool (run 0) and a
+// labels-only one (run 1).
 TEST(ExportProps, OnePassExportMatchesSeparateRenders) {
   const fs::path dir = temp_dir("vifi_export_props");
   for (int run = 0; run < 40; ++run) {
@@ -350,9 +348,6 @@ TEST(ExportProps, OnePassExportMatchesSeparateRenders) {
       rec.record(e.kind == EventKind::Log ? EventKind::RelayTx : e.kind,
                  Time::micros(rng.uniform_int(0, 1000) + 1000 * i), e.node,
                  e.peer, e.id, e.a, e.b, e.c);
-      if (rng.uniform01() < 0.02)
-        rec.log(rng.uniform01() < 0.5 ? LogLevel::Warn : LogLevel::Error,
-                "log \"" + std::to_string(i) + "\"\n\ttab\x01");
     }
     if (run != 0) {
       for (const int id : ids)

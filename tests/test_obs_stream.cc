@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "export_strings.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
@@ -86,7 +87,7 @@ TEST(Spool, EncodeDecodeIsTheIdentityOnEveryField) {
   EXPECT_EQ(std::memcmp(&d.b, &e.b, sizeof(double)), 0);
 }
 
-TEST(Spool, WriterReaderRoundTripAcrossBlocksNodesAndLogs) {
+TEST(Spool, WriterReaderRoundTripAcrossBlocksAndNodes) {
   const fs::path dir = temp_dir("vifi_spool_roundtrip");
   const std::string path = (dir / "t.spool").string();
   {
@@ -97,7 +98,7 @@ TEST(Spool, WriterReaderRoundTripAcrossBlocksNodesAndLogs) {
     for (int i = 0; i < 5; ++i)
       writer.push(make_event(EventKind::BeaconRx, 0.2 * i, 2, 1, seq++));
     writer.set_node_label(sim::NodeId{1}, "bs");
-    writer.finalize({{1000, seq, 2, "ring full"}});
+    writer.finalize();
     EXPECT_TRUE(writer.finalized());
   }
   const SpoolReader reader(path);
@@ -105,7 +106,7 @@ TEST(Spool, WriterReaderRoundTripAcrossBlocksNodesAndLogs) {
   EXPECT_EQ(reader.block_events(), 4u);
   EXPECT_EQ(reader.kind_count(EventKind::BeaconTx), 11u);
   EXPECT_EQ(reader.kind_count(EventKind::BeaconRx), 5u);
-  EXPECT_EQ(reader.kind_count(EventKind::Log), 1u);
+  EXPECT_EQ(reader.kind_count(EventKind::Log), 0u);
   EXPECT_EQ(reader.max_at_us(), Time::seconds(1.0).to_micros());
 
   ASSERT_EQ(reader.nodes().size(), 2u);
@@ -128,9 +129,6 @@ TEST(Spool, WriterReaderRoundTripAcrossBlocksNodesAndLogs) {
   ASSERT_EQ(all.size(), 16u);
   for (std::size_t i = 1; i < all.size(); ++i)
     EXPECT_LT(all[i - 1].seq, all[i].seq);
-
-  ASSERT_EQ(reader.logs().size(), 1u);
-  EXPECT_EQ(reader.logs()[0].message, "ring full");
   fs::remove_all(dir);
 }
 
@@ -147,7 +145,7 @@ TEST(Spool, ReaderRejectsForeignAndTruncatedFiles) {
   {
     SpoolWriter writer(good);
     writer.push(make_event(EventKind::BeaconTx, 1.0, 1, -1, 1));
-    writer.finalize({});
+    writer.finalize();
   }
   // Chopping the trailer off makes the reader refuse with a crisp error.
   const std::string bytes = slurp(good);
@@ -191,7 +189,7 @@ std::string write_interleaved_spool(const fs::path& dir) {
   for (int i = 0; i < 12; ++i)
     writer.push(make_event(EventKind::BeaconTx, 0.1 * i, 1 + i % 2, -1,
                            static_cast<std::uint64_t>(i + 1)));
-  writer.finalize({});
+  writer.finalize();
   return path;
 }
 
@@ -273,11 +271,32 @@ TEST(Spool, HostileChunksThrowNamingTheFileOnEveryRead) {
   fs::remove_all(dir);
 }
 
+// The footer keeps a u32 log-line count that the writer always sets to 0;
+// a spool whose count is not 0 is refused when it is opened.
+TEST(Spool, ReaderRejectsAFooterCarryingLogLines) {
+  const fs::path dir = temp_dir("vifi_spool_logs");
+  const std::string good = write_interleaved_spool(dir);
+  std::string bytes = slurp(good);
+  // The count is the footer's last field, just before the 16-byte trailer.
+  const std::uint64_t count_at = bytes.size() - 16 - 4;
+  std::uint32_t count = 1;
+  std::memcpy(&count, bytes.data() + count_at, 4);
+  ASSERT_EQ(count, 0u);
+  poke<std::uint32_t>(bytes, count_at, 1);
+  const std::string path = (dir / "logs.spool").string();
+  spit(path, bytes);
+  const std::string what = read_error([&] { (void)SpoolReader{path}; });
+  EXPECT_NE(what.find("1 log lines"), std::string::npos) << what;
+  EXPECT_NE(what.find(path), std::string::npos) << what;
+  EXPECT_NO_THROW(SpoolReader{good});
+  fs::remove_all(dir);
+}
+
 TEST(Spool, PushAfterFinalizeIsAContractViolation) {
   const fs::path dir = temp_dir("vifi_spool_after_finalize");
   SpoolWriter writer((dir / "t.spool").string());
   writer.push(make_event(EventKind::BeaconTx, 1.0, 1, -1, 1));
-  writer.finalize({});
+  writer.finalize();
   EXPECT_THROW(writer.push(make_event(EventKind::BeaconTx, 2.0, 1, -1, 2)),
                ContractViolation);
   fs::remove_all(dir);
@@ -301,7 +320,6 @@ void record_schedule(TraceRecorder& rec, std::uint64_t seed, int events) {
                rng.uniform01(), rng.uniform(-5.0, 5.0),
                static_cast<std::int32_t>(rng.uniform_int(0, 100)));
   }
-  rec.log(LogLevel::Warn, "schedule done");
 }
 
 TEST(RecorderSpool, ExportsDoNotDependOnTheSpoolBlockSize) {
@@ -339,7 +357,6 @@ TEST(RecorderSpool, KeepsEveryEventAndReconcilesWithTheFooter) {
   EXPECT_EQ(reader.recorded(), stream_rec.recorded());
   for (int k = 0; k < kEventKindCount; ++k) {
     const auto kind = static_cast<EventKind>(k);
-    if (kind == EventKind::Log) continue;  // footer logs, not chunk records
     EXPECT_EQ(reader.kind_count(kind), stream_rec.count(kind))
         << to_string(kind);
   }
