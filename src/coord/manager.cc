@@ -57,14 +57,11 @@ void ConnectivityManager::maybe_predict(NodeId vehicle, ClientState& st) {
   st.confidence = p->confidence;
   ++predictions_;
   fire(vehicle, st, CoordEvent::PredictionMade);
-  if (params_.prestage) {
-    ++prestages_;
-    if (obs::TraceRecorder* rec = obs::current_recorder())
-      rec->record(obs::EventKind::CoordPrestage, sim_.now(), vehicle,
-                  st.predicted, 0, st.confidence);
-    if (prestage_handler_)
-      prestage_handler_(vehicle, st.predicted, st.anchor);
-  }
+  ++prestages_;
+  if (obs::TraceRecorder* rec = obs::current_recorder())
+    rec->record(obs::EventKind::CoordPrestage, sim_.now(), vehicle,
+                st.predicted, 0, st.confidence);
+  if (prestage_handler_) prestage_handler_(vehicle, st.predicted, st.anchor);
 }
 
 void ConnectivityManager::on_beacon(NodeId observer, NodeId vehicle,
@@ -140,7 +137,6 @@ void ConnectivityManager::tick(Time now) {
 }
 
 bool ConnectivityManager::suppress_relay(NodeId aux, NodeId vehicle) {
-  if (!params_.suppress_relays) return false;
   const auto it = clients_.find(vehicle);
   if (it == clients_.end()) return false;
   const ClientState& st = it->second;

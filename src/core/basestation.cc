@@ -201,9 +201,8 @@ void VifiBasestation::on_data(const mac::Frame& f) {
       }
       salvage_buffer_.erase(id);
     }
-    receiver_.accept({.packet = f.packet, .link_seq = f.data.link_seq,
-                      .attempt = f.data.attempt, .relayed = f.data.is_relay,
-                      .peer = f.data.relayer, .origin = f.data.origin});
+    receiver_.accept({.packet = f.packet, .attempt = f.data.attempt,
+                      .relayed = f.data.is_relay, .peer = f.data.relayer});
     return;
   }
 
@@ -234,7 +233,6 @@ void VifiBasestation::on_data(const mac::Frame& f) {
     if (e.packet_id == f.data.packet_id) return;
   overheard_.push_back({.packet = f.packet,
                         .packet_id = f.data.packet_id,
-                        .link_seq = f.data.link_seq,
                         .attempt = f.data.attempt,
                         .origin = f.data.origin,
                         .hop_dst = f.data.hop_dst,
@@ -265,9 +263,8 @@ void VifiBasestation::on_wire(const net::WireMessage& msg) {
       break;
     case net::WireMessage::Kind::RelayedData:
       VIFI_EXPECTS(msg.packet != nullptr);
-      receiver_.accept({.packet = msg.packet, .link_seq = msg.link_seq,
-                        .attempt = msg.attempt, .relayed = true,
-                        .peer = msg.from, .origin = msg.packet->src});
+      receiver_.accept({.packet = msg.packet, .attempt = msg.attempt,
+                        .relayed = true, .peer = msg.from});
       break;
     case net::WireMessage::Kind::SalvageRequest: {
       // Hand over unacknowledged recent Internet packets destined for the
@@ -368,7 +365,6 @@ void VifiBasestation::on_relay_tick() {
       relay.to = dst;
       relay.packet = e.packet;
       relay.attempt = e.attempt;
-      relay.link_seq = e.link_seq;
       relay.bytes = e.packet->bytes + kWireHeaderBytes;
       backplane_.send(std::move(relay));
     } else {
@@ -379,7 +375,6 @@ void VifiBasestation::on_relay_tick() {
       mac::Frame relay = radio_.recycled_frame(mac::FrameType::Data);
       relay.packet = e.packet;
       relay.data.packet_id = id;
-      relay.data.link_seq = e.link_seq;
       relay.data.attempt = e.attempt;
       relay.data.origin = e.origin;
       relay.data.hop_dst = e.hop_dst;

@@ -103,7 +103,6 @@ class VifiBasestation {
   struct OverheardEntry {
     net::PacketRef packet;
     std::uint64_t packet_id = 0;
-    std::uint64_t link_seq = 0;
     int attempt = 0;
     NodeId origin;
     NodeId hop_dst;

@@ -10,7 +10,11 @@
 ///   * "Only Diversity" .... diversity=true,  salvage=false  (Fig. 9)
 ///   * ViFi ................ diversity=true,  salvage=true
 ///
-/// `variant` selects the §5.5.1 coordination ablations.
+/// `variant` selects the §5.5.1 coordination ablations. The rest is the
+/// paper's design, not a switch: the vehicle designates every BS it hears
+/// as an auxiliary (§4.3), and packets go up the stack in arrival order, as
+/// in §4.7's prototype (the reordering it measures is small and does not
+/// hurt TCP).
 
 #include <array>
 #include <vector>
@@ -80,33 +84,18 @@ struct VifiConfig {
   /// Size of the piggybacked recently-received id list (§4.8's 1-byte
   /// bitmap covers the last eight packets).
   int piggyback_depth = 8;
-
-  /// §4.3 extension: cap the auxiliary set to the k best-heard BSes
-  /// (negative = designate every BS heard, the paper's default). §3.4.1
-  /// finds two or three auxiliaries capture nearly all of the gain, and
-  /// §5.5.2 suggests the cap as a fix for high-density deployments.
-  int max_auxiliaries = -1;
-
-  /// §4.7 extension: deliver packets to the application in link-sequence
-  /// order through a sequencing buffer (off by default; the paper measures
-  /// that reordering is small and does not hurt TCP).
-  bool inorder_delivery = false;
-  /// How long the sequencing buffer waits for missing predecessors.
-  Time reorder_hold = Time::millis(50);
 };
 
 /// CoordTier: the BS-side ConnectivityManager's knobs (src/coord/). Plain
 /// data here so the whole stack (executor -> LiveTrip -> VifiSystem) can
 /// thread it through without depending on the coord layer.
 struct CoordParams {
-  /// Off by default: the historical PAB-only stack, byte-for-byte.
+  /// Off by default: the historical PAB-only stack, byte-for-byte. On, the
+  /// manager warms the predicted next anchor (sender state + proactive
+  /// salvage pull) before the handoff beacon gap and suppresses
+  /// non-{anchor, predicted} auxiliary relays while a confident prediction
+  /// is live.
   bool enabled = false;
-  /// Warm the predicted next anchor (sender state + proactive salvage
-  /// pull) before the handoff beacon gap.
-  bool prestage = true;
-  /// Suppress non-{anchor, predicted} auxiliary relays while a confident
-  /// prediction is live.
-  bool suppress_relays = true;
   /// Predictions below this successor-share never commit. Routes through
   /// ~10-BS testbeds spread successions wide, so the floor is set where a
   /// clear favourite (several times the uniform share) still qualifies;

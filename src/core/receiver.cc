@@ -27,17 +27,7 @@ bool VifiReceiver::accept(const Arrival& a) {
   if (obs::TraceRecorder* rec = obs::current_recorder())
     rec->record(obs::EventKind::AppDeliver, sim_.now(), radio_.self(), a.peer,
                 id, 0.0, 0.0, dir_ == Direction::Downstream ? 1 : 0);
-  if (!release_) return true;
-  if (!config_.inorder_delivery || a.link_seq == 0) {
-    release_(a.packet);
-    return true;
-  }
-  std::unique_ptr<Sequencer>& sequencer = sequencers_[a.origin];
-  if (!sequencer)
-    sequencer = std::make_unique<Sequencer>(
-        sim_, config_.reorder_hold,
-        [this](const net::PacketRef& p) { release_(p); });
-  sequencer->push(a.link_seq, a.packet);
+  if (release_) release_(a.packet);
   return true;
 }
 

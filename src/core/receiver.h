@@ -9,18 +9,14 @@
 /// relayed one only if no copy was acked yet (§4.3 step 4). A packet's
 /// first copy alone then enters the piggyback window the agent's sender
 /// carries on reverse-path data (§4.8), is traced as AppDeliver and is
-/// released to the agent, in link-sequence order per origin when in-order
-/// delivery is on (§4.7's "sequencing buffer at anchor BSes and vehicles").
+/// released to the agent in arrival order, as in §4.7's prototype.
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
 #include <vector>
 
 #include "core/config.h"
 #include "core/id_set.h"
-#include "core/sequencer.h"
 #include "core/stats.h"
 #include "mac/radio.h"
 #include "net/packet.h"
@@ -34,11 +30,9 @@ class VifiReceiver {
   /// One arriving copy of a data packet.
   struct Arrival {
     net::PacketRef packet;
-    std::uint64_t link_seq = 0;  ///< 0 = unsequenced, released at once.
     int attempt = 0;
     bool relayed = false;
-    NodeId peer{};    ///< The AppDeliver peer; the relayer when relayed.
-    NodeId origin{};  ///< Whose sender assigned link_seq: sequencer key.
+    NodeId peer{};  ///< The AppDeliver peer; the relayer when relayed.
   };
 
   /// \p dir, the direction of the packets received here, sets the
@@ -76,8 +70,6 @@ class VifiReceiver {
   RecentIdSet received_;
   RecentIdSet acked_once_;
   RingQueue<std::uint64_t> window_;
-  /// In-order release buffers, one per stream origin (§4.7 extension).
-  std::map<NodeId, std::unique_ptr<Sequencer>> sequencers_;
 };
 
 }  // namespace vifi::core

@@ -115,14 +115,10 @@ void VifiSender::transmit(std::size_t i) {
   const Time now = sim_.now();
   ++e.attempts;
   e.last_tx = now;
-  // Stream sequence numbers follow *transmission* order (a later-queued
-  // packet sent early, §4.7, gets the earlier sequence number).
-  if (e.link_seq == 0) e.link_seq = ++next_link_seq_;
 
   mac::Frame f = radio_.recycled_frame(mac::FrameType::Data);
   f.packet = e.packet;
   f.data.packet_id = e.id;
-  f.data.link_seq = e.link_seq;
   f.data.attempt = e.attempts;
   f.data.origin = self_;
   f.data.hop_dst = hop_dst_();

@@ -81,7 +81,6 @@ class VifiSender {
     int attempts = 0;
     Time next_ready;       ///< Earliest time the next attempt may go out.
     Time last_tx;          ///< When the latest attempt was enqueued to air.
-    std::uint64_t link_seq = 0;  ///< Stream sequence, set at first tx.
   };
 
   void transmit(std::size_t i);
@@ -103,7 +102,6 @@ class VifiSender {
   /// ready one. A salvage round trip can queue one packet twice; an ack
   /// takes the earlier entry.
   std::vector<Entry> entries_;
-  std::uint64_t next_link_seq_ = 0;
   RingQueue<double> ack_delays_s_;  ///< Sliding window of samples.
   /// retx_interval()'s selection buffer, reused.
   mutable std::vector<double> delay_scratch_;

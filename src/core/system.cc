@@ -28,9 +28,7 @@ VifiSystem::VifiSystem(sim::Simulator& sim, channel::LossModel& loss,
 
   Rng root(config.seed);
   medium_ = std::make_unique<mac::Medium>(sim_, loss, config.medium);
-  backplane_ =
-      std::make_unique<net::Backplane>(sim_, root.fork("backplane"));
-  backplane_->set_default_link(config.wired);
+  backplane_ = std::make_unique<net::Backplane>(sim_);
 
   for (NodeId bs : bs_ids_) {
     auto radio = std::make_unique<mac::Radio>(

@@ -33,7 +33,6 @@ struct SystemConfig {
   /// by the scenario layer, so core stays coord-free.
   CoordParams coord;
   mac::MediumParams medium;
-  net::Backplane::LinkParams wired;
   std::uint64_t seed = 1;
 };
 

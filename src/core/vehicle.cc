@@ -1,7 +1,5 @@
 #include "core/vehicle.h"
 
-#include <algorithm>
-
 #include "obs/recorder.h"
 #include "util/contracts.h"
 
@@ -55,22 +53,12 @@ std::vector<NodeId> VifiVehicle::auxiliaries() const {
 
 void VifiVehicle::auxiliaries(std::vector<NodeId>& aux) const {
   // "We currently pick all BSes that the vehicle hears as auxiliaries"
-  // (§4.3), minus the anchor. With max_auxiliaries set, only the k
-  // best-heard BSes are designated (§3.4.1 / §5.5.2 extension).
-  const Time now = sim_.now();
+  // (§4.3), minus the anchor.
   aux.clear();
-  pab_.for_each_recent_neighbor(now, config_.neighbor_staleness,
+  pab_.for_each_recent_neighbor(sim_.now(), config_.neighbor_staleness,
                                 [&](NodeId bs) {
                                   if (bs != anchor_) aux.push_back(bs);
                                 });
-  if (config_.max_auxiliaries >= 0 &&
-      aux.size() > static_cast<std::size_t>(config_.max_auxiliaries)) {
-    std::sort(aux.begin(), aux.end(), [&](NodeId a, NodeId b) {
-      return pab_.incoming(a, now) > pab_.incoming(b, now);
-    });
-    aux.resize(static_cast<std::size_t>(config_.max_auxiliaries));
-    std::sort(aux.begin(), aux.end());
-  }
 }
 
 int VifiVehicle::auxiliary_count() const {
@@ -79,8 +67,7 @@ int VifiVehicle::auxiliary_count() const {
                                 [&](NodeId bs) {
                                   if (bs != anchor_) ++n;
                                 });
-  return config_.max_auxiliaries >= 0 ? std::min(n, config_.max_auxiliaries)
-                                      : n;
+  return n;
 }
 
 void VifiVehicle::on_second_tick() {
@@ -187,10 +174,9 @@ void VifiVehicle::on_data(const mac::Frame& f) {
   for (std::uint64_t id : f.data.piggyback_acked)
     sender_.acknowledge(id, sim_.now(), /*explicit_ack=*/false);
 
-  const bool is_new = receiver_.accept(
-      {.packet = f.packet, .link_seq = f.data.link_seq,
-       .attempt = f.data.attempt, .relayed = f.data.is_relay, .peer = f.tx,
-       .origin = f.data.origin});
+  const bool is_new =
+      receiver_.accept({.packet = f.packet, .attempt = f.data.attempt,
+                        .relayed = f.data.is_relay, .peer = f.tx});
   if (is_new && stats_) stats_->on_app_delivered(Direction::Downstream);
 }
 

@@ -59,9 +59,6 @@ struct BeaconPayload {
 /// ViFi data header riding on every data frame.
 struct DataHeader {
   std::uint64_t packet_id = 0;  ///< ViFi's unique per-packet id (§4.7).
-  /// Consecutive per-sender stream sequence, assigned at first
-  /// transmission; feeds the optional in-order sequencing buffer (§4.7).
-  std::uint64_t link_seq = 0;
   int attempt = 1;    ///< Source transmission attempt (1 = first).
   NodeId origin;      ///< Original wireless-hop source (vehicle or anchor).
   NodeId hop_dst;     ///< Intended wireless-hop destination.

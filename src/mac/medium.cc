@@ -20,10 +20,9 @@ Medium::Medium(sim::Simulator& sim, channel::LossModel& loss,
     VIFI_EXPECTS(c.position != nullptr);
     VIFI_EXPECTS(c.max_audible_m > 0.0);
     VIFI_EXPECTS(c.margin_m >= 0.0);
-    VIFI_EXPECTS(c.cell_m >= 0.0);
     VIFI_EXPECTS(c.refresh > Time::zero());
     const double range = c.max_audible_m + 2.0 * c.margin_m;
-    cull_cell_size_ = c.cell_m > 0.0 ? c.cell_m : range / 8.0;
+    cull_cell_size_ = range / 8.0;
     cull_range_sq_ = range * range;
   }
 }
@@ -54,12 +53,7 @@ void Medium::attach(NodeId node, FrameSink* sink) {
   Port& p = ports_.emplace_back();
   p.node = node;
   p.sink = sink;
-  if (params_.culling) {
-    cull_cell_.emplace_back(0, 0);
-    cull_channel_.push_back(params_.culling->channel_of
-                                ? params_.culling->channel_of(node)
-                                : 0);
-  }
+  if (params_.culling) cull_cell_.emplace_back(0, 0);
   // Every list gains the new node (with culling, once it has a cell).
   receivers_fresh_ = false;
 }
@@ -91,7 +85,6 @@ void Medium::refresh_receivers(Time now) {
 }
 
 bool Medium::culled(std::size_t a, std::size_t b) const {
-  if (cull_channel_[a] != cull_channel_[b]) return true;
   // Two points in cells (di, dj) apart are at least
   // hypot(max(0,|di|-1), max(0,|dj|-1)) * cell apart. Cull only when that
   // floor exceeds max_audible + 2*margin: the pair was provably out of
@@ -237,7 +230,6 @@ void Medium::finish(std::uint64_t seq) {
   for (const std::uint32_t i : tx.decoders) {
     Port& rx = ports_[i];
     const bool collided =
-        params_.model_collisions &&
         std::any_of(rx.heard.rbegin(), rx.heard.rend(), [&](const Heard& h) {
           return h.seq != tx.seq && !pruned(h.end) && h.start < tx.end &&
                  tx.start < h.end;

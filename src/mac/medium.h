@@ -73,22 +73,16 @@ struct SpatialCulling {
   /// Position of any attached node at a time (e.g. Testbed::position_fn();
   /// the provider must outlive the medium).
   std::function<mobility::Vec2(NodeId, Time)> position;
-  /// Links longer than this are provably sub-audibility.
+  /// Links longer than this are provably sub-audibility. The grid's cell
+  /// edge is (max_audible_m + 2*margin_m) / 8: each refresh tests every
+  /// pair once, at the same cost whatever the cell size, to rebuild the
+  /// per-port receiver lists; smaller cells only sharpen the keep radius
+  /// (cell-quantisation slack is about one cell diagonal).
   double max_audible_m = 250.0;
-  /// Grid cell edge in meters; 0 derives (max_audible_m + 2*margin_m) / 8.
-  /// Each refresh tests every pair once, at the same cost whatever the
-  /// cell size, to rebuild the per-port receiver lists; smaller cells only
-  /// sharpen the keep radius (cell-quantisation slack is about one cell
-  /// diagonal), and the floor is keeping cell indices well inside 32-bit
-  /// for any plausible coordinate.
-  double cell_m = 0.0;
   /// Cached cell coordinates refresh when older than this.
   Time refresh = Time::millis(250);
   /// Motion allowance per endpoint between refreshes.
   double margin_m = 25.0;
-  /// Optional frequency partition: nodes on different channels never pay
-  /// decode cost for each other. Unset = everyone shares one channel.
-  std::function<int(NodeId)> channel_of;
 };
 
 struct MediumParams {
@@ -97,7 +91,6 @@ struct MediumParams {
   /// Links with current reception probability above this are "audible" for
   /// carrier sense and collision purposes.
   double audibility_threshold = 0.05;
-  bool model_collisions = true;
   /// Spatial interference culling; unset (the default) keeps the
   /// historical all-pairs broadcast byte-for-byte.
   std::optional<SpatialCulling> culling;
@@ -247,7 +240,6 @@ class Medium {
   /// Spatial-culling state, parallel to ports_; empty and unused when
   /// params_.culling is unset.
   std::vector<std::pair<std::int32_t, std::int32_t>> cull_cell_;
-  std::vector<int> cull_channel_;
   Time cull_refreshed_;
   double cull_cell_size_ = 0.0;
   double cull_range_sq_ = 0.0;  ///< (max_audible + 2*margin)^2, m^2.

@@ -5,9 +5,8 @@
 
 namespace vifi::mac {
 
-Radio::Radio(sim::Simulator& sim, Medium& medium, NodeId self, Rng rng,
-             RadioParams params)
-    : sim_(sim), medium_(medium), self_(self), rng_(rng), params_(params) {
+Radio::Radio(sim::Simulator& sim, Medium& medium, NodeId self, Rng rng)
+    : sim_(sim), medium_(medium), self_(self), rng_(rng) {
   VIFI_EXPECTS(self.valid());
   medium_.attach(self_, this);
 }
@@ -31,9 +30,9 @@ void Radio::try_send() {
   if (until > now) {
     // Defer until the audible transmission ends plus a random number of
     // slots; fixed window, no exponential growth (§4.8).
-    const Time wait = until - now +
-                      params_.slot * static_cast<double>(rng_.uniform_int(
-                                         1, params_.max_defer_slots));
+    const Time wait =
+        until - now +
+        kSlot * static_cast<double>(rng_.uniform_int(1, kMaxDeferSlots));
     medium_.note_deferral(self_, wait);
     retry_scheduled_ = true;
     sim_.schedule(wait, [this] {

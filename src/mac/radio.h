@@ -19,15 +19,12 @@
 
 namespace vifi::mac {
 
-struct RadioParams {
-  Time slot = Time::micros(20);
-  int max_defer_slots = 16;  ///< Random deferral window after busy.
-};
-
 class Radio final : public FrameSink {
  public:
-  Radio(sim::Simulator& sim, Medium& medium, NodeId self, Rng rng,
-        RadioParams params = {});
+  static constexpr Time kSlot = Time::micros(20);
+  static constexpr int kMaxDeferSlots = 16;  ///< Deferral window after busy.
+
+  Radio(sim::Simulator& sim, Medium& medium, NodeId self, Rng rng);
 
   Radio(const Radio&) = delete;
   Radio& operator=(const Radio&) = delete;
@@ -64,7 +61,6 @@ class Radio final : public FrameSink {
   Medium& medium_;
   NodeId self_;
   Rng rng_;
-  RadioParams params_;
   RingQueue<Frame> queue_;
   bool transmitting_ = false;
   bool retry_scheduled_ = false;

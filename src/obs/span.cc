@@ -60,7 +60,7 @@ void SpanBuilder::add(const TraceEvent& e) {
       const auto it = contacts_.find(key);
       if (it == contacts_.end()) {
         contacts_[key] = {e.at, e.at};
-      } else if (e.at - it->second.last > config_.contact_gap) {
+      } else if (e.at - it->second.last > kContactGap) {
         out_.push_back({SpanKind::Contact, e.node, e.peer, it->second.begin,
                         it->second.last, {}});
         it->second = {e.at, e.at};
@@ -94,8 +94,8 @@ std::vector<Span> SpanBuilder::finish(Time horizon) {
 }
 
 std::vector<Span> build_spans(const std::vector<TraceEvent>& events,
-                              Time horizon, const SpanConfig& config) {
-  SpanBuilder builder(config);
+                              Time horizon) {
+  SpanBuilder builder;
   for (const TraceEvent& e : events) builder.add(e);
   return builder.finish(horizon);
 }

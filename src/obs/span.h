@@ -23,9 +23,10 @@
 ///                 (its start is not observable from the stream); open
 ///                 non-Idle phases close at the horizon.
 ///   Contact       one span per BeaconRx run between a (receiver, tx)
-///                 pair; a gap larger than SpanConfig::contact_gap splits
-///                 runs. Contacts close at the last beacon heard, not the
-///                 horizon; a single beacon yields a zero-length span.
+///                 pair; a gap larger than SpanBuilder::kContactGap
+///                 splits runs. Contacts close at the last beacon heard,
+///                 not the horizon; a single beacon yields a zero-length
+///                 span.
 
 #include <map>
 #include <string>
@@ -64,11 +65,6 @@ struct Span {
 /// Display name for a span: "anchor_tenure", "phase:<name>", "contact".
 std::string span_label(const Span& span);
 
-struct SpanConfig {
-  /// BeaconRx gap above which a contact run is split in two.
-  Time contact_gap = Time::seconds(3.0);
-};
-
 /// Incremental span derivation. add() takes the events in seq order
 /// (TraceRecorder::visit / SpoolReader::visit order); finish() closes the
 /// open intervals at \p horizon and returns every span, canonically
@@ -76,7 +72,8 @@ struct SpanConfig {
 /// deterministic stream. Only open intervals and finished spans are held.
 class SpanBuilder {
  public:
-  explicit SpanBuilder(const SpanConfig& config = {}) : config_(config) {}
+  /// BeaconRx gap above which a contact run is split in two.
+  static constexpr Time kContactGap = Time::seconds(3.0);
 
   void add(const TraceEvent& e);
   /// Call once, after the last add().
@@ -97,7 +94,6 @@ class SpanBuilder {
     Time last;
   };
 
-  SpanConfig config_;
   std::vector<Span> out_;
   // Ordered maps for deterministic horizon-close order (the final sort
   // ties on every Span field, so this is belt-and-braces, not required).
@@ -108,6 +104,6 @@ class SpanBuilder {
 
 /// SpanBuilder over a whole event vector (seq-ascending).
 std::vector<Span> build_spans(const std::vector<TraceEvent>& events,
-                              Time horizon, const SpanConfig& config = {});
+                              Time horizon);
 
 }  // namespace vifi::obs

@@ -339,16 +339,6 @@ TEST_F(CoordManagerTest, SuppressionOnlyInsideConfidentPredictionWindows) {
   EXPECT_EQ(mgr.suppressed_relays(), 1u);
 }
 
-TEST_F(CoordManagerTest, SuppressionRespectsTheConfigSwitch) {
-  core::CoordParams params = confident_params();
-  params.suppress_relays = false;
-  ConnectivityManager mgr(sim_, params);
-  mgr.on_beacon(bs_a_, veh_, bs_a_);
-  ASSERT_EQ(mgr.phase(veh_), P::PredictedHandoff);
-  EXPECT_FALSE(mgr.suppress_relay(bs_c_, veh_));
-  EXPECT_EQ(mgr.suppressed_relays(), 0u);
-}
-
 TEST_F(CoordManagerTest, NoPredictionWithoutHistorySupport) {
   core::CoordParams params;
   params.enabled = true;  // No offline history at all.

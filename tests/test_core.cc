@@ -1,8 +1,8 @@
 // Unit tests for ViFi core components: pab estimation/gossip, the relay
 // probability computation (Eq. 1-3 and the ¬G variants), the sender's
 // acknowledgment handling and retransmission order, the receiver's §4.3
-// ack rule, duplicate suppression, piggyback window and in-order release,
-// stats accounting, and the id set.
+// ack rule, duplicate suppression and piggyback window, stats accounting,
+// and the id set.
 
 #include <gtest/gtest.h>
 
@@ -760,14 +760,11 @@ struct ReceiverRig {
   net::PacketRef packet(Direction dir) {
     return factory.make(dir, NodeId(1), NodeId(0), 100, sim.now());
   }
-  void arrive(VifiReceiver& receiver, const net::PacketRef& p, bool relayed,
-              std::uint64_t link_seq = 0, NodeId origin = NodeId(1)) {
+  void arrive(VifiReceiver& receiver, const net::PacketRef& p, bool relayed) {
     receiver.accept({.packet = p,
-                     .link_seq = link_seq,
                      .attempt = 1,
                      .relayed = relayed,
-                     .peer = relayed ? NodeId(2) : NodeId(1),
-                     .origin = origin});
+                     .peer = relayed ? NodeId(2) : NodeId(1)});
     run_for(Time::millis(5));
   }
   void run_for(Time t) { sim.run_until(sim.now() + t); }
@@ -850,32 +847,6 @@ TEST(VifiReceiver, WindowHoldsTheNewestPiggybackDepthIds) {
     std::vector<std::uint64_t> window;
     receiver.recent_ids(window);
     EXPECT_EQ(window, (std::vector<std::uint64_t>{ids[2], ids[3], ids[4]}));
-  }
-}
-
-TEST(VifiReceiver, InorderReleaseIsPerOriginInLinkSeqOrder) {
-  for (const Direction dir : kBothDirections) {
-    SCOPED_TRACE(dir == Direction::Upstream ? "upstream" : "downstream");
-    ReceiverRig rig;
-    VifiConfig config;
-    config.inorder_delivery = true;
-    config.reorder_hold = Time::seconds(1.0);
-    VifiReceiver receiver(rig.sim, rig.radio, config, dir, nullptr);
-    rig.wire(receiver);
-    const NodeId a(5), b(6);
-    const net::PacketRef a1 = rig.packet(dir), a2 = rig.packet(dir);
-    const net::PacketRef b1 = rig.packet(dir), b2 = rig.packet(dir);
-    const net::PacketRef unsequenced = rig.packet(dir);
-    // b's second packet waits for its first; a's stream is not held by it.
-    rig.arrive(receiver, b2, /*relayed=*/false, 2, b);
-    rig.arrive(receiver, a2, /*relayed=*/true, 2, a);
-    rig.arrive(receiver, a1, /*relayed=*/false, 1, a);
-    EXPECT_EQ(rig.released, (std::vector<std::uint64_t>{a1->id, a2->id}));
-    rig.arrive(receiver, unsequenced, /*relayed=*/false, 0, b);
-    rig.arrive(receiver, b1, /*relayed=*/false, 1, b);
-    EXPECT_EQ(rig.released,
-              (std::vector<std::uint64_t>{a1->id, a2->id, unsequenced->id,
-                                          b1->id, b2->id}));
   }
 }
 

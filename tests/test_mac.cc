@@ -344,29 +344,6 @@ TEST(Medium, NonOverlappingTransmissionsBothDeliver) {
   EXPECT_EQ(r.frames.size(), 2u);
 }
 
-TEST(Medium, CollisionsCanBeDisabled) {
-  sim::Simulator sim;
-  FakeLoss loss;
-  MediumParams params;
-  params.model_collisions = false;
-  Medium medium(sim, loss, params);
-  Collector a, b, r;
-  medium.attach(NodeId(0), &a);
-  medium.attach(NodeId(1), &b);
-  medium.attach(NodeId(2), &r);
-  loss.set(NodeId(0), NodeId(2), 1.0);
-  loss.set(NodeId(1), NodeId(2), 1.0);
-  net::PacketFactory factory;
-  Frame f0 = data_frame(factory, sim, 200);
-  f0.tx = NodeId(0);
-  Frame f1 = data_frame(factory, sim, 200);
-  f1.tx = NodeId(1);
-  medium.transmit(f0);
-  medium.transmit(f1);
-  sim.run();
-  EXPECT_EQ(r.frames.size(), 2u);
-}
-
 TEST(Medium, BusyForAudibleListeners) {
   sim::Simulator sim;
   FakeLoss loss;

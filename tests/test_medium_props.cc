@@ -411,59 +411,15 @@ TEST(MediumProperties, CulledSchedulesConserveAndOnlySkipSubAudibility) {
   }
 }
 
-// Frequency partitioning: co-located nodes on different channels never pay
-// decode cost for each other, and the partition alone accounts for every
-// skipped receiver.
-TEST(MediumProperties, CullingChannelPartitionSkipsCrossChannelPairs) {
-  constexpr int kNodes = 8;
-  // Everyone at the origin: distance can never cull, only the channel map.
-  std::vector<mobility::Vec2> positions(kNodes, mobility::Vec2{0.0, 0.0});
-  DistanceLoss loss(positions, Rng(77));
-  sim::Simulator sim;
-  MediumParams params;
-  SpatialCulling cull;
-  cull.position = [](NodeId, Time) { return mobility::Vec2{0.0, 0.0}; };
-  cull.max_audible_m = 950.0;
-  cull.margin_m = 0.0;
-  cull.channel_of = [](NodeId id) { return id.value() % 2; };
-  params.culling = std::move(cull);
-  Medium medium(sim, loss, std::move(params));
-  std::vector<NullSink> sinks(kNodes);
-  for (int n = 0; n < kNodes; ++n)
-    medium.attach(NodeId(n), &sinks[static_cast<std::size_t>(n)]);
-  net::PacketFactory factory;
-  Time at;
-  for (int i = 0; i < kNodes; ++i) {
-    Frame f = data_frame(factory, NodeId(i), 400);
-    at += Time::millis(10);
-    sim.schedule_at(at, [&medium, f = std::move(f)]() mutable {
-      medium.transmit(std::move(f));
-    });
-  }
-  sim.run();
-
-  // Each transmission reaches exactly the 3 co-channel peers.
-  const MediumStats s = medium.snapshot();
-  EXPECT_EQ(s.decode_attempts,
-            static_cast<std::uint64_t>(kNodes) * (kNodes / 2 - 1));
-  EXPECT_EQ(s.decode_attempts,
-            s.deliveries + s.collisions + s.channel_losses);
-  for (const auto& [stx, srx, st] : loss.samples_log())
-    EXPECT_EQ(stx.value() % 2, srx.value() % 2)
-        << "cross-channel pair sampled: " << stx.to_string() << " -> "
-        << srx.to_string();
-}
-
-// The culled receiver sets over moving nodes, a motion margin, a node
-// attached between two cell refreshes and a channel partition, across
-// several refresh periods. Every transmission must sample each co-channel
-// receiver audible at its instant, no cross-channel one and no node not yet
-// attached, and it must sample them in ascending attach order (nodes attach
-// in shuffled id order, so attach order is not id order). A digest of the
-// whole (tx, rx) sample sequence pins which receivers survive the cull
-// test: it depends only on positions at the refresh instants, the cell
-// grid and the partition, never on delivery draws.
-TEST(MediumProperties, CulledReceiverSetsFollowMotionAttachAndChannels) {
+// The culled receiver sets over moving nodes, a motion margin and a node
+// attached between two cell refreshes, across several refresh periods.
+// Every transmission must sample each receiver audible at its instant and
+// no node not yet attached, and it must sample them in ascending attach
+// order (nodes attach in shuffled id order, so attach order is not id
+// order). A digest of the whole (tx, rx) sample sequence pins which
+// receivers survive the cull test: it depends only on positions at the
+// refresh instants and the cell grid, never on delivery draws.
+TEST(MediumProperties, CulledReceiverSetsFollowMotionAndAttach) {
   constexpr double kAudibility = 0.05;
   constexpr double kMaxAudible = 950.0;  // 1 - d/1000 >= 0.05
   constexpr double kMaxSpeed = 20.0;     // m/s per axis
@@ -509,8 +465,6 @@ TEST(MediumProperties, CulledReceiverSetsFollowMotionAttachAndChannels) {
       schedule.emplace_back(
           NodeId(static_cast<int>(rng.uniform_int(0, nodes - 1))), t);
     }
-    const auto channel_of = [](NodeId id) { return id.value() % 3 == 0; };
-
     sim::Simulator sim;
     DistanceLoss loss(starts, rng.fork("samples"), velocities);
     MediumParams params;
@@ -523,9 +477,6 @@ TEST(MediumProperties, CulledReceiverSetsFollowMotionAttachAndChannels) {
     // Each endpoint moves at most sqrt(2) * kMaxSpeed * refresh between
     // refreshes.
     cull.margin_m = 1.5 * kMaxSpeed * refresh.to_seconds();
-    cull.channel_of = [channel_of](NodeId id) {
-      return channel_of(id) ? 1 : 0;
-    };
     params.culling = std::move(cull);
     Medium medium(sim, loss, std::move(params));
     std::vector<NullSink> sinks(static_cast<std::size_t>(nodes));
@@ -573,8 +524,6 @@ TEST(MediumProperties, CulledReceiverSetsFollowMotionAttachAndChannels) {
         const bool was = sampled[static_cast<std::size_t>(n)];
         if (rx == late && at < attach_at) {
           EXPECT_FALSE(was) << "unattached n" << n << " sampled";
-        } else if (channel_of(rx) != channel_of(tx)) {
-          EXPECT_FALSE(was) << "cross-channel n" << n << " sampled";
         } else if (loss.reception_prob(tx, rx, at) >= kAudibility) {
           EXPECT_TRUE(was) << "audible n" << n << " culled at "
                            << at.to_seconds() << " s";
@@ -592,7 +541,7 @@ TEST(MediumProperties, CulledReceiverSetsFollowMotionAttachAndChannels) {
   EXPECT_GT(culled_total, 1000u);
   // Pinned: which receivers survive the cull test, and in what order, for
   // these 60 schedules. Any change to a frame's receiver set moves it.
-  EXPECT_EQ(digest, 621249128410016516ull) << "sample-sequence digest";
+  EXPECT_EQ(digest, 12085171639951961028ull) << "sample-sequence digest";
 }
 
 }  // namespace

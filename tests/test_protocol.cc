@@ -1,7 +1,7 @@
 // Protocol-level tests of the ViFi stack over a fully scripted channel:
 // sender retransmission behaviour, piggybacked acknowledgments, anchor
-// selection and switching, salvaging, auxiliary relaying (both directions),
-// the auxiliary-set cap, and in-order delivery.
+// selection and switching, salvaging and auxiliary relaying (both
+// directions).
 
 #include <gtest/gtest.h>
 
@@ -292,38 +292,6 @@ TEST_F(ProtocolTest, PiggybackClearsPendingWithoutExplicitAck) {
   EXPECT_EQ(vehicle_got_.size(), 10u);
   // Everything acked: no pending retransmission state anywhere.
   EXPECT_EQ(system_->vehicle().sender().pending(), 0u);
-}
-
-TEST_F(ProtocolTest, MaxAuxiliariesCapsDesignation) {
-  connect_both();
-  SystemConfig cfg;
-  cfg.vifi.max_auxiliaries = 0;
-  build(cfg);
-  run_for(Time::seconds(3.0));
-  EXPECT_EQ(system_->vehicle().anchor(), NodeId(kBs0));
-  EXPECT_TRUE(system_->vehicle().auxiliaries().empty());
-}
-
-TEST_F(ProtocolTest, InorderDeliveryConfigStillDeliversEverything) {
-  connect_both();
-  SystemConfig cfg;
-  cfg.vifi.inorder_delivery = true;
-  build(cfg);
-  run_for(Time::seconds(3.0));
-  for (int i = 0; i < 30; ++i) {
-    system_->send_down(100);
-    system_->send_up(100);
-    run_for(Time::millis(50.0));
-  }
-  run_for(Time::seconds(2.0));
-  EXPECT_EQ(vehicle_got_.size(), 30u);
-  EXPECT_EQ(host_got_.size(), 30u);
-  // In-order: ids strictly increasing per direction. Upstream goes through
-  // the anchor's sequencer, downstream through the vehicle's.
-  for (std::size_t i = 1; i < vehicle_got_.size(); ++i)
-    EXPECT_LT(vehicle_got_[i - 1], vehicle_got_[i]);
-  for (std::size_t i = 1; i < host_got_.size(); ++i)
-    EXPECT_LT(host_got_[i - 1], host_got_[i]);
 }
 
 TEST_F(ProtocolTest, RetxIntervalAdaptsToAckDelays) {

@@ -1009,8 +1009,10 @@ TEST(LivePolicy, EachNameSetsItsDiversityAndSalvageSwitches) {
     EXPECT_EQ(sys.vifi.diversity, want.diversity) << want.name;
     EXPECT_EQ(sys.vifi.salvage, want.salvage) << want.name;
     EXPECT_EQ(sys.vifi.max_retx, defaults.vifi.max_retx) << want.name;
-    EXPECT_EQ(sys.vifi.max_auxiliaries, defaults.vifi.max_auxiliaries)
+    EXPECT_EQ(sys.vifi.variant, defaults.vifi.variant) << want.name;
+    EXPECT_EQ(sys.vifi.piggyback_depth, defaults.vifi.piggyback_depth)
         << want.name;
+    EXPECT_EQ(sys.coord.enabled, defaults.coord.enabled) << want.name;
   }
   for (const std::string name : {"", "vifi", "AllBSes", "Sticky", "Bogus"})
     EXPECT_THROW(live_policy_config(name), std::runtime_error) << name;

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Same bytes as one command: every sweep leg must write byte-identical
 output for any --threads, and (with --against) the same bytes as a parent
-build.
+build, as must every `paper` run.
 
 Usage:
     samebytes.py BUILD [--against PARENT_BUILD]
@@ -29,7 +29,15 @@ span slices) run on the first thread count's output.
 
 --against re-runs each row's first thread count, prelude included, with
 PARENT_BUILD's binaries into BUILD/samebytes/ROW/parent/ and compares it
-with this build's output the same way.
+with this build's output the same way. It then runs every `paper --list`
+run on both builds, two at a time (this build's and the parent's of the
+same run), into BUILD/samebytes/paper/{this,parent}/: a run that writes
+value entries runs as `paper NAME --json NAME.json`, the others as `paper
+NAME`. Each run's stdout (and entries file) must be the same bytes as the
+parent's, and both builds must list the same runs; the first run that
+differs is named. The gated values come from these runs, so a refactor
+that keeps the sweep bytes but moves a figure is caught here. Only
+--against needs the `paper` binary.
 
 A table in which two rows share a command line and thread count is
 refused before anything runs: a leg that runs twice proves nothing.
@@ -42,10 +50,12 @@ import argparse
 import filecmp
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 POLICIES = "AllBSes,BestBS,History,RSSI,BRR,Sticky"
@@ -292,6 +302,55 @@ def run_row(build, row, root, against):
         compare(base, out, "this build", against)
 
 
+def paper_runs(build):
+    """The build's `paper` runs in list order, each with whether it writes
+    value entries (the usage message names those)."""
+    paper = os.path.join(build, "paper")
+    names = run([paper, "--list"], build, "paper --list").decode().split()
+    usage = subprocess.run([paper], stdout=subprocess.PIPE,
+                           stderr=subprocess.PIPE).stderr.decode()
+    match = re.search(r"--json only for:([^)]*)\)", usage)
+    if not match:
+        raise RowFailure(f"{paper} usage names no --json runs")
+    gated = set(match.group(1).split())
+    return [(name, name in gated) for name in names]
+
+
+def run_paper(build, name, gated, out):
+    """Runs `paper NAME` in `out`, keeping its stdout as NAME.stdout."""
+    cmd = [os.path.join(build, "paper"), name]
+    if gated:
+        cmd += ["--json", name + ".json"]
+    text = run(cmd, out, " ".join(["paper"] + cmd[1:]))
+    with open(os.path.join(out, name + ".stdout"), "wb") as f:
+        f.write(text)
+
+
+def compare_paper(build, against, root):
+    """Every `paper` run's stdout and entries file against the parent's,
+    in list order."""
+    runs = paper_runs(build)
+    if runs != paper_runs(against):
+        raise RowFailure(f"paper --list or its --json runs differ from "
+                         f"{against}")
+    this, parent = os.path.join(root, "this"), os.path.join(root, "parent")
+    os.makedirs(this)
+    os.makedirs(parent)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for name, gated in runs:
+            jobs = [pool.submit(run_paper, b, name, gated, out)
+                    for b, out in ((build, this), (against, parent))]
+            for job in jobs:
+                job.result()
+            for suffix in (".stdout", ".json") if gated else (".stdout",):
+                if not filecmp.cmp(os.path.join(this, name + suffix),
+                                   os.path.join(parent, name + suffix),
+                                   shallow=False):
+                    raise RowFailure(f"paper {name}: {name}{suffix} differs "
+                                     f"between this build and {against}")
+    return len(runs)
+
+
 def main(argv):
     parser = argparse.ArgumentParser(
         description="Run every sweep leg at each of its thread counts and "
@@ -309,8 +368,10 @@ def main(argv):
         return 1
     build = os.path.abspath(args.build)
     against = os.path.abspath(args.against) if args.against else None
+    tools = ("sweep", "tripscope", "traceforge") + (
+        ("paper",) if against else ())
     for d in filter(None, (build, against)):
-        for tool in ("sweep", "tripscope", "traceforge"):
+        for tool in tools:
             if not os.access(os.path.join(d, tool), os.X_OK):
                 parser.error(f"{d} has no {tool} binary")
     root = os.path.join(build, "samebytes")
@@ -328,7 +389,19 @@ def main(argv):
         threads = ",".join(str(t) for t in row.threads)
         print(f"{row.name:<17} --threads {threads:<8} "
               f"{time.monotonic() - row_start:6.2f} s  {status}", flush=True)
-    print(f"samebytes: {len(ROWS) - failed}/{len(ROWS)} rows same bytes"
+    rows = len(ROWS)
+    if against:
+        rows += 1
+        paper_start = time.monotonic()
+        try:
+            n = compare_paper(build, against, os.path.join(root, "paper"))
+            status = f"ok ({n} runs)"
+        except RowFailure as e:
+            failed += 1
+            status = f"FAILED: {e}"
+        print(f"{'paper':<17} {'':<18} "
+              f"{time.monotonic() - paper_start:6.2f} s  {status}", flush=True)
+    print(f"samebytes: {rows - failed}/{rows} rows same bytes"
           f"{' as ' + against if against else ''} "
           f"in {time.monotonic() - start:.2f} s")
     return 1 if failed else 0
